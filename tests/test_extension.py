@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
+from qchardy import extension
 from qchardy.boundary import make_map
 from qchardy.extension import (
+    _FRACTIONS,
+    _GL_ORDER,
+    _GRADE_PANELS,
+    _KAPPA,
     BAExtension,
+    _line_integral,
     ba_extend,
     circular_distortion_check,
     cone_image_aperture,
@@ -13,7 +19,92 @@ from qchardy.extension import (
     make_disc_map,
     moebius_disc_map,
 )
+from qchardy.functionals import radial_schedule
 from qchardy.geometry import HyperbolicBall
+from qchardy.quadrature import gauss_legendre
+
+
+def _seed_line_integral(fn, a, b):
+    """Reference rule: every interval on 14 graded panels each side of c."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    c = np.clip(0.0, a, b)
+    left = c[:, None] + (a - c)[:, None] * _FRACTIONS[::-1][None, :]
+    right = c[:, None] + (b - c)[:, None] * _FRACTIONS[None, :]
+    edges = np.concatenate([left, right], axis=1)
+    x, w = gauss_legendre(_GL_ORDER)
+    half = 0.5 * np.diff(edges, axis=1)
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    nodes = mid[:, :, None] + half[:, :, None] * x[None, None, :]
+    vals = fn(nodes.ravel()).reshape(nodes.shape)
+    return np.einsum("mp,mpq,q->m", half, vals, w)
+
+
+def _random_intervals(n=10000, seed=11):
+    """[x - y, x] and [x, x + y] over twenty-two decades of position and
+    length: far from 0, touching it, and around it."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n) * 10.0 ** rng.uniform(-9, 2, n)
+    y = 10.0 ** rng.uniform(-9, 2, n)
+    return np.concatenate([x - y, x]), np.concatenate([x, x + y])
+
+
+class _Counting:
+    """Integrand that records every batch of nodes it is called on."""
+
+    def __init__(self):
+        self.batches = []
+
+    def __call__(self, x):
+        self.batches.append(np.array(x))
+        return np.sin(x)
+
+    @property
+    def evaluations(self):
+        return sum(batch.size for batch in self.batches)
+
+
+class TestLineIntegral:
+    def test_reach_from_bernstein_ellipse(self):
+        # a singularity _KAPPA panel widths beyond the panel's end lies on
+        # the Bernstein ellipse where rho^(-2n) is machine epsilon
+        u = 1.0 + 2.0 * _KAPPA
+        rho = u + np.sqrt(u * u - 1.0)
+        assert rho ** (-2 * _GL_ORDER) == pytest.approx(np.finfo(float).eps, rel=1e-9)
+        assert _KAPPA == pytest.approx(0.678, abs=1e-3)
+
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3", "identity"])
+    def test_matches_seed_rule(self, spec):
+        h = BAExtension(make_map(spec)).line_map
+        a, b = _random_intervals()
+        got = _line_integral(h, a, b)
+        ref = _seed_line_integral(h, a, b)
+        scale = (b - a) * np.maximum(np.abs(h(a)), np.abs(h(b)))
+        assert np.all(np.abs(got - ref) <= 1e-11 * scale)
+
+    @pytest.mark.parametrize("a, b, panels", [
+        (1.0, 2.0, 1),
+        (-3.0, -2.5, 1),
+        (0.0, 1.0, _GRADE_PANELS),
+        (-1e-3, 0.0, _GRADE_PANELS),
+        (-1.0, 2.0, 2 * _GRADE_PANELS),
+        (0.5, 0.5, 0),
+    ])
+    def test_evaluations_per_interval(self, a, b, panels):
+        fn = _Counting()
+        _line_integral(fn, a, b)
+        assert len(fn.batches) == 1
+        assert fn.evaluations == panels * _GL_ORDER
+
+    def test_batch_evaluates_no_zero_width_panel(self):
+        fn = _Counting()
+        a, b = _random_intervals(n=2000)
+        _line_integral(fn, a, b)
+        assert len(fn.batches) == 1
+        nodes = fn.batches[0].reshape(-1, _GL_ORDER)
+        assert np.all(np.ptp(nodes, axis=1) > 0.0)
+        # fewer than half of the seed's 2 * _GRADE_PANELS panels an interval
+        assert fn.evaluations < _GRADE_PANELS * _GL_ORDER * a.size
 
 
 class TestHalfplaneExtension:
@@ -64,6 +155,20 @@ class TestDiscExtension:
         phi = ba_extend(make_map("identity"))
         r = np.array([0.0, 0.25, 0.5, 0.9, 0.99])
         assert np.max(np.abs(phi(r + 0j) - (1 + 3 * r) / (3 + r))) < 1e-9
+
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
+    def test_seed_rule_along_radial_schedule(self, spec, monkeypatch):
+        # beyond r = 1 - 2^-12 both rules carry the same rounding noise of
+        # BAExtension.halfplane, so the deep bound is looser
+        theta = np.linspace(-np.pi, np.pi, 401)
+        z = (radial_schedule()[:, None] * np.exp(1j * theta)).ravel()
+        with monkeypatch.context() as m:
+            m.setattr(extension, "_line_integral", _seed_line_integral)
+            ref = make_disc_map(spec)(z)
+        rel = np.abs(make_disc_map(spec)(z) - ref) / (1.0 - np.abs(ref))
+        rel = rel.reshape(-1, theta.size)
+        assert np.max(rel[:12]) <= 1e-10
+        assert np.max(rel) <= 1e-6
 
     def test_extension_interior_point_stays_interior(self, thm2_map):
         w = complex(thm2_map(np.array([0j]))[0])
