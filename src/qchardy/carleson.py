@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import _dyadic_sup_inverse
-from .extension import invert
+from .extension import DiscQCMap, invert
 from .functionals import hardy_norm
 from .functions import compose, hardy_kernel
 from .geometry import HyperbolicBall
@@ -207,13 +207,27 @@ class ProxyResult:
 
 def operator_bound_proxy(phi, p, k_max=16, radial_depth=24):
     """sup over w_k = 1 - 2^{-k} of the Hardy-norm ratio
-    ||kernel_w o phi||^p / ||kernel_w||^p for the extremal kernel family."""
+    ||kernel_w o phi||^p / ||kernel_w||^p for the extremal kernel family.
+
+    All kernels are singular at angle 0, so their composites evaluate phi on
+    the same circle-node batches: this call memoises phi's interior on each
+    batch's exact shape and bytes."""
     p = float(p)
+    seen = {}
+
+    def interior(z):
+        key = (z.shape, z.tobytes())
+        if key not in seen:
+            seen[key] = phi.interior(z)
+        return seen[key]
+
+    memo = DiscQCMap(phi.boundary, interior, phi.label, phi.conformal,
+                     phi.complex_derivative)
     ws = tuple(1.0 - 2.0 ** -k for k in range(1, k_max + 1))
     ratios = []
     for w in ws:
         g = hardy_kernel(w, p)
-        num = hardy_norm(compose(g, phi), p, k_max=radial_depth).value ** p
+        num = hardy_norm(compose(g, memo), p, k_max=radial_depth).value ** p
         den = hardy_norm(g, p, k_max=radial_depth).value ** p
         ratios.append(num / den)
     return ProxyResult(float(np.max(ratios)), tuple(ratios), ws)

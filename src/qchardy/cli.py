@@ -89,7 +89,7 @@ class ExperimentSpec:
                              "(and the cone aperture > 1)")
 
 
-def _map_and_homeo(spec):
+def _entry_and_map(spec):
     entry = parse_map_spec(spec.map_spec)
     phi = make_disc_map(entry)
     return entry, phi
@@ -98,7 +98,7 @@ def _map_and_homeo(spec):
 def run_thm1(spec):
     """Boundedness proxy of the composition operator vs the Lipschitz
     classification of the inverse boundary map; the two must agree."""
-    entry, phi = _map_and_homeo(spec)
+    entry, phi = _entry_and_map(spec)
     rep = ExperimentReport("thm1")
     proxy = ca.operator_bound_proxy(phi, spec.p, k_max=spec.depth)
     bounded = proxy.bounded()
@@ -114,7 +114,7 @@ def run_thm1(spec):
 
 def run_thm2(spec):
     """The divergent analytic norm against the convergent composite norms."""
-    entry, phi = _map_and_homeo(spec)
+    entry, phi = _entry_and_map(spec)
     rep = ExperimentReport("thm2")
     g = cauchy_kernel()
     f = compose(g, phi)
@@ -140,7 +140,7 @@ def run_thm2(spec):
 def run_thm3(spec):
     """Boundary values, maximal function and weighted derivative integral for
     a composite with an extremal-kernel analytic part."""
-    entry, phi = _map_and_homeo(spec)
+    entry, phi = _entry_and_map(spec)
     rep = ExperimentReport("thm3")
     f = compose(hardy_kernel(0.9, spec.p), phi)
     nf = fn.hardy_norm(f, spec.p)
@@ -172,7 +172,7 @@ def run_thm3(spec):
 
 def run_thmA(spec):
     """Bergman-Carleson ball tester vs the boundary Lipschitz classification."""
-    entry, phi = _map_and_homeo(spec)
+    entry, phi = _entry_and_map(spec)
     rep = ExperimentReport("thmA")
     mu = ca.DiscPushforward(phi, seed=spec.seed)
     sweep = ca.bergman_carleson_constant(
@@ -196,7 +196,7 @@ def run_thmA(spec):
 def run_lemma1(spec):
     """Image-cone aperture over a boundary grid: finite and comparable across
     boundary points (max within 3x of the median)."""
-    entry, phi = _map_and_homeo(spec)
+    entry, phi = _entry_and_map(spec)
     rep = ExperimentReport("lemma1")
     thetas = -np.pi + 2 * np.pi * (np.arange(spec.grid) + 0.5) / spec.grid
     aps = [cone_image_aperture(phi, np.exp(1j * t), spec.aperture, samples=96)
@@ -282,6 +282,15 @@ def emit(report, fmt, path):
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
+def _depth(text):
+    """--depth k: k >= 1 and the radius 1 - 2^-k still below 1.0 in doubles."""
+    depth = int(text)
+    if depth < 1 or 1.0 - 2.0 ** -depth == 1.0:
+        raise argparse.ArgumentTypeError(
+            f"{depth}: need depth >= 1 with 1 - 2^-depth < 1.0 in doubles")
+    return depth
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qchardy",
@@ -294,23 +303,27 @@ def build_parser():
                        help="catalog map, e.g. identity, thm2_sqrt, "
                             "power:2, moebius:0.5")
         p.add_argument("--p", type=float, default=2.0 if name != "thm2" else 1.0)
-        p.add_argument("--depth", type=int, default=10)
+        p.add_argument("--depth", type=_depth, default=10)
         p.add_argument("--grid", type=int, default=16)
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--aperture", type=float, default=2.0)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted for interface stability; evaluation is "
-                            "already vectorized")
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    spec = ExperimentSpec(name=args.experiment, map_spec=args.map, p=args.p,
-                          depth=args.depth, grid=args.grid, seed=args.seed,
-                          aperture=args.aperture)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        spec = ExperimentSpec(name=args.experiment, map_spec=args.map, p=args.p,
+                              depth=args.depth, grid=args.grid, seed=args.seed,
+                              aperture=args.aperture)
+        entry, _ = _entry_and_map(spec)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if spec.name == "af_conformal" and entry.name != "moebius":
+        parser.error(f"af_conformal needs a moebius:<a> map, not {args.map!r}")
     report = run(spec)
     out_text = report.to_csv() if args.format == "csv" else report.to_json()
     if args.out:

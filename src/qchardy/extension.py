@@ -102,7 +102,7 @@ class BAExtension:
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         shape = z.shape
-        zf = np.atleast_1d(z)
+        zf = z.ravel()
         w = 1j * (1.0 - zf) / (1.0 + zf)
         u, v = self.halfplane(w.real, w.imag)
         phi_hp = u + 1j * v
@@ -180,6 +180,8 @@ def make_disc_map(entry):
     if entry.name == "identity":
         return identity_disc_map()
     if entry.name == "moebius":
+        if len(entry.parameters) != 1:
+            raise ValueError("moebius map takes exactly one parameter a")
         return moebius_disc_map(entry.parameters[0])
     return ba_extend(make_map(entry))
 

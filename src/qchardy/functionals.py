@@ -235,7 +235,7 @@ class AverageDerivativeEstimate:
     excluded_fraction: float
 
 
-def _log_jacobian(f, z):
+def _jacobian(f, z):
     if isinstance(f, QuasiregularMap):
         jac = f.jacobian(z)
     elif isinstance(f, AnalyticFunction):
@@ -256,7 +256,7 @@ def average_derivative(f, z, ball_ratio=0.5, mc_samples=10000, seed=0):
     ball = HyperbolicBall(center=z, ratio=ball_ratio)
     rng = np.random.default_rng(seed)
     pts = ball_sample(ball, mc_samples, rng)
-    jac = _log_jacobian(f, pts)
+    jac = _jacobian(f, pts)
     good = jac > 0
     frac_bad = 1.0 - np.count_nonzero(good) / len(jac)
     if frac_bad > 0.01:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,9 @@ from qchardy.carleson import (
     make_ball_family,
     operator_bound_proxy,
 )
+from qchardy.extension import make_disc_map
+from qchardy.functionals import hardy_norm
+from qchardy.functions import compose, hardy_kernel
 from qchardy.geometry import Arc, HyperbolicBall
 
 
@@ -186,3 +191,30 @@ class TestOperatorProxy:
         proxy = operator_bound_proxy(pow2_map, 2.0, k_max=8, radial_depth=16)
         assert not proxy.bounded()
         assert proxy.ratios[-1] > 2 * proxy.ratios[-3]
+
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
+    def test_ratios_equal_the_direct_loop(self, spec):
+        phi = make_disc_map(spec)
+        proxy = operator_bound_proxy(phi, 2.0, k_max=4, radial_depth=12)
+        ref = []
+        for w in proxy.ws:
+            g = hardy_kernel(w, 2.0)
+            num = hardy_norm(compose(g, phi), 2.0, k_max=12).value ** 2.0
+            den = hardy_norm(g, 2.0, k_max=12).value ** 2.0
+            ref.append(num / den)
+        assert proxy.ratios == tuple(ref)
+
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
+    def test_each_batch_reaches_the_map_once(self, spec):
+        phi = make_disc_map(spec)
+        ba = phi.interior
+        batches = Counter()
+
+        def counting(z):
+            batches[(z.shape, z.tobytes())] += 1
+            return ba(z)
+
+        phi.interior = counting
+        operator_bound_proxy(phi, 2.0, k_max=4, radial_depth=12)
+        assert phi.interior is counting
+        assert batches and max(batches.values()) == 1

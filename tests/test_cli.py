@@ -118,3 +118,32 @@ class TestMain:
         assert code == 0
         assert payload["experiment"] == "lemma1"
         assert payload["metadata"]["spec"]["map"] == "identity"
+
+
+class TestUsageErrors:
+    """Bad input ends in a usage error: exit 2 and a message on stderr."""
+
+    def _usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+
+    def test_moebius_without_parameter(self, capsys):
+        self._usage_error(capsys, ["thm1", "--map", "moebius"], "one parameter")
+
+    def test_unknown_map(self, capsys):
+        self._usage_error(capsys, ["thm1", "--map", "nosuchmap"], "nosuchmap")
+
+    def test_depth_beyond_double_precision(self, capsys):
+        depth = 1
+        while 1.0 - 2.0 ** -depth < 1.0:
+            depth += 1
+        assert build_parser().parse_args(
+            ["thm1", "--depth", str(depth - 1)]).depth == depth - 1
+        self._usage_error(capsys, ["thm1", "--depth", str(depth)], "--depth")
+
+    def test_af_conformal_rejects_a_non_moebius_map(self, capsys):
+        self._usage_error(capsys, ["af_conformal", "--map", "power:2"],
+                          "power:2")

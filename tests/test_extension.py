@@ -170,6 +170,12 @@ class TestDiscExtension:
         assert np.max(rel[:12]) <= 1e-10
         assert np.max(rel) <= 1e-6
 
+    def test_2d_input_matches_raveled_call(self, thm2_map):
+        z = np.array([[0.1 + 0.2j, 0.5j, -0.3], [0.9, 0.2 - 0.7j, 0j]])
+        w = thm2_map(z)
+        assert w.shape == z.shape
+        assert w.tobytes() == thm2_map(z.ravel()).tobytes()
+
     def test_extension_interior_point_stays_interior(self, thm2_map):
         w = complex(thm2_map(np.array([0j]))[0])
         assert abs(w) < 0.9
@@ -278,6 +284,10 @@ class TestCatalogConstruction:
         assert make_disc_map("identity").label == "identity"
         assert make_disc_map("power:2").label == "ba[power(2)]"
         assert make_disc_map("thm2_sqrt").label == "ba[thm2_sqrt]"
+
+    def test_moebius_without_parameter_is_a_value_error(self):
+        with pytest.raises(ValueError, match="one parameter"):
+            make_disc_map("moebius")
 
     def test_moebius_exact_interior(self):
         phi = moebius_disc_map(0.5)
