@@ -93,11 +93,11 @@ class DiscPushforward:
 
     def measure_ball(self, ball, n=4096, index=0):
         """(mass, stderr) of the ball under the pushforward measure."""
-        zc = invert(self.phi, ball.center)
         # size the bounding disc from preimages of a few rim points; the rim
         # overflow check below still guards against undercoverage
         rim = ball.center + ball.radius * 0.98 * np.exp(2j * np.pi * np.arange(4) / 4)
-        rim_dist = max(abs(invert(self.phi, w) - zc) for w in rim)
+        zc, *rim_pre = invert(self.phi, np.concatenate(([ball.center], rim)))
+        rim_dist = max(abs(z - zc) for z in rim_pre)
         radius_pre = max(1.5 * rim_dist, 0.3 * (1.0 - abs(zc)))
         for attempt in range(6):
             rng = np.random.default_rng((self.seed, int(index), attempt))

@@ -20,13 +20,22 @@ import numpy as np
 from . import carleson as ca
 from . import functionals as fn
 from .boundary import is_lipschitz_inverse, lipschitz_modulus_inverse, parse_map_spec
-from .extension import cone_image_aperture, make_disc_map, moebius_disc_map
+from .extension import cone_image_aperture, make_disc_map
 from .functions import cauchy_kernel, compose, hardy_kernel
 
 PASS = "pass"
 FAIL = "fail"
 
 EXPERIMENTS = ("thm1", "thm2", "thm3", "thmA", "lemma1", "af_conformal")
+
+_DEFAULT_MAPS = {
+    "thm1": "identity",
+    "thm2": "thm2_sqrt",
+    "thm3": "thm2_sqrt",
+    "thmA": "thm2_sqrt",
+    "lemma1": "thm2_sqrt",
+    "af_conformal": "moebius:0.5",
+}
 
 
 @dataclass(frozen=True)
@@ -74,7 +83,7 @@ class ExperimentReport:
 @dataclass
 class ExperimentSpec:
     name: str
-    map_spec: str = "identity"
+    map_spec: str | None = None  # the experiment's entry in _DEFAULT_MAPS
     p: float = 2.0
     depth: int = 10
     grid: int = 16
@@ -84,6 +93,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.name!r}")
+        if self.map_spec is None:
+            self.map_spec = _DEFAULT_MAPS[self.name]
         if self.p <= 0 or self.depth < 1 or self.grid < 1 or self.aperture <= 1:
             raise ValueError("experiment parameters must be positive "
                              "(and the cone aperture > 1)")
@@ -91,8 +102,10 @@ class ExperimentSpec:
 
 def _entry_and_map(spec):
     entry = parse_map_spec(spec.map_spec)
-    phi = make_disc_map(entry)
-    return entry, phi
+    if spec.name == "af_conformal" and entry.name != "moebius":
+        raise ValueError(
+            f"af_conformal needs a moebius:<a> map, not {spec.map_spec!r}")
+    return entry, make_disc_map(entry)
 
 
 def run_thm1(spec):
@@ -211,10 +224,7 @@ def run_lemma1(spec):
 
 def run_af_conformal(spec):
     """Average derivative of a conformal control map against |f'|."""
-    entry = parse_map_spec(spec.map_spec)
-    if entry.name != "moebius":
-        entry = parse_map_spec("moebius:0.5")
-    phi = moebius_disc_map(entry.parameters[0])
+    entry, phi = _entry_and_map(spec)
     rep = ExperimentReport("af_conformal")
     from .functions import AnalyticFunction
     f = AnalyticFunction(phi.interior, phi.complex_derivative, label=phi.label)
@@ -245,16 +255,6 @@ _RUNNERS = {
     "lemma1": run_lemma1,
     "af_conformal": run_af_conformal,
 }
-
-_DEFAULT_MAPS = {
-    "thm1": "identity",
-    "thm2": "thm2_sqrt",
-    "thm3": "thm2_sqrt",
-    "thmA": "thm2_sqrt",
-    "lemma1": "thm2_sqrt",
-    "af_conformal": "moebius:0.5",
-}
-
 
 def run(spec):
     """Run the named experiment; deterministic for a fixed spec and seed."""
@@ -319,11 +319,9 @@ def main(argv=None):
         spec = ExperimentSpec(name=args.experiment, map_spec=args.map, p=args.p,
                               depth=args.depth, grid=args.grid, seed=args.seed,
                               aperture=args.aperture)
-        entry, _ = _entry_and_map(spec)
+        _entry_and_map(spec)
     except ValueError as exc:
         parser.error(str(exc))
-    if spec.name == "af_conformal" and entry.name != "moebius":
-        parser.error(f"af_conformal needs a moebius:<a> map, not {args.map!r}")
     report = run(spec)
     out_text = report.to_csv() if args.format == "csv" else report.to_json()
     if args.out:

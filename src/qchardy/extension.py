@@ -99,17 +99,46 @@ class BAExtension:
         v = (i2 - i1) / (2.0 * y)
         return u, v
 
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        shape = z.shape
-        zf = z.ravel()
+    def _disc(self, zf):
+        """Half-plane point x + iy, its extension u + iv and phi at disc
+        points zf (1-D)."""
         w = 1j * (1.0 - zf) / (1.0 + zf)
         u, v = self.halfplane(w.real, w.imag)
         phi_hp = u + 1j * v
-        out = (1j - phi_hp) / (1j + phi_hp)
-        if shape == ():
+        return w, u, v, phi_hp, (1j - phi_hp) / (1j + phi_hp)
+
+    def __call__(self, z):
+        z = np.asarray(z, dtype=complex)
+        out = self._disc(z.ravel())[-1]
+        if z.shape == ():
             return complex(out[0])
-        return out.reshape(shape)
+        return out.reshape(z.shape)
+
+    def jet(self, z):
+        """(phi, d_z phi, d_zbar phi) at z, each in the shape of z.
+
+        The partials of the averaged extension are closed forms in the line
+        map h at x - y, x and x + y (Beurling & Ahlfors 1956):
+            u_x = (h(x+y) - h(x-y)) / 2y,  u_y = (h(x+y) + h(x-y)) / 2y - u/y,
+            v_x = (h(x+y) - 2h(x) + h(x-y)) / 2y,  v_y = u_x - v/y,
+        chained through the Cayley maps, whose derivatives are -2i/(1+z)^2
+        and -2i/(i+F)^2.  phi is bitwise the value of a call at z.
+        """
+        z = np.asarray(z, dtype=complex)
+        zf = z.ravel()
+        w, u, v, phi_hp, phi = self._disc(zf)
+        x, y = w.real, w.imag
+        h_lo, h_mid, h_hi = self.line_map(np.concatenate([x - y, x, x + y])).reshape(3, -1)
+        u_x = (h_hi - h_lo) / (2.0 * y)
+        u_y = (h_hi + h_lo) / (2.0 * y) - u / y
+        v_x = (h_hi - 2.0 * h_mid + h_lo) / (2.0 * y)
+        v_y = u_x - v / y
+        f_x, f_y = u_x + 1j * v_x, u_y + 1j * v_y
+        outer = -2j / (1j + phi_hp) ** 2
+        inner = -2j / (1.0 + zf) ** 2
+        dz = outer * 0.5 * (f_x - 1j * f_y) * inner
+        dzb = outer * 0.5 * (f_x + 1j * f_y) * np.conj(inner)
+        return phi.reshape(z.shape), dz.reshape(z.shape), dzb.reshape(z.shape)
 
 
 class DiscQCMap:
@@ -129,22 +158,34 @@ class DiscQCMap:
     def boundary_point(self, t):
         return self.boundary.map_point(t)
 
-    def wirtinger(self, z, fd_factor=1e-5):
-        """(d_z phi, d_zbar phi) at z: exact for conformal maps, otherwise
-        central finite differences with step fd_factor * (1 - |z|)."""
+    def jet(self, z):
+        """(phi, d_z phi, d_zbar phi) at z: exact for conformal maps, closed
+        form for Beurling-Ahlfors extensions, otherwise central finite
+        differences with step 1e-5 (1 - |z|)."""
         z = np.asarray(z, dtype=complex)
         if self.conformal and self.complex_derivative is not None:
             dz = self.complex_derivative(z)
-            return dz, np.zeros_like(dz)
-        h = fd_factor * (1.0 - np.abs(z))
+            return self(z), dz, np.zeros_like(dz)
+        if isinstance(self.interior, BAExtension):
+            return self.interior.jet(z)
+        h = 1e-5 * (1.0 - np.abs(z))
         fx = (self(z + h) - self(z - h)) / (2.0 * h)
         fy = (self(z + 1j * h) - self(z - 1j * h)) / (2.0 * h)
-        return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+        return self(z), 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
-    def differential(self, z, fd_factor=1e-5):
+    def wirtinger(self, z):
+        """(d_z phi, d_zbar phi) at z."""
+        return self.jet(z)[1:]
+
+    def differential(self, z):
         """(operator norm |Dphi|, Jacobian) at z."""
-        dz, dzb = self.wirtinger(z, fd_factor)
-        return np.abs(dz) + np.abs(dzb), np.abs(dz) ** 2 - np.abs(dzb) ** 2
+        return norm_and_jacobian(*self.wirtinger(z))
+
+
+def norm_and_jacobian(dz, dzb):
+    """(operator norm, Jacobian) of the differential with Wirtinger
+    derivatives dz, dzb."""
+    return np.abs(dz) + np.abs(dzb), np.abs(dz) ** 2 - np.abs(dzb) ** 2
 
 
 def ba_extend(h):
@@ -194,7 +235,7 @@ class DilatationSummary:
     n_points: int
 
 
-def dilatation_estimate(phi, grid=16, fd_factor=1e-5):
+def dilatation_estimate(phi, grid=16):
     """Distribution of |Dphi|^2 / J over a polar grid; p99 is the working K.
 
     Points with J <= 0 are counted as distortion violations and excluded from
@@ -203,7 +244,7 @@ def dilatation_estimate(phi, grid=16, fd_factor=1e-5):
     r = (np.arange(grid) + 0.5) / (grid + 0.5)
     th = -np.pi + 2.0 * np.pi * (np.arange(grid) + 0.5) / grid
     z = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
-    op, jac = phi.differential(z, fd_factor)
+    op, jac = phi.differential(z)
     bad = jac <= 0
     ratios = (op[~bad] ** 2) / jac[~bad]
     if ratios.size == 0:
@@ -216,51 +257,69 @@ def dilatation_estimate(phi, grid=16, fd_factor=1e-5):
     )
 
 
-def invert(phi, w, tol=1e-11, max_iter=80):
-    """Solve phi(z) = w for an interior point by damped Newton iteration.
-
-    Initial guess from the boundary inverse angle and |w|; the quasi-Newton
-    step uses the Wirtinger derivatives of phi.
-    """
-    w = complex(w)
+def _initial_guess(phi, w):
+    """|w| times the boundary preimage of w's direction, kept inside the disc."""
     t0 = float(phi.boundary.inverse(np.angle(w) if w != 0 else 0.0))
     z = abs(w) * np.exp(1j * t0) if w != 0 else 0j
     if abs(z) >= 1:
         z *= (1 - 1e-9) / abs(z)
-    for _ in range(max_iter):
-        f = complex(phi(z)) - w
-        if abs(f) < tol:
-            return z
-        dz, dzb = phi.wirtinger(np.asarray([z]))
-        dz, dzb = complex(dz[0]), complex(dzb[0])
-        jac = abs(dz) ** 2 - abs(dzb) ** 2
-        if jac <= 0:
+    return z
+
+
+def invert(phi, w, tol=1e-11, max_iter=80):
+    """Solve phi(z) = w for interior points by damped Newton iteration.
+
+    w is a point or an array of points, one Newton lane each.  Initial guess
+    from the boundary inverse angle and |w|; every iteration makes one jet
+    call on the lanes still running and takes each lane's quasi-Newton step
+    from its Wirtinger derivatives.
+    """
+    targets = np.asarray(w, dtype=complex)
+    ws = [complex(t) for t in targets.ravel()]
+    zs = [_initial_guess(phi, t) for t in ws]
+    residual = [np.inf] * len(ws)
+    running = list(range(len(ws)))
+    for it in range(max_iter + 1):  # the last pass only checks the residual
+        if not running:
             break
-        step = (np.conj(dz) * f - dzb * np.conj(f)) / jac
-        # keep iterates inside the disc
-        znew = z - step
-        while abs(znew) >= 1 - 1e-13:
-            step *= 0.5
-            znew = z - step
-            if abs(step) < 1e-16:
-                break
-        z = znew
-    f = complex(phi(z)) - w
-    if abs(f) < 1e-7:
-        return z
-    raise RuntimeError(f"invert({phi.label}, {w}) did not converge (residual {abs(f):.2e})")
+        vals, dzs, dzbs = phi.jet(np.asarray([zs[i] for i in running]))
+        still = []
+        for i, val, dz, dzb in zip(running, vals, dzs, dzbs):
+            f = complex(val) - ws[i]
+            residual[i] = abs(f)
+            dz, dzb = complex(dz), complex(dzb)
+            jac = abs(dz) ** 2 - abs(dzb) ** 2
+            if abs(f) < tol or jac <= 0 or it == max_iter:
+                continue
+            step = (np.conj(dz) * f - dzb * np.conj(f)) / jac
+            # keep iterates inside the disc
+            znew = zs[i] - step
+            while abs(znew) >= 1 - 1e-13:
+                step *= 0.5
+                znew = zs[i] - step
+                if abs(step) < 1e-16:
+                    break
+            zs[i] = znew
+            still.append(i)
+        running = still
+    for t, r in zip(ws, residual):
+        if not r < 1e-7:  # a NaN residual fails too
+            raise RuntimeError(f"invert({phi.label}, {t}) did not converge "
+                               f"(residual {r:.2e})")
+    if targets.ndim == 0:
+        return zs[0]
+    return np.asarray(zs).reshape(targets.shape)
 
 
 def circular_distortion_check(phi, balls, n_boundary=24):
     """diam(phi^{-1}(B)) / (1 - |phi^{-1}(center)|) for each hyperbolic ball."""
     ratios = []
     for ball in balls:
-        zc = invert(phi, ball.center)
         thetas = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
         rim = ball.center + ball.radius * 0.999 * np.exp(1j * thetas)
-        pre = np.array([invert(phi, w) for w in rim])
-        diam = float(np.max(np.abs(pre[:, None] - pre[None, :])))
-        ratios.append(diam / (1.0 - abs(zc)))
+        pre = invert(phi, np.concatenate(([ball.center], rim)))
+        diam = float(np.max(np.abs(pre[1:, None] - pre[None, 1:])))
+        ratios.append(diam / (1.0 - abs(pre[0])))
     return ratios
 
 

@@ -1,18 +1,14 @@
 """Analytic test functions on the disc and their quasiregular composites.
 
 Each analytic function carries singularity metadata (boundary angle, local
-blow-up exponent) used to grade quadratures, plus declared Hardy-membership
-expectations used by experiments to pick the expected classification.  The
-membership metadata is never an input to any computation.
+blow-up exponent) used to grade quadratures.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-MEMBER = "member"
-NON_MEMBER = "non-member"
-UNKNOWN = "unknown"
+from .extension import norm_and_jacobian
 
 
 class AnalyticFunction:
@@ -24,12 +20,10 @@ class AnalyticFunction:
     quadratures still grade there).
     """
 
-    def __init__(self, eval_fn, deriv_fn, singularities=(), hp_membership=None,
-                 label="analytic"):
+    def __init__(self, eval_fn, deriv_fn, singularities=(), label="analytic"):
         self._eval = eval_fn
         self._deriv = deriv_fn
         self.singularities = tuple(singularities)
-        self._hp = hp_membership
         self.label = label
 
     def __call__(self, z):
@@ -37,11 +31,6 @@ class AnalyticFunction:
 
     def deriv(self, z):
         return self._deriv(np.asarray(z, dtype=complex))
-
-    def hp_membership(self, p):
-        if self._hp is None:
-            return UNKNOWN
-        return self._hp(p)
 
     def singular_angles(self):
         return tuple(a for a, _ in self.singularities)
@@ -52,7 +41,6 @@ def constant_function(c):
     return AnalyticFunction(
         lambda z: np.full_like(z, c),
         lambda z: np.zeros_like(z),
-        hp_membership=lambda p: MEMBER,
         label=f"const({c})",
     )
 
@@ -62,7 +50,6 @@ def monomial(n=1):
     return AnalyticFunction(
         lambda z: z ** n,
         lambda z: n * z ** (n - 1) if n >= 1 else np.zeros_like(z),
-        hp_membership=lambda p: MEMBER,
         label=f"z^{n}",
     )
 
@@ -88,7 +75,6 @@ def hardy_kernel(w, p):
         lambda z: (1.0 - wb * z) ** (-s),
         lambda z: s * wb * (1.0 - wb * z) ** (-s - 1.0),
         singularities=sing,
-        hp_membership=lambda q: MEMBER,
         label=f"kernel(w={w:.4g},p={p:g})",
     )
 
@@ -100,7 +86,6 @@ def cauchy_kernel():
         lambda z: 1.0 / (1.0 - z),
         lambda z: 1.0 / (1.0 - z) ** 2,
         singularities=((0.0, 1.0),),
-        hp_membership=lambda p: MEMBER if p < 1 else NON_MEMBER,
         label="cauchy",
     )
 
@@ -131,16 +116,15 @@ class QuasiregularMap:
         inv = self.phi.boundary.inverse
         return tuple(float(inv(np.asarray(a))) for a in self.g.singular_angles())
 
-    def differential(self, z, fd_factor=1e-5):
+    def differential(self, z):
         """(|Df| operator norm, Jacobian Jf) at interior points z."""
-        z = np.asarray(z, dtype=complex)
-        w = self.phi(z)
+        w, dz, dzb = self.phi.jet(np.asarray(z, dtype=complex))
         gp = np.abs(self.g.deriv(w))
-        op, jac = self.phi.differential(z, fd_factor)
+        op, jac = norm_and_jacobian(dz, dzb)
         return gp * op, gp ** 2 * jac
 
-    def jacobian(self, z, fd_factor=1e-5):
-        return self.differential(z, fd_factor)[1]
+    def jacobian(self, z):
+        return self.differential(z)[1]
 
 
 def compose(g, phi):

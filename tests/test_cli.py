@@ -68,6 +68,12 @@ class TestSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(name="thm1", aperture=1.0)
 
+    def test_default_map_is_the_cli_default(self):
+        parser = build_parser()
+        for name in EXPERIMENTS:
+            assert ExperimentSpec(name=name).map_spec == parser.parse_args([name]).map
+        assert ExperimentSpec(name="af_conformal").map_spec == "moebius:0.5"
+
     def test_parser_covers_experiments(self):
         parser = build_parser()
         for name in EXPERIMENTS:
@@ -99,6 +105,10 @@ class TestRun:
         rep = run(ExperimentSpec(name="af_conformal"))
         allowed = {"converged", "diverging", "undetermined", "pass", "fail"}
         assert {r.classification for r in rep.rows} <= allowed
+
+    def test_af_conformal_rejects_a_non_moebius_map(self):
+        with pytest.raises(ValueError, match="thm2_sqrt"):
+            run(ExperimentSpec("af_conformal", "thm2_sqrt"))
 
 
 class TestMain:

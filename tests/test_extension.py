@@ -9,6 +9,7 @@ from qchardy.extension import (
     _GRADE_PANELS,
     _KAPPA,
     BAExtension,
+    DiscQCMap,
     _line_integral,
     ba_extend,
     circular_distortion_check,
@@ -300,10 +301,114 @@ class TestCatalogConstruction:
         assert abs(dzb[0]) == 0.0
         assert abs(dz[0] - 0.75 / (1 - 0.5 * z[0]) ** 2) < 1e-14
 
-    def test_wirtinger_fd_orientation_preserving(self):
+    def test_wirtinger_identity_extension_dilatation_two(self):
         phi = ba_extend(make_map("identity"))
         dz, dzb = phi.wirtinger(np.array([0.4 + 0.3j, -0.2j, 0.7]))
         assert np.all(np.abs(dzb) < np.abs(dz))
         # dilatation of this extension is exactly 2: (|dz|+|dzb|)^2 = 2 J
         K = (np.abs(dz) + np.abs(dzb)) ** 2 / (np.abs(dz) ** 2 - np.abs(dzb) ** 2)
-        assert np.allclose(K, 2.0, rtol=1e-4)
+        assert np.allclose(K, 2.0, rtol=1e-9)
+
+    def test_generic_map_falls_back_to_finite_differences(self, moebius_map):
+        phi = DiscQCMap(moebius_map.boundary, moebius_map.interior)
+        z = np.array([0.2 + 0.1j, -0.6j, 0.9])
+        val, dz, dzb = phi.jet(z)
+        assert np.array_equal(val, moebius_map(z))
+        exact = moebius_map.complex_derivative(z)
+        assert np.allclose(dz, exact, rtol=1e-8)
+        assert np.all(np.abs(dzb) < 1e-8 * np.abs(exact))
+
+
+_ANGLES = -np.pi + 2.0 * np.pi * np.arange(401) / 401
+
+
+def _fd_jet(phi, z):
+    """The finite-difference jet of phi's interior, as for a generic map."""
+    return DiscQCMap(phi.boundary, phi.interior.__call__).jet(z)
+
+
+class _CountingBA(BAExtension):
+    """BA extension that records the batch size of every jet and call."""
+
+    def __init__(self, homeo):
+        super().__init__(homeo)
+        self.jets, self.calls = [], []
+
+    def jet(self, z):
+        self.jets.append(np.size(z))
+        return super().jet(z)
+
+    def __call__(self, z):
+        self.calls.append(np.size(z))
+        return super().__call__(z)
+
+
+def _counting_map(spec):
+    h = make_map(spec)
+    return DiscQCMap(h, _CountingBA(h))
+
+
+class TestJet:
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
+    def test_value_is_the_call_bitwise(self, spec):
+        phi = make_disc_map(spec)
+        for r in (0.3, 0.9, 1.0 - 2.0 ** -20):
+            z = r * np.exp(1j * _ANGLES)
+            assert np.array_equal(phi.jet(z)[0], phi(z))
+
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
+    @pytest.mark.parametrize("r", [0.5, 0.9])
+    def test_closed_form_matches_finite_differences(self, spec, r):
+        phi = make_disc_map(spec)
+        z = r * np.exp(1j * _ANGLES)
+        _, dz, dzb = phi.jet(z)
+        _, fz, fzb = _fd_jet(phi, z)
+        scale = np.abs(fz) + np.abs(fzb)
+        assert np.max(np.abs(dz - fz) / scale) < 1e-6
+        assert np.max(np.abs(dzb - fzb) / scale) < 1e-6
+
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
+    def test_jacobian_positive_near_the_boundary(self, spec):
+        phi = make_disc_map(spec)
+        z = (1.0 - 2.0 ** -20) * np.exp(1j * _ANGLES)
+        _, jac = phi.differential(z)
+        assert np.all(jac > 0)
+
+    def test_shape_follows_input(self, thm2_map):
+        z = np.array([[0.1 + 0.2j, -0.5, 0.3j], [0.7, -0.1j, 0.2 - 0.6j]])
+        flat = thm2_map.jet(z.ravel())
+        for got, want in zip(thm2_map.jet(z), flat):
+            assert got.shape == z.shape
+            assert np.array_equal(got.ravel(), want)
+
+
+class TestBatchedInvert:
+    _TARGETS = np.array([0.0, 0.3, -0.5j, 0.7 * np.exp(2.2j), 0.95,
+                         0.999 * np.exp(-0.4j)])
+
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
+    def test_matches_scalar_calls(self, spec):
+        phi = make_disc_map(spec)
+        batch = invert(phi, self._TARGETS)
+        assert batch.shape == self._TARGETS.shape
+        scalar = np.array([invert(phi, w) for w in self._TARGETS])
+        assert np.all(np.abs(phi(batch) - self._TARGETS) < 1e-11)
+        assert np.allclose(batch, scalar, rtol=0.0, atol=1e-9)
+
+    def test_one_jet_call_per_iteration(self):
+        phi = _counting_map("thm2_sqrt")
+        iterations = []
+        for w in self._TARGETS:
+            phi.interior.jets.clear()
+            invert(phi, w)
+            iterations.append(len(phi.interior.jets))
+        phi.interior.jets.clear()
+        invert(phi, self._TARGETS)
+        # call k runs on the lanes that need more than k iterations
+        expected = [sum(n > k for n in iterations) for k in range(max(iterations))]
+        assert phi.interior.jets == expected
+        assert phi.interior.calls == []
+
+    def test_non_convergence_raises(self, thm2_map):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            invert(thm2_map, np.array([0.3, 0.6j]), max_iter=1)

@@ -2,10 +2,6 @@ import numpy as np
 import pytest
 
 from qchardy.functions import (
-    MEMBER,
-    NON_MEMBER,
-    UNKNOWN,
-    AnalyticFunction,
     cauchy_kernel,
     compose,
     constant_function,
@@ -20,16 +16,11 @@ class TestBasicFunctions:
         z = np.array([0j, 0.5, -0.3j])
         assert np.all(f(z) == 2 - 1j)
         assert np.all(f.deriv(z) == 0)
-        assert f.hp_membership(1) == MEMBER
 
     def test_monomial(self):
         f = monomial(3)
         assert abs(complex(f(np.array([0.5j]))[0]) - (0.5j) ** 3) < 1e-15
         assert abs(complex(f.deriv(np.array([0.5]))[0]) - 3 * 0.25) < 1e-15
-
-    def test_unknown_membership(self):
-        f = AnalyticFunction(lambda z: z, lambda z: np.ones_like(z))
-        assert f.hp_membership(2) == UNKNOWN
 
 
 class TestHardyKernel:
@@ -64,12 +55,10 @@ class TestHardyKernel:
 
 
 class TestCauchyKernel:
-    def test_values_and_membership(self):
+    def test_values(self):
         g = cauchy_kernel()
         assert abs(complex(g(np.array([0j]))[0]) - 1.0) < 1e-15
         assert abs(complex(g(np.array([-1.0 + 0j]))[0]) - 0.5) < 1e-15
-        assert g.hp_membership(0.5) == MEMBER
-        assert g.hp_membership(1.0) == NON_MEMBER
 
     def test_boundary_modulus_identity(self):
         # |1 - e^{it}| = 2 |sin(t/2)| on the circle
