@@ -28,13 +28,14 @@ FAIL = "fail"
 
 EXPERIMENTS = ("thm1", "thm2", "thm3", "thmA", "lemma1", "af_conformal")
 
-_DEFAULT_MAPS = {
-    "thm1": "identity",
-    "thm2": "thm2_sqrt",
-    "thm3": "thm2_sqrt",
-    "thmA": "thm2_sqrt",
-    "lemma1": "thm2_sqrt",
-    "af_conformal": "moebius:0.5",
+# per-experiment defaults (map, p), read by ExperimentSpec and the parser
+_DEFAULTS = {
+    "thm1": ("identity", 2.0),
+    "thm2": ("thm2_sqrt", 1.0),
+    "thm3": ("thm2_sqrt", 2.0),
+    "thmA": ("thm2_sqrt", 2.0),
+    "lemma1": ("thm2_sqrt", 2.0),
+    "af_conformal": ("moebius:0.5", 2.0),
 }
 
 
@@ -83,8 +84,8 @@ class ExperimentReport:
 @dataclass
 class ExperimentSpec:
     name: str
-    map_spec: str | None = None  # the experiment's entry in _DEFAULT_MAPS
-    p: float = 2.0
+    map_spec: str | None = None  # None: the experiment's entry in _DEFAULTS
+    p: float | None = None
     depth: int = 10
     grid: int = 16
     seed: int = 42
@@ -93,8 +94,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.name!r}")
-        if self.map_spec is None:
-            self.map_spec = _DEFAULT_MAPS[self.name]
+        map_spec, p = _DEFAULTS[self.name]
+        self.map_spec = map_spec if self.map_spec is None else self.map_spec
+        self.p = p if self.p is None else self.p
         if self.p <= 0 or self.depth < 1 or self.grid < 1 or self.aperture <= 1:
             raise ValueError("experiment parameters must be positive "
                              "(and the cone aperture > 1)")
@@ -172,14 +174,13 @@ def run_thm3(spec):
         area = fn.area_integral(f, spec.p, derivative_kind="full",
                                 k_max=max(spec.depth, 12))
         rep.add("area_integral_df", area.value, area.error, area.classification)
-        mu = ca.DiscPushforward(phi, density=ca.WEIGHTED, p=spec.p,
-                                seed=spec.seed)
+        mu = ca.DiscPushforward(phi, density=ca.WEIGHTED, p=spec.p)
         sweep = ca.luecking_constant(
-            mu, family=ca.make_ball_family(range(1, 11), angles=8), n=1024)
+            mu, family=ca.make_ball_family(range(1, 11), angles=8))
         rings = sorted(sweep.per_ring)
         stab = sweep.per_ring[rings[-1]] <= 1.5 * max(
             sweep.per_ring[k] for k in rings[:-1])
-        rep.check("luecking_stabilized", stab, sweep.sup, sweep.stderr_max)
+        rep.check("luecking_stabilized", stab, sweep.sup, sweep.error_max)
     return rep
 
 
@@ -187,13 +188,12 @@ def run_thmA(spec):
     """Bergman-Carleson ball tester vs the boundary Lipschitz classification."""
     entry, phi = _entry_and_map(spec)
     rep = ExperimentReport("thmA")
-    mu = ca.DiscPushforward(phi, seed=spec.seed)
     sweep = ca.bergman_carleson_constant(
-        mu, family=ca.make_ball_family(range(1, 11), angles=8), n=2048)
+        ca.DiscPushforward(phi), family=ca.make_ball_family(range(1, 11), angles=8))
     rings = sorted(sweep.per_ring)
     growth = sweep.per_ring[rings[-1]] / sweep.per_ring[rings[3]]
     carleson_bounded = growth < 5.0
-    rep.add("bergman_constant", sweep.sup, sweep.stderr_max,
+    rep.add("bergman_constant", sweep.sup, sweep.error_max,
             fn.CONVERGED if carleson_bounded else fn.DIVERGING)
     rep.add("bergman_ring_growth", growth, 0.0,
             fn.CONVERGED if carleson_bounded else fn.DIVERGING)
@@ -298,15 +298,17 @@ def build_parser():
                     "quasiregular maps")
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
+        spec = ExperimentSpec(name)
         p = sub.add_parser(name)
-        p.add_argument("--map", default=_DEFAULT_MAPS[name],
+        p.add_argument("--map", default=spec.map_spec,
                        help="catalog map, e.g. identity, thm2_sqrt, "
                             "power:2, moebius:0.5")
-        p.add_argument("--p", type=float, default=2.0 if name != "thm2" else 1.0)
-        p.add_argument("--depth", type=_depth, default=10)
-        p.add_argument("--grid", type=int, default=16)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--aperture", type=float, default=2.0)
+        p.add_argument("--p", type=float, default=spec.p)
+        p.add_argument("--depth", type=_depth, default=spec.depth)
+        p.add_argument("--grid", type=int, default=spec.grid)
+        p.add_argument("--seed", type=int, default=spec.seed,
+                       help="Monte Carlo seed (af_conformal only)")
+        p.add_argument("--aperture", type=float, default=spec.aperture)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser

@@ -259,56 +259,50 @@ def dilatation_estimate(phi, grid=16):
 
 def _initial_guess(phi, w):
     """|w| times the boundary preimage of w's direction, kept inside the disc."""
-    t0 = float(phi.boundary.inverse(np.angle(w) if w != 0 else 0.0))
-    z = abs(w) * np.exp(1j * t0) if w != 0 else 0j
-    if abs(z) >= 1:
-        z *= (1 - 1e-9) / abs(z)
-    return z
+    t0 = phi.boundary.inverse(np.angle(w))
+    z = np.where(w != 0, np.abs(w) * np.exp(1j * t0), 0j)
+    r = np.abs(z)
+    return np.where(r >= 1, z * (1 - 1e-9) / np.maximum(r, 1), z)
 
 
-def invert(phi, w, tol=1e-11, max_iter=80):
+def invert(phi, w, z0=None, tol=1e-11, max_iter=80):
     """Solve phi(z) = w for interior points by damped Newton iteration.
 
-    w is a point or an array of points, one Newton lane each.  Initial guess
-    from the boundary inverse angle and |w|; every iteration makes one jet
-    call on the lanes still running and takes each lane's quasi-Newton step
-    from its Wirtinger derivatives.
+    w is a point or an array of points, one Newton lane each; z0 holds the
+    initial guesses (default: from the boundary inverse angle and |w|).
+    Every iteration makes one jet call on the lanes still running and takes
+    their quasi-Newton steps from the Wirtinger derivatives.
     """
     targets = np.asarray(w, dtype=complex)
-    ws = [complex(t) for t in targets.ravel()]
-    zs = [_initial_guess(phi, t) for t in ws]
-    residual = [np.inf] * len(ws)
-    running = list(range(len(ws)))
+    ws = targets.ravel()
+    z = _initial_guess(phi, ws) if z0 is None else np.broadcast_to(z0, targets.shape)
+    z = np.array(z, dtype=complex).ravel()
+    residual = np.full(ws.size, np.inf)
+    running = np.arange(ws.size)
     for it in range(max_iter + 1):  # the last pass only checks the residual
-        if not running:
+        if running.size == 0:
             break
-        vals, dzs, dzbs = phi.jet(np.asarray([zs[i] for i in running]))
-        still = []
-        for i, val, dz, dzb in zip(running, vals, dzs, dzbs):
-            f = complex(val) - ws[i]
-            residual[i] = abs(f)
-            dz, dzb = complex(dz), complex(dzb)
-            jac = abs(dz) ** 2 - abs(dzb) ** 2
-            if abs(f) < tol or jac <= 0 or it == max_iter:
-                continue
-            step = (np.conj(dz) * f - dzb * np.conj(f)) / jac
-            # keep iterates inside the disc
-            znew = zs[i] - step
-            while abs(znew) >= 1 - 1e-13:
-                step *= 0.5
-                znew = zs[i] - step
-                if abs(step) < 1e-16:
-                    break
-            zs[i] = znew
-            still.append(i)
-        running = still
+        val, dz, dzb = phi.jet(z[running])
+        f = val - ws[running]
+        residual[running] = np.abs(f)
+        jac = np.abs(dz) ** 2 - np.abs(dzb) ** 2
+        # a NaN residual or Jacobian keeps its lane running, to fail below
+        go = ~((residual[running] < tol) | (jac <= 0)) & (it < max_iter)
+        running, f, dz, dzb, jac = running[go], f[go], dz[go], dzb[go], jac[go]
+        step = (np.conj(dz) * f - dzb * np.conj(f)) / jac
+        znew = z[running] - step
+        # halve the steps that leave the disc
+        out = np.abs(znew) >= 1 - 1e-13
+        while np.any(out):
+            step[out] *= 0.5
+            znew[out] = z[running[out]] - step[out]
+            out &= (np.abs(znew) >= 1 - 1e-13) & (np.abs(step) >= 1e-16)
+        z[running] = znew
     for t, r in zip(ws, residual):
         if not r < 1e-7:  # a NaN residual fails too
             raise RuntimeError(f"invert({phi.label}, {t}) did not converge "
                                f"(residual {r:.2e})")
-    if targets.ndim == 0:
-        return zs[0]
-    return np.asarray(zs).reshape(targets.shape)
+    return complex(z[0]) if targets.ndim == 0 else z.reshape(targets.shape)
 
 
 def circular_distortion_check(phi, balls, n_boundary=24):

@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from qchardy import carleson
 from qchardy.boundary import lipschitz_modulus_inverse
 from qchardy.carleson import (
     LEBESGUE,
@@ -74,39 +75,91 @@ class TestBoundaryCarleson:
         assert np.allclose(consts, 1.0, atol=1e-12)
 
 
+def _moebius_preimage_area(a, ball):
+    """Area of the disc T(B), T(w) = (w + a) / (1 + a w) the inverse of
+    moebius:a: its center is the image of the point symmetric to T's pole
+    -1/a in the rim of B."""
+    def t(w):
+        return (w + a) / (1.0 + a * w)
+
+    c, r = ball.center, ball.radius
+    sym = c + r * r / np.conj(-1.0 / a - c)
+    return np.pi * abs(t(c + r) - t(sym)) ** 2
+
+
+def _cli_sweep(spec, density):
+    mu = DiscPushforward(make_disc_map(spec), density=density, p=2.0)
+    sweep = bergman_carleson_constant if density == LEBESGUE else luecking_constant
+    return sweep(mu, family=make_ball_family(range(1, 11), angles=8))
+
+
 class TestDiscPushforward:
     def test_identity_lebesgue_mass(self, identity_map):
-        mu = DiscPushforward(identity_map, seed=3)
         ball = HyperbolicBall(center=0.5, ratio=0.5)
-        mass, err = mu.measure_ball(ball, n=20000)
-        assert mass == pytest.approx(ball.area, rel=0.05)
-        assert err < 0.2 * mass
+        mass, err = DiscPushforward(identity_map).measure_ball(ball)
+        assert mass == pytest.approx(ball.area, rel=1e-13)
+        assert err < 1e-13 * mass
+
+    @pytest.mark.parametrize("spec, rel", [("identity", 1e-10),
+                                           ("moebius:0.5", 1e-10),
+                                           ("moebius:0.99", 1e-3)])
+    def test_lebesgue_mass_is_the_preimage_area(self, spec, rel):
+        mu = DiscPushforward(make_disc_map(spec))
+        a = float(spec.split(":")[1]) if ":" in spec else 0.0
+        for _, ball in make_ball_family(range(1, 11), angles=8):
+            exact = _moebius_preimage_area(a, ball) if a else ball.area
+            assert mu.measure_ball(ball)[0] == pytest.approx(exact, rel=rel)
 
     def test_deterministic(self, thm2_map):
-        mu = DiscPushforward(thm2_map, seed=11)
         ball = HyperbolicBall(center=0.75 * 1j, ratio=0.5)
-        assert mu.measure_ball(ball, n=2048) == mu.measure_ball(ball, n=2048)
+        assert DiscPushforward(thm2_map).measure_ball(ball) == \
+            DiscPushforward(make_disc_map("thm2_sqrt")).measure_ball(ball)
 
     def test_monotone_in_ball(self, thm2_map):
-        mu = DiscPushforward(thm2_map, seed=0)
+        mu = DiscPushforward(thm2_map)
         small = HyperbolicBall(center=0.5, ratio=0.25)
         big = HyperbolicBall(center=0.5, ratio=0.5)
-        m_small, e_small = mu.measure_ball(small, n=8192)
-        m_big, e_big = mu.measure_ball(big, n=8192)
-        assert m_small <= m_big + 3 * (e_small + e_big)
+        assert mu.measure_ball(small)[0] < mu.measure_ball(big)[0]
 
     def test_weighted_identity_against_quadrature(self, identity_map):
-        # identity symbol: mu(B) = int_B (1-|z|) dm for p = 2
-        from scipy.integrate import dblquad
+        # identity symbol, p = 2: mu(B) = int_B (1-|z|) dm, and the circle
+        # |z| = r meets the ball D(c, R) in an arc of angle 2 arccos(...)
+        from scipy.integrate import quad
         ball = HyperbolicBall(center=0.5, ratio=0.5)
-        exact, _ = dblquad(
-            lambda y, x: (1.0 - np.hypot(x, y))
-            if np.hypot(x - 0.5, y) < ball.radius else 0.0,
-            0.5 - ball.radius, 0.5 + ball.radius,
-            -ball.radius, ball.radius)
-        mu = DiscPushforward(identity_map, density=WEIGHTED, p=2.0, seed=5)
-        mass, err = mu.measure_ball(ball, n=20000)
-        assert mass == pytest.approx(exact, rel=0.05)
+        c, r_b = 0.5, ball.radius
+
+        def arc_angle(r):
+            return 2.0 * np.arccos(np.clip((r * r + c * c - r_b * r_b)
+                                           / (2.0 * c * r), -1.0, 1.0))
+
+        exact, _ = quad(lambda r: (1.0 - r) * r * arc_angle(r), c - r_b,
+                        c + r_b, epsabs=0.0, epsrel=1e-13)
+        mu = DiscPushforward(identity_map, density=WEIGHTED, p=2.0)
+        mass, _ = mu.measure_ball(ball)
+        assert mass == pytest.approx(exact, rel=1e-7)  # measured 1.4e-8
+
+    def test_error_is_the_distance_to_the_half_angle_rule(self, thm2_map,
+                                                           monkeypatch):
+        mu = DiscPushforward(thm2_map, density=WEIGHTED, p=2.0)
+        ball = HyperbolicBall(center=0.9 * np.exp(0.3j), ratio=0.5)
+        mass, err = mu.measure_ball(ball)
+        nodes, weights = carleson._BALL_RULE
+        monkeypatch.setattr(carleson, "_BALL_RULE",
+                            (nodes[:, ::2], 2.0 * weights[:, ::2]))
+        coarse, _ = mu.measure_ball(ball)
+        assert err > 0
+        assert err == pytest.approx(abs(mass - coarse), rel=1e-9)
+
+    @pytest.mark.parametrize("spec, density", [("thm2_sqrt", LEBESGUE),
+                                               ("power:2", LEBESGUE),
+                                               ("thm2_sqrt", WEIGHTED)])
+    def test_ring_maxima_against_a_finer_rule(self, spec, density, monkeypatch):
+        sweep = _cli_sweep(spec, density)
+        monkeypatch.setattr(carleson, "_BALL_RULE", carleson._polar_rule(16, 32))
+        ref = _cli_sweep(spec, density)
+        assert sweep.per_ring.keys() == ref.per_ring.keys()
+        for k, val in ref.per_ring.items():
+            assert sweep.per_ring[k] == pytest.approx(val, rel=5e-3)
 
 
 class TestBallFamily:
@@ -122,10 +175,11 @@ class TestBallFamily:
 
 class TestSweeps:
     def test_bergman_identity_near_one(self, identity_map):
-        mu = DiscPushforward(identity_map, seed=42)
         sweep = bergman_carleson_constant(
-            mu, family=make_ball_family(range(1, 9), angles=8), n=2048)
-        assert abs(sweep.sup - 1.0) <= max(4 * sweep.stderr_max, 0.08)
+            DiscPushforward(identity_map),
+            family=make_ball_family(range(1, 9), angles=8))
+        assert sweep.sup == pytest.approx(1.0, abs=1e-12)
+        assert sweep.error_max < 1e-12
 
     def test_bergman_requires_lebesgue(self, identity_map):
         mu = DiscPushforward(identity_map, density=WEIGHTED)
@@ -142,10 +196,8 @@ class TestSweeps:
 
     def test_bergman_growth_separates_maps(self, thm2_map, pow2_map):
         fam = make_ball_family(range(1, 9), angles=4)
-        good = bergman_carleson_constant(DiscPushforward(thm2_map, seed=42),
-                                         family=fam, n=1024)
-        bad = bergman_carleson_constant(DiscPushforward(pow2_map, seed=42),
-                                        family=fam, n=1024)
+        good = bergman_carleson_constant(DiscPushforward(thm2_map), family=fam)
+        bad = bergman_carleson_constant(DiscPushforward(pow2_map), family=fam)
         g_growth = good.per_ring[8] / good.per_ring[4]
         b_growth = bad.per_ring[8] / bad.per_ring[4]
         assert g_growth < 2.0

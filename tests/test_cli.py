@@ -74,6 +74,16 @@ class TestSpec:
             assert ExperimentSpec(name=name).map_spec == parser.parse_args([name]).map
         assert ExperimentSpec(name="af_conformal").map_spec == "moebius:0.5"
 
+    def test_parser_defaults_are_the_spec_defaults(self):
+        parser = build_parser()
+        for name in EXPERIMENTS:
+            args = parser.parse_args([name])
+            spec = ExperimentSpec(name)
+            assert (args.map, args.p, args.depth, args.grid, args.seed,
+                    args.aperture) == (spec.map_spec, spec.p, spec.depth,
+                                       spec.grid, spec.seed, spec.aperture)
+        assert ExperimentSpec("thm2").p == 1.0
+
     def test_parser_covers_experiments(self):
         parser = build_parser()
         for name in EXPERIMENTS:
@@ -99,6 +109,17 @@ class TestRun:
         spec = ExperimentSpec(name="lemma1", map_spec="thm2_sqrt", grid=8)
         a = run(spec).to_csv()
         b = run(spec).to_csv()
+        assert a.encode() == b.encode()
+
+    def test_thm2_passes_at_its_defaults(self):
+        assert run(ExperimentSpec("thm2")).passed()
+
+    # thm3 on an exact map runs the same ball sweep in a tenth of the time
+    @pytest.mark.parametrize("name, map_spec", [("thmA", "thm2_sqrt"),
+                                                ("thm3", "moebius:0.5")])
+    def test_ball_masses_ignore_the_seed(self, name, map_spec):
+        a = run(ExperimentSpec(name, map_spec, seed=1)).to_csv()
+        b = run(ExperimentSpec(name, map_spec, seed=42)).to_csv()
         assert a.encode() == b.encode()
 
     def test_classifications_in_vocabulary(self):

@@ -412,3 +412,27 @@ class TestBatchedInvert:
     def test_non_convergence_raises(self, thm2_map):
         with pytest.raises(RuntimeError, match="did not converge"):
             invert(thm2_map, np.array([0.3, 0.6j]), max_iter=1)
+
+
+class TestInitialGuesses:
+    # a point of the ball D(-0.75, 0.125) that thm2_sqrt's default guess,
+    # |w| times the boundary preimage of w's direction, does not reach
+    _NODE = -0.8086 + 0.1097j
+
+    def test_linearised_seed_converges(self, thm2_map):
+        zc = invert(thm2_map, -0.75)
+        _, dz, dzb = thm2_map.jet(zc)
+        dw = self._NODE + 0.75
+        jac = abs(dz) ** 2 - abs(dzb) ** 2
+        seed = zc + (np.conj(dz) * dw - dzb * np.conj(dw)) / jac
+        z = invert(thm2_map, self._NODE, z0=seed)
+        assert abs(thm2_map(z) - self._NODE) < 1e-11
+
+    def test_converged_guesses_take_one_jet_call(self):
+        phi = _counting_map("thm2_sqrt")
+        targets = TestBatchedInvert._TARGETS
+        z = invert(phi, targets)
+        phi.interior.jets.clear()
+        again = invert(phi, targets, z0=z)
+        assert phi.interior.jets == [targets.size]
+        assert np.array_equal(again, z)
