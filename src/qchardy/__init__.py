@@ -1,11 +1,11 @@
 """qchardy: a numerical laboratory for Hardy-space behaviour of quasiregular
 mappings of the unit disc.
 
-Building blocks: disc geometry (cones, arcs, Carleson squares, hyperbolic
-balls), quasisymmetric boundary maps with Beurling-Ahlfors extensions,
-analytic kernels and quasiregular composites, integral functionals with
-convergence classification, and Carleson-type measure testers.  The ``qchardy``
-command line maps each headline claim to a reproducible experiment.
+Building blocks: disc geometry (cones, hyperbolic balls), quasisymmetric
+boundary maps with Beurling-Ahlfors extensions, analytic kernels and
+quasiregular composites, integral functionals with convergence
+classification, and Carleson-type measure testers.  The ``qchardy`` command
+line maps each headline claim to a reproducible experiment.
 """
 
 from .boundary import (
@@ -13,13 +13,10 @@ from .boundary import (
     MapCatalogEntry,
     lipschitz_modulus_inverse,
     make_map,
-    quasisymmetry_modulus,
 )
 from .carleson import (
-    BoundaryPushforward,
     DiscPushforward,
     bergman_carleson_constant,
-    boundary_carleson_constant,
     kernel_ratio,
     luecking_constant,
     operator_bound_proxy,
@@ -28,14 +25,11 @@ from .extension import (
     DiscQCMap,
     ba_extend,
     cone_image_aperture,
-    circular_distortion_check,
-    dilatation_estimate,
     make_disc_map,
 )
 from .functionals import (
     NormEstimate,
     area_integral,
-    area_integral_af,
     average_derivative,
     boundary_lp_norm,
     hardy_norm,
@@ -51,14 +45,9 @@ from .functions import (
     hardy_kernel,
 )
 from .geometry import (
-    Arc,
-    CarlesonSquare,
     Cone,
     HyperbolicBall,
-    boundary_arc_of,
-    cone_contains,
     cone_sample,
-    square_contains,
 )
 
 __version__ = "0.1.0"

@@ -2,9 +2,10 @@
 
 A circle homeomorphism is represented by its angle map alpha: [-pi, pi] ->
 [-pi, pi], strictly increasing with alpha(+-pi) = +-pi, acting as
-phi(e^{it}) = e^{i alpha(t)}.  The catalog holds the identity, the
-square-root map alpha(t) = sign(t) sqrt(pi |t|), its power-law family, and
-boundary actions of disc Moebius transforms with a real parameter.
+phi(e^{it}) = e^{i alpha(t)}, together with the closed-form inverse of alpha.
+The catalog holds the identity, the square-root map alpha(t) =
+sign(t) sqrt(pi |t|), its power-law family, and boundary actions of disc
+Moebius transforms with a real parameter.
 """
 
 from __future__ import annotations
@@ -13,30 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import wrap_angle
-
 _MONOTONE_GRID = 512
 
 
 class BoundaryHomeo:
     """Strictly increasing angle homeomorphism of [-pi, pi] fixing the endpoints.
 
-    ``forward`` and (optionally) ``inverse`` must be numpy-vectorized.  When no
-    closed-form inverse is supplied, the inverse falls back to bisection, which
-    monotonicity makes reliable to 1e-12.
+    ``forward`` and its closed-form ``inverse`` must be numpy-vectorized.
     """
 
-    def __init__(self, forward, inverse=None, derivative=None, cusps=(),
-                 label="custom", check=True):
+    def __init__(self, forward, inverse, label="custom"):
         self.forward = forward
-        self._inverse = inverse
-        self.derivative = derivative
-        self.cusps = tuple(float(c) for c in cusps)
+        self.inverse = inverse
         self.label = label
-        if check:
-            self._validate()
-
-    def _validate(self):
         t = np.linspace(-np.pi, np.pi, _MONOTONE_GRID)
         a = self.forward(t)
         if np.any(np.diff(a) <= 0):
@@ -46,34 +36,6 @@ class BoundaryHomeo:
 
     def __call__(self, t):
         return self.forward(np.asarray(t, dtype=float))
-
-    def inverse(self, s):
-        s = np.asarray(s, dtype=float)
-        if self._inverse is not None:
-            return self._inverse(s)
-        return self._bisect(s)
-
-    def _bisect(self, s, tol=1e-12):
-        lo = np.full(s.shape if s.ndim else (1,), -np.pi)
-        hi = np.full_like(lo, np.pi)
-        target = np.atleast_1d(s)
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            high = self.forward(mid) > target
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
-            if np.max(hi - lo) < tol:
-                break
-        out = 0.5 * (lo + hi)
-        if s.ndim == 0:
-            return float(out[0])
-        return out
-
-    def lifted(self, t):
-        """Periodic lift to the real line: alpha(t + 2 pi) = alpha(t) + 2 pi."""
-        t = np.asarray(t, dtype=float)
-        k = np.round(t / (2 * np.pi))
-        return self.forward(t - 2 * np.pi * k) + 2 * np.pi * k
 
     def map_point(self, t):
         """Boundary image e^{i alpha(t)} of the point e^{it}."""
@@ -97,9 +59,7 @@ class MapCatalogEntry:
 
 def identity_homeo():
     return BoundaryHomeo(lambda t: np.asarray(t, dtype=float),
-                         inverse=lambda s: np.asarray(s, dtype=float),
-                         derivative=lambda t: np.ones_like(np.asarray(t, float)),
-                         label="identity")
+                         lambda s: np.asarray(s, dtype=float), label="identity")
 
 
 def power_homeo(gamma):
@@ -117,14 +77,7 @@ def power_homeo(gamma):
         s = np.asarray(s, dtype=float)
         return np.sign(s) * np.pi * (np.abs(s) / np.pi) ** g
 
-    def deriv(t, g=gamma):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            return g * (np.abs(t) / np.pi) ** (g - 1.0)
-
-    cusps = () if gamma == 1.0 else (0.0,)
-    return BoundaryHomeo(fwd, inverse=inv, derivative=deriv, cusps=cusps,
-                         label=f"power({gamma:g})")
+    return BoundaryHomeo(fwd, inv, label=f"power({gamma:g})")
 
 
 def sqrt_homeo():
@@ -150,12 +103,7 @@ def moebius_homeo(a):
         s = np.asarray(s, dtype=float)
         return s + 2.0 * np.arctan2(a * np.sin(s), 1.0 - a * np.cos(s))
 
-    def deriv(t, a=a):
-        t = np.asarray(t, dtype=float)
-        return (1.0 - a * a) / (1.0 - 2.0 * a * np.cos(t) + a * a)
-
-    return BoundaryHomeo(fwd, inverse=inv, derivative=deriv,
-                         label=f"moebius({a:g})")
+    return BoundaryHomeo(fwd, inv, label=f"moebius({a:g})")
 
 
 def make_map(entry):
@@ -217,16 +165,3 @@ def is_lipschitz_inverse(moduli, growth_tol=1.05):
     ratios = tail[1:] / tail[:-1]
     return bool(np.all(ratios < growth_tol))
 
-
-def quasisymmetry_modulus(h, dyadic_depth):
-    """Sup over depths <= dyadic_depth and adjacent equal-length dyadic arcs
-    I, I' of |h(I)| / |h(I')|."""
-    if dyadic_depth < 1:
-        raise ValueError("dyadic_depth must be >= 1")
-    worst = 1.0
-    for d in range(1, dyadic_depth + 1):
-        edges = dyadic_edges(d)
-        lengths = np.diff(h(edges))
-        ratio = lengths / np.roll(lengths, 1)
-        worst = max(worst, float(np.max(ratio)), float(np.max(1.0 / ratio)))
-    return worst

@@ -1,8 +1,8 @@
-"""Pushforward measures under a quasiconformal symbol and the Carleson-type
-testers built on them, plus the composition-operator boundedness proxy.
+"""Disc pushforward measures under a quasiconformal symbol and the Carleson-type
+ball testers built on them, the kernel Carleson ratio of the boundary map, and
+the composition-operator boundedness proxy.
 
-Boundary pushforwards are computed exactly through the inverse boundary angle
-map.  A disc pushforward's ball mass is a deterministic product rule on the
+A disc pushforward's ball mass is a deterministic product rule on the
 ball, through the change of variables w = phi(z), with the nodes' preimages
 from one batched Newton run; its error is the rule's distance from the same
 rule on half the angles.
@@ -14,57 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import _dyadic_sup_inverse
 from .extension import DiscQCMap, invert, norm_and_jacobian
 from .functionals import hardy_norm
 from .functions import compose, hardy_kernel
 from .geometry import HyperbolicBall
 from .quadrature import TWO_PI, circle_mean, gauss_legendre, wrap_angle
-
-
-class BoundaryPushforward:
-    """mu(E) = normalized length of phi^{-1}(E) for boundary arcs E."""
-
-    def __init__(self, phi):
-        self.phi = phi
-
-    def measure_interval(self, a, b):
-        """Measure of the arc from angle a to angle b (a < b <= a + 2 pi)."""
-        if not a < b <= a + TWO_PI + 1e-15:
-            raise ValueError("need a < b <= a + 2 pi")
-        inv = self.phi.boundary.inverse
-        total = 0.0
-        # split at the branch cut; the angle map fixes +-pi so each piece maps
-        # within (-pi, pi]
-        pieces = []
-        if b <= np.pi:
-            pieces.append((a, b))
-        elif a < np.pi:
-            pieces.append((a, np.pi))
-            pieces.append((-np.pi, b - TWO_PI))
-        else:
-            pieces.append((a - TWO_PI, b - TWO_PI))
-        for lo, hi in pieces:
-            if hi > lo:
-                total += float(inv(np.asarray(hi)) - inv(np.asarray(lo)))
-        return total / TWO_PI
-
-    def measure_arc(self, arc):
-        lo, hi = arc.endpoints()
-        return self.measure_interval(lo, hi)
-
-    def total_mass(self):
-        return self.measure_interval(-np.pi, np.pi)
-
-
-def boundary_carleson_constant(mu, dyadic_depth):
-    """Per-depth sup of mu(I)/|I| over the dyadic arc family (normalized
-    lengths).  Shares its dyadic family and arithmetic with
-    lipschitz_modulus_inverse, so the two agree exactly."""
-    if dyadic_depth < 1:
-        raise ValueError("dyadic_depth must be >= 1")
-    inv = mu.phi.boundary.inverse
-    return [_dyadic_sup_inverse(inv, d) for d in range(1, dyadic_depth + 1)]
 
 
 LEBESGUE = "lebesgue"
@@ -123,17 +77,17 @@ class DiscPushforward:
         return mass, abs(mass - coarse)
 
 
-def make_ball_family(k_range=range(1, 13), angles=16, ratio=0.5):
+def make_ball_family(k_range, angles):
     """The documented finite proxy for 'all hyperbolic balls': centers on the
     rings 1 - 2^{-k}, the given number of angles per ring (including angle 0),
-    fixed radius ratio."""
+    radius ratio 1/2."""
     family = []
     for k in k_range:
         rad = 1.0 - 2.0 ** -k
         for j in range(angles):
             t = wrap_angle(-np.pi + TWO_PI * j / angles)
             family.append((k, HyperbolicBall(center=rad * np.exp(1j * t),
-                                             ratio=ratio)))
+                                             ratio=0.5)))
     return family
 
 
@@ -156,23 +110,21 @@ def _sweep(mu, family, normalize):
     return BallSweep(max(per_ring.values()), per_ring, worst_err)
 
 
-def bergman_carleson_constant(mu, family=None):
+def bergman_carleson_constant(mu, family):
     """sup of mu(B)/|B| over the ball family (Lebesgue-density pushforward)."""
     if mu.density != LEBESGUE:
         raise ValueError("bergman tester expects the Lebesgue pushforward")
-    family = family if family is not None else make_ball_family()
     return _sweep(mu, family, lambda b: b.area)
 
 
-def luecking_constant(mu, p=None, family=None):
-    """sup of mu(B)/r_B^{1+p} over the ball family (weighted pushforward)."""
+def luecking_constant(mu, family):
+    """sup of mu(B)/r_B^{1+p} over the ball family, for the weighted
+    pushforward mu with its own exponent p = mu.p."""
     if mu.density != WEIGHTED:
         raise ValueError("luecking tester expects the weighted pushforward")
-    p = mu.p if p is None else float(p)
-    if p < 2:
+    if mu.p < 2:
         raise ValueError("luecking tester needs p >= 2")
-    family = family if family is not None else make_ball_family()
-    return _sweep(mu, family, lambda b: b.radius ** (1.0 + p))
+    return _sweep(mu, family, lambda b: b.radius ** (1.0 + mu.p))
 
 
 def kernel_ratio(phi, w):
@@ -224,8 +176,7 @@ def operator_bound_proxy(phi, p, k_max=16, radial_depth=24):
             seen[key] = phi.interior(z)
         return seen[key]
 
-    memo = DiscQCMap(phi.boundary, interior, phi.label, phi.conformal,
-                     phi.complex_derivative)
+    memo = DiscQCMap(phi.boundary, interior, phi.label, phi.complex_derivative)
     ws = tuple(1.0 - 2.0 ** -k for k in range(1, k_max + 1))
     ratios = []
     for w in ws:

@@ -21,7 +21,7 @@ from . import carleson as ca
 from . import functionals as fn
 from .boundary import is_lipschitz_inverse, lipschitz_modulus_inverse, parse_map_spec
 from .extension import cone_image_aperture, make_disc_map
-from .functions import cauchy_kernel, compose, hardy_kernel
+from .functions import AnalyticFunction, cauchy_kernel, compose, hardy_kernel
 
 PASS = "pass"
 FAIL = "fail"
@@ -171,8 +171,7 @@ def run_thm3(spec):
               abs(m2 - m1) / m1)
     rep.check("maximal_dominates_boundary", m2 >= bnorm * (1 - 1e-9), m2)
     if spec.p >= 2:
-        area = fn.area_integral(f, spec.p, derivative_kind="full",
-                                k_max=max(spec.depth, 12))
+        area = fn.area_integral(f, spec.p, k_max=max(spec.depth, 12))
         rep.add("area_integral_df", area.value, area.error, area.classification)
         mu = ca.DiscPushforward(phi, density=ca.WEIGHTED, p=spec.p)
         sweep = ca.luecking_constant(
@@ -226,7 +225,6 @@ def run_af_conformal(spec):
     """Average derivative of a conformal control map against |f'|."""
     entry, phi = _entry_and_map(spec)
     rep = ExperimentReport("af_conformal")
-    from .functions import AnalyticFunction
     f = AnalyticFunction(phi.interior, phi.complex_derivative, label=phi.label)
     est = fn.average_derivative(f, 0.0, mc_samples=10 ** 5, seed=spec.seed)
     target = abs(complex(phi.complex_derivative(np.array([0j]))[0]))
@@ -268,18 +266,6 @@ def run(spec):
         "versions": {"numpy": np.__version__},
     }
     return rep
-
-
-def emit(report, fmt, path):
-    """Write the report as CSV (rows only, byte-stable) or JSON."""
-    if fmt not in ("csv", "json"):
-        raise ValueError("format must be csv or json")
-    text = report.to_csv() if fmt == "csv" else report.to_json()
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
 def _depth(text):
@@ -324,11 +310,17 @@ def main(argv=None):
         _entry_and_map(spec)
     except ValueError as exc:
         parser.error(str(exc))
+    # open --out before the run, so an unwritable path costs no experiment
+    try:
+        out = open(args.out, "w", encoding="utf-8", newline="") if args.out else None
+    except OSError as exc:
+        parser.error(f"cannot write report to {args.out}: {exc}")
     report = run(spec)
-    out_text = report.to_csv() if args.format == "csv" else report.to_json()
-    if args.out:
-        emit(report, args.format, args.out)
-    sys.stdout.write(out_text)
+    text = report.to_csv() if args.format == "csv" else report.to_json()
+    if out:
+        with out:
+            out.write(text)
+    sys.stdout.write(text)
     return 0 if report.passed() else 1
 
 

@@ -10,11 +10,9 @@ exact interior evaluation as a control group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .boundary import BoundaryHomeo, MapCatalogEntry, make_map, parse_map_spec
+from .boundary import identity_homeo, make_map, moebius_homeo, parse_map_spec
 from .geometry import Cone, cone_sample
 from .quadrature import gauss_legendre
 
@@ -142,14 +140,16 @@ class BAExtension:
 
 
 class DiscQCMap:
-    """Quasiconformal selfmap of the disc with known boundary angle map."""
+    """Quasiconformal selfmap of the disc with known boundary angle map.
 
-    def __init__(self, boundary, interior, label="", conformal=False,
-                 complex_derivative=None):
+    A conformal map is given with its complex derivative, which marks it as
+    conformal.
+    """
+
+    def __init__(self, boundary, interior, label="", complex_derivative=None):
         self.boundary = boundary
         self.interior = interior
         self.label = label or boundary.label
-        self.conformal = conformal
         self.complex_derivative = complex_derivative
 
     def __call__(self, z):
@@ -160,26 +160,19 @@ class DiscQCMap:
 
     def jet(self, z):
         """(phi, d_z phi, d_zbar phi) at z: exact for conformal maps, closed
-        form for Beurling-Ahlfors extensions, otherwise central finite
-        differences with step 1e-5 (1 - |z|)."""
+        form for Beurling-Ahlfors extensions."""
         z = np.asarray(z, dtype=complex)
-        if self.conformal and self.complex_derivative is not None:
+        if self.complex_derivative is not None:
             dz = self.complex_derivative(z)
             return self(z), dz, np.zeros_like(dz)
         if isinstance(self.interior, BAExtension):
             return self.interior.jet(z)
-        h = 1e-5 * (1.0 - np.abs(z))
-        fx = (self(z + h) - self(z - h)) / (2.0 * h)
-        fy = (self(z + 1j * h) - self(z - 1j * h)) / (2.0 * h)
-        return self(z), 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
-
-    def wirtinger(self, z):
-        """(d_z phi, d_zbar phi) at z."""
-        return self.jet(z)[1:]
+        raise TypeError(f"{self.label}: neither conformal nor a "
+                        "Beurling-Ahlfors extension, so no jet")
 
     def differential(self, z):
         """(operator norm |Dphi|, Jacobian) at z."""
-        return norm_and_jacobian(*self.wirtinger(z))
+        return norm_and_jacobian(*self.jet(z)[1:])
 
 
 def norm_and_jacobian(dz, dzb):
@@ -195,21 +188,18 @@ def ba_extend(h):
 
 
 def identity_disc_map():
-    from .boundary import identity_homeo
     return DiscQCMap(identity_homeo(), lambda z: np.asarray(z, dtype=complex),
-                     label="identity", conformal=True,
+                     label="identity",
                      complex_derivative=lambda z: np.ones_like(z))
 
 
 def moebius_disc_map(a):
-    from .boundary import moebius_homeo
     a = float(a)
     h = moebius_homeo(a)
     return DiscQCMap(
         h,
         lambda z, a=a: (z - a) / (1.0 - a * z),
         label=f"moebius({a:g})",
-        conformal=True,
         complex_derivative=lambda z, a=a: (1.0 - a * a) / (1.0 - a * z) ** 2,
     )
 
@@ -225,36 +215,6 @@ def make_disc_map(entry):
             raise ValueError("moebius map takes exactly one parameter a")
         return moebius_disc_map(entry.parameters[0])
     return ba_extend(make_map(entry))
-
-
-@dataclass(frozen=True)
-class DilatationSummary:
-    median: float
-    p99: float
-    violations: int
-    n_points: int
-
-
-def dilatation_estimate(phi, grid=16):
-    """Distribution of |Dphi|^2 / J over a polar grid; p99 is the working K.
-
-    Points with J <= 0 are counted as distortion violations and excluded from
-    the quantiles.
-    """
-    r = (np.arange(grid) + 0.5) / (grid + 0.5)
-    th = -np.pi + 2.0 * np.pi * (np.arange(grid) + 0.5) / grid
-    z = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
-    op, jac = phi.differential(z)
-    bad = jac <= 0
-    ratios = (op[~bad] ** 2) / jac[~bad]
-    if ratios.size == 0:
-        raise RuntimeError("Jacobian non-positive at every grid point")
-    return DilatationSummary(
-        median=float(np.median(ratios)),
-        p99=float(np.quantile(ratios, 0.99)),
-        violations=int(np.count_nonzero(bad)),
-        n_points=int(z.size),
-    )
 
 
 def _initial_guess(phi, w):
@@ -303,18 +263,6 @@ def invert(phi, w, z0=None, tol=1e-11, max_iter=80):
             raise RuntimeError(f"invert({phi.label}, {t}) did not converge "
                                f"(residual {r:.2e})")
     return complex(z[0]) if targets.ndim == 0 else z.reshape(targets.shape)
-
-
-def circular_distortion_check(phi, balls, n_boundary=24):
-    """diam(phi^{-1}(B)) / (1 - |phi^{-1}(center)|) for each hyperbolic ball."""
-    ratios = []
-    for ball in balls:
-        thetas = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
-        rim = ball.center + ball.radius * 0.999 * np.exp(1j * thetas)
-        pre = invert(phi, np.concatenate(([ball.center], rim)))
-        diam = float(np.max(np.abs(pre[1:, None] - pre[None, 1:])))
-        ratios.append(diam / (1.0 - abs(pre[0])))
-    return ratios
 
 
 def cone_image_aperture(phi, xi, c=2.0, samples=96):

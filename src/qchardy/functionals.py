@@ -16,7 +16,7 @@ import numpy as np
 
 from .functions import AnalyticFunction, QuasiregularMap
 from .geometry import Cone, HyperbolicBall, ball_sample, cone_angular_halfwidth
-from .quadrature import TWO_PI, circle_mean, wrap_angle
+from .quadrature import TWO_PI, circle_mean, gauss_legendre, wrap_angle
 
 CONVERGED = "converged"
 DIVERGING = "diverging"
@@ -41,7 +41,7 @@ def singular_angles_of(f):
     if isinstance(f, QuasiregularMap):
         return f.singular_pullback_angles()
     if isinstance(f, AnalyticFunction):
-        return f.singular_angles()
+        return f.singular_angles
     return ()
 
 
@@ -183,26 +183,23 @@ def maximal_lp(f, p, aperture=2.0, grid_n=64, budget=96):
     return float((np.sum(weights * vals ** p) / TWO_PI) ** (1.0 / p))
 
 
-def _deriv_magnitude(f, z, derivative_kind):
+def _deriv_magnitude(f, z):
     if isinstance(f, QuasiregularMap):
-        if derivative_kind == "analytic":
-            return np.abs(f.g.deriv(f.phi(z)))
         return f.differential(z)[0]
     return np.abs(f.deriv(z))
 
 
-def area_integral(f, p, weight_exponent=None, derivative_kind="full",
-                  k_max=12, radial_order=8, angular_order=12):
-    """Weighted area integral int_D |D|^p (1-|z|)^q dm with q = p-1 by default.
+def area_integral(f, p, k_max=12):
+    """Weighted area integral int_D |Df|^p (1-|z|)^(p-1) dm.
 
-    Tensor quadrature: dyadic radial shells graded toward r = 1, and circle
-    means graded at singular pullbacks.  The classification tracks the
-    sequence of truncations to radius 1 - 2^{-k}.
+    Tensor quadrature: dyadic radial shells graded toward r = 1, each with 8
+    Gauss-Legendre radii, and order-12 circle means graded at singular
+    pullbacks.  The classification tracks the sequence of truncations to
+    radius 1 - 2^{-k}.
     """
     p = float(p)
-    q = p - 1.0 if weight_exponent is None else float(weight_exponent)
-    from .quadrature import gauss_legendre
-    x, wq = gauss_legendre(radial_order)
+    q = p - 1.0
+    x, wq = gauss_legendre(8)
     edges = np.concatenate([[0.0], 1.0 - 2.0 ** -np.arange(1, k_max + 1)])
     angles = singular_angles_of(f)
     partials = []
@@ -216,10 +213,9 @@ def area_integral(f, p, weight_exponent=None, derivative_kind="full",
             r = mid + half * xi
 
             def fn(theta, r=r):
-                return _deriv_magnitude(f, r * np.exp(1j * theta),
-                                        derivative_kind) ** p
+                return _deriv_magnitude(f, r * np.exp(1j * theta)) ** p
 
-            m, e = circle_mean(fn, angles, scale=1e-9, order=angular_order)
+            m, e = circle_mean(fn, angles, scale=1e-9, order=12)
             shell += half * wi * m * (1.0 - r) ** q * r * TWO_PI
             toterr += half * wi * e * (1.0 - r) ** q * r * TWO_PI
         total += shell
@@ -237,7 +233,7 @@ class AverageDerivativeEstimate:
 
 def _jacobian(f, z):
     if isinstance(f, QuasiregularMap):
-        jac = f.jacobian(z)
+        jac = f.differential(z)[1]
     elif isinstance(f, AnalyticFunction):
         jac = np.abs(f.deriv(z)) ** 2
     else:
@@ -245,15 +241,15 @@ def _jacobian(f, z):
     return jac
 
 
-def average_derivative(f, z, ball_ratio=0.5, mc_samples=10000, seed=0):
+def average_derivative(f, z, mc_samples=10000, seed=0):
     """Monte Carlo estimate of exp of the mean of log Jf^{1/2} over the
-    hyperbolic ball at z.  Deterministic given the seed; samples with
-    non-positive Jacobian are excluded and counted, and more than 1% of them
-    is treated as a diagnostic failure."""
+    hyperbolic ball at z of radius (1 - |z|)/2.  Deterministic given the seed;
+    samples with non-positive Jacobian are excluded and counted, and more than
+    1% of them is treated as a diagnostic failure."""
     z = complex(z)
     if abs(z) >= 1:
         raise ValueError("average_derivative needs |z| < 1")
-    ball = HyperbolicBall(center=z, ratio=ball_ratio)
+    ball = HyperbolicBall(center=z, ratio=0.5)
     rng = np.random.default_rng(seed)
     pts = ball_sample(ball, mc_samples, rng)
     jac = _jacobian(f, pts)
@@ -268,42 +264,3 @@ def average_derivative(f, z, ball_ratio=0.5, mc_samples=10000, seed=0):
     stderr = value * float(np.std(logs, ddof=1)) / np.sqrt(np.count_nonzero(good))
     return AverageDerivativeEstimate(value, stderr, frac_bad)
 
-
-def area_integral_af(f, p, ball_ratio=0.5, mc_samples=256, seed=0,
-                     k_max=8, radial_order=6, angular_order=6):
-    """Weighted area integral of a_f(z)^p (1-|z|)^{p-1}; the integrand is the
-    seeded Monte Carlo average derivative, with a per-node stream derived from
-    the root seed so the result is independent of evaluation order."""
-    p = float(p)
-    q = p - 1.0
-    from .quadrature import gauss_legendre
-    x, wq = gauss_legendre(radial_order)
-    edges = np.concatenate([[0.0], 1.0 - 2.0 ** -np.arange(1, k_max + 1)])
-    angles = singular_angles_of(f)
-    partials = []
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        shell = 0.0
-        for xi, wi in zip(x, wq):
-            r = mid + half * xi
-
-            def fn(theta, r=r):
-                theta = np.atleast_1d(theta)
-                out = np.empty_like(theta)
-                for i, t in enumerate(theta):
-                    node_seed = (int(seed),
-                                 int(np.float64(t).view(np.int64)) & 0x7FFFFFFF,
-                                 int(np.float64(r).view(np.int64)) & 0x7FFFFFFF)
-                    est = average_derivative(f, r * np.exp(1j * t),
-                                             ball_ratio, mc_samples, node_seed)
-                    out[i] = est.value ** p
-                return out
-
-            m, _ = circle_mean(fn, angles, scale=1e-4, order=angular_order)
-            shell += half * wi * m * (1.0 - r) ** q * r * TWO_PI
-        total += shell
-        partials.append(total)
-    return NormEstimate(total, np.nan, classify_means(partials),
-                        tuple(zip(edges[1:], partials)))

@@ -1,7 +1,7 @@
 """Analytic test functions on the disc and their quasiregular composites.
 
-Each analytic function carries singularity metadata (boundary angle, local
-blow-up exponent) used to grade quadratures.
+Each analytic function carries the boundary angles of its singularities, used
+to grade quadratures.
 """
 
 from __future__ import annotations
@@ -14,16 +14,15 @@ from .extension import norm_and_jacobian
 class AnalyticFunction:
     """Analytic function with evaluation, derivative and grading metadata.
 
-    ``singularities`` lists (boundary angle, exponent s) pairs meaning
-    |f(z)| ~ |z - e^{i angle}|^{-s} near that boundary point (for kernels with
-    a pole off the closed disc, the angle of nearest approach is listed so
-    quadratures still grade there).
+    ``singular_angles`` lists the boundary angles where |f| blows up (for
+    kernels with a pole off the closed disc, the angle of nearest approach is
+    listed so quadratures still grade there).
     """
 
-    def __init__(self, eval_fn, deriv_fn, singularities=(), label="analytic"):
+    def __init__(self, eval_fn, deriv_fn, singular_angles=(), label="analytic"):
         self._eval = eval_fn
         self._deriv = deriv_fn
-        self.singularities = tuple(singularities)
+        self.singular_angles = tuple(singular_angles)
         self.label = label
 
     def __call__(self, z):
@@ -32,35 +31,14 @@ class AnalyticFunction:
     def deriv(self, z):
         return self._deriv(np.asarray(z, dtype=complex))
 
-    def singular_angles(self):
-        return tuple(a for a, _ in self.singularities)
-
-
-def constant_function(c):
-    c = complex(c)
-    return AnalyticFunction(
-        lambda z: np.full_like(z, c),
-        lambda z: np.zeros_like(z),
-        label=f"const({c})",
-    )
-
-
-def monomial(n=1):
-    n = int(n)
-    return AnalyticFunction(
-        lambda z: z ** n,
-        lambda z: n * z ** (n - 1) if n >= 1 else np.zeros_like(z),
-        label=f"z^{n}",
-    )
-
 
 def hardy_kernel(w, p):
     """g(z) = (1 - conj(w) z)^(-2/p), the extremal kernel at w for exponent p.
 
     The base 1 - conj(w) z has positive real part on the disc, so the principal
     branch is unambiguous.  Bounded on the closed disc (|w| < 1), hence a
-    member of every Hardy class; the near-singularity sits at w/|w| with
-    exponent 2/p and width 1 - |w|, recorded for quadrature grading.
+    member of every Hardy class; the near-singularity at w/|w|, of width
+    1 - |w|, is recorded for quadrature grading.
     """
     w = complex(w)
     p = float(p)
@@ -70,11 +48,11 @@ def hardy_kernel(w, p):
         raise ValueError("hardy_kernel needs p > 0")
     s = 2.0 / p
     wb = np.conj(w)
-    sing = () if w == 0 else ((float(np.angle(w)), s),)
+    sing = () if w == 0 else (float(np.angle(w)),)
     return AnalyticFunction(
         lambda z: (1.0 - wb * z) ** (-s),
         lambda z: s * wb * (1.0 - wb * z) ** (-s - 1.0),
-        singularities=sing,
+        singular_angles=sing,
         label=f"kernel(w={w:.4g},p={p:g})",
     )
 
@@ -85,7 +63,7 @@ def cauchy_kernel():
     return AnalyticFunction(
         lambda z: 1.0 / (1.0 - z),
         lambda z: 1.0 / (1.0 - z) ** 2,
-        singularities=((0.0, 1.0),),
+        singular_angles=(0.0,),
         label="cauchy",
     )
 
@@ -114,7 +92,7 @@ class QuasiregularMap:
     def singular_pullback_angles(self):
         """Boundary singular angles of g pulled back through the boundary map."""
         inv = self.phi.boundary.inverse
-        return tuple(float(inv(np.asarray(a))) for a in self.g.singular_angles())
+        return tuple(float(inv(np.asarray(a))) for a in self.g.singular_angles)
 
     def differential(self, z):
         """(|Df| operator norm, Jacobian Jf) at interior points z."""
@@ -122,9 +100,6 @@ class QuasiregularMap:
         gp = np.abs(self.g.deriv(w))
         op, jac = norm_and_jacobian(dz, dzb)
         return gp * op, gp ** 2 * jac
-
-    def jacobian(self, z):
-        return self.differential(z)[1]
 
 
 def compose(g, phi):

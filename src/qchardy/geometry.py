@@ -1,17 +1,14 @@
-"""Geometric primitives of the unit disc: cones, arcs, Carleson squares,
-hyperbolic balls, and samplers over them.
-
-Angles are normalized to (-pi, pi].  Arcs are stored as center + half-width so
-arcs crossing the branch cut need no special casing by callers.
+"""Geometric primitives of the unit disc: non-tangential cones, hyperbolic
+balls, and samplers over them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import TWO_PI, wrap_angle
+from .quadrature import TWO_PI
 
 
 @dataclass(frozen=True)
@@ -26,17 +23,6 @@ class Cone:
             raise ValueError("cone aperture must be > 1")
         if abs(abs(self.vertex) - 1.0) > 1e-12:
             raise ValueError("cone vertex must lie on the unit circle")
-
-
-def cone_contains(cone, z):
-    """True iff z lies in the open cone.  Rejects points outside the open disc."""
-    z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) >= 1.0):
-        raise ValueError("cone_contains requires |z| < 1")
-    inside = np.abs(z - cone.vertex) < cone.aperture * (1.0 - np.abs(z))
-    if inside.ndim == 0:
-        return bool(inside)
-    return inside
 
 
 def cone_angular_halfwidth(cone, depth):
@@ -79,74 +65,6 @@ def cone_sample(cone, depths, rays_per_depth):
 
 
 @dataclass(frozen=True)
-class Arc:
-    """Boundary arc given by its center angle and half-width (radians)."""
-
-    center_angle: float
-    half_width: float
-
-    def __post_init__(self):
-        if not 0.0 < self.half_width <= np.pi:
-            raise ValueError("arc half_width must lie in (0, pi]")
-        object.__setattr__(self, "center_angle", wrap_angle(self.center_angle))
-
-    @property
-    def length(self):
-        return 2.0 * self.half_width
-
-    def contains_angle(self, theta):
-        delta = np.abs(wrap_angle(np.asarray(theta) - self.center_angle))
-        res = delta <= self.half_width
-        if res.ndim == 0:
-            return bool(res)
-        return res
-
-    def endpoints(self):
-        """(start, end) angles with end - start = length (end may exceed pi)."""
-        return (self.center_angle - self.half_width,
-                self.center_angle + self.half_width)
-
-
-def boundary_arc_of(z):
-    """The arc I_z centered at arg z with length exactly 1 - |z|."""
-    z = complex(z)
-    if z == 0:
-        raise ValueError("boundary_arc_of is undefined at z = 0")
-    r = abs(z)
-    if r >= 1:
-        raise ValueError("boundary_arc_of requires |z| < 1")
-    return Arc(center_angle=float(np.angle(z)), half_width=(1.0 - r) / 2.0)
-
-
-@dataclass(frozen=True)
-class CarlesonSquare:
-    """Box over a boundary arc, between radius 1 - |arc|/(2 pi) and 1."""
-
-    arc: Arc
-    inner_radius: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "inner_radius", 1.0 - self.arc.length / TWO_PI)
-
-    @property
-    def side_length(self):
-        return self.arc.length
-
-    def area(self):
-        return self.arc.length * (1.0 - self.inner_radius ** 2) / 2.0
-
-
-def square_contains(square, z):
-    z = np.asarray(z, dtype=complex)
-    r = np.abs(z)
-    inside = (r < 1.0) & (r >= square.inner_radius) \
-        & square.arc.contains_angle(np.angle(z))
-    if inside.ndim == 0:
-        return bool(inside)
-    return inside
-
-
-@dataclass(frozen=True)
 class HyperbolicBall:
     """Euclidean ball at z of radius ratio * (1 - |z|), ratio in (0, 1)."""
 
@@ -166,12 +84,6 @@ class HyperbolicBall:
     @property
     def area(self):
         return np.pi * self.radius ** 2
-
-    def contains(self, z):
-        res = np.abs(np.asarray(z, dtype=complex) - self.center) < self.radius
-        if res.ndim == 0:
-            return bool(res)
-        return res
 
 
 def ball_sample(ball, n, rng):

@@ -135,7 +135,7 @@ class TestAcceptance:
         m2 = maximal_lp(f, 2.0, grid_n=64)
         ok = ok and np.isfinite(m2) and m2 >= bnorm * (1 - 1e-9) \
             and abs(m2 - m1) <= 0.1 * m1
-        area = area_integral(f, 2.0, derivative_kind="full", k_max=14)
+        area = area_integral(f, 2.0, k_max=14)
         ok = ok and area.classification == CONVERGED
         mu = DiscPushforward(thm2_map, density=WEIGHTED, p=2.0)
         sweep = luecking_constant(

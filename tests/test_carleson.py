@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from qchardy import carleson
-from qchardy.boundary import lipschitz_modulus_inverse
 from qchardy.carleson import (
     LEBESGUE,
     WEIGHTED,
-    BoundaryPushforward,
     DiscPushforward,
     bergman_carleson_constant,
-    boundary_carleson_constant,
     kernel_ratio,
     luecking_constant,
     make_ball_family,
@@ -20,59 +17,7 @@ from qchardy.carleson import (
 from qchardy.extension import make_disc_map
 from qchardy.functionals import hardy_norm
 from qchardy.functions import compose, hardy_kernel
-from qchardy.geometry import Arc, HyperbolicBall
-
-
-class TestBoundaryPushforward:
-    @pytest.mark.parametrize("label", ["identity", "moebius(0.5)", "thm2_sqrt",
-                                       "power(2)"])
-    def test_total_mass_one(self, label, catalog_maps):
-        mu = BoundaryPushforward(catalog_maps[label])
-        assert mu.total_mass() == pytest.approx(1.0, abs=1e-12)
-
-    def test_additive_over_split(self, thm2_map):
-        mu = BoundaryPushforward(thm2_map)
-        whole = mu.measure_interval(0.2, 1.4)
-        split = mu.measure_interval(0.2, 0.9) + mu.measure_interval(0.9, 1.4)
-        assert whole == pytest.approx(split, abs=1e-14)
-
-    def test_interval_across_branch_cut(self, thm2_map):
-        mu = BoundaryPushforward(thm2_map)
-        val = mu.measure_interval(np.pi - 0.3, np.pi + 0.3)
-        pieces = (mu.measure_interval(np.pi - 0.3, np.pi)
-                  + mu.measure_interval(-np.pi, -np.pi + 0.3))
-        assert val == pytest.approx(pieces, abs=1e-14)
-
-    def test_identity_gives_normalized_length(self, identity_map):
-        mu = BoundaryPushforward(identity_map)
-        arc = Arc(center_angle=0.5, half_width=0.25)
-        assert mu.measure_arc(arc) == pytest.approx(0.5 / (2 * np.pi), abs=1e-14)
-
-    def test_sqrt_map_interval_closed_form(self, thm2_map):
-        # preimage of [0, s] under alpha(t) = sqrt(pi t) is [0, s^2/pi]
-        mu = BoundaryPushforward(thm2_map)
-        s = 1.2
-        assert mu.measure_interval(0.0, s) == pytest.approx(
-            s * s / np.pi / (2 * np.pi), abs=1e-12)
-
-    def test_validation(self, identity_map):
-        mu = BoundaryPushforward(identity_map)
-        with pytest.raises(ValueError):
-            mu.measure_interval(1.0, 0.5)
-        with pytest.raises(ValueError):
-            mu.measure_interval(0.0, 7.0)
-
-
-class TestBoundaryCarleson:
-    def test_matches_lipschitz_modulus(self, thm2_map, pow2_map):
-        for phi in (thm2_map, pow2_map):
-            mu = BoundaryPushforward(phi)
-            assert boundary_carleson_constant(mu, 8) == \
-                lipschitz_modulus_inverse(phi.boundary, 8)
-
-    def test_identity_all_ones(self, identity_map):
-        consts = boundary_carleson_constant(BoundaryPushforward(identity_map), 6)
-        assert np.allclose(consts, 1.0, atol=1e-12)
+from qchardy.geometry import HyperbolicBall
 
 
 def _moebius_preimage_area(a, ball):
@@ -184,15 +129,16 @@ class TestSweeps:
     def test_bergman_requires_lebesgue(self, identity_map):
         mu = DiscPushforward(identity_map, density=WEIGHTED)
         with pytest.raises(ValueError):
-            bergman_carleson_constant(mu)
+            bergman_carleson_constant(mu, make_ball_family(range(1, 3), 4))
 
     def test_luecking_requires_weighted(self, identity_map):
+        fam = make_ball_family(range(1, 3), 4)
         mu = DiscPushforward(identity_map)
         with pytest.raises(ValueError):
-            luecking_constant(mu)
+            luecking_constant(mu, fam)
         mu2 = DiscPushforward(identity_map, density=WEIGHTED, p=1.0)
         with pytest.raises(ValueError):
-            luecking_constant(mu2)
+            luecking_constant(mu2, fam)
 
     def test_bergman_growth_separates_maps(self, thm2_map, pow2_map):
         fam = make_ball_family(range(1, 9), angles=4)

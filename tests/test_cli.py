@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from qchardy import cli
 from qchardy.cli import (
     EXPERIMENTS,
     ExperimentReport,
     ExperimentSpec,
     build_parser,
-    emit,
     main,
     run,
 )
@@ -41,18 +41,6 @@ class TestReport:
         assert rep.passed()
         rep.check("gamma", False, 0.0)
         assert not rep.passed()
-
-    def test_emit_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit(_report(), "yaml", tmp_path / "out.yaml")
-        with pytest.raises(OSError):
-            emit(_report(), "csv", tmp_path / "nodir" / "out.csv")
-
-    def test_emit_writes_exact_bytes(self, tmp_path):
-        rep = _report()
-        path = tmp_path / "out.csv"
-        emit(rep, "csv", path)
-        assert path.read_text() == rep.to_csv()
 
 
 class TestSpec:
@@ -142,6 +130,13 @@ class TestMain:
         assert captured.out.startswith("quantity,value,error,classification")
         assert out.read_text() == captured.out
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_file_bytes_equal_stdout(self, capsys, tmp_path, fmt):
+        out = tmp_path / f"rep.{fmt}"
+        main(["lemma1", "--map", "identity", "--grid", "4", "--format", fmt,
+              "--out", str(out)])
+        assert out.read_bytes() == capsys.readouterr().out.encode()
+
     def test_json_output(self, capsys):
         code = main(["lemma1", "--map", "identity", "--grid", "4",
                      "--format", "json"])
@@ -178,3 +173,11 @@ class TestUsageErrors:
     def test_af_conformal_rejects_a_non_moebius_map(self, capsys):
         self._usage_error(capsys, ["af_conformal", "--map", "power:2"],
                           "power:2")
+
+    def test_unwritable_out_path(self, capsys, monkeypatch, tmp_path):
+        def run(spec):
+            raise AssertionError("the experiment ran before the usage error")
+
+        monkeypatch.setattr(cli, "run", run)
+        path = tmp_path / "nodir" / "out.csv"
+        self._usage_error(capsys, ["lemma1", "--out", str(path)], str(path))

@@ -6,7 +6,6 @@ from qchardy.functionals import (
     DIVERGING,
     UNDETERMINED,
     area_integral,
-    area_integral_af,
     average_derivative,
     boundary_lp_norm,
     classify_means,
@@ -20,10 +19,16 @@ from qchardy.functions import (
     AnalyticFunction,
     cauchy_kernel,
     compose,
-    constant_function,
     hardy_kernel,
-    monomial,
 )
+
+
+def _constant(c):
+    return AnalyticFunction(lambda z: np.full_like(z, c), np.zeros_like)
+
+
+# f(z) = z
+_IDENTITY = AnalyticFunction(lambda z: z, np.ones_like)
 
 
 class TestClassifyMeans:
@@ -57,17 +62,17 @@ class TestIntegralMean:
         assert val == pytest.approx(1.0) and err == 0.0
 
     def test_constant(self):
-        val, _ = integral_mean(constant_function(3.0), 0.7, 2.0)
+        val, _ = integral_mean(_constant(3.0), 0.7, 2.0)
         assert val == pytest.approx(9.0, rel=1e-10)
 
     def test_monomial_mean(self):
         # mean of |z|^2 on the circle of radius r is r^2
-        val, _ = integral_mean(monomial(1), 0.6, 2.0)
+        val, _ = integral_mean(_IDENTITY, 0.6, 2.0)
         assert val == pytest.approx(0.36, rel=1e-10)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            integral_mean(monomial(1), 1.0, 2.0)
+            integral_mean(_IDENTITY, 1.0, 2.0)
 
     def test_cauchy_mean_against_adaptive_quadrature(self):
         # oracle: |1 - r e^{it}|^2 = (1-r)^2 + 4 r sin^2(t/2)
@@ -122,7 +127,7 @@ class TestHardyNorm:
     def test_scale_equivariance(self):
         g = hardy_kernel(0.6, 2.0)
         g3 = AnalyticFunction(lambda z: 3.0 * g(z), lambda z: 3.0 * g.deriv(z),
-                              singularities=g.singularities)
+                              singular_angles=g.singular_angles)
         assert hardy_norm(g3, 2.0).value == pytest.approx(
             3.0 * hardy_norm(g, 2.0).value, rel=1e-10)
 
@@ -141,7 +146,7 @@ class TestHardyNorm:
 
 class TestBoundaryNorm:
     def test_constant(self, identity_map):
-        f = compose(constant_function(2.0), identity_map)
+        f = compose(_constant(2.0), identity_map)
         assert boundary_lp_norm(f, 2.0) == pytest.approx(2.0, rel=1e-10)
 
     def test_divergent_trace_flagged_infinite(self, identity_map):
@@ -164,7 +169,7 @@ class TestBoundaryNorm:
 
 class TestMaximal:
     def test_constant(self):
-        f = constant_function(1.5)
+        f = _constant(1.5)
         assert nt_maximal(f, 1.0 + 0j) == pytest.approx(1.5)
         assert maximal_lp(f, 2.0) == pytest.approx(1.5, rel=1e-10)
 
@@ -188,15 +193,10 @@ class TestMaximal:
 class TestAreaIntegral:
     def test_monomial_closed_form(self):
         # int_D |1|^2 (1-|z|) dm = 2 pi (1/2 - 1/3) = pi/3 for f = z
-        est = area_integral(monomial(1), 2.0)
+        est = area_integral(_IDENTITY, 2.0)
         assert est.classification == CONVERGED
         # truncation at radius 1 - 2^{-k_max} leaves an O(2^{-2 k_max}) deficit
         assert est.value == pytest.approx(np.pi / 3, rel=1e-6)
-
-    def test_weight_exponent_override(self):
-        # q = 0: int_D 1 dm = pi, up to the pi 2^{-k_max+1} outer-annulus deficit
-        est = area_integral(monomial(1), 2.0, weight_exponent=0.0)
-        assert est.value == pytest.approx(np.pi, rel=1e-3)
 
     def test_kernel_converges(self):
         est = area_integral(hardy_kernel(0.9, 2.0), 2.0)
@@ -208,15 +208,16 @@ class TestAreaIntegral:
         assert est.classification == DIVERGING
 
     def test_analytic_kind_matches_full_for_identity(self, identity_map):
-        f = compose(hardy_kernel(0.8, 2.0), identity_map)
-        full = area_integral(f, 2.0, derivative_kind="full", k_max=8)
-        analytic = area_integral(f, 2.0, derivative_kind="analytic", k_max=8)
+        # |Df| of g o identity is |g'|, the integrand of g itself
+        g = hardy_kernel(0.8, 2.0)
+        full = area_integral(compose(g, identity_map), 2.0, k_max=8)
+        analytic = area_integral(g, 2.0, k_max=8)
         assert full.value == pytest.approx(analytic.value, rel=1e-9)
 
 
 class TestAverageDerivative:
     def test_linear_map_exact(self):
-        est = average_derivative(monomial(1), 0.2 + 0.1j, mc_samples=500)
+        est = average_derivative(_IDENTITY, 0.2 + 0.1j, mc_samples=500)
         assert est.value == pytest.approx(1.0, abs=1e-14)
         assert est.stderr == pytest.approx(0.0, abs=1e-14)
         assert est.excluded_fraction == 0.0
@@ -244,21 +245,7 @@ class TestAverageDerivative:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            average_derivative(monomial(1), 1.0)
+            average_derivative(_IDENTITY, 1.0)
         with pytest.raises(TypeError):
             average_derivative(lambda z: z, 0.0)
 
-
-class TestAreaIntegralAf:
-    def test_linear_map_closed_form(self):
-        # a_f = 1 everywhere so the integral is pi/3 up to quadrature error
-        est = area_integral_af(monomial(1), 2.0, mc_samples=64, k_max=8)
-        assert est.value == pytest.approx(np.pi / 3, rel=1e-4)
-        assert est.classification == CONVERGED
-
-    def test_agrees_with_derivative_integral_for_conformal(self, moebius_map):
-        f = AnalyticFunction(moebius_map.interior, moebius_map.complex_derivative)
-        af = area_integral_af(f, 2.0, mc_samples=128, k_max=8)
-        direct = area_integral(f, 2.0, k_max=8)
-        assert af.value == pytest.approx(direct.value, rel=0.05)
-        assert af.classification == direct.classification == CONVERGED

@@ -3,17 +3,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qchardy.geometry import (
-    Arc,
-    CarlesonSquare,
     Cone,
     HyperbolicBall,
     ball_sample,
-    boundary_arc_of,
     cone_angular_halfwidth,
-    cone_contains,
     cone_sample,
-    square_contains,
 )
+
+
+def cone_contains(cone, z):
+    """Reference membership oracle of the open cone; rejects points outside
+    the open disc."""
+    z = np.asarray(z, dtype=complex)
+    if np.any(np.abs(z) >= 1.0):
+        raise ValueError("cone_contains requires |z| < 1")
+    inside = np.abs(z - cone.vertex) < cone.aperture * (1.0 - np.abs(z))
+    if inside.ndim == 0:
+        return bool(inside)
+    return inside
+
 
 interior_points = st.builds(
     lambda r, t: r * np.exp(1j * t),
@@ -77,60 +85,6 @@ class TestCone:
             cone_sample(cone, [0.9, 0.5], 4)
         with pytest.raises(ValueError):
             cone_sample(cone, [0.0, 0.5], 4)
-
-
-class TestArc:
-    def test_wraps_center(self):
-        arc = Arc(center_angle=3 * np.pi, half_width=0.1)
-        assert abs(arc.center_angle - np.pi) < 1e-12
-
-    def test_half_width_validation(self):
-        with pytest.raises(ValueError):
-            Arc(center_angle=0.0, half_width=0.0)
-        with pytest.raises(ValueError):
-            Arc(center_angle=0.0, half_width=3.2)
-
-    def test_contains_across_branch_cut(self):
-        arc = Arc(center_angle=np.pi, half_width=0.2)
-        assert arc.contains_angle(np.pi - 0.1)
-        assert arc.contains_angle(-np.pi + 0.1)
-        assert not arc.contains_angle(0.0)
-
-    @given(interior_points.filter(lambda z: abs(z) > 1e-6))
-    def test_boundary_arc_length_identity(self, z):
-        arc = boundary_arc_of(z)
-        assert abs(arc.length + abs(z) - 1.0) < 1e-12
-        assert arc.contains_angle(np.angle(z))
-
-    def test_boundary_arc_rejects_origin(self):
-        with pytest.raises(ValueError):
-            boundary_arc_of(0.0)
-        with pytest.raises(ValueError):
-            boundary_arc_of(1.0)
-
-
-class TestCarlesonSquare:
-    def test_inner_radius(self):
-        sq = CarlesonSquare(Arc(center_angle=0.0, half_width=np.pi / 2))
-        assert abs(sq.inner_radius - 0.5) < 1e-12
-        assert abs(sq.side_length - np.pi) < 1e-12
-
-    def test_contains(self):
-        sq = CarlesonSquare(Arc(center_angle=0.0, half_width=np.pi / 2))
-        assert square_contains(sq, 0.9)
-        assert not square_contains(sq, 0.4)
-        assert not square_contains(sq, -0.9)
-        assert not square_contains(sq, 1.0)
-
-    def test_area_against_monte_carlo(self):
-        sq = CarlesonSquare(Arc(center_angle=1.0, half_width=0.8))
-        rng = np.random.default_rng(7)
-        n = 200_000
-        z = (rng.random(n) + 1j * rng.random(n)) * 2 - (1 + 1j)
-        hits = square_contains(sq, np.where(np.abs(z) < 1, z, 0.99))
-        hits &= np.abs(z) < 1
-        mc = 4.0 * np.count_nonzero(hits) / n
-        assert abs(mc - sq.area()) < 0.01
 
 
 class TestHyperbolicBall:
