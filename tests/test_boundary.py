@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qchardy.boundary import (
     BoundaryHomeo,
@@ -13,6 +14,20 @@ from qchardy.boundary import (
 
 CATALOG = ("identity", "thm2_sqrt", "power:2", "power:0.75", "moebius:0.5",
            "moebius:-0.7")
+
+angles = st.floats(-np.pi, np.pi)
+
+
+def _angle_map_derivative(spec, t):
+    """Closed-form alpha'(t) of a catalog map, the reference for its forward."""
+    entry = parse_map_spec(spec)
+    if entry.name == "identity":
+        return np.ones_like(t)
+    if entry.name == "moebius":
+        a, = entry.parameters
+        return (1.0 - a * a) / (1.0 - 2.0 * a * np.cos(t) + a * a)
+    gamma = entry.parameters[0] if entry.parameters else 0.5
+    return gamma * (np.abs(t) / np.pi) ** (gamma - 1.0)
 
 
 class TestCatalog:
@@ -72,6 +87,16 @@ class TestCatalog:
         assert np.max(np.abs(h.inverse(h(t)) - t)) < 1e-10
         assert np.max(np.abs(h(h.inverse(t)) - t)) < 1e-10
 
+    @pytest.mark.parametrize("spec", CATALOG)
+    def test_derivative_matches_fd(self, spec):
+        h = make_map(spec)
+        t = np.linspace(-2.8, 2.8, 57)
+        t = t[np.abs(t) > 0.05]
+        eps = 1e-6
+        fd = (h(t + eps) - h(t - eps)) / (2 * eps)
+        assert np.max(np.abs(_angle_map_derivative(spec, t) - fd)
+                      / np.abs(fd)) < 1e-7
+
     def test_monotonicity_validation(self):
         with pytest.raises(ValueError):
             BoundaryHomeo(lambda t: -np.asarray(t, dtype=float),
@@ -79,6 +104,13 @@ class TestCatalog:
         with pytest.raises(ValueError):
             BoundaryHomeo(lambda t: 0.5 * np.asarray(t, dtype=float),
                           lambda s: 2.0 * np.asarray(s, dtype=float))
+
+    @given(angles)
+    def test_lifted_periodicity(self, t):
+        # the Moebius angle map is a lift: defined on the whole line and
+        # commuting with t -> t + 2 pi
+        h = make_map("moebius:0.3")
+        assert abs(h(t + 2 * np.pi) - (h(t) + 2 * np.pi)) < 1e-10
 
     def test_map_point_on_circle(self):
         h = make_map("thm2_sqrt")

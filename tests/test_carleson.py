@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qchardy import carleson
+from qchardy.boundary import lipschitz_modulus_inverse
 from qchardy.carleson import (
     LEBESGUE,
     WEIGHTED,
@@ -18,6 +19,49 @@ from qchardy.extension import make_disc_map
 from qchardy.functionals import hardy_norm
 from qchardy.functions import compose, hardy_kernel
 from qchardy.geometry import HyperbolicBall
+
+
+def _pushforward_mass(h, a, b):
+    """Normalized length |h^{-1}([a, b])| / (2 pi) of the preimage arc."""
+    return float(h.inverse(np.asarray(b)) - h.inverse(np.asarray(a))) / (2 * np.pi)
+
+
+class TestBoundaryPushforward:
+    """The boundary pushforward of normalized arc length, read off the
+    closed-form inverses that the boundary Carleson constant uses."""
+
+    @pytest.mark.parametrize("label", ["identity", "moebius(0.5)", "thm2_sqrt",
+                                       "power(2)"])
+    def test_total_mass_one(self, label, catalog_maps):
+        h = catalog_maps[label].boundary
+        assert _pushforward_mass(h, -np.pi, np.pi) == pytest.approx(1.0, abs=1e-12)
+
+    def test_sqrt_map_interval_closed_form(self, thm2_map):
+        # preimage of [0, s] under alpha(t) = sqrt(pi t) is [0, s^2/pi]
+        s = 1.2
+        assert _pushforward_mass(thm2_map.boundary, 0.0, s) == pytest.approx(
+            s * s / np.pi / (2 * np.pi), abs=1e-12)
+
+
+class TestBoundaryCarleson:
+    """The boundary Carleson constant at depth d is the sup over dyadic arcs
+    I of mu(I) / (|I| / 2 pi), which lipschitz_modulus_inverse computes."""
+
+    def test_matches_lipschitz_modulus(self, thm2_map, pow2_map):
+        for phi in (thm2_map, pow2_map):
+            h = phi.boundary
+            consts = []
+            for d in range(1, 9):
+                edges = np.linspace(-np.pi, np.pi, 2 ** (d + 1) + 1)
+                width = np.pi * 2.0 ** (-d) / (2 * np.pi)
+                consts.append(max(_pushforward_mass(h, a, b) / width
+                                  for a, b in zip(edges[:-1], edges[1:])))
+            assert np.allclose(lipschitz_modulus_inverse(h, 8), consts,
+                               rtol=1e-12, atol=0.0)
+
+    def test_identity_all_ones(self, identity_map):
+        consts = lipschitz_modulus_inverse(identity_map.boundary, 6)
+        assert np.allclose(consts, 1.0, atol=1e-12)
 
 
 def _moebius_preimage_area(a, ball):

@@ -42,6 +42,25 @@ class TestReport:
         rep.check("gamma", False, 0.0)
         assert not rep.passed()
 
+    def test_emit_validation(self, capsys, monkeypatch):
+        def run(spec):
+            raise AssertionError("the experiment ran before the usage error")
+
+        monkeypatch.setattr(cli, "run", run)
+        with pytest.raises(SystemExit) as exc:
+            main(["lemma1", "--format", "yaml"])
+        assert exc.value.code == 2
+        assert "yaml" in capsys.readouterr().err
+
+    def test_emit_writes_exact_bytes(self, capsys, monkeypatch, tmp_path):
+        rep = _report()
+        monkeypatch.setattr(cli, "run", lambda spec: rep)
+        for fmt, expected in (("csv", rep.to_csv()), ("json", rep.to_json())):
+            path = tmp_path / f"out.{fmt}"
+            assert main(["lemma1", "--format", fmt, "--out", str(path)]) == 0
+            assert path.read_bytes() == expected.encode()
+            assert capsys.readouterr().out == expected
+
 
 class TestSpec:
     def test_unknown_experiment(self):

@@ -2,11 +2,28 @@ import numpy as np
 import pytest
 
 from qchardy.functions import (
+    AnalyticFunction,
     cauchy_kernel,
     compose,
     hardy_kernel,
 )
 
+
+class TestBasicFunctions:
+    """AnalyticFunction hands its callables complex arrays, whatever the input."""
+
+    def test_constant(self):
+        f = AnalyticFunction(lambda z: np.full(z.shape, 2 - 1j),
+                             lambda z: np.zeros(z.shape, dtype=z.dtype))
+        z = [0j, 0.5, -0.3j]
+        assert np.all(f(z) == 2 - 1j)
+        assert f.deriv(z).dtype == complex and np.all(f.deriv(z) == 0)
+
+    def test_monomial(self):
+        f = AnalyticFunction(lambda z: z ** 3, lambda z: 3 * z ** 2)
+        assert abs(complex(f(np.array([0.5j]))[0]) - (0.5j) ** 3) < 1e-15
+        assert abs(complex(f.deriv(np.array([0.5]))[0]) - 3 * 0.25) < 1e-15
+        assert f(np.array([-1.0])).dtype == complex
 
 class TestHardyKernel:
     def test_values(self):
