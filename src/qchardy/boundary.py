@@ -21,12 +21,14 @@ class BoundaryHomeo:
     """Strictly increasing angle homeomorphism of [-pi, pi] fixing the endpoints.
 
     ``forward`` and its closed-form ``inverse`` must be numpy-vectorized.
+    ``cusps`` lists the angles where the angle map is not smooth.
     """
 
-    def __init__(self, forward, inverse, label="custom"):
+    def __init__(self, forward, inverse, label="custom", cusps=()):
         self.forward = forward
         self.inverse = inverse
         self.label = label
+        self.cusps = tuple(cusps)
         t = np.linspace(-np.pi, np.pi, _MONOTONE_GRID)
         a = self.forward(t)
         if np.any(np.diff(a) <= 0):
@@ -63,8 +65,8 @@ def identity_homeo():
 
 
 def power_homeo(gamma):
-    """alpha(t) = sign(t) * pi * (|t|/pi)**gamma; gamma = 1/2 is the
-    square-root map sign(t) sqrt(pi |t|)."""
+    """alpha(t) = sign(t) * pi * (|t|/pi)**gamma, with its cusp at t = 0;
+    gamma = 1/2 is the square-root map sign(t) sqrt(pi |t|)."""
     gamma = float(gamma)
     if gamma <= 0:
         raise ValueError("power map needs gamma > 0")
@@ -77,7 +79,7 @@ def power_homeo(gamma):
         s = np.asarray(s, dtype=float)
         return np.sign(s) * np.pi * (np.abs(s) / np.pi) ** g
 
-    return BoundaryHomeo(fwd, inv, label=f"power({gamma:g})")
+    return BoundaryHomeo(fwd, inv, label=f"power({gamma:g})", cusps=(0.0,))
 
 
 def sqrt_homeo():

@@ -140,10 +140,10 @@ def kernel_ratio(phi, w):
         zeta = phi.boundary_point(t)
         return np.abs(1.0 - wb * zeta) ** -2.0
 
-    angles = ()
+    marks = ()
     if w != 0:
-        angles = (float(phi.boundary.inverse(np.asarray(np.angle(w)))),)
-    val, _ = circle_mean(fn, angles, scale=1e-12, order=16)
+        marks = ((float(phi.boundary.inverse(np.asarray(np.angle(w)))), 1e-12),)
+    val, _ = circle_mean(fn, marks)
     return float((1.0 - abs(w) ** 2) * val)
 
 

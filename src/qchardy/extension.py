@@ -72,7 +72,9 @@ def _line_integral(fn, a, b):
     half = 0.5 * (hi - lo)
     x, w = gauss_legendre(_GL_ORDER)
     vals = fn((0.5 * (hi + lo)[:, None] + half[:, None] * x).ravel())
-    panel_sums = half * (vals.reshape(-1, _GL_ORDER) @ w)
+    # einsum sums each panel alone, so a point's value does not depend on the
+    # batch it is evaluated in; a BLAS product rounds by position in the batch
+    panel_sums = half * np.einsum("pk,k->p", vals.reshape(-1, _GL_ORDER), w)
     return np.bincount(row, weights=panel_sums, minlength=a.size)
 
 
@@ -173,6 +175,28 @@ class DiscQCMap:
     def differential(self, z):
         """(operator norm |Dphi|, Jacobian) at z."""
         return norm_and_jacobian(*self.jet(z)[1:])
+
+    def kink_angles(self, r):
+        """Angles t where phi(r e^{it}) is not smooth in t: none for a
+        conformal map, up to four per boundary cusp for a Beurling-Ahlfors
+        extension.
+
+        The extension averages the line map over [x - y, x + y], with x + iy
+        the Cayley image of r e^{it}, and an end of that window crosses the
+        image tan(c/2) of a cusp c where
+            2r sin(t - c/2) = (1 + r^2) sin(c/2) +- (1 - r^2) cos(c/2).
+        """
+        if self.complex_derivative is not None:
+            return ()
+        angles = []
+        for c in self.boundary.cusps:
+            for sign in (1.0, -1.0):
+                s = ((1.0 + r * r) * np.sin(0.5 * c)
+                     + sign * (1.0 - r) * (1.0 + r) * np.cos(0.5 * c)) / (2.0 * r)
+                if abs(s) < 1.0:
+                    a = float(np.arcsin(s))
+                    angles += [0.5 * c + a, 0.5 * c + np.pi - a]
+        return tuple(angles)
 
 
 def norm_and_jacobian(dz, dzb):

@@ -40,9 +40,17 @@ def radial_schedule(k_max=RADIAL_DEPTH):
 def singular_angles_of(f):
     if isinstance(f, QuasiregularMap):
         return f.singular_pullback_angles()
-    if isinstance(f, AnalyticFunction):
-        return f.singular_angles
-    return ()
+    return f.singular_angles
+
+
+def _circle_marks(f, r, scale):
+    """Grading marks for circle means of f on |z| = r: f's singular angles at
+    the given scale and, for a composite, its symbol's kink angles at
+    0.1 (1 - r)."""
+    marks = [(t, scale) for t in singular_angles_of(f)]
+    if isinstance(f, QuasiregularMap):
+        marks += [(t, 0.1 * (1.0 - r)) for t in f.phi.kink_angles(r)]
+    return marks
 
 
 def classify_means(means, conv_tol=1.02, div_factor=1.5):
@@ -71,11 +79,12 @@ def classify_means(means, conv_tol=1.02, div_factor=1.5):
     return UNDETERMINED
 
 
-def integral_mean(f, r, p, order=16):
+def integral_mean(f, r, p):
     """Mean of |f|^p over the circle of radius r: (1/2pi) int |f(r e^it)|^p dt.
 
-    Quadrature is graded geometrically toward the singular angles carried by f
-    (pulled back through the symbol for composites).  Returns (value, error).
+    One circle mean, graded toward the singular angles carried by f (pulled
+    back through the symbol for composites) and toward the symbol's kinks.
+    Returns (value, error).
     """
     r = float(r)
     if not 0.0 <= r < 1.0:
@@ -87,12 +96,7 @@ def integral_mean(f, r, p, order=16):
     def fn(theta):
         return np.abs(f(r * np.exp(1j * theta))) ** p
 
-    angles = singular_angles_of(f)
-    val, err = circle_mean(fn, angles, scale=1e-10, order=order)
-    tol = 1e-8 if r <= 1 - 1e-6 else 1e-5
-    if val > 0 and err > tol * val and order < 32:
-        val, err = circle_mean(fn, angles, scale=1e-10, order=32)
-    return val, err
+    return circle_mean(fn, _circle_marks(f, r, 1e-10))
 
 
 def hardy_norm(f, p, k_max=RADIAL_DEPTH):
@@ -134,28 +138,34 @@ def boundary_lp_norm(f, p, div_threshold=0.25):
         return np.where(np.isfinite(vals), vals, 0.0)
 
     angles = singular_angles_of(f)
-    coarse, _ = circle_mean(fn, angles, scale=1e-7, order=16)
-    fine, _ = circle_mean(fn, angles, scale=1e-11, order=16)
+    coarse, _ = circle_mean(fn, [(t, 1e-7) for t in angles])
+    fine, _ = circle_mean(fn, [(t, 1e-11) for t in angles])
     if coarse > 0 and (fine - coarse) / coarse > div_threshold:
         return float(np.inf)
     return fine ** (1.0 / p)
 
 
 def nt_maximal(f, xi, aperture=2.0, budget=96):
-    """Lower estimate of the non-tangential maximal function at xi:
-    max of |f| over a nested cone lattice.  Nondecreasing in the budget."""
-    cone = Cone(vertex=xi, aperture=aperture)
+    """Lower estimate of the non-tangential maximal function at each vertex
+    xi (a point or an array of points on the circle): max of |f| over a
+    nested cone lattice, with one call of f per cone depth for all vertices.
+    Nondecreasing in the budget."""
+    xi = np.asarray(xi, dtype=complex)
+    if np.any(np.abs(np.abs(xi) - 1.0) > 1e-12):
+        raise ValueError("cone vertex must lie on the unit circle")
+    # the admissible angular window depends on the aperture only
+    cone = Cone(vertex=1.0 + 0j, aperture=aperture)
     n_depths = 12
     level = max(0, int(np.floor(np.log2(max(budget, n_depths) / n_depths))))
-    t0 = float(np.angle(xi))
-    best = 0.0
+    t0 = np.angle(xi).reshape(-1, 1)
+    best = np.zeros(t0.shape[0])
     ks = np.arange(-2 ** level, 2 ** level + 1)
     for j in range(1, n_depths + 1):
         d = 1.0 - 2.0 ** -j
         half = cone_angular_halfwidth(cone, d) * (1.0 - 1e-9)
         z = d * np.exp(1j * (t0 + half * ks / 2.0 ** level))
-        best = max(best, float(np.max(np.abs(f(z)))))
-    return best
+        best = np.maximum(best, np.max(np.abs(f(z)), axis=1))
+    return float(best[0]) if xi.ndim == 0 else best.reshape(xi.shape)
 
 
 def _xi_grid(grid_n, singular_angles, cluster_depth=20):
@@ -178,8 +188,7 @@ def maximal_lp(f, p, aperture=2.0, grid_n=64, budget=96):
     function, with extra grid points graded toward singular pullbacks."""
     p = float(p)
     angles, weights = _xi_grid(grid_n, singular_angles_of(f))
-    vals = np.array([nt_maximal(f, np.exp(1j * t), aperture, budget)
-                     for t in angles])
+    vals = nt_maximal(f, np.exp(1j * angles), aperture, budget)
     return float((np.sum(weights * vals ** p) / TWO_PI) ** (1.0 / p))
 
 
@@ -194,14 +203,13 @@ def area_integral(f, p, k_max=12):
 
     Tensor quadrature: dyadic radial shells graded toward r = 1, each with 8
     Gauss-Legendre radii, and order-12 circle means graded at singular
-    pullbacks.  The classification tracks the sequence of truncations to
-    radius 1 - 2^{-k}.
+    pullbacks and at the symbol's kinks.  The classification tracks the
+    sequence of truncations to radius 1 - 2^{-k}.
     """
     p = float(p)
     q = p - 1.0
     x, wq = gauss_legendre(8)
     edges = np.concatenate([[0.0], 1.0 - 2.0 ** -np.arange(1, k_max + 1)])
-    angles = singular_angles_of(f)
     partials = []
     total = 0.0
     toterr = 0.0
@@ -215,7 +223,7 @@ def area_integral(f, p, k_max=12):
             def fn(theta, r=r):
                 return _deriv_magnitude(f, r * np.exp(1j * theta)) ** p
 
-            m, e = circle_mean(fn, angles, scale=1e-9, order=12)
+            m, e = circle_mean(fn, _circle_marks(f, r, 1e-9), order=12)
             shell += half * wi * m * (1.0 - r) ** q * r * TWO_PI
             toterr += half * wi * e * (1.0 - r) ** q * r * TWO_PI
         total += shell
@@ -232,13 +240,9 @@ class AverageDerivativeEstimate:
 
 
 def _jacobian(f, z):
-    if isinstance(f, QuasiregularMap):
-        jac = f.differential(z)[1]
-    elif isinstance(f, AnalyticFunction):
-        jac = np.abs(f.deriv(z)) ** 2
-    else:
-        raise TypeError("average_derivative needs an analytic or quasiregular map")
-    return jac
+    if not isinstance(f, AnalyticFunction):
+        raise TypeError("average_derivative needs an analytic function")
+    return np.abs(f.deriv(z)) ** 2
 
 
 def average_derivative(f, z, mc_samples=10000, seed=0):

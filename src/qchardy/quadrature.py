@@ -1,16 +1,20 @@
-"""Composite Gauss-Legendre quadrature with geometric grading toward marked angles.
+"""Composite Gauss-Legendre quadrature on the circle with geometric grading
+toward marked angles.
 
-The integrands of interest are smooth away from finitely many boundary angles
-where they either blow up like a power |theta - theta0|^(-s) with s < 1, or are
-merely sharply peaked (evaluation on a circle of radius r close to 1).  Panels
-shrink geometrically toward each marked angle, so every dyadic length scale
-between ``scale`` and pi is resolved by a panel of matching width.
+The integrands of interest are smooth away from finitely many angles where
+they blow up like a power |theta - theta0|^(-s) with s < 1, are sharply peaked
+(evaluation on a circle of radius r close to 1), or have a kink (a
+Beurling-Ahlfors composite, where its averaging window crosses a cusp of the
+boundary map).  Panels shrink geometrically toward each marked angle, so
+every dyadic length scale between the mark's own scale and its neighbours is
+resolved by a panel of matching width.  The error estimate is read off the
+same samples, from the decay of each panel's Legendre coefficients.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -34,83 +38,63 @@ def wrap_angle(t):
     return out
 
 
-def _graded_edges(start, end, scale, ratio=2.0):
-    """Breakpoints of [start, end] whose widths grow geometrically away from start.
+def _graded_edges(length, scale):
+    """Offsets 0, ..., length of panel edges whose widths double away from 0.
 
     The innermost panel has width ~scale (never wider than the interval).
     """
-    length = end - start
-    if length <= 0:
-        return np.array([start, end])
     edges = [0.0]
     w = min(scale, length)
     pos = w
     while pos < length:
         edges.append(pos)
-        w *= ratio
+        w *= 2.0
         pos += w
     edges.append(length)
-    return start + np.asarray(edges)
+    return np.asarray(edges)
 
 
-def _panel_sum(fn, edges, order):
+def _legendre_tail(order):
+    """Weights that map the samples at the order-point Gauss-Legendre nodes
+    to the interpolant's two highest Legendre coefficients, a_{n-2}, a_{n-1}."""
     x, w = gauss_legendre(order)
-    a = edges[:-1]
-    b = edges[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    vals = fn(nodes.ravel()).reshape(nodes.shape)
-    return float(np.sum(half[:, None] * w[None, :] * vals))
+    j = np.arange(order - 2, order)
+    return legvander(x, order - 1)[:, j] * w[:, None] * (j + 0.5)
 
 
-def integrate_segment(fn, a, b, grade_at=(), scale=1e-10, order=16):
-    """Integrate fn over [a, b], grading toward any points of ``grade_at``
-    that lie inside or at the ends of the interval.
+def circle_mean(fn, marks=(), order=16):
+    """(1/2pi) * integral of fn(theta) over the circle, graded toward marks.
 
-    Returns (value, error_estimate); the error estimate compares the chosen
-    order against half that order on the same panels.
+    marks holds (angle, scale) pairs.  Between two neighbouring marked angles,
+    each half of the arc is graded toward its own mark, down to about that
+    mark's scale; an unmarked circle is graded toward 0 at scale pi/16.  A
+    node is its mark plus an offset, wrapped only when it passes +-pi, so
+    nodes close to a mark at 0 keep full relative precision.  fn must accept
+    a numpy array of angles in [-pi, pi]; it is called once, on every node.
+
+    Returns (value, error_estimate).  The error estimate sums over the panels
+    the panel width times the two highest Legendre coefficients of the
+    panel's samples (Trefethen, ATAP ch. 19), so it costs no evaluation.
     """
-    marks = sorted({a, b} | {g for g in grade_at if a <= g <= b})
-    total = 0.0
-    total_lo = 0.0
-    for left, right in zip(marks[:-1], marks[1:]):
-        if right - left <= 0:
-            continue
-        midpt = 0.5 * (left + right)
-        # grade each half toward its own endpoint
-        for s, e, anchor in ((left, midpt, left), (midpt, right, right)):
-            if anchor == s:
-                edges = _graded_edges(s, e, scale)
-            else:
-                edges = (s + e) - _graded_edges(s, e, scale)[::-1]
-            total += _panel_sum(fn, edges, order)
-            total_lo += _panel_sum(fn, edges, max(2, order // 2))
-    return total, abs(total - total_lo)
-
-
-def circle_mean(fn, singular_angles=(), scale=1e-10, order=16):
-    """(1/2pi) * integral of fn(theta) over the circle, graded at the given angles.
-
-    fn must accept a numpy array of angles.  Returns (value, error_estimate).
-    """
-    angles = sorted({wrap_angle(t) for t in singular_angles})
-    if not angles:
-        val, err = integrate_segment(fn, -np.pi, np.pi, grade_at=(0.0,),
-                                     scale=np.pi / 16, order=order)
-        return val / TWO_PI, err / TWO_PI
-    total = 0.0
-    toterr = 0.0
-    # segments between consecutive singular angles, wrapping once around
-    for i, t0 in enumerate(angles):
-        t1 = angles[(i + 1) % len(angles)]
-        if i == len(angles) - 1:
-            t1 += TWO_PI
-        def shifted(u, t0=t0):
-            return fn(wrap_angle(t0 + u))
-        val, err = integrate_segment(shifted, 0.0, t1 - t0,
-                                     grade_at=(0.0, t1 - t0), scale=scale,
-                                     order=order)
-        total += val
-        toterr += err
-    return total / TWO_PI, toterr / TWO_PI
+    scales = {}
+    for t, s in marks or ((0.0, np.pi / 16),):
+        t = wrap_angle(t)
+        scales[t] = min(s, scales.get(t, np.inf))
+    angles = sorted(scales)
+    x, w = gauss_legendre(order)
+    nodes, half = [], []
+    for t0, t1 in zip(angles, angles[1:] + angles[:1]):
+        # the arc from t0 to t1; a single mark's arc is the whole circle
+        h = 0.5 * ((t1 - t0) % TWO_PI or TWO_PI)
+        for mark, away in ((t0, 1.0), (t1, -1.0)):
+            edges = _graded_edges(h, scales[mark])
+            hw = 0.5 * np.diff(edges)
+            nodes.append(mark + away * ((edges[:-1] + hw)[:, None] + hw[:, None] * x))
+            half.append(hw)
+    nodes, half = np.concatenate(nodes), np.concatenate(half)
+    vals = fn((nodes - TWO_PI * np.round(nodes / TWO_PI)).ravel())
+    vals = vals.reshape(nodes.shape)
+    total = float(np.sum(half * (vals @ w)))
+    tail = np.abs(vals @ _legendre_tail(order)).sum(axis=1)
+    err = float(np.sum(2.0 * half * tail))
+    return total / TWO_PI, err / TWO_PI

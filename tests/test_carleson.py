@@ -260,3 +260,18 @@ class TestOperatorProxy:
         operator_bound_proxy(phi, 2.0, k_max=4, radial_depth=12)
         assert phi.interior is counting
         assert batches and max(batches.values()) == 1
+
+    def test_one_ba_batch_per_radius(self):
+        # every kernel's circle at one radius has the same marks (the pullback
+        # 0 and the symbol's kinks), hence bitwise the same nodes
+        phi = make_disc_map("thm2_sqrt")
+        ba = phi.interior
+        calls = []
+
+        def counting(z):
+            calls.append(z.size)
+            return ba(z)
+
+        phi.interior = counting
+        operator_bound_proxy(phi, 2.0, k_max=10)
+        assert len(calls) == 24

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qchardy import extension
-from qchardy.boundary import make_map
+from qchardy.boundary import BoundaryHomeo, make_map
 from qchardy.extension import (
     _FRACTIONS,
     _GL_ORDER,
@@ -334,6 +334,44 @@ class TestCatalogConstruction:
         phi = DiscQCMap(moebius_map.boundary, moebius_map.interior)
         with pytest.raises(TypeError, match="no jet"):
             phi.jet(np.array([0.2 + 0.1j, -0.6j, 0.9]))
+
+
+class TestKinkAngles:
+    @staticmethod
+    def _cayley(r, t):
+        z = r * np.exp(1j * np.asarray(t))
+        return 1j * (1.0 - z) / (1.0 + z)
+
+    def test_window_end_on_the_cusp_along_the_schedule(self, thm2_map):
+        # the averaging window [x - y, x + y] ends at the line map's cusp 0
+        for r in radial_schedule():
+            angles = thm2_map.kink_angles(r)
+            assert len(set(angles)) == 4
+            w = self._cayley(r, angles)
+            assert np.allclose(np.abs(w.real), w.imag, rtol=1e-6, atol=0.0)
+
+    def test_cusp_off_zero(self):
+        # a cusp at angle c sits at tan(c/2) on the line
+        c = 1.0
+        h = BoundaryHomeo(lambda t: np.asarray(t, dtype=float),
+                          lambda s: np.asarray(s, dtype=float), cusps=(c,))
+        phi = ba_extend(h)
+        for r, count in ((0.6, 2), (0.9, 4), (0.999, 4)):
+            angles = phi.kink_angles(r)
+            assert len(set(angles)) == count
+            w = self._cayley(r, angles)
+            assert np.allclose(np.abs(w.real - np.tan(c / 2)), w.imag,
+                               rtol=1e-9, atol=0.0)
+
+    def test_none_near_the_centre(self, thm2_map):
+        # (1 - r^2) / 2r >= 1: every window [x - y, x + y] contains 0
+        assert thm2_map.kink_angles(0.4) == ()
+
+    def test_none_for_conformal_or_smooth_maps(self, identity_map, moebius_map):
+        assert identity_map.kink_angles(0.9) == ()
+        assert moebius_map.kink_angles(0.9) == ()
+        assert ba_extend(make_map("moebius:0.5")).kink_angles(0.9) == ()
+        assert make_map("power:2").cusps == (0.0,)
 
 
 _ANGLES = -np.pi + 2.0 * np.pi * np.arange(401) / 401

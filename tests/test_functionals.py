@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from qchardy.extension import make_disc_map
 from qchardy.functionals import (
     CONVERGED,
     DIVERGING,
     UNDETERMINED,
+    _xi_grid,
     area_integral,
     average_derivative,
     boundary_lp_norm,
@@ -21,6 +23,8 @@ from qchardy.functions import (
     compose,
     hardy_kernel,
 )
+from qchardy.geometry import Cone, cone_angular_halfwidth
+from qchardy.quadrature import TWO_PI, circle_mean, gauss_legendre
 
 
 def _constant(c):
@@ -29,6 +33,34 @@ def _constant(c):
 
 # f(z) = z
 _IDENTITY = AnalyticFunction(lambda z: z, np.ones_like)
+
+
+def _five_angles(r, scale):
+    """Reference marks on |z| = r for a kernel singular at 0 composed with a
+    BA symbol whose cusp is at 0: angle 0 at the given scale, and the four
+    kinks sin t = +-(1 - r^2)/2r at 0.1 (1 - r) where they exist."""
+    marks = [(0.0, scale)]
+    v = (1.0 - r) * (1.0 + r) / (2.0 * r)
+    if v < 1.0:
+        s = np.arcsin(v)
+        marks += [(t, 0.1 * (1.0 - r)) for t in (s, -s, np.pi - s, s - np.pi)]
+    return marks
+
+
+def _nt_maximal_loop(f, xi, aperture=2.0, budget=96):
+    """Reference: the maximal function at one vertex, one call of f per depth."""
+    cone = Cone(vertex=xi, aperture=aperture)
+    n_depths = 12
+    level = max(0, int(np.floor(np.log2(max(budget, n_depths) / n_depths))))
+    t0 = float(np.angle(xi))
+    best = 0.0
+    ks = np.arange(-2 ** level, 2 ** level + 1)
+    for j in range(1, n_depths + 1):
+        d = 1.0 - 2.0 ** -j
+        half = cone_angular_halfwidth(cone, d) * (1.0 - 1e-9)
+        z = d * np.exp(1j * (t0 + half * ks / 2.0 ** level))
+        best = max(best, float(np.max(np.abs(f(z)))))
+    return best
 
 
 class TestClassifyMeans:
@@ -92,6 +124,29 @@ class TestIntegralMean:
         eps = 1e-6
         val, _ = integral_mean(cauchy_kernel(), 1 - eps, 1.0)
         assert val == pytest.approx(np.log(8.0 / eps) / np.pi, rel=0.01)
+
+    def test_composite_means_against_order_48_reference(self, thm2_map,
+                                                        pow2_map):
+        # every mean along the schedule within 1e-9 of an order-48 rule at
+        # the five angles, and never more than its own error estimate off
+        cases = ((thm2_map, ((cauchy_kernel(), 1.0), (hardy_kernel(0.9, 2.0), 2.0))),
+                 (pow2_map, ((hardy_kernel(0.99, 2.0), 2.0),)))
+        for phi, kernels in cases:
+            for r in radial_schedule():
+                images = {}
+
+                def image(t, phi=phi, r=r, images=images):
+                    key = t.tobytes()
+                    if key not in images:
+                        images[key] = phi(r * np.exp(1j * t))
+                    return images[key]
+
+                for g, p in kernels:
+                    ref, _ = circle_mean(lambda t: np.abs(g(image(t))) ** p,
+                                         _five_angles(r, 1e-10), order=48)
+                    val, err = integral_mean(compose(g, phi), r, p)
+                    assert abs(val - ref) <= 1e-9 * ref, (g.label, r)
+                    assert err >= abs(val - ref), (g.label, r)
 
 
 class TestHardyNorm:
@@ -189,6 +244,19 @@ class TestMaximal:
         f = compose(hardy_kernel(0.9, 2.0), thm2_map)
         assert maximal_lp(f, 2.0, grid_n=64) >= boundary_lp_norm(f, 2.0)
 
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
+    def test_batched_equals_the_per_angle_loop(self, spec):
+        f = compose(hardy_kernel(0.9, 2.0), make_disc_map(spec))
+        angles, weights = _xi_grid(32, f.singular_pullback_angles())
+        loop = np.array([_nt_maximal_loop(f, np.exp(1j * t)) for t in angles])
+        assert np.array_equal(nt_maximal(f, np.exp(1j * angles)), loop)
+        ref = float((np.sum(weights * loop ** 2.0) / TWO_PI) ** 0.5)
+        assert maximal_lp(f, 2.0, grid_n=32) == ref
+
+    def test_vertex_off_the_circle(self):
+        with pytest.raises(ValueError, match="unit circle"):
+            nt_maximal(_constant(1.0), np.array([1.0, 0.5j]))
+
 
 class TestAreaIntegral:
     def test_monomial_closed_form(self):
@@ -206,6 +274,23 @@ class TestAreaIntegral:
         # |g'| = |1-z|^{-2} makes the p = 2, q = 1 integral diverge
         est = area_integral(cauchy_kernel(), 2.0, k_max=16)
         assert est.classification == DIVERGING
+
+    def test_kinked_composite_against_reference(self, thm2_map):
+        # the same radial rule with order-48 circle means at the five angles
+        f = compose(hardy_kernel(0.9, 2.0), thm2_map)
+        k_max = 3
+        x, wq = gauss_legendre(8)
+        edges = np.concatenate([[0.0], radial_schedule(k_max)])
+        ref = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            for xi, wi in zip(x, wq):
+                r = 0.5 * (a + b) + 0.5 * (b - a) * xi
+                m, _ = circle_mean(
+                    lambda t, r=r: f.differential(r * np.exp(1j * t))[0] ** 2,
+                    _five_angles(r, 1e-9), order=48)
+                ref += 0.5 * (b - a) * wi * m * (1.0 - r) * r * TWO_PI
+        est = area_integral(f, 2.0, k_max=k_max)
+        assert est.value == pytest.approx(ref, rel=1e-7)
 
     def test_analytic_kind_matches_full_for_identity(self, identity_map):
         # |Df| of g o identity is |g'|, the integrand of g itself
