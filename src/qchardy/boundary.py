@@ -5,7 +5,8 @@ A circle homeomorphism is represented by its angle map alpha: [-pi, pi] ->
 phi(e^{it}) = e^{i alpha(t)}, together with the closed-form inverse of alpha.
 The catalog holds the identity, the square-root map alpha(t) =
 sign(t) sqrt(pi |t|), its power-law family, and boundary actions of disc
-Moebius transforms with a real parameter.
+Moebius transforms with a real parameter.  The dyadic Lipschitz moduli of
+the inverse are judged by the tail classifier (tail.py).
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tail import CONVERGED, classify_tail
 
 _MONOTONE_GRID = 512
 
@@ -155,15 +158,15 @@ def lipschitz_modulus_inverse(h, dyadic_depth):
     return [_dyadic_sup_inverse(h.inverse, d) for d in range(1, dyadic_depth + 1)]
 
 
-def is_lipschitz_inverse(moduli, growth_tol=1.05):
-    """Classify the per-depth moduli as stabilized (Lipschitz) or growing.
+def lipschitz_tail(moduli):
+    """Tail verdict and reason of the per-depth moduli of depths 1, 2, ...;
+    the depth-d modulus is a difference quotient over arcs of length
+    pi 2^-d, known to its rounding 4 eps 2^d m_d."""
+    m = np.asarray(moduli, dtype=float)
+    depth = np.arange(1, len(m) + 1)
+    return classify_tail(m, 4 * np.finfo(float).eps * 2.0 ** depth * m)
 
-    Stabilized means the growth ratio of successive depths stays below
-    ``growth_tol`` over the last 3 depth steps.
-    """
-    if len(moduli) < 4:
-        raise ValueError("need at least 4 depths to classify")
-    tail = np.asarray(moduli[-4:])
-    ratios = tail[1:] / tail[:-1]
-    return bool(np.all(ratios < growth_tol))
 
+def is_lipschitz_inverse(moduli):
+    """Boolean view of lipschitz_tail: converged means Lipschitz."""
+    return lipschitz_tail(moduli)[0] == CONVERGED

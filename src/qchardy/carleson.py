@@ -5,7 +5,8 @@ the composition-operator boundedness proxy.
 A disc pushforward's ball mass is a deterministic product rule on the
 ball, through the change of variables w = phi(z), with the nodes' preimages
 from one batched Newton run; its error is the rule's distance from the same
-rule on half the angles.
+rule on half the angles.  Per-ring maxima of a ball sweep and the proxy's
+ratios carry errors, so the tail classifier (tail.py) can judge them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .functionals import hardy_norm
 from .functions import compose, hardy_kernel
 from .geometry import HyperbolicBall
 from .quadrature import TWO_PI, circle_mean, gauss_legendre, wrap_angle
+from .tail import CONVERGED, classify_tail
 
 
 LEBESGUE = "lebesgue"
@@ -93,21 +95,26 @@ def make_ball_family(k_range, angles):
 
 @dataclass(frozen=True)
 class BallSweep:
+    """sup and per-ring maxima of the ball ratio, the error of each ring's
+    largest ball, and the largest error of any ball."""
     sup: float
     per_ring: dict
     error_max: float
+    ring_error: dict
 
 
 def _sweep(mu, family, normalize):
     per_ring: dict[int, float] = {}
+    ring_error: dict[int, float] = {}
     worst_err = 0.0
     centers = invert(mu.phi, np.array([ball.center for _, ball in family]))
     for (k, ball), zc in zip(family, centers):
         mass, err = mu.measure_ball(ball, zc)
-        ratio = mass / normalize(ball)
-        worst_err = max(worst_err, err / normalize(ball))
-        per_ring[k] = max(per_ring.get(k, 0.0), ratio)
-    return BallSweep(max(per_ring.values()), per_ring, worst_err)
+        norm = normalize(ball)
+        worst_err = max(worst_err, err / norm)
+        if mass / norm > per_ring.get(k, -np.inf):
+            per_ring[k], ring_error[k] = mass / norm, err / norm
+    return BallSweep(max(per_ring.values()), per_ring, worst_err, ring_error)
 
 
 def bergman_carleson_constant(mu, family):
@@ -151,13 +158,16 @@ def kernel_ratio(phi, w):
 class ProxyResult:
     sup: float
     ratios: tuple
+    errors: tuple
     ws: tuple
 
-    def bounded(self, growth_tol=1.05):
-        """Stabilized iff each successive growth factor over the last 4 steps
-        of the schedule stays below growth_tol."""
-        tail = np.asarray(self.ratios[-5:])
-        return bool(np.all(tail[1:] / tail[:-1] < growth_tol))
+    def tail(self):
+        """(verdict, reason) of the ratios' tail along w_k = 1 - 2^-k."""
+        return classify_tail(self.ratios, self.errors)
+
+    def bounded(self):
+        """Boolean view of tail(): converged means bounded."""
+        return self.tail()[0] == CONVERGED
 
 
 def operator_bound_proxy(phi, p, k_max=16, radial_depth=24):
@@ -178,10 +188,12 @@ def operator_bound_proxy(phi, p, k_max=16, radial_depth=24):
 
     memo = DiscQCMap(phi.boundary, interior, phi.label, phi.complex_derivative)
     ws = tuple(1.0 - 2.0 ** -k for k in range(1, k_max + 1))
-    ratios = []
+    ratios, errors = [], []
     for w in ws:
         g = hardy_kernel(w, p)
-        num = hardy_norm(compose(g, memo), p, k_max=radial_depth).value ** p
-        den = hardy_norm(g, p, k_max=radial_depth).value ** p
-        ratios.append(num / den)
-    return ProxyResult(float(np.max(ratios)), tuple(ratios), ws)
+        num = hardy_norm(compose(g, memo), p, k_max=radial_depth)
+        den = hardy_norm(g, p, k_max=radial_depth)
+        ratios.append(num.value ** p / den.value ** p)
+        # the norms' errors, carried to the p-th powers and their quotient
+        errors.append(ratios[-1] * p * (num.error / num.value + den.error / den.value))
+    return ProxyResult(float(np.max(ratios)), tuple(ratios), tuple(errors), ws)

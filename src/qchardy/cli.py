@@ -5,6 +5,8 @@ Usage: qchardy <experiment> --map <name[:params]> --p <real> --depth <k>
        --grid <n> --seed <s> --out <path> --format csv|json
 
 Exit code 0 iff every asserted row passes, so the suite can run in CI.
+Tail verdicts may read dyadic depths or ball rings past --depth (up to
+TAIL_CAP); JSON reports each verdict's reason in metadata["verdicts"].
 """
 
 from __future__ import annotations
@@ -19,12 +21,16 @@ import numpy as np
 
 from . import carleson as ca
 from . import functionals as fn
-from .boundary import is_lipschitz_inverse, lipschitz_modulus_inverse, parse_map_spec
+from .boundary import lipschitz_modulus_inverse, lipschitz_tail, parse_map_spec
 from .extension import cone_image_aperture, make_disc_map
 from .functions import AnalyticFunction, cauchy_kernel, compose, hardy_kernel
+from .tail import CONVERGED, DIVERGING, UNDETERMINED, classify_tail
 
 PASS = "pass"
 FAIL = "fail"
+
+# deepest dyadic depth or ball ring an undetermined verdict may read
+TAIL_CAP = 16
 
 EXPERIMENTS = ("thm1", "thm2", "thm3", "thmA", "lemma1", "af_conformal")
 
@@ -53,11 +59,16 @@ class ExperimentReport:
     rows: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
-    def add(self, quantity, value, error, classification):
+    def add(self, quantity, value, error, classification, why=None):
+        """why: (reason, k) of a tail verdict read at term k, kept in
+        metadata["verdicts"]."""
         self.rows.append(Row(quantity, float(value), float(error), classification))
+        if why:
+            self.metadata.setdefault("verdicts", {})[quantity] = {
+                "reason": why[0], "at": why[1]}
 
-    def check(self, quantity, ok, value, error=0.0):
-        self.add(quantity, value, error, PASS if ok else FAIL)
+    def check(self, quantity, ok, value, error=0.0, why=None):
+        self.add(quantity, value, error, PASS if ok else FAIL, why)
 
     def passed(self):
         return all(r.classification != FAIL for r in self.rows)
@@ -110,20 +121,45 @@ def _entry_and_map(spec):
     return entry, make_disc_map(entry)
 
 
+def _lipschitz_row(rep, phi, depth):
+    """Add the depth-`depth` modulus row, its verdict read one depth deeper
+    at a time while undetermined, up to TAIL_CAP; return the verdict."""
+    moduli = deeper = lipschitz_modulus_inverse(phi.boundary, depth)
+    verdict, reason = lipschitz_tail(deeper)
+    while verdict == UNDETERMINED and len(deeper) < TAIL_CAP:
+        deeper = lipschitz_modulus_inverse(phi.boundary, len(deeper) + 1)
+        verdict, reason = lipschitz_tail(deeper)
+    rep.add("lipschitz_modulus", moduli[-1], 0.0, verdict, (reason, len(deeper)))
+    return verdict
+
+
+def _ring_sweep(tester, mu):
+    """Sweep of rings 1-10, 8 balls each, and the verdict on its ring maxima,
+    read one ring deeper at a time while undetermined, up to TAIL_CAP:
+    (sweep, verdict, (reason, ring))."""
+    sweep = tester(mu, ca.make_ball_family(range(1, 11), angles=8))
+    ratios = list(sweep.per_ring.values())
+    errors = list(sweep.ring_error.values())
+    verdict, reason = classify_tail(ratios, errors)
+    while verdict == UNDETERMINED and len(ratios) < TAIL_CAP:
+        ring = tester(mu, ca.make_ball_family([len(ratios) + 1], angles=8))
+        ratios += ring.per_ring.values()
+        errors += ring.ring_error.values()
+        verdict, reason = classify_tail(ratios, errors)
+    return sweep, verdict, (reason, len(ratios))
+
+
 def run_thm1(spec):
     """Boundedness proxy of the composition operator vs the Lipschitz
     classification of the inverse boundary map; the two must agree."""
     entry, phi = _entry_and_map(spec)
     rep = ExperimentReport("thm1")
     proxy = ca.operator_bound_proxy(phi, spec.p, k_max=spec.depth)
-    bounded = proxy.bounded()
-    rep.add("proxy_sup", proxy.sup, 0.0,
-            fn.CONVERGED if bounded else fn.DIVERGING)
-    moduli = lipschitz_modulus_inverse(phi.boundary, max(4, spec.depth))
-    lip = is_lipschitz_inverse(moduli)
-    rep.add("lipschitz_modulus", moduli[-1], 0.0,
-            fn.CONVERGED if lip else fn.DIVERGING)
-    rep.check("thm1_agreement", bounded == lip, float(bounded == lip))
+    bounded, reason = proxy.tail()
+    rep.add("proxy_sup", proxy.sup, 0.0, bounded, (reason, spec.depth))
+    lip = _lipschitz_row(rep, phi, spec.depth)
+    ok = bounded == lip != UNDETERMINED
+    rep.check("thm1_agreement", ok, float(ok))
     return rep
 
 
@@ -134,18 +170,20 @@ def run_thm2(spec):
     g = cauchy_kernel()
     f = compose(g, phi)
     ng = fn.hardy_norm(g, spec.p)
-    rep.add("hardy_norm_g", ng.value, ng.error, ng.classification)
+    rep.add("hardy_norm_g", ng.value, ng.error, ng.classification, ng.why)
     nf = fn.hardy_norm(f, spec.p)
-    rep.add("hardy_norm_composite", nf.value, nf.error, nf.classification)
+    rep.add("hardy_norm_composite", nf.value, nf.error, nf.classification, nf.why)
     bnorm = fn.boundary_lp_norm(f, spec.p)
-    rep.add("boundary_lp_composite", bnorm, 0.0,
-            fn.CONVERGED if np.isfinite(bnorm) else fn.DIVERGING)
+    verdict = (CONVERGED if np.isfinite(bnorm)
+               else DIVERGING if bnorm == np.inf else UNDETERMINED)
+    rep.add("boundary_lp_composite", bnorm, 0.0, verdict,
+            ("tail of the boundary means graded at 10^-k", fn.BOUNDARY_SCALES[-1]))
     mnorm = fn.maximal_lp(f, spec.p, spec.aperture, grid_n=4 * spec.grid)
     rep.add("maximal_lp_composite", mnorm, 0.0,
-            fn.CONVERGED if np.isfinite(mnorm) else fn.DIVERGING)
+            CONVERGED if np.isfinite(mnorm) else DIVERGING)
     if entry.name == "thm2_sqrt":
-        ok = (ng.classification == fn.DIVERGING
-              and nf.classification == fn.CONVERGED and np.isfinite(bnorm))
+        ok = (ng.classification == DIVERGING
+              and nf.classification == CONVERGED and np.isfinite(bnorm))
         rep.check("thm2_agreement", ok, float(ok))
     else:
         rep.check("control_run", True, 1.0)
@@ -159,7 +197,7 @@ def run_thm3(spec):
     rep = ExperimentReport("thm3")
     f = compose(hardy_kernel(0.9, spec.p), phi)
     nf = fn.hardy_norm(f, spec.p)
-    rep.add("hardy_norm_composite", nf.value, nf.error, nf.classification)
+    rep.add("hardy_norm_composite", nf.value, nf.error, nf.classification, nf.why)
     bnorm = fn.boundary_lp_norm(f, spec.p)
     limit_mean, _ = fn.integral_mean(f, 1.0 - 2.0 ** -20, spec.p)
     limit_norm = limit_mean ** (1.0 / spec.p)
@@ -172,14 +210,13 @@ def run_thm3(spec):
     rep.check("maximal_dominates_boundary", m2 >= bnorm * (1 - 1e-9), m2)
     if spec.p >= 2:
         area = fn.area_integral(f, spec.p, k_max=max(spec.depth, 12))
-        rep.add("area_integral_df", area.value, area.error, area.classification)
-        mu = ca.DiscPushforward(phi, density=ca.WEIGHTED, p=spec.p)
-        sweep = ca.luecking_constant(
-            mu, family=ca.make_ball_family(range(1, 11), angles=8))
-        rings = sorted(sweep.per_ring)
-        stab = sweep.per_ring[rings[-1]] <= 1.5 * max(
-            sweep.per_ring[k] for k in rings[:-1])
-        rep.check("luecking_stabilized", stab, sweep.sup, sweep.error_max)
+        rep.add("area_integral_df", area.value, area.error, area.classification,
+                area.why)
+        sweep, verdict, why = _ring_sweep(
+            ca.luecking_constant,
+            ca.DiscPushforward(phi, density=ca.WEIGHTED, p=spec.p))
+        rep.check("luecking_stabilized", verdict == CONVERGED, sweep.sup,
+                  sweep.error_max, why)
     return rep
 
 
@@ -187,21 +224,14 @@ def run_thmA(spec):
     """Bergman-Carleson ball tester vs the boundary Lipschitz classification."""
     entry, phi = _entry_and_map(spec)
     rep = ExperimentReport("thmA")
-    sweep = ca.bergman_carleson_constant(
-        ca.DiscPushforward(phi), family=ca.make_ball_family(range(1, 11), angles=8))
-    rings = sorted(sweep.per_ring)
-    growth = sweep.per_ring[rings[-1]] / sweep.per_ring[rings[3]]
-    carleson_bounded = growth < 5.0
-    rep.add("bergman_constant", sweep.sup, sweep.error_max,
-            fn.CONVERGED if carleson_bounded else fn.DIVERGING)
-    rep.add("bergman_ring_growth", growth, 0.0,
-            fn.CONVERGED if carleson_bounded else fn.DIVERGING)
-    moduli = lipschitz_modulus_inverse(phi.boundary, max(4, spec.depth))
-    lip = is_lipschitz_inverse(moduli)
-    rep.add("lipschitz_modulus", moduli[-1], 0.0,
-            fn.CONVERGED if lip else fn.DIVERGING)
-    rep.check("thmA_agreement", carleson_bounded == lip,
-              float(carleson_bounded == lip))
+    sweep, bounded, why = _ring_sweep(ca.bergman_carleson_constant,
+                                      ca.DiscPushforward(phi))
+    rep.add("bergman_constant", sweep.sup, sweep.error_max, bounded, why)
+    rep.add("bergman_ring_growth", sweep.per_ring[10] / sweep.per_ring[4], 0.0,
+            bounded, why)
+    lip = _lipschitz_row(rep, phi, spec.depth)
+    ok = bounded == lip != UNDETERMINED
+    rep.check("thmA_agreement", ok, float(ok))
     return rep
 
 
@@ -214,8 +244,8 @@ def run_lemma1(spec):
     aps = [cone_image_aperture(phi, np.exp(1j * t), spec.aperture, samples=96)
            for t in thetas]
     aps = np.asarray(aps)
-    rep.add("aperture_max", float(np.max(aps)), 0.0, fn.CONVERGED)
-    rep.add("aperture_median", float(np.median(aps)), 0.0, fn.CONVERGED)
+    rep.add("aperture_max", float(np.max(aps)), 0.0, CONVERGED)
+    rep.add("aperture_median", float(np.median(aps)), 0.0, CONVERGED)
     ok = np.all(np.isfinite(aps)) and np.max(aps) <= 3.0 * np.median(aps)
     rep.check("lemma1_comparable", ok, float(np.max(aps) / np.median(aps)))
     return rep
@@ -258,13 +288,13 @@ def run(spec):
     """Run the named experiment; deterministic for a fixed spec and seed."""
     start = time.perf_counter()
     rep = _RUNNERS[spec.name](spec)
-    rep.metadata = {
+    rep.metadata.update({
         "spec": {"name": spec.name, "map": spec.map_spec, "p": spec.p,
                  "depth": spec.depth, "grid": spec.grid, "seed": spec.seed,
                  "aperture": spec.aperture},
         "wall_time_s": round(time.perf_counter() - start, 3),
         "versions": {"numpy": np.__version__},
-    }
+    })
     return rep
 
 

@@ -4,8 +4,9 @@ function, weighted area integrals, and the average derivative.
 
 Divergence is a first-class answer here, not an exception: several experiments
 hinge on one divergent and one convergent integral, so every norm that
-involves a limit r -> 1 reports {converged, diverging, undetermined} along
-with its best value.
+involves a limit r -> 1 reports {converged, diverging, undetermined}, from
+the tail classifier (tail.py) on its dyadic sequence, along with its best
+value.
 """
 
 from __future__ import annotations
@@ -17,12 +18,10 @@ import numpy as np
 from .functions import AnalyticFunction, QuasiregularMap
 from .geometry import Cone, HyperbolicBall, ball_sample, cone_angular_halfwidth
 from .quadrature import TWO_PI, circle_mean, gauss_legendre, wrap_angle
-
-CONVERGED = "converged"
-DIVERGING = "diverging"
-UNDETERMINED = "undetermined"
+from .tail import CONVERGED, DIVERGING, UNDETERMINED, classify_tail
 
 RADIAL_DEPTH = 24  # r_k = 1 - 2^{-k}; 2^{-24} ~ 6e-8 keeps doubles meaningful
+BOUNDARY_SCALES = range(7, 12)  # boundary means graded at 10^-k
 
 
 @dataclass(frozen=True)
@@ -31,6 +30,12 @@ class NormEstimate:
     error: float
     classification: str
     samples: tuple = field(default_factory=tuple)
+    reason: str = ""
+
+    @property
+    def why(self):
+        """(reason, k) of the verdict, read at the k-th and last sample."""
+        return self.reason, len(self.samples)
 
 
 def radial_schedule(k_max=RADIAL_DEPTH):
@@ -51,32 +56,6 @@ def _circle_marks(f, r, scale):
     if isinstance(f, QuasiregularMap):
         marks += [(t, 0.1 * (1.0 - r)) for t in f.phi.kink_angles(r)]
     return marks
-
-
-def classify_means(means, conv_tol=1.02, div_factor=1.5):
-    """Tail classification of a sequence of circle means along the schedule.
-
-    converged: the last 4 successive ratios all stay below conv_tol.
-    diverging: growth by >= div_factor over the last 8 steps, or sustained
-    growth (every one of the last 4 successive ratios >= conv_tol) with
-    overall growth >= div_factor.
-    """
-    m = np.asarray(means, dtype=float)
-    if np.any(~np.isfinite(m)):
-        return DIVERGING
-    if m[-1] == 0.0:
-        return CONVERGED
-    sustained = False
-    if len(m) >= 5:
-        ratios = m[-4:] / m[-5:-1]
-        if np.all(ratios < conv_tol):
-            return CONVERGED
-        sustained = bool(np.all(ratios >= conv_tol))
-    if len(m) >= 9 and m[-1] >= div_factor * m[-9]:
-        return DIVERGING
-    if sustained and m[-1] >= div_factor * m[0]:
-        return DIVERGING
-    return UNDETERMINED
 
 
 def integral_mean(f, r, p):
@@ -100,10 +79,8 @@ def integral_mean(f, r, p):
 
 
 def hardy_norm(f, p, k_max=RADIAL_DEPTH):
-    """sup of the circle means over r_k = 1 - 2^{-k}, with tail classification.
-
-    value is the norm (p-th root of the sup of the means).
-    """
+    """sup of the circle means over r_k = 1 - 2^{-k}, with the tail verdict of
+    the means; value is the norm (p-th root of the sup of the means)."""
     p = float(p)
     means = []
     errs = []
@@ -113,36 +90,43 @@ def hardy_norm(f, p, k_max=RADIAL_DEPTH):
             m, e = integral_mean(f, r, p)
             means.append(m)
             errs.append(e)
-    except (FloatingPointError, RuntimeError):
-        return NormEstimate(np.nan, np.nan, UNDETERMINED, tuple(zip(schedule, means)))
+    except (FloatingPointError, RuntimeError) as exc:
+        return NormEstimate(np.nan, np.nan, UNDETERMINED,
+                            tuple(zip(schedule, means)),
+                            f"{type(exc).__name__} at k = {len(means) + 1}: {exc}")
     sup = float(np.max(means))
     err = float(np.max(errs))
     value = sup ** (1.0 / p)
     err_value = err / p * sup ** (1.0 / p - 1.0) if sup > 0 else err
-    return NormEstimate(value, err_value, classify_means(means),
-                        tuple(zip(schedule, means)))
+    verdict, reason = classify_tail(means, errs)
+    return NormEstimate(value, err_value, verdict, tuple(zip(schedule, means)),
+                        reason)
 
 
-def boundary_lp_norm(f, p, div_threshold=0.25):
-    """Boundary Lp norm ((1/2pi) int |f(e^it)|^p dt)^(1/p) of a composite,
-    graded at the pulled-back singular angles.
+def boundary_lp_norm(f, p):
+    """Boundary Lp norm ((1/2pi) int |f(e^it)|^p dt)^(1/p) of a composite:
+    its mean graded at the pulled-back singular angles down to scale 1e-11.
 
-    Divergence is detected by refining the grading scale: if the value still
-    grows by more than div_threshold (relatively) when the innermost scale
-    shrinks 1e-7 -> 1e-11, the norm is flagged infinite.
-    """
+    The means graded at the scales 10^-k, k in BOUNDARY_SCALES, form the
+    sequence whose tail decides: inf if it diverges, nan if undetermined.
+    A mean of n nonnegative terms is known to its rounding, n eps times the
+    mean; the quadrature estimate is far larger at these scales and would
+    hide a log divergence."""
     p = float(p)
+    sizes = []
 
     def fn(t):
+        sizes.append(t.size)
         vals = np.abs(f.boundary_trace(t)) ** p
         return np.where(np.isfinite(vals), vals, 0.0)
 
     angles = singular_angles_of(f)
-    coarse, _ = circle_mean(fn, [(t, 1e-7) for t in angles])
-    fine, _ = circle_mean(fn, [(t, 1e-11) for t in angles])
-    if coarse > 0 and (fine - coarse) / coarse > div_threshold:
-        return float(np.inf)
-    return fine ** (1.0 / p)
+    means = np.array([circle_mean(fn, [(t, 10.0 ** -k) for t in angles])[0]
+                      for k in BOUNDARY_SCALES])
+    verdict, _ = classify_tail(means, np.finfo(float).eps * np.array(sizes) * means)
+    if verdict == CONVERGED:
+        return float(means[-1]) ** (1.0 / p)
+    return np.inf if verdict == DIVERGING else np.nan
 
 
 def nt_maximal(f, xi, aperture=2.0, budget=96):
@@ -203,20 +187,23 @@ def area_integral(f, p, k_max=12):
 
     Tensor quadrature: dyadic radial shells graded toward r = 1, each with 8
     Gauss-Legendre radii, and order-12 circle means graded at singular
-    pullbacks and at the symbol's kinks.  The classification tracks the
-    sequence of truncations to radius 1 - 2^{-k}.
+    pullbacks and at the symbol's kinks.  The verdict is the tail of the
+    truncations to radius 1 - 2^{-k}; an increment is one shell, so each
+    truncation carries the error of its last shell.
     """
     p = float(p)
     q = p - 1.0
     x, wq = gauss_legendre(8)
     edges = np.concatenate([[0.0], 1.0 - 2.0 ** -np.arange(1, k_max + 1)])
     partials = []
+    errors = []
     total = 0.0
     toterr = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
         shell = 0.0
+        before = toterr
         for xi, wi in zip(x, wq):
             r = mid + half * xi
 
@@ -228,8 +215,10 @@ def area_integral(f, p, k_max=12):
             toterr += half * wi * e * (1.0 - r) ** q * r * TWO_PI
         total += shell
         partials.append(total)
-    return NormEstimate(total, toterr, classify_means(partials),
-                        tuple(zip(edges[1:], partials)))
+        errors.append(toterr - before)
+    verdict, reason = classify_tail(partials, errors)
+    return NormEstimate(total, toterr, verdict, tuple(zip(edges[1:], partials)),
+                        reason)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qchardy.tail import CONVERGED, DIVERGING, UNDETERMINED
 from qchardy.boundary import (
     BoundaryHomeo,
     MapCatalogEntry,
     dyadic_edges,
     is_lipschitz_inverse,
     lipschitz_modulus_inverse,
+    lipschitz_tail,
     make_map,
     parse_map_spec,
 )
@@ -145,11 +147,38 @@ class TestDyadicEstimators:
 
     def test_classification_rules(self):
         assert is_lipschitz_inverse([1.0, 1.0, 1.0, 1.0])
+        assert lipschitz_tail([1.0, 2.0, 4.0, 8.0, 16.0])[0] == DIVERGING
         assert not is_lipschitz_inverse([1.0, 2.0, 4.0, 8.0, 16.0])
-        with pytest.raises(ValueError):
-            is_lipschitz_inverse([1.0, 1.0, 1.0])
+        # too short to decide, hence not Lipschitz in the boolean view
+        assert lipschitz_tail([1.0, 1.5, 1.75])[0] == UNDETERMINED
+        assert not is_lipschitz_inverse([1.0, 1.5, 1.75])
         with pytest.raises(ValueError):
             lipschitz_modulus_inverse(make_map("identity"), 0)
+
+    def test_rounding_floor_grows_with_depth(self):
+        # a flat modulus with noise of a few ulps times 2^d reads converged
+        moduli = lipschitz_modulus_inverse(make_map("identity"), 16)
+        assert lipschitz_tail(moduli) == (CONVERGED,
+                                          "last 3 increments within error of 0")
+
+    @pytest.mark.parametrize("spec, depth", [("moebius:0.99", 11),
+                                             ("moebius:0.999", 14)])
+    def test_moebius_moduli_settle_deeper(self, spec, depth):
+        # the inverse of moebius(a) is (1+a)/(1-a)-Lipschitz, but its moduli
+        # keep growing until the arcs resolve the map's length scale 1 - a
+        moduli = lipschitz_modulus_inverse(make_map(spec), 16)
+        verdicts = [lipschitz_tail(moduli[:d])[0] for d in range(10, 17)]
+        assert DIVERGING not in verdicts
+        assert verdicts.index(CONVERGED) + 10 == depth
+        assert set(verdicts[:depth - 10]) <= {UNDETERMINED}
+
+    def test_moebius_0999_rho_falls_faster_each_step(self):
+        # rho = 1.92, 1.83, 1.66 at depth 10: above 1 but falling faster at
+        # every step, which is undetermined, not diverging
+        moduli = lipschitz_modulus_inverse(make_map("moebius:0.999"), 10)
+        d = np.diff(moduli)
+        assert d[-3:] / d[-4:-1] == pytest.approx([1.92, 1.83, 1.66], abs=0.005)
+        assert lipschitz_tail(moduli)[0] == UNDETERMINED
 
     def test_moebius_is_lipschitz(self):
         moduli = lipschitz_modulus_inverse(make_map("moebius:0.5"), 8)

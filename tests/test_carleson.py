@@ -19,6 +19,7 @@ from qchardy.extension import make_disc_map
 from qchardy.functionals import hardy_norm
 from qchardy.functions import compose, hardy_kernel
 from qchardy.geometry import HyperbolicBall
+from qchardy.tail import CONVERGED, DIVERGING, UNDETERMINED, classify_tail
 
 
 def _pushforward_mass(h, a, b):
@@ -218,7 +219,55 @@ class TestKernelRatio:
         assert vals[2] > 2 * vals[1]
 
 
+class TestRingTails:
+    def test_ring_error_is_that_of_the_largest_ball(self, thm2_map):
+        mu = DiscPushforward(thm2_map)
+        family = make_ball_family(range(3, 5), angles=4)
+        sweep = bergman_carleson_constant(mu, family)
+        for k in (3, 4):
+            balls = [ball for j, ball in family if j == k]
+            best = max((mu.measure_ball(ball) for ball in balls),
+                       key=lambda mass_err: mass_err[0])
+            area = balls[0].area
+            assert sweep.per_ring[k] == best[0] / area
+            assert sweep.ring_error[k] == best[1] / area
+        assert list(sweep.ring_error) == [3, 4]
+
+    def test_moebius_0999_rings_are_not_diverging(self):
+        # rho = 9.26, 6.48, 4.08 at ring 10: still above 1, but its changes
+        # shrink toward an Aitken limit far below 1, so undetermined
+        sweep = bergman_carleson_constant(
+            DiscPushforward(make_disc_map("moebius:0.999")),
+            make_ball_family(range(1, 11), angles=8))
+        ratios = list(sweep.per_ring.values())
+        d = np.diff(ratios)
+        assert d[-3:] / d[-4:-1] == pytest.approx([9.26, 6.48, 4.08], abs=0.01)
+        verdict, reason = classify_tail(ratios, list(sweep.ring_error.values()))
+        assert verdict == UNDETERMINED and "Aitken" not in reason
+
+
 class TestOperatorProxy:
+    def test_moebius_proxy_decreasing_reads_bounded(self, moebius_map):
+        # past k = 11 the ratios fall, faster at each step (rho about 1.9):
+        # the sup is already in hand, so the tail is converged
+        proxy = operator_bound_proxy(moebius_map, 2.0, k_max=16)
+        d = np.diff(proxy.ratios)
+        assert np.all(d[-3:] < 0)
+        assert d[-1] / d[-2] == pytest.approx(1.9, abs=0.1)
+        assert proxy.tail() == (CONVERGED, "last 3 increments <= 0")
+        assert proxy.bounded()
+
+    def test_errors_carry_the_norm_errors(self, thm2_map):
+        proxy = operator_bound_proxy(thm2_map, 2.0, k_max=4, radial_depth=12)
+        w = proxy.ws[-1]
+        g = hardy_kernel(w, 2.0)
+        num = hardy_norm(compose(g, thm2_map), 2.0, k_max=12)
+        den = hardy_norm(g, 2.0, k_max=12)
+        rel = 2.0 * (num.error / num.value + den.error / den.value)
+        assert proxy.errors[-1] == pytest.approx(proxy.ratios[-1] * rel, rel=1e-12)
+        assert 0 < proxy.errors[-1] < 1e-6 * proxy.ratios[-1]
+
+
     def test_identity_ratio_one(self, identity_map):
         proxy = operator_bound_proxy(identity_map, 2.0, k_max=6, radial_depth=16)
         assert proxy.sup == pytest.approx(1.0, abs=1e-3)
@@ -232,6 +281,7 @@ class TestOperatorProxy:
     def test_power2_unbounded(self, pow2_map):
         proxy = operator_bound_proxy(pow2_map, 2.0, k_max=8, radial_depth=16)
         assert not proxy.bounded()
+        assert proxy.tail()[0] == DIVERGING
         assert proxy.ratios[-1] > 2 * proxy.ratios[-3]
 
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])

@@ -139,6 +139,60 @@ class TestRun:
             run(ExperimentSpec("af_conformal", "thm2_sqrt"))
 
 
+class TestVerdicts:
+    """Tail verdicts of the experiments, and how the JSON report explains them."""
+
+    @pytest.mark.parametrize("name", ["thm1", "thmA"])
+    @pytest.mark.parametrize("map_spec, depth, ring", [("moebius:0.99", 11, 12),
+                                                       ("moebius:0.999", 14, 15)])
+    def test_moebius_maps_are_bounded(self, capsys, name, map_spec, depth, ring):
+        # a disc automorphism: every tail converges once the verdict reads
+        # past the map's length scale 1 - a
+        assert main([name, "--map", map_spec, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert {r["classification"] for r in payload["rows"]} == {"converged",
+                                                                   "pass"}
+        verdicts = payload["metadata"]["verdicts"]
+        assert verdicts["lipschitz_modulus"]["at"] == depth
+        assert "inside (-1, 1)" in verdicts["lipschitz_modulus"]["reason"]
+        if name == "thmA":
+            assert verdicts["bergman_constant"]["at"] == ring
+        rows = {r["quantity"]: r["value"] for r in payload["rows"]}
+        if map_spec == "moebius:0.99":
+            # the row keeps the --depth 10 value; only the verdict reads deeper
+            assert rows["lipschitz_modulus"] == 193.1430183343716
+
+    def test_power_105_is_unbounded(self):
+        rep = run(ExperimentSpec("thm1", "power:1.05"))
+        rows = {r.quantity: r.classification for r in rep.rows}
+        assert rows == {"proxy_sup": "diverging", "lipschitz_modulus": "diverging",
+                        "thm1_agreement": "pass"}
+
+    def test_power2_fails_the_luecking_test(self):
+        rep = run(ExperimentSpec("thm3", "power:2"))
+        rows = {r.quantity: r.classification for r in rep.rows}
+        assert rows["luecking_stabilized"] == "fail" and not rep.passed()
+        why = rep.metadata["verdicts"]["luecking_stabilized"]
+        assert why["at"] == 10 and why["reason"].startswith("rho 1.4")
+
+    @pytest.mark.parametrize("map_spec", ["thm2_sqrt", "power:2"])
+    def test_ba_maps_decide_at_depth_and_ring_10(self, map_spec):
+        rep = run(ExperimentSpec("thmA", map_spec))
+        verdicts = rep.metadata["verdicts"]
+        assert verdicts["bergman_constant"]["at"] == 10
+        assert verdicts["lipschitz_modulus"]["at"] == 10
+
+    def test_thm2_reasons(self):
+        rep = run(ExperimentSpec("thm2"))
+        verdicts = rep.metadata["verdicts"]
+        assert set(verdicts) == {"hardy_norm_g", "hardy_norm_composite",
+                                 "boundary_lp_composite"}
+        assert verdicts["hardy_norm_g"]["at"] == 24
+        assert "Aitken" in verdicts["hardy_norm_g"]["reason"]
+        assert verdicts["boundary_lp_composite"]["at"] == 11
+        assert json.loads(rep.to_json())["metadata"]["verdicts"] == verdicts
+
+
 class TestMain:
     def test_exit_zero_and_output(self, capsys, tmp_path):
         out = tmp_path / "rep.csv"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qchardy import functionals
 from qchardy.extension import make_disc_map
 from qchardy.functionals import (
     CONVERGED,
@@ -10,7 +11,7 @@ from qchardy.functionals import (
     area_integral,
     average_derivative,
     boundary_lp_norm,
-    classify_means,
+    classify_tail,
     hardy_norm,
     integral_mean,
     maximal_lp,
@@ -64,27 +65,58 @@ def _nt_maximal_loop(f, xi, aperture=2.0, budget=96):
 
 
 class TestClassifyMeans:
+    """classify_tail on synthetic sequences like those hardy_norm and
+    area_integral classify: means along r_k = 1 - 2^-k and partial sums."""
+
     def test_flat_sequence_converged(self):
-        assert classify_means([1.0] * 10) == CONVERGED
+        assert classify_tail([1.0] * 10, 0.0)[0] == CONVERGED
 
     def test_decaying_converged(self):
-        assert classify_means(2.0 - 2.0 ** -np.arange(10)) == CONVERGED
+        # increments halve: rho = 0.5
+        verdict, reason = classify_tail(2.0 - 2.0 ** -np.arange(10), 0.0)
+        assert verdict == CONVERGED and "0.5, 0.5, 0.5" in reason
 
     def test_geometric_growth_diverging(self):
-        assert classify_means(2.0 ** np.arange(12)) == DIVERGING
+        assert classify_tail(2.0 ** np.arange(12), 0.0)[0] == DIVERGING
 
     def test_log_growth_diverging(self):
-        # slow sustained growth proportional to the step index
-        assert classify_means(np.arange(1, 25, dtype=float)) == DIVERGING
+        # equal increments, as log(1/(1-r_k)) = k log 2 gives: rho = 1
+        assert classify_tail(np.arange(1, 25, dtype=float), 0.0)[0] == DIVERGING
+
+    def test_power_growth_diverging(self):
+        # m_k = k^2: rho = (2k + 1)/(2k - 1) falls toward 1 with shrinking steps
+        k = np.arange(1, 25, dtype=float)
+        verdict, reason = classify_tail(k ** 2, 0.0)
+        assert verdict == DIVERGING and "Aitken" in reason
 
     def test_nonfinite_diverging(self):
-        assert classify_means([1.0, 2.0, np.inf]) == DIVERGING
+        assert classify_tail([1.0, 2.0, np.inf], 0.0) == (DIVERGING,
+                                                         "non-finite term")
 
     def test_zero_tail_converged(self):
-        assert classify_means([0.0] * 6) == CONVERGED
+        assert classify_tail([0.0] * 6, 0.0)[0] == CONVERGED
 
     def test_short_noisy_sequence_undetermined(self):
-        assert classify_means([1.0, 1.5, 1.0, 1.5]) == UNDETERMINED
+        assert classify_tail([1.0, 1.5, 1.0, 1.5], 0.0)[0] == UNDETERMINED
+        assert classify_tail([1.0, 2.0, 3.0], 0.0)[0] == UNDETERMINED
+
+    def test_flat_with_rounding_noise(self):
+        rng = np.random.default_rng(3)
+        m = 2.0 * (1.0 + 4e-16 * rng.standard_normal(12))
+        # without errors the noise reads as a tail of its own
+        assert classify_tail(m, 0.0)[0] != CONVERGED
+        verdict, reason = classify_tail(m, 4 * np.finfo(float).eps * m)
+        assert verdict == CONVERGED and "within error" in reason
+
+    def test_decreasing_converged(self):
+        # a decreasing sup is settled even though |rho| > 1
+        m = 1.0 - 0.1 * 1.9 ** np.arange(8)
+        assert classify_tail(m, 0.0) == (CONVERGED, "last 3 increments <= 0")
+
+    def test_rho_falling_faster_each_step_undetermined(self):
+        # rho = 4, 3, 1.5: each change larger than the last
+        d = np.cumprod([1.0, 2.0, 4.0, 3.0, 1.5])
+        assert classify_tail(np.cumsum(d), 0.0)[0] == UNDETERMINED
 
 
 class TestIntegralMean:
@@ -162,6 +194,32 @@ class TestHardyNorm:
         est = hardy_norm(cauchy_kernel(), 1.0)
         assert est.classification == DIVERGING
 
+    def test_cauchy_h1_rho_tends_to_one_from_above(self):
+        # log growth: rho - 1 is about 1.2e-6, then 6.4e-7, at the last radii,
+        # a tail that must read diverging although rho heads toward 1
+        est = hardy_norm(cauchy_kernel(), 1.0)
+        d = np.diff([m for _, m in est.samples])
+        rho = d[1:] / d[:-1]
+        assert np.all((rho[-3:] > 1.0) & (rho[-3:] < 1.0 + 3e-6))
+        assert np.all(np.diff(rho[-3:]) < 0)
+        assert est.classification == DIVERGING and "Aitken" in est.reason
+        assert est.why == (est.reason, 24)
+
+    def test_swallowed_error_has_a_reason(self, monkeypatch):
+        calls = []
+
+        def failing(f, r, p):
+            calls.append(r)
+            if len(calls) == 3:
+                raise FloatingPointError("overflow")
+            return 1.0, 0.0
+
+        monkeypatch.setattr(functionals, "integral_mean", failing)
+        est = hardy_norm(cauchy_kernel(), 1.0)
+        assert est.classification == UNDETERMINED and np.isnan(est.value)
+        assert est.reason == "FloatingPointError at k = 3: overflow"
+        assert len(est.samples) == 2
+
     def test_cauchy_converges_in_h_half(self):
         est = hardy_norm(cauchy_kernel(), 0.5)
         assert est.classification == CONVERGED
@@ -207,6 +265,24 @@ class TestBoundaryNorm:
     def test_divergent_trace_flagged_infinite(self, identity_map):
         f = compose(cauchy_kernel(), identity_map)
         assert boundary_lp_norm(f, 1.0) == np.inf
+
+    def test_log_divergence_at_p2_flagged_infinite(self, thm2_map):
+        # the graded means grow by the same amount per decade of scale
+        # (rho = 1); the quadrature error estimate at these scales exceeds
+        # that growth, so only the rounding floor exposes it
+        f = compose(cauchy_kernel(), thm2_map)
+        assert boundary_lp_norm(f, 2.0) == np.inf
+
+    def test_slow_convergence_is_finite(self):
+        # Cauchy o power:0.8: the means settle with rho = 10^(-1/5)
+        f = compose(cauchy_kernel(), make_disc_map("power:0.8"))
+        assert np.isfinite(boundary_lp_norm(f, 1.0))
+
+    def test_undetermined_tail_is_nan(self, identity_map, monkeypatch):
+        monkeypatch.setattr(functionals, "classify_tail",
+                            lambda seq, err: (UNDETERMINED, "stub"))
+        assert np.isnan(boundary_lp_norm(compose(_constant(2.0), identity_map),
+                                         2.0))
 
     def test_sqrt_composite_oracle(self, thm2_map):
         # change of variables s = sqrt(pi t) turns the boundary integral into
