@@ -5,8 +5,9 @@ Usage: qchardy <experiment> --map <name[:params]> --p <real> --depth <k>
        --grid <n> --seed <s> --out <path> --format csv|json
 
 Exit code 0 iff every asserted row passes, so the suite can run in CI.
-Tail verdicts may read dyadic depths or ball rings past --depth (up to
-TAIL_CAP); JSON reports each verdict's reason in metadata["verdicts"].
+Tail verdicts may read dyadic depths, ball rings or area shells past
+--depth (up to tail.TAIL_CAP); JSON reports each verdict's reason in
+metadata["verdicts"].
 """
 
 from __future__ import annotations
@@ -24,13 +25,11 @@ from . import functionals as fn
 from .boundary import lipschitz_modulus_inverse, lipschitz_tail, parse_map_spec
 from .extension import cone_image_aperture, make_disc_map
 from .functions import AnalyticFunction, cauchy_kernel, compose, hardy_kernel
-from .tail import CONVERGED, DIVERGING, UNDETERMINED, classify_tail
+from .tail import (CONVERGED, DIVERGING, TAIL_CAP, UNDETERMINED,
+                   classify_tail)
 
 PASS = "pass"
 FAIL = "fail"
-
-# deepest dyadic depth or ball ring an undetermined verdict may read
-TAIL_CAP = 16
 
 EXPERIMENTS = ("thm1", "thm2", "thm3", "thmA", "lemma1", "af_conformal")
 

@@ -20,6 +20,11 @@ from .quadrature import gauss_legendre
 _GRADE_RATIO = 3.0
 _GRADE_PANELS = 14
 _GL_ORDER = 12
+# live panels per evaluation of the line map: 1024 * _GL_ORDER nodes make
+# every float temporary 96 KiB, under glibc's 128 KiB mmap threshold, so the
+# temporaries are reused from the heap instead of mapped and faulted in anew
+# on every call; smaller chunks cost more Python per call than they save
+_PANELS = 1024
 
 
 def _fractions():
@@ -53,6 +58,12 @@ def _line_integral(fn, a, b):
     c + f (b - c) is kept only while 0 lies within _KAPPA times f |b - c| of
     [a, b], so an interval far from 0 is a single panel; zero-width panels,
     such as the side c -> a when c = a, are never evaluated.
+
+    fn is called on the nodes of at most _PANELS live panels at a time, in
+    panel order, so no temporary of the evaluation outgrows the heap (see
+    _PANELS); an empty batch of panels makes no call.  The line maps are
+    elementwise and each panel is summed alone, so the chunking changes no
+    bit of the result.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -69,12 +80,16 @@ def _line_integral(fn, a, b):
     edges = np.concatenate([side(a)[:, ::-1], side(b)], axis=1)
     row, panel = np.nonzero(np.diff(edges, axis=1) != 0.0)
     lo, hi = edges[row, panel], edges[row, panel + 1]
-    half = 0.5 * (hi - lo)
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
     x, w = gauss_legendre(_GL_ORDER)
-    vals = fn((0.5 * (hi + lo)[:, None] + half[:, None] * x).ravel())
-    # einsum sums each panel alone, so a point's value does not depend on the
-    # batch it is evaluated in; a BLAS product rounds by position in the batch
-    panel_sums = half * np.einsum("pk,k->p", vals.reshape(-1, _GL_ORDER), w)
+    panel_sums = np.empty(row.size)
+    for start in range(0, row.size, _PANELS):
+        chunk = slice(start, start + _PANELS)
+        vals = fn((mid[chunk, None] + half[chunk, None] * x).ravel())
+        # einsum sums each panel alone, so a point's value does not depend on
+        # the batch it is evaluated in; a BLAS product rounds by position
+        panel_sums[chunk] = half[chunk] * np.einsum(
+            "pk,k->p", vals.reshape(-1, _GL_ORDER), w)
     return np.bincount(row, weights=panel_sums, minlength=a.size)
 
 

@@ -12,13 +12,15 @@ value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
 from .functions import AnalyticFunction, QuasiregularMap
 from .geometry import Cone, HyperbolicBall, ball_sample, cone_angular_halfwidth
 from .quadrature import TWO_PI, circle_mean, gauss_legendre, wrap_angle
-from .tail import CONVERGED, DIVERGING, UNDETERMINED, classify_tail
+from .tail import (CONVERGED, DIVERGING, TAIL_CAP, UNDETERMINED,
+                   classify_tail)
 
 RADIAL_DEPTH = 24  # r_k = 1 - 2^{-k}; 2^{-24} ~ 6e-8 keeps doubles meaningful
 BOUNDARY_SCALES = range(7, 12)  # boundary means graded at 10^-k
@@ -182,24 +184,17 @@ def _deriv_magnitude(f, z):
     return np.abs(f.deriv(z))
 
 
-def area_integral(f, p, k_max=12):
-    """Weighted area integral int_D |Df|^p (1-|z|)^(p-1) dm.
-
-    Tensor quadrature: dyadic radial shells graded toward r = 1, each with 8
-    Gauss-Legendre radii, and order-12 circle means graded at singular
-    pullbacks and at the symbol's kinks.  The verdict is the tail of the
-    truncations to radius 1 - 2^{-k}; an increment is one shell, so each
-    truncation carries the error of its last shell.
-    """
-    p = float(p)
+def _area_truncations(f, p):
+    """Truncations of int_D |Df|^p (1-|z|)^(p-1) dm to radius 1 - 2^{-k},
+    k = 1, 2, ...: (1 - 2^{-k}, truncation, error of its last shell, error
+    of the truncation), one dyadic shell per step."""
     q = p - 1.0
     x, wq = gauss_legendre(8)
-    edges = np.concatenate([[0.0], 1.0 - 2.0 ** -np.arange(1, k_max + 1)])
-    partials = []
-    errors = []
     total = 0.0
     toterr = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
+    a = 0.0
+    for k in count(1):
+        b = 1.0 - 2.0 ** -k
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
         shell = 0.0
@@ -214,11 +209,35 @@ def area_integral(f, p, k_max=12):
             shell += half * wi * m * (1.0 - r) ** q * r * TWO_PI
             toterr += half * wi * e * (1.0 - r) ** q * r * TWO_PI
         total += shell
-        partials.append(total)
-        errors.append(toterr - before)
-    verdict, reason = classify_tail(partials, errors)
-    return NormEstimate(total, toterr, verdict, tuple(zip(edges[1:], partials)),
-                        reason)
+        yield b, total, toterr - before, toterr
+        a = b
+
+
+def area_integral(f, p, k_max=12):
+    """Weighted area integral int_D |Df|^p (1-|z|)^(p-1) dm.
+
+    Tensor quadrature: dyadic radial shells graded toward r = 1, each with 8
+    Gauss-Legendre radii, and order-12 circle means graded at singular
+    pullbacks and at the symbol's kinks.  The value and error are those of
+    the truncation to radius 1 - 2^{-k_max}.  The verdict is the tail of the
+    truncations; an increment is one shell, so each truncation carries the
+    error of its last shell.  While the verdict is undetermined, one more
+    shell at a time is read, up to TAIL_CAP shells; samples hold every
+    truncation read.
+    """
+    shells = _area_truncations(f, float(p))
+    read = [next(shells) for _ in range(k_max)]
+    value, error = read[-1][1], read[-1][3]
+
+    def verdict():
+        return classify_tail([s[1] for s in read], [s[2] for s in read])
+
+    classification, reason = verdict()
+    while classification == UNDETERMINED and len(read) < TAIL_CAP:
+        read.append(next(shells))
+        classification, reason = verdict()
+    return NormEstimate(value, error, classification,
+                        tuple((s[0], s[1]) for s in read), reason)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_TAIL_CACHE: dict[int, np.ndarray] = {}
 
 TWO_PI = 2.0 * np.pi
 
@@ -55,11 +56,14 @@ def _graded_edges(length, scale):
 
 
 def _legendre_tail(order):
-    """Weights that map the samples at the order-point Gauss-Legendre nodes
-    to the interpolant's two highest Legendre coefficients, a_{n-2}, a_{n-1}."""
-    x, w = gauss_legendre(order)
-    j = np.arange(order - 2, order)
-    return legvander(x, order - 1)[:, j] * w[:, None] * (j + 0.5)
+    """Cached weights that map the samples at the order-point Gauss-Legendre
+    nodes to the interpolant's two highest Legendre coefficients, a_{n-2},
+    a_{n-1}."""
+    if order not in _TAIL_CACHE:
+        x, w = gauss_legendre(order)
+        j = np.arange(order - 2, order)
+        _TAIL_CACHE[order] = legvander(x, order - 1)[:, j] * w[:, None] * (j + 0.5)
+    return _TAIL_CACHE[order]
 
 
 def circle_mean(fn, marks=(), order=16):

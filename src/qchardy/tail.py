@@ -8,6 +8,10 @@ CONVERGED = "converged"
 DIVERGING = "diverging"
 UNDETERMINED = "undetermined"
 
+# deepest term (dyadic depth, ball ring or area shell) an undetermined
+# verdict may read
+TAIL_CAP = 16
+
 
 def classify_tail(seq, err):
     """(verdict, reason) for the tail of seq, whose terms carry the errors

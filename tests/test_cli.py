@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qchardy import cli
+from qchardy import functionals as fn
 from qchardy.cli import (
     EXPERIMENTS,
     ExperimentReport,
@@ -12,6 +13,8 @@ from qchardy.cli import (
     main,
     run,
 )
+from qchardy.extension import make_disc_map
+from qchardy.functions import compose, hardy_kernel
 
 
 def _report():
@@ -161,6 +164,18 @@ class TestVerdicts:
         if map_spec == "moebius:0.99":
             # the row keeps the --depth 10 value; only the verdict reads deeper
             assert rows["lipschitz_modulus"] == 193.1430183343716
+
+    def test_moebius_area_integral_reads_one_more_shell(self):
+        rep = run(ExperimentSpec("thm3", "moebius:0.99"))
+        assert rep.passed()
+        row = {r.quantity: r for r in rep.rows}["area_integral_df"]
+        why = rep.metadata["verdicts"]["area_integral_df"]
+        assert row.classification == "converged"
+        assert why["at"] == 13 and "inside (-1, 1)" in why["reason"]
+        # the row keeps the 12-shell value; only the verdict reads deeper
+        assert row.value == fn.area_integral(
+            compose(hardy_kernel(0.9, 2.0), make_disc_map("moebius:0.99")),
+            2.0, k_max=12).value
 
     def test_power_105_is_unbounded(self):
         rep = run(ExperimentSpec("thm1", "power:1.05"))

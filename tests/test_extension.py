@@ -8,6 +8,7 @@ from qchardy.extension import (
     _GL_ORDER,
     _GRADE_PANELS,
     _KAPPA,
+    _PANELS,
     BAExtension,
     DiscQCMap,
     _line_integral,
@@ -37,6 +38,30 @@ def _seed_line_integral(fn, a, b):
     nodes = mid[:, :, None] + half[:, :, None] * x[None, None, :]
     vals = fn(nodes.ravel()).reshape(nodes.shape)
     return np.einsum("mp,mpq,q->m", half, vals, w)
+
+
+def _one_shot_line_integral(fn, a, b):
+    """Reference rule: the live panels of _line_integral, all evaluated in
+    one call of fn."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    c = np.clip(0.0, a, b)
+
+    def side(end):
+        length = (end - c)[:, None]
+        near = np.abs(c)[:, None] < _KAPPA * np.abs(length) * _FRACTIONS
+        f = np.where(near, _FRACTIONS, 0.0)
+        f[:, -1] = 1.0
+        return c[:, None] + length * f
+
+    edges = np.concatenate([side(a)[:, ::-1], side(b)], axis=1)
+    row, panel = np.nonzero(np.diff(edges, axis=1) != 0.0)
+    lo, hi = edges[row, panel], edges[row, panel + 1]
+    half = 0.5 * (hi - lo)
+    x, w = gauss_legendre(_GL_ORDER)
+    vals = fn((0.5 * (hi + lo)[:, None] + half[:, None] * x).ravel())
+    panel_sums = half * np.einsum("pk,k->p", vals.reshape(-1, _GL_ORDER), w)
+    return np.bincount(row, weights=panel_sums, minlength=a.size)
 
 
 def _random_intervals(n=10000, seed=11):
@@ -90,20 +115,59 @@ class TestLineIntegral:
         (0.5, 0.5, 0),
     ])
     def test_evaluations_per_interval(self, a, b, panels):
+        # an empty interval makes no call at all
         fn = _Counting()
         _line_integral(fn, a, b)
-        assert len(fn.batches) == 1
+        assert len(fn.batches) == (1 if panels else 0)
         assert fn.evaluations == panels * _GL_ORDER
 
     def test_batch_evaluates_no_zero_width_panel(self):
-        fn = _Counting()
+        fn, ref = _Counting(), _Counting()
         a, b = _random_intervals(n=2000)
         _line_integral(fn, a, b)
-        assert len(fn.batches) == 1
-        nodes = fn.batches[0].reshape(-1, _GL_ORDER)
-        assert np.all(np.ptp(nodes, axis=1) > 0.0)
+        _one_shot_line_integral(ref, a, b)
+        assert len(fn.batches) >= 3
+        assert all(batch.size <= _PANELS * _GL_ORDER for batch in fn.batches)
+        # in order, the batches are the nodes of the one-shot rule
+        nodes = np.concatenate(fn.batches)
+        assert nodes.tobytes() == ref.batches[0].tobytes()
+        assert np.all(np.ptp(nodes.reshape(-1, _GL_ORDER), axis=1) > 0.0)
         # fewer than half of the seed's 2 * _GRADE_PANELS panels an interval
         assert fn.evaluations < _GRADE_PANELS * _GL_ORDER * a.size
+
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
+    def test_chunks_change_no_bit(self, spec):
+        h = BAExtension(make_map(spec)).line_map
+        fn = _Counting()
+        a, b = _random_intervals(n=500)
+        _line_integral(fn, a, b)
+        assert len(fn.batches) >= 3
+        got = _line_integral(h, a, b)
+        alone = np.concatenate([_line_integral(h, lo, hi) for lo, hi in zip(a, b)])
+        assert got.tobytes() == alone.tobytes()
+        assert got.tobytes() == _one_shot_line_integral(h, a, b).tobytes()
+
+    def test_jet_of_a_chunked_batch_matches_its_halves(self, thm2_map, monkeypatch):
+        # disc points near the cusp's image, 1 - |z| down to 2^-20
+        theta = np.linspace(-0.5, 0.5, 64)
+        z = (radial_schedule(20)[:, None] * np.exp(1j * theta)).ravel()
+        batches = []
+
+        def recording(fn, a, b):
+            counter = _Counting()
+            _line_integral(counter, a, b)
+            batches.append(len(counter.batches))
+            return _line_integral(fn, a, b)
+
+        with monkeypatch.context() as m:
+            m.setattr(extension, "_line_integral", recording)
+            whole = thm2_map.jet(z)
+        assert len(batches) == 2 and min(batches) >= 3
+        half = z.size // 2
+        parts = thm2_map.jet(z[:half]), thm2_map.jet(z[half:])
+        for k in range(3):
+            joined = np.concatenate([parts[0][k], parts[1][k]])
+            assert whole[k].tobytes() == joined.tobytes()
 
 
 class TestHalfplaneExtension:

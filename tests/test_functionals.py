@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -367,6 +369,26 @@ class TestAreaIntegral:
                 ref += 0.5 * (b - a) * wi * m * (1.0 - r) * r * TWO_PI
         est = area_integral(f, 2.0, k_max=k_max)
         assert est.value == pytest.approx(ref, rel=1e-7)
+
+    def test_undetermined_tail_reads_each_shell_once(self, monkeypatch):
+        # moebius(0.99) is undetermined at 12 shells and converged at 13
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return circle_mean(*args, **kwargs)
+
+        f = compose(hardy_kernel(0.9, 2.0), make_disc_map("moebius:0.99"))
+        twelve = list(islice(functionals._area_truncations(f, 2.0), 12))
+        monkeypatch.setattr(functionals, "circle_mean", counted)
+        est = area_integral(f, 2.0, k_max=12)
+        verdict, _ = classify_tail([t[1] for t in twelve],
+                                   [t[2] for t in twelve])
+        assert verdict == UNDETERMINED
+        assert est.classification == CONVERGED
+        assert len(est.samples) == 13 and len(calls) == 13 * 8
+        assert est.samples[:12] == tuple((t[0], t[1]) for t in twelve)
+        assert (est.value, est.error) == (twelve[-1][1], twelve[-1][3])
 
     def test_analytic_kind_matches_full_for_identity(self, identity_map):
         # |Df| of g o identity is |g'|, the integrand of g itself
