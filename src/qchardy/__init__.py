@@ -17,6 +17,7 @@ from .boundary import (
 from .carleson import (
     DiscPushforward,
     bergman_carleson_constant,
+    kernel_carleson,
     kernel_ratio,
     luecking_constant,
     operator_bound_proxy,

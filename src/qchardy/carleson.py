@@ -1,12 +1,14 @@
 """Disc pushforward measures under a quasiconformal symbol and the Carleson-type
-ball testers built on them, the kernel Carleson ratio of the boundary map, and
-the composition-operator boundedness proxy.
+ball testers built on them, the kernel Carleson test of the boundary map that
+decides whether the composition operator is bounded, and the radial
+Hardy-norm proxy it replaced.
 
 A disc pushforward's ball mass is a deterministic product rule on the
 ball, through the change of variables w = phi(z), with the nodes' preimages
-from one batched Newton run; its error is the rule's distance from the same
-rule on half the angles.  Per-ring maxima of a ball sweep and the proxy's
-ratios carry errors, so the tail classifier (tail.py) can judge them.
+and the differentials there from one batched Newton run; its error is the
+rule's distance from the same rule on half the angles.  Per-ring maxima of a
+ball sweep and the kernel ratios carry errors, so the tail classifier
+(tail.py) can judge them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .functionals import hardy_norm
 from .functions import compose, hardy_kernel
 from .geometry import HyperbolicBall
 from .quadrature import TWO_PI, circle_mean, gauss_legendre, wrap_angle
-from .tail import CONVERGED, classify_tail
+from .tail import CONVERGED, TAIL_CAP, UNDETERMINED, classify_tail
 
 
 LEBESGUE = "lebesgue"
@@ -55,22 +57,25 @@ class DiscPushforward:
         self.density = density
         self.p = float(p)
 
-    def measure_ball(self, ball, zc=None):
-        """(mass, error) of the ball under the pushforward measure; zc is the
-        preimage of the ball's center, if known.
+    def measure_ball(self, ball, center=None):
+        """(mass, error) of the ball under the pushforward measure; center is
+        (z, d_z phi, d_zbar phi) at the preimage z of the ball's center, if
+        known.
 
         The mass is the 8 x 16 product rule (_BALL_RULE) on the ball; the
         error is its distance from the 8 x 8 rule on every other angle."""
         nodes, weights = _BALL_RULE
         dw = ball.radius * nodes
-        zc = invert(self.phi, ball.center) if zc is None else zc
-        _, dz, dzb = self.phi.jet(zc)
+        if center is None:
+            zc, (_, dz, dzb) = invert(self.phi, ball.center)
+        else:
+            zc, dz, dzb = center
         # seed each node from the linearised inverse at the center, pushed
         # back inside the disc
         seed = zc + (np.conj(dz) * dw - dzb * np.conj(dw)) / norm_and_jacobian(dz, dzb)[1]
         seed = np.where(np.abs(seed) < 1.0, seed, seed * (1 - 1e-9) / np.abs(seed))
-        z = invert(self.phi, ball.center + dw, z0=seed)
-        op, jac = norm_and_jacobian(*self.phi.jet(z)[1:])
+        z, (_, dz, dzb) = invert(self.phi, ball.center + dw, z0=seed)
+        op, jac = norm_and_jacobian(dz, dzb)
         rho = (1.0 if self.density == LEBESGUE
                else op ** self.p * (1.0 - np.abs(z)) ** (self.p - 1.0))
         vals = weights * rho / jac
@@ -107,9 +112,9 @@ def _sweep(mu, family, normalize):
     per_ring: dict[int, float] = {}
     ring_error: dict[int, float] = {}
     worst_err = 0.0
-    centers = invert(mu.phi, np.array([ball.center for _, ball in family]))
-    for (k, ball), zc in zip(family, centers):
-        mass, err = mu.measure_ball(ball, zc)
+    zc, (_, dz, dzb) = invert(mu.phi, np.array([ball.center for _, ball in family]))
+    for (k, ball), center in zip(family, zip(zc, dz, dzb)):
+        mass, err = mu.measure_ball(ball, center)
         norm = normalize(ball)
         worst_err = max(worst_err, err / norm)
         if mass / norm > per_ring.get(k, -np.inf):
@@ -134,10 +139,9 @@ def luecking_constant(mu, family):
     return _sweep(mu, family, lambda b: b.radius ** (1.0 + mu.p))
 
 
-def kernel_ratio(phi, w):
-    """(1 - |w|^2) times the boundary mean of |1 - conj(w) phi(zeta)|^{-2},
-    graded near the pullback of the direction of w.  Equals 1 exactly for the
-    identity symbol."""
+def _kernel_term(phi, w):
+    """(ratio, error) of kernel_ratio at w; the error is circle_mean's
+    estimate times 1 - |w|^2."""
     w = complex(w)
     if abs(w) >= 1:
         raise ValueError("kernel_ratio needs |w| < 1")
@@ -150,12 +154,21 @@ def kernel_ratio(phi, w):
     marks = ()
     if w != 0:
         marks = ((float(phi.boundary.inverse(np.asarray(np.angle(w)))), 1e-12),)
-    val, _ = circle_mean(fn, marks)
-    return float((1.0 - abs(w) ** 2) * val)
+    val, err = circle_mean(fn, marks)
+    scale = 1.0 - abs(w) ** 2
+    return scale * val, scale * err
+
+
+def kernel_ratio(phi, w):
+    """(1 - |w|^2) times the boundary mean of |1 - conj(w) phi(zeta)|^{-2},
+    graded near the pullback of the direction of w.  Equals 1 exactly for the
+    identity symbol."""
+    return float(_kernel_term(phi, w)[0])
 
 
 @dataclass(frozen=True)
 class ProxyResult:
+    """Ratios along w_k = 1 - 2^-k, their errors, and their sup."""
     sup: float
     ratios: tuple
     errors: tuple
@@ -170,9 +183,31 @@ class ProxyResult:
         return self.tail()[0] == CONVERGED
 
 
+def kernel_carleson(phi, k_max):
+    """The kernel Carleson test of the boundary map: kernel_ratio at
+    w_k = 1 - 2^{-k}.  C_phi is bounded on H^p, for every p, exactly when
+    these ratios stay bounded, i.e. when the pushforward of arclength under
+    the boundary map is a Carleson measure (Cowen & MacCluer 1995; Duren,
+    Theory of H^p Spaces, ch. 9).  Only the boundary map is evaluated.
+
+    sup is that of k = 1..k_max.  While the tail verdict is undetermined,
+    one more w_k at a time is read, up to TAIL_CAP; ratios hold every term
+    read."""
+    ws = [1.0 - 2.0 ** -k for k in range(1, k_max + 1)]
+    terms = [_kernel_term(phi, w) for w in ws]
+    while (len(ws) < TAIL_CAP
+           and classify_tail(*zip(*terms))[0] == UNDETERMINED):
+        ws.append(1.0 - 2.0 ** -(len(ws) + 1))
+        terms.append(_kernel_term(phi, ws[-1]))
+    ratios, errors = zip(*terms)
+    return ProxyResult(max(ratios[:k_max]), ratios, errors, tuple(ws))
+
+
 def operator_bound_proxy(phi, p, k_max=16, radial_depth=24):
     """sup over w_k = 1 - 2^{-k} of the Hardy-norm ratio
     ||kernel_w o phi||^p / ||kernel_w||^p for the extremal kernel family.
+    Its boundary limit is the kernel Carleson test (kernel_carleson), which
+    decides thm1 without evaluating phi inside the disc.
 
     All kernels are singular at angle 0, so their composites evaluate phi on
     the same circle-node batches: this call memoises phi's interior on each

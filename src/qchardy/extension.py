@@ -271,17 +271,22 @@ def invert(phi, w, z0=None, tol=1e-11, max_iter=80):
     initial guesses (default: from the boundary inverse angle and |w|).
     Every iteration makes one jet call on the lanes still running and takes
     their quasi-Newton steps from the Wirtinger derivatives.
+
+    Returns (z, jet), with jet = phi.jet(z) as the lanes' last jet call
+    evaluated it at their final z, each in the shape of w.
     """
     targets = np.asarray(w, dtype=complex)
     ws = targets.ravel()
     z = _initial_guess(phi, ws) if z0 is None else np.broadcast_to(z0, targets.shape)
     z = np.array(z, dtype=complex).ravel()
+    jet = np.empty((3, ws.size), dtype=complex)
     residual = np.full(ws.size, np.inf)
     running = np.arange(ws.size)
     for it in range(max_iter + 1):  # the last pass only checks the residual
         if running.size == 0:
             break
         val, dz, dzb = phi.jet(z[running])
+        jet[:, running] = val, dz, dzb
         f = val - ws[running]
         residual[running] = np.abs(f)
         jac = np.abs(dz) ** 2 - np.abs(dzb) ** 2
@@ -301,7 +306,9 @@ def invert(phi, w, z0=None, tol=1e-11, max_iter=80):
         if not r < 1e-7:  # a NaN residual fails too
             raise RuntimeError(f"invert({phi.label}, {t}) did not converge "
                                f"(residual {r:.2e})")
-    return complex(z[0]) if targets.ndim == 0 else z.reshape(targets.shape)
+    if targets.ndim == 0:
+        return complex(z[0]), tuple(complex(j[0]) for j in jet)
+    return z.reshape(targets.shape), tuple(j.reshape(targets.shape) for j in jet)
 
 
 def cone_image_aperture(phi, xi, c=2.0, samples=96):

@@ -10,6 +10,7 @@ from qchardy.carleson import (
     WEIGHTED,
     DiscPushforward,
     bergman_carleson_constant,
+    kernel_carleson,
     kernel_ratio,
     luecking_constant,
     make_ball_family,
@@ -244,6 +245,43 @@ class TestRingTails:
         assert d[-3:] / d[-4:-1] == pytest.approx([9.26, 6.48, 4.08], abs=0.01)
         verdict, reason = classify_tail(ratios, list(sweep.ring_error.values()))
         assert verdict == UNDETERMINED and "Aitken" not in reason
+
+
+class TestKernelCarleson:
+    @pytest.mark.parametrize("a", [0.5, 0.99, 0.999])
+    def test_moebius_closed_form(self, a):
+        # the pushforward of arclength under a disc automorphism is the
+        # Poisson measure at phi(0) = -a, and (1 - w^2) |1 - w zeta|^-2 is
+        # the Poisson kernel at w, so the ratio is the Poisson integral of
+        # P_w at -a: (1 - a^2 w^2) / (1 + a w)^2
+        phi = make_disc_map(f"moebius:{a}")
+        test = kernel_carleson(phi, 16)
+        w = np.asarray(test.ws)
+        exact = (1.0 - a * a * w * w) / (1.0 + a * w) ** 2
+        err = np.abs(np.asarray(test.ratios) - exact)
+        assert len(w) == 16
+        assert np.all(err <= 1e-11 * exact)
+        assert np.all(np.asarray(test.errors) >= err)
+        assert test.sup == max(test.ratios)
+        assert test.ratios[3] == kernel_ratio(phi, w[3])
+
+    @pytest.mark.parametrize("spec", ["identity", "thm2_sqrt", "power:0.5",
+                                      "power:1.05", "power:2", "moebius:0.5",
+                                      "moebius:0.99", "moebius:0.999"])
+    def test_within_the_radial_proxy(self, spec):
+        # the kernel ratio is the radial proxy's boundary limit; where the
+        # radial sup is reached inside the disc (thm2_sqrt at w_1) it reads
+        # up to 2.3% lower
+        phi = make_disc_map(spec)
+        ratio = (kernel_carleson(phi, 10).sup
+                 / operator_bound_proxy(phi, 2.0, k_max=10).sup)
+        assert 0.975 <= ratio <= 1.0 + 1e-6
+
+    def test_reads_deeper_while_undetermined(self, thm2_map):
+        test = kernel_carleson(thm2_map, 2)
+        assert len(test.ratios) > 2 and test.tail()[0] == CONVERGED
+        assert test.sup == max(test.ratios[:2])
+        assert test.ratios == kernel_carleson(thm2_map, len(test.ratios)).ratios
 
 
 class TestOperatorProxy:

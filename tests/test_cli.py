@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qchardy import carleson as ca
 from qchardy import cli
 from qchardy import functionals as fn
 from qchardy.cli import (
@@ -13,8 +14,15 @@ from qchardy.cli import (
     main,
     run,
 )
-from qchardy.extension import make_disc_map
+from qchardy.extension import BAExtension, make_disc_map
 from qchardy.functions import compose, hardy_kernel
+from qchardy.tail import CONVERGED, DIVERGING, UNDETERMINED
+
+# bounded (converged) or not (diverging) on H^p: the verdict of thm1
+THM1_MAPS = {"identity": CONVERGED, "thm2_sqrt": CONVERGED,
+             "power:0.5": CONVERGED, "power:1.05": DIVERGING,
+             "power:2": DIVERGING, "moebius:0.5": CONVERGED,
+             "moebius:0.99": CONVERGED, "moebius:0.999": CONVERGED}
 
 
 def _report():
@@ -182,6 +190,65 @@ class TestVerdicts:
         rows = {r.quantity: r.classification for r in rep.rows}
         assert rows == {"proxy_sup": "diverging", "lipschitz_modulus": "diverging",
                         "thm1_agreement": "pass"}
+
+    @pytest.mark.parametrize("map_spec", sorted(THM1_MAPS))
+    @pytest.mark.parametrize("depth", [10, 2])
+    def test_thm1_kernel_test_agrees_with_lipschitz(self, map_spec, depth):
+        rep = run(ExperimentSpec("thm1", map_spec, depth=depth))
+        verdict = THM1_MAPS[map_spec]
+        rows = {r.quantity: r.classification for r in rep.rows}
+        assert rows == {"proxy_sup": verdict, "lipschitz_modulus": verdict,
+                        "thm1_agreement": "pass"}
+        # at --depth 2 the tail is too short to classify, so it reads on
+        at = rep.metadata["verdicts"]["proxy_sup"]["at"]
+        assert at == 10 if depth == 10 else at > 2
+
+    def test_thm1_evaluates_no_interior_point(self, capsys, monkeypatch):
+        calls = []
+        for name in ("__call__", "jet"):
+            def counting(self, z, original=getattr(BAExtension, name), name=name):
+                calls.append(name)
+                return original(self, z)
+            monkeypatch.setattr(BAExtension, name, counting)
+        assert main(["thm1", "--map", "power:2"]) == 0
+        assert calls == []
+        make_disc_map("power:2").jet(np.array([0.5j]))
+        assert calls == ["jet"]
+
+    @pytest.mark.parametrize("name, ball_rows", [
+        ("thmA", ("bergman_constant", "bergman_ring_growth")),
+        ("thm3", ("luecking_stabilized",))])
+    def test_newton_failure_is_an_undetermined_sweep(self, monkeypatch, name,
+                                                     ball_rows):
+        message = "invert(moebius(0.5), 0.5) did not converge (residual 1.00e+00)"
+
+        def fail(*args, **kwargs):
+            raise RuntimeError(message)
+
+        monkeypatch.setattr(ca, "invert", fail)
+        rep = run(ExperimentSpec(name, "moebius:0.5"))
+        rows = {r.quantity: r for r in rep.rows}
+        for quantity in ball_rows:
+            assert np.isnan(rows[quantity].value)
+            assert rep.metadata["verdicts"][quantity] == {"reason": message,
+                                                          "at": 10}
+        if name == "thmA":
+            assert rows["bergman_constant"].classification == UNDETERMINED
+        # an undetermined sweep passes no claim
+        assert not rep.passed()
+
+    def test_newton_failure_past_ring_10_keeps_the_sweep(self):
+        mu = ca.DiscPushforward(make_disc_map("moebius:0.99"))
+
+        def tester(mu, family):
+            if family[0][0] > 10:
+                raise RuntimeError("no convergence")
+            return ca.bergman_carleson_constant(mu, family)
+
+        sweep, verdict, why = cli._ring_sweep(tester, mu)
+        assert (verdict, why) == (UNDETERMINED, ("no convergence", 11))
+        assert sweep == ca.bergman_carleson_constant(
+            mu, ca.make_ball_family(range(1, 11), angles=8))
 
     def test_power2_fails_the_luecking_test(self):
         rep = run(ExperimentSpec("thm3", "power:2"))

@@ -291,14 +291,14 @@ class TestInvert:
                  "thm2_sqrt": "thm2_sqrt", "power:2": "power(2)"}[spec]
         phi = catalog_maps[label]
         for w in (0.0, 0.3, -0.5j, 0.7 * np.exp(2.2j), 0.95):
-            z = invert(phi, w)
+            z, _ = invert(phi, w)
             assert abs(complex(phi(np.array([z]))[0]) - w) < 1e-7
             assert abs(z) < 1.0
 
     def test_moebius_closed_form(self, moebius_map):
         # phi^{-1}(w) = (w + a)/(1 + a w)
         w = 0.4 - 0.2j
-        z = invert(moebius_map, w)
+        z, _ = invert(moebius_map, w)
         assert abs(z - (w + 0.5) / (1 + 0.5 * w)) < 1e-9
 
 
@@ -309,7 +309,7 @@ def _circular_distortion(phi, balls, n_boundary=24):
     for ball in balls:
         thetas = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
         rim = ball.center + ball.radius * 0.999 * np.exp(1j * thetas)
-        pre = invert(phi, np.concatenate(([ball.center], rim)))
+        pre, _ = invert(phi, np.concatenate(([ball.center], rim)))
         diam = float(np.max(np.abs(pre[1:, None] - pre[None, 1:])))
         ratios.append(diam / (1.0 - abs(pre[0])))
     return ratios
@@ -325,7 +325,7 @@ class TestCircularDistortion:
     def test_degenerate_ball_matches_derivative(self, moebius_map):
         # tiny ball: diam(phi^{-1}(B)) ~ 2 r_B |(phi^{-1})'(center)|
         ball = HyperbolicBall(center=0.5, ratio=0.05)
-        zc = invert(moebius_map, 0.5)
+        zc, _ = invert(moebius_map, 0.5)
         dphi = abs(complex(moebius_map.complex_derivative(np.array([zc]))[0]))
         expected = 2.0 * ball.radius * 0.999 / dphi / (1.0 - abs(zc))
         ratio = _circular_distortion(moebius_map, [ball])[0]
@@ -511,11 +511,21 @@ class TestBatchedInvert:
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
     def test_matches_scalar_calls(self, spec):
         phi = make_disc_map(spec)
-        batch = invert(phi, self._TARGETS)
+        batch, _ = invert(phi, self._TARGETS)
         assert batch.shape == self._TARGETS.shape
-        scalar = np.array([invert(phi, w) for w in self._TARGETS])
+        scalar = np.array([invert(phi, w)[0] for w in self._TARGETS])
         assert np.all(np.abs(phi(batch) - self._TARGETS) < 1e-11)
         assert np.allclose(batch, scalar, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("spec", ["moebius:0.5", "thm2_sqrt", "power:2"])
+    def test_jet_is_that_of_the_solution_bitwise(self, spec):
+        phi = make_disc_map(spec)
+        z, jet = invert(phi, self._TARGETS)
+        for got, want in zip(jet, phi.jet(z)):
+            assert got.shape == self._TARGETS.shape
+            assert got.tobytes() == want.tobytes()
+        z, jet = invert(phi, 0.3)
+        assert jet == tuple(complex(j) for j in phi.jet(z))
 
     def test_one_jet_call_per_iteration(self):
         phi = _counting_map("thm2_sqrt")
@@ -542,19 +552,18 @@ class TestInitialGuesses:
     _NODE = -0.8086 + 0.1097j
 
     def test_linearised_seed_converges(self, thm2_map):
-        zc = invert(thm2_map, -0.75)
-        _, dz, dzb = thm2_map.jet(zc)
+        zc, (_, dz, dzb) = invert(thm2_map, -0.75)
         dw = self._NODE + 0.75
         jac = abs(dz) ** 2 - abs(dzb) ** 2
         seed = zc + (np.conj(dz) * dw - dzb * np.conj(dw)) / jac
-        z = invert(thm2_map, self._NODE, z0=seed)
+        z, _ = invert(thm2_map, self._NODE, z0=seed)
         assert abs(thm2_map(z) - self._NODE) < 1e-11
 
     def test_converged_guesses_take_one_jet_call(self):
         phi = _counting_map("thm2_sqrt")
         targets = TestBatchedInvert._TARGETS
-        z = invert(phi, targets)
+        z, _ = invert(phi, targets)
         phi.interior.jets.clear()
-        again = invert(phi, targets, z0=z)
+        again, _ = invert(phi, targets, z0=z)
         assert phi.interior.jets == [targets.size]
         assert np.array_equal(again, z)

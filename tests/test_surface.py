@@ -15,9 +15,12 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 # public names that no experiment reaches, each with the reason it stays
 ALLOWED = {
-    "kernel_ratio": "the kernel Carleson test of the boundary map: acceptance "
-                    "test 04 checks it, and it is the planned route for "
-                    "Theorem 1",
+    "kernel_ratio": "float view of the kernel Carleson test's terms that "
+                    "acceptance test 03 calls; thm1 reads the terms with "
+                    "their errors through kernel_carleson",
+    "operator_bound_proxy": "radial Hardy-norm proxy that acceptance test 02 "
+                            "and TestOperatorProxy call; thm1 decides with its "
+                            "boundary limit, kernel_carleson",
     "is_lipschitz_inverse": "boolean view of lipschitz_tail that acceptance "
                             "tests 02 and 10 call; the experiments read the "
                             "verdict and its reason from lipschitz_tail",
