@@ -185,11 +185,13 @@ def run_thm2(spec):
     rep.add("hardy_norm_g", ng.value, ng.error, ng.classification, ng.why)
     nf = fn.hardy_norm(f, spec.p)
     rep.add("hardy_norm_composite", nf.value, nf.error, nf.classification, nf.why)
-    bnorm = fn.boundary_lp_norm(f, spec.p)
+    bnorm, zeroed = fn.boundary_lp(f, spec.p)
     verdict = (CONVERGED if np.isfinite(bnorm)
                else DIVERGING if bnorm == np.inf else UNDETERMINED)
     rep.add("boundary_lp_composite", bnorm, 0.0, verdict,
-            ("tail of the boundary means graded at 10^-k", fn.BOUNDARY_SCALES[-1]))
+            ("tail of the boundary means graded at 10^-k; "
+             f"{zeroed} non-finite boundary samples set to 0",
+             fn.BOUNDARY_SCALES[-1]))
     mnorm = fn.maximal_lp(f, spec.p, spec.aperture, grid_n=4 * spec.grid)
     rep.add("maximal_lp_composite", mnorm, 0.0,
             CONVERGED if np.isfinite(mnorm) else DIVERGING)
@@ -210,11 +212,14 @@ def run_thm3(spec):
     f = compose(hardy_kernel(0.9, spec.p), phi)
     nf = fn.hardy_norm(f, spec.p)
     rep.add("hardy_norm_composite", nf.value, nf.error, nf.classification, nf.why)
-    bnorm = fn.boundary_lp_norm(f, spec.p)
+    bnorm, zeroed = fn.boundary_lp(f, spec.p)
     limit_mean, _ = fn.integral_mean(f, 1.0 - 2.0 ** -20, spec.p)
     limit_norm = limit_mean ** (1.0 / spec.p)
     rel = abs(bnorm - limit_norm) / limit_norm
-    rep.check("boundary_vs_radial_limit", np.isfinite(bnorm) and rel <= 0.1, rel)
+    rep.check("boundary_vs_radial_limit", np.isfinite(bnorm) and rel <= 0.1, rel,
+              why=("boundary norm from the tail of the means graded at 10^-k; "
+                   f"{zeroed} non-finite boundary samples set to 0",
+                   fn.BOUNDARY_SCALES[-1]))
     m1 = fn.maximal_lp(f, spec.p, spec.aperture, grid_n=spec.grid * 2)
     m2 = fn.maximal_lp(f, spec.p, spec.aperture, grid_n=spec.grid * 4)
     rep.check("maximal_lp_grid_stability", abs(m2 - m1) / m1 <= 0.1,

@@ -23,8 +23,13 @@ _GL_ORDER = 12
 # live panels per evaluation of the line map: 1024 * _GL_ORDER nodes make
 # every float temporary 96 KiB, under glibc's 128 KiB mmap threshold, so the
 # temporaries are reused from the heap instead of mapped and faulted in anew
-# on every call; smaller chunks cost more Python per call than they save
+# on every call; smaller chunks cost more Python per call than they save.
+# Callers pass batches of any size (a ball sweep's Newton run has 4096
+# lanes): _line_integral walks them in blocks of _INTERVALS intervals
 _PANELS = 1024
+# intervals whose panel edges are laid out at once: by the same reasoning,
+# 512 rows of 2 * _GRADE_PANELS + 2 edges are 120 KiB
+_INTERVALS = 512
 
 
 def _fractions():
@@ -50,6 +55,23 @@ _FRACTIONS = _fractions()
 _KAPPA = _reach()
 
 
+def _panel_edges(a, b):
+    """Panel edges of the intervals [a_i, b_i], one row each, graded toward
+    c, the point of [a, b] closest to 0; an inner edge not needed collapses
+    onto c, so its panel has zero width."""
+    c = np.clip(0.0, a, b)
+
+    def side(end):
+        # edges c -> end
+        length = (end - c)[:, None]
+        near = np.abs(c)[:, None] < _KAPPA * np.abs(length) * _FRACTIONS
+        f = np.where(near, _FRACTIONS, 0.0)
+        f[:, -1] = 1.0
+        return c[:, None] + length * f
+
+    return np.concatenate([side(a)[:, ::-1], side(b)], axis=1)
+
+
 def _line_integral(fn, a, b):
     """Vectorized integral of fn over [a_i, b_i], graded toward s = 0.
 
@@ -59,38 +81,34 @@ def _line_integral(fn, a, b):
     [a, b], so an interval far from 0 is a single panel; zero-width panels,
     such as the side c -> a when c = a, are never evaluated.
 
-    fn is called on the nodes of at most _PANELS live panels at a time, in
-    panel order, so no temporary of the evaluation outgrows the heap (see
-    _PANELS); an empty batch of panels makes no call.  The line maps are
-    elementwise and each panel is summed alone, so the chunking changes no
-    bit of the result.
+    The intervals are walked in blocks of _INTERVALS, and within a block fn
+    is called on the nodes of at most _PANELS live panels at a time, in panel
+    order, so no temporary outgrows the heap (see _PANELS); an empty batch of
+    panels makes no call.  The line maps are elementwise and each panel is
+    summed alone, so the blocks and chunks change no bit of the result.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    c = np.clip(0.0, a, b)
-
-    def side(end):
-        # edges c -> end; an inner edge not needed collapses onto c
-        length = (end - c)[:, None]
-        near = np.abs(c)[:, None] < _KAPPA * np.abs(length) * _FRACTIONS
-        f = np.where(near, _FRACTIONS, 0.0)
-        f[:, -1] = 1.0
-        return c[:, None] + length * f
-
-    edges = np.concatenate([side(a)[:, ::-1], side(b)], axis=1)
-    row, panel = np.nonzero(np.diff(edges, axis=1) != 0.0)
-    lo, hi = edges[row, panel], edges[row, panel + 1]
-    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
     x, w = gauss_legendre(_GL_ORDER)
-    panel_sums = np.empty(row.size)
-    for start in range(0, row.size, _PANELS):
-        chunk = slice(start, start + _PANELS)
-        vals = fn((mid[chunk, None] + half[chunk, None] * x).ravel())
-        # einsum sums each panel alone, so a point's value does not depend on
-        # the batch it is evaluated in; a BLAS product rounds by position
-        panel_sums[chunk] = half[chunk] * np.einsum(
-            "pk,k->p", vals.reshape(-1, _GL_ORDER), w)
-    return np.bincount(row, weights=panel_sums, minlength=a.size)
+    out = np.empty(a.size)
+    for first in range(0, a.size, _INTERVALS):
+        block = slice(first, first + _INTERVALS)
+        edges = _panel_edges(a[block], b[block])
+        row, panel = np.nonzero(np.diff(edges, axis=1) != 0.0)
+        left, right = edges[row, panel], edges[row, panel + 1]
+        half, mid = 0.5 * (right - left), 0.5 * (right + left)
+        panel_sums = np.empty(row.size)
+        for start in range(0, row.size, _PANELS):
+            chunk = slice(start, start + _PANELS)
+            vals = fn((mid[chunk, None] + half[chunk, None] * x).ravel())
+            # einsum sums each panel alone, so a point's value does not
+            # depend on the batch it is evaluated in; a BLAS product rounds
+            # by position
+            panel_sums[chunk] = half[chunk] * np.einsum(
+                "pk,k->p", vals.reshape(-1, _GL_ORDER), w)
+        out[block] = np.bincount(row, weights=panel_sums,
+                                 minlength=edges.shape[0])
+    return out
 
 
 class BAExtension:
@@ -302,10 +320,11 @@ def invert(phi, w, z0=None, tol=1e-11, max_iter=80):
             znew[out] = z[running[out]] - step[out]
             out &= (np.abs(znew) >= 1 - 1e-13) & (np.abs(step) >= 1e-16)
         z[running] = znew
-    for t, r in zip(ws, residual):
-        if not r < 1e-7:  # a NaN residual fails too
-            raise RuntimeError(f"invert({phi.label}, {t}) did not converge "
-                               f"(residual {r:.2e})")
+    failed = np.flatnonzero(~(residual < 1e-7))  # a NaN residual fails too
+    if failed.size:
+        t, r = ws[failed[0]], residual[failed[0]]
+        raise RuntimeError(f"invert({phi.label}, {t}) did not converge "
+                           f"(residual {r:.2e})")
     if targets.ndim == 0:
         return complex(z[0]), tuple(complex(j[0]) for j in jet)
     return z.reshape(targets.shape), tuple(j.reshape(targets.shape) for j in jet)

@@ -50,11 +50,18 @@ def singular_angles_of(f):
     return f.singular_angles
 
 
-def _circle_marks(f, r, scale):
+def _circle_marks(f, r):
     """Grading marks for circle means of f on |z| = r: f's singular angles at
-    the given scale and, for a composite, its symbol's kink angles at
-    0.1 (1 - r)."""
-    marks = [(t, scale) for t in singular_angles_of(f)]
+    1e-3 (1 - r) and, for a composite, its symbol's kink angles at
+    0.1 (1 - r).
+
+    On |z| = r an analytic g is at least 1 - r from its boundary singularity,
+    and a quasiconformal phi maps the Whitney disc of z onto a region
+    comparable to that of phi(z), which lies at least 1 - |phi(z)| from g's
+    singularity.  So f = g o phi has no feature finer than about (1 - r) / C
+    on the circle, and panels finer than 1e-3 (1 - r) would integrate a
+    function that is constant to rounding."""
+    marks = [(t, 1e-3 * (1.0 - r)) for t in singular_angles_of(f)]
     if isinstance(f, QuasiregularMap):
         marks += [(t, 0.1 * (1.0 - r)) for t in f.phi.kink_angles(r)]
     return marks
@@ -64,8 +71,8 @@ def integral_mean(f, r, p):
     """Mean of |f|^p over the circle of radius r: (1/2pi) int |f(r e^it)|^p dt.
 
     One circle mean, graded toward the singular angles carried by f (pulled
-    back through the symbol for composites) and toward the symbol's kinks.
-    Returns (value, error).
+    back through the symbol for composites) and toward the symbol's kinks,
+    at scales proportional to 1 - r (_circle_marks).  Returns (value, error).
     """
     r = float(r)
     if not 0.0 <= r < 1.0:
@@ -77,7 +84,7 @@ def integral_mean(f, r, p):
     def fn(theta):
         return np.abs(f(r * np.exp(1j * theta))) ** p
 
-    return circle_mean(fn, _circle_marks(f, r, 1e-10))
+    return circle_mean(fn, _circle_marks(f, r))
 
 
 def hardy_norm(f, p, k_max=RADIAL_DEPTH):
@@ -105,30 +112,41 @@ def hardy_norm(f, p, k_max=RADIAL_DEPTH):
                         reason)
 
 
-def boundary_lp_norm(f, p):
-    """Boundary Lp norm ((1/2pi) int |f(e^it)|^p dt)^(1/p) of a composite:
-    its mean graded at the pulled-back singular angles down to scale 1e-11.
+def boundary_lp(f, p):
+    """(norm, zeroed): the boundary Lp norm ((1/2pi) int |f(e^it)|^p dt)^(1/p)
+    of a composite, and how many non-finite boundary samples its means set
+    to 0, over all of them.
 
-    The means graded at the scales 10^-k, k in BOUNDARY_SCALES, form the
-    sequence whose tail decides: inf if it diverges, nan if undetermined.
-    A mean of n nonnegative terms is known to its rounding, n eps times the
-    mean; the quadrature estimate is far larger at these scales and would
-    hide a log divergence."""
+    The norm is the mean graded at the pulled-back singular angles down to
+    scale 1e-11.  The means graded at the scales 10^-k, k in BOUNDARY_SCALES,
+    form the sequence whose tail decides: inf if it diverges, nan if
+    undetermined.  A mean of n nonnegative terms is known to its rounding,
+    n eps times the mean; the quadrature estimate is far larger at these
+    scales and would hide a log divergence."""
     p = float(p)
     sizes = []
+    zeroed = 0
 
     def fn(t):
+        nonlocal zeroed
         sizes.append(t.size)
         vals = np.abs(f.boundary_trace(t)) ** p
-        return np.where(np.isfinite(vals), vals, 0.0)
+        finite = np.isfinite(vals)
+        zeroed += vals.size - np.count_nonzero(finite)
+        return np.where(finite, vals, 0.0)
 
     angles = singular_angles_of(f)
     means = np.array([circle_mean(fn, [(t, 10.0 ** -k) for t in angles])[0]
                       for k in BOUNDARY_SCALES])
     verdict, _ = classify_tail(means, np.finfo(float).eps * np.array(sizes) * means)
     if verdict == CONVERGED:
-        return float(means[-1]) ** (1.0 / p)
-    return np.inf if verdict == DIVERGING else np.nan
+        return float(means[-1]) ** (1.0 / p), zeroed
+    return np.inf if verdict == DIVERGING else np.nan, zeroed
+
+
+def boundary_lp_norm(f, p):
+    """The norm of boundary_lp alone."""
+    return boundary_lp(f, p)[0]
 
 
 def nt_maximal(f, xi, aperture=2.0, budget=96):
@@ -205,7 +223,7 @@ def _area_truncations(f, p):
             def fn(theta, r=r):
                 return _deriv_magnitude(f, r * np.exp(1j * theta)) ** p
 
-            m, e = circle_mean(fn, _circle_marks(f, r, 1e-9), order=12)
+            m, e = circle_mean(fn, _circle_marks(f, r), order=12)
             shell += half * wi * m * (1.0 - r) ** q * r * TWO_PI
             toterr += half * wi * e * (1.0 - r) ** q * r * TWO_PI
         total += shell
@@ -218,7 +236,8 @@ def area_integral(f, p, k_max=12):
 
     Tensor quadrature: dyadic radial shells graded toward r = 1, each with 8
     Gauss-Legendre radii, and order-12 circle means graded at singular
-    pullbacks and at the symbol's kinks.  The value and error are those of
+    pullbacks and at the symbol's kinks, at scales proportional to 1 - r
+    (_circle_marks).  The value and error are those of
     the truncation to radius 1 - 2^{-k_max}.  The verdict is the tail of the
     truncations; an increment is one shell, so each truncation carries the
     error of its last shell.  While the verdict is undetermined, one more

@@ -16,7 +16,7 @@ from qchardy.carleson import (
     make_ball_family,
     operator_bound_proxy,
 )
-from qchardy.extension import make_disc_map
+from qchardy.extension import invert, make_disc_map
 from qchardy.functionals import hardy_norm
 from qchardy.functions import compose, hardy_kernel
 from qchardy.geometry import HyperbolicBall
@@ -194,6 +194,44 @@ class TestSweeps:
         b_growth = bad.per_ring[8] / bad.per_ring[4]
         assert g_growth < 2.0
         assert b_growth > 3.0
+
+    @pytest.mark.parametrize("spec, density", [("thm2_sqrt", LEBESGUE),
+                                               ("thm2_sqrt", WEIGHTED),
+                                               ("power:2", LEBESGUE),
+                                               ("moebius:0.5", LEBESGUE)])
+    def test_blocked_sweep_matches_one_ball_calls(self, spec, density,
+                                                  monkeypatch):
+        mu = DiscPushforward(make_disc_map(spec), density=density, p=2.0)
+        if density == LEBESGUE:
+            tester, normalize = bergman_carleson_constant, lambda b: b.area
+        else:
+            tester, normalize = luecking_constant, lambda b: b.radius ** 3.0
+        lanes = []
+
+        def counting(phi, w, **kwargs):
+            lanes.append(np.size(w))
+            return invert(phi, w, **kwargs)
+
+        # rings 1-10 (80 balls, three Newton runs of nodes) and the one-ring
+        # family that a sweep's escalation reads
+        for family, runs in ((make_ball_family(range(1, 11), angles=8),
+                              [80, 4096, 4096, 2048]),
+                             (make_ball_family([11], angles=8), [8, 1024])):
+            per_ring, ring_error, worst = {}, {}, 0.0
+            for k, ball in family:
+                mass, err = mu.measure_ball(ball)
+                norm = normalize(ball)
+                worst = max(worst, err / norm)
+                if mass / norm > per_ring.get(k, -np.inf):
+                    per_ring[k], ring_error[k] = mass / norm, err / norm
+            lanes.clear()
+            with monkeypatch.context() as m:
+                m.setattr(carleson, "invert", counting)
+                sweep = tester(mu, family)
+            assert lanes == runs
+            assert sweep.per_ring == per_ring
+            assert sweep.ring_error == ring_error
+            assert sweep.error_max == worst
 
 
 class TestKernelRatio:

@@ -272,7 +272,21 @@ class TestVerdicts:
         assert verdicts["hardy_norm_g"]["at"] == 24
         assert "Aitken" in verdicts["hardy_norm_g"]["reason"]
         assert verdicts["boundary_lp_composite"]["at"] == 11
+        assert verdicts["boundary_lp_composite"]["reason"].endswith(
+            "; 0 non-finite boundary samples set to 0")
         assert json.loads(rep.to_json())["metadata"]["verdicts"] == verdicts
+
+    @pytest.mark.parametrize("name, quantity", [
+        ("thm2", "boundary_lp_composite"), ("thm3", "boundary_vs_radial_limit")])
+    def test_boundary_reason_counts_the_samples_set_to_zero(
+            self, monkeypatch, name, quantity):
+        boundary_lp = fn.boundary_lp
+        monkeypatch.setattr(fn, "boundary_lp",
+                            lambda f, p: (boundary_lp(f, p)[0], 7))
+        rep = run(ExperimentSpec(name, "moebius:0.5"))
+        why = rep.metadata["verdicts"][quantity]
+        assert why["at"] == 11
+        assert why["reason"].endswith("; 7 non-finite boundary samples set to 0")
 
 
 class TestMain:

@@ -7,6 +7,7 @@ from qchardy.extension import (
     _FRACTIONS,
     _GL_ORDER,
     _GRADE_PANELS,
+    _INTERVALS,
     _KAPPA,
     _PANELS,
     BAExtension,
@@ -123,7 +124,8 @@ class TestLineIntegral:
 
     def test_batch_evaluates_no_zero_width_panel(self):
         fn, ref = _Counting(), _Counting()
-        a, b = _random_intervals(n=2000)
+        a, b = _random_intervals(n=2500)
+        assert a.size == 5000 > 2 * _INTERVALS
         _line_integral(fn, a, b)
         _one_shot_line_integral(ref, a, b)
         assert len(fn.batches) >= 3
@@ -139,9 +141,11 @@ class TestLineIntegral:
     def test_chunks_change_no_bit(self, spec):
         h = BAExtension(make_map(spec)).line_map
         fn = _Counting()
-        a, b = _random_intervals(n=500)
+        a, b = _random_intervals(n=2500)
+        assert a.size == 5000 > 2 * _INTERVALS
         _line_integral(fn, a, b)
         assert len(fn.batches) >= 3
+        assert all(batch.size <= _PANELS * _GL_ORDER for batch in fn.batches)
         got = _line_integral(h, a, b)
         alone = np.concatenate([_line_integral(h, lo, hi) for lo, hi in zip(a, b)])
         assert got.tobytes() == alone.tobytes()

@@ -12,6 +12,7 @@ from qchardy.functionals import (
     _xi_grid,
     area_integral,
     average_derivative,
+    boundary_lp,
     boundary_lp_norm,
     classify_tail,
     hardy_norm,
@@ -48,6 +49,14 @@ def _five_angles(r, scale):
         s = np.arcsin(v)
         marks += [(t, 0.1 * (1.0 - r)) for t in (s, -s, np.pi - s, s - np.pi)]
     return marks
+
+
+def _fixed_scale_marks(f, r, scale):
+    """The earlier grading marks for a composite on |z| = r, kept as the
+    reference rule: its singular angles at a fixed scale (1e-10 for Hardy
+    means, 1e-9 for area shells) and its symbol's kinks at 0.1 (1 - r)."""
+    marks = [(t, scale) for t in functionals.singular_angles_of(f)]
+    return marks + [(t, 0.1 * (1.0 - r)) for t in f.phi.kink_angles(r)]
 
 
 def _nt_maximal_loop(f, xi, aperture=2.0, budget=96):
@@ -182,6 +191,31 @@ class TestIntegralMean:
                     assert abs(val - ref) <= 1e-9 * ref, (g.label, r)
                     assert err >= abs(val - ref), (g.label, r)
 
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3"])
+    def test_mark_scale_against_the_fixed_scale_rule(self, spec):
+        # the thm2 and thm3 kernels along the radial schedule: every mean
+        # within 1e-9 of the fixed-scale rule, every error estimate within 2x
+        # of its; measured worst 4.8e-11 and 0.91-1.31x.  Cauchy o power:2
+        # from k = 11 is rounding-limited: 1 - |phi(r)| is about 0.1 4^-k,
+        # so |1 - phi| carries a relative rounding of about 10 eps 4^k, 1e-8
+        # at k = 11, and both rules only resolve the mean to their error
+        # estimates; there the means differ by at most 0.067 of the
+        # fixed-scale rule's estimate, and the estimates by 0.40-1.61x
+        phi = make_disc_map(spec)
+        for g, p in ((cauchy_kernel(), 1.0), (hardy_kernel(0.9, 2.0), 2.0)):
+            f = compose(g, phi)
+            for k, r in enumerate(radial_schedule(), 1):
+                val, err = integral_mean(f, r, p)
+                ref, ref_err = circle_mean(
+                    lambda t, r=r: np.abs(f(r * np.exp(1j * t))) ** p,
+                    _fixed_scale_marks(f, r, 1e-10))
+                if spec == "power:2" and p == 1.0 and k >= 11:
+                    assert abs(val - ref) <= 0.1 * ref_err, k
+                    assert 0.25 <= err / ref_err <= 4.0, k
+                else:
+                    assert abs(val - ref) <= 1e-9 * ref, (g.label, k)
+                    assert 0.5 <= err / ref_err <= 2.0, (g.label, k)
+
 
 class TestHardyNorm:
     def test_kernel_norm_closed_form(self):
@@ -293,6 +327,23 @@ class TestBoundaryNorm:
         val = boundary_lp_norm(f, 1.0)
         assert val == pytest.approx(0.7424537454215444, rel=1e-4)
 
+    def test_counts_the_samples_set_to_zero(self, identity_map):
+        # 2 on the left half of the circle, inf on the right: the infinite
+        # samples are set to 0 and counted, over all the graded means
+        seen = []
+
+        def half_infinite(z):
+            seen.append(z)
+            return np.where(z.real > 0.0, np.inf, 2.0) + 0j
+
+        g = AnalyticFunction(half_infinite, np.zeros_like,
+                             singular_angles=(0.5 * np.pi, -0.5 * np.pi))
+        norm, zeroed = boundary_lp(compose(g, identity_map), 2.0)
+        assert zeroed == sum(np.count_nonzero(z.real > 0.0) for z in seen) > 0
+        assert norm == pytest.approx(np.sqrt(2.0), rel=1e-9)
+        finite = compose(_constant(2.0), identity_map)
+        assert boundary_lp(finite, 2.0) == (boundary_lp_norm(finite, 2.0), 0)
+
     def test_matches_radial_limit_for_bounded_composite(self, thm2_map):
         f = compose(hardy_kernel(0.9, 2.0), thm2_map)
         bnorm = boundary_lp_norm(f, 2.0)
@@ -369,6 +420,40 @@ class TestAreaIntegral:
                 ref += 0.5 * (b - a) * wi * m * (1.0 - r) * r * TWO_PI
         est = area_integral(f, 2.0, k_max=k_max)
         assert est.value == pytest.approx(ref, rel=1e-7)
+
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3"])
+    def test_mark_scale_against_the_fixed_scale_rule(self, spec):
+        # the order-12 means at the 8 Gauss radii of shells 2-12 within 1e-9
+        # of the fixed-scale rule and their error estimates within 2x of its
+        # (measured worst 2.2e-10 and 0.999-1.000x).  On shell 1, r < 1/2,
+        # the marks are 5e-4 to 1e-3 wide and the circle is smooth on that
+        # scale; neither rule resolves those means beyond its estimate, 1e-6
+        # to 4e-5 of the mean, so they differ by up to 3.4e-7, but by at most
+        # 0.016 of either estimate.  The sum over all shells stays within
+        # 1e-9 (measured worst 7.2e-10)
+        f = compose(hardy_kernel(0.9, 2.0), make_disc_map(spec))
+        x, wq = gauss_legendre(8)
+        edges = np.concatenate([[0.0], radial_schedule(12)])
+        total = ref_total = 0.0
+        for k, (a, b) in enumerate(zip(edges[:-1], edges[1:]), 1):
+            for xi, wi in zip(x, wq):
+                r = 0.5 * (a + b) + 0.5 * (b - a) * xi
+
+                def fn(t, r=r):
+                    return f.differential(r * np.exp(1j * t))[0] ** 2
+
+                val, err = circle_mean(fn, functionals._circle_marks(f, r),
+                                       order=12)
+                ref, ref_err = circle_mean(fn, _fixed_scale_marks(f, r, 1e-9), order=12)
+                if k == 1:
+                    assert abs(val - ref) <= 0.1 * min(err, ref_err), r
+                else:
+                    assert abs(val - ref) <= 1e-9 * ref, r
+                    assert 0.5 <= err / ref_err <= 2.0, r
+                weight = 0.5 * (b - a) * wi * (1.0 - r) * r
+                total += weight * val
+                ref_total += weight * ref
+        assert abs(total - ref_total) <= 1e-9 * ref_total
 
     def test_undetermined_tail_reads_each_shell_once(self, monkeypatch):
         # moebius(0.99) is undetermined at 12 shells and converged at 13

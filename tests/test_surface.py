@@ -21,6 +21,9 @@ ALLOWED = {
     "operator_bound_proxy": "radial Hardy-norm proxy that acceptance test 02 "
                             "and TestOperatorProxy call; thm1 decides with its "
                             "boundary limit, kernel_carleson",
+    "boundary_lp_norm": "float view of boundary_lp that acceptance tests 01 "
+                        "and 07 call; thm2 and thm3 read the norm with its "
+                        "count of zeroed samples through boundary_lp",
     "is_lipschitz_inverse": "boolean view of lipschitz_tail that acceptance "
                             "tests 02 and 10 call; the experiments read the "
                             "verdict and its reason from lipschitz_tail",
