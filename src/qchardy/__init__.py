@@ -32,6 +32,7 @@ from .functionals import (
     NormEstimate,
     area_integral,
     average_derivative,
+    ball_average_derivative,
     boundary_lp,
     boundary_lp_norm,
     hardy_norm,

@@ -24,22 +24,12 @@ from .extension import DiscQCMap, invert, norm_and_jacobian
 from .functionals import hardy_norm
 from .functions import compose, hardy_kernel
 from .geometry import HyperbolicBall
-from .quadrature import TWO_PI, circle_mean, gauss_legendre, wrap_angle
+from .quadrature import TWO_PI, _polar_rule, circle_mean, wrap_angle
 from .tail import CONVERGED, TAIL_CAP, UNDETERMINED, classify_tail
 
 
 LEBESGUE = "lebesgue"
 WEIGHTED = "weighted"
-
-
-def _polar_rule(radii, angles):
-    """Nodes and weights, shape (radii, angles), of a product rule on the unit
-    disc: Gauss-Legendre in radius with weight r, midpoint in angle."""
-    x, w = gauss_legendre(radii)
-    s = 0.5 * (x + 1.0)
-    t = TWO_PI * (np.arange(angles) + 0.5) / angles
-    nodes = s[:, None] * np.exp(1j * t)
-    return nodes, np.outer(0.5 * w * s, np.full(angles, TWO_PI / angles))
 
 
 _BALL_RULE = _polar_rule(8, 16)

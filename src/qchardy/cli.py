@@ -98,7 +98,7 @@ class ExperimentSpec:
     p: float | None = None
     depth: int = 10
     grid: int = 16
-    seed: int = 42
+    seed: int = 42  # accepted and ignored: no experiment samples at random
     aperture: float = 2.0
 
     def __post_init__(self):
@@ -213,7 +213,10 @@ def run_thm3(spec):
     nf = fn.hardy_norm(f, spec.p)
     rep.add("hardy_norm_composite", nf.value, nf.error, nf.classification, nf.why)
     bnorm, zeroed = fn.boundary_lp(f, spec.p)
-    limit_mean, _ = fn.integral_mean(f, 1.0 - 2.0 ** -20, spec.p)
+    # the mean at r = 1 - 2^-20, read from the Hardy norm's schedule unless it
+    # stopped short of k = 20
+    limit_mean = (nf.samples[19][1] if len(nf.samples) >= 20
+                  else fn.integral_mean(f, 1.0 - 2.0 ** -20, spec.p)[0])
     limit_norm = limit_mean ** (1.0 / spec.p)
     rel = abs(bnorm - limit_norm) / limit_norm
     rep.check("boundary_vs_radial_limit", np.isfinite(bnorm) and rel <= 0.1, rel,
@@ -268,27 +271,24 @@ def run_lemma1(spec):
     return rep
 
 
+# af_conformal's centers besides the origin: radii 0.8, 0.7, ..., 0.1, one
+# per octant, the outermost toward the pole 1/a of a moebius:a map with a > 0
+_AF_CENTERS = (0.8 - 0.1 * np.arange(8)) * np.exp(0.25j * np.pi * np.arange(8))
+
+
 def run_af_conformal(spec):
-    """Average derivative of a conformal control map against |f'|."""
+    """Average derivative of a conformal control map against |f'|, at the
+    origin and at _AF_CENTERS: each deviation must lie within the average's
+    error.  af_matches_fprime's value is the worst deviation in units of the
+    error."""
     entry, phi = _entry_and_map(spec)
     rep = ExperimentReport("af_conformal")
     f = AnalyticFunction(phi.interior, phi.complex_derivative, label=phi.label)
-    est = fn.average_derivative(f, 0.0, mc_samples=10 ** 5, seed=spec.seed)
-    target = abs(complex(phi.complex_derivative(np.array([0j]))[0]))
-    rep.check("af_at_origin", abs(est.value - target) <= 2 * est.stderr,
-              est.value, est.stderr)
-    rng = np.random.default_rng(spec.seed)
-    ok = True
-    worst = 0.0
-    for _ in range(8):
-        z = 0.8 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-        est = fn.average_derivative(f, z, mc_samples=10 ** 5,
-                                    seed=rng.integers(2 ** 32))
-        target = abs(complex(phi.complex_derivative(np.array([z]))[0]))
-        dev = abs(est.value - target) / (2 * est.stderr)
-        worst = max(worst, dev)
-        ok = ok and dev <= 1.0
-    rep.check("af_matches_fprime", ok, worst)
+    z = np.concatenate([[0j], _AF_CENTERS])
+    value, error = fn.ball_average_derivative(f, z)
+    dev = np.abs(value - np.abs(phi.complex_derivative(z))) / error
+    rep.check("af_at_origin", dev[0] <= 1.0, value[0], error[0])
+    rep.check("af_matches_fprime", np.max(dev[1:]) <= 1.0, np.max(dev[1:]))
     return rep
 
 
@@ -302,7 +302,8 @@ _RUNNERS = {
 }
 
 def run(spec):
-    """Run the named experiment; deterministic for a fixed spec and seed."""
+    """Run the named experiment; deterministic for a fixed spec, whatever its
+    seed."""
     start = time.perf_counter()
     rep = _RUNNERS[spec.name](spec)
     rep.metadata.update({
@@ -340,7 +341,8 @@ def build_parser():
         p.add_argument("--depth", type=_depth, default=spec.depth)
         p.add_argument("--grid", type=int, default=spec.grid)
         p.add_argument("--seed", type=int, default=spec.seed,
-                       help="Monte Carlo seed (af_conformal only)")
+                       help="accepted and ignored: no experiment samples at "
+                            "random")
         p.add_argument("--aperture", type=float, default=spec.aperture)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")

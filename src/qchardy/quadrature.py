@@ -9,6 +9,9 @@ boundary map).  Panels shrink geometrically toward each marked angle, so
 every dyadic length scale between the mark's own scale and its neighbours is
 resolved by a panel of matching width.  The error estimate is read off the
 same samples, from the decay of each panel's Legendre coefficients.
+
+The polar product rule on the unit disc, shared by ball masses and average
+derivatives, lives here too.
 """
 
 from __future__ import annotations
@@ -37,6 +40,16 @@ def wrap_angle(t):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _polar_rule(radii, angles):
+    """Nodes and weights, shape (radii, angles), of a product rule on the unit
+    disc: Gauss-Legendre in radius with weight r, midpoint in angle."""
+    x, w = gauss_legendre(radii)
+    s = 0.5 * (x + 1.0)
+    t = TWO_PI * (np.arange(angles) + 0.5) / angles
+    nodes = s[:, None] * np.exp(1j * t)
+    return nodes, np.outer(0.5 * w * s, np.full(angles, TWO_PI / angles))
 
 
 def _graded_edges(length, scale):

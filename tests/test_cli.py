@@ -140,6 +140,11 @@ class TestRun:
         b = run(ExperimentSpec(name, map_spec, seed=42)).to_csv()
         assert a.encode() == b.encode()
 
+    def test_af_conformal_ignores_the_seed(self):
+        a = run(ExperimentSpec("af_conformal", seed=1)).to_csv()
+        b = run(ExperimentSpec("af_conformal", seed=42)).to_csv()
+        assert a.encode() == b.encode()
+
     def test_classifications_in_vocabulary(self):
         rep = run(ExperimentSpec(name="af_conformal"))
         allowed = {"converged", "diverging", "undetermined", "pass", "fail"}

@@ -12,6 +12,7 @@ from qchardy.functionals import (
     _xi_grid,
     area_integral,
     average_derivative,
+    ball_average_derivative,
     boundary_lp,
     boundary_lp_norm,
     classify_tail,
@@ -517,3 +518,70 @@ class TestAverageDerivative:
         with pytest.raises(TypeError):
             average_derivative(lambda z: z, 0.0)
 
+
+class TestBallAverageDerivative:
+    _EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("a, rel", [(0.5, 1e-10), (0.9, 1e-6),
+                                        (0.99, 1e-5)])
+    def test_error_covers_the_deviation_on_moebius_maps(self, a, rel):
+        phi = make_disc_map(f"moebius:{a}")
+        f = AnalyticFunction(phi.interior, phi.complex_derivative)
+        ring = np.exp(2j * np.pi * np.arange(16) / 16)
+        z = np.concatenate([[0j], np.outer([0.2, 0.4, 0.6, 0.8], ring).ravel(),
+                            0.999 * ring])
+        value, error = ball_average_derivative(f, z)
+        target = np.abs(phi.complex_derivative(z))
+        assert np.all(np.abs(value - target) <= error)
+        assert np.all(error <= rel * target)
+
+    def test_origin_of_the_cli_map(self, moebius_map):
+        f = AnalyticFunction(moebius_map.interior, moebius_map.complex_derivative)
+        value, error = ball_average_derivative(f, 0.0)
+        assert abs(value - 0.75) <= min(error, 1e-11 * 0.75)
+
+    def test_identity_and_linear_map_are_exact(self):
+        value, error = ball_average_derivative(_IDENTITY, [0.0, 0.5j, -0.999])
+        assert np.all(value == 1.0)
+        assert np.all(error == 128 * self._EPS)
+        linear = AnalyticFunction(lambda z: 3.0 * z, lambda z: np.full_like(z, 3.0))
+        value, error = ball_average_derivative(linear, 0.2 + 0.1j)
+        assert abs(value - 3.0) <= np.spacing(3.0)
+        assert error == pytest.approx(128 * self._EPS * value, rel=1e-9)
+
+    def test_scale_equivariance(self):
+        g = hardy_kernel(0.6, 2.0)
+        g3 = AnalyticFunction(lambda z: 3.0 * g(z), lambda z: 3.0 * g.deriv(z))
+        a1, e1 = ball_average_derivative(g, 0.3)
+        a3, e3 = ball_average_derivative(g3, 0.3)
+        assert a3 == pytest.approx(3.0 * a1, rel=1e-14)
+        assert e3 == pytest.approx(3.0 * e1, rel=1e-4)
+
+    def test_one_derivative_call_for_every_ball(self, moebius_map):
+        sizes = []
+
+        def deriv(z):
+            sizes.append(z.size)
+            return moebius_map.complex_derivative(z)
+
+        f = AnalyticFunction(moebius_map.interior, deriv)
+        z = np.linspace(-0.8, 0.8, 9) * np.exp(0.4j)
+        value, error = ball_average_derivative(f, z)
+        assert sizes == [9 * 8 * 16]
+        assert value.shape == error.shape == z.shape
+        for k, zk in enumerate(z):
+            assert ball_average_derivative(f, zk) == (value[k], error[k])
+
+    def test_a_critical_point_in_the_ball_shows_in_the_error(self):
+        # log|f'| = log 2|z| is not harmonic at 0: its ring means grow with r
+        square = AnalyticFunction(lambda z: z * z, lambda z: 2.0 * z)
+        value, error = ball_average_derivative(square, 0.0)
+        assert error > value > 0.0
+
+    def test_validation(self):
+        with pytest.raises(RuntimeError, match="not finite"):
+            ball_average_derivative(_constant(2.0), 0.3)
+        with pytest.raises(ValueError):
+            ball_average_derivative(_IDENTITY, 1.0)
+        with pytest.raises(TypeError):
+            ball_average_derivative(lambda z: z, 0.0)

@@ -24,6 +24,10 @@ ALLOWED = {
     "boundary_lp_norm": "float view of boundary_lp that acceptance tests 01 "
                         "and 07 call; thm2 and thm3 read the norm with its "
                         "count of zeroed samples through boundary_lp",
+    "average_derivative": "Monte Carlo view that frozen acceptance test 06 "
+                          "and the benchmark tracer call; delete it with "
+                          "ball_sample, mc_samples and --seed once the "
+                          "benchmark stops passing --seed",
     "is_lipschitz_inverse": "boolean view of lipschitz_tail that acceptance "
                             "tests 02 and 10 call; the experiments read the "
                             "verdict and its reason from lipschitz_tail",
