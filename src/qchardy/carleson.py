@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extension import DiscQCMap, invert, norm_and_jacobian
+from .extension import invert, norm_and_jacobian
 from .functionals import hardy_norm
 from .functions import compose, hardy_kernel
 from .geometry import HyperbolicBall
@@ -220,26 +220,13 @@ def operator_bound_proxy(phi, p, k_max=16, radial_depth=24):
     """sup over w_k = 1 - 2^{-k} of the Hardy-norm ratio
     ||kernel_w o phi||^p / ||kernel_w||^p for the extremal kernel family.
     Its boundary limit is the kernel Carleson test (kernel_carleson), which
-    decides thm1 without evaluating phi inside the disc.
-
-    All kernels are singular at angle 0, so their composites evaluate phi on
-    the same circle-node batches: this call memoises phi's interior on each
-    batch's exact shape and bytes."""
+    decides thm1 without evaluating phi inside the disc."""
     p = float(p)
-    seen = {}
-
-    def interior(z):
-        key = (z.shape, z.tobytes())
-        if key not in seen:
-            seen[key] = phi.interior(z)
-        return seen[key]
-
-    memo = DiscQCMap(phi.boundary, interior, phi.label, phi.complex_derivative)
     ws = tuple(1.0 - 2.0 ** -k for k in range(1, k_max + 1))
     ratios, errors = [], []
     for w in ws:
         g = hardy_kernel(w, p)
-        num = hardy_norm(compose(g, memo), p, k_max=radial_depth)
+        num = hardy_norm(compose(g, phi), p, k_max=radial_depth)
         den = hardy_norm(g, p, k_max=radial_depth)
         ratios.append(num.value ** p / den.value ** p)
         # the norms' errors, carried to the p-th powers and their quotient

@@ -6,6 +6,13 @@ angle map is transported to a line homeomorphism via x = tan(t/2), extended to
 the upper half-plane by interval averages, and pulled back to the disc.
 Conformal members of the catalog (identity, Moebius) are also available with
 exact interior evaluation as a control group.
+
+The interval averages integrate the line map h over windows.  A window far
+from 0, where the catalog line maps have their cusp, is one Gauss-Legendre
+panel.  A window near 0 is G(b) - G(a), with G(t) the integral of h from 0 to
+t read from a table of G at 0 and +-2^j, one panel per binade, built once per
+extension.  The table is anchored at the cusp at angle 0 only: a map with a
+cusp elsewhere is integrated as if smooth there.
 """
 
 from __future__ import annotations
@@ -16,25 +23,22 @@ from .boundary import identity_homeo, make_map, moebius_homeo, parse_map_spec
 from .geometry import Cone, cone_sample
 from .quadrature import gauss_legendre
 
-# fractional panel edges graded toward the anchor endpoint (ratio 3, 14 panels)
-_GRADE_RATIO = 3.0
-_GRADE_PANELS = 14
 _GL_ORDER = 12
 # live panels per evaluation of the line map: 1024 * _GL_ORDER nodes make
 # every float temporary 96 KiB, under glibc's 128 KiB mmap threshold, so the
 # temporaries are reused from the heap instead of mapped and faulted in anew
 # on every call; smaller chunks cost more Python per call than they save.
 # Callers pass batches of any size (a ball sweep's Newton run has 4096
-# lanes): _line_integral walks them in blocks of _INTERVALS intervals
+# lanes): _panel_sums walks them in chunks of _PANELS panels
 _PANELS = 1024
-# intervals whose panel edges are laid out at once: by the same reasoning,
-# 512 rows of 2 * _GRADE_PANELS + 2 edges are 120 KiB
-_INTERVALS = 512
-
-
-def _fractions():
-    f = _GRADE_RATIO ** -np.arange(_GRADE_PANELS - 1, -1.0, -1.0)
-    return np.concatenate(([0.0], f))
+# binade exponents of the antiderivative table, nodes +-2^j for
+# _LOWEST <= j <= _HIGHEST.  A window near 0 ends within (1 + _KAPPA) L of 0,
+# and a disc point |z| < 1 in double precision has L = y <= 2 / (1 - |z|)
+# <= 2^54, so every end's nearest node is in the table.  An end below
+# 2^_LOWEST is read from node 0; that panel is off by at most 2 |t| max|h|,
+# under 3e-22 max|h| L for any window of a disc point, whose y >= 2^-55
+_LOWEST = -128
+_HIGHEST = 55
 
 
 def _reach():
@@ -51,64 +55,44 @@ def _reach():
     return 0.25 * (rho + 1.0 / rho) - 0.5
 
 
-_FRACTIONS = _fractions()
 _KAPPA = _reach()
 
 
-def _panel_edges(a, b):
-    """Panel edges of the intervals [a_i, b_i], one row each, graded toward
-    c, the point of [a, b] closest to 0; an inner edge not needed collapses
-    onto c, so its panel has zero width."""
-    c = np.clip(0.0, a, b)
+def _panel_sums(fn, left, right):
+    """Gauss-Legendre sums of fn over the panels [left_i, right_i] (minus
+    the integral over [right_i, left_i] where right_i < left_i).
 
-    def side(end):
-        # edges c -> end
-        length = (end - c)[:, None]
-        near = np.abs(c)[:, None] < _KAPPA * np.abs(length) * _FRACTIONS
-        f = np.where(near, _FRACTIONS, 0.0)
-        f[:, -1] = 1.0
-        return c[:, None] + length * f
-
-    return np.concatenate([side(a)[:, ::-1], side(b)], axis=1)
-
-
-def _line_integral(fn, a, b):
-    """Vectorized integral of fn over [a_i, b_i], graded toward s = 0.
-
-    Panels shrink geometrically toward c, the point of [a, b] closest to 0,
-    which is where the catalog line maps have their cusp.  An inner edge
-    c + f (b - c) is kept only while 0 lies within _KAPPA times f |b - c| of
-    [a, b], so an interval far from 0 is a single panel; zero-width panels,
-    such as the side c -> a when c = a, are never evaluated.
-
-    The intervals are walked in blocks of _INTERVALS, and within a block fn
-    is called on the nodes of at most _PANELS live panels at a time, in panel
-    order, so no temporary outgrows the heap (see _PANELS); an empty batch of
-    panels makes no call.  The line maps are elementwise and each panel is
-    summed alone, so the blocks and chunks change no bit of the result.
-    """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    fn is called on the nodes of at most _PANELS panels at a time, in panel
+    order, so no temporary outgrows the heap (see _PANELS); an empty batch
+    makes no call.  The line maps are elementwise and each panel is summed alone, so
+    the chunks change no bit of the result."""
     x, w = gauss_legendre(_GL_ORDER)
-    out = np.empty(a.size)
-    for first in range(0, a.size, _INTERVALS):
-        block = slice(first, first + _INTERVALS)
-        edges = _panel_edges(a[block], b[block])
-        row, panel = np.nonzero(np.diff(edges, axis=1) != 0.0)
-        left, right = edges[row, panel], edges[row, panel + 1]
-        half, mid = 0.5 * (right - left), 0.5 * (right + left)
-        panel_sums = np.empty(row.size)
-        for start in range(0, row.size, _PANELS):
-            chunk = slice(start, start + _PANELS)
-            vals = fn((mid[chunk, None] + half[chunk, None] * x).ravel())
-            # einsum sums each panel alone, so a point's value does not
-            # depend on the batch it is evaluated in; a BLAS product rounds
-            # by position
-            panel_sums[chunk] = half[chunk] * np.einsum(
-                "pk,k->p", vals.reshape(-1, _GL_ORDER), w)
-        out[block] = np.bincount(row, weights=panel_sums,
-                                 minlength=edges.shape[0])
+    half, mid = 0.5 * (right - left), 0.5 * (right + left)
+    out = np.empty(half.size)
+    for start in range(0, half.size, _PANELS):
+        chunk = slice(start, start + _PANELS)
+        vals = fn((mid[chunk, None] + half[chunk, None] * x).ravel())
+        # einsum sums each panel alone, so a point's value does not depend
+        # on the batch it is evaluated in; a BLAS product rounds by position
+        out[chunk] = half[chunk] * np.einsum(
+            "pk,k->p", vals.reshape(-1, _GL_ORDER), w)
     return out
+
+
+def _binade_table(fn):
+    """(nodes, G): rows for t >= 0 and t < 0 of the nodes 0 and +-2^j,
+    _LOWEST <= j <= _HIGHEST, and G, the integral of fn from 0 to each node,
+    one panel per binade summed outward from 0.
+
+    The panel [2^j, 2^(j+1)] lies its own width from the singularity at 0,
+    beyond the reach _KAPPA of a panel."""
+    pos = np.ldexp(1.0, np.arange(_LOWEST, _HIGHEST + 1))
+    nodes = np.stack([np.concatenate(([0.0], pos)),
+                      np.concatenate(([0.0], -pos))])
+    sums = _panel_sums(fn, nodes[:, :-1].ravel(), nodes[:, 1:].ravel())
+    table = np.zeros(nodes.shape)
+    table[:, 1:] = np.cumsum(sums.reshape(2, -1), axis=1)
+    return nodes, table
 
 
 class BAExtension:
@@ -116,18 +100,64 @@ class BAExtension:
 
     def __init__(self, homeo):
         self.homeo = homeo
+        self._table = None
 
     def line_map(self, x):
         """Induced line homeomorphism h(x) = tan(alpha(2 atan x) / 2)."""
         x = np.asarray(x, dtype=float)
         return np.tan(0.5 * self.homeo(2.0 * np.arctan(x)))
 
+    def _nearest_nodes(self, t):
+        """(node, G(node)) at the table node nearest each t: 0, or +-2^j
+        with 2^j the nearer binade end of |t|, clipped to the table.
+
+        The table is built on the first window this extension integrates
+        and never changes, so a value never depends on its batch or on
+        earlier calls."""
+        if self._table is None:
+            self._table = _binade_table(self.line_map)
+        nodes, table = self._table
+        m, e = np.frexp(t)  # |t| = |m| 2^e, 1/2 <= |m| < 1, exact
+        k = np.clip(e - _LOWEST + (np.abs(m) >= 0.75), 0, _HIGHEST - _LOWEST + 1)
+        k = np.where(t == 0.0, 0, k)
+        side = np.signbit(t).astype(int)
+        return nodes[side, k], table[side, k]
+
+    def _windows(self, a, b):
+        """Integrals of the line map over the windows [a_i, b_i], a <= b.
+
+        c is the point of a window closest to 0, where the line map has its
+        cusp, and L = b - a.  A window with |c| >= _KAPPA L is one panel
+        from c to its other end.  A nearer window is G(b) - G(a), each G one
+        table entry plus the panel from its node to the end.  An empty
+        window is 0.  A far window costs 12 evaluations of the line map, a
+        near one 24, all of them in one _panel_sums call."""
+        c = np.clip(0.0, a, b)
+        near = np.abs(c) < _KAPPA * (b - a)
+        far = ~near & (a != b)
+        c_far, lo, hi = c[far], a[far], b[far]
+        # the edge c + (end - c), not end, keeps a far window's value, and
+        # the CSVs it feeds, bitwise those of the earlier graded rule
+        left = np.where(c_far == lo, lo, c_far + (lo - c_far))
+        right = np.where(c_far == lo, c_far + (hi - c_far), hi)
+        ends = np.concatenate([a[near], b[near]])
+        nodes, table = self._nearest_nodes(ends)
+        sums = _panel_sums(self.line_map, np.concatenate([left, nodes]),
+                           np.concatenate([right, ends]))
+        out = np.zeros(a.size)
+        out[far] = sums[:left.size]
+        g = table + sums[left.size:]
+        out[near] = g[ends.size // 2:] - g[:ends.size // 2]
+        return out
+
     def halfplane(self, x, y):
-        """Averaged extension (u, v) of the line map at (x, y), y > 0."""
+        """Averaged extension (u, v) of the line map at (x, y), y > 0, from
+        the integrals i1 over [x - y, x] and i2 over [x, x + y] (see
+        _windows): u = (i1 + i2) / 2y, v = (i2 - i1) / 2y."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        i1 = _line_integral(self.line_map, x - y, x)
-        i2 = _line_integral(self.line_map, x, x + y)
+        i1, i2 = self._windows(np.concatenate([x - y, x]),
+                               np.concatenate([x, x + y])).reshape(2, -1)
         u = (i1 + i2) / (2.0 * y)
         v = (i2 - i1) / (2.0 * y)
         return u, v

@@ -1,5 +1,3 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -371,33 +369,3 @@ class TestOperatorProxy:
             den = hardy_norm(g, 2.0, k_max=12).value ** 2.0
             ref.append(num / den)
         assert proxy.ratios == tuple(ref)
-
-    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
-    def test_each_batch_reaches_the_map_once(self, spec):
-        phi = make_disc_map(spec)
-        ba = phi.interior
-        batches = Counter()
-
-        def counting(z):
-            batches[(z.shape, z.tobytes())] += 1
-            return ba(z)
-
-        phi.interior = counting
-        operator_bound_proxy(phi, 2.0, k_max=4, radial_depth=12)
-        assert phi.interior is counting
-        assert batches and max(batches.values()) == 1
-
-    def test_one_ba_batch_per_radius(self):
-        # every kernel's circle at one radius has the same marks (the pullback
-        # 0 and the symbol's kinks), hence bitwise the same nodes
-        phi = make_disc_map("thm2_sqrt")
-        ba = phi.interior
-        calls = []
-
-        def counting(z):
-            calls.append(z.size)
-            return ba(z)
-
-        phi.interior = counting
-        operator_bound_proxy(phi, 2.0, k_max=10)
-        assert len(calls) == 24

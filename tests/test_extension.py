@@ -1,18 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from qchardy import extension
 from qchardy.boundary import BoundaryHomeo, make_map
 from qchardy.extension import (
-    _FRACTIONS,
     _GL_ORDER,
-    _GRADE_PANELS,
-    _INTERVALS,
+    _HIGHEST,
     _KAPPA,
+    _LOWEST,
     _PANELS,
     BAExtension,
     DiscQCMap,
-    _line_integral,
+    _panel_sums,
     ba_extend,
     cone_image_aperture,
     identity_disc_map,
@@ -24,14 +25,22 @@ from qchardy.functionals import radial_schedule
 from qchardy.geometry import HyperbolicBall
 from qchardy.quadrature import gauss_legendre
 
+# panel edges of the seed rule, as fractions of |end - c|: 14 panels graded
+# toward c by ratio 3
+_SEED_FRACTIONS = np.concatenate(([0.0], 3.0 ** -np.arange(13, -1.0, -1.0)))
+# line-map evaluations of one antiderivative table: a panel [0, 2^_LOWEST]
+# and one per binade up to 2^_HIGHEST, on each side of 0
+_TABLE = 2 * (_HIGHEST - _LOWEST + 1) * _GL_ORDER
+
 
 def _seed_line_integral(fn, a, b):
-    """Reference rule: every interval on 14 graded panels each side of c."""
+    """Reference rule: every interval on 14 graded panels each side of c, the
+    point of [a, b] closest to 0."""
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     c = np.clip(0.0, a, b)
-    left = c[:, None] + (a - c)[:, None] * _FRACTIONS[::-1][None, :]
-    right = c[:, None] + (b - c)[:, None] * _FRACTIONS[None, :]
+    left = c[:, None] + (a - c)[:, None] * _SEED_FRACTIONS[::-1][None, :]
+    right = c[:, None] + (b - c)[:, None] * _SEED_FRACTIONS[None, :]
     edges = np.concatenate([left, right], axis=1)
     x, w = gauss_legendre(_GL_ORDER)
     half = 0.5 * np.diff(edges, axis=1)
@@ -41,28 +50,14 @@ def _seed_line_integral(fn, a, b):
     return np.einsum("mp,mpq,q->m", half, vals, w)
 
 
-def _one_shot_line_integral(fn, a, b):
-    """Reference rule: the live panels of _line_integral, all evaluated in
-    one call of fn."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    c = np.clip(0.0, a, b)
+class _SeedRuleBA(BAExtension):
+    """Reference extension: the half-plane average with every window on the
+    seed rule."""
 
-    def side(end):
-        length = (end - c)[:, None]
-        near = np.abs(c)[:, None] < _KAPPA * np.abs(length) * _FRACTIONS
-        f = np.where(near, _FRACTIONS, 0.0)
-        f[:, -1] = 1.0
-        return c[:, None] + length * f
-
-    edges = np.concatenate([side(a)[:, ::-1], side(b)], axis=1)
-    row, panel = np.nonzero(np.diff(edges, axis=1) != 0.0)
-    lo, hi = edges[row, panel], edges[row, panel + 1]
-    half = 0.5 * (hi - lo)
-    x, w = gauss_legendre(_GL_ORDER)
-    vals = fn((0.5 * (hi + lo)[:, None] + half[:, None] * x).ravel())
-    panel_sums = half * np.einsum("pk,k->p", vals.reshape(-1, _GL_ORDER), w)
-    return np.bincount(row, weights=panel_sums, minlength=a.size)
+    def halfplane(self, x, y):
+        i1 = _seed_line_integral(self.line_map, x - y, x)
+        i2 = _seed_line_integral(self.line_map, x, x + y)
+        return (i1 + i2) / (2.0 * y), (i2 - i1) / (2.0 * y)
 
 
 def _random_intervals(n=10000, seed=11):
@@ -74,19 +69,36 @@ def _random_intervals(n=10000, seed=11):
     return np.concatenate([x - y, x]), np.concatenate([x, x + y])
 
 
-class _Counting:
-    """Integrand that records every batch of nodes it is called on."""
+def _near(a, b):
+    return np.abs(np.clip(0.0, a, b)) < _KAPPA * (b - a)
+
+
+class _CountingLineBA(BAExtension):
+    """BA extension of thm2_sqrt whose line map records every batch of
+    nodes it is called on."""
 
     def __init__(self):
+        super().__init__(make_map("thm2_sqrt"))
         self.batches = []
 
-    def __call__(self, x):
+    def line_map(self, x):
         self.batches.append(np.array(x))
-        return np.sin(x)
+        return super().line_map(x)
 
     @property
     def evaluations(self):
         return sum(batch.size for batch in self.batches)
+
+
+def _quad_integral(fn, a, b):
+    """Reference integral of fn over [a, b] by scipy's adaptive quad, split
+    at 0."""
+    from scipy.integrate import quad
+
+    points = [a, 0.0, b] if a < 0.0 < b else [a, b]
+    return sum(quad(lambda s: float(fn(s)), lo, hi, epsabs=0.0, epsrel=1e-13,
+                    limit=200)[0]
+               for lo, hi in zip(points, points[1:]))
 
 
 class TestLineIntegral:
@@ -100,9 +112,10 @@ class TestLineIntegral:
 
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3", "identity"])
     def test_matches_seed_rule(self, spec):
-        h = BAExtension(make_map(spec)).line_map
+        ext = BAExtension(make_map(spec))
+        h = ext.line_map
         a, b = _random_intervals()
-        got = _line_integral(h, a, b)
+        got = ext._windows(a, b)
         ref = _seed_line_integral(h, a, b)
         scale = (b - a) * np.maximum(np.abs(h(a)), np.abs(h(b)))
         assert np.all(np.abs(got - ref) <= 1e-11 * scale)
@@ -110,68 +123,168 @@ class TestLineIntegral:
     @pytest.mark.parametrize("a, b, panels", [
         (1.0, 2.0, 1),
         (-3.0, -2.5, 1),
-        (0.0, 1.0, _GRADE_PANELS),
-        (-1e-3, 0.0, _GRADE_PANELS),
-        (-1.0, 2.0, 2 * _GRADE_PANELS),
+        (0.2, 1.0, 2),
+        (0.0, 1.0, 2),
+        (-1e-3, 0.0, 2),
+        (-1.0, 2.0, 2),
         (0.5, 0.5, 0),
     ])
     def test_evaluations_per_interval(self, a, b, panels):
-        # an empty interval makes no call at all
-        fn = _Counting()
-        _line_integral(fn, a, b)
-        assert len(fn.batches) == (1 if panels else 0)
-        assert fn.evaluations == panels * _GL_ORDER
+        # a window within reach of 0 is two panels, one from a table node to
+        # each end; an empty window makes no call at all
+        ext = _CountingLineBA()
+        ext._windows(np.array([0.0]), np.array([1.0]))
+        ext.batches.clear()
+        ext._windows(np.array([a]), np.array([b]))
+        assert len(ext.batches) == (1 if panels else 0)
+        assert ext.evaluations == panels * _GL_ORDER
+
+    def test_table_built_once_per_extension(self, monkeypatch):
+        counts = []
+        line_map = BAExtension.line_map
+
+        def counting(self, x):
+            counts.append(np.size(x))
+            return line_map(self, x)
+
+        monkeypatch.setattr(BAExtension, "line_map", counting)
+        phi = make_disc_map("thm2_sqrt")
+        assert counts == []
+        # z = 1/2 is x + iy = i/3: both windows touch 0
+        for _ in range(2):
+            phi(np.array([0.5 + 0j]))
+        assert counts == [_TABLE, 4 * _GL_ORDER, 4 * _GL_ORDER]
+        # x + iy = 2 + i: both windows are far, one panel each
+        counts.clear()
+        w = 2.0 + 1.0j
+        make_disc_map("thm2_sqrt")(np.array([(1j - w) / (1j + w)]))
+        assert counts == [_TABLE, 2 * _GL_ORDER]
 
     def test_batch_evaluates_no_zero_width_panel(self):
-        fn, ref = _Counting(), _Counting()
+        ext = _CountingLineBA()
         a, b = _random_intervals(n=2500)
-        assert a.size == 5000 > 2 * _INTERVALS
-        _line_integral(fn, a, b)
-        _one_shot_line_integral(ref, a, b)
-        assert len(fn.batches) >= 3
-        assert all(batch.size <= _PANELS * _GL_ORDER for batch in fn.batches)
-        # in order, the batches are the nodes of the one-shot rule
-        nodes = np.concatenate(fn.batches)
-        assert nodes.tobytes() == ref.batches[0].tobytes()
-        assert np.all(np.ptp(nodes.reshape(-1, _GL_ORDER), axis=1) > 0.0)
-        # fewer than half of the seed's 2 * _GRADE_PANELS panels an interval
-        assert fn.evaluations < _GRADE_PANELS * _GL_ORDER * a.size
+        assert a.size == 5000 > 2 * _PANELS
+        ext._windows(a, b)
+        table, *windows = ext.batches
+        assert table.size == _TABLE
+        assert len(windows) >= 3
+        assert all(batch.size <= _PANELS * _GL_ORDER for batch in windows)
+        nodes = np.concatenate(windows).reshape(-1, _GL_ORDER)
+        near = np.count_nonzero(_near(a, b))
+        assert nodes.shape[0] == a.size + near
+        assert np.all(np.ptp(nodes, axis=1) > 0.0)
+        # under a tenth of the seed's 2 * 14 panels an interval
+        assert nodes.shape[0] < 2.8 * a.size
 
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
-    def test_chunks_change_no_bit(self, spec):
-        h = BAExtension(make_map(spec)).line_map
-        fn = _Counting()
+    def test_chunks_change_no_bit(self, spec, monkeypatch):
+        ext = BAExtension(make_map(spec))
         a, b = _random_intervals(n=2500)
-        assert a.size == 5000 > 2 * _INTERVALS
-        _line_integral(fn, a, b)
-        assert len(fn.batches) >= 3
-        assert all(batch.size <= _PANELS * _GL_ORDER for batch in fn.batches)
-        got = _line_integral(h, a, b)
-        alone = np.concatenate([_line_integral(h, lo, hi) for lo, hi in zip(a, b)])
+        got = ext._windows(a, b)
+        alone = np.concatenate([ext._windows(a[i:i + 1], b[i:i + 1])
+                                for i in range(a.size)])
         assert got.tobytes() == alone.tobytes()
-        assert got.tobytes() == _one_shot_line_integral(h, a, b).tobytes()
+        # one chunk, and a table built in a call of its own
+        with monkeypatch.context() as m:
+            m.setattr(extension, "_PANELS", 2 * a.size)
+            fresh = BAExtension(make_map(spec))
+            fresh._nearest_nodes(np.zeros(1))
+            assert got.tobytes() == fresh._windows(a, b).tobytes()
+
+    def test_panel_sums_in_chunks(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x.size)
+            return np.cos(x)
+
+        left = np.linspace(-2.0, 2.0, 2 * _PANELS + 1)
+        right = left + 0.25
+        sums = _panel_sums(fn, left, right)
+        assert calls == [_PANELS * _GL_ORDER] * 2 + [_GL_ORDER]
+        np.testing.assert_allclose(sums, np.sin(right) - np.sin(left), rtol=0.0,
+                                   atol=1e-15)
+        assert _panel_sums(fn, left[:0], right[:0]).size == 0 and len(calls) == 3
 
     def test_jet_of_a_chunked_batch_matches_its_halves(self, thm2_map, monkeypatch):
         # disc points near the cusp's image, 1 - |z| down to 2^-20
         theta = np.linspace(-0.5, 0.5, 64)
         z = (radial_schedule(20)[:, None] * np.exp(1j * theta)).ravel()
-        batches = []
+        chunks = []
 
-        def recording(fn, a, b):
-            counter = _Counting()
-            _line_integral(counter, a, b)
-            batches.append(len(counter.batches))
-            return _line_integral(fn, a, b)
+        def recording(fn, left, right):
+            calls = []
+
+            def counted(x):
+                calls.append(x.size)
+                return fn(x)
+
+            out = _panel_sums(counted, left, right)
+            chunks.append(len(calls))
+            return out
 
         with monkeypatch.context() as m:
-            m.setattr(extension, "_line_integral", recording)
+            m.setattr(extension, "_panel_sums", recording)
             whole = thm2_map.jet(z)
-        assert len(batches) == 2 and min(batches) >= 3
+        # the windows' call comes last, after the table if it was built now
+        assert chunks[-1] >= 3
         half = z.size // 2
         parts = thm2_map.jet(z[:half]), thm2_map.jet(z[half:])
         for k in range(3):
             joined = np.concatenate([parts[0][k], parts[1][k]])
             assert whole[k].tobytes() == joined.tobytes()
+
+
+class TestWindowAccuracy:
+    """The window rule against scipy's adaptive quad, split at 0: in the band
+    kappa L / 3 <= |c| < kappa L, and on windows that end at or around 0."""
+
+    @staticmethod
+    def _windows(length):
+        # c / L through the band [kappa / 3, kappa), on both sides of 0,
+        # then windows ending at 0 and around it
+        f = np.linspace(_KAPPA / 3.0, _KAPPA, 7, endpoint=False) * length
+        a = np.concatenate([f, -f - length, [0.0, -length, -length]])
+        return a, np.concatenate([f + length, -f, [length, 0.0, length]])
+
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3", "identity"])
+    @pytest.mark.parametrize("length", [1e-9, 1e-4, 0.03, 1.0])
+    def test_band_and_cusp_against_quad(self, spec, length):
+        # one panel, as a reach of kappa / 3 would take, is off by up to
+        # 1.3e-12 max|h| L in the band
+        ext = BAExtension(make_map(spec))
+        h = ext.line_map
+        a, b = self._windows(length)
+        assert np.all(_near(a, b))
+        got = ext._windows(a, b)
+        ref = np.array([_quad_integral(h, lo, hi) for lo, hi in zip(a, b)])
+        scale = (b - a) * np.maximum(np.abs(h(a)), np.abs(h(b)))
+        assert np.all(np.abs(got - ref) <= 2e-15 * scale)
+
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3"])
+    def test_lookups_stay_in_the_table_at_the_circle(self, spec):
+        ext = BAExtension(make_map(spec))
+        looked_up = []
+        lookup = ext._nearest_nodes
+        ext._nearest_nodes = lambda t: looked_up.append(t) or lookup(t)
+        z = (1.0 - 1e-13) * np.exp(1j * np.array([0.0, np.pi]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = DiscQCMap(ext.homeo, ext)(z)
+            hp = 1j * (1.0 - z) / (1.0 + z)
+            u, v = ext.halfplane(hp.real, hp.imag)
+        t = np.abs(np.concatenate(looked_up))
+        assert np.any(t == 0.0)
+        assert np.all((t == 0.0) | ((t >= 2.0 ** _LOWEST) & (t <= 2.0 ** _HIGHEST)))
+        # 1 - |phi| is below an ulp for power:2, so |w| may round to 1
+        assert np.all(np.abs(w) <= 1.0) and np.all(v > 0.0)
+        # at theta = 0 the windows are [-y, 0] and [0, y], y = 5e-14
+        y = hp.imag[0]
+        assert hp.real[0] == 0.0
+        i1 = _quad_integral(ext.line_map, -y, 0.0)
+        i2 = _quad_integral(ext.line_map, 0.0, y)
+        assert u[0] == pytest.approx((i1 + i2) / (2.0 * y), abs=2e-15 * v[0])
+        assert v[0] == pytest.approx((i2 - i1) / (2.0 * y), rel=2e-15)
 
 
 class TestHalfplaneExtension:
@@ -185,12 +298,16 @@ class TestHalfplaneExtension:
         assert np.allclose(v, y / 2.0, atol=1e-10)
 
     def test_affine_equivariance(self):
-        # h(x) = 2x extends to (2x, y); built directly, bypassing the circle
-        ext = BAExtension.__new__(BAExtension)
-        ext.line_map = lambda x: 2.0 * np.asarray(x, dtype=float)
-        u, v = ext.halfplane(np.array([0.3]), np.array([0.8]))
-        assert abs(u[0] - 0.6) < 1e-10
-        assert abs(v[0] - 0.8) < 1e-10
+        # h(x) = 2x extends to (2x, y); the line map is given directly,
+        # bypassing the circle
+        class Doubling(BAExtension):
+            def line_map(self, x):
+                return 2.0 * np.asarray(x, dtype=float)
+
+        u, v = Doubling(None).halfplane(np.array([0.3, 0.0, 5.0]),
+                                        np.array([0.8, 1e-3, 0.5]))
+        assert np.allclose(u, [0.6, 0.0, 10.0], rtol=0.0, atol=1e-10)
+        assert np.allclose(v, [0.8, 1e-3, 0.5], rtol=1e-12, atol=0.0)
 
     def test_upper_halfplane_preserved(self):
         ext = BAExtension(make_map("thm2_sqrt"))
@@ -224,14 +341,13 @@ class TestDiscExtension:
         assert np.max(np.abs(phi(r + 0j) - (1 + 3 * r) / (3 + r))) < 1e-9
 
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
-    def test_seed_rule_along_radial_schedule(self, spec, monkeypatch):
+    def test_seed_rule_along_radial_schedule(self, spec):
         # beyond r = 1 - 2^-12 both rules carry the same rounding noise of
         # BAExtension.halfplane, so the deep bound is looser
         theta = np.linspace(-np.pi, np.pi, 401)
         z = (radial_schedule()[:, None] * np.exp(1j * theta)).ravel()
-        with monkeypatch.context() as m:
-            m.setattr(extension, "_line_integral", _seed_line_integral)
-            ref = make_disc_map(spec)(z)
+        h = make_map(spec)
+        ref = DiscQCMap(h, _SeedRuleBA(h))(z)
         rel = np.abs(make_disc_map(spec)(z) - ref) / (1.0 - np.abs(ref))
         rel = rel.reshape(-1, theta.size)
         assert np.max(rel[:12]) <= 1e-10
