@@ -7,12 +7,13 @@ the upper half-plane by interval averages, and pulled back to the disc.
 Conformal members of the catalog (identity, Moebius) are also available with
 exact interior evaluation as a control group.
 
-The interval averages integrate the line map h over windows.  A window far
-from 0, where the catalog line maps have their cusp, is one Gauss-Legendre
-panel.  A window near 0 is G(b) - G(a), with G(t) the integral of h from 0 to
-t read from a table of G at 0 and +-2^j, one panel per binade, built once per
-extension.  The table is anchored at the cusp at angle 0 only: a map with a
-cusp elsewhere is integrated as if smooth there.
+The interval averages integrate the line map h over the windows [x - y, x]
+and [x, x + y] of a point x + iy.  A point far from 0, where the catalog line
+maps have their cusp, takes one Gauss-Legendre panel per window.  Any other
+point reads G at x - y, x and x + y, with G(t) the integral of h from 0 to t
+taken from a table of G at 0 and +-2^(j + i/4), four nodes per binade, built
+once per extension.  The table is anchored at the cusp at angle 0 only: a map
+with a cusp elsewhere is integrated as if smooth there.
 """
 
 from __future__ import annotations
@@ -23,22 +24,28 @@ from .boundary import identity_homeo, make_map, moebius_homeo, parse_map_spec
 from .geometry import Cone, cone_sample
 from .quadrature import gauss_legendre
 
-_GL_ORDER = 12
-# live panels per evaluation of the line map: 1024 * _GL_ORDER nodes make
+_GL_ORDER = 6
+# live panels per evaluation of the line map: 2048 * _GL_ORDER nodes make
 # every float temporary 96 KiB, under glibc's 128 KiB mmap threshold, so the
 # temporaries are reused from the heap instead of mapped and faulted in anew
 # on every call; smaller chunks cost more Python per call than they save.
 # Callers pass batches of any size (a ball sweep's Newton run has 4096
 # lanes): _panel_sums walks them in chunks of _PANELS panels
-_PANELS = 1024
-# binade exponents of the antiderivative table, nodes +-2^j for
-# _LOWEST <= j <= _HIGHEST.  A window near 0 ends within (1 + _KAPPA) L of 0,
-# and a disc point |z| < 1 in double precision has L = y <= 2 / (1 - |z|)
-# <= 2^54, so every end's nearest node is in the table.  An end below
-# 2^_LOWEST is read from node 0; that panel is off by at most 2 |t| max|h|,
-# under 3e-22 max|h| L for any window of a disc point, whose y >= 2^-55
+_PANELS = 2048
+# binade exponents of the antiderivative table, nodes +-2^(j + i/4) for
+# _LOWEST <= j + i/4 <= _HIGHEST.  A point read from the table has its ends
+# within (2 + _KAPPA) y < 8y of 0, and a disc point |z| < 1 in double
+# precision has y <= 2 / (1 - |z|) <= 2^54, so every end's nearest node is in
+# the table.  An end below 2^_LOWEST is read from node 0; that panel is off
+# by at most 2 |t| max|h|, under 3e-22 max|h| y for y >= 2^-55, any disc point
 _LOWEST = -128
-_HIGHEST = 55
+_HIGHEST = 57
+# mantissas (np.frexp) of the nodes 2^(i/4 - 1), 0 <= i < 4, and of the cuts
+# between each node and the next, their geometric means: a node's panel to
+# any t nearest to it lies 1 / (2^(1/8) - 1) = 11.05 of its widths from 0, a
+# table panel 1 / (2^(1/4) - 1) = 5.29, both beyond _KAPPA
+_MANTISSAS = 2.0 ** (np.arange(4) / 4.0 - 1.0)
+_CUTS = 2.0 ** (np.arange(4) / 4.0 - 0.875)
 
 
 def _reach():
@@ -80,13 +87,11 @@ def _panel_sums(fn, left, right):
 
 
 def _binade_table(fn):
-    """(nodes, G): rows for t >= 0 and t < 0 of the nodes 0 and +-2^j,
-    _LOWEST <= j <= _HIGHEST, and G, the integral of fn from 0 to each node,
-    one panel per binade summed outward from 0.
-
-    The panel [2^j, 2^(j+1)] lies its own width from the singularity at 0,
-    beyond the reach _KAPPA of a panel."""
-    pos = np.ldexp(1.0, np.arange(_LOWEST, _HIGHEST + 1))
+    """(nodes, G): rows for t >= 0 and t < 0 of the nodes 0 and
+    +-2^(j + i/4), _LOWEST <= j + i/4 <= _HIGHEST, and G, the integral of fn
+    from 0 to each node, one panel per quarter binade summed outward from 0."""
+    k = np.arange(4 * (_HIGHEST - _LOWEST) + 1)
+    pos = np.ldexp(_MANTISSAS[k % 4], _LOWEST + 1 + k // 4)
     nodes = np.stack([np.concatenate(([0.0], pos)),
                       np.concatenate(([0.0], -pos))])
     sums = _panel_sums(fn, nodes[:, :-1].ravel(), nodes[:, 1:].ravel())
@@ -108,59 +113,47 @@ class BAExtension:
         return np.tan(0.5 * self.homeo(2.0 * np.arctan(x)))
 
     def _nearest_nodes(self, t):
-        """(node, G(node)) at the table node nearest each t: 0, or +-2^j
-        with 2^j the nearer binade end of |t|, clipped to the table.
+        """(node, G(node)) at the table node nearest each t in ratio: 0, or
+        +-2^(j + i/4), clipped to the table.
 
-        The table is built on the first window this extension integrates
-        and never changes, so a value never depends on its batch or on
-        earlier calls."""
+        The table is built on the first point this extension integrates and
+        never changes, so a value never depends on its batch or on earlier
+        calls."""
         if self._table is None:
             self._table = _binade_table(self.line_map)
         nodes, table = self._table
         m, e = np.frexp(t)  # |t| = |m| 2^e, 1/2 <= |m| < 1, exact
-        k = np.clip(e - _LOWEST + (np.abs(m) >= 0.75), 0, _HIGHEST - _LOWEST + 1)
+        i = np.searchsorted(_CUTS, np.abs(m), side="right")  # cuts <= |m|
+        k = np.clip(4 * (e - 1 - _LOWEST) + i + 1, 0, nodes.shape[1] - 1)
         k = np.where(t == 0.0, 0, k)
         side = np.signbit(t).astype(int)
         return nodes[side, k], table[side, k]
 
-    def _windows(self, a, b):
-        """Integrals of the line map over the windows [a_i, b_i], a <= b.
-
-        c is the point of a window closest to 0, where the line map has its
-        cusp, and L = b - a.  A window with |c| >= _KAPPA L is one panel
-        from c to its other end.  A nearer window is G(b) - G(a), each G one
-        table entry plus the panel from its node to the end.  An empty
-        window is 0.  A far window costs 12 evaluations of the line map, a
-        near one 24, all of them in one _panel_sums call."""
-        c = np.clip(0.0, a, b)
-        near = np.abs(c) < _KAPPA * (b - a)
-        far = ~near & (a != b)
-        c_far, lo, hi = c[far], a[far], b[far]
-        # the edge c + (end - c), not end, keeps a far window's value, and
-        # the CSVs it feeds, bitwise those of the earlier graded rule
-        left = np.where(c_far == lo, lo, c_far + (lo - c_far))
-        right = np.where(c_far == lo, c_far + (hi - c_far), hi)
-        ends = np.concatenate([a[near], b[near]])
-        nodes, table = self._nearest_nodes(ends)
-        sums = _panel_sums(self.line_map, np.concatenate([left, nodes]),
-                           np.concatenate([right, ends]))
-        out = np.zeros(a.size)
-        out[far] = sums[:left.size]
-        g = table + sums[left.size:]
-        out[near] = g[ends.size // 2:] - g[:ends.size // 2]
-        return out
-
     def halfplane(self, x, y):
         """Averaged extension (u, v) of the line map at (x, y), y > 0, from
-        the integrals i1 over [x - y, x] and i2 over [x, x + y] (see
-        _windows): u = (i1 + i2) / 2y, v = (i2 - i1) / 2y."""
+        the integrals i1 over [x - y, x] and i2 over [x, x + y]:
+        u = (i1 + i2) / 2y, v = (i2 - i1) / 2y.
+
+        A point with |x| >= (1 + _KAPPA) y has both windows _KAPPA of their
+        widths from the cusp at 0, and from the singularities of h at +-i,
+        which lie further: it takes one panel a window.  Any other point
+        reads G, the integral of h from 0, at x - y, x and x + y, each a table
+        entry plus the panel from its nearest node: i1 = G(x) - G(x - y),
+        i2 = G(x + y) - G(x).  A far point costs 12 evaluations of the line
+        map, any other 18, all in one _panel_sums call."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        i1, i2 = self._windows(np.concatenate([x - y, x]),
-                               np.concatenate([x, x + y])).reshape(2, -1)
-        u = (i1 + i2) / (2.0 * y)
-        v = (i2 - i1) / (2.0 * y)
-        return u, v
+        far = np.abs(x) >= (1.0 + _KAPPA) * y
+        xf, yf, xn, yn = x[far], y[far], x[~far], y[~far]
+        ends = np.concatenate([xn - yn, xn, xn + yn])
+        nodes, table = self._nearest_nodes(ends)
+        sums = _panel_sums(self.line_map, np.concatenate([xf - yf, xf, nodes]),
+                           np.concatenate([xf, xf + yf, ends]))
+        i1, i2 = np.empty(x.size), np.empty(x.size)
+        i1[far], i2[far] = sums[:xf.size], sums[xf.size:2 * xf.size]
+        g_lo, g_mid, g_hi = (table + sums[2 * xf.size:]).reshape(3, -1)
+        i1[~far], i2[~far] = g_mid - g_lo, g_hi - g_mid
+        return (i1 + i2) / (2.0 * y), (i2 - i1) / (2.0 * y)
 
     def _disc(self, zf):
         """Half-plane point x + iy, its extension u + iv and phi at disc

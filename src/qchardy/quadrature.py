@@ -53,7 +53,8 @@ def _polar_rule(radii, angles):
 
 
 def _graded_edges(length, scale):
-    """Offsets 0, ..., length of panel edges whose widths double away from 0.
+    """Offsets 0, ..., length of panel edges whose widths double away from 0,
+    as a list of floats.
 
     The innermost panel has width ~scale (never wider than the interval).
     """
@@ -65,7 +66,7 @@ def _graded_edges(length, scale):
         w *= 2.0
         pos += w
     edges.append(length)
-    return np.asarray(edges)
+    return edges
 
 
 def _legendre_tail(order):
@@ -96,19 +97,25 @@ def circle_mean(fn, marks=(), order=16):
     scales = {}
     for t, s in marks or ((0.0, np.pi / 16),):
         t = wrap_angle(t)
-        scales[t] = min(s, scales.get(t, np.inf))
+        scales[t] = min(float(s), scales.get(t, np.inf))
     angles = sorted(scales)
     x, w = gauss_legendre(order)
-    nodes, half = [], []
+    # per panel: its left and right offsets from its mark, the mark, and the
+    # direction away from it
+    lo, hi, mark, away = [], [], [], []
     for t0, t1 in zip(angles, angles[1:] + angles[:1]):
         # the arc from t0 to t1; a single mark's arc is the whole circle
         h = 0.5 * ((t1 - t0) % TWO_PI or TWO_PI)
-        for mark, away in ((t0, 1.0), (t1, -1.0)):
-            edges = _graded_edges(h, scales[mark])
-            hw = 0.5 * np.diff(edges)
-            nodes.append(mark + away * ((edges[:-1] + hw)[:, None] + hw[:, None] * x))
-            half.append(hw)
-    nodes, half = np.concatenate(nodes), np.concatenate(half)
+        for t, sign in ((t0, 1.0), (t1, -1.0)):
+            edges = _graded_edges(h, scales[t])
+            lo += edges[:-1]
+            hi += edges[1:]
+            mark += [t] * (len(edges) - 1)
+            away += [sign] * (len(edges) - 1)
+    lo = np.array(lo)
+    half = 0.5 * (np.array(hi) - lo)
+    nodes = (np.array(mark)[:, None]
+             + np.array(away)[:, None] * ((lo + half)[:, None] + half[:, None] * x))
     vals = fn((nodes - TWO_PI * np.round(nodes / TWO_PI)).ravel())
     vals = vals.reshape(nodes.shape)
     total = float(np.sum(half * (vals @ w)))

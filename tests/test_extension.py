@@ -25,12 +25,14 @@ from qchardy.functionals import radial_schedule
 from qchardy.geometry import HyperbolicBall
 from qchardy.quadrature import gauss_legendre
 
-# panel edges of the seed rule, as fractions of |end - c|: 14 panels graded
-# toward c by ratio 3
+# order and panel edges of the seed rule, as fractions of |end - c|: 14
+# panels of 16 nodes graded toward c by ratio 3, fixed here so that the
+# reference does not move with the rule under test
+_SEED_ORDER = 16
 _SEED_FRACTIONS = np.concatenate(([0.0], 3.0 ** -np.arange(13, -1.0, -1.0)))
 # line-map evaluations of one antiderivative table: a panel [0, 2^_LOWEST]
-# and one per binade up to 2^_HIGHEST, on each side of 0
-_TABLE = 2 * (_HIGHEST - _LOWEST + 1) * _GL_ORDER
+# and four per binade up to 2^_HIGHEST, on each side of 0
+_TABLE = 2 * (4 * (_HIGHEST - _LOWEST) + 1) * _GL_ORDER
 
 
 def _seed_line_integral(fn, a, b):
@@ -42,7 +44,7 @@ def _seed_line_integral(fn, a, b):
     left = c[:, None] + (a - c)[:, None] * _SEED_FRACTIONS[::-1][None, :]
     right = c[:, None] + (b - c)[:, None] * _SEED_FRACTIONS[None, :]
     edges = np.concatenate([left, right], axis=1)
-    x, w = gauss_legendre(_GL_ORDER)
+    x, w = gauss_legendre(_SEED_ORDER)
     half = 0.5 * np.diff(edges, axis=1)
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     nodes = mid[:, :, None] + half[:, :, None] * x[None, None, :]
@@ -60,17 +62,22 @@ class _SeedRuleBA(BAExtension):
         return (i1 + i2) / (2.0 * y), (i2 - i1) / (2.0 * y)
 
 
-def _random_intervals(n=10000, seed=11):
-    """[x - y, x] and [x, x + y] over twenty-two decades of position and
-    length: far from 0, touching it, and around it."""
+def _random_points(n=10000, seed=11):
+    """Half-plane points x + iy over twenty-two decades of position and
+    height: far from 0, and with windows touching it or around it."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=n) * 10.0 ** rng.uniform(-9, 2, n)
     y = 10.0 ** rng.uniform(-9, 2, n)
-    return np.concatenate([x - y, x]), np.concatenate([x, x + y])
+    return x, y
 
 
-def _near(a, b):
-    return np.abs(np.clip(0.0, a, b)) < _KAPPA * (b - a)
+def _far(x, y):
+    return np.abs(x) >= (1.0 + _KAPPA) * y
+
+
+def _scale(h, x, y):
+    """max |h| over [x - y, x + y], h being monotone."""
+    return np.maximum(np.abs(h(x - y)), np.abs(h(x + y)))
 
 
 class _CountingLineBA(BAExtension):
@@ -101,6 +108,13 @@ def _quad_integral(fn, a, b):
                for lo, hi in zip(points, points[1:]))
 
 
+def _quad_halfplane(h, x, y):
+    """Reference (u, v) at the points x + iy from _quad_integral."""
+    i1 = np.array([_quad_integral(h, p - q, p) for p, q in zip(x, y)])
+    i2 = np.array([_quad_integral(h, p, p + q) for p, q in zip(x, y)])
+    return (i1 + i2) / (2.0 * y), (i2 - i1) / (2.0 * y)
+
+
 class TestLineIntegral:
     def test_reach_from_bernstein_ellipse(self):
         # a singularity _KAPPA panel widths beyond the panel's end lies on
@@ -108,36 +122,39 @@ class TestLineIntegral:
         u = 1.0 + 2.0 * _KAPPA
         rho = u + np.sqrt(u * u - 1.0)
         assert rho ** (-2 * _GL_ORDER) == pytest.approx(np.finfo(float).eps, rel=1e-9)
-        assert _KAPPA == pytest.approx(0.678, abs=1e-3)
+        assert _GL_ORDER == 6
+        assert _KAPPA == pytest.approx(4.552, abs=1e-3)
 
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3", "identity"])
     def test_matches_seed_rule(self, spec):
         ext = BAExtension(make_map(spec))
-        h = ext.line_map
-        a, b = _random_intervals()
-        got = ext._windows(a, b)
-        ref = _seed_line_integral(h, a, b)
-        scale = (b - a) * np.maximum(np.abs(h(a)), np.abs(h(b)))
-        assert np.all(np.abs(got - ref) <= 1e-11 * scale)
+        x, y = _random_points()
+        u, v = ext.halfplane(x, y)
+        u_ref, v_ref = _SeedRuleBA(ext.homeo).halfplane(x, y)
+        scale = _scale(ext.line_map, x, y)
+        assert np.all(np.abs(u - u_ref) <= 1e-11 * scale)
+        assert np.all(np.abs(v - v_ref) <= 1e-11 * scale)
 
-    @pytest.mark.parametrize("a, b, panels", [
-        (1.0, 2.0, 1),
-        (-3.0, -2.5, 1),
-        (0.2, 1.0, 2),
-        (0.0, 1.0, 2),
-        (-1e-3, 0.0, 2),
-        (-1.0, 2.0, 2),
-        (0.5, 0.5, 0),
+    @pytest.mark.parametrize("x, y, evaluations", [
+        (6.0, 1.0, 12),
+        (-3.0, 0.5, 12),
+        (1.0 + _KAPPA, 1.0, 12),
+        (5.5, 1.0, 18),
+        (-2.0, 1.0, 18),
+        (0.0, 1.0, 18),
+        (1e-3, 1e-3, 18),
     ])
-    def test_evaluations_per_interval(self, a, b, panels):
-        # a window within reach of 0 is two panels, one from a table node to
-        # each end; an empty window makes no call at all
+    def test_evaluations_per_point(self, x, y, evaluations):
+        # a far point is one panel a window, any other three table lookups
         ext = _CountingLineBA()
-        ext._windows(np.array([0.0]), np.array([1.0]))
+        ext.halfplane(0.0, 1.0)
         ext.batches.clear()
-        ext._windows(np.array([a]), np.array([b]))
-        assert len(ext.batches) == (1 if panels else 0)
-        assert ext.evaluations == panels * _GL_ORDER
+        ext.halfplane(x, y)
+        assert len(ext.batches) == 1
+        assert ext.evaluations == evaluations
+        # an empty batch makes no call at all
+        ext.halfplane(np.zeros(0), np.zeros(0))
+        assert len(ext.batches) == 1
 
     def test_table_built_once_per_extension(self, monkeypatch):
         counts = []
@@ -150,46 +167,45 @@ class TestLineIntegral:
         monkeypatch.setattr(BAExtension, "line_map", counting)
         phi = make_disc_map("thm2_sqrt")
         assert counts == []
-        # z = 1/2 is x + iy = i/3: both windows touch 0
+        assert 8000 < _TABLE < 9000
+        # z = 1/2 is x + iy = i/3: three lookups
         for _ in range(2):
             phi(np.array([0.5 + 0j]))
-        assert counts == [_TABLE, 4 * _GL_ORDER, 4 * _GL_ORDER]
-        # x + iy = 2 + i: both windows are far, one panel each
+        assert counts == [_TABLE, 3 * _GL_ORDER, 3 * _GL_ORDER]
+        # x + iy = 6 + i is far: one panel a window
         counts.clear()
-        w = 2.0 + 1.0j
+        w = 6.0 + 1.0j
         make_disc_map("thm2_sqrt")(np.array([(1j - w) / (1j + w)]))
         assert counts == [_TABLE, 2 * _GL_ORDER]
 
     def test_batch_evaluates_no_zero_width_panel(self):
         ext = _CountingLineBA()
-        a, b = _random_intervals(n=2500)
-        assert a.size == 5000 > 2 * _PANELS
-        ext._windows(a, b)
-        table, *windows = ext.batches
+        x, y = _random_points(n=2500)
+        far = np.count_nonzero(_far(x, y))
+        assert 0 < far < x.size and 2 * x.size > _PANELS
+        ext.halfplane(x, y)
+        table, *panels = ext.batches
         assert table.size == _TABLE
-        assert len(windows) >= 3
-        assert all(batch.size <= _PANELS * _GL_ORDER for batch in windows)
-        nodes = np.concatenate(windows).reshape(-1, _GL_ORDER)
-        near = np.count_nonzero(_near(a, b))
-        assert nodes.shape[0] == a.size + near
+        assert len(panels) >= 3
+        assert all(batch.size <= _PANELS * _GL_ORDER for batch in panels)
+        nodes = np.concatenate(panels).reshape(-1, _GL_ORDER)
+        assert nodes.shape[0] == 2 * far + 3 * (x.size - far)
         assert np.all(np.ptp(nodes, axis=1) > 0.0)
-        # under a tenth of the seed's 2 * 14 panels an interval
-        assert nodes.shape[0] < 2.8 * a.size
 
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
     def test_chunks_change_no_bit(self, spec, monkeypatch):
         ext = BAExtension(make_map(spec))
-        a, b = _random_intervals(n=2500)
-        got = ext._windows(a, b)
-        alone = np.concatenate([ext._windows(a[i:i + 1], b[i:i + 1])
-                                for i in range(a.size)])
+        x, y = _random_points(n=2500)
+        got = np.concatenate(ext.halfplane(x, y))
+        alone = np.concatenate([ext.halfplane(x[i:i + 1], y[i:i + 1])
+                                for i in range(x.size)], axis=1).ravel()
         assert got.tobytes() == alone.tobytes()
         # one chunk, and a table built in a call of its own
         with monkeypatch.context() as m:
-            m.setattr(extension, "_PANELS", 2 * a.size)
+            m.setattr(extension, "_PANELS", 3 * x.size)
             fresh = BAExtension(make_map(spec))
             fresh._nearest_nodes(np.zeros(1))
-            assert got.tobytes() == fresh._windows(a, b).tobytes()
+            assert got.tobytes() == np.concatenate(fresh.halfplane(x, y)).tobytes()
 
     def test_panel_sums_in_chunks(self):
         calls = []
@@ -208,7 +224,7 @@ class TestLineIntegral:
 
     def test_jet_of_a_chunked_batch_matches_its_halves(self, thm2_map, monkeypatch):
         # disc points near the cusp's image, 1 - |z| down to 2^-20
-        theta = np.linspace(-0.5, 0.5, 64)
+        theta = np.linspace(-0.5, 0.5, 128)
         z = (radial_schedule(20)[:, None] * np.exp(1j * theta)).ravel()
         chunks = []
 
@@ -226,7 +242,7 @@ class TestLineIntegral:
         with monkeypatch.context() as m:
             m.setattr(extension, "_panel_sums", recording)
             whole = thm2_map.jet(z)
-        # the windows' call comes last, after the table if it was built now
+        # the points' call comes last, after the table if it was built now
         assert chunks[-1] >= 3
         half = z.size // 2
         parts = thm2_map.jet(z[:half]), thm2_map.jet(z[half:])
@@ -236,30 +252,48 @@ class TestLineIntegral:
 
 
 class TestWindowAccuracy:
-    """The window rule against scipy's adaptive quad, split at 0: in the band
-    kappa L / 3 <= |c| < kappa L, and on windows that end at or around 0."""
+    """u and v against scipy's adaptive quad, split at 0, at points read
+    from the table: windows in the band kappa L / 3 <= |c| < kappa L, windows
+    that end at or around 0, and points on both sides of the switch."""
 
     @staticmethod
-    def _windows(length):
-        # c / L through the band [kappa / 3, kappa), on both sides of 0,
-        # then windows ending at 0 and around it
-        f = np.linspace(_KAPPA / 3.0, _KAPPA, 7, endpoint=False) * length
-        a = np.concatenate([f, -f - length, [0.0, -length, -length]])
-        return a, np.concatenate([f + length, -f, [length, 0.0, length]])
+    def _points(length):
+        # x / y through the band [kappa / 3, kappa), on both sides of 0: the
+        # window [x, x + y] (or [x - y, x]) has c = x; then windows ending
+        # at 0 and around it
+        f = np.linspace(_KAPPA / 3.0, _KAPPA, 7, endpoint=False)
+        x = np.concatenate([f, -f, [0.0, 1.0, -1.0, 0.5]]) * length
+        return x, np.full(x.size, length)
 
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3", "identity"])
     @pytest.mark.parametrize("length", [1e-9, 1e-4, 0.03, 1.0])
     def test_band_and_cusp_against_quad(self, spec, length):
-        # one panel, as a reach of kappa / 3 would take, is off by up to
-        # 1.3e-12 max|h| L in the band
         ext = BAExtension(make_map(spec))
         h = ext.line_map
-        a, b = self._windows(length)
-        assert np.all(_near(a, b))
-        got = ext._windows(a, b)
-        ref = np.array([_quad_integral(h, lo, hi) for lo, hi in zip(a, b)])
-        scale = (b - a) * np.maximum(np.abs(h(a)), np.abs(h(b)))
-        assert np.all(np.abs(got - ref) <= 2e-15 * scale)
+        x, y = self._points(length)
+        assert not np.any(_far(x, y))
+        u, v = ext.halfplane(x, y)
+        u_ref, v_ref = _quad_halfplane(h, x, y)
+        scale = _scale(h, x, y)
+        assert np.all(np.abs(u - u_ref) <= 2e-15 * scale)
+        assert np.all(np.abs(v - v_ref) <= 2e-15 * scale)
+
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3", "identity"])
+    @pytest.mark.parametrize("length", [1e-9, 1e-4, 0.03, 1.0])
+    def test_both_sides_of_the_switch_against_quad(self, spec, length):
+        # |x| / y up to 6, with 1 + kappa = 5.55 the switch from three table
+        # lookups to one panel a window
+        ext = BAExtension(make_map(spec))
+        h = ext.line_map
+        r = np.concatenate([np.linspace(0.0, 6.0, 13),
+                            (1.0 + _KAPPA) * (1.0 + np.array([-1e-9, 0.0, 1e-9]))])
+        x, y = np.concatenate([r, -r]) * length, np.full(2 * r.size, length)
+        assert 0 < np.count_nonzero(_far(x, y)) < x.size
+        u, v = ext.halfplane(x, y)
+        u_ref, v_ref = _quad_halfplane(h, x, y)
+        scale = _scale(h, x, y)
+        assert np.all(np.abs(u - u_ref) <= 2e-15 * scale)
+        assert np.all(np.abs(v - v_ref) <= 2e-15 * scale)
 
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3"])
     def test_lookups_stay_in_the_table_at_the_circle(self, spec):

@@ -9,6 +9,9 @@ It records
     each the final JSON object that run prints;
   * the wall time of each experiment at its CLI defaults through cli.run,
     the median of --repeats runs after one warm-up run;
+  * per workload, the Beurling-Ahlfors points of one pass through cli.run
+    and the line-map evaluations they took, counted by wrapping
+    BAExtension.halfplane and BAExtension.line_map;
   * the wall time of the Tier-1 test suite;
   * the net line count of src/;
   * the machine: CPU count and model, Python and numpy versions.
@@ -63,6 +66,42 @@ def experiments(repeats):
     return times
 
 
+def ba_evaluations():
+    """Per workload: BA points, line-map evaluations and evaluations per
+    point over one pass of its specs through cli.run."""
+    import numpy as np
+
+    sys.path.insert(0, str(SRC))
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+    from qchardy import cli
+    from qchardy.extension import BAExtension
+
+    counts = {}
+    line_map, halfplane = BAExtension.line_map, BAExtension.halfplane
+
+    def counted_line_map(self, x):
+        counts["evaluations"] += np.size(x)
+        return line_map(self, x)
+
+    def counted_halfplane(self, x, y):
+        counts["points"] += np.size(x)
+        return halfplane(self, x, y)
+
+    out = {}
+    BAExtension.line_map, BAExtension.halfplane = counted_line_map, counted_halfplane
+    try:
+        for name in WORKLOADS:
+            counts.update(points=0, evaluations=0)
+            for spec in workloads.WORKLOADS[name]:
+                cli.run(cli.ExperimentSpec(spec.experiment, spec.map_spec))
+            out[name] = dict(counts, per_point=counts["evaluations"]
+                             / max(counts["points"], 1))
+    finally:
+        BAExtension.line_map, BAExtension.halfplane = line_map, halfplane
+    return out
+
+
 def tier1():
     """(wall seconds, last line of the summary) of the Tier-1 suite."""
     start = time.perf_counter()
@@ -103,6 +142,7 @@ def main(argv=None):
                                                        args.seconds)
                       for name in WORKLOADS for trace in (0, 1)},
         "experiments_s": experiments(args.repeats),
+        "ba_evaluations": ba_evaluations(),
         "src_lines": src_lines(),
         "machine": machine(),
     }
