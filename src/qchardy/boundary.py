@@ -49,17 +49,23 @@ class BoundaryHomeo:
 
 @dataclass(frozen=True)
 class MapCatalogEntry:
-    """Named boundary map: identity, thm2_sqrt, power (gamma > 0), or
-    moebius (real a, |a| < 1)."""
+    """Named boundary map of the catalog with its finite parameters:
+    identity, thm2_sqrt, power (gamma > 0), or moebius (real a, |a| < 1)."""
 
     name: str
     parameters: tuple = ()
 
     def __post_init__(self):
-        if self.name not in ("identity", "thm2_sqrt", "power", "moebius"):
+        if self.name not in _CATALOG:
             raise ValueError(f"unknown catalog map {self.name!r}")
-        object.__setattr__(self, "parameters",
-                           tuple(float(p) for p in self.parameters))
+        params = tuple(float(p) for p in self.parameters)
+        arity = _CATALOG[self.name][1]
+        if len(params) != arity:
+            raise ValueError(f"{self.name} map takes {('no', 'exactly one')[arity]}"
+                             f" parameter, not {len(params)}")
+        if not np.all(np.isfinite(params)):
+            raise ValueError(f"{self.name} map needs finite parameters, not {params}")
+        object.__setattr__(self, "parameters", params)
 
 
 def identity_homeo():
@@ -111,31 +117,26 @@ def moebius_homeo(a):
     return BoundaryHomeo(fwd, inv, label=f"moebius({a:g})")
 
 
+# catalog map name -> (builder of its BoundaryHomeo, number of parameters)
+_CATALOG = {
+    "identity": (identity_homeo, 0),
+    "thm2_sqrt": (sqrt_homeo, 0),
+    "power": (power_homeo, 1),
+    "moebius": (moebius_homeo, 1),
+}
+
+
 def make_map(entry):
-    """Build the BoundaryHomeo for a catalog entry."""
+    """Build the BoundaryHomeo for a catalog entry or spec string."""
     if isinstance(entry, str):
         entry = parse_map_spec(entry)
-    if entry.name == "identity":
-        return identity_homeo()
-    if entry.name == "thm2_sqrt":
-        return sqrt_homeo()
-    if entry.name == "power":
-        if len(entry.parameters) != 1:
-            raise ValueError("power map takes exactly one parameter gamma")
-        return power_homeo(entry.parameters[0])
-    if entry.name == "moebius":
-        if len(entry.parameters) != 1:
-            raise ValueError("moebius map takes exactly one parameter a")
-        return moebius_homeo(entry.parameters[0])
-    raise ValueError(f"unknown catalog map {entry.name!r}")
+    return _CATALOG[entry.name][0](*entry.parameters)
 
 
 def parse_map_spec(spec):
     """Parse 'name' or 'name:p1,p2' into a MapCatalogEntry."""
     name, _, params = spec.partition(":")
-    if params:
-        return MapCatalogEntry(name, tuple(float(p) for p in params.split(",")))
-    return MapCatalogEntry(name)
+    return MapCatalogEntry(name, tuple(params.split(",")) if params else ())
 
 
 def dyadic_edges(depth):

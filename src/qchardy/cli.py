@@ -22,7 +22,8 @@ import numpy as np
 
 from . import carleson as ca
 from . import functionals as fn
-from .boundary import lipschitz_modulus_inverse, lipschitz_tail, parse_map_spec
+from .boundary import (lipschitz_modulus_inverse, lipschitz_tail, make_map,
+                       parse_map_spec)
 from .extension import cone_image_aperture, make_disc_map
 from .functions import AnalyticFunction, cauchy_kernel, compose, hardy_kernel
 from .tail import (CONVERGED, DIVERGING, TAIL_CAP, UNDETERMINED,
@@ -30,18 +31,6 @@ from .tail import (CONVERGED, DIVERGING, TAIL_CAP, UNDETERMINED,
 
 PASS = "pass"
 FAIL = "fail"
-
-EXPERIMENTS = ("thm1", "thm2", "thm3", "thmA", "lemma1", "af_conformal")
-
-# per-experiment defaults (map, p), read by ExperimentSpec and the parser
-_DEFAULTS = {
-    "thm1": ("identity", 2.0),
-    "thm2": ("thm2_sqrt", 1.0),
-    "thm3": ("thm2_sqrt", 2.0),
-    "thmA": ("thm2_sqrt", 2.0),
-    "lemma1": ("thm2_sqrt", 2.0),
-    "af_conformal": ("moebius:0.5", 2.0),
-}
 
 
 @dataclass(frozen=True)
@@ -94,7 +83,7 @@ class ExperimentReport:
 @dataclass
 class ExperimentSpec:
     name: str
-    map_spec: str | None = None  # None: the experiment's entry in _DEFAULTS
+    map_spec: str | None = None  # None: the experiment's default in _TABLE
     p: float | None = None
     depth: int = 10
     grid: int = 16
@@ -102,22 +91,23 @@ class ExperimentSpec:
     aperture: float = 2.0
 
     def __post_init__(self):
-        if self.name not in EXPERIMENTS:
+        """The one check of an experiment's input, before it runs."""
+        if self.name not in _TABLE:
             raise ValueError(f"unknown experiment {self.name!r}")
-        map_spec, p = _DEFAULTS[self.name]
+        _, map_spec, p = _TABLE[self.name]
         self.map_spec = map_spec if self.map_spec is None else self.map_spec
         self.p = p if self.p is None else self.p
-        if self.p <= 0 or self.depth < 1 or self.grid < 1 or self.aperture <= 1:
-            raise ValueError("experiment parameters must be positive "
-                             "(and the cone aperture > 1)")
-
-
-def _entry_and_map(spec):
-    entry = parse_map_spec(spec.map_spec)
-    if spec.name == "af_conformal" and entry.name != "moebius":
-        raise ValueError(
-            f"af_conformal needs a moebius:<a> map, not {spec.map_spec!r}")
-    return entry, make_disc_map(entry)
+        if not (0 < self.p < np.inf and 1 < self.aperture < np.inf
+                and 1 <= self.depth <= TAIL_CAP and self.grid >= 1):
+            raise ValueError(
+                f"need finite p > 0, finite aperture > 1, 1 <= depth <= "
+                f"{TAIL_CAP} and grid >= 1, not p={self.p}, aperture="
+                f"{self.aperture}, depth={self.depth}, grid={self.grid}")
+        entry = parse_map_spec(self.map_spec)
+        if self.name == "af_conformal" and entry.name != "moebius":
+            raise ValueError(
+                f"af_conformal needs a moebius:<a> map, not {self.map_spec!r}")
+        make_map(entry)  # the builder's own checks: gamma > 0, |a| < 1, monotone
 
 
 def _lipschitz_row(rep, phi, depth):
@@ -162,7 +152,7 @@ def run_thm1(spec):
     """Kernel Carleson test of the boundary map vs the Lipschitz
     classification of the inverse boundary map; the two must agree.  The
     kernel test holds for every p at once, so --p does not enter."""
-    entry, phi = _entry_and_map(spec)
+    phi = make_disc_map(spec.map_spec)
     rep = ExperimentReport("thm1")
     test = ca.kernel_carleson(phi, spec.depth)
     bounded, reason = test.tail()
@@ -177,7 +167,7 @@ def run_thm1(spec):
 
 def run_thm2(spec):
     """The divergent analytic norm against the convergent composite norms."""
-    entry, phi = _entry_and_map(spec)
+    phi = make_disc_map(spec.map_spec)
     rep = ExperimentReport("thm2")
     g = cauchy_kernel()
     f = compose(g, phi)
@@ -195,7 +185,7 @@ def run_thm2(spec):
     mnorm = fn.maximal_lp(f, spec.p, spec.aperture, grid_n=4 * spec.grid)
     rep.add("maximal_lp_composite", mnorm, 0.0,
             CONVERGED if np.isfinite(mnorm) else DIVERGING)
-    if entry.name == "thm2_sqrt":
+    if parse_map_spec(spec.map_spec).name == "thm2_sqrt":
         ok = (ng.classification == DIVERGING
               and nf.classification == CONVERGED and np.isfinite(bnorm))
         rep.check("thm2_agreement", ok, float(ok))
@@ -207,7 +197,7 @@ def run_thm2(spec):
 def run_thm3(spec):
     """Boundary values, maximal function and weighted derivative integral for
     a composite with an extremal-kernel analytic part."""
-    entry, phi = _entry_and_map(spec)
+    phi = make_disc_map(spec.map_spec)
     rep = ExperimentReport("thm3")
     f = compose(hardy_kernel(0.9, spec.p), phi)
     nf = fn.hardy_norm(f, spec.p)
@@ -242,7 +232,7 @@ def run_thm3(spec):
 
 def run_thmA(spec):
     """Bergman-Carleson ball tester vs the boundary Lipschitz classification."""
-    entry, phi = _entry_and_map(spec)
+    phi = make_disc_map(spec.map_spec)
     rep = ExperimentReport("thmA")
     sweep, bounded, why = _ring_sweep(ca.bergman_carleson_constant,
                                       ca.DiscPushforward(phi))
@@ -258,7 +248,7 @@ def run_thmA(spec):
 def run_lemma1(spec):
     """Image-cone aperture over a boundary grid: finite and comparable across
     boundary points (max within 3x of the median)."""
-    entry, phi = _entry_and_map(spec)
+    phi = make_disc_map(spec.map_spec)
     rep = ExperimentReport("lemma1")
     thetas = -np.pi + 2 * np.pi * (np.arange(spec.grid) + 0.5) / spec.grid
     aps = [cone_image_aperture(phi, np.exp(1j * t), spec.aperture, samples=96)
@@ -281,7 +271,7 @@ def run_af_conformal(spec):
     origin and at _AF_CENTERS: each deviation must lie within the average's
     error.  af_matches_fprime's value is the worst deviation in units of the
     error."""
-    entry, phi = _entry_and_map(spec)
+    phi = make_disc_map(spec.map_spec)
     rep = ExperimentReport("af_conformal")
     f = AnalyticFunction(phi.interior, phi.complex_derivative, label=phi.label)
     z = np.concatenate([[0j], _AF_CENTERS])
@@ -292,20 +282,24 @@ def run_af_conformal(spec):
     return rep
 
 
-_RUNNERS = {
-    "thm1": run_thm1,
-    "thm2": run_thm2,
-    "thm3": run_thm3,
-    "thmA": run_thmA,
-    "lemma1": run_lemma1,
-    "af_conformal": run_af_conformal,
+# experiment -> (runner, default map, default p), read by ExperimentSpec and
+# the parser
+_TABLE = {
+    "thm1": (run_thm1, "identity", 2.0),
+    "thm2": (run_thm2, "thm2_sqrt", 1.0),
+    "thm3": (run_thm3, "thm2_sqrt", 2.0),
+    "thmA": (run_thmA, "thm2_sqrt", 2.0),
+    "lemma1": (run_lemma1, "thm2_sqrt", 2.0),
+    "af_conformal": (run_af_conformal, "moebius:0.5", 2.0),
 }
+EXPERIMENTS = tuple(_TABLE)
+
 
 def run(spec):
     """Run the named experiment; deterministic for a fixed spec, whatever its
     seed."""
     start = time.perf_counter()
-    rep = _RUNNERS[spec.name](spec)
+    rep = _TABLE[spec.name][0](spec)
     rep.metadata.update({
         "spec": {"name": spec.name, "map": spec.map_spec, "p": spec.p,
                  "depth": spec.depth, "grid": spec.grid, "seed": spec.seed,
@@ -314,15 +308,6 @@ def run(spec):
         "versions": {"numpy": np.__version__},
     })
     return rep
-
-
-def _depth(text):
-    """--depth k: k >= 1 and the radius 1 - 2^-k still below 1.0 in doubles."""
-    depth = int(text)
-    if depth < 1 or 1.0 - 2.0 ** -depth == 1.0:
-        raise argparse.ArgumentTypeError(
-            f"{depth}: need depth >= 1 with 1 - 2^-depth < 1.0 in doubles")
-    return depth
 
 
 def build_parser():
@@ -338,7 +323,7 @@ def build_parser():
                        help="catalog map, e.g. identity, thm2_sqrt, "
                             "power:2, moebius:0.5")
         p.add_argument("--p", type=float, default=spec.p)
-        p.add_argument("--depth", type=_depth, default=spec.depth)
+        p.add_argument("--depth", type=int, default=spec.depth)
         p.add_argument("--grid", type=int, default=spec.grid)
         p.add_argument("--seed", type=int, default=spec.seed,
                        help="accepted and ignored: no experiment samples at "
@@ -356,7 +341,6 @@ def main(argv=None):
         spec = ExperimentSpec(name=args.experiment, map_spec=args.map, p=args.p,
                               depth=args.depth, grid=args.grid, seed=args.seed,
                               aperture=args.aperture)
-        _entry_and_map(spec)
     except ValueError as exc:
         parser.error(str(exc))
     # open --out before the run, so an unwritable path costs no experiment

@@ -291,9 +291,7 @@ def make_disc_map(entry):
     if entry.name == "identity":
         return identity_disc_map()
     if entry.name == "moebius":
-        if len(entry.parameters) != 1:
-            raise ValueError("moebius map takes exactly one parameter a")
-        return moebius_disc_map(entry.parameters[0])
+        return moebius_disc_map(*entry.parameters)
     return ba_extend(make_map(entry))
 
 
@@ -356,8 +354,6 @@ def invert(phi, w, z0=None, tol=1e-11, max_iter=80):
 def cone_image_aperture(phi, xi, c=2.0, samples=96):
     """Empirical aperture of the image of the cone at xi under phi:
     sup |phi(z) - phi(xi)| / (1 - |phi(z)|) over a cone sample lattice."""
-    if c <= 1:
-        raise ValueError("cone aperture must be > 1")
     n_depths = 12
     rays = max(3, int(samples) // n_depths)
     depths = 1.0 - 2.0 ** -np.arange(1, n_depths + 1)

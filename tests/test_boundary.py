@@ -71,6 +71,14 @@ class TestCatalog:
         with pytest.raises(ValueError):
             MapCatalogEntry("weird")
 
+    @pytest.mark.parametrize("name, parameters", [
+        ("identity", (5.0,)), ("thm2_sqrt", (0.3,)), ("power", ()),
+        ("moebius", (0.5, 0.2)), ("power", (np.nan,)), ("moebius", (np.inf,)),
+        ("power", (-np.inf,))])
+    def test_entry_needs_its_count_of_finite_parameters(self, name, parameters):
+        with pytest.raises(ValueError):
+            MapCatalogEntry(name, parameters)
+
     def test_parse_map_spec(self):
         entry = parse_map_spec("power:2")
         assert entry.name == "power" and entry.parameters == (2.0,)

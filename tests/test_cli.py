@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,13 +17,29 @@ from qchardy.cli import (
 )
 from qchardy.extension import BAExtension, make_disc_map
 from qchardy.functions import compose, hardy_kernel
-from qchardy.tail import CONVERGED, DIVERGING, UNDETERMINED
+from qchardy.tail import CONVERGED, DIVERGING, TAIL_CAP, UNDETERMINED
 
 # bounded (converged) or not (diverging) on H^p: the verdict of thm1
 THM1_MAPS = {"identity": CONVERGED, "thm2_sqrt": CONVERGED,
              "power:0.5": CONVERGED, "power:1.05": DIVERGING,
              "power:2": DIVERGING, "moebius:0.5": CONVERGED,
              "moebius:0.99": CONVERGED, "moebius:0.999": CONVERGED}
+
+# argv that ExperimentSpec rejects, each with a part of its usage message
+BAD_INPUT = [
+    (["thm1", "--map", "power:nan"], "finite"),
+    (["thm1", "--map", "moebius:nan"], "finite"),
+    (["thm1", "--map", "identity:5"], "no parameter"),
+    (["thm2", "--map", "thm2_sqrt:0.3"], "no parameter"),
+    (["thm2", "--p", "inf"], "p=inf"),
+    (["lemma1", "--aperture", "nan"], "aperture=nan"),
+    (["lemma1", "--aperture", "inf"], "aperture=inf"),
+    # the map builders' own domain checks
+    (["thm1", "--map", "power:0"], "gamma > 0"),
+    (["thm1", "--map", "power:-1"], "gamma > 0"),
+    (["thm1", "--map", "moebius:1"], "|a| < 1"),
+    (["thm1", "--map", "moebius:-1.5"], "|a| < 1"),
+]
 
 
 def _report():
@@ -85,6 +102,16 @@ class TestSpec:
             ExperimentSpec(name="thm1", depth=0)
         with pytest.raises(ValueError):
             ExperimentSpec(name="thm1", aperture=1.0)
+        with pytest.raises(ValueError):
+            ExperimentSpec(name="thm1", depth=TAIL_CAP + 1)
+        assert ExperimentSpec(name="thm1", depth=TAIL_CAP).depth == TAIL_CAP
+
+    @pytest.mark.parametrize("argv, message", BAD_INPUT)
+    def test_run_rejects_bad_input(self, argv, message):
+        args = build_parser().parse_args(argv)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(ExperimentSpec(args.experiment, args.map, args.p, args.depth,
+                               args.grid, args.seed, args.aperture))
 
     def test_default_map_is_the_cli_default(self):
         parser = build_parser()
@@ -321,7 +348,15 @@ class TestMain:
 
 
 class TestUsageErrors:
-    """Bad input ends in a usage error: exit 2 and a message on stderr."""
+    """Bad input ends in a usage error: exit 2 and a message on stderr,
+    before any experiment runs."""
+
+    @pytest.fixture(autouse=True)
+    def _no_run(self, monkeypatch):
+        def run(spec):
+            raise AssertionError("the experiment ran before the usage error")
+
+        monkeypatch.setattr(cli, "run", run)
 
     def _usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -337,21 +372,20 @@ class TestUsageErrors:
         self._usage_error(capsys, ["thm1", "--map", "nosuchmap"], "nosuchmap")
 
     def test_depth_beyond_double_precision(self, capsys):
-        depth = 1
-        while 1.0 - 2.0 ** -depth < 1.0:
-            depth += 1
-        assert build_parser().parse_args(
-            ["thm1", "--depth", str(depth - 1)]).depth == depth - 1
-        self._usage_error(capsys, ["thm1", "--depth", str(depth)], "--depth")
+        # depths from TAIL_CAP + 1 up: 52 would still give a radius below 1.0
+        # in doubles, but ask for a 2^53-double array of dyadic edges
+        for depth in (TAIL_CAP + 1, 52, 53):
+            self._usage_error(capsys, ["thm1", "--depth", str(depth)],
+                              f"depth={depth}")
+
+    @pytest.mark.parametrize("argv, message", BAD_INPUT)
+    def test_bad_input(self, capsys, argv, message):
+        self._usage_error(capsys, argv, message)
 
     def test_af_conformal_rejects_a_non_moebius_map(self, capsys):
         self._usage_error(capsys, ["af_conformal", "--map", "power:2"],
                           "power:2")
 
-    def test_unwritable_out_path(self, capsys, monkeypatch, tmp_path):
-        def run(spec):
-            raise AssertionError("the experiment ran before the usage error")
-
-        monkeypatch.setattr(cli, "run", run)
+    def test_unwritable_out_path(self, capsys, tmp_path):
         path = tmp_path / "nodir" / "out.csv"
         self._usage_error(capsys, ["lemma1", "--out", str(path)], str(path))
