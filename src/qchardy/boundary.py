@@ -58,7 +58,14 @@ class MapCatalogEntry:
     def __post_init__(self):
         if self.name not in _CATALOG:
             raise ValueError(f"unknown catalog map {self.name!r}")
-        params = tuple(float(p) for p in self.parameters)
+        params = ()
+        for p in self.parameters:
+            try:
+                params += (float(p),)
+            except (TypeError, ValueError):
+                spec = f"{self.name}:{','.join(map(str, self.parameters))}"
+                raise ValueError(f"map {spec!r} has a parameter {p!r} that is "
+                                 "not a number") from None
         arity = _CATALOG[self.name][1]
         if len(params) != arity:
             raise ValueError(f"{self.name} map takes {('no', 'exactly one')[arity]}"

@@ -334,9 +334,23 @@ def build_parser():
     return parser
 
 
+def _attach_signed_values(argv):
+    """argv with '--p V' and '--aperture V' written '--p=V' where V starts
+    with a single '-': argparse reads a V such as -inf or -1e-3 as an option
+    and reports the value missing, instead of the value being checked."""
+    args = list(argv)
+    for i in reversed(range(len(args) - 1)):
+        value = args[i + 1]
+        if (args[i] in ("--p", "--aperture") and value.startswith("-")
+                and not value.startswith("--")):
+            args[i:i + 2] = [f"{args[i]}={value}"]
+    return args
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         spec = ExperimentSpec(name=args.experiment, map_spec=args.map, p=args.p,
                               depth=args.depth, grid=args.grid, seed=args.seed,

@@ -11,9 +11,11 @@ The interval averages integrate the line map h over the windows [x - y, x]
 and [x, x + y] of a point x + iy.  A point far from 0, where the catalog line
 maps have their cusp, takes one Gauss-Legendre panel per window.  Any other
 point reads G at x - y, x and x + y, with G(t) the integral of h from 0 to t
-taken from a table of G at 0 and +-2^(j + i/4), four nodes per binade, built
-once per extension.  The table is anchored at the cusp at angle 0 only: a map
-with a cusp elsewhere is integrated as if smooth there.
+taken from a table of G at 0 and +-2^(j + i/8), eight nodes per binade, built
+once per extension.  Each panel takes the fewest nodes, 4 or 6, that reach
+double precision at its distance from 0.  The table is anchored at the cusp
+at angle 0 only: a map with a cusp elsewhere is integrated as if smooth
+there.
 """
 
 from __future__ import annotations
@@ -24,56 +26,59 @@ from .boundary import identity_homeo, make_map, moebius_homeo, parse_map_spec
 from .geometry import Cone, cone_sample
 from .quadrature import gauss_legendre
 
-_GL_ORDER = 6
-# live panels per evaluation of the line map: 2048 * _GL_ORDER nodes make
-# every float temporary 96 KiB, under glibc's 128 KiB mmap threshold, so the
-# temporaries are reused from the heap instead of mapped and faulted in anew
-# on every call; smaller chunks cost more Python per call than they save.
-# Callers pass batches of any size (a ball sweep's Newton run has 4096
-# lanes): _panel_sums walks them in chunks of _PANELS panels
+# live panels per evaluation of the line map: 2048 * 6 nodes make every
+# float temporary of a 6-node chunk 96 KiB, under glibc's 128 KiB mmap
+# threshold, so the temporaries are reused from the heap instead of mapped
+# and faulted in anew on every call; smaller chunks cost more Python per call
+# than they save.  Callers pass batches of any size (a ball sweep's Newton
+# run has 4096 lanes): _panel_sums walks them in chunks of _PANELS panels
 _PANELS = 2048
-# binade exponents of the antiderivative table, nodes +-2^(j + i/4) for
-# _LOWEST <= j + i/4 <= _HIGHEST.  A point read from the table has its ends
-# within (2 + _KAPPA) y < 8y of 0, and a disc point |z| < 1 in double
+# binade exponents of the antiderivative table, nodes +-2^(j + i/8) for
+# _LOWEST <= j + i/8 <= _HIGHEST.  A point read from the table has its ends
+# within (2 + _KAPPA[6]) y < 8y of 0, and a disc point |z| < 1 in double
 # precision has y <= 2 / (1 - |z|) <= 2^54, so every end's nearest node is in
 # the table.  An end below 2^_LOWEST is read from node 0; that panel is off
 # by at most 2 |t| max|h|, under 3e-22 max|h| y for y >= 2^-55, any disc point
 _LOWEST = -128
 _HIGHEST = 57
-# mantissas (np.frexp) of the nodes 2^(i/4 - 1), 0 <= i < 4, and of the cuts
+_PER_BINADE = 8
+# mantissas (np.frexp) of the nodes 2^(i/8 - 1), 0 <= i < 8, and of the cuts
 # between each node and the next, their geometric means: a node's panel to
-# any t nearest to it lies 1 / (2^(1/8) - 1) = 11.05 of its widths from 0, a
-# table panel 1 / (2^(1/4) - 1) = 5.29, both beyond _KAPPA
-_MANTISSAS = 2.0 ** (np.arange(4) / 4.0 - 1.0)
-_CUTS = 2.0 ** (np.arange(4) / 4.0 - 0.875)
+# any t nearest to it lies 1 / (2^(1/16) - 1) = 22.59 of its widths from 0,
+# beyond _KAPPA[4], and a table panel 1 / (2^(1/8) - 1) = 11.05, beyond
+# _KAPPA[6]
+_MANTISSAS = 2.0 ** (np.arange(_PER_BINADE) / _PER_BINADE - 1.0)
+_CUTS = 2.0 ** ((np.arange(_PER_BINADE) + 0.5) / _PER_BINADE - 1.0)
 
 
-def _reach():
-    """kappa such that one _GL_ORDER-node panel of width w reaches double
-    precision on an integrand whose only singularity lies kappa * w beyond
-    its end.
+def _reach(order):
+    """kappa such that one order-node Gauss-Legendre panel of width w
+    reaches double precision on an integrand whose only singularity lies
+    kappa * w beyond its end.
 
     Gauss-Legendre converges like rho^(-2n) in the largest Bernstein ellipse
     free of singularities (Trefethen, ATAP ch. 19); a singularity at distance
     d from the end of a panel of width w sits on the ellipse with
     (rho + 1/rho) / 2 = 1 + 2d / w.
     """
-    rho = np.finfo(float).eps ** (-0.5 / _GL_ORDER)
+    rho = np.finfo(float).eps ** (-0.5 / order)
     return 0.25 * (rho + 1.0 / rho) - 0.5
 
 
-_KAPPA = _reach()
+# reach of each panel order: kappa_4 = 22.13, kappa_6 = 4.552
+_KAPPA = {order: _reach(order) for order in (4, 6)}
 
 
-def _panel_sums(fn, left, right):
-    """Gauss-Legendre sums of fn over the panels [left_i, right_i] (minus
-    the integral over [right_i, left_i] where right_i < left_i).
+def _panel_sums(fn, left, right, order):
+    """order-node Gauss-Legendre sums of fn over the panels [left_i,
+    right_i] (minus the integral over [right_i, left_i] where right_i <
+    left_i).
 
     fn is called on the nodes of at most _PANELS panels at a time, in panel
     order, so no temporary outgrows the heap (see _PANELS); an empty batch
     makes no call.  The line maps are elementwise and each panel is summed alone, so
     the chunks change no bit of the result."""
-    x, w = gauss_legendre(_GL_ORDER)
+    x, w = gauss_legendre(order)
     half, mid = 0.5 * (right - left), 0.5 * (right + left)
     out = np.empty(half.size)
     for start in range(0, half.size, _PANELS):
@@ -82,19 +87,20 @@ def _panel_sums(fn, left, right):
         # einsum sums each panel alone, so a point's value does not depend
         # on the batch it is evaluated in; a BLAS product rounds by position
         out[chunk] = half[chunk] * np.einsum(
-            "pk,k->p", vals.reshape(-1, _GL_ORDER), w)
+            "pk,k->p", vals.reshape(-1, order), w)
     return out
 
 
 def _binade_table(fn):
     """(nodes, G): rows for t >= 0 and t < 0 of the nodes 0 and
-    +-2^(j + i/4), _LOWEST <= j + i/4 <= _HIGHEST, and G, the integral of fn
-    from 0 to each node, one panel per quarter binade summed outward from 0."""
-    k = np.arange(4 * (_HIGHEST - _LOWEST) + 1)
-    pos = np.ldexp(_MANTISSAS[k % 4], _LOWEST + 1 + k // 4)
+    +-2^(j + i/8), _LOWEST <= j + i/8 <= _HIGHEST, and G, the integral of fn
+    from 0 to each node, one 6-node panel per eighth of a binade summed
+    outward from 0."""
+    k = np.arange(_PER_BINADE * (_HIGHEST - _LOWEST) + 1)
+    pos = np.ldexp(_MANTISSAS[k % _PER_BINADE], _LOWEST + 1 + k // _PER_BINADE)
     nodes = np.stack([np.concatenate(([0.0], pos)),
                       np.concatenate(([0.0], -pos))])
-    sums = _panel_sums(fn, nodes[:, :-1].ravel(), nodes[:, 1:].ravel())
+    sums = _panel_sums(fn, nodes[:, :-1].ravel(), nodes[:, 1:].ravel(), 6)
     table = np.zeros(nodes.shape)
     table[:, 1:] = np.cumsum(sums.reshape(2, -1), axis=1)
     return nodes, table
@@ -114,7 +120,7 @@ class BAExtension:
 
     def _nearest_nodes(self, t):
         """(node, G(node)) at the table node nearest each t in ratio: 0, or
-        +-2^(j + i/4), clipped to the table.
+        +-2^(j + i/8), clipped to the table.
 
         The table is built on the first point this extension integrates and
         never changes, so a value never depends on its batch or on earlier
@@ -124,7 +130,7 @@ class BAExtension:
         nodes, table = self._table
         m, e = np.frexp(t)  # |t| = |m| 2^e, 1/2 <= |m| < 1, exact
         i = np.searchsorted(_CUTS, np.abs(m), side="right")  # cuts <= |m|
-        k = np.clip(4 * (e - 1 - _LOWEST) + i + 1, 0, nodes.shape[1] - 1)
+        k = np.clip(_PER_BINADE * (e - 1 - _LOWEST) + i + 1, 0, nodes.shape[1] - 1)
         k = np.where(t == 0.0, 0, k)
         side = np.signbit(t).astype(int)
         return nodes[side, k], table[side, k]
@@ -134,24 +140,32 @@ class BAExtension:
         the integrals i1 over [x - y, x] and i2 over [x, x + y]:
         u = (i1 + i2) / 2y, v = (i2 - i1) / 2y.
 
-        A point with |x| >= (1 + _KAPPA) y has both windows _KAPPA of their
-        widths from the cusp at 0, and from the singularities of h at +-i,
-        which lie further: it takes one panel a window.  Any other point
-        reads G, the integral of h from 0, at x - y, x and x + y, each a table
-        entry plus the panel from its nearest node: i1 = G(x) - G(x - y),
-        i2 = G(x + y) - G(x).  A far point costs 12 evaluations of the line
-        map, any other 18, all in one _panel_sums call."""
+        A point with |x| >= (1 + _KAPPA[6]) y has both windows _KAPPA[6] of
+        their widths from the cusp at 0, and from the singularities of h at
+        +-i, which lie further: it takes one panel a window, of 4 nodes if
+        |x| >= (1 + _KAPPA[4]) y and of 6 otherwise.  Any other point reads
+        G, the integral of h from 0, at x - y, x and x + y, each a table
+        entry plus the 4-node panel from its nearest node: i1 = G(x) -
+        G(x - y), i2 = G(x + y) - G(x).  A far point costs 8 or 12
+        evaluations of the line map, any other 12, in one _panel_sums call
+        per order."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        far = np.abs(x) >= (1.0 + _KAPPA) * y
-        xf, yf, xn, yn = x[far], y[far], x[~far], y[~far]
+        far = np.abs(x) >= (1.0 + _KAPPA[6]) * y
+        far4 = np.abs(x) >= (1.0 + _KAPPA[4]) * y
+        far6 = far & ~far4
+        x6, y6, x4, y4 = x[far6], y[far6], x[far4], y[far4]
+        xn, yn = x[~far], y[~far]
         ends = np.concatenate([xn - yn, xn, xn + yn])
         nodes, table = self._nearest_nodes(ends)
-        sums = _panel_sums(self.line_map, np.concatenate([xf - yf, xf, nodes]),
-                           np.concatenate([xf, xf + yf, ends]))
+        six = _panel_sums(self.line_map, np.concatenate([x6 - y6, x6]),
+                          np.concatenate([x6, x6 + y6]), 6)
+        four = _panel_sums(self.line_map, np.concatenate([x4 - y4, x4, nodes]),
+                           np.concatenate([x4, x4 + y4, ends]), 4)
         i1, i2 = np.empty(x.size), np.empty(x.size)
-        i1[far], i2[far] = sums[:xf.size], sums[xf.size:2 * xf.size]
-        g_lo, g_mid, g_hi = (table + sums[2 * xf.size:]).reshape(3, -1)
+        i1[far6], i2[far6] = six.reshape(2, -1)
+        i1[far4], i2[far4] = four[:2 * x4.size].reshape(2, -1)
+        g_lo, g_mid, g_hi = (table + four[2 * x4.size:]).reshape(3, -1)
         i1[~far], i2[~far] = g_mid - g_lo, g_hi - g_mid
         return (i1 + i2) / (2.0 * y), (i2 - i1) / (2.0 * y)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -78,6 +80,13 @@ class TestCatalog:
     def test_entry_needs_its_count_of_finite_parameters(self, name, parameters):
         with pytest.raises(ValueError):
             MapCatalogEntry(name, parameters)
+
+    @pytest.mark.parametrize("spec, parameter", [
+        ("power:2,", "''"), ("power:abc", "'abc'"), ("moebius:0.5x", "'0.5x'")])
+    def test_unparsable_parameter_names_the_map(self, spec, parameter):
+        with pytest.raises(ValueError, match=re.escape(
+                f"map {spec!r} has a parameter {parameter} that is not a number")):
+            parse_map_spec(spec)
 
     def test_parse_map_spec(self):
         entry = parse_map_spec("power:2")

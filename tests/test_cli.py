@@ -39,6 +39,9 @@ BAD_INPUT = [
     (["thm1", "--map", "power:-1"], "gamma > 0"),
     (["thm1", "--map", "moebius:1"], "|a| < 1"),
     (["thm1", "--map", "moebius:-1.5"], "|a| < 1"),
+    # a parameter that is not a number, named with its map
+    (["thm1", "--map", "power:2,"], "'power:2,' has a parameter ''"),
+    (["thm1", "--map", "power:abc"], "'power:abc' has a parameter 'abc'"),
 ]
 
 
@@ -381,6 +384,18 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, message", BAD_INPUT)
     def test_bad_input(self, capsys, argv, message):
         self._usage_error(capsys, argv, message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["thm2", "--p", "-inf"], "p=-inf"),
+        (["thm2", "--p", "-1e-3"], "p=-0.001"),
+        (["lemma1", "--aperture", "-inf"], "aperture=-inf"),
+        (["lemma1", "--aperture", "-1e-3"], "aperture=-0.001"),
+    ])
+    def test_value_starting_with_a_dash_is_named(self, capsys, argv, message):
+        # argparse takes -inf or -1e-3 after --p for an option, not a value;
+        # the usage error names the value as it does for --p=-inf
+        self._usage_error(capsys, argv, message)
+        self._usage_error(capsys, argv[:-2] + ["=".join(argv[-2:])], message)
 
     def test_af_conformal_rejects_a_non_moebius_map(self, capsys):
         self._usage_error(capsys, ["af_conformal", "--map", "power:2"],

@@ -6,10 +6,11 @@ import pytest
 from qchardy import extension
 from qchardy.boundary import BoundaryHomeo, make_map
 from qchardy.extension import (
-    _GL_ORDER,
+    _CUTS,
     _HIGHEST,
     _KAPPA,
     _LOWEST,
+    _MANTISSAS,
     _PANELS,
     BAExtension,
     DiscQCMap,
@@ -30,9 +31,11 @@ from qchardy.quadrature import gauss_legendre
 # reference does not move with the rule under test
 _SEED_ORDER = 16
 _SEED_FRACTIONS = np.concatenate(([0.0], 3.0 ** -np.arange(13, -1.0, -1.0)))
-# line-map evaluations of one antiderivative table: a panel [0, 2^_LOWEST]
-# and four per binade up to 2^_HIGHEST, on each side of 0
-_TABLE = 2 * (4 * (_HIGHEST - _LOWEST) + 1) * _GL_ORDER
+# line-map evaluations of one antiderivative table: a 6-node panel
+# [0, 2^_LOWEST] and eight per binade up to 2^_HIGHEST, on each side of 0
+_TABLE = 2 * (8 * (_HIGHEST - _LOWEST) + 1) * 6
+# its line-map batches: the 2 * 1481 panels take two chunks of _PANELS
+_TABLE_BATCHES = [6 * _PANELS, _TABLE - 6 * _PANELS]
 
 
 def _seed_line_integral(fn, a, b):
@@ -71,8 +74,9 @@ def _random_points(n=10000, seed=11):
     return x, y
 
 
-def _far(x, y):
-    return np.abs(x) >= (1.0 + _KAPPA) * y
+def _far(x, y, order=6):
+    """Points whose windows lie _KAPPA[order] of their widths from 0."""
+    return np.abs(x) >= (1.0 + _KAPPA[order]) * y
 
 
 def _scale(h, x, y):
@@ -117,13 +121,34 @@ def _quad_halfplane(h, x, y):
 
 class TestLineIntegral:
     def test_reach_from_bernstein_ellipse(self):
-        # a singularity _KAPPA panel widths beyond the panel's end lies on
-        # the Bernstein ellipse where rho^(-2n) is machine epsilon
-        u = 1.0 + 2.0 * _KAPPA
-        rho = u + np.sqrt(u * u - 1.0)
-        assert rho ** (-2 * _GL_ORDER) == pytest.approx(np.finfo(float).eps, rel=1e-9)
-        assert _GL_ORDER == 6
-        assert _KAPPA == pytest.approx(4.552, abs=1e-3)
+        # a singularity _KAPPA[n] panel widths beyond an n-node panel's end
+        # lies on the Bernstein ellipse where rho^(-2n) is machine epsilon
+        assert sorted(_KAPPA) == [4, 6]
+        for order, kappa in _KAPPA.items():
+            u = 1.0 + 2.0 * kappa
+            rho = u + np.sqrt(u * u - 1.0)
+            assert rho ** (-2 * order) == pytest.approx(np.finfo(float).eps, rel=1e-9)
+        assert _KAPPA[6] == pytest.approx(4.552, abs=1e-3)
+        assert _KAPPA[4] == pytest.approx(22.130, abs=1e-3)
+
+    def test_lookup_panels_reach_four_nodes(self):
+        # a lookup panel runs from a node m to a t nearest m in ratio, so at
+        # most to the cut c between m and the next node m': its ends are
+        # m and c, or c and m', and the end nearer 0 lies at least
+        # _KAPPA[4] of the panel's widths from 0
+        nodes = np.append(_MANTISSAS, 2.0 * _MANTISSAS[0])
+        lo, hi = nodes[:-1], nodes[1:]
+        assert np.all((lo < _CUTS) & (_CUTS < hi))
+        assert np.all(lo / (_CUTS - lo) >= _KAPPA[4])
+        assert np.all(_CUTS / (hi - _CUTS) >= _KAPPA[4])
+        # every table panel, node to node, lies _KAPPA[6] of its widths out
+        assert np.all(lo / (hi - lo) >= _KAPPA[6])
+        # and so does every lookup _nearest_nodes makes
+        ext = BAExtension(make_map("thm2_sqrt"))
+        rng = np.random.default_rng(3)
+        t = rng.choice([-1.0, 1.0], 20000) * 2.0 ** rng.uniform(_LOWEST, _HIGHEST, 20000)
+        node, _ = ext._nearest_nodes(t)
+        assert np.all(_KAPPA[4] * np.abs(t - node) <= np.minimum(np.abs(t), np.abs(node)))
 
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3", "identity"])
     def test_matches_seed_rule(self, spec):
@@ -138,14 +163,19 @@ class TestLineIntegral:
     @pytest.mark.parametrize("x, y, evaluations", [
         (6.0, 1.0, 12),
         (-3.0, 0.5, 12),
-        (1.0 + _KAPPA, 1.0, 12),
-        (5.5, 1.0, 18),
-        (-2.0, 1.0, 18),
-        (0.0, 1.0, 18),
-        (1e-3, 1e-3, 18),
+        (1.0 + _KAPPA[6], 1.0, 12),
+        (23.0, 1.0, 12),
+        (5.5, 1.0, 12),
+        (-2.0, 1.0, 12),
+        (0.0, 1.0, 12),
+        (1e-3, 1e-3, 12),
+        (1.0 + _KAPPA[4], 1.0, 8),
+        (-30.0, 1.0, 8),
+        (1e6, 1e-3, 8),
     ])
     def test_evaluations_per_point(self, x, y, evaluations):
-        # a far point is one panel a window, any other three table lookups
+        # a far point is one panel a window, of 4 nodes beyond 1 + kappa_4
+        # and of 6 nodes short of it; any other point three 4-node lookups
         ext = _CountingLineBA()
         ext.halfplane(0.0, 1.0)
         ext.batches.clear()
@@ -167,30 +197,39 @@ class TestLineIntegral:
         monkeypatch.setattr(BAExtension, "line_map", counting)
         phi = make_disc_map("thm2_sqrt")
         assert counts == []
-        assert 8000 < _TABLE < 9000
-        # z = 1/2 is x + iy = i/3: three lookups
+        assert 17000 < _TABLE < 18000
+        # z = 1/2 is x + iy = i/3: three 4-node lookups
         for _ in range(2):
             phi(np.array([0.5 + 0j]))
-        assert counts == [_TABLE, 3 * _GL_ORDER, 3 * _GL_ORDER]
-        # x + iy = 6 + i is far: one panel a window
-        counts.clear()
-        w = 6.0 + 1.0j
-        make_disc_map("thm2_sqrt")(np.array([(1j - w) / (1j + w)]))
-        assert counts == [_TABLE, 2 * _GL_ORDER]
+        assert counts == _TABLE_BATCHES + [3 * 4, 3 * 4]
+        # x + iy = 6 + i and 30 + i are far: one 6-node, or 4-node, panel
+        # a window
+        for w, order in ((6.0 + 1.0j, 6), (30.0 + 1.0j, 4)):
+            counts.clear()
+            make_disc_map("thm2_sqrt")(np.array([(1j - w) / (1j + w)]))
+            assert counts == _TABLE_BATCHES + [2 * order]
 
     def test_batch_evaluates_no_zero_width_panel(self):
         ext = _CountingLineBA()
         x, y = _random_points(n=2500)
-        far = np.count_nonzero(_far(x, y))
-        assert 0 < far < x.size and 2 * x.size > _PANELS
+        far4 = np.count_nonzero(_far(x, y, 4))
+        far6 = np.count_nonzero(_far(x, y)) - far4
+        near = x.size - far4 - far6
+        assert min(far4, far6, near) > 0 and 3 * near > _PANELS
         ext.halfplane(x, y)
-        table, *panels = ext.batches
-        assert table.size == _TABLE
+        table, panels = ext.batches[:2], ext.batches[2:]
+        assert [batch.size for batch in table] == _TABLE_BATCHES
         assert len(panels) >= 3
-        assert all(batch.size <= _PANELS * _GL_ORDER for batch in panels)
-        nodes = np.concatenate(panels).reshape(-1, _GL_ORDER)
-        assert nodes.shape[0] == 2 * far + 3 * (x.size - far)
-        assert np.all(np.ptp(nodes, axis=1) > 0.0)
+        # the 6-node panels of far points come first, then the 4-node ones
+        # of the other far points and of the lookups, each in chunks
+        sizes = np.cumsum([batch.size for batch in panels])
+        six = 2 * far6 * 6
+        assert six in sizes
+        assert all(batch.size <= _PANELS * 6 for batch in panels)
+        nodes = np.concatenate(panels)
+        by_order = nodes[:six].reshape(-1, 6), nodes[six:].reshape(-1, 4)
+        assert by_order[1].shape[0] == 2 * far4 + 3 * near
+        assert all(np.all(np.ptp(n, axis=1) > 0.0) for n in by_order)
 
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
     def test_chunks_change_no_bit(self, spec, monkeypatch):
@@ -216,11 +255,16 @@ class TestLineIntegral:
 
         left = np.linspace(-2.0, 2.0, 2 * _PANELS + 1)
         right = left + 0.25
-        sums = _panel_sums(fn, left, right)
-        assert calls == [_PANELS * _GL_ORDER] * 2 + [_GL_ORDER]
-        np.testing.assert_allclose(sums, np.sin(right) - np.sin(left), rtol=0.0,
-                                   atol=1e-15)
-        assert _panel_sums(fn, left[:0], right[:0]).size == 0 and len(calls) == 3
+        # 4 nodes on a panel of width 1/4 leave Gauss's remainder of cos,
+        # up to 2.1e-15
+        for order, atol in ((6, 1e-15), (4, 5e-15)):
+            calls.clear()
+            sums = _panel_sums(fn, left, right, order)
+            assert calls == [_PANELS * order] * 2 + [order]
+            np.testing.assert_allclose(sums, np.sin(right) - np.sin(left),
+                                       rtol=0.0, atol=atol)
+            assert _panel_sums(fn, left[:0], right[:0], order).size == 0
+            assert len(calls) == 3
 
     def test_jet_of_a_chunked_batch_matches_its_halves(self, thm2_map, monkeypatch):
         # disc points near the cusp's image, 1 - |z| down to 2^-20
@@ -228,21 +272,22 @@ class TestLineIntegral:
         z = (radial_schedule(20)[:, None] * np.exp(1j * theta)).ravel()
         chunks = []
 
-        def recording(fn, left, right):
+        def recording(fn, left, right, order):
             calls = []
 
             def counted(x):
                 calls.append(x.size)
                 return fn(x)
 
-            out = _panel_sums(counted, left, right)
+            out = _panel_sums(counted, left, right, order)
             chunks.append(len(calls))
             return out
 
         with monkeypatch.context() as m:
             m.setattr(extension, "_panel_sums", recording)
             whole = thm2_map.jet(z)
-        # the points' call comes last, after the table if it was built now
+        # the points' 4-node call comes last, after the table if it was
+        # built now and the 6-node call
         assert chunks[-1] >= 3
         half = z.size // 2
         parts = thm2_map.jet(z[:half]), thm2_map.jet(z[half:])
@@ -261,7 +306,7 @@ class TestWindowAccuracy:
         # x / y through the band [kappa / 3, kappa), on both sides of 0: the
         # window [x, x + y] (or [x - y, x]) has c = x; then windows ending
         # at 0 and around it
-        f = np.linspace(_KAPPA / 3.0, _KAPPA, 7, endpoint=False)
+        f = np.linspace(_KAPPA[6] / 3.0, _KAPPA[6], 7, endpoint=False)
         x = np.concatenate([f, -f, [0.0, 1.0, -1.0, 0.5]]) * length
         return x, np.full(x.size, length)
 
@@ -286,7 +331,7 @@ class TestWindowAccuracy:
         ext = BAExtension(make_map(spec))
         h = ext.line_map
         r = np.concatenate([np.linspace(0.0, 6.0, 13),
-                            (1.0 + _KAPPA) * (1.0 + np.array([-1e-9, 0.0, 1e-9]))])
+                            (1.0 + _KAPPA[6]) * (1.0 + np.array([-1e-9, 0.0, 1e-9]))])
         x, y = np.concatenate([r, -r]) * length, np.full(2 * r.size, length)
         assert 0 < np.count_nonzero(_far(x, y)) < x.size
         u, v = ext.halfplane(x, y)
@@ -294,6 +339,27 @@ class TestWindowAccuracy:
         scale = _scale(h, x, y)
         assert np.all(np.abs(u - u_ref) <= 2e-15 * scale)
         assert np.all(np.abs(v - v_ref) <= 2e-15 * scale)
+
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3", "identity"])
+    @pytest.mark.parametrize("length", [1e-9, 1e-4, 0.03, 1.0])
+    def test_both_sides_of_the_four_node_switch_against_quad(self, spec, length):
+        # |x| / y from 6 to 40, with 1 + kappa_4 = 23.13 the switch from
+        # 6-node to 4-node windows.  At length 1 and |x| near 40 the line map
+        # is tan(alpha / 2) with alpha near pi, and its own rounding reaches
+        # 5.3e-15 max|h| against quad with 6-node windows, 1.2e-14 with
+        # 4-node ones; elsewhere both stay under 4e-16
+        ext = BAExtension(make_map(spec))
+        h = ext.line_map
+        r = np.concatenate([np.linspace(6.0, 40.0, 18),
+                            (1.0 + _KAPPA[4]) * (1.0 + np.array([-1e-9, 0.0, 1e-9]))])
+        x, y = np.concatenate([r, -r]) * length, np.full(2 * r.size, length)
+        assert np.all(_far(x, y))
+        assert 0 < np.count_nonzero(_far(x, y, 4)) < x.size
+        u, v = ext.halfplane(x, y)
+        u_ref, v_ref = _quad_halfplane(h, x, y)
+        scale = (2e-14 if length == 1.0 else 2e-15) * _scale(h, x, y)
+        assert np.all(np.abs(u - u_ref) <= scale)
+        assert np.all(np.abs(v - v_ref) <= scale)
 
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3"])
     def test_lookups_stay_in_the_table_at_the_circle(self, spec):
