@@ -1,7 +1,7 @@
 """qchardy: a numerical laboratory for Hardy-space behaviour of quasiregular
 mappings of the unit disc.
 
-Building blocks: disc geometry (cones, hyperbolic balls), quasisymmetric
+Building blocks: disc geometry (cone windows, hyperbolic balls), quasisymmetric
 boundary maps with Beurling-Ahlfors extensions, analytic kernels and
 quasiregular composites, integral functionals with convergence
 classification, and Carleson-type measure testers.  The ``qchardy`` command
@@ -47,10 +47,6 @@ from .functions import (
     compose,
     hardy_kernel,
 )
-from .geometry import (
-    Cone,
-    HyperbolicBall,
-    cone_sample,
-)
+from .geometry import HyperbolicBall
 
 __version__ = "0.1.0"

@@ -152,9 +152,9 @@ def dyadic_edges(depth):
     return np.linspace(-np.pi, np.pi, 2 ** (depth + 1) + 1)
 
 
-def _dyadic_sup_inverse(inverse, depth):
-    edges = dyadic_edges(depth)
-    pre = inverse(edges)
+def dyadic_modulus_inverse(h, depth):
+    """sup of |h^{-1}(I)| / |I| over the dyadic arcs I of the given depth."""
+    pre = h.inverse(dyadic_edges(depth))
     width = np.pi * 2.0 ** (-depth)
     return float(np.max(np.diff(pre)) / width)
 
@@ -163,7 +163,7 @@ def lipschitz_modulus_inverse(h, dyadic_depth):
     """Per-depth sup of |h^{-1}(I)| / |I| over dyadic arcs, depths 1..dyadic_depth."""
     if dyadic_depth < 1:
         raise ValueError("dyadic_depth must be >= 1")
-    return [_dyadic_sup_inverse(h.inverse, d) for d in range(1, dyadic_depth + 1)]
+    return [dyadic_modulus_inverse(h, d) for d in range(1, dyadic_depth + 1)]
 
 
 def lipschitz_tail(moduli):

@@ -161,7 +161,7 @@ def _kernel_term(phi, w):
     wb = np.conj(w)
 
     def fn(t):
-        zeta = phi.boundary_point(t)
+        zeta = phi.boundary.map_point(t)
         return np.abs(1.0 - wb * zeta) ** -2.0
 
     marks = ()

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import carleson as ca
 from . import functionals as fn
-from .boundary import (lipschitz_modulus_inverse, lipschitz_tail, make_map,
-                       parse_map_spec)
+from .boundary import (dyadic_modulus_inverse, lipschitz_modulus_inverse,
+                       lipschitz_tail, make_map, parse_map_spec)
 from .extension import cone_image_aperture, make_disc_map
 from .functions import AnalyticFunction, cauchy_kernel, compose, hardy_kernel
 from .tail import (CONVERGED, DIVERGING, TAIL_CAP, UNDETERMINED,
@@ -113,12 +113,13 @@ class ExperimentSpec:
 def _lipschitz_row(rep, phi, depth):
     """Add the depth-`depth` modulus row, its verdict read one depth deeper
     at a time while undetermined, up to TAIL_CAP; return the verdict."""
-    moduli = deeper = lipschitz_modulus_inverse(phi.boundary, depth)
-    verdict, reason = lipschitz_tail(deeper)
-    while verdict == UNDETERMINED and len(deeper) < TAIL_CAP:
-        deeper = lipschitz_modulus_inverse(phi.boundary, len(deeper) + 1)
-        verdict, reason = lipschitz_tail(deeper)
-    rep.add("lipschitz_modulus", moduli[-1], 0.0, verdict, (reason, len(deeper)))
+    moduli = lipschitz_modulus_inverse(phi.boundary, depth)
+    value = moduli[-1]
+    verdict, reason = lipschitz_tail(moduli)
+    while verdict == UNDETERMINED and len(moduli) < TAIL_CAP:
+        moduli.append(dyadic_modulus_inverse(phi.boundary, len(moduli) + 1))
+        verdict, reason = lipschitz_tail(moduli)
+    rep.add("lipschitz_modulus", value, 0.0, verdict, (reason, len(moduli)))
     return verdict
 
 

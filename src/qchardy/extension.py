@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .boundary import identity_homeo, make_map, moebius_homeo, parse_map_spec
-from .geometry import Cone, cone_sample
+from .geometry import cone_halfwidth
 from .quadrature import gauss_legendre
 
 # live panels per evaluation of the line map: 2048 * 6 nodes make every
@@ -227,9 +227,6 @@ class DiscQCMap:
     def __call__(self, z):
         return self.interior(np.asarray(z, dtype=complex))
 
-    def boundary_point(self, t):
-        return self.boundary.map_point(t)
-
     def jet(self, z):
         """(phi, d_z phi, d_zbar phi) at z: exact for conformal maps, closed
         form for Beurling-Ahlfors extensions."""
@@ -247,17 +244,15 @@ class DiscQCMap:
         return norm_and_jacobian(*self.jet(z)[1:])
 
     def kink_angles(self, r):
-        """Angles t where phi(r e^{it}) is not smooth in t: none for a
-        conformal map, up to four per boundary cusp for a Beurling-Ahlfors
-        extension.
+        """Angles t where phi(r e^{it}) is not smooth in t: up to four per
+        cusp of the boundary map for a Beurling-Ahlfors extension, so none
+        for a conformal map, whose boundary map has no cusp.
 
         The extension averages the line map over [x - y, x + y], with x + iy
         the Cayley image of r e^{it}, and an end of that window crosses the
         image tan(c/2) of a cusp c where
             2r sin(t - c/2) = (1 + r^2) sin(c/2) +- (1 - r^2) cos(c/2).
         """
-        if self.complex_derivative is not None:
-            return ()
         angles = []
         for c in self.boundary.cusps:
             for sign in (1.0, -1.0):
@@ -367,12 +362,18 @@ def invert(phi, w, z0=None, tol=1e-11, max_iter=80):
 
 def cone_image_aperture(phi, xi, c=2.0, samples=96):
     """Empirical aperture of the image of the cone at xi under phi:
-    sup |phi(z) - phi(xi)| / (1 - |phi(z)|) over a cone sample lattice."""
+    sup |phi(z) - phi(xi)| / (1 - |phi(z)|) over a lattice in the cone:
+    samples // 12 (at least 3) rays across its window at each of the 12
+    depths 1 - 2^-k."""
+    if abs(abs(xi) - 1.0) > 1e-12:
+        raise ValueError("cone vertex must lie on the unit circle")
     n_depths = 12
     rays = max(3, int(samples) // n_depths)
-    depths = 1.0 - 2.0 ** -np.arange(1, n_depths + 1)
-    cone = Cone(vertex=xi, aperture=c)
-    z = cone_sample(cone, depths, rays)
-    w = phi(z)
-    target = complex(phi.boundary_point(float(np.angle(xi))))
+    t0 = np.angle(xi)
+    z = []
+    for d in 1.0 - 2.0 ** -np.arange(1, n_depths + 1):
+        half = cone_halfwidth(c, d) * (1.0 - 1e-9)
+        z.append(d * np.exp(1j * (t0 + np.linspace(-half, half, rays))))
+    w = phi(np.concatenate(z))
+    target = complex(phi.boundary.map_point(float(np.angle(xi))))
     return float(np.max(np.abs(w - target) / (1.0 - np.abs(w))))

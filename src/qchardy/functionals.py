@@ -17,7 +17,7 @@ from itertools import count
 import numpy as np
 
 from .functions import AnalyticFunction, QuasiregularMap
-from .geometry import Cone, HyperbolicBall, ball_sample, cone_angular_halfwidth
+from .geometry import HyperbolicBall, ball_sample, cone_halfwidth
 from .quadrature import (TWO_PI, _polar_rule, circle_mean, gauss_legendre,
                          wrap_angle)
 from .tail import (CONVERGED, DIVERGING, TAIL_CAP, UNDETERMINED,
@@ -45,12 +45,6 @@ def radial_schedule(k_max=RADIAL_DEPTH):
     return 1.0 - 2.0 ** -np.arange(1, k_max + 1)
 
 
-def singular_angles_of(f):
-    if isinstance(f, QuasiregularMap):
-        return f.singular_pullback_angles()
-    return f.singular_angles
-
-
 def _circle_marks(f, r):
     """Grading marks for circle means of f on |z| = r: f's singular angles at
     1e-3 (1 - r) and, for a composite, its symbol's kink angles at
@@ -62,7 +56,7 @@ def _circle_marks(f, r):
     singularity.  So f = g o phi has no feature finer than about (1 - r) / C
     on the circle, and panels finer than 1e-3 (1 - r) would integrate a
     function that is constant to rounding."""
-    marks = [(t, 1e-3 * (1.0 - r)) for t in singular_angles_of(f)]
+    marks = [(t, 1e-3 * (1.0 - r)) for t in f.singular_angles]
     if isinstance(f, QuasiregularMap):
         marks += [(t, 0.1 * (1.0 - r)) for t in f.phi.kink_angles(r)]
     return marks
@@ -136,7 +130,7 @@ def boundary_lp(f, p):
         zeroed += vals.size - np.count_nonzero(finite)
         return np.where(finite, vals, 0.0)
 
-    angles = singular_angles_of(f)
+    angles = f.singular_angles
     means = np.array([circle_mean(fn, [(t, 10.0 ** -k) for t in angles])[0]
                       for k in BOUNDARY_SCALES])
     verdict, _ = classify_tail(means, np.finfo(float).eps * np.array(sizes) * means)
@@ -158,8 +152,6 @@ def nt_maximal(f, xi, aperture=2.0, budget=96):
     xi = np.asarray(xi, dtype=complex)
     if np.any(np.abs(np.abs(xi) - 1.0) > 1e-12):
         raise ValueError("cone vertex must lie on the unit circle")
-    # the admissible angular window depends on the aperture only
-    cone = Cone(vertex=1.0 + 0j, aperture=aperture)
     n_depths = 12
     level = max(0, int(np.floor(np.log2(max(budget, n_depths) / n_depths))))
     t0 = np.angle(xi).reshape(-1, 1)
@@ -167,7 +159,7 @@ def nt_maximal(f, xi, aperture=2.0, budget=96):
     ks = np.arange(-2 ** level, 2 ** level + 1)
     for j in range(1, n_depths + 1):
         d = 1.0 - 2.0 ** -j
-        half = cone_angular_halfwidth(cone, d) * (1.0 - 1e-9)
+        half = cone_halfwidth(aperture, d) * (1.0 - 1e-9)
         z = d * np.exp(1j * (t0 + half * ks / 2.0 ** level))
         best = np.maximum(best, np.max(np.abs(f(z)), axis=1))
     return float(best[0]) if xi.ndim == 0 else best.reshape(xi.shape)
@@ -192,7 +184,7 @@ def maximal_lp(f, p, aperture=2.0, grid_n=64, budget=96):
     """Discrete Lp norm over the boundary of the non-tangential maximal
     function, with extra grid points graded toward singular pullbacks."""
     p = float(p)
-    angles, weights = _xi_grid(grid_n, singular_angles_of(f))
+    angles, weights = _xi_grid(grid_n, f.singular_angles)
     vals = nt_maximal(f, np.exp(1j * angles), aperture, budget)
     return float((np.sum(weights * vals ** p) / TWO_PI) ** (1.0 / p))
 

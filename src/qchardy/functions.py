@@ -85,11 +85,12 @@ class QuasiregularMap:
 
     def boundary_trace(self, t):
         """f(e^{it}) = g(phi(e^{it})); evaluates to inf at singular pullbacks."""
-        zeta = self.phi.boundary_point(np.asarray(t, dtype=float))
+        zeta = self.phi.boundary.map_point(np.asarray(t, dtype=float))
         with np.errstate(divide="ignore", invalid="ignore"):
             return self.g(zeta)
 
-    def singular_pullback_angles(self):
+    @property
+    def singular_angles(self):
         """Boundary singular angles of g pulled back through the boundary map."""
         inv = self.phi.boundary.inverse
         return tuple(float(inv(np.asarray(a))) for a in self.g.singular_angles)

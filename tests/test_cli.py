@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from qchardy import boundary
 from qchardy import carleson as ca
 from qchardy import cli
 from qchardy import functionals as fn
@@ -207,6 +208,23 @@ class TestVerdicts:
         if map_spec == "moebius:0.99":
             # the row keeps the --depth 10 value; only the verdict reads deeper
             assert rows["lipschitz_modulus"] == 193.1430183343716
+
+    @pytest.mark.parametrize("map_spec, sweeps", [("moebius:0.99", 11),
+                                                  ("moebius:0.999", 14)])
+    def test_deeper_lipschitz_depths_are_computed_once(self, monkeypatch,
+                                                        map_spec, sweeps):
+        # one dyadic sweep per depth read: 1..10, then one more per step
+        calls = []
+        edges = boundary.dyadic_edges
+
+        def counted(depth):
+            calls.append(depth)
+            return edges(depth)
+
+        monkeypatch.setattr(boundary, "dyadic_edges", counted)
+        rep = run(ExperimentSpec("thm1", map_spec))
+        assert calls == list(range(1, sweeps + 1))
+        assert rep.metadata["verdicts"]["lipschitz_modulus"]["at"] == sweeps
 
     def test_moebius_area_integral_reads_one_more_shell(self):
         rep = run(ExperimentSpec("thm3", "moebius:0.99"))

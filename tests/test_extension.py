@@ -424,7 +424,7 @@ class TestDiscExtension:
         t = np.linspace(-np.pi + 0.05, np.pi - 0.05, 64)
         z = (1.0 - 1e-6) * np.exp(1j * t)
         w = thm2_map(z)
-        target = thm2_map.boundary_point(t)
+        target = thm2_map.boundary.map_point(t)
         assert np.max(np.abs(w - target)) < 0.02
 
     def test_maps_into_disc(self, thm2_map, pow2_map):
@@ -578,6 +578,24 @@ class TestConeImageAperture:
     def test_validation(self, identity_map):
         with pytest.raises(ValueError):
             cone_image_aperture(identity_map, 1.0 + 0j, c=1.0)
+
+    def test_vertex_off_the_circle(self, identity_map):
+        with pytest.raises(ValueError, match="unit circle"):
+            cone_image_aperture(identity_map, 0.5)
+
+    def test_lattice_lies_in_cone(self, identity_map):
+        seen = []
+
+        def interior(z):
+            seen.append(z)
+            return z
+
+        xi, c = np.exp(0.7j), 2.5
+        cone_image_aperture(DiscQCMap(identity_map.boundary, interior), xi, c,
+                            samples=84)
+        (z,) = seen
+        assert z.shape == (84,)  # 12 depths of 7 rays
+        assert np.all(np.abs(z - xi) < c * (1.0 - np.abs(z)))
 
 
 class TestCatalogConstruction:

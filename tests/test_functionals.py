@@ -28,7 +28,7 @@ from qchardy.functions import (
     compose,
     hardy_kernel,
 )
-from qchardy.geometry import Cone, cone_angular_halfwidth
+from qchardy.geometry import cone_halfwidth
 from qchardy.quadrature import TWO_PI, circle_mean, gauss_legendre
 
 
@@ -56,13 +56,12 @@ def _fixed_scale_marks(f, r, scale):
     """The earlier grading marks for a composite on |z| = r, kept as the
     reference rule: its singular angles at a fixed scale (1e-10 for Hardy
     means, 1e-9 for area shells) and its symbol's kinks at 0.1 (1 - r)."""
-    marks = [(t, scale) for t in functionals.singular_angles_of(f)]
+    marks = [(t, scale) for t in f.singular_angles]
     return marks + [(t, 0.1 * (1.0 - r)) for t in f.phi.kink_angles(r)]
 
 
 def _nt_maximal_loop(f, xi, aperture=2.0, budget=96):
     """Reference: the maximal function at one vertex, one call of f per depth."""
-    cone = Cone(vertex=xi, aperture=aperture)
     n_depths = 12
     level = max(0, int(np.floor(np.log2(max(budget, n_depths) / n_depths))))
     t0 = float(np.angle(xi))
@@ -70,7 +69,7 @@ def _nt_maximal_loop(f, xi, aperture=2.0, budget=96):
     ks = np.arange(-2 ** level, 2 ** level + 1)
     for j in range(1, n_depths + 1):
         d = 1.0 - 2.0 ** -j
-        half = cone_angular_halfwidth(cone, d) * (1.0 - 1e-9)
+        half = cone_halfwidth(aperture, d) * (1.0 - 1e-9)
         z = d * np.exp(1j * (t0 + half * ks / 2.0 ** level))
         best = max(best, float(np.max(np.abs(f(z)))))
     return best
@@ -377,7 +376,7 @@ class TestMaximal:
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
     def test_batched_equals_the_per_angle_loop(self, spec):
         f = compose(hardy_kernel(0.9, 2.0), make_disc_map(spec))
-        angles, weights = _xi_grid(32, f.singular_pullback_angles())
+        angles, weights = _xi_grid(32, f.singular_angles)
         loop = np.array([_nt_maximal_loop(f, np.exp(1j * t)) for t in angles])
         assert np.array_equal(nt_maximal(f, np.exp(1j * angles)), loop)
         ref = float((np.sum(weights * loop ** 2.0) / TWO_PI) ** 0.5)

@@ -95,10 +95,10 @@ class TestComposite:
         # pole direction angle 0 pulls back through alpha^{-1}; for power(2)
         # the inverse is the square-root map so the pullback of 0 stays 0
         f = compose(cauchy_kernel(), pow2_map)
-        assert f.singular_pullback_angles() == (0.0,)
+        assert f.singular_angles == (0.0,)
         g = hardy_kernel(0.9 * np.exp(0.5j), 2.0)
         f2 = compose(g, pow2_map)
-        (a,) = f2.singular_pullback_angles()
+        (a,) = f2.singular_angles
         assert a == pytest.approx(np.sqrt(np.pi * 0.5))
 
     def test_chain_rule_conformal(self, moebius_map):

@@ -2,89 +2,56 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qchardy.geometry import (
-    Cone,
-    HyperbolicBall,
-    ball_sample,
-    cone_angular_halfwidth,
-    cone_sample,
-)
+from qchardy.geometry import HyperbolicBall, ball_sample, cone_halfwidth
 
 
-def cone_contains(cone, z):
-    """Reference membership oracle of the open cone; rejects points outside
-    the open disc."""
+def cone_contains(vertex, aperture, z):
+    """Reference membership oracle of the open cone
+    {z : |z - vertex| < aperture (1 - |z|)}; rejects points outside the open
+    disc."""
     z = np.asarray(z, dtype=complex)
     if np.any(np.abs(z) >= 1.0):
         raise ValueError("cone_contains requires |z| < 1")
-    inside = np.abs(z - cone.vertex) < cone.aperture * (1.0 - np.abs(z))
+    inside = np.abs(z - vertex) < aperture * (1.0 - np.abs(z))
     if inside.ndim == 0:
         return bool(inside)
     return inside
 
 
-interior_points = st.builds(
-    lambda r, t: r * np.exp(1j * t),
-    st.floats(0.0, 0.999), st.floats(-np.pi, np.pi),
-)
-
-
-class TestCone:
+class TestConeHalfwidth:
     def test_contains_basic(self):
-        cone = Cone(vertex=1.0 + 0j, aperture=2.0)
-        assert cone_contains(cone, 0.5)
-        assert cone_contains(cone, 0.0)
-        assert not cone_contains(cone, -0.5)
+        assert cone_contains(1.0, 2.0, 0.5)
+        assert cone_contains(1.0, 2.0, 0.0)
+        assert not cone_contains(1.0, 2.0, -0.5)
 
     def test_rejects_boundary_points(self):
-        cone = Cone(vertex=1.0 + 0j)
         with pytest.raises(ValueError):
-            cone_contains(cone, 1.0)
+            cone_contains(1.0, 2.0, 1.0)
         with pytest.raises(ValueError):
-            cone_contains(cone, np.array([0.3, 1.2j]))
+            cone_contains(1.0, 2.0, np.array([0.3, 1.2j]))
 
     def test_aperture_validation(self):
-        with pytest.raises(ValueError):
-            Cone(vertex=1.0 + 0j, aperture=1.0)
-        with pytest.raises(ValueError):
-            Cone(vertex=0.5 + 0j)
+        for c in (1.0, 0.5, np.nan):
+            with pytest.raises(ValueError, match="aperture"):
+                cone_halfwidth(c, 0.5)
 
-    @given(interior_points, st.floats(1.1, 5.0), st.floats(0.1, 3.0))
-    def test_monotone_in_aperture(self, z, c, dc):
-        small = Cone(vertex=1j, aperture=c)
-        big = Cone(vertex=1j, aperture=c + dc)
-        if cone_contains(small, z):
-            assert cone_contains(big, z)
+    @given(st.floats(0.01, 0.999), st.floats(1.1, 5.0), st.floats(0.1, 3.0))
+    def test_monotone_in_aperture(self, d, c, dc):
+        assert cone_halfwidth(c, d) <= cone_halfwidth(c + dc, d)
 
-    def test_angular_halfwidth_matches_membership(self):
-        cone = Cone(vertex=1j, aperture=2.0)
+    def test_halfwidth_matches_membership(self):
         for d in (0.5, 0.9, 0.99):
-            half = cone_angular_halfwidth(cone, d)
+            half = cone_halfwidth(2.0, d)
             inside = d * np.exp(1j * (np.pi / 2 + 0.999 * half))
             outside = d * np.exp(1j * (np.pi / 2 + 1.001 * half))
-            assert cone_contains(cone, inside)
-            assert not cone_contains(cone, outside)
+            assert cone_contains(1j, 2.0, inside)
+            assert not cone_contains(1j, 2.0, outside)
 
-    def test_sample_lies_in_cone(self):
-        cone = Cone(vertex=np.exp(0.7j), aperture=2.5)
-        pts = cone_sample(cone, [0.5, 0.75, 0.9, 0.99], rays_per_depth=7)
-        assert pts.shape == (28,)
-        assert np.all(cone_contains(cone, pts))
-
-    def test_sample_single_ray_is_radial(self):
-        cone = Cone(vertex=1.0 + 0j)
-        pts = cone_sample(cone, [0.5, 0.9], rays_per_depth=1)
-        assert np.allclose(pts.imag, 0.0)
-        assert np.allclose(pts.real, [0.5, 0.9])
-
-    def test_sample_input_validation(self):
-        cone = Cone(vertex=1.0 + 0j)
-        with pytest.raises(ValueError):
-            cone_sample(cone, [], 4)
-        with pytest.raises(ValueError):
-            cone_sample(cone, [0.9, 0.5], 4)
-        with pytest.raises(ValueError):
-            cone_sample(cone, [0.0, 0.5], 4)
+    def test_whole_circle_near_the_centre(self):
+        # aperture (1 - d) >= 1 + d, so d <= 1/3 at aperture 2: the whole
+        # circle |z| = d lies in the cone
+        assert cone_halfwidth(2.0, 0.2) == np.pi
+        assert cone_halfwidth(2.0, 0.34) < np.pi
 
 
 class TestHyperbolicBall:
