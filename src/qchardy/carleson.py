@@ -24,15 +24,13 @@ from .extension import invert, norm_and_jacobian
 from .functionals import hardy_norm
 from .functions import compose, hardy_kernel
 from .geometry import HyperbolicBall
-from .quadrature import TWO_PI, _polar_rule, circle_mean, wrap_angle
+from .quadrature import BALL_RULE, TWO_PI, circle_mean, wrap_angle
 from .tail import CONVERGED, TAIL_CAP, UNDETERMINED, classify_tail
 
 
 LEBESGUE = "lebesgue"
 WEIGHTED = "weighted"
 
-
-_BALL_RULE = _polar_rule(8, 16)
 # balls whose rule nodes share one Newton run of a sweep: 32 * 128 = 4096
 # lanes, so a thmA run makes 28 jet calls instead of 310 one ball at a time;
 # its whole family in one run makes 16, is no faster, and peaks 2.7 MB higher
@@ -54,25 +52,22 @@ class DiscPushforward:
         self.density = density
         self.p = float(p)
 
-    def measure_ball(self, ball, center=None):
-        """(mass, error) of the ball under the pushforward measure; center is
-        (z, d_z phi, d_zbar phi) at the preimage z of the ball's center, if
-        known.  The one-ball view of _masses."""
-        if center is None:
-            zc, (_, dz, dzb) = invert(self.phi, ball.center)
-            center = zc, dz, dzb
-        return self._masses([ball], [center])[0]
+    def measure_ball(self, ball):
+        """(mass, error) of the ball under the pushforward measure: the
+        one-ball view of _masses."""
+        zc, (_, dz, dzb) = invert(self.phi, ball.center)
+        return self._masses([ball], [(zc, dz, dzb)])[0]
 
     def _masses(self, balls, centers):
         """(mass, error) of each ball, from one Newton run on the nodes of all
         of them; centers holds (z, d_z phi, d_zbar phi) at the preimage of
         each ball's center.
 
-        The mass is the 8 x 16 product rule (_BALL_RULE) on the ball; the
-        error is its distance from the 8 x 8 rule on every other angle.
+        The mass is the shared 8 x 16 product rule BALL_RULE on the ball;
+        the error is its distance from the 8 x 8 rule on every other angle.
         Newton lanes are independent and the jets pointwise, so a ball's
         mass does not depend on the balls it is run with."""
-        nodes, weights = _BALL_RULE
+        nodes, weights = BALL_RULE
         dw = [ball.radius * nodes for ball in balls]
         # seed each node from the linearised inverse at its ball's center,
         # pushed back inside the disc
@@ -216,7 +211,7 @@ def kernel_carleson(phi, k_max):
     return ProxyResult(max(ratios[:k_max]), ratios, errors, tuple(ws))
 
 
-def operator_bound_proxy(phi, p, k_max=16, radial_depth=24):
+def operator_bound_proxy(phi, p, k_max=16):
     """sup over w_k = 1 - 2^{-k} of the Hardy-norm ratio
     ||kernel_w o phi||^p / ||kernel_w||^p for the extremal kernel family.
     Its boundary limit is the kernel Carleson test (kernel_carleson), which
@@ -226,8 +221,8 @@ def operator_bound_proxy(phi, p, k_max=16, radial_depth=24):
     ratios, errors = [], []
     for w in ws:
         g = hardy_kernel(w, p)
-        num = hardy_norm(compose(g, phi), p, k_max=radial_depth)
-        den = hardy_norm(g, p, k_max=radial_depth)
+        num = hardy_norm(compose(g, phi), p)
+        den = hardy_norm(g, p)
         ratios.append(num.value ** p / den.value ** p)
         # the norms' errors, carried to the p-th powers and their quotient
         errors.append(ratios[-1] * p * (num.error / num.value + den.error / den.value))

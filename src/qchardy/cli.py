@@ -149,12 +149,10 @@ def _ring_sweep(tester, mu):
     return sweep, verdict, (reason, len(ratios))
 
 
-def run_thm1(spec):
+def run_thm1(spec, phi, rep):
     """Kernel Carleson test of the boundary map vs the Lipschitz
     classification of the inverse boundary map; the two must agree.  The
     kernel test holds for every p at once, so --p does not enter."""
-    phi = make_disc_map(spec.map_spec)
-    rep = ExperimentReport("thm1")
     test = ca.kernel_carleson(phi, spec.depth)
     bounded, reason = test.tail()
     top = int(np.argmax(test.ratios[:spec.depth]))
@@ -163,23 +161,18 @@ def run_thm1(spec):
     lip = _lipschitz_row(rep, phi, spec.depth)
     ok = bounded == lip != UNDETERMINED
     rep.check("thm1_agreement", ok, float(ok))
-    return rep
 
 
-def run_thm2(spec):
+def run_thm2(spec, phi, rep):
     """The divergent analytic norm against the convergent composite norms."""
-    phi = make_disc_map(spec.map_spec)
-    rep = ExperimentReport("thm2")
     g = cauchy_kernel()
     f = compose(g, phi)
     ng = fn.hardy_norm(g, spec.p)
     rep.add("hardy_norm_g", ng.value, ng.error, ng.classification, ng.why)
     nf = fn.hardy_norm(f, spec.p)
     rep.add("hardy_norm_composite", nf.value, nf.error, nf.classification, nf.why)
-    bnorm, zeroed = fn.boundary_lp(f, spec.p)
-    verdict = (CONVERGED if np.isfinite(bnorm)
-               else DIVERGING if bnorm == np.inf else UNDETERMINED)
-    rep.add("boundary_lp_composite", bnorm, 0.0, verdict,
+    bnorm, bverdict, zeroed = fn.boundary_lp(f, spec.p)
+    rep.add("boundary_lp_composite", bnorm, 0.0, bverdict,
             ("tail of the boundary means graded at 10^-k; "
              f"{zeroed} non-finite boundary samples set to 0",
              fn.BOUNDARY_SCALES[-1]))
@@ -188,22 +181,19 @@ def run_thm2(spec):
             CONVERGED if np.isfinite(mnorm) else DIVERGING)
     if parse_map_spec(spec.map_spec).name == "thm2_sqrt":
         ok = (ng.classification == DIVERGING
-              and nf.classification == CONVERGED and np.isfinite(bnorm))
+              and nf.classification == CONVERGED and bverdict == CONVERGED)
         rep.check("thm2_agreement", ok, float(ok))
     else:
         rep.check("control_run", True, 1.0)
-    return rep
 
 
-def run_thm3(spec):
+def run_thm3(spec, phi, rep):
     """Boundary values, maximal function and weighted derivative integral for
     a composite with an extremal-kernel analytic part."""
-    phi = make_disc_map(spec.map_spec)
-    rep = ExperimentReport("thm3")
     f = compose(hardy_kernel(0.9, spec.p), phi)
     nf = fn.hardy_norm(f, spec.p)
     rep.add("hardy_norm_composite", nf.value, nf.error, nf.classification, nf.why)
-    bnorm, zeroed = fn.boundary_lp(f, spec.p)
+    bnorm, _, zeroed = fn.boundary_lp(f, spec.p)
     # the mean at r = 1 - 2^-20, read from the Hardy norm's schedule unless it
     # stopped short of k = 20
     limit_mean = (nf.samples[19][1] if len(nf.samples) >= 20
@@ -228,13 +218,10 @@ def run_thm3(spec):
             ca.DiscPushforward(phi, density=ca.WEIGHTED, p=spec.p))
         rep.check("luecking_stabilized", verdict == CONVERGED, sweep.sup,
                   sweep.error_max, why)
-    return rep
 
 
-def run_thmA(spec):
+def run_thmA(spec, phi, rep):
     """Bergman-Carleson ball tester vs the boundary Lipschitz classification."""
-    phi = make_disc_map(spec.map_spec)
-    rep = ExperimentReport("thmA")
     sweep, bounded, why = _ring_sweep(ca.bergman_carleson_constant,
                                       ca.DiscPushforward(phi))
     rep.add("bergman_constant", sweep.sup, sweep.error_max, bounded, why)
@@ -243,14 +230,11 @@ def run_thmA(spec):
     lip = _lipschitz_row(rep, phi, spec.depth)
     ok = bounded == lip != UNDETERMINED
     rep.check("thmA_agreement", ok, float(ok))
-    return rep
 
 
-def run_lemma1(spec):
+def run_lemma1(spec, phi, rep):
     """Image-cone aperture over a boundary grid: finite and comparable across
     boundary points (max within 3x of the median)."""
-    phi = make_disc_map(spec.map_spec)
-    rep = ExperimentReport("lemma1")
     thetas = -np.pi + 2 * np.pi * (np.arange(spec.grid) + 0.5) / spec.grid
     aps = [cone_image_aperture(phi, np.exp(1j * t), spec.aperture, samples=96)
            for t in thetas]
@@ -259,7 +243,6 @@ def run_lemma1(spec):
     rep.add("aperture_median", float(np.median(aps)), 0.0, CONVERGED)
     ok = np.all(np.isfinite(aps)) and np.max(aps) <= 3.0 * np.median(aps)
     rep.check("lemma1_comparable", ok, float(np.max(aps) / np.median(aps)))
-    return rep
 
 
 # af_conformal's centers besides the origin: radii 0.8, 0.7, ..., 0.1, one
@@ -267,24 +250,21 @@ def run_lemma1(spec):
 _AF_CENTERS = (0.8 - 0.1 * np.arange(8)) * np.exp(0.25j * np.pi * np.arange(8))
 
 
-def run_af_conformal(spec):
+def run_af_conformal(spec, phi, rep):
     """Average derivative of a conformal control map against |f'|, at the
     origin and at _AF_CENTERS: each deviation must lie within the average's
     error.  af_matches_fprime's value is the worst deviation in units of the
     error."""
-    phi = make_disc_map(spec.map_spec)
-    rep = ExperimentReport("af_conformal")
     f = AnalyticFunction(phi.interior, phi.complex_derivative, label=phi.label)
     z = np.concatenate([[0j], _AF_CENTERS])
     value, error = fn.ball_average_derivative(f, z)
     dev = np.abs(value - np.abs(phi.complex_derivative(z))) / error
     rep.check("af_at_origin", dev[0] <= 1.0, value[0], error[0])
     rep.check("af_matches_fprime", np.max(dev[1:]) <= 1.0, np.max(dev[1:]))
-    return rep
 
 
 # experiment -> (runner, default map, default p), read by ExperimentSpec and
-# the parser
+# the parser; run calls runner(spec, phi, rep), which adds rows to rep
 _TABLE = {
     "thm1": (run_thm1, "identity", 2.0),
     "thm2": (run_thm2, "thm2_sqrt", 1.0),
@@ -297,10 +277,11 @@ EXPERIMENTS = tuple(_TABLE)
 
 
 def run(spec):
-    """Run the named experiment; deterministic for a fixed spec, whatever its
-    seed."""
+    """Run the named experiment on its map; deterministic for a fixed spec,
+    whatever its seed."""
     start = time.perf_counter()
-    rep = _TABLE[spec.name][0](spec)
+    rep = ExperimentReport(spec.name)
+    _TABLE[spec.name][0](spec, make_disc_map(spec.map_spec), rep)
     rep.metadata.update({
         "spec": {"name": spec.name, "map": spec.map_spec, "p": spec.p,
                  "depth": spec.depth, "grid": spec.grid, "seed": spec.seed,

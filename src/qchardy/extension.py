@@ -23,8 +23,10 @@ from __future__ import annotations
 import numpy as np
 
 from .boundary import identity_homeo, make_map, moebius_homeo, parse_map_spec
-from .geometry import cone_halfwidth
+from .geometry import cone_lattice
 from .quadrature import gauss_legendre
+
+_MAX_ITER = 80  # Newton steps of a lane before invert judges its residual
 
 # live panels per evaluation of the line map: 2048 * 6 nodes make every
 # float temporary of a 6-node chunk 96 KiB, under glibc's 128 KiB mmap
@@ -312,13 +314,14 @@ def _initial_guess(phi, w):
     return np.where(r >= 1, z * (1 - 1e-9) / np.maximum(r, 1), z)
 
 
-def invert(phi, w, z0=None, tol=1e-11, max_iter=80):
+def invert(phi, w, z0=None):
     """Solve phi(z) = w for interior points by damped Newton iteration.
 
     w is a point or an array of points, one Newton lane each; z0 holds the
     initial guesses (default: from the boundary inverse angle and |w|).
     Every iteration makes one jet call on the lanes still running and takes
-    their quasi-Newton steps from the Wirtinger derivatives.
+    their quasi-Newton steps from the Wirtinger derivatives, each lane until
+    its residual is below 1e-11 or it has taken _MAX_ITER steps.
 
     Returns (z, jet), with jet = phi.jet(z) as the lanes' last jet call
     evaluated it at their final z, each in the shape of w.
@@ -330,7 +333,7 @@ def invert(phi, w, z0=None, tol=1e-11, max_iter=80):
     jet = np.empty((3, ws.size), dtype=complex)
     residual = np.full(ws.size, np.inf)
     running = np.arange(ws.size)
-    for it in range(max_iter + 1):  # the last pass only checks the residual
+    for it in range(_MAX_ITER + 1):  # the last pass only checks the residual
         if running.size == 0:
             break
         val, dz, dzb = phi.jet(z[running])
@@ -339,7 +342,7 @@ def invert(phi, w, z0=None, tol=1e-11, max_iter=80):
         residual[running] = np.abs(f)
         jac = np.abs(dz) ** 2 - np.abs(dzb) ** 2
         # a NaN residual or Jacobian keeps its lane running, to fail below
-        go = ~((residual[running] < tol) | (jac <= 0)) & (it < max_iter)
+        go = ~((residual[running] < 1e-11) | (jac <= 0)) & (it < _MAX_ITER)
         running, f, dz, dzb, jac = running[go], f[go], dz[go], dzb[go], jac[go]
         step = (np.conj(dz) * f - dzb * np.conj(f)) / jac
         znew = z[running] - step
@@ -362,18 +365,12 @@ def invert(phi, w, z0=None, tol=1e-11, max_iter=80):
 
 def cone_image_aperture(phi, xi, c=2.0, samples=96):
     """Empirical aperture of the image of the cone at xi under phi:
-    sup |phi(z) - phi(xi)| / (1 - |phi(z)|) over a lattice in the cone:
-    samples // 12 (at least 3) rays across its window at each of the 12
-    depths 1 - 2^-k."""
+    sup |phi(z) - phi(xi)| / (1 - |phi(z)|) over the cone lattice
+    (geometry.cone_lattice) of samples // 12 (at least 3) rays evenly across
+    the window at each of its 12 depths."""
     if abs(abs(xi) - 1.0) > 1e-12:
         raise ValueError("cone vertex must lie on the unit circle")
-    n_depths = 12
-    rays = max(3, int(samples) // n_depths)
-    t0 = np.angle(xi)
-    z = []
-    for d in 1.0 - 2.0 ** -np.arange(1, n_depths + 1):
-        half = cone_halfwidth(c, d) * (1.0 - 1e-9)
-        z.append(d * np.exp(1j * (t0 + np.linspace(-half, half, rays))))
-    w = phi(np.concatenate(z))
+    rays = np.linspace(-1.0, 1.0, max(3, int(samples) // 12))
+    w = phi(np.concatenate(cone_lattice(np.angle(xi), c, rays)))
     target = complex(phi.boundary.map_point(float(np.angle(xi))))
     return float(np.max(np.abs(w - target) / (1.0 - np.abs(w))))

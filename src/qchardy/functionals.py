@@ -17,8 +17,8 @@ from itertools import count
 import numpy as np
 
 from .functions import AnalyticFunction, QuasiregularMap
-from .geometry import HyperbolicBall, ball_sample, cone_halfwidth
-from .quadrature import (TWO_PI, _polar_rule, circle_mean, gauss_legendre,
+from .geometry import HyperbolicBall, ball_sample, cone_lattice
+from .quadrature import (BALL_RULE, TWO_PI, circle_mean, gauss_legendre,
                          wrap_angle)
 from .tail import (CONVERGED, DIVERGING, TAIL_CAP, UNDETERMINED,
                    classify_tail)
@@ -82,13 +82,13 @@ def integral_mean(f, r, p):
     return circle_mean(fn, _circle_marks(f, r))
 
 
-def hardy_norm(f, p, k_max=RADIAL_DEPTH):
-    """sup of the circle means over r_k = 1 - 2^{-k}, with the tail verdict of
-    the means; value is the norm (p-th root of the sup of the means)."""
+def hardy_norm(f, p):
+    """sup of the circle means over radial_schedule(), with the tail verdict
+    of the means; value is the norm (p-th root of the sup of the means)."""
     p = float(p)
     means = []
     errs = []
-    schedule = radial_schedule(k_max)
+    schedule = radial_schedule()
     try:
         for r in schedule:
             m, e = integral_mean(f, r, p)
@@ -108,14 +108,14 @@ def hardy_norm(f, p, k_max=RADIAL_DEPTH):
 
 
 def boundary_lp(f, p):
-    """(norm, zeroed): the boundary Lp norm ((1/2pi) int |f(e^it)|^p dt)^(1/p)
-    of a composite, and how many non-finite boundary samples its means set
-    to 0, over all of them.
+    """(norm, verdict, zeroed): the boundary Lp norm
+    ((1/2pi) int |f(e^it)|^p dt)^(1/p) of a composite, the verdict on it, and
+    how many non-finite boundary samples its means set to 0, over all of them.
 
     The norm is the mean graded at the pulled-back singular angles down to
-    scale 1e-11.  The means graded at the scales 10^-k, k in BOUNDARY_SCALES,
-    form the sequence whose tail decides: inf if it diverges, nan if
-    undetermined.  A mean of n nonnegative terms is known to its rounding,
+    scale 1e-11, or inf or nan if the verdict is diverging or undetermined.
+    The verdict is the tail of the means graded at the scales 10^-k, k in
+    BOUNDARY_SCALES.  A mean of n nonnegative terms is known to its rounding,
     n eps times the mean; the quadrature estimate is far larger at these
     scales and would hide a log divergence."""
     p = float(p)
@@ -134,9 +134,9 @@ def boundary_lp(f, p):
     means = np.array([circle_mean(fn, [(t, 10.0 ** -k) for t in angles])[0]
                       for k in BOUNDARY_SCALES])
     verdict, _ = classify_tail(means, np.finfo(float).eps * np.array(sizes) * means)
-    if verdict == CONVERGED:
-        return float(means[-1]) ** (1.0 / p), zeroed
-    return np.inf if verdict == DIVERGING else np.nan, zeroed
+    norm = (float(means[-1]) ** (1.0 / p) if verdict == CONVERGED
+            else np.inf if verdict == DIVERGING else np.nan)
+    return norm, verdict, zeroed
 
 
 def boundary_lp_norm(f, p):
@@ -144,34 +144,28 @@ def boundary_lp_norm(f, p):
     return boundary_lp(f, p)[0]
 
 
-def nt_maximal(f, xi, aperture=2.0, budget=96):
+def nt_maximal(f, xi, aperture=2.0):
     """Lower estimate of the non-tangential maximal function at each vertex
-    xi (a point or an array of points on the circle): max of |f| over a
-    nested cone lattice, with one call of f per cone depth for all vertices.
-    Nondecreasing in the budget."""
+    xi (a point or an array of points on the circle): max of |f| over the
+    cone lattice of 17 rays at each of 12 depths (geometry.cone_lattice),
+    with one call of f per depth for all vertices."""
     xi = np.asarray(xi, dtype=complex)
     if np.any(np.abs(np.abs(xi) - 1.0) > 1e-12):
         raise ValueError("cone vertex must lie on the unit circle")
-    n_depths = 12
-    level = max(0, int(np.floor(np.log2(max(budget, n_depths) / n_depths))))
     t0 = np.angle(xi).reshape(-1, 1)
     best = np.zeros(t0.shape[0])
-    ks = np.arange(-2 ** level, 2 ** level + 1)
-    for j in range(1, n_depths + 1):
-        d = 1.0 - 2.0 ** -j
-        half = cone_halfwidth(aperture, d) * (1.0 - 1e-9)
-        z = d * np.exp(1j * (t0 + half * ks / 2.0 ** level))
+    for z in cone_lattice(t0, aperture, np.arange(-8, 9) / 8.0):
         best = np.maximum(best, np.max(np.abs(f(z)), axis=1))
     return float(best[0]) if xi.ndim == 0 else best.reshape(xi.shape)
 
 
-def _xi_grid(grid_n, singular_angles, cluster_depth=20):
+def _xi_grid(grid_n, singular_angles):
     """Angle grid for boundary sampling: uniform offset grid plus geometric
     clusters toward each singular angle, with circular midpoint weights."""
     base = -np.pi + TWO_PI * (np.arange(grid_n) + 0.5) / grid_n
     extra = []
     for a in singular_angles:
-        offs = np.pi * 2.0 ** -np.arange(2, cluster_depth + 1)
+        offs = np.pi * 2.0 ** -np.arange(2, 21)
         extra.append(wrap_angle(a + offs))
         extra.append(wrap_angle(a - offs))
     angles = np.unique(np.concatenate([base] + extra)) if extra else np.sort(base)
@@ -180,12 +174,12 @@ def _xi_grid(grid_n, singular_angles, cluster_depth=20):
     return angles, weights
 
 
-def maximal_lp(f, p, aperture=2.0, grid_n=64, budget=96):
+def maximal_lp(f, p, aperture=2.0, grid_n=64):
     """Discrete Lp norm over the boundary of the non-tangential maximal
     function, with extra grid points graded toward singular pullbacks."""
     p = float(p)
     angles, weights = _xi_grid(grid_n, f.singular_angles)
-    vals = nt_maximal(f, np.exp(1j * angles), aperture, budget)
+    vals = nt_maximal(f, np.exp(1j * angles), aperture)
     return float((np.sum(weights * vals ** p) / TWO_PI) ** (1.0 / p))
 
 
@@ -260,19 +254,20 @@ def ball_average_derivative(f, z):
 
     Where f' has no zero on the ball, log|f'| is harmonic, so a_f(z) = |f'(z)|
     (Ahlfors, Complex Analysis, ch. 4).  The mean is the 8 x 16 polar product
-    rule of the ball masses (weights summing to pi).  Each of its 8 rings has
-    the center value as its 16-angle mean too, but for the modes of order 16m
-    that the angles alias, which grow like r^(16m); the innermost ring, at
-    0.02 of the radius, is exact to rounding.  So the error is the largest
-    distance of a ring mean from the rule's mean, carried through exp, plus
-    128 eps times the value for rounding.  A zero of f' in the ball makes
-    the ring means grow with r, and the error with them; a non-finite log
-    (f' zero or not finite at a node) raises RuntimeError."""
+    rule of the ball masses, quadrature.BALL_RULE (weights summing to pi).
+    Each of its 8 rings has the center value as its 16-angle mean too, but
+    for the modes of order 16m that the angles alias, which grow like
+    r^(16m); the innermost ring, at 0.02 of the radius, is exact to rounding.
+    So the error is the largest distance of a ring mean from the rule's mean,
+    carried through exp, plus 128 eps times the value for rounding.  A zero
+    of f' in the ball makes the ring means grow with r, and the error with
+    them; a non-finite log (f' zero or not finite at a node) raises
+    RuntimeError."""
     if not isinstance(f, AnalyticFunction):
         raise TypeError("ball_average_derivative needs an analytic function")
     z = np.asarray(z, dtype=complex)
     balls = [HyperbolicBall(center=c, ratio=0.5) for c in z.ravel()]
-    nodes, weights = _polar_rule(8, 16)
+    nodes, weights = BALL_RULE
     pts = np.array([ball.center + ball.radius * nodes for ball in balls])
     with np.errstate(divide="ignore"):
         logs = np.log(np.abs(f.deriv(pts)))

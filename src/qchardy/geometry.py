@@ -1,5 +1,5 @@
-"""Geometric primitives of the unit disc: the angular window of a
-non-tangential cone, and hyperbolic balls with their sampler.
+"""Geometric primitives of the unit disc: non-tangential cones, their angular
+windows and sample lattices, and hyperbolic balls with their sampler.
 """
 
 from __future__ import annotations
@@ -23,6 +23,17 @@ def cone_halfwidth(aperture, depth):
     if cos_bound >= 1.0:
         return 0.0
     return float(np.arccos(max(-1.0, cos_bound)))
+
+
+def cone_lattice(t0, aperture, offsets):
+    """Points of the cone at the boundary angles t0, one array per depth
+    1 - 2^-j, j = 1..12: the angles t0 + offsets * half-width of the window
+    (offsets in [-1, 1]), shrunk by 1e-9 to keep them inside the cone."""
+    out = []
+    for d in 1.0 - 2.0 ** -np.arange(1, 13):
+        half = cone_halfwidth(aperture, d) * (1.0 - 1e-9)
+        out.append(d * np.exp(1j * (t0 + half * offsets)))
+    return out
 
 
 @dataclass(frozen=True)

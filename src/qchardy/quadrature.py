@@ -52,6 +52,9 @@ def _polar_rule(radii, angles):
     return nodes, np.outer(0.5 * w * s, np.full(angles, TWO_PI / angles))
 
 
+BALL_RULE = _polar_rule(8, 16)
+
+
 def _graded_edges(length, scale):
     """Offsets 0, ..., length of panel edges whose widths double away from 0,
     as a list of floats.

@@ -18,6 +18,7 @@ from qchardy.extension import invert, make_disc_map
 from qchardy.functionals import hardy_norm
 from qchardy.functions import compose, hardy_kernel
 from qchardy.geometry import HyperbolicBall
+from qchardy.quadrature import _polar_rule
 from qchardy.tail import CONVERGED, DIVERGING, UNDETERMINED, classify_tail
 
 
@@ -132,8 +133,8 @@ class TestDiscPushforward:
         mu = DiscPushforward(thm2_map, density=WEIGHTED, p=2.0)
         ball = HyperbolicBall(center=0.9 * np.exp(0.3j), ratio=0.5)
         mass, err = mu.measure_ball(ball)
-        nodes, weights = carleson._BALL_RULE
-        monkeypatch.setattr(carleson, "_BALL_RULE",
+        nodes, weights = carleson.BALL_RULE
+        monkeypatch.setattr(carleson, "BALL_RULE",
                             (nodes[:, ::2], 2.0 * weights[:, ::2]))
         coarse, _ = mu.measure_ball(ball)
         assert err > 0
@@ -144,7 +145,7 @@ class TestDiscPushforward:
                                                ("thm2_sqrt", WEIGHTED)])
     def test_ring_maxima_against_a_finer_rule(self, spec, density, monkeypatch):
         sweep = _cli_sweep(spec, density)
-        monkeypatch.setattr(carleson, "_BALL_RULE", carleson._polar_rule(16, 32))
+        monkeypatch.setattr(carleson, "BALL_RULE", _polar_rule(16, 32))
         ref = _cli_sweep(spec, density)
         assert sweep.per_ring.keys() == ref.per_ring.keys()
         for k, val in ref.per_ring.items():
@@ -332,28 +333,28 @@ class TestOperatorProxy:
         assert proxy.bounded()
 
     def test_errors_carry_the_norm_errors(self, thm2_map):
-        proxy = operator_bound_proxy(thm2_map, 2.0, k_max=4, radial_depth=12)
+        proxy = operator_bound_proxy(thm2_map, 2.0, k_max=4)
         w = proxy.ws[-1]
         g = hardy_kernel(w, 2.0)
-        num = hardy_norm(compose(g, thm2_map), 2.0, k_max=12)
-        den = hardy_norm(g, 2.0, k_max=12)
+        num = hardy_norm(compose(g, thm2_map), 2.0)
+        den = hardy_norm(g, 2.0)
         rel = 2.0 * (num.error / num.value + den.error / den.value)
         assert proxy.errors[-1] == pytest.approx(proxy.ratios[-1] * rel, rel=1e-12)
         assert 0 < proxy.errors[-1] < 1e-6 * proxy.ratios[-1]
 
 
     def test_identity_ratio_one(self, identity_map):
-        proxy = operator_bound_proxy(identity_map, 2.0, k_max=6, radial_depth=16)
+        proxy = operator_bound_proxy(identity_map, 2.0, k_max=6)
         assert proxy.sup == pytest.approx(1.0, abs=1e-3)
         assert proxy.bounded()
 
     def test_sqrt_map_bounded(self, thm2_map):
-        proxy = operator_bound_proxy(thm2_map, 2.0, k_max=8, radial_depth=16)
+        proxy = operator_bound_proxy(thm2_map, 2.0, k_max=8)
         assert proxy.bounded()
         assert np.isfinite(proxy.sup)
 
     def test_power2_unbounded(self, pow2_map):
-        proxy = operator_bound_proxy(pow2_map, 2.0, k_max=8, radial_depth=16)
+        proxy = operator_bound_proxy(pow2_map, 2.0, k_max=8)
         assert not proxy.bounded()
         assert proxy.tail()[0] == DIVERGING
         assert proxy.ratios[-1] > 2 * proxy.ratios[-3]

@@ -335,7 +335,7 @@ class TestVerdicts:
             self, monkeypatch, name, quantity):
         boundary_lp = fn.boundary_lp
         monkeypatch.setattr(fn, "boundary_lp",
-                            lambda f, p: (boundary_lp(f, p)[0], 7))
+                            lambda f, p: (*boundary_lp(f, p)[:2], 7))
         rep = run(ExperimentSpec(name, "moebius:0.5"))
         why = rep.metadata["verdicts"][quantity]
         assert why["at"] == 11

@@ -1,6 +1,7 @@
 """The library surface is what the experiments reach: every public module-level
 function and class of the package is referenced by name from the package's
-own code, and no module imports a name it does not use.
+own code, every defaulted parameter is set by some call in it, and no module
+imports a name it does not use.
 
 Names are read from the syntax tree, so a reference is any plain name or
 attribute name outside the definition itself; ``__init__.py`` re-exports do
@@ -31,6 +32,21 @@ ALLOWED = {
     "is_lipschitz_inverse": "boolean view of lipschitz_tail that acceptance "
                             "tests 02 and 10 call; the experiments read the "
                             "verdict and its reason from lipschitz_tail",
+}
+
+# defaulted parameters that no call in the package sets, each with the reason
+# it stays
+ALLOWED_PARAMETERS = {
+    "operator_bound_proxy.k_max": "acceptance test 02 and TestOperatorProxy "
+                                  "set the number of kernels",
+    "average_derivative.mc_samples": "frozen acceptance test 06 sets the "
+                                     "sample count, which the benchmark "
+                                     "tracer reads",
+    "average_derivative.seed": "frozen acceptance test 06 seeds the sampler",
+    "main.argv": "the console script reads sys.argv; tests pass their own",
+    "radial_schedule.k_max": "acceptance test 05 and the area and extension "
+                             "tests build schedules of their own depth; "
+                             "hardy_norm reads the default, RADIAL_DEPTH",
 }
 
 
@@ -76,3 +92,73 @@ def test_no_unused_imports():
                     if bound not in used:
                         unused.append(f"{module}: {bound}")
     assert unused == []
+
+
+def _defaulted(func, method):
+    """{name: positional index or None} of func's defaulted parameters; a
+    method's index counts from the argument after self."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    out = {a.arg: i - method
+           for i, a in enumerate(positional)
+           if i >= len(positional) - len(args.defaults)}
+    out.update((a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None)
+    return out
+
+
+def _definitions(tree):
+    """(key, function node, defaulted parameters) of each top-level function
+    and method; __init__ is keyed by its class, since calls name the class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node, _defaulted(node, 0)
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    key = node.name if sub.name == "__init__" else sub.name
+                    yield key, sub, _defaulted(sub, 1)
+
+
+def _unset_parameters():
+    """'function.parameter' of every defaulted parameter that no call in the
+    package sets, by position or keyword.  Passing on a defaulted parameter
+    of the calling function that is itself never set does not count; nested
+    closures' bound defaults are not parameters of the surface."""
+    defaults, settings = {}, []
+    for tree in _trees().values():
+        for key, func, params in _definitions(tree):
+            defaults.setdefault(key, {}).update(params)
+            for call in ast.walk(func):
+                if isinstance(call, ast.Call):
+                    settings.append((key, params, call))
+    found = []  # (set parameter, forwarded parameter of the caller or None)
+    for caller, caller_params, call in settings:
+        callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        by_name = {k.arg: k.value for k in call.keywords}
+        for name, index in defaults.get(callee, {}).items():
+            if starred or None in by_name:
+                value = None
+            elif index is not None and index < len(call.args):
+                value = call.args[index]
+            elif name in by_name:
+                value = by_name[name]
+            else:
+                continue
+            source = (f"{caller}.{value.id}" if isinstance(value, ast.Name)
+                      and value.id in caller_params else None)
+            found.append((f"{callee}.{name}", source))
+    done = set()
+    while more := {p for p, source in found
+                   if source is None or source in done} - done:
+        done |= more
+    return {f"{key}.{name}" for key, params in defaults.items()
+            for name in params} - done
+
+
+def test_every_defaulted_parameter_is_set():
+    unset = _unset_parameters()
+    assert sorted(unset - set(ALLOWED_PARAMETERS)) == []
+    # an allowed parameter that gains a setter leaves the list
+    assert sorted(set(ALLOWED_PARAMETERS) - unset) == []
