@@ -11,8 +11,6 @@ the inverse are judged by the tail classifier (tail.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tail import CONVERGED, classify_tail
@@ -45,34 +43,6 @@ class BoundaryHomeo:
     def map_point(self, t):
         """Boundary image e^{i alpha(t)} of the point e^{it}."""
         return np.exp(1j * self(t))
-
-
-@dataclass(frozen=True)
-class MapCatalogEntry:
-    """Named boundary map of the catalog with its finite parameters:
-    identity, thm2_sqrt, power (gamma > 0), or moebius (real a, |a| < 1)."""
-
-    name: str
-    parameters: tuple = ()
-
-    def __post_init__(self):
-        if self.name not in _CATALOG:
-            raise ValueError(f"unknown catalog map {self.name!r}")
-        params = ()
-        for p in self.parameters:
-            try:
-                params += (float(p),)
-            except (TypeError, ValueError):
-                spec = f"{self.name}:{','.join(map(str, self.parameters))}"
-                raise ValueError(f"map {spec!r} has a parameter {p!r} that is "
-                                 "not a number") from None
-        arity = _CATALOG[self.name][1]
-        if len(params) != arity:
-            raise ValueError(f"{self.name} map takes {('no', 'exactly one')[arity]}"
-                             f" parameter, not {len(params)}")
-        if not np.all(np.isfinite(params)):
-            raise ValueError(f"{self.name} map needs finite parameters, not {params}")
-        object.__setattr__(self, "parameters", params)
 
 
 def identity_homeo():
@@ -133,17 +103,33 @@ _CATALOG = {
 }
 
 
-def make_map(entry):
-    """Build the BoundaryHomeo for a catalog entry or spec string."""
-    if isinstance(entry, str):
-        entry = parse_map_spec(entry)
-    return _CATALOG[entry.name][0](*entry.parameters)
+def make_map(spec):
+    """Build the BoundaryHomeo of a catalog map spec."""
+    name, parameters = parse_map_spec(spec)
+    return _CATALOG[name][0](*parameters)
 
 
 def parse_map_spec(spec):
-    """Parse 'name' or 'name:p1,p2' into a MapCatalogEntry."""
-    name, _, params = spec.partition(":")
-    return MapCatalogEntry(name, tuple(params.split(",")) if params else ())
+    """(name, parameters) of a catalog map spec 'name' or 'name:p1,p2':
+    identity, thm2_sqrt, power (gamma > 0), or moebius (real a, |a| < 1),
+    with its count of finite parameters."""
+    name, _, text = spec.partition(":")
+    if name not in _CATALOG:
+        raise ValueError(f"unknown catalog map {name!r}")
+    params = ()
+    for p in text.split(",") if text else ():
+        try:
+            params += (float(p),)
+        except ValueError:
+            raise ValueError(f"map {spec!r} has a parameter {p!r} that is "
+                             "not a number") from None
+    arity = _CATALOG[name][1]
+    if len(params) != arity:
+        raise ValueError(f"{name} map takes {('no', 'exactly one')[arity]}"
+                         f" parameter, not {len(params)}")
+    if not np.all(np.isfinite(params)):
+        raise ValueError(f"{name} map needs finite parameters, not {params}")
+    return name, params
 
 
 def dyadic_edges(depth):
@@ -166,13 +152,17 @@ def lipschitz_modulus_inverse(h, dyadic_depth):
     return [dyadic_modulus_inverse(h, d) for d in range(1, dyadic_depth + 1)]
 
 
+def modulus_rounding(depth, modulus):
+    """Error of the depth-d modulus m_d, a difference quotient over arcs of
+    length pi 2^-d: its rounding 4 eps 2^d m_d."""
+    return 4 * np.finfo(float).eps * 2.0 ** depth * modulus
+
+
 def lipschitz_tail(moduli):
-    """Tail verdict and reason of the per-depth moduli of depths 1, 2, ...;
-    the depth-d modulus is a difference quotient over arcs of length
-    pi 2^-d, known to its rounding 4 eps 2^d m_d."""
+    """Tail verdict and reason of the per-depth moduli of depths 1, 2, ...,
+    each known to its modulus_rounding."""
     m = np.asarray(moduli, dtype=float)
-    depth = np.arange(1, len(m) + 1)
-    return classify_tail(m, 4 * np.finfo(float).eps * 2.0 ** depth * m)
+    return classify_tail(m, modulus_rounding(np.arange(1, len(m) + 1), m))
 
 
 def is_lipschitz_inverse(moduli):

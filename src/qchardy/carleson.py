@@ -17,6 +17,7 @@ tail classifier (tail.py) can judge them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .functionals import hardy_norm
 from .functions import compose, hardy_kernel
 from .geometry import HyperbolicBall
 from .quadrature import BALL_RULE, TWO_PI, circle_mean, wrap_angle
-from .tail import CONVERGED, TAIL_CAP, UNDETERMINED, classify_tail
+from .tail import CONVERGED, classify_tail, read_tail
 
 
 LEBESGUE = "lebesgue"
@@ -198,17 +199,12 @@ def kernel_carleson(phi, k_max):
     the boundary map is a Carleson measure (Cowen & MacCluer 1995; Duren,
     Theory of H^p Spaces, ch. 9).  Only the boundary map is evaluated.
 
-    sup is that of k = 1..k_max.  While the tail verdict is undetermined,
-    one more w_k at a time is read, up to TAIL_CAP; ratios hold every term
-    read."""
-    ws = [1.0 - 2.0 ** -k for k in range(1, k_max + 1)]
-    terms = [_kernel_term(phi, w) for w in ws]
-    while (len(ws) < TAIL_CAP
-           and classify_tail(*zip(*terms))[0] == UNDETERMINED):
-        ws.append(1.0 - 2.0 ** -(len(ws) + 1))
-        terms.append(_kernel_term(phi, ws[-1]))
-    ratios, errors = zip(*terms)
-    return ProxyResult(max(ratios[:k_max]), ratios, errors, tuple(ws))
+    sup is that of k = 1..k_max; ratios hold every term that
+    tail.read_tail reads for the verdict."""
+    points = (1.0 - 2.0 ** -k for k in count(1))
+    read, _, _ = read_tail(((*_kernel_term(phi, w), w) for w in points), k_max)
+    ratios, errors, ws = zip(*read)
+    return ProxyResult(max(ratios[:k_max]), ratios, errors, ws)
 
 
 def operator_bound_proxy(phi, p, k_max=16):

@@ -2,11 +2,11 @@
 claim, with CSV/JSON output.
 
 Usage: qchardy <experiment> --map <name[:params]> --p <real> --depth <k>
-       --grid <n> --seed <s> --out <path> --format csv|json
+       --grid <n> --seed <s> --aperture <c> --out <path> --format csv|json
 
 Exit code 0 iff every asserted row passes, so the suite can run in CI.
 Tail verdicts may read dyadic depths, ball rings or area shells past
---depth (up to tail.TAIL_CAP); JSON reports each verdict's reason in
+--depth, through tail.read_tail; JSON reports each verdict's reason in
 metadata["verdicts"].
 """
 
@@ -17,17 +17,17 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import chain, count
 
 import numpy as np
 
 from . import carleson as ca
 from . import functionals as fn
 from .boundary import (dyadic_modulus_inverse, lipschitz_modulus_inverse,
-                       lipschitz_tail, make_map, parse_map_spec)
+                       make_map, modulus_rounding, parse_map_spec)
 from .extension import cone_image_aperture, make_disc_map
 from .functions import AnalyticFunction, cauchy_kernel, compose, hardy_kernel
-from .tail import (CONVERGED, DIVERGING, TAIL_CAP, UNDETERMINED,
-                   classify_tail)
+from .tail import CONVERGED, DIVERGING, TAIL_CAP, UNDETERMINED, read_tail
 
 PASS = "pass"
 FAIL = "fail"
@@ -103,50 +103,46 @@ class ExperimentSpec:
                 f"need finite p > 0, finite aperture > 1, 1 <= depth <= "
                 f"{TAIL_CAP} and grid >= 1, not p={self.p}, aperture="
                 f"{self.aperture}, depth={self.depth}, grid={self.grid}")
-        entry = parse_map_spec(self.map_spec)
-        if self.name == "af_conformal" and entry.name != "moebius":
+        map_name = parse_map_spec(self.map_spec)[0]
+        if self.name == "af_conformal" and map_name != "moebius":
             raise ValueError(
                 f"af_conformal needs a moebius:<a> map, not {self.map_spec!r}")
-        make_map(entry)  # the builder's own checks: gamma > 0, |a| < 1, monotone
+        # the builder's own checks: gamma > 0, |a| < 1, monotone
+        make_map(self.map_spec)
 
 
 def _lipschitz_row(rep, phi, depth):
-    """Add the depth-`depth` modulus row, its verdict read one depth deeper
-    at a time while undetermined, up to TAIL_CAP; return the verdict."""
-    moduli = lipschitz_modulus_inverse(phi.boundary, depth)
-    value = moduli[-1]
-    verdict, reason = lipschitz_tail(moduli)
-    while verdict == UNDETERMINED and len(moduli) < TAIL_CAP:
-        moduli.append(dyadic_modulus_inverse(phi.boundary, len(moduli) + 1))
-        verdict, reason = lipschitz_tail(moduli)
-    rep.add("lipschitz_modulus", value, 0.0, verdict, (reason, len(moduli)))
+    """Add the depth-`depth` modulus row, with the verdict read_tail reads
+    on the moduli of depths 1, 2, ...; return the verdict."""
+    h = phi.boundary
+    moduli = chain(lipschitz_modulus_inverse(h, depth),
+                   (dyadic_modulus_inverse(h, d) for d in count(depth + 1)))
+    read, verdict, why = read_tail(
+        ((m, modulus_rounding(d, m)) for d, m in enumerate(moduli, 1)), depth)
+    rep.add("lipschitz_modulus", read[depth - 1][0], 0.0, verdict, why)
     return verdict
 
 
+def _ring_terms(tester, mu):
+    """(maximum, its error, sweep) of rings 1, 2, ..., 8 balls each: rings
+    1-10 from one sweep, then one sweep per ring."""
+    sweep = tester(mu, ca.make_ball_family(range(1, 11), angles=8))
+    for k in count(1):
+        if k > 10:
+            sweep = tester(mu, ca.make_ball_family([k], angles=8))
+        yield sweep.per_ring[k], sweep.ring_error[k], sweep
+
+
 def _ring_sweep(tester, mu):
-    """Sweep of rings 1-10, 8 balls each, and the verdict on its ring maxima,
-    read one ring deeper at a time while undetermined, up to TAIL_CAP:
-    (sweep, verdict, (reason, ring)).  A Newton failure (RuntimeError) makes
-    the verdict undetermined, with the error as its reason; if it strikes
-    rings 1-10, every ring maximum of the sweep is NaN."""
-    try:
-        sweep = tester(mu, ca.make_ball_family(range(1, 11), angles=8))
-    except RuntimeError as exc:
-        unknown = dict.fromkeys(range(1, 11), np.nan)
-        return (ca.BallSweep(np.nan, unknown, np.nan, unknown), UNDETERMINED,
-                (str(exc), 10))
-    ratios = list(sweep.per_ring.values())
-    errors = list(sweep.ring_error.values())
-    verdict, reason = classify_tail(ratios, errors)
-    while verdict == UNDETERMINED and len(ratios) < TAIL_CAP:
-        try:
-            ring = tester(mu, ca.make_ball_family([len(ratios) + 1], angles=8))
-        except RuntimeError as exc:
-            return sweep, UNDETERMINED, (str(exc), len(ratios) + 1)
-        ratios += ring.per_ring.values()
-        errors += ring.ring_error.values()
-        verdict, reason = classify_tail(ratios, errors)
-    return sweep, verdict, (reason, len(ratios))
+    """Sweep of rings 1-10 and the verdict read_tail reads on the ring
+    maxima: (sweep, verdict, (reason, ring)).  If a Newton failure
+    (RuntimeError) strikes rings 1-10, every ring maximum of the sweep is
+    NaN."""
+    read, verdict, why = read_tail(_ring_terms(tester, mu), 10)
+    if read:
+        return read[0][2], verdict, why
+    unknown = dict.fromkeys(range(1, 11), np.nan)
+    return ca.BallSweep(np.nan, unknown, np.nan, unknown), verdict, why
 
 
 def run_thm1(spec, phi, rep):
@@ -179,7 +175,7 @@ def run_thm2(spec, phi, rep):
     mnorm = fn.maximal_lp(f, spec.p, spec.aperture, grid_n=4 * spec.grid)
     rep.add("maximal_lp_composite", mnorm, 0.0,
             CONVERGED if np.isfinite(mnorm) else DIVERGING)
-    if parse_map_spec(spec.map_spec).name == "thm2_sqrt":
+    if parse_map_spec(spec.map_spec)[0] == "thm2_sqrt":
         ok = (ng.classification == DIVERGING
               and nf.classification == CONVERGED and bverdict == CONVERGED)
         rep.check("thm2_agreement", ok, float(ok))

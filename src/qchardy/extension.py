@@ -295,15 +295,15 @@ def moebius_disc_map(a):
     )
 
 
-def make_disc_map(entry):
-    """Catalog DiscQCMap: conformal members exact, the rest via the extension."""
-    if isinstance(entry, str):
-        entry = parse_map_spec(entry)
-    if entry.name == "identity":
+def make_disc_map(spec):
+    """Catalog DiscQCMap of a map spec: conformal members exact, the rest via
+    the extension."""
+    name, parameters = parse_map_spec(spec)
+    if name == "identity":
         return identity_disc_map()
-    if entry.name == "moebius":
-        return moebius_disc_map(*entry.parameters)
-    return ba_extend(make_map(entry))
+    if name == "moebius":
+        return moebius_disc_map(*parameters)
+    return ba_extend(make_map(spec))
 
 
 def _initial_guess(phi, w):

@@ -20,8 +20,8 @@ from .functions import AnalyticFunction, QuasiregularMap
 from .geometry import HyperbolicBall, ball_sample, cone_lattice
 from .quadrature import (BALL_RULE, TWO_PI, circle_mean, gauss_legendre,
                          wrap_angle)
-from .tail import (CONVERGED, DIVERGING, TAIL_CAP, UNDETERMINED,
-                   classify_tail)
+from .tail import (CONVERGED, DIVERGING, UNDETERMINED, classify_tail,
+                   read_tail)
 
 RADIAL_DEPTH = 24  # r_k = 1 - 2^{-k}; 2^{-24} ~ 6e-8 keeps doubles meaningful
 BOUNDARY_SCALES = range(7, 12)  # boundary means graded at 10^-k
@@ -191,7 +191,7 @@ def _deriv_magnitude(f, z):
 
 def _area_truncations(f, p):
     """Truncations of int_D |Df|^p (1-|z|)^(p-1) dm to radius 1 - 2^{-k},
-    k = 1, 2, ...: (1 - 2^{-k}, truncation, error of its last shell, error
+    k = 1, 2, ...: (truncation, error of its last shell, 1 - 2^{-k}, error
     of the truncation), one dyadic shell per step."""
     q = p - 1.0
     x, wq = gauss_legendre(8)
@@ -214,7 +214,7 @@ def _area_truncations(f, p):
             shell += half * wi * m * (1.0 - r) ** q * r * TWO_PI
             toterr += half * wi * e * (1.0 - r) ** q * r * TWO_PI
         total += shell
-        yield b, total, toterr - before, toterr
+        yield total, toterr - before, b, toterr
         a = b
 
 
@@ -226,24 +226,15 @@ def area_integral(f, p, k_max=12):
     pullbacks and at the symbol's kinks, at scales proportional to 1 - r
     (_circle_marks).  The value and error are those of
     the truncation to radius 1 - 2^{-k_max}.  The verdict is the tail of the
-    truncations; an increment is one shell, so each truncation carries the
-    error of its last shell.  While the verdict is undetermined, one more
-    shell at a time is read, up to TAIL_CAP shells; samples hold every
-    truncation read.
+    truncations that tail.read_tail reads; an increment is one shell, so
+    each truncation carries the error of its last shell.  samples hold
+    every truncation read.
     """
-    shells = _area_truncations(f, float(p))
-    read = [next(shells) for _ in range(k_max)]
-    value, error = read[-1][1], read[-1][3]
-
-    def verdict():
-        return classify_tail([s[1] for s in read], [s[2] for s in read])
-
-    classification, reason = verdict()
-    while classification == UNDETERMINED and len(read) < TAIL_CAP:
-        read.append(next(shells))
-        classification, reason = verdict()
+    read, classification, (reason, _) = read_tail(
+        _area_truncations(f, float(p)), k_max)
+    value, _, _, error = read[k_max - 1]
     return NormEstimate(value, error, classification,
-                        tuple((s[0], s[1]) for s in read), reason)
+                        tuple((s[2], s[0]) for s in read), reason)
 
 
 def ball_average_derivative(f, z):

@@ -16,20 +16,18 @@ derivatives, lives here too.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_TAIL_CACHE: dict[int, np.ndarray] = {}
 
 TWO_PI = 2.0 * np.pi
 
 
+@cache
 def gauss_legendre(order):
     """Cached Gauss-Legendre nodes/weights on [-1, 1]."""
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = leggauss(order)
-    return _GL_CACHE[order]
+    return leggauss(order)
 
 
 def wrap_angle(t):
@@ -72,15 +70,14 @@ def _graded_edges(length, scale):
     return edges
 
 
+@cache
 def _legendre_tail(order):
     """Cached weights that map the samples at the order-point Gauss-Legendre
     nodes to the interpolant's two highest Legendre coefficients, a_{n-2},
     a_{n-1}."""
-    if order not in _TAIL_CACHE:
-        x, w = gauss_legendre(order)
-        j = np.arange(order - 2, order)
-        _TAIL_CACHE[order] = legvander(x, order - 1)[:, j] * w[:, None] * (j + 0.5)
-    return _TAIL_CACHE[order]
+    x, w = gauss_legendre(order)
+    j = np.arange(order - 2, order)
+    return legvander(x, order - 1)[:, j] * w[:, None] * (j + 0.5)
 
 
 def circle_mean(fn, marks=(), order=16):

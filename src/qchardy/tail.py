@@ -1,6 +1,9 @@
 """The tail classifier behind every verdict: converged, diverging or
 undetermined, read off the ratios of successive increments of a dyadic
-sequence (README, "Verdicts")."""
+sequence, and the one reader that deepens an undetermined verdict term by
+term (README, "Verdicts")."""
+
+from itertools import islice
 
 import numpy as np
 
@@ -55,3 +58,25 @@ def classify_tail(seq, err):
             if limit + abs(step[-1]) * q >= 1:
                 return DIVERGING, text + f" >= 1, Aitken limit {limit:.7g}"
     return UNDETERMINED, text
+
+
+def read_tail(terms, first):
+    """(read, verdict, (reason, k)) of a lazy sequence of terms (value,
+    error, ...) for k = 1, 2, ...: read the first `first` terms, then one
+    more at a time while classify_tail says undetermined and fewer than
+    TAIL_CAP terms are read; k is the number read.  Each term is computed
+    once.  A term that raises RuntimeError makes the verdict undetermined,
+    with the error as its reason, at k = first if it strikes the first
+    `first` terms and at its own index after them; read holds the terms
+    before it."""
+    read = []
+    try:
+        read += islice(terms, first)
+        while True:
+            verdict, reason = classify_tail([t[0] for t in read],
+                                            [t[1] for t in read])
+            if verdict != UNDETERMINED or len(read) >= TAIL_CAP:
+                return read, verdict, (reason, len(read))
+            read.append(next(terms))
+    except RuntimeError as exc:
+        return read, UNDETERMINED, (str(exc), max(first, len(read) + 1))

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from qchardy.tail import CONVERGED, DIVERGING, UNDETERMINED
 from qchardy.boundary import (
     BoundaryHomeo,
-    MapCatalogEntry,
     dyadic_edges,
     is_lipschitz_inverse,
     lipschitz_modulus_inverse,
@@ -24,13 +23,13 @@ angles = st.floats(-np.pi, np.pi)
 
 def _angle_map_derivative(spec, t):
     """Closed-form alpha'(t) of a catalog map, the reference for its forward."""
-    entry = parse_map_spec(spec)
-    if entry.name == "identity":
+    name, parameters = parse_map_spec(spec)
+    if name == "identity":
         return np.ones_like(t)
-    if entry.name == "moebius":
-        a, = entry.parameters
+    if name == "moebius":
+        a, = parameters
         return (1.0 - a * a) / (1.0 - 2.0 * a * np.cos(t) + a * a)
-    gamma = entry.parameters[0] if entry.parameters else 0.5
+    gamma = parameters[0] if parameters else 0.5
     return gamma * (np.abs(t) / np.pi) ** (gamma - 1.0)
 
 
@@ -71,15 +70,14 @@ class TestCatalog:
         with pytest.raises(ValueError):
             make_map("nosuchmap")
         with pytest.raises(ValueError):
-            MapCatalogEntry("weird")
+            parse_map_spec("weird")
 
-    @pytest.mark.parametrize("name, parameters", [
-        ("identity", (5.0,)), ("thm2_sqrt", (0.3,)), ("power", ()),
-        ("moebius", (0.5, 0.2)), ("power", (np.nan,)), ("moebius", (np.inf,)),
-        ("power", (-np.inf,))])
-    def test_entry_needs_its_count_of_finite_parameters(self, name, parameters):
+    @pytest.mark.parametrize("spec", [
+        "identity:5", "thm2_sqrt:0.3", "power", "moebius:0.5,0.2",
+        "power:nan", "moebius:inf", "power:-inf"])
+    def test_entry_needs_its_count_of_finite_parameters(self, spec):
         with pytest.raises(ValueError):
-            MapCatalogEntry(name, parameters)
+            parse_map_spec(spec)
 
     @pytest.mark.parametrize("spec, parameter", [
         ("power:2,", "''"), ("power:abc", "'abc'"), ("moebius:0.5x", "'0.5x'")])
@@ -89,9 +87,8 @@ class TestCatalog:
             parse_map_spec(spec)
 
     def test_parse_map_spec(self):
-        entry = parse_map_spec("power:2")
-        assert entry.name == "power" and entry.parameters == (2.0,)
-        assert parse_map_spec("identity").parameters == ()
+        assert parse_map_spec("power:2") == ("power", (2.0,))
+        assert parse_map_spec("identity") == ("identity", ())
 
     @pytest.mark.parametrize("spec", CATALOG)
     def test_endpoints_fixed(self, spec):

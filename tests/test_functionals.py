@@ -1,9 +1,9 @@
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 import pytest
 
-from qchardy import functionals
+from qchardy import functionals, tail
 from qchardy.extension import make_disc_map
 from qchardy.functionals import (
     CONVERGED,
@@ -30,6 +30,7 @@ from qchardy.functions import (
 )
 from qchardy.geometry import cone_halfwidth
 from qchardy.quadrature import TWO_PI, circle_mean, gauss_legendre
+from qchardy.tail import TAIL_CAP, read_tail
 
 
 def _constant(c):
@@ -127,6 +128,80 @@ class TestClassifyMeans:
         # rho = 4, 3, 1.5: each change larger than the last
         d = np.cumprod([1.0, 2.0, 4.0, 3.0, 1.5])
         assert classify_tail(np.cumsum(d), 0.0)[0] == UNDETERMINED
+
+
+def _counted_terms(value, asked, fail_at=None):
+    """Terms (value(k), 0) for k = 1, 2, ..., each index appended to asked
+    when the term is computed; term fail_at raises RuntimeError."""
+    for k in count(1):
+        asked.append(k)
+        if k == fail_at:
+            raise RuntimeError(f"term {k} failed")
+        yield value(k), 0.0
+
+
+def _alternating(k):
+    return 1.0 + 0.5 * (k % 2 == 0)
+
+
+@pytest.fixture
+def lengths(monkeypatch):
+    """The number of terms read_tail's verdicts are read on, in order."""
+    seen = []
+
+    def counted(seq, err):
+        seen.append(len(seq))
+        return classify_tail(seq, err)
+
+    monkeypatch.setattr(tail, "classify_tail", counted)
+    return seen
+
+
+class TestReadTail:
+    """read_tail on synthetic counting sequences: the first batch, then one
+    more term per undetermined verdict, up to TAIL_CAP."""
+
+    def test_decided_reads_the_first_batch(self, lengths):
+        asked = []
+        read, verdict, (reason, k) = read_tail(
+            _counted_terms(lambda k: 2.0 - 2.0 ** -k, asked), 6)
+        assert verdict == CONVERGED and "0.5, 0.5, 0.5" in reason
+        assert asked == [1, 2, 3, 4, 5, 6] and lengths == [6] and k == 6
+        assert [t[0] for t in read] == [2.0 - 2.0 ** -k for k in asked]
+
+    def test_undetermined_reads_one_more_until_decided(self, lengths):
+        # alternating through k = 7, flat after: decided at k = 9
+        asked = []
+        read, verdict, why = read_tail(_counted_terms(
+            lambda k: _alternating(k) if k <= 7 else 1.0, asked), 4)
+        assert (verdict, why) == (CONVERGED, ("last 3 increments <= 0", 9))
+        assert lengths == [4, 5, 6, 7, 8, 9] and asked == list(range(1, 10))
+        assert len(read) == 9
+
+    def test_undetermined_stops_at_the_cap(self, lengths):
+        asked = []
+        read, verdict, (_, k) = read_tail(
+            _counted_terms(_alternating, asked), 4)
+        assert verdict == UNDETERMINED and k == len(read) == TAIL_CAP
+        assert lengths == list(range(4, TAIL_CAP + 1))
+        assert asked == list(range(1, TAIL_CAP + 1))
+
+    def test_first_batch_past_the_cap_is_read_whole(self):
+        asked = []
+        read, verdict, (_, k) = read_tail(
+            _counted_terms(_alternating, asked), TAIL_CAP + 4)
+        assert verdict == UNDETERMINED
+        assert k == len(read) == len(asked) == TAIL_CAP + 4
+
+    @pytest.mark.parametrize("fail_at, k", [(3, 5), (5, 5), (8, 8)])
+    def test_runtime_error_is_an_undetermined_verdict(self, fail_at, k):
+        # in the first batch of 5 the verdict is at 5; past it, at the term
+        asked = []
+        read, verdict, why = read_tail(
+            _counted_terms(_alternating, asked, fail_at), 5)
+        assert (verdict, why) == (UNDETERMINED, (f"term {fail_at} failed", k))
+        assert asked == list(range(1, fail_at + 1))
+        assert len(read) == fail_at - 1
 
 
 class TestIntegralMean:
@@ -462,13 +537,13 @@ class TestAreaIntegral:
         twelve = list(islice(functionals._area_truncations(f, 2.0), 12))
         monkeypatch.setattr(functionals, "circle_mean", counted)
         est = area_integral(f, 2.0, k_max=12)
-        verdict, _ = classify_tail([t[1] for t in twelve],
-                                   [t[2] for t in twelve])
+        verdict, _ = classify_tail([t[0] for t in twelve],
+                                   [t[1] for t in twelve])
         assert verdict == UNDETERMINED
         assert est.classification == CONVERGED
         assert len(est.samples) == 13 and len(calls) == 13 * 8
-        assert est.samples[:12] == tuple((t[0], t[1]) for t in twelve)
-        assert (est.value, est.error) == (twelve[-1][1], twelve[-1][3])
+        assert est.samples[:12] == tuple((t[2], t[0]) for t in twelve)
+        assert (est.value, est.error) == (twelve[-1][0], twelve[-1][3])
 
     def test_analytic_kind_matches_full_for_identity(self, identity_map):
         # |Df| of g o identity is |g'|, the integrand of g itself

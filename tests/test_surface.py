@@ -1,7 +1,8 @@
 """The library surface is what the experiments reach: every public module-level
 function and class of the package is referenced by name from the package's
 own code, every defaulted parameter is set by some call in it, and no module
-imports a name it does not use.
+imports a name it does not use.  The rule that deepens a tail verdict lives
+in tail.read_tail alone.
 
 Names are read from the syntax tree, so a reference is any plain name or
 attribute name outside the definition itself; ``__init__.py`` re-exports do
@@ -162,3 +163,11 @@ def test_every_defaulted_parameter_is_set():
     assert sorted(unset - set(ALLOWED_PARAMETERS)) == []
     # an allowed parameter that gains a setter leaves the list
     assert sorted(set(ALLOWED_PARAMETERS) - unset) == []
+
+
+def test_only_the_depth_bound_names_the_tail_cap():
+    # every deepening loop is tail.read_tail; ExperimentSpec bounds --depth
+    named = {(module, getattr(stmt, "name", None))
+             for module, tree in _trees().items() if module != "tail.py"
+             for stmt in tree.body if "TAIL_CAP" in _names(stmt)}
+    assert named == {("cli.py", "ExperimentSpec")}
