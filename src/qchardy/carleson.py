@@ -5,9 +5,10 @@ Hardy-norm proxy it replaced.
 
 A disc pushforward's ball mass is a deterministic product rule on the
 ball, through the change of variables w = phi(z), with the nodes' preimages
-and the differentials there from a batched Newton run; its error is the
-rule's distance from the same rule on half the angles.  A ball sweep inverts
-the centers of its whole family in one Newton run, then the rule nodes of
+and the differentials there from one batched inversion (extension.invert:
+closed form for a conformal symbol, Newton iteration otherwise); its error
+is the rule's distance from the same rule on half the angles.  A ball sweep
+inverts the centers of its whole family in one run, then the rule nodes of
 up to _BALLS_PER_RUN balls per run; the lanes are independent and the jets
 pointwise, so every mass is bitwise that of a one-ball measure_ball call.
 Per-ring maxima of a ball sweep and the kernel ratios carry errors, so the
@@ -56,28 +57,31 @@ class DiscPushforward:
     def measure_ball(self, ball):
         """(mass, error) of the ball under the pushforward measure: the
         one-ball view of _masses."""
-        zc, (_, dz, dzb) = invert(self.phi, ball.center)
-        return self._masses([ball], [(zc, dz, dzb)])[0]
+        zc, (_, dz, dzb) = invert(self.phi, np.array([ball.center]))
+        return self._masses([ball], zc, dz, dzb)[0]
 
-    def _masses(self, balls, centers):
-        """(mass, error) of each ball, from one Newton run on the nodes of all
-        of them; centers holds (z, d_z phi, d_zbar phi) at the preimage of
-        each ball's center.
+    def _masses(self, balls, zc, dz, dzb):
+        """(mass, error) of each ball, from one inversion of the nodes of all
+        of them; zc, dz and dzb hold z, d_z phi and d_zbar phi at the
+        preimage of each ball's center.
 
         The mass is the shared 8 x 16 product rule BALL_RULE on the ball;
         the error is its distance from the 8 x 8 rule on every other angle.
-        Newton lanes are independent and the jets pointwise, so a ball's
+        Seeds and targets are built as one (balls, 8, 16) array by
+        elementwise operations, and each ball's sums are taken alone.
+        Inversion lanes are independent and the jets pointwise, so a ball's
         mass does not depend on the balls it is run with."""
         nodes, weights = BALL_RULE
-        dw = [ball.radius * nodes for ball in balls]
+        radius = np.array([ball.radius for ball in balls])[:, None, None]
+        center = np.array([ball.center for ball in balls])[:, None, None]
+        zc, dz, dzb = zc[:, None, None], dz[:, None, None], dzb[:, None, None]
+        dw = radius * nodes
         # seed each node from the linearised inverse at its ball's center,
         # pushed back inside the disc
-        seed = np.array([zc + (np.conj(dz) * d - dzb * np.conj(d))
-                         / norm_and_jacobian(dz, dzb)[1]
-                         for (zc, dz, dzb), d in zip(centers, dw)])
+        seed = zc + ((np.conj(dz) * dw - dzb * np.conj(dw))
+                     / norm_and_jacobian(dz, dzb)[1])
         seed = np.where(np.abs(seed) < 1.0, seed, seed * (1 - 1e-9) / np.abs(seed))
-        targets = np.array([ball.center + d for ball, d in zip(balls, dw)])
-        z, (_, dz, dzb) = invert(self.phi, targets, z0=seed)
+        z, (_, dz, dzb) = invert(self.phi, center + dw, z0=seed)
         op, jac = norm_and_jacobian(dz, dzb)
         rho = (1.0 if self.density == LEBESGUE
                else op ** self.p * (1.0 - np.abs(z)) ** (self.p - 1.0))
@@ -118,11 +122,11 @@ def _sweep(mu, family, normalize):
     ring_error: dict[int, float] = {}
     worst_err = 0.0
     zc, (_, dz, dzb) = invert(mu.phi, np.array([ball.center for _, ball in family]))
-    centers = list(zip(zc, dz, dzb))
     masses = []
     for first in range(0, len(family), _BALLS_PER_RUN):
         block = slice(first, first + _BALLS_PER_RUN)
-        masses += mu._masses([ball for _, ball in family[block]], centers[block])
+        masses += mu._masses([ball for _, ball in family[block]],
+                             zc[block], dz[block], dzb[block])
     for (k, ball), (mass, err) in zip(family, masses):
         norm = normalize(ball)
         worst_err = max(worst_err, err / norm)

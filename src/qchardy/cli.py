@@ -7,7 +7,8 @@ Usage: qchardy <experiment> --map <name[:params]> --p <real> --depth <k>
 Exit code 0 iff every asserted row passes, so the suite can run in CI.
 Tail verdicts may read dyadic depths, ball rings or area shells past
 --depth, through tail.read_tail; JSON reports each verdict's reason in
-metadata["verdicts"].
+metadata["verdicts"], and for the claims that compare verdicts the evidence
+they lack.
 """
 
 from __future__ import annotations
@@ -113,14 +114,35 @@ class ExperimentSpec:
 
 def _lipschitz_row(rep, phi, depth):
     """Add the depth-`depth` modulus row, with the verdict read_tail reads
-    on the moduli of depths 1, 2, ...; return the verdict."""
+    on the moduli of depths 1, 2, ...; return the row's claim input (see
+    _claim_why)."""
     h = phi.boundary
     moduli = chain(lipschitz_modulus_inverse(h, depth),
                    (dyadic_modulus_inverse(h, d) for d in count(depth + 1)))
     read, verdict, why = read_tail(
         ((m, modulus_rounding(d, m)) for d, m in enumerate(moduli, 1)), depth)
     rep.add("lipschitz_modulus", read[depth - 1][0], 0.0, verdict, why)
-    return verdict
+    return "lipschitz_modulus", read[depth - 1][0], verdict, why[0]
+
+
+def _claim_why(*inputs):
+    """(reason, None) of a claim on inputs (quantity, value, verdict,
+    reason): each input with its verdict, and the value and reason of each
+    that is undetermined or NaN, the evidence the claim lacks."""
+    parts = []
+    for quantity, value, verdict, reason in inputs:
+        missing = verdict == UNDETERMINED or np.isnan(value)
+        parts.append(f"{quantity} {verdict}"
+                     + (f" at {value:.7g}: {reason}" if missing else ""))
+    return "; ".join(parts), None
+
+
+def _boundary_why(verdict, reason, zeroed):
+    """(reason, k) of a row on boundary_lp's verdict, read at the finest
+    grading scale 10^-k."""
+    return (f"boundary means graded at 10^-k {verdict}: {reason}; "
+            f"{zeroed} non-finite boundary samples set to 0",
+            fn.BOUNDARY_SCALES[-1])
 
 
 def _ring_terms(tester, mu):
@@ -155,8 +177,9 @@ def run_thm1(spec, phi, rep):
     rep.add("proxy_sup", test.sup, test.errors[top], bounded,
             (reason, len(test.ratios)))
     lip = _lipschitz_row(rep, phi, spec.depth)
-    ok = bounded == lip != UNDETERMINED
-    rep.check("thm1_agreement", ok, float(ok))
+    ok = bounded == lip[2] != UNDETERMINED
+    rep.check("thm1_agreement", ok, float(ok),
+              why=_claim_why(("proxy_sup", test.sup, bounded, reason), lip))
 
 
 def run_thm2(spec, phi, rep):
@@ -167,11 +190,9 @@ def run_thm2(spec, phi, rep):
     rep.add("hardy_norm_g", ng.value, ng.error, ng.classification, ng.why)
     nf = fn.hardy_norm(f, spec.p)
     rep.add("hardy_norm_composite", nf.value, nf.error, nf.classification, nf.why)
-    bnorm, bverdict, zeroed = fn.boundary_lp(f, spec.p)
+    bnorm, bverdict, breason, zeroed = fn.boundary_lp(f, spec.p)
     rep.add("boundary_lp_composite", bnorm, 0.0, bverdict,
-            ("tail of the boundary means graded at 10^-k; "
-             f"{zeroed} non-finite boundary samples set to 0",
-             fn.BOUNDARY_SCALES[-1]))
+            _boundary_why(bverdict, breason, zeroed))
     mnorm = fn.maximal_lp(f, spec.p, spec.aperture, grid_n=4 * spec.grid)
     rep.add("maximal_lp_composite", mnorm, 0.0,
             CONVERGED if np.isfinite(mnorm) else DIVERGING)
@@ -189,7 +210,7 @@ def run_thm3(spec, phi, rep):
     f = compose(hardy_kernel(0.9, spec.p), phi)
     nf = fn.hardy_norm(f, spec.p)
     rep.add("hardy_norm_composite", nf.value, nf.error, nf.classification, nf.why)
-    bnorm, _, zeroed = fn.boundary_lp(f, spec.p)
+    bnorm, bverdict, breason, zeroed = fn.boundary_lp(f, spec.p)
     # the mean at r = 1 - 2^-20, read from the Hardy norm's schedule unless it
     # stopped short of k = 20
     limit_mean = (nf.samples[19][1] if len(nf.samples) >= 20
@@ -197,14 +218,16 @@ def run_thm3(spec, phi, rep):
     limit_norm = limit_mean ** (1.0 / spec.p)
     rel = abs(bnorm - limit_norm) / limit_norm
     rep.check("boundary_vs_radial_limit", np.isfinite(bnorm) and rel <= 0.1, rel,
-              why=("boundary norm from the tail of the means graded at 10^-k; "
-                   f"{zeroed} non-finite boundary samples set to 0",
-                   fn.BOUNDARY_SCALES[-1]))
+              why=_boundary_why(bverdict, breason, zeroed))
     m1 = fn.maximal_lp(f, spec.p, spec.aperture, grid_n=spec.grid * 2)
     m2 = fn.maximal_lp(f, spec.p, spec.aperture, grid_n=spec.grid * 4)
     rep.check("maximal_lp_grid_stability", abs(m2 - m1) / m1 <= 0.1,
               abs(m2 - m1) / m1)
-    rep.check("maximal_dominates_boundary", m2 >= bnorm * (1 - 1e-9), m2)
+    rep.check("maximal_dominates_boundary", m2 >= bnorm * (1 - 1e-9), m2,
+              why=_claim_why(
+                  ("maximal_lp", m2, CONVERGED if np.isfinite(m2) else DIVERGING,
+                   "non-finite maximal function"),
+                  ("boundary_lp", bnorm, bverdict, breason)))
     if spec.p >= 2:
         area = fn.area_integral(f, spec.p, k_max=max(spec.depth, 12))
         rep.add("area_integral_df", area.value, area.error, area.classification,
@@ -224,8 +247,10 @@ def run_thmA(spec, phi, rep):
     rep.add("bergman_ring_growth", sweep.per_ring[10] / sweep.per_ring[4], 0.0,
             bounded, why)
     lip = _lipschitz_row(rep, phi, spec.depth)
-    ok = bounded == lip != UNDETERMINED
-    rep.check("thmA_agreement", ok, float(ok))
+    ok = bounded == lip[2] != UNDETERMINED
+    rep.check("thmA_agreement", ok, float(ok),
+              why=_claim_why(("bergman_constant", sweep.sup, bounded, why[0]),
+                             lip))
 
 
 def run_lemma1(spec, phi, rep):

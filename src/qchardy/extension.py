@@ -5,7 +5,8 @@ averaged extension, conjugated through the Cayley transform: the boundary
 angle map is transported to a line homeomorphism via x = tan(t/2), extended to
 the upper half-plane by interval averages, and pulled back to the disc.
 Conformal members of the catalog (identity, Moebius) are also available with
-exact interior evaluation as a control group.
+exact interior evaluation and a closed-form inverse as a control group, so
+inverting one takes a single jet evaluation instead of a Newton run.
 
 The interval averages integrate the line map h over the windows [x - y, x]
 and [x, x + y] of a point x + iy.  A point far from 0, where the catalog line
@@ -217,14 +218,17 @@ class DiscQCMap:
     """Quasiconformal selfmap of the disc with known boundary angle map.
 
     A conformal map is given with its complex derivative, which marks it as
-    conformal.
+    conformal, and may be given its inverse w -> phi^{-1}(w) in closed form,
+    which invert then uses instead of Newton iteration.
     """
 
-    def __init__(self, boundary, interior, label="", complex_derivative=None):
+    def __init__(self, boundary, interior, label="", complex_derivative=None,
+                 inverse=None):
         self.boundary = boundary
         self.interior = interior
         self.label = label or boundary.label
         self.complex_derivative = complex_derivative
+        self.inverse = inverse
 
     def __call__(self, z):
         return self.interior(np.asarray(z, dtype=complex))
@@ -281,7 +285,8 @@ def ba_extend(h):
 def identity_disc_map():
     return DiscQCMap(identity_homeo(), lambda z: np.asarray(z, dtype=complex),
                      label="identity",
-                     complex_derivative=lambda z: np.ones_like(z))
+                     complex_derivative=lambda z: np.ones_like(z),
+                     inverse=lambda w: w)
 
 
 def moebius_disc_map(a):
@@ -292,6 +297,7 @@ def moebius_disc_map(a):
         lambda z, a=a: (z - a) / (1.0 - a * z),
         label=f"moebius({a:g})",
         complex_derivative=lambda z, a=a: (1.0 - a * a) / (1.0 - a * z) ** 2,
+        inverse=lambda w, a=a: (w + a) / (1.0 + a * w),
     )
 
 
@@ -315,24 +321,34 @@ def _initial_guess(phi, w):
 
 
 def invert(phi, w, z0=None):
-    """Solve phi(z) = w for interior points by damped Newton iteration.
+    """Solve phi(z) = w for interior points.
 
-    w is a point or an array of points, one Newton lane each; z0 holds the
-    initial guesses (default: from the boundary inverse angle and |w|).
-    Every iteration makes one jet call on the lanes still running and takes
-    their quasi-Newton steps from the Wirtinger derivatives, each lane until
-    its residual is below 1e-11 or it has taken _MAX_ITER steps.
+    w is a point or an array of points, one lane each.  A map with a
+    closed-form inverse takes z = phi.inverse(w) and one jet call on all
+    lanes; z0 is ignored.  Any other map runs damped Newton iteration from
+    the initial guesses z0 (default: from the boundary inverse angle and
+    |w|): every iteration makes one jet call on the lanes still running and
+    takes their quasi-Newton steps from the Wirtinger derivatives, each lane
+    until its residual is below 1e-11 or it has taken _MAX_ITER steps.
+    Either way a lane whose residual |phi(z) - w| is 1e-7 or more, or NaN,
+    raises RuntimeError.
 
     Returns (z, jet), with jet = phi.jet(z) as the lanes' last jet call
     evaluated it at their final z, each in the shape of w.
     """
     targets = np.asarray(w, dtype=complex)
     ws = targets.ravel()
-    z = _initial_guess(phi, ws) if z0 is None else np.broadcast_to(z0, targets.shape)
-    z = np.array(z, dtype=complex).ravel()
-    jet = np.empty((3, ws.size), dtype=complex)
-    residual = np.full(ws.size, np.inf)
-    running = np.arange(ws.size)
+    if phi.inverse is not None:
+        z = np.array(phi.inverse(ws), dtype=complex)
+        jet = np.array(phi.jet(z))
+        residual = np.abs(jet[0] - ws)
+        running = np.arange(0)  # no Newton lane
+    else:
+        z = _initial_guess(phi, ws) if z0 is None else np.broadcast_to(z0, targets.shape)
+        z = np.array(z, dtype=complex).ravel()
+        jet = np.empty((3, ws.size), dtype=complex)
+        residual = np.full(ws.size, np.inf)
+        running = np.arange(ws.size)
     for it in range(_MAX_ITER + 1):  # the last pass only checks the residual
         if running.size == 0:
             break

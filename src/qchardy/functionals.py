@@ -108,9 +108,10 @@ def hardy_norm(f, p):
 
 
 def boundary_lp(f, p):
-    """(norm, verdict, zeroed): the boundary Lp norm
-    ((1/2pi) int |f(e^it)|^p dt)^(1/p) of a composite, the verdict on it, and
-    how many non-finite boundary samples its means set to 0, over all of them.
+    """(norm, verdict, reason, zeroed): the boundary Lp norm
+    ((1/2pi) int |f(e^it)|^p dt)^(1/p) of a composite, the verdict on it and
+    its reason, and how many non-finite boundary samples its means set to 0,
+    over all of them.
 
     The norm is the mean graded at the pulled-back singular angles down to
     scale 1e-11, or inf or nan if the verdict is diverging or undetermined.
@@ -133,10 +134,11 @@ def boundary_lp(f, p):
     angles = f.singular_angles
     means = np.array([circle_mean(fn, [(t, 10.0 ** -k) for t in angles])[0]
                       for k in BOUNDARY_SCALES])
-    verdict, _ = classify_tail(means, np.finfo(float).eps * np.array(sizes) * means)
+    verdict, reason = classify_tail(
+        means, np.finfo(float).eps * np.array(sizes) * means)
     norm = (float(means[-1]) ** (1.0 / p) if verdict == CONVERGED
             else np.inf if verdict == DIVERGING else np.nan)
-    return norm, verdict, zeroed
+    return norm, verdict, reason, zeroed
 
 
 def boundary_lp_norm(f, p):

@@ -287,8 +287,39 @@ class TestVerdicts:
                                                           "at": 10}
         if name == "thmA":
             assert rows["bergman_constant"].classification == UNDETERMINED
+            # the claim names the sweep as its missing evidence
+            why = rep.metadata["verdicts"]["thmA_agreement"]
+            assert why["at"] is None
+            assert why["reason"].startswith(
+                f"bergman_constant undetermined at nan: {message}; "
+                "lipschitz_modulus ")
         # an undetermined sweep passes no claim
         assert not rep.passed()
+
+    def test_claims_name_an_undetermined_boundary_tail(self):
+        # the boundary means of power:5 have no tail verdict, so the boundary
+        # norm is NaN and both boundary claims fail on it
+        rep = run(ExperimentSpec("thm3", "power:5"))
+        rows = {r.quantity: r.classification for r in rep.rows}
+        assert rows["boundary_vs_radial_limit"] == rows[
+            "maximal_dominates_boundary"] == "fail"
+        verdicts = rep.metadata["verdicts"]
+        limit = verdicts["boundary_vs_radial_limit"]
+        assert limit["at"] == 11
+        assert limit["reason"].startswith(
+            "boundary means graded at 10^-k undetermined: rho ")
+        dominates = verdicts["maximal_dominates_boundary"]
+        assert dominates["at"] is None
+        assert dominates["reason"].startswith(
+            "maximal_lp converged; boundary_lp undetermined at nan: rho ")
+
+    @pytest.mark.parametrize("name", ["thm1", "thmA"])
+    def test_decided_agreement_lists_its_inputs(self, name):
+        rep = run(ExperimentSpec(name, "thm2_sqrt"))
+        first = "proxy_sup" if name == "thm1" else "bergman_constant"
+        assert rep.metadata["verdicts"][f"{name}_agreement"] == {
+            "reason": f"{first} converged; lipschitz_modulus converged",
+            "at": None}
 
     def test_newton_failure_past_ring_10_keeps_the_sweep(self):
         mu = ca.DiscPushforward(make_disc_map("moebius:0.99"))
@@ -335,7 +366,7 @@ class TestVerdicts:
             self, monkeypatch, name, quantity):
         boundary_lp = fn.boundary_lp
         monkeypatch.setattr(fn, "boundary_lp",
-                            lambda f, p: (*boundary_lp(f, p)[:2], 7))
+                            lambda f, p: (*boundary_lp(f, p)[:3], 7))
         rep = run(ExperimentSpec(name, "moebius:0.5"))
         why = rep.metadata["verdicts"][quantity]
         assert why["at"] == 11

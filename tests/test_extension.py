@@ -516,10 +516,11 @@ class TestInvert:
             assert abs(z) < 1.0
 
     def test_moebius_closed_form(self, moebius_map):
-        # phi^{-1}(w) = (w + a)/(1 + a w)
-        w = 0.4 - 0.2j
+        # phi^{-1}(w) = (w + a)/(1 + a w), evaluated by numpy, whose complex
+        # division rounds differently from Python's
+        w = np.complex128(0.4 - 0.2j)
         z, _ = invert(moebius_map, w)
-        assert abs(z - (w + 0.5) / (1 + 0.5 * w)) < 1e-9
+        assert z == (w + 0.5) / (1 + 0.5 * w)
 
 
 def _circular_distortion(phi, balls, n_boundary=24):
@@ -783,6 +784,57 @@ class TestBatchedInvert:
         monkeypatch.setattr(extension, "_MAX_ITER", 1)
         with pytest.raises(RuntimeError, match="did not converge"):
             invert(thm2_map, np.array([0.3, 0.6j]))
+
+
+# targets on the rings 1 - 2^-k, k = 1..16, at 64 angles each
+_RING_TARGETS = ((1.0 - 2.0 ** -np.arange(1, 17))[:, None]
+                 * np.exp(2j * np.pi * np.arange(64) / 64))
+
+
+def _counting_jets(phi):
+    """phi with its jet wrapped to record the batch size of every call."""
+    jets = []
+
+    def jet(z, original=phi.jet):
+        jets.append(np.size(z))
+        return original(z)
+
+    phi.jet = jet
+    return phi, jets
+
+
+class TestClosedFormInvert:
+    _SPECS = ["identity", "moebius:0.5", "moebius:-0.5", "moebius:0.9",
+              "moebius:-0.9", "moebius:0.99", "moebius:-0.99", "moebius:0.999"]
+
+    @pytest.mark.parametrize("spec", _SPECS)
+    def test_is_the_inverse_with_its_jet(self, spec):
+        phi = make_disc_map(spec)
+        z, jet = invert(phi, _RING_TARGETS)
+        assert z.tobytes() == phi.inverse(_RING_TARGETS).tobytes()
+        for got, want in zip(jet, phi.jet(z)):
+            assert got.shape == _RING_TARGETS.shape
+            assert got.tobytes() == want.tobytes()
+        # measured: 5.5e-14 at a = 0.99 and 4.7e-13 at a = 0.999, under
+        # 8 eps / (1 - |a|), the rounding of (w + a) / (1 + a w) and its
+        # image
+        a = 0.0 if spec == "identity" else abs(float(spec.split(":")[1]))
+        tol = 8.0 * np.finfo(float).eps / (1.0 - a)
+        assert np.max(np.abs(phi(z) - _RING_TARGETS)) < tol
+
+    @pytest.mark.parametrize("spec", ["identity", "moebius:0.99"])
+    def test_one_jet_call_per_invert(self, spec):
+        phi, jets = _counting_jets(make_disc_map(spec))
+        invert(phi, _RING_TARGETS)
+        invert(phi, 0.3 - 0.1j, z0=0.0)
+        assert jets == [_RING_TARGETS.size, 1]
+
+    def test_a_wrong_inverse_does_not_converge(self):
+        good = make_disc_map("moebius:0.5")
+        bad = DiscQCMap(good.boundary, good.interior, "moebius(0.5)",
+                        good.complex_derivative, inverse=lambda w: -w)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            invert(bad, np.array([0.3, 0.6j]))
 
 
 class TestInitialGuesses:

@@ -412,13 +412,14 @@ class TestBoundaryNorm:
 
         g = AnalyticFunction(half_infinite, np.zeros_like,
                              singular_angles=(0.5 * np.pi, -0.5 * np.pi))
-        norm, verdict, zeroed = boundary_lp(compose(g, identity_map), 2.0)
+        norm, verdict, _, zeroed = boundary_lp(compose(g, identity_map), 2.0)
         assert verdict == CONVERGED
         assert zeroed == sum(np.count_nonzero(z.real > 0.0) for z in seen) > 0
         assert norm == pytest.approx(np.sqrt(2.0), rel=1e-9)
         finite = compose(_constant(2.0), identity_map)
-        assert boundary_lp(finite, 2.0) == (boundary_lp_norm(finite, 2.0),
-                                            CONVERGED, 0)
+        norm, verdict, _, zeroed = boundary_lp(finite, 2.0)
+        assert (norm, verdict, zeroed) == (boundary_lp_norm(finite, 2.0),
+                                           CONVERGED, 0)
 
     def test_matches_radial_limit_for_bounded_composite(self, thm2_map):
         f = compose(hardy_kernel(0.9, 2.0), thm2_map)

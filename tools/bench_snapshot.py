@@ -11,7 +11,9 @@ It records
     the median of --repeats runs after one warm-up run;
   * per workload, the Beurling-Ahlfors points of one pass through cli.run
     and the line-map evaluations they took, counted by wrapping
-    BAExtension.halfplane and BAExtension.line_map;
+    BAExtension.halfplane and BAExtension.line_map, and its Newton work:
+    extension.invert calls, their lanes, and the jet calls and jet points
+    made inside them;
   * the wall time of the Tier-1 test suite;
   * the net line count of src/;
   * the machine: CPU count and model, Python and numpy versions.
@@ -66,19 +68,26 @@ def experiments(repeats):
     return times
 
 
-def ba_evaluations():
-    """Per workload: BA points, line-map evaluations and evaluations per
-    point over one pass of its specs through cli.run."""
+def work_counts():
+    """Per workload, over one pass of its specs through cli.run:
+    (ba, newton).  ba holds the BA points, the line-map evaluations they
+    took and evaluations per point, counted by wrapping
+    BAExtension.halfplane and BAExtension.line_map; newton holds the invert
+    calls, their lanes, and the jet calls and jet points made inside them,
+    counted by wrapping invert where extension and carleson bind it, and
+    DiscQCMap.jet."""
     import numpy as np
 
     sys.path.insert(0, str(SRC))
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
-    from qchardy import cli
-    from qchardy.extension import BAExtension
+    from qchardy import carleson, cli, extension
+    from qchardy.extension import BAExtension, DiscQCMap
 
     counts = {}
     line_map, halfplane = BAExtension.line_map, BAExtension.halfplane
+    invert, jet = extension.invert, DiscQCMap.jet
+    inside = []
 
     def counted_line_map(self, x):
         counts["evaluations"] += np.size(x)
@@ -88,18 +97,42 @@ def ba_evaluations():
         counts["points"] += np.size(x)
         return halfplane(self, x, y)
 
-    out = {}
+    def counted_invert(phi, w, z0=None):
+        counts["calls"] += 1
+        counts["lanes"] += np.size(w)
+        inside.append(True)
+        try:
+            return invert(phi, w, z0)
+        finally:
+            inside.pop()
+
+    def counted_jet(self, z):
+        if inside:
+            counts["jet_calls"] += 1
+            counts["jet_points"] += np.size(z)
+        return jet(self, z)
+
+    ba, newton = {}, {}
     BAExtension.line_map, BAExtension.halfplane = counted_line_map, counted_halfplane
+    extension.invert = carleson.invert = counted_invert
+    DiscQCMap.jet = counted_jet
     try:
         for name in WORKLOADS:
-            counts.update(points=0, evaluations=0)
+            counts.update(points=0, evaluations=0, calls=0, lanes=0,
+                          jet_calls=0, jet_points=0)
             for spec in workloads.WORKLOADS[name]:
                 cli.run(cli.ExperimentSpec(spec.experiment, spec.map_spec))
-            out[name] = dict(counts, per_point=counts["evaluations"]
-                             / max(counts["points"], 1))
+            ba[name] = {"points": counts["points"],
+                        "evaluations": counts["evaluations"],
+                        "per_point": counts["evaluations"]
+                        / max(counts["points"], 1)}
+            newton[name] = {key: counts[key] for key in
+                            ("calls", "lanes", "jet_calls", "jet_points")}
     finally:
         BAExtension.line_map, BAExtension.halfplane = line_map, halfplane
-    return out
+        extension.invert = carleson.invert = invert
+        DiscQCMap.jet = jet
+    return ba, newton
 
 
 def tier1():
@@ -142,10 +175,10 @@ def main(argv=None):
                                                        args.seconds)
                       for name in WORKLOADS for trace in (0, 1)},
         "experiments_s": experiments(args.repeats),
-        "ba_evaluations": ba_evaluations(),
         "src_lines": src_lines(),
         "machine": machine(),
     }
+    snapshot["ba_evaluations"], snapshot["newton"] = work_counts()
     snapshot["tier1_s"], snapshot["tier1_summary"] = tier1()
     Path(args.out).write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
 
