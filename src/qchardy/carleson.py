@@ -18,7 +18,7 @@ tail classifier (tail.py) can judge them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .extension import invert, norm_and_jacobian
 from .functionals import hardy_norm
 from .functions import compose, hardy_kernel
 from .geometry import HyperbolicBall
-from .quadrature import BALL_RULE, TWO_PI, circle_mean, wrap_angle
+from .quadrature import BALL_RULE, TWO_PI, circle_means, wrap_angle
 from .tail import CONVERGED, classify_tail, read_tail
 
 
@@ -129,6 +129,10 @@ def _sweep(mu, family, normalize):
                              zc[block], dz[block], dzb[block])
     for (k, ball), (mass, err) in zip(family, masses):
         norm = normalize(ball)
+        if norm == 0.0 or mass != mass:  # only a NaN differs from itself
+            raise RuntimeError(f"ring {k}: " + (
+                "r_B^(1 + p) underflows to 0" if norm == 0.0 else "a mass is NaN, "
+                "|Dphi|^p overflowing where (1 - |z|)^(p - 1) underflows"))
         worst_err = max(worst_err, err / norm)
         if mass / norm > per_ring.get(k, -np.inf):
             per_ring[k], ring_error[k] = mass / norm, err / norm
@@ -144,7 +148,8 @@ def bergman_carleson_constant(mu, family):
 
 def luecking_constant(mu, family):
     """sup of mu(B)/r_B^{1+p} over the ball family, for the weighted
-    pushforward mu with its own exponent p = mu.p."""
+    pushforward mu with its own exponent p = mu.p.  RuntimeError: r_B^{1+p}
+    or the density of a mass under- or overflows (p about 100 and above)."""
     if mu.density != WEIGHTED:
         raise ValueError("luecking tester expects the weighted pushforward")
     if mu.p < 2:
@@ -152,31 +157,28 @@ def luecking_constant(mu, family):
     return _sweep(mu, family, lambda b: b.radius ** (1.0 + mu.p))
 
 
-def _kernel_term(phi, w):
-    """(ratio, error) of kernel_ratio at w; the error is circle_mean's
-    estimate times 1 - |w|^2."""
-    w = complex(w)
-    if abs(w) >= 1:
+def _kernel_terms(phi, ws):
+    """(ratio, error, w) of kernel_ratio at each w in ws, yielded from one
+    circle_means stage; the error is the mean's estimate times 1 - |w|^2."""
+    if any(abs(w) >= 1 for w in ws):
         raise ValueError("kernel_ratio needs |w| < 1")
-    wb = np.conj(w)
+    wb = np.conj(np.asarray(ws, dtype=complex))
 
-    def fn(t):
-        zeta = phi.boundary.map_point(t)
-        return np.abs(1.0 - wb * zeta) ** -2.0
+    def fn(t, circle):
+        return np.abs(1.0 - wb[circle] * phi.boundary.map_point(t)) ** -2.0
 
-    marks = ()
-    if w != 0:
-        marks = ((float(phi.boundary.inverse(np.asarray(np.angle(w)))), 1e-12),)
-    val, err = circle_mean(fn, marks)
-    scale = 1.0 - abs(w) ** 2
-    return scale * val, scale * err
+    marks = [((float(phi.boundary.inverse(np.asarray(np.angle(w)))), 1e-12),)
+             if w != 0 else () for w in ws]
+    for w, (val, err) in zip(ws, circle_means(fn, marks)):
+        scale = 1.0 - abs(w) ** 2
+        yield scale * val, scale * err, w
 
 
 def kernel_ratio(phi, w):
     """(1 - |w|^2) times the boundary mean of |1 - conj(w) phi(zeta)|^{-2},
     graded near the pullback of the direction of w.  Equals 1 exactly for the
     identity symbol."""
-    return float(_kernel_term(phi, w)[0])
+    return float(next(_kernel_terms(phi, [w]))[0])
 
 
 @dataclass(frozen=True)
@@ -203,10 +205,11 @@ def kernel_carleson(phi, k_max):
     the boundary map is a Carleson measure (Cowen & MacCluer 1995; Duren,
     Theory of H^p Spaces, ch. 9).  Only the boundary map is evaluated.
 
-    sup is that of k = 1..k_max; ratios hold every term that
-    tail.read_tail reads for the verdict."""
-    points = (1.0 - 2.0 ** -k for k in count(1))
-    read, _, _ = read_tail(((*_kernel_term(phi, w), w) for w in points), k_max)
+    sup is that of k = 1..k_max, one circle_means stage; ratios hold every
+    term that tail.read_tail reads for the verdict."""
+    first = _kernel_terms(phi, [1.0 - 2.0 ** -k for k in range(1, k_max + 1)])
+    more = (next(_kernel_terms(phi, [1.0 - 2.0 ** -k])) for k in count(k_max + 1))
+    read, _, _ = read_tail(chain(first, more), k_max)
     ratios, errors, ws = zip(*read)
     return ProxyResult(max(ratios[:k_max]), ratios, errors, ws)
 

@@ -157,9 +157,9 @@ def _ring_terms(tester, mu):
 
 def _ring_sweep(tester, mu):
     """Sweep of rings 1-10 and the verdict read_tail reads on the ring
-    maxima: (sweep, verdict, (reason, ring)).  If a Newton failure
-    (RuntimeError) strikes rings 1-10, every ring maximum of the sweep is
-    NaN."""
+    maxima: (sweep, verdict, (reason, ring)).  If a Newton failure or a
+    ratio the sweep cannot form (RuntimeError) strikes rings 1-10, every
+    ring maximum of the sweep is NaN."""
     read, verdict, why = read_tail(_ring_terms(tester, mu), 10)
     if read:
         return read[0][2], verdict, why
@@ -219,8 +219,8 @@ def run_thm3(spec, phi, rep):
     rel = abs(bnorm - limit_norm) / limit_norm
     rep.check("boundary_vs_radial_limit", np.isfinite(bnorm) and rel <= 0.1, rel,
               why=_boundary_why(bverdict, breason, zeroed))
-    m1 = fn.maximal_lp(f, spec.p, spec.aperture, grid_n=spec.grid * 2)
-    m2 = fn.maximal_lp(f, spec.p, spec.aperture, grid_n=spec.grid * 4)
+    m1, m2 = fn.maximal_lps(f, spec.p, spec.aperture,
+                            (spec.grid * 2, spec.grid * 4))
     rep.check("maximal_lp_grid_stability", abs(m2 - m1) / m1 <= 0.1,
               abs(m2 - m1) / m1)
     rep.check("maximal_dominates_boundary", m2 >= bnorm * (1 - 1e-9), m2,

@@ -18,8 +18,8 @@ import numpy as np
 
 from .functions import AnalyticFunction, QuasiregularMap
 from .geometry import HyperbolicBall, ball_sample, cone_lattice
-from .quadrature import (BALL_RULE, TWO_PI, circle_mean, gauss_legendre,
-                         wrap_angle)
+from .quadrature import (BALL_RULE, TWO_PI, circle_mean, circle_means,
+                         gauss_legendre, node_batches, wrap_angle)
 from .tail import (CONVERGED, DIVERGING, UNDETERMINED, classify_tail,
                    read_tail)
 
@@ -84,14 +84,18 @@ def integral_mean(f, r, p):
 
 def hardy_norm(f, p):
     """sup of the circle means over radial_schedule(), with the tail verdict
-    of the means; value is the norm (p-th root of the sup of the means)."""
+    of the means; value is the norm (p-th root of the sup of the means).  One
+    call of f per circle_means batch; an error reads at the batch's first k."""
     p = float(p)
-    means = []
-    errs = []
+    means, errs = [], []
     schedule = radial_schedule()
+
+    def fn(theta, circle):
+        return np.abs(f(schedule[circle] * np.exp(1j * theta))) ** p
+
     try:
-        for r in schedule:
-            m, e = integral_mean(f, r, p)
+        for m, e in circle_means(fn, [_circle_marks(f, float(r))
+                                      for r in schedule]):
             means.append(m)
             errs.append(e)
     except (FloatingPointError, RuntimeError) as exc:
@@ -123,17 +127,17 @@ def boundary_lp(f, p):
     sizes = []
     zeroed = 0
 
-    def fn(t):
+    def fn(t, circle):
         nonlocal zeroed
-        sizes.append(t.size)
+        sizes.extend(np.bincount(circle - circle[0]))
         vals = np.abs(f.boundary_trace(t)) ** p
         finite = np.isfinite(vals)
         zeroed += vals.size - np.count_nonzero(finite)
         return np.where(finite, vals, 0.0)
 
     angles = f.singular_angles
-    means = np.array([circle_mean(fn, [(t, 10.0 ** -k) for t in angles])[0]
-                      for k in BOUNDARY_SCALES])
+    marks = [[(t, 10.0 ** -k) for t in angles] for k in BOUNDARY_SCALES]
+    means = np.array([m for m, _ in circle_means(fn, marks)])
     verdict, reason = classify_tail(
         means, np.finfo(float).eps * np.array(sizes) * means)
     norm = (float(means[-1]) ** (1.0 / p) if verdict == CONVERGED
@@ -150,13 +154,15 @@ def nt_maximal(f, xi, aperture=2.0):
     """Lower estimate of the non-tangential maximal function at each vertex
     xi (a point or an array of points on the circle): max of |f| over the
     cone lattice of 17 rays at each of 12 depths (geometry.cone_lattice),
-    with one call of f per depth for all vertices."""
+    with one call of f per node_batches batch of depths, for all vertices."""
     xi = np.asarray(xi, dtype=complex)
     if np.any(np.abs(np.abs(xi) - 1.0) > 1e-12):
         raise ValueError("cone vertex must lie on the unit circle")
     t0 = np.angle(xi).reshape(-1, 1)
     best = np.zeros(t0.shape[0])
-    for z in cone_lattice(t0, aperture, np.arange(-8, 9) / 8.0):
+    depths = cone_lattice(t0, aperture, np.arange(-8, 9) / 8.0)
+    for first, stop in node_batches([z.size for z in depths]):
+        z = np.concatenate(depths[first:stop], axis=1)
         best = np.maximum(best, np.max(np.abs(f(z)), axis=1))
     return float(best[0]) if xi.ndim == 0 else best.reshape(xi.shape)
 
@@ -176,13 +182,20 @@ def _xi_grid(grid_n, singular_angles):
     return angles, weights
 
 
+def maximal_lps(f, p, aperture, grids):
+    """maximal_lp on each grid size in grids, bitwise, from one nt_maximal
+    call on the union of their vertices."""
+    xi = [_xi_grid(n, f.singular_angles) for n in grids]
+    union = np.unique(np.concatenate([angles for angles, _ in xi]))
+    vals = nt_maximal(f, np.exp(1j * union), aperture) ** float(p)
+    return [float((np.sum(weights * vals[np.searchsorted(union, angles)])
+                   / TWO_PI) ** (1.0 / float(p))) for angles, weights in xi]
+
+
 def maximal_lp(f, p, aperture=2.0, grid_n=64):
     """Discrete Lp norm over the boundary of the non-tangential maximal
     function, with extra grid points graded toward singular pullbacks."""
-    p = float(p)
-    angles, weights = _xi_grid(grid_n, f.singular_angles)
-    vals = nt_maximal(f, np.exp(1j * angles), aperture)
-    return float((np.sum(weights * vals ** p) / TWO_PI) ** (1.0 / p))
+    return maximal_lps(f, p, aperture, (grid_n,))[0]
 
 
 def _deriv_magnitude(f, z):
@@ -197,22 +210,19 @@ def _area_truncations(f, p):
     of the truncation), one dyadic shell per step."""
     q = p - 1.0
     x, wq = gauss_legendre(8)
-    total = 0.0
-    toterr = 0.0
-    a = 0.0
+    total = toterr = a = 0.0
     for k in count(1):
         b = 1.0 - 2.0 ** -k
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
-        shell = 0.0
-        before = toterr
-        for xi, wi in zip(x, wq):
-            r = mid + half * xi
+        radii = mid + half * x
+        shell, before = 0.0, toterr
 
-            def fn(theta, r=r):
-                return _deriv_magnitude(f, r * np.exp(1j * theta)) ** p
+        def fn(theta, circle):
+            return _deriv_magnitude(f, radii[circle] * np.exp(1j * theta)) ** p
 
-            m, e = circle_mean(fn, _circle_marks(f, r), order=12)
+        means = circle_means(fn, [_circle_marks(f, r) for r in radii], order=12)
+        for r, wi, (m, e) in zip(radii, wq, means):
             shell += half * wi * m * (1.0 - r) ** q * r * TWO_PI
             toterr += half * wi * e * (1.0 - r) ** q * r * TWO_PI
         total += shell
@@ -223,10 +233,10 @@ def _area_truncations(f, p):
 def area_integral(f, p, k_max=12):
     """Weighted area integral int_D |Df|^p (1-|z|)^(p-1) dm.
 
-    Tensor quadrature: dyadic radial shells graded toward r = 1, each with 8
-    Gauss-Legendre radii, and order-12 circle means graded at singular
-    pullbacks and at the symbol's kinks, at scales proportional to 1 - r
-    (_circle_marks).  The value and error are those of
+    Tensor quadrature: dyadic radial shells graded toward r = 1, each one
+    circle_means stage of 8 Gauss-Legendre radii, with order-12 circle means
+    graded at singular pullbacks and at the symbol's kinks, at scales
+    proportional to 1 - r (_circle_marks).  The value and error are those of
     the truncation to radius 1 - 2^{-k_max}.  The verdict is the tail of the
     truncations that tail.read_tail reads; an increment is one shell, so
     each truncation carries the error of its last shell.  samples hold

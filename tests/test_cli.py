@@ -398,6 +398,25 @@ class TestMain:
         assert payload["experiment"] == "lemma1"
         assert payload["metadata"]["spec"]["map"] == "identity"
 
+    @pytest.mark.parametrize("p, reason", [
+        ("200", "ring 4: a mass is NaN, |Dphi|^p overflowing where "
+                "(1 - |z|)^(p - 1) underflows"),
+        ("1000", "ring 1: r_B^(1 + p) underflows to 0"),
+        ("1e300", "ring 1: r_B^(1 + p) underflows to 0")])
+    def test_large_p_reads_the_luecking_sweep_undetermined(self, capsys, p,
+                                                           reason):
+        # the sweep once died on a ring whose ratios were all NaN (KeyError)
+        # or on no ring at all (ValueError); numpy warns of the overflows
+        with np.errstate(all="ignore"):
+            code = main(["thm3", "--p", p, "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        rows = {r["quantity"]: r for r in payload["rows"]}
+        assert code == 1
+        assert rows["luecking_stabilized"]["classification"] == "fail"
+        assert np.isnan(rows["luecking_stabilized"]["value"])
+        assert payload["metadata"]["verdicts"]["luecking_stabilized"] == {
+            "reason": reason, "at": 10}
+
 
 class TestUsageErrors:
     """Bad input ends in a usage error: exit 2 and a message on stderr,

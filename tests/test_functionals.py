@@ -3,7 +3,7 @@ from itertools import count, islice
 import numpy as np
 import pytest
 
-from qchardy import functionals, tail
+from qchardy import functionals, quadrature, tail
 from qchardy.extension import make_disc_map
 from qchardy.functionals import (
     CONVERGED,
@@ -19,6 +19,7 @@ from qchardy.functionals import (
     hardy_norm,
     integral_mean,
     maximal_lp,
+    maximal_lps,
     nt_maximal,
     radial_schedule,
 )
@@ -29,7 +30,7 @@ from qchardy.functions import (
     hardy_kernel,
 )
 from qchardy.geometry import cone_halfwidth
-from qchardy.quadrature import TWO_PI, circle_mean, gauss_legendre
+from qchardy.quadrature import TWO_PI, circle_mean, circle_means, gauss_legendre
 from qchardy.tail import TAIL_CAP, read_tail
 
 
@@ -59,6 +60,11 @@ def _fixed_scale_marks(f, r, scale):
     means, 1e-9 for area shells) and its symbol's kinks at 0.1 (1 - r)."""
     marks = [(t, scale) for t in f.singular_angles]
     return marks + [(t, 0.1 * (1.0 - r)) for t in f.phi.kink_angles(r)]
+
+
+def _mean(fn, marks, order):
+    """circle_mean at another panel order: one circle of circle_means."""
+    return next(circle_means(lambda t, _: fn(t), [marks], order))
 
 
 def _nt_maximal_loop(f, xi, aperture=2.0):
@@ -259,8 +265,8 @@ class TestIntegralMean:
                     return images[key]
 
                 for g, p in kernels:
-                    ref, _ = circle_mean(lambda t: np.abs(g(image(t))) ** p,
-                                         _five_angles(r, 1e-10), order=48)
+                    ref, _ = _mean(lambda t: np.abs(g(image(t))) ** p,
+                                   _five_angles(r, 1e-10), order=48)
                     val, err = integral_mean(compose(g, phi), r, p)
                     assert abs(val - ref) <= 1e-9 * ref, (g.label, r)
                     assert err >= abs(val - ref), (g.label, r)
@@ -315,20 +321,26 @@ class TestHardyNorm:
         assert est.classification == DIVERGING and "Aitken" in est.reason
         assert est.why == (est.reason, 24)
 
-    def test_swallowed_error_has_a_reason(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("budget, k", [(1, 3),
+                                           (quadrature._NODES_PER_CALL, 1)],
+                             ids=["alone", "batched"])
+    def test_swallowed_error_has_a_reason(self, monkeypatch, budget, k):
+        # f fails on the circle r_3 = 0.875; the error names the first k of
+        # the batch it strikes: k = 3 one circle a call, k = 1 when circles
+        # 1-3 share a call
+        g = cauchy_kernel()
 
-        def failing(f, r, p):
-            calls.append(r)
-            if len(calls) == 3:
+        def failing(z):
+            if np.any(np.abs(np.abs(z) - 0.875) < 1e-12):
                 raise FloatingPointError("overflow")
-            return 1.0, 0.0
+            return g(z)
 
-        monkeypatch.setattr(functionals, "integral_mean", failing)
-        est = hardy_norm(cauchy_kernel(), 1.0)
+        monkeypatch.setattr(quadrature, "_NODES_PER_CALL", budget)
+        est = hardy_norm(AnalyticFunction(failing, g.deriv, g.singular_angles),
+                         1.0)
         assert est.classification == UNDETERMINED and np.isnan(est.value)
-        assert est.reason == "FloatingPointError at k = 3: overflow"
-        assert len(est.samples) == 2
+        assert est.reason == f"FloatingPointError at k = {k}: overflow"
+        assert est.samples == hardy_norm(g, 1.0).samples[:k - 1]
 
     def test_cauchy_converges_in_h_half(self):
         est = hardy_norm(cauchy_kernel(), 0.5)
@@ -453,6 +465,23 @@ class TestMaximal:
         ref = float((np.sum(weights * loop ** 2.0) / TWO_PI) ** 0.5)
         assert maximal_lp(f, 2.0, grid_n=32) == ref
 
+    def test_grids_share_one_cone_evaluation(self, monkeypatch, thm2_map):
+        f = compose(hardy_kernel(0.9, 2.0), thm2_map)
+        alone = [maximal_lp(f, 2.0, 2.0, grid_n=n) for n in (32, 64)]
+        vertices = []
+
+        def counted(f, xi, aperture):
+            vertices.append(np.size(xi))
+            return nt_maximal(f, xi, aperture)
+
+        monkeypatch.setattr(functionals, "nt_maximal", counted)
+        assert maximal_lps(f, 2.0, 2.0, (32, 64)) == alone
+        # the 38 cluster vertices at the singular angle, in both grids, are
+        # evaluated once
+        grids = [_xi_grid(n, f.singular_angles)[0] for n in (32, 64)]
+        assert vertices == [len(np.union1d(*grids))]
+        assert vertices[0] == sum(map(len, grids)) - 38
+
     def test_vertex_off_the_circle(self):
         with pytest.raises(ValueError, match="unit circle"):
             nt_maximal(_constant(1.0), np.array([1.0, 0.5j]))
@@ -485,7 +514,7 @@ class TestAreaIntegral:
         for a, b in zip(edges[:-1], edges[1:]):
             for xi, wi in zip(x, wq):
                 r = 0.5 * (a + b) + 0.5 * (b - a) * xi
-                m, _ = circle_mean(
+                m, _ = _mean(
                     lambda t, r=r: f.differential(r * np.exp(1j * t))[0] ** 2,
                     _five_angles(r, 1e-9), order=48)
                 ref += 0.5 * (b - a) * wi * m * (1.0 - r) * r * TWO_PI
@@ -513,9 +542,8 @@ class TestAreaIntegral:
                 def fn(t, r=r):
                     return f.differential(r * np.exp(1j * t))[0] ** 2
 
-                val, err = circle_mean(fn, functionals._circle_marks(f, r),
-                                       order=12)
-                ref, ref_err = circle_mean(fn, _fixed_scale_marks(f, r, 1e-9), order=12)
+                val, err = _mean(fn, functionals._circle_marks(f, r), order=12)
+                ref, ref_err = _mean(fn, _fixed_scale_marks(f, r, 1e-9), order=12)
                 if k == 1:
                     assert abs(val - ref) <= 0.1 * min(err, ref_err), r
                 else:
@@ -528,21 +556,22 @@ class TestAreaIntegral:
 
     def test_undetermined_tail_reads_each_shell_once(self, monkeypatch):
         # moebius(0.99) is undetermined at 12 shells and converged at 13
-        calls = []
+        # one circle_means stage of 8 circles per shell
+        stages = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return circle_mean(*args, **kwargs)
+        def counted(fn, marks, order):
+            stages.append(len(marks))
+            return circle_means(fn, marks, order)
 
         f = compose(hardy_kernel(0.9, 2.0), make_disc_map("moebius:0.99"))
         twelve = list(islice(functionals._area_truncations(f, 2.0), 12))
-        monkeypatch.setattr(functionals, "circle_mean", counted)
+        monkeypatch.setattr(functionals, "circle_means", counted)
         est = area_integral(f, 2.0, k_max=12)
         verdict, _ = classify_tail([t[0] for t in twelve],
                                    [t[1] for t in twelve])
         assert verdict == UNDETERMINED
         assert est.classification == CONVERGED
-        assert len(est.samples) == 13 and len(calls) == 13 * 8
+        assert len(est.samples) == 13 and stages == [8] * 13
         assert est.samples[:12] == tuple((t[2], t[0]) for t in twelve)
         assert (est.value, est.error) == (twelve[-1][0], twelve[-1][3])
 
@@ -552,6 +581,63 @@ class TestAreaIntegral:
         full = area_integral(compose(g, identity_map), 2.0, k_max=8)
         analytic = area_integral(g, 2.0, k_max=8)
         assert full.value == pytest.approx(analytic.value, rel=1e-9)
+
+
+class TestStages:
+    """A stage of circles (or cone depths) batched into few calls of f,
+    against one circle (or depth) per call: the same bits."""
+
+    @staticmethod
+    def _counted_composite(spec):
+        """Kernel o spec, and the list of node counts of its analytic
+        part's calls (values and derivatives)."""
+        g = hardy_kernel(0.9, 2.0)
+        calls = []
+
+        def counted(fn):
+            def inner(z):
+                calls.append(z.size)
+                return fn(z)
+            return inner
+
+        h = AnalyticFunction(counted(g), counted(g.deriv), g.singular_angles)
+        return compose(h, make_disc_map(spec)), calls
+
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "moebius:0.5"])
+    def test_one_circle_per_call_changes_no_bit(self, monkeypatch, spec):
+        f, calls = self._counted_composite(spec)
+        xi = np.exp(1j * _xi_grid(32, f.singular_angles)[0])
+        stages = {"hardy": lambda: hardy_norm(f, 2.0),
+                  "area": lambda: area_integral(f, 2.0, k_max=4),
+                  "boundary": lambda: boundary_lp(f, 2.0),
+                  "cone": lambda: nt_maximal(f, xi).tolist()}
+
+        def run():
+            """{stage: (result, calls of f)}."""
+            out = {}
+            for name, stage in stages.items():
+                calls.clear()
+                out[name] = stage(), len(calls)
+            return out
+
+        batched = run()
+        monkeypatch.setattr(quadrature, "_NODES_PER_CALL", 1)
+        alone = run()
+        for name in stages:
+            assert alone[name][0] == batched[name][0], name
+        # one call per circle or depth: 24 Hardy circles, 8 per area shell,
+        # 5 boundary scales, 12 cone depths; the batches take fewer
+        shells = len(batched["area"][0].samples)
+        assert {name: n for name, (_, n) in alone.items()} == {
+            "hardy": 24, "area": 8 * shells, "boundary": 5, "cone": 12}
+        assert batched["hardy"][1] < 24 and batched["cone"][1] < 12
+
+    def test_node_batches(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_NODES_PER_CALL", 10)
+        batches = quadrature.node_batches
+        assert batches([4, 4, 4, 30, 1, 9, 10]) == [(0, 2), (2, 3), (3, 4),
+                                                    (4, 6), (6, 7)]
+        assert batches([30]) == [(0, 1)]
 
 
 class TestAverageDerivative:

@@ -1,17 +1,84 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qchardy import quadrature
 from qchardy.quadrature import (
+    TWO_PI,
+    _legendre_tail,
     circle_mean,
+    circle_means,
     gauss_legendre,
     wrap_angle,
 )
 
 # (1/2pi) int |1 - e^{it}|^{-2s} dt = Gamma(1 - 2s) / Gamma(1 - s)^2, at s = 1/4
 _MEAN_ROOT_KERNEL = math.gamma(0.5) / math.gamma(0.75) ** 2
+
+
+def _graded_edges(length, scale):
+    """Reference edges of a graded half: widths double away from 0 from
+    min(scale, length), one term at a time."""
+    edges = [0.0]
+    w = min(scale, length)
+    pos = w
+    while pos < length:
+        edges.append(pos)
+        w *= 2.0
+        pos += w
+    edges.append(length)
+    return edges
+
+
+def _loop_circle_mean(fn, marks=(), order=16):
+    """Reference: the graded rule of one circle built mark by mark and edge
+    by edge in Python, as circle_mean was before circles came in batches."""
+    scales = {}
+    for t, s in marks or ((0.0, np.pi / 16),):
+        t = wrap_angle(t)
+        scales[t] = min(float(s), scales.get(t, np.inf))
+    angles = sorted(scales)
+    x, w = gauss_legendre(order)
+    lo, hi, mark, away = [], [], [], []
+    for t0, t1 in zip(angles, angles[1:] + angles[:1]):
+        h = 0.5 * ((t1 - t0) % TWO_PI or TWO_PI)
+        for t, sign in ((t0, 1.0), (t1, -1.0)):
+            edges = _graded_edges(h, scales[t])
+            lo += edges[:-1]
+            hi += edges[1:]
+            mark += [t] * (len(edges) - 1)
+            away += [sign] * (len(edges) - 1)
+    lo = np.array(lo)
+    half = 0.5 * (np.array(hi) - lo)
+    nodes = (np.array(mark)[:, None]
+             + np.array(away)[:, None] * ((lo + half)[:, None] + half[:, None] * x))
+    vals = fn((nodes - TWO_PI * np.round(nodes / TWO_PI)).ravel())
+    vals = vals.reshape(nodes.shape)
+    total = float(np.sum(half * (vals @ w)))
+    tail = np.abs(vals @ _legendre_tail(order)).sum(axis=1)
+    err = float(np.sum(2.0 * half * tail))
+    return total / TWO_PI, err / TWO_PI
+
+
+# marked angles: anywhere, at +-pi and beyond, and at 0; scales from 1e-13 to
+# 30, so some exceed their arc of at most 2 pi
+_ANGLES = st.one_of(st.floats(-7.0, 7.0),
+                    st.sampled_from([0.0, np.pi, -np.pi, 3 * np.pi, 1e-9]))
+_SCALES = st.builds(lambda e, m: m * 10.0 ** e, st.integers(-13, 1),
+                    st.floats(1.0, 3.0))
+
+
+@st.composite
+def _one_circle_marks(draw):
+    """Marks of one circle: none, one, or several, some repeated at another
+    scale."""
+    marks = draw(st.lists(st.tuples(_ANGLES, _SCALES), max_size=5))
+    for t, _ in draw(st.lists(st.sampled_from(marks), max_size=3)) if marks else ():
+        marks.append((t, draw(_SCALES)))
+    return marks
 
 
 class TestWrapAngle:
@@ -38,6 +105,40 @@ class TestGaussLegendre:
         # order-8 rule is exact through degree 15
         assert abs(np.sum(w * x ** 14) - 2.0 / 15.0) < 1e-14
         assert abs(np.sum(w) - 2.0) < 1e-14
+
+
+class TestCircleMeans:
+    @given(st.lists(_one_circle_marks(), min_size=1, max_size=4),
+           st.sampled_from([12, 16]), st.sampled_from([1, 300, 8192]))
+    def test_each_circle_is_the_loop_rule_bitwise(self, marks, order, budget):
+        # the integrand differs by circle; each circle's mean and error are
+        # those of the one-circle loop, whatever the batch it is summed in
+        def fn(t, c):
+            return 1.0 / (1.25 + np.cos(t - c)) + np.abs(np.sin(t)) ** -0.25
+
+        with mock.patch.object(quadrature, "_NODES_PER_CALL", budget):
+            got = list(circle_means(fn, marks, order))
+        assert got == [_loop_circle_mean(lambda t, c=c: fn(t, c), m, order)
+                       for c, m in enumerate(marks)]
+        if order == 16:
+            assert circle_mean(lambda t: fn(t, 0), marks[0]) == got[0]
+
+    def test_calls_fn_once_per_batch(self):
+        seen = []
+
+        def fn(t, c):
+            seen.append(np.unique(c).tolist())
+            return np.ones_like(t)
+
+        marks = [((0.0, 1e-10),)] * 6
+        with mock.patch.object(quadrature, "_NODES_PER_CALL", 3000):
+            means = circle_means(fn, marks)
+            assert next(means) == pytest.approx((1.0, 0.0), abs=1e-12)
+            # a batch is evaluated when its first mean is asked for
+            assert seen == [[0, 1]]
+            list(means)
+        # 70 panels of 16 nodes a circle: two circles fill 2,240 of 3,000
+        assert seen == [[0, 1], [2, 3], [4, 5]]
 
 
 class TestCircleMean:

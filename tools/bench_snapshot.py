@@ -9,11 +9,12 @@ It records
     each the final JSON object that run prints;
   * the wall time of each experiment at its CLI defaults through cli.run,
     the median of --repeats runs after one warm-up run;
-  * per workload, the Beurling-Ahlfors points of one pass through cli.run
-    and the line-map evaluations they took, counted by wrapping
-    BAExtension.halfplane and BAExtension.line_map, and its Newton work:
+  * per workload, the Beurling-Ahlfors calls and points of one pass through
+    cli.run and the line-map evaluations they took, counted by wrapping
+    BAExtension.halfplane and BAExtension.line_map; its Newton work:
     extension.invert calls, their lanes, and the jet calls and jet points
-    made inside them;
+    made inside them; and its graded circle rules: quadrature.circle_means
+    calls (stages, one per circle_mean call too) and the circles in them;
   * the wall time of the Tier-1 test suite;
   * the net line count of src/;
   * the machine: CPU count and model, Python and numpy versions.
@@ -70,23 +71,26 @@ def experiments(repeats):
 
 def work_counts():
     """Per workload, over one pass of its specs through cli.run:
-    (ba, newton).  ba holds the BA points, the line-map evaluations they
-    took and evaluations per point, counted by wrapping
+    (ba, newton, rules).  ba holds the BA calls and points, the line-map
+    evaluations they took and evaluations per point, counted by wrapping
     BAExtension.halfplane and BAExtension.line_map; newton holds the invert
     calls, their lanes, and the jet calls and jet points made inside them,
     counted by wrapping invert where extension and carleson bind it, and
-    DiscQCMap.jet."""
+    DiscQCMap.jet; rules holds the circle_means stages and their circles,
+    counted by wrapping circle_means where quadrature, functionals and
+    carleson bind it."""
     import numpy as np
 
     sys.path.insert(0, str(SRC))
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
-    from qchardy import carleson, cli, extension
+    from qchardy import carleson, cli, extension, functionals, quadrature
     from qchardy.extension import BAExtension, DiscQCMap
 
     counts = {}
     line_map, halfplane = BAExtension.line_map, BAExtension.halfplane
     invert, jet = extension.invert, DiscQCMap.jet
+    circle_means = quadrature.circle_means
     inside = []
 
     def counted_line_map(self, x):
@@ -94,8 +98,14 @@ def work_counts():
         return line_map(self, x)
 
     def counted_halfplane(self, x, y):
+        counts["ba_calls"] += 1
         counts["points"] += np.size(x)
         return halfplane(self, x, y)
+
+    def counted_circle_means(fn, marks, order=16):
+        counts["stages"] += 1
+        counts["circles"] += len(marks)
+        return circle_means(fn, marks, order)
 
     def counted_invert(phi, w, z0=None):
         counts["calls"] += 1
@@ -112,27 +122,33 @@ def work_counts():
             counts["jet_points"] += np.size(z)
         return jet(self, z)
 
-    ba, newton = {}, {}
+    ba, newton, rules = {}, {}, {}
     BAExtension.line_map, BAExtension.halfplane = counted_line_map, counted_halfplane
     extension.invert = carleson.invert = counted_invert
     DiscQCMap.jet = counted_jet
+    quadrature.circle_means = counted_circle_means
+    functionals.circle_means = carleson.circle_means = counted_circle_means
     try:
         for name in WORKLOADS:
-            counts.update(points=0, evaluations=0, calls=0, lanes=0,
-                          jet_calls=0, jet_points=0)
+            counts.update(ba_calls=0, points=0, evaluations=0, calls=0,
+                          lanes=0, jet_calls=0, jet_points=0, stages=0,
+                          circles=0)
             for spec in workloads.WORKLOADS[name]:
                 cli.run(cli.ExperimentSpec(spec.experiment, spec.map_spec))
-            ba[name] = {"points": counts["points"],
+            ba[name] = {"calls": counts["ba_calls"], "points": counts["points"],
                         "evaluations": counts["evaluations"],
                         "per_point": counts["evaluations"]
                         / max(counts["points"], 1)}
             newton[name] = {key: counts[key] for key in
                             ("calls", "lanes", "jet_calls", "jet_points")}
+            rules[name] = {key: counts[key] for key in ("stages", "circles")}
     finally:
         BAExtension.line_map, BAExtension.halfplane = line_map, halfplane
         extension.invert = carleson.invert = invert
         DiscQCMap.jet = jet
-    return ba, newton
+        quadrature.circle_means = functionals.circle_means = circle_means
+        carleson.circle_means = circle_means
+    return ba, newton, rules
 
 
 def tier1():
@@ -178,7 +194,8 @@ def main(argv=None):
         "src_lines": src_lines(),
         "machine": machine(),
     }
-    snapshot["ba_evaluations"], snapshot["newton"] = work_counts()
+    (snapshot["ba_evaluations"], snapshot["newton"],
+     snapshot["circle_rules"]) = work_counts()
     snapshot["tier1_s"], snapshot["tier1_summary"] = tier1()
     Path(args.out).write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
 

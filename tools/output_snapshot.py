@@ -1,0 +1,85 @@
+"""Write the CSV and JSON reports of a fixed set of experiment runs, so that two
+checkouts can be compared byte for byte.
+
+Run from anywhere, on the checkout this script lives in:
+
+    python3 tools/output_snapshot.py OUT_DIR
+
+For each run it writes OUT_DIR/<experiment>_<map>_d<depth>.csv and .json:
+to_csv(), and to_json() without metadata["wall_time_s"], the one field that
+differs between reruns.  A run that raises writes .err, the exception's type
+and message, instead.  Two checkouts give the same reports exactly when
+
+    diff -r OUT_A OUT_B
+
+prints nothing.  The set is 82 runs: the 20 SPECS at --depth 3, 10 and 16,
+and thmA and thm3 on each of BALL_MAPS at the default depth.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the 12 benchmark specs, then deeper moduli, a Hoelder map below 1 and the
+# thm3 and lemma1 runs no workload makes
+SPECS = (
+    ("thm2", "thm2_sqrt"), ("thm1", "power:2"), ("thm1", "thm2_sqrt"),
+    ("thmA", "thm2_sqrt"), ("thmA", "power:2"), ("thm3", "thm2_sqrt"),
+    ("af_conformal", "moebius:0.5"), ("thm3", "moebius:0.5"),
+    ("thmA", "moebius:0.5"), ("lemma1", "moebius:0.5"),
+    ("thm1", "moebius:0.99"), ("thmA", "moebius:0.99"),
+    ("thm1", "moebius:0.999"), ("thmA", "moebius:0.999"),
+    ("thm1", "power:1.05"), ("thmA", "power:1.05"), ("thm2", "power:0.3"),
+    ("thm3", "moebius:0.99"), ("thm3", "power:2"), ("lemma1", "thm2_sqrt"),
+)
+DEPTHS = (3, 10, 16)
+# maps whose ball sweeps (thmA, thm3) are compared at the default depth
+BALL_MAPS = ("moebius:0.5", "moebius:-0.5", "moebius:0.9", "moebius:-0.9",
+             "moebius:0.99", "moebius:-0.99", "moebius:0.999", "thm2_sqrt",
+             "power:2", "power:0.3", "power:0.5")
+
+
+def runs():
+    """(experiment, map spec, depth or None for the default) of every run."""
+    out = [(name, spec, depth) for depth in DEPTHS for name, spec in SPECS]
+    return out + [(name, spec, None) for spec in BALL_MAPS
+                  for name in ("thmA", "thm3")]
+
+
+def write(out_dir):
+    sys.path.insert(0, str(SRC))
+    from qchardy import cli
+
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    done = set()
+    for name, map_spec, depth in runs():
+        spec = cli.ExperimentSpec(name, map_spec)
+        if depth is not None:
+            spec.depth = depth
+        stem = f"{out_dir}/{name}_{map_spec.replace(':', '')}_d{spec.depth}"
+        if stem in done:  # a ball map run at the default depth of SPECS
+            continue
+        done.add(stem)
+        try:
+            report = cli.run(spec)
+        except Exception as exc:  # noqa: BLE001 - a raising run is an output
+            Path(stem + ".err").write_text(f"{type(exc).__name__}: {exc}\n")
+            continue
+        del report.metadata["wall_time_s"]
+        Path(stem + ".csv").write_text(report.to_csv())
+        Path(stem + ".json").write_text(report.to_json())
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out_dir")
+    write(parser.parse_args(argv).out_dir)
+
+
+if __name__ == "__main__":
+    main()
