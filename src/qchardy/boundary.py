@@ -11,6 +11,8 @@ the inverse are judged by the tail classifier (tail.py).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .tail import CONVERGED, classify_tail
@@ -50,22 +52,20 @@ def identity_homeo():
                          lambda s: np.asarray(s, dtype=float), label="identity")
 
 
+def _power(t, g):
+    t = np.asarray(t, dtype=float)
+    return np.sign(t) * np.pi * (np.abs(t) / np.pi) ** g
+
+
 def power_homeo(gamma):
     """alpha(t) = sign(t) * pi * (|t|/pi)**gamma, with its cusp at t = 0;
-    gamma = 1/2 is the square-root map sign(t) sqrt(pi |t|)."""
+    gamma = 1/2 is the square-root map sign(t) sqrt(pi |t|).  Its inverse
+    is the same map at 1/gamma."""
     gamma = float(gamma)
     if gamma <= 0:
         raise ValueError("power map needs gamma > 0")
-
-    def fwd(t, g=gamma):
-        t = np.asarray(t, dtype=float)
-        return np.sign(t) * np.pi * (np.abs(t) / np.pi) ** g
-
-    def inv(s, g=1.0 / gamma):
-        s = np.asarray(s, dtype=float)
-        return np.sign(s) * np.pi * (np.abs(s) / np.pi) ** g
-
-    return BoundaryHomeo(fwd, inv, label=f"power({gamma:g})", cusps=(0.0,))
+    return BoundaryHomeo(partial(_power, g=gamma), partial(_power, g=1.0 / gamma),
+                         label=f"power({gamma:g})", cusps=(0.0,))
 
 
 def sqrt_homeo():
@@ -74,24 +74,22 @@ def sqrt_homeo():
     return h
 
 
+def _moebius(t, a):
+    t = np.asarray(t, dtype=float)
+    return t + 2.0 * np.arctan2(a * np.sin(t), 1.0 - a * np.cos(t))
+
+
 def moebius_homeo(a):
     """Boundary action of the disc automorphism z -> (z - a)/(1 - a z), a real.
 
-    alpha(t) = t + 2*atan2(a sin t, 1 - a cos t), which fixes +-pi exactly.
+    alpha(t) = t + 2*atan2(a sin t, 1 - a cos t), which fixes +-pi exactly;
+    its inverse is the same map at -a.
     """
     a = float(a)
     if abs(a) >= 1:
         raise ValueError("moebius parameter must satisfy |a| < 1")
-
-    def fwd(t, a=a):
-        t = np.asarray(t, dtype=float)
-        return t + 2.0 * np.arctan2(a * np.sin(t), 1.0 - a * np.cos(t))
-
-    def inv(s, a=-a):
-        s = np.asarray(s, dtype=float)
-        return s + 2.0 * np.arctan2(a * np.sin(s), 1.0 - a * np.cos(s))
-
-    return BoundaryHomeo(fwd, inv, label=f"moebius({a:g})")
+    return BoundaryHomeo(partial(_moebius, a=a), partial(_moebius, a=-a),
+                         label=f"moebius({a:g})")
 
 
 # catalog map name -> (builder of its BoundaryHomeo, number of parameters)

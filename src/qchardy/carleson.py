@@ -9,8 +9,9 @@ and the differentials there from one batched inversion (extension.invert:
 closed form for a conformal symbol, Newton iteration otherwise); its error
 is the rule's distance from the same rule on half the angles.  A ball sweep
 inverts the centers of its whole family in one run, then the rule nodes of
-up to _BALLS_PER_RUN balls per run; the lanes are independent and the jets
-pointwise, so every mass is bitwise that of a one-ball measure_ball call.
+one quadrature.node_batches batch of balls per run; the lanes are
+independent and the jets pointwise, so every mass is bitwise that of a
+one-ball measure_ball call.
 Per-ring maxima of a ball sweep and the kernel ratios carry errors, so the
 tail classifier (tail.py) can judge them.
 """
@@ -26,17 +27,13 @@ from .extension import invert, norm_and_jacobian
 from .functionals import hardy_norm
 from .functions import compose, hardy_kernel
 from .geometry import HyperbolicBall
-from .quadrature import BALL_RULE, TWO_PI, circle_means, wrap_angle
+from .quadrature import (BALL_RULE, TWO_PI, circle_means, node_batches,
+                         wrap_angle)
 from .tail import CONVERGED, classify_tail, read_tail
 
 
 LEBESGUE = "lebesgue"
 WEIGHTED = "weighted"
-
-# balls whose rule nodes share one Newton run of a sweep: 32 * 128 = 4096
-# lanes, so a thmA run makes 28 jet calls instead of 310 one ball at a time;
-# its whole family in one run makes 16, is no faster, and peaks 2.7 MB higher
-_BALLS_PER_RUN = 32
 
 
 class DiscPushforward:
@@ -123,8 +120,8 @@ def _sweep(mu, family, normalize):
     worst_err = 0.0
     zc, (_, dz, dzb) = invert(mu.phi, np.array([ball.center for _, ball in family]))
     masses = []
-    for first in range(0, len(family), _BALLS_PER_RUN):
-        block = slice(first, first + _BALLS_PER_RUN)
+    for first, stop in node_batches([BALL_RULE[0].size] * len(family)):
+        block = slice(first, stop)
         masses += mu._masses([ball for _, ball in family[block]],
                              zc[block], dz[block], dzb[block])
     for (k, ball), (mass, err) in zip(family, masses):

@@ -23,19 +23,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import quadrature
 from .boundary import identity_homeo, make_map, moebius_homeo, parse_map_spec
 from .geometry import cone_lattice
-from .quadrature import gauss_legendre
 
 _MAX_ITER = 80  # Newton steps of a lane before invert judges its residual
 
-# live panels per evaluation of the line map: 2048 * 6 nodes make every
-# float temporary of a 6-node chunk 96 KiB, under glibc's 128 KiB mmap
-# threshold, so the temporaries are reused from the heap instead of mapped
-# and faulted in anew on every call; smaller chunks cost more Python per call
-# than they save.  Callers pass batches of any size (a ball sweep's Newton
-# run has 4096 lanes): _panel_sums walks them in chunks of _PANELS panels
-_PANELS = 2048
 # binade exponents of the antiderivative table, nodes +-2^(j + i/8) for
 # _LOWEST <= j + i/8 <= _HIGHEST.  A point read from the table has its ends
 # within (2 + _KAPPA[6]) y < 8y of 0, and a disc point |z| < 1 in double
@@ -77,15 +70,16 @@ def _panel_sums(fn, left, right, order):
     right_i] (minus the integral over [right_i, left_i] where right_i <
     left_i).
 
-    fn is called on the nodes of at most _PANELS panels at a time, in panel
-    order, so no temporary outgrows the heap (see _PANELS); an empty batch
-    makes no call.  The line maps are elementwise and each panel is summed alone, so
-    the chunks change no bit of the result."""
-    x, w = gauss_legendre(order)
+    fn is called on the nodes of as many panels as fit the batch budget
+    quadrature._NODES_PER_CALL (at least one) at a time, in panel order; an
+    empty batch makes no call.  The line maps are elementwise and each panel
+    is summed alone, so the chunks change no bit of the result."""
+    x, w = quadrature.gauss_legendre(order)
     half, mid = 0.5 * (right - left), 0.5 * (right + left)
     out = np.empty(half.size)
-    for start in range(0, half.size, _PANELS):
-        chunk = slice(start, start + _PANELS)
+    panels = max(1, quadrature._NODES_PER_CALL // order)
+    for start in range(0, half.size, panels):
+        chunk = slice(start, start + panels)
         vals = fn((mid[chunk, None] + half[chunk, None] * x).ravel())
         # einsum sums each panel alone, so a point's value does not depend
         # on the batch it is evaluated in; a BLAS product rounds by position

@@ -54,8 +54,12 @@ def _polar_rule(radii, angles):
 
 BALL_RULE = _polar_rule(8, 16)
 
-# nodes per integrand call of circle_means and functionals.nt_maximal, as
-# measured: 4096 ran 2-8% slower, 16384 peaked 2.5 MB higher in memory
+# the one batch budget: nodes per vectorised call of circle_means'
+# integrands, functionals.nt_maximal, extension._panel_sums' line maps and a
+# ball sweep's Newton runs.  Measured: 4096 ran 2-8% slower and 16384 peaked
+# 2.5 MB higher; an 8192-node float temporary is 64 KiB, under glibc's
+# 128 KiB mmap threshold, so it is reused from the heap instead of mapped and
+# faulted in anew on every call
 _NODES_PER_CALL = 8192
 
 
@@ -103,7 +107,7 @@ def _graded_panels(marks):
 
 def node_batches(sizes):
     """(start, stop) of each batch of consecutive items, of the given node
-    counts, for one integrand call: up to _NODES_PER_CALL nodes, or one item."""
+    counts, for one vectorised call: up to _NODES_PER_CALL nodes, or one item."""
     bounds, total = [0], 0
     for i, size in enumerate(np.asarray(sizes).tolist()):
         if total + size > _NODES_PER_CALL and i > bounds[-1]:

@@ -19,6 +19,7 @@ TAIL_CAP = 16
 def classify_tail(seq, err):
     """(verdict, reason) for the tail of seq, whose terms carry the errors
     err (one per term, or one for all), from rho_k = dm_k / dm_{k-1}.
+    A NaN term makes the tail undetermined, an infinite one diverging.
 
     An increment within its two terms' errors counts as zero.  Converged:
     the last 3 increments are all zero or all <= 0 (each sequence here is a
@@ -28,6 +29,8 @@ def classify_tail(seq, err):
     Aitken limit rho* with rho* + q |drho| >= 1.  Otherwise undetermined.
     """
     m = np.asarray(seq, dtype=float)
+    if np.any(np.isnan(m)):
+        return UNDETERMINED, "NaN term"
     if not np.all(np.isfinite(m)):
         return DIVERGING, "non-finite term"
     e = np.broadcast_to(np.asarray(err, dtype=float), m.shape)

@@ -211,10 +211,10 @@ class TestSweeps:
             lanes.append(np.size(w))
             return invert(phi, w, **kwargs)
 
-        # rings 1-10 (80 balls, three Newton runs of nodes) and the one-ring
+        # rings 1-10 (80 balls, two Newton runs of nodes) and the one-ring
         # family that a sweep's escalation reads
         for family, runs in ((make_ball_family(range(1, 11), angles=8),
-                              [80, 4096, 4096, 2048]),
+                              [80, 8192, 2048]),
                              (make_ball_family([11], angles=8), [8, 1024])):
             per_ring, ring_error, worst = {}, {}, 0.0
             for k, ball in family:

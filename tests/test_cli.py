@@ -6,7 +6,7 @@ import pytest
 
 from qchardy import boundary
 from qchardy import carleson as ca
-from qchardy import cli
+from qchardy import cli, extension, quadrature
 from qchardy import functionals as fn
 from qchardy.cli import (
     EXPERIMENTS,
@@ -184,6 +184,64 @@ class TestRun:
     def test_af_conformal_rejects_a_non_moebius_map(self):
         with pytest.raises(ValueError, match="thm2_sqrt"):
             run(ExperimentSpec("af_conformal", "thm2_sqrt"))
+
+
+class TestBatchBudget:
+    def test_one_budget_bounds_every_call(self, monkeypatch):
+        # quadrature._NODES_PER_CALL bounds every vectorised call: circle-mean
+        # integrands, nt_maximal's f, the line map of each _panel_sums chunk
+        # and a ball sweep's Newton runs take at most the budget's nodes, or
+        # one item (a circle, a cone depth, a panel, a ball), and the output
+        # does not depend on it
+        budget = 300
+        specs = [ExperimentSpec("thmA", "thm2_sqrt"),
+                 ExperimentSpec("thm3", "moebius:0.5")]
+        default = [run(spec).to_csv() for spec in specs]
+        calls = []  # (kind, nodes, whether the call holds one item)
+
+        circle_means = quadrature.circle_means
+
+        def means(f, marks, order=16):
+            def counted(theta, circle):
+                calls.append(("circle_means", theta.size,
+                              np.unique(circle).size == 1))
+                return f(theta, circle)
+            return circle_means(counted, marks, order)
+
+        nt_maximal = fn.nt_maximal
+
+        def cones(f, xi, aperture=2.0):
+            def counted(z):
+                calls.append(("nt_maximal", z.size, z.shape[1] == 17))
+                return f(z)
+            return nt_maximal(counted, xi, aperture)
+
+        panel_sums = extension._panel_sums
+
+        def chunks(f, left, right, order):
+            def counted(x):
+                calls.append(("_panel_sums", x.size, x.size == order))
+                return f(x)
+            return panel_sums(counted, left, right, order)
+
+        invert = ca.invert
+
+        def ball_runs(phi, w, z0=None):
+            if z0 is not None:
+                calls.append(("invert", np.size(w),
+                              np.size(w) == quadrature.BALL_RULE[0].size))
+            return invert(phi, w, z0=z0)
+
+        for module in (quadrature, fn, ca):
+            monkeypatch.setattr(module, "circle_means", means)
+        monkeypatch.setattr(fn, "nt_maximal", cones)
+        monkeypatch.setattr(extension, "_panel_sums", chunks)
+        monkeypatch.setattr(ca, "invert", ball_runs)
+        monkeypatch.setattr(quadrature, "_NODES_PER_CALL", budget)
+        assert [run(spec).to_csv() for spec in specs] == default
+        assert {kind for kind, _, _ in calls} == {
+            "circle_means", "nt_maximal", "_panel_sums", "invert"}
+        assert [c for c in calls if c[1] > budget and not c[2]] == []
 
 
 class TestVerdicts:
@@ -398,13 +456,13 @@ class TestMain:
         assert payload["experiment"] == "lemma1"
         assert payload["metadata"]["spec"]["map"] == "identity"
 
-    @pytest.mark.parametrize("p, reason", [
+    @pytest.mark.parametrize("p, reason, area", [
         ("200", "ring 4: a mass is NaN, |Dphi|^p overflowing where "
-                "(1 - |z|)^(p - 1) underflows"),
-        ("1000", "ring 1: r_B^(1 + p) underflows to 0"),
-        ("1e300", "ring 1: r_B^(1 + p) underflows to 0")])
+                "(1 - |z|)^(p - 1) underflows", CONVERGED),
+        ("1000", "ring 1: r_B^(1 + p) underflows to 0", UNDETERMINED),
+        ("1e300", "ring 1: r_B^(1 + p) underflows to 0", CONVERGED)])
     def test_large_p_reads_the_luecking_sweep_undetermined(self, capsys, p,
-                                                           reason):
+                                                           reason, area):
         # the sweep once died on a ring whose ratios were all NaN (KeyError)
         # or on no ring at all (ValueError); numpy warns of the overflows
         with np.errstate(all="ignore"):
@@ -416,6 +474,13 @@ class TestMain:
         assert np.isnan(rows["luecking_stabilized"]["value"])
         assert payload["metadata"]["verdicts"]["luecking_stabilized"] == {
             "reason": reason, "at": 10}
+        # at p = 1000 an area shell is NaN, inf |Df|^p times a weight that
+        # underflows to 0: no evidence of divergence
+        assert rows["area_integral_df"]["classification"] == area
+        if area == UNDETERMINED:
+            assert np.isnan(rows["area_integral_df"]["value"])
+            assert payload["metadata"]["verdicts"]["area_integral_df"][
+                "reason"] == "NaN term"
 
 
 class TestUsageErrors:

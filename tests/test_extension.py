@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qchardy import extension
+from qchardy import extension, quadrature
 from qchardy.boundary import BoundaryHomeo, make_map
 from qchardy.extension import (
     _CUTS,
@@ -11,7 +11,6 @@ from qchardy.extension import (
     _KAPPA,
     _LOWEST,
     _MANTISSAS,
-    _PANELS,
     BAExtension,
     DiscQCMap,
     _panel_sums,
@@ -24,7 +23,7 @@ from qchardy.extension import (
 )
 from qchardy.functionals import radial_schedule
 from qchardy.geometry import HyperbolicBall
-from qchardy.quadrature import gauss_legendre
+from qchardy.quadrature import _NODES_PER_CALL, gauss_legendre
 
 # order and panel edges of the seed rule, as fractions of |end - c|: 14
 # panels of 16 nodes graded toward c by ratio 3, fixed here so that the
@@ -34,8 +33,10 @@ _SEED_FRACTIONS = np.concatenate(([0.0], 3.0 ** -np.arange(13, -1.0, -1.0)))
 # line-map evaluations of one antiderivative table: a 6-node panel
 # [0, 2^_LOWEST] and eight per binade up to 2^_HIGHEST, on each side of 0
 _TABLE = 2 * (8 * (_HIGHEST - _LOWEST) + 1) * 6
-# its line-map batches: the 2 * 1481 panels take two chunks of _PANELS
-_TABLE_BATCHES = [6 * _PANELS, _TABLE - 6 * _PANELS]
+# panels of each order per line-map call: as many as fit the node budget
+_CHUNK = {order: _NODES_PER_CALL // order for order in (4, 6)}
+# the table's line-map batches: its 2 * 1481 panels take three chunks
+_TABLE_BATCHES = [6 * _CHUNK[6]] * 2 + [_TABLE - 12 * _CHUNK[6]]
 
 
 def _seed_line_integral(fn, a, b):
@@ -215,9 +216,10 @@ class TestLineIntegral:
         far4 = np.count_nonzero(_far(x, y, 4))
         far6 = np.count_nonzero(_far(x, y)) - far4
         near = x.size - far4 - far6
-        assert min(far4, far6, near) > 0 and 3 * near > _PANELS
+        assert min(far4, far6, near) > 0 and 3 * near > _CHUNK[4]
         ext.halfplane(x, y)
-        table, panels = ext.batches[:2], ext.batches[2:]
+        table = ext.batches[:len(_TABLE_BATCHES)]
+        panels = ext.batches[len(_TABLE_BATCHES):]
         assert [batch.size for batch in table] == _TABLE_BATCHES
         assert len(panels) >= 3
         # the 6-node panels of far points come first, then the 4-node ones
@@ -225,7 +227,7 @@ class TestLineIntegral:
         sizes = np.cumsum([batch.size for batch in panels])
         six = 2 * far6 * 6
         assert six in sizes
-        assert all(batch.size <= _PANELS * 6 for batch in panels)
+        assert all(batch.size <= _NODES_PER_CALL for batch in panels)
         nodes = np.concatenate(panels)
         by_order = nodes[:six].reshape(-1, 6), nodes[six:].reshape(-1, 4)
         assert by_order[1].shape[0] == 2 * far4 + 3 * near
@@ -239,9 +241,10 @@ class TestLineIntegral:
         alone = np.concatenate([ext.halfplane(x[i:i + 1], y[i:i + 1])
                                 for i in range(x.size)], axis=1).ravel()
         assert got.tobytes() == alone.tobytes()
-        # one chunk, and a table built in a call of its own
+        # one chunk (at most 3 panels of 6 nodes a point), and a table built
+        # in a call of its own
         with monkeypatch.context() as m:
-            m.setattr(extension, "_PANELS", 3 * x.size)
+            m.setattr(quadrature, "_NODES_PER_CALL", 18 * x.size)
             fresh = BAExtension(make_map(spec))
             fresh._nearest_nodes(np.zeros(1))
             assert got.tobytes() == np.concatenate(fresh.halfplane(x, y)).tobytes()
@@ -253,14 +256,14 @@ class TestLineIntegral:
             calls.append(x.size)
             return np.cos(x)
 
-        left = np.linspace(-2.0, 2.0, 2 * _PANELS + 1)
-        right = left + 0.25
         # 4 nodes on a panel of width 1/4 leave Gauss's remainder of cos,
         # up to 2.1e-15
         for order, atol in ((6, 1e-15), (4, 5e-15)):
+            left = np.linspace(-2.0, 2.0, 2 * _CHUNK[order] + 1)
+            right = left + 0.25
             calls.clear()
             sums = _panel_sums(fn, left, right, order)
-            assert calls == [_PANELS * order] * 2 + [order]
+            assert calls == [_CHUNK[order] * order] * 2 + [order]
             np.testing.assert_allclose(sums, np.sin(right) - np.sin(left),
                                        rtol=0.0, atol=atol)
             assert _panel_sums(fn, left[:0], right[:0], order).size == 0

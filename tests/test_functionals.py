@@ -110,6 +110,11 @@ class TestClassifyMeans:
         assert classify_tail([1.0, 2.0, np.inf], 0.0) == (DIVERGING,
                                                          "non-finite term")
 
+    def test_nan_term_undetermined(self):
+        # a NaN (inf times 0, say) says nothing of growth, even beside an inf
+        for seq in ([1.0, 2.0, np.nan], [np.nan, 2.0, np.inf, 4.0, 5.0]):
+            assert classify_tail(seq, 0.0) == (UNDETERMINED, "NaN term")
+
     def test_zero_tail_converged(self):
         assert classify_tail([0.0] * 6, 0.0)[0] == CONVERGED
 
@@ -621,7 +626,9 @@ class TestStages:
             return out
 
         batched = run()
-        monkeypatch.setattr(quadrature, "_NODES_PER_CALL", 1)
+        # 32 nodes: below any two circles or depths, so one a call, while
+        # each line-map call of a BA evaluation still takes 5 or 8 panels
+        monkeypatch.setattr(quadrature, "_NODES_PER_CALL", 32)
         alone = run()
         for name in stages:
             assert alone[name][0] == batched[name][0], name

@@ -12,8 +12,9 @@ and message, instead.  Two checkouts give the same reports exactly when
 
     diff -r OUT_A OUT_B
 
-prints nothing.  The set is 82 runs: the 20 SPECS at --depth 3, 10 and 16,
-and thmA and thm3 on each of BALL_MAPS at the default depth.
+prints nothing.  The set is 87 runs: the 21 SPECS at --depth 3, 10 and 16,
+and thmA and thm3 on each of BALL_MAPS at the default depth, 9 of which
+repeat a SPECS run and are written once.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# the 12 benchmark specs, then deeper moduli, a Hoelder map below 1 and the
-# thm3 and lemma1 runs no workload makes
+# the 12 benchmark specs, then deeper moduli, a Hoelder map below 1, the
+# thm3 and lemma1 runs no workload makes, and thm1's default map
 SPECS = (
     ("thm2", "thm2_sqrt"), ("thm1", "power:2"), ("thm1", "thm2_sqrt"),
     ("thmA", "thm2_sqrt"), ("thmA", "power:2"), ("thm3", "thm2_sqrt"),
@@ -35,12 +36,13 @@ SPECS = (
     ("thm1", "moebius:0.999"), ("thmA", "moebius:0.999"),
     ("thm1", "power:1.05"), ("thmA", "power:1.05"), ("thm2", "power:0.3"),
     ("thm3", "moebius:0.99"), ("thm3", "power:2"), ("lemma1", "thm2_sqrt"),
+    ("thm1", "identity"),
 )
 DEPTHS = (3, 10, 16)
 # maps whose ball sweeps (thmA, thm3) are compared at the default depth
 BALL_MAPS = ("moebius:0.5", "moebius:-0.5", "moebius:0.9", "moebius:-0.9",
              "moebius:0.99", "moebius:-0.99", "moebius:0.999", "thm2_sqrt",
-             "power:2", "power:0.3", "power:0.5")
+             "power:2", "power:0.3", "power:0.5", "identity")
 
 
 def runs():
