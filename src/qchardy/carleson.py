@@ -202,13 +202,14 @@ def kernel_carleson(phi, k_max):
     the boundary map is a Carleson measure (Cowen & MacCluer 1995; Duren,
     Theory of H^p Spaces, ch. 9).  Only the boundary map is evaluated.
 
-    sup is that of k = 1..k_max, one circle_means stage; ratios hold every
-    term that tail.read_tail reads for the verdict."""
+    (ProxyResult, verdict, (reason, k)): the result's sup is that of
+    k = 1..k_max, one circle_means stage, and its ratios hold every term
+    that tail.read_tail reads for the verdict, the last at k."""
     first = _kernel_terms(phi, [1.0 - 2.0 ** -k for k in range(1, k_max + 1)])
     more = (next(_kernel_terms(phi, [1.0 - 2.0 ** -k])) for k in count(k_max + 1))
-    read, _, _ = read_tail(chain(first, more), k_max)
+    read, verdict, why = read_tail(chain(first, more), k_max)
     ratios, errors, ws = zip(*read)
-    return ProxyResult(max(ratios[:k_max]), ratios, errors, ws)
+    return ProxyResult(max(ratios[:k_max]), ratios, errors, ws), verdict, why
 
 
 def operator_bound_proxy(phi, p, k_max=16):

@@ -1,8 +1,9 @@
 """Experiment runner: one named, reproducible verification per theorem-scale
 claim, with CSV/JSON output.
 
-Usage: qchardy <experiment> --map <name[:params]> --p <real> --depth <k>
-       --grid <n> --seed <s> --aperture <c> --out <path> --format csv|json
+Usage: qchardy <experiment> --map <name[:params]> [--p <real>] [--depth <k>]
+       [--grid <n>] [--aperture <c>] --seed <s> --out <path> --format csv|json
+       with only the bracketed flags that the experiment's runner reads
 
 Exit code 0 iff every asserted row passes, so the suite can run in CI.
 Tail verdicts may read dyadic depths, ball rings or area shells past
@@ -95,7 +96,7 @@ class ExperimentSpec:
         """The one check of an experiment's input, before it runs."""
         if self.name not in _TABLE:
             raise ValueError(f"unknown experiment {self.name!r}")
-        _, map_spec, p = _TABLE[self.name]
+        _, map_spec, p, _ = _TABLE[self.name]
         self.map_spec = map_spec if self.map_spec is None else self.map_spec
         self.p = p if self.p is None else self.p
         if not (0 < self.p < np.inf and 1 < self.aperture < np.inf
@@ -170,16 +171,14 @@ def _ring_sweep(tester, mu):
 def run_thm1(spec, phi, rep):
     """Kernel Carleson test of the boundary map vs the Lipschitz
     classification of the inverse boundary map; the two must agree.  The
-    kernel test holds for every p at once, so --p does not enter."""
-    test = ca.kernel_carleson(phi, spec.depth)
-    bounded, reason = test.tail()
+    kernel test holds for every p at once, so thm1 has no --p."""
+    test, bounded, why = ca.kernel_carleson(phi, spec.depth)
     top = int(np.argmax(test.ratios[:spec.depth]))
-    rep.add("proxy_sup", test.sup, test.errors[top], bounded,
-            (reason, len(test.ratios)))
+    rep.add("proxy_sup", test.sup, test.errors[top], bounded, why)
     lip = _lipschitz_row(rep, phi, spec.depth)
     ok = bounded == lip[2] != UNDETERMINED
     rep.check("thm1_agreement", ok, float(ok),
-              why=_claim_why(("proxy_sup", test.sup, bounded, reason), lip))
+              why=_claim_why(("proxy_sup", test.sup, bounded, why[0]), lip))
 
 
 def run_thm2(spec, phi, rep):
@@ -276,7 +275,7 @@ def run_af_conformal(spec, phi, rep):
     origin and at _AF_CENTERS: each deviation must lie within the average's
     error.  af_matches_fprime's value is the worst deviation in units of the
     error."""
-    f = AnalyticFunction(phi.interior, phi.complex_derivative, label=phi.label)
+    f = AnalyticFunction(phi.interior, phi.complex_derivative)
     z = np.concatenate([[0j], _AF_CENTERS])
     value, error = fn.ball_average_derivative(f, z)
     dev = np.abs(value - np.abs(phi.complex_derivative(z))) / error
@@ -284,15 +283,16 @@ def run_af_conformal(spec, phi, rep):
     rep.check("af_matches_fprime", np.max(dev[1:]) <= 1.0, np.max(dev[1:]))
 
 
-# experiment -> (runner, default map, default p), read by ExperimentSpec and
-# the parser; run calls runner(spec, phi, rep), which adds rows to rep
+# experiment -> (runner, default map, default p, the spec fields besides the
+# map that the runner reads, each a flag), read by ExperimentSpec and the
+# parser; run calls runner(spec, phi, rep), which adds rows to rep
 _TABLE = {
-    "thm1": (run_thm1, "identity", 2.0),
-    "thm2": (run_thm2, "thm2_sqrt", 1.0),
-    "thm3": (run_thm3, "thm2_sqrt", 2.0),
-    "thmA": (run_thmA, "thm2_sqrt", 2.0),
-    "lemma1": (run_lemma1, "thm2_sqrt", 2.0),
-    "af_conformal": (run_af_conformal, "moebius:0.5", 2.0),
+    "thm1": (run_thm1, "identity", 2.0, ("depth",)),
+    "thm2": (run_thm2, "thm2_sqrt", 1.0, ("p", "grid", "aperture")),
+    "thm3": (run_thm3, "thm2_sqrt", 2.0, ("p", "depth", "grid", "aperture")),
+    "thmA": (run_thmA, "thm2_sqrt", 2.0, ("depth",)),
+    "lemma1": (run_lemma1, "thm2_sqrt", 2.0, ("grid", "aperture")),
+    "af_conformal": (run_af_conformal, "moebius:0.5", 2.0, ()),
 }
 EXPERIMENTS = tuple(_TABLE)
 
@@ -325,13 +325,14 @@ def build_parser():
         p.add_argument("--map", default=spec.map_spec,
                        help="catalog map, e.g. identity, thm2_sqrt, "
                             "power:2, moebius:0.5")
-        p.add_argument("--p", type=float, default=spec.p)
-        p.add_argument("--depth", type=int, default=spec.depth)
-        p.add_argument("--grid", type=int, default=spec.grid)
+        # every field keeps its default, so args builds an ExperimentSpec
+        p.set_defaults(p=spec.p, depth=spec.depth, grid=spec.grid,
+                       aperture=spec.aperture)
+        for flag in _TABLE[name][3]:
+            p.add_argument(f"--{flag}", type=type(getattr(spec, flag)))
         p.add_argument("--seed", type=int, default=spec.seed,
                        help="accepted and ignored: no experiment samples at "
                             "random")
-        p.add_argument("--aperture", type=float, default=spec.aperture)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser

@@ -176,7 +176,7 @@ def _xi_grid(grid_n, singular_angles):
         offs = np.pi * 2.0 ** -np.arange(2, 21)
         extra.append(wrap_angle(a + offs))
         extra.append(wrap_angle(a - offs))
-    angles = np.unique(np.concatenate([base] + extra)) if extra else np.sort(base)
+    angles = np.unique(np.concatenate([base] + extra))
     gaps = np.diff(np.concatenate([angles, [angles[0] + TWO_PI]]))
     weights = 0.5 * (gaps + np.roll(gaps, 1))
     return angles, weights

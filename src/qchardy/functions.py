@@ -19,11 +19,10 @@ class AnalyticFunction:
     listed so quadratures still grade there).
     """
 
-    def __init__(self, eval_fn, deriv_fn, singular_angles=(), label="analytic"):
+    def __init__(self, eval_fn, deriv_fn, singular_angles=()):
         self._eval = eval_fn
         self._deriv = deriv_fn
         self.singular_angles = tuple(singular_angles)
-        self.label = label
 
     def __call__(self, z):
         return self._eval(np.asarray(z, dtype=complex))
@@ -53,7 +52,6 @@ def hardy_kernel(w, p):
         lambda z: (1.0 - wb * z) ** (-s),
         lambda z: s * wb * (1.0 - wb * z) ** (-s - 1.0),
         singular_angles=sing,
-        label=f"kernel(w={w:.4g},p={p:g})",
     )
 
 
@@ -64,7 +62,6 @@ def cauchy_kernel():
         lambda z: 1.0 / (1.0 - z),
         lambda z: 1.0 / (1.0 - z) ** 2,
         singular_angles=(0.0,),
-        label="cauchy",
     )
 
 
@@ -78,7 +75,6 @@ class QuasiregularMap:
     def __init__(self, g, phi):
         self.g = g
         self.phi = phi
-        self.label = f"{g.label}o{phi.label}"
 
     def __call__(self, z):
         return self.g(self.phi(np.asarray(z, dtype=complex)))

@@ -20,9 +20,7 @@ def cone_halfwidth(aperture, depth):
         raise ValueError("cone aperture must be > 1")
     d = float(depth)
     cos_bound = (1.0 + d * d - aperture * aperture * (1.0 - d) ** 2) / (2.0 * d)
-    if cos_bound >= 1.0:
-        return 0.0
-    return float(np.arccos(max(-1.0, cos_bound)))
+    return float(np.arccos(min(1.0, max(-1.0, cos_bound))))
 
 
 def cone_lattice(t0, aperture, offsets):

@@ -66,19 +66,20 @@ def classify_tail(seq, err):
 def read_tail(terms, first):
     """(read, verdict, (reason, k)) of a lazy sequence of terms (value,
     error, ...) for k = 1, 2, ...: read the first `first` terms, then one
-    more at a time while classify_tail says undetermined and fewer than
-    TAIL_CAP terms are read; k is the number read.  Each term is computed
-    once.  A term that raises RuntimeError makes the verdict undetermined,
-    with the error as its reason, at k = first if it strikes the first
-    `first` terms and at its own index after them; read holds the terms
-    before it."""
+    more at a time while classify_tail says undetermined, no term read is
+    NaN (no later term can decide such a tail) and fewer than TAIL_CAP
+    terms are read; k is the number read.  Each term is computed once.  A
+    term that raises RuntimeError makes the verdict undetermined, with the
+    error as its reason, at k = first if it strikes the first `first` terms
+    and at its own index after them; read holds the terms before it."""
     read = []
     try:
         read += islice(terms, first)
         while True:
-            verdict, reason = classify_tail([t[0] for t in read],
-                                            [t[1] for t in read])
-            if verdict != UNDETERMINED or len(read) >= TAIL_CAP:
+            values = [t[0] for t in read]
+            verdict, reason = classify_tail(values, [t[1] for t in read])
+            if (verdict != UNDETERMINED or len(read) >= TAIL_CAP
+                    or np.any(np.isnan(values))):
                 return read, verdict, (reason, len(read))
             read.append(next(terms))
     except RuntimeError as exc:

@@ -292,7 +292,7 @@ class TestKernelCarleson:
         # the Poisson kernel at w, so the ratio is the Poisson integral of
         # P_w at -a: (1 - a^2 w^2) / (1 + a w)^2
         phi = make_disc_map(f"moebius:{a}")
-        test = kernel_carleson(phi, 16)
+        test, _, _ = kernel_carleson(phi, 16)
         w = np.asarray(test.ws)
         exact = (1.0 - a * a * w * w) / (1.0 + a * w) ** 2
         err = np.abs(np.asarray(test.ratios) - exact)
@@ -311,15 +311,16 @@ class TestKernelCarleson:
         # radial sup is reached inside the disc (thm2_sqrt at w_1) it reads
         # up to 2.3% lower
         phi = make_disc_map(spec)
-        ratio = (kernel_carleson(phi, 10).sup
+        ratio = (kernel_carleson(phi, 10)[0].sup
                  / operator_bound_proxy(phi, 2.0, k_max=10).sup)
         assert 0.975 <= ratio <= 1.0 + 1e-6
 
     def test_reads_deeper_while_undetermined(self, thm2_map):
-        test = kernel_carleson(thm2_map, 2)
-        assert len(test.ratios) > 2 and test.tail()[0] == CONVERGED
+        test, verdict, (reason, k) = kernel_carleson(thm2_map, 2)
+        assert k == len(test.ratios) > 2 and verdict == CONVERGED
+        assert (verdict, reason) == test.tail()
         assert test.sup == max(test.ratios[:2])
-        assert test.ratios == kernel_carleson(thm2_map, len(test.ratios)).ratios
+        assert test.ratios == kernel_carleson(thm2_map, k)[0].ratios
 
 
 class TestOperatorProxy:

@@ -26,6 +26,30 @@ THM1_MAPS = {"identity": CONVERGED, "thm2_sqrt": CONVERGED,
              "power:2": DIVERGING, "moebius:0.5": CONVERGED,
              "moebius:0.99": CONVERGED, "moebius:0.999": CONVERGED}
 
+# the spec fields besides the map that each experiment's runner reads, the
+# only ones its command line offers as flags
+READS = {"thm1": ("depth",), "thm2": ("p", "grid", "aperture"),
+         "thm3": ("p", "depth", "grid", "aperture"), "thmA": ("depth",),
+         "lemma1": ("grid", "aperture"), "af_conformal": ()}
+# argv with a flag its experiment does not read, and the flag as argparse
+# names it: each of the 13 unread fields, then values that ExperimentSpec
+# would reject or that _attach_signed_values joins to the flag
+UNREAD = [([name, f"--{flag}", "3"], f"--{flag} 3")
+          for name, flags in READS.items()
+          for flag in ("p", "depth", "grid", "aperture") if flag not in flags]
+UNREAD += [(["thmA", "--p", "0"], "--p 0"), (["thm1", "--p", "-1"], "--p=-1"),
+           (["af_conformal", "--aperture", "-inf"], "--aperture=-inf")]
+
+# a non-default value of each flag, on a map where it moves the CSV; thm3
+# reads its area shells to max(--depth, 12), so --depth 13
+FLAG_VALUES = [
+    ("thm1", "identity", "depth", 4), ("thm2", "thm2_sqrt", "p", 1.5),
+    ("thm2", "thm2_sqrt", "grid", 4), ("thm2", "thm2_sqrt", "aperture", 3.0),
+    ("thm3", "moebius:0.5", "p", 3.0), ("thm3", "moebius:0.5", "depth", 13),
+    ("thm3", "moebius:0.5", "grid", 4), ("thm3", "moebius:0.5", "aperture", 3.0),
+    ("thmA", "moebius:0.5", "depth", 4), ("lemma1", "moebius:0.5", "grid", 4),
+    ("lemma1", "moebius:0.5", "aperture", 3.0)]
+
 # argv that ExperimentSpec rejects, each with a part of its usage message
 BAD_INPUT = [
     (["thm1", "--map", "power:nan"], "finite"),
@@ -142,6 +166,15 @@ class TestSpec:
     def test_parser_rejects_unknown(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["thm9"])
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_help_lists_the_flags_the_runner_reads(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        flags = dict.fromkeys(re.findall(r"--\w+", capsys.readouterr().out))
+        assert list(flags) == (["--map"] + [f"--{f}" for f in READS[name]]
+                               + ["--seed", "--out", "--format", "--help"])
 
 
 class TestRun:
@@ -456,6 +489,15 @@ class TestMain:
         assert payload["experiment"] == "lemma1"
         assert payload["metadata"]["spec"]["map"] == "identity"
 
+    @pytest.mark.parametrize("name, map_spec, flag, value", FLAG_VALUES)
+    def test_each_flag_reaches_the_spec(self, capsys, name, map_spec, flag,
+                                        value):
+        code = main([name, "--map", map_spec, f"--{flag}", str(value)])
+        report = run(ExperimentSpec(name, map_spec, **{flag: value}))
+        assert capsys.readouterr().out == report.to_csv()
+        assert code == (0 if report.passed() else 1)
+        assert report.to_csv() != run(ExperimentSpec(name, map_spec)).to_csv()
+
     @pytest.mark.parametrize("p, reason, area", [
         ("200", "ring 4: a mass is NaN, |Dphi|^p overflowing where "
                 "(1 - |z|)^(p - 1) underflows", CONVERGED),
@@ -475,12 +517,14 @@ class TestMain:
         assert payload["metadata"]["verdicts"]["luecking_stabilized"] == {
             "reason": reason, "at": 10}
         # at p = 1000 an area shell is NaN, inf |Df|^p times a weight that
-        # underflows to 0: no evidence of divergence
+        # underflows to 0: no evidence of divergence, and no later shell can
+        # decide it, so the reading stops at the first batch of 12 shells
         assert rows["area_integral_df"]["classification"] == area
+        area_why = payload["metadata"]["verdicts"]["area_integral_df"]
+        assert area_why["at"] == 12
         if area == UNDETERMINED:
             assert np.isnan(rows["area_integral_df"]["value"])
-            assert payload["metadata"]["verdicts"]["area_integral_df"][
-                "reason"] == "NaN term"
+            assert area_why["reason"] == "NaN term"
 
 
 class TestUsageErrors:
@@ -533,6 +577,13 @@ class TestUsageErrors:
     def test_af_conformal_rejects_a_non_moebius_map(self, capsys):
         self._usage_error(capsys, ["af_conformal", "--map", "power:2"],
                           "power:2")
+
+    @pytest.mark.parametrize("argv, flag", UNREAD)
+    def test_a_flag_the_runner_does_not_read_is_unrecognized(self, capsys,
+                                                             argv, flag):
+        # refused by name, whatever its value, even one ExperimentSpec
+        # would reject
+        self._usage_error(capsys, argv, f"unrecognized arguments: {flag}")
 
     def test_unwritable_out_path(self, capsys, tmp_path):
         path = tmp_path / "nodir" / "out.csv"

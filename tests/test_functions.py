@@ -119,7 +119,3 @@ class TestComposite:
         op_f, jac_f = f.differential(z)
         op_p, jac_p = thm2_map.differential(z)
         assert np.allclose(op_f ** 2 / jac_f, op_p ** 2 / jac_p, rtol=1e-9)
-
-    def test_label(self, thm2_map):
-        f = compose(cauchy_kernel(), thm2_map)
-        assert "cauchy" in f.label and "thm2_sqrt" in f.label

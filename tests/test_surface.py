@@ -6,7 +6,8 @@ in tail.read_tail alone.
 
 Names are read from the syntax tree, so a reference is any plain name or
 attribute name outside the definition itself; ``__init__.py`` re-exports do
-not count as uses.
+not count as uses.  Each experiment's command line offers a flag for a spec
+field only where its runner reads that field.
 """
 
 import ast
@@ -171,3 +172,20 @@ def test_only_the_depth_bound_names_the_tail_cap():
              for module, tree in _trees().items() if module != "tail.py"
              for stmt in tree.body if "TAIL_CAP" in _names(stmt)}
     assert named == {("cli.py", "ExperimentSpec")}
+
+
+def test_each_runner_reads_the_fields_it_declares():
+    # the parser offers a flag for each spec field that cli._TABLE declares
+    # for an experiment, so the declaration must be the runner's own reads
+    tree = _trees()["cli.py"]
+    runners = {node.name: node for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    table = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "_TABLE")
+    for key, entry in zip(table.keys, table.values):
+        runner, declared = entry.elts[0].id, ast.literal_eval(entry.elts[3])
+        read = {sub.attr for sub in ast.walk(runners[runner])
+                if isinstance(sub, ast.Attribute)
+                and getattr(sub.value, "id", None) == "spec"}
+        assert sorted(read - {"map_spec"}) == sorted(declared), key.value

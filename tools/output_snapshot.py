@@ -5,16 +5,19 @@ Run from anywhere, on the checkout this script lives in:
 
     python3 tools/output_snapshot.py OUT_DIR
 
-For each run it writes OUT_DIR/<experiment>_<map>_d<depth>.csv and .json:
-to_csv(), and to_json() without metadata["wall_time_s"], the one field that
-differs between reruns.  A run that raises writes .err, the exception's type
-and message, instead.  Two checkouts give the same reports exactly when
+For each run it writes OUT_DIR/<experiment>_<map>_d<depth>.csv and .json,
+with _p<p>, _grid<n> and _aperture<c> appended for the fields a VARIED run
+sets: to_csv(), and to_json() without metadata["wall_time_s"], the one field
+that differs between reruns.  A run that raises writes .err, the exception's
+type and message, instead.  Two checkouts give the same reports exactly when
 
     diff -r OUT_A OUT_B
 
-prints nothing.  The set is 87 runs: the 21 SPECS at --depth 3, 10 and 16,
-and thmA and thm3 on each of BALL_MAPS at the default depth, 9 of which
-repeat a SPECS run and are written once.
+prints nothing.  The set is 95 runs: the 21 SPECS at --depth 3, 10 and 16,
+thmA and thm3 on each of BALL_MAPS at the default depth, 9 of which repeat a
+SPECS run and are written once, and the 8 VARIED runs.  The run list is
+fixed here, not read from the package, so that the same script runs on any
+checkout.
 """
 
 from __future__ import annotations
@@ -43,13 +46,26 @@ DEPTHS = (3, 10, 16)
 BALL_MAPS = ("moebius:0.5", "moebius:-0.5", "moebius:0.9", "moebius:-0.9",
              "moebius:0.99", "moebius:-0.99", "moebius:0.999", "thm2_sqrt",
              "power:2", "power:0.3", "power:0.5", "identity")
+# runs at a non-default p, grid or aperture, each on an experiment that reads
+# the field, at the default depth
+VARIED = (
+    ("thm2", "thm2_sqrt", {"p": 1.5, "grid": 8, "aperture": 3.0}),
+    ("thm2", "power:0.3", {"p": 0.5}),
+    ("thm3", "thm2_sqrt", {"p": 3.0, "grid": 8, "aperture": 3.0}),
+    ("thm3", "moebius:0.5", {"p": 3.0, "grid": 8, "aperture": 3.0}),
+    ("thm3", "moebius:0.5", {"p": 1.5}),
+    ("thm3", "power:2", {"grid": 4, "aperture": 1.5}),
+    ("lemma1", "thm2_sqrt", {"grid": 8, "aperture": 3.0}),
+    ("lemma1", "moebius:0.5", {"grid": 32, "aperture": 1.5}),
+)
 
 
 def runs():
-    """(experiment, map spec, depth or None for the default) of every run."""
-    out = [(name, spec, depth) for depth in DEPTHS for name, spec in SPECS]
-    return out + [(name, spec, None) for spec in BALL_MAPS
-                  for name in ("thmA", "thm3")]
+    """(experiment, map spec, the spec fields it sets) of every run."""
+    out = [(name, spec, {"depth": depth})
+           for depth in DEPTHS for name, spec in SPECS]
+    return (out + [(name, spec, {}) for spec in BALL_MAPS
+                   for name in ("thmA", "thm3")] + list(VARIED))
 
 
 def write(out_dir):
@@ -59,11 +75,11 @@ def write(out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     done = set()
-    for name, map_spec, depth in runs():
-        spec = cli.ExperimentSpec(name, map_spec)
-        if depth is not None:
-            spec.depth = depth
+    for name, map_spec, fields in runs():
+        spec = cli.ExperimentSpec(name, map_spec, **fields)
         stem = f"{out_dir}/{name}_{map_spec.replace(':', '')}_d{spec.depth}"
+        stem += "".join(f"_{key}{value:g}" for key, value in fields.items()
+                        if key != "depth")
         if stem in done:  # a ball map run at the default depth of SPECS
             continue
         done.add(stem)
