@@ -73,11 +73,9 @@ class DiscPushforward:
         center = np.array([ball.center for ball in balls])[:, None, None]
         zc, dz, dzb = zc[:, None, None], dz[:, None, None], dzb[:, None, None]
         dw = radius * nodes
-        # seed each node from the linearised inverse at its ball's center,
-        # pushed back inside the disc
+        # seed each node from the linearised inverse at its ball's center
         seed = zc + ((np.conj(dz) * dw - dzb * np.conj(dw))
                      / norm_and_jacobian(dz, dzb)[1])
-        seed = np.where(np.abs(seed) < 1.0, seed, seed * (1 - 1e-9) / np.abs(seed))
         z, (_, dz, dzb) = invert(self.phi, center + dw, z0=seed)
         op, jac = norm_and_jacobian(dz, dzb)
         rho = (1.0 if self.density == LEBESGUE

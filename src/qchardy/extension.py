@@ -175,11 +175,9 @@ class BAExtension:
         return w, u, v, phi_hp, (1j - phi_hp) / (1j + phi_hp)
 
     def __call__(self, z):
+        """phi at z, in the shape of z (0-d for a point)."""
         z = np.asarray(z, dtype=complex)
-        out = self._disc(z.ravel())[-1]
-        if z.shape == ():
-            return complex(out[0])
-        return out.reshape(z.shape)
+        return self._disc(z.ravel())[-1].reshape(z.shape)
 
     def jet(self, z):
         """(phi, d_z phi, d_zbar phi) at z, each in the shape of z.
@@ -307,11 +305,9 @@ def make_disc_map(spec):
 
 
 def _initial_guess(phi, w):
-    """|w| times the boundary preimage of w's direction, kept inside the disc."""
+    """|w| times the boundary preimage of w's direction."""
     t0 = phi.boundary.inverse(np.angle(w))
-    z = np.where(w != 0, np.abs(w) * np.exp(1j * t0), 0j)
-    r = np.abs(z)
-    return np.where(r >= 1, z * (1 - 1e-9) / np.maximum(r, 1), z)
+    return np.where(w != 0, np.abs(w) * np.exp(1j * t0), 0j)
 
 
 def invert(phi, w, z0=None):
@@ -321,14 +317,15 @@ def invert(phi, w, z0=None):
     closed-form inverse takes z = phi.inverse(w) and one jet call on all
     lanes; z0 is ignored.  Any other map runs damped Newton iteration from
     the initial guesses z0 (default: from the boundary inverse angle and
-    |w|): every iteration makes one jet call on the lanes still running and
-    takes their quasi-Newton steps from the Wirtinger derivatives, each lane
-    until its residual is below 1e-11 or it has taken _MAX_ITER steps.
+    |w|; a guess z with |z| >= 1 starts at z (1 - 1e-9) / |z|): every
+    iteration makes one jet call on the lanes still running and takes their
+    quasi-Newton steps from the Wirtinger derivatives, each lane until its
+    residual is below 1e-11 or it has taken _MAX_ITER steps.
     Either way a lane whose residual |phi(z) - w| is 1e-7 or more, or NaN,
     raises RuntimeError.
 
-    Returns (z, jet), with jet = phi.jet(z) as the lanes' last jet call
-    evaluated it at their final z, each in the shape of w.
+    Returns (z, jet), jet = phi.jet(z) from the lanes' last jet call at
+    their final z, arrays in the shape of w (0-d for a point).
     """
     targets = np.asarray(w, dtype=complex)
     ws = targets.ravel()
@@ -340,6 +337,8 @@ def invert(phi, w, z0=None):
     else:
         z = _initial_guess(phi, ws) if z0 is None else np.broadcast_to(z0, targets.shape)
         z = np.array(z, dtype=complex).ravel()
+        r = np.abs(z)
+        z = np.where(r >= 1, z * (1 - 1e-9) / np.maximum(r, 1), z)
         jet = np.empty((3, ws.size), dtype=complex)
         residual = np.full(ws.size, np.inf)
         running = np.arange(ws.size)
@@ -368,8 +367,6 @@ def invert(phi, w, z0=None):
         t, r = ws[failed[0]], residual[failed[0]]
         raise RuntimeError(f"invert({phi.label}, {t}) did not converge "
                            f"(residual {r:.2e})")
-    if targets.ndim == 0:
-        return complex(z[0]), tuple(complex(j[0]) for j in jet)
     return z.reshape(targets.shape), tuple(j.reshape(targets.shape) for j in jet)
 
 

@@ -152,8 +152,8 @@ def boundary_lp_norm(f, p):
 
 def nt_maximal(f, xi, aperture=2.0):
     """Lower estimate of the non-tangential maximal function at each vertex
-    xi (a point or an array of points on the circle): max of |f| over the
-    cone lattice of 17 rays at each of 12 depths (geometry.cone_lattice),
+    xi on the circle, in the shape of xi (0-d for a point): max of |f| over
+    the cone lattice of 17 rays at each of 12 depths (geometry.cone_lattice),
     with one call of f per node_batches batch of depths, for all vertices."""
     xi = np.asarray(xi, dtype=complex)
     if np.any(np.abs(np.abs(xi) - 1.0) > 1e-12):
@@ -164,7 +164,7 @@ def nt_maximal(f, xi, aperture=2.0):
     for first, stop in node_batches([z.size for z in depths]):
         z = np.concatenate(depths[first:stop], axis=1)
         best = np.maximum(best, np.max(np.abs(f(z)), axis=1))
-    return float(best[0]) if xi.ndim == 0 else best.reshape(xi.shape)
+    return best.reshape(xi.shape)
 
 
 def _xi_grid(grid_n, singular_angles):
@@ -252,7 +252,7 @@ def area_integral(f, p, k_max=12):
 def ball_average_derivative(f, z):
     """(value, error) of the average derivative a_f, the exp of the mean of
     log Jf^{1/2} = log|f'| over the hyperbolic ball at z of radius
-    (1 - |z|)/2, for analytic f; z is a point or an array of points, and
+    (1 - |z|)/2, for analytic f, each in the shape of z (0-d for a point);
     f.deriv is called once, on the rule nodes of every ball.
 
     Where f' has no zero on the ball, log|f'| is harmonic, so a_f(z) = |f'(z)|
@@ -281,8 +281,6 @@ def ball_average_derivative(f, z):
     spread = np.max(np.abs(logs.mean(axis=2) - mean[:, None]), axis=1)
     value = np.exp(mean)
     error = value * (np.expm1(spread) + 128.0 * np.finfo(float).eps)
-    if z.ndim == 0:
-        return float(value[0]), float(error[0])
     return value.reshape(z.shape), error.reshape(z.shape)
 
 

@@ -387,6 +387,29 @@ class TestVerdicts:
         # an undetermined sweep passes no claim
         assert not rep.passed()
 
+    def test_short_hardy_schedule_reads_no_radial_limit(self, capsys,
+                                                         monkeypatch):
+        # a Hardy norm whose means raised at k = 6 holds no mean at
+        # r = 1 - 2^-20, and the composite that raised is not evaluated again
+        short = fn.NormEstimate(
+            np.nan, np.nan, UNDETERMINED,
+            tuple(zip(fn.radial_schedule(5), np.ones(5))),
+            "RuntimeError at k = 6: no convergence")
+
+        def fail(*args):
+            raise RuntimeError("integral_mean called")
+
+        monkeypatch.setattr(fn, "hardy_norm", lambda f, p: short)
+        monkeypatch.setattr(fn, "integral_mean", fail)
+        code = main(["thm3", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        rows = {r["quantity"]: r for r in payload["rows"]}
+        assert code == 1
+        assert rows["boundary_vs_radial_limit"]["classification"] == "fail"
+        assert np.isnan(rows["boundary_vs_radial_limit"]["value"])
+        assert payload["metadata"]["verdicts"]["hardy_norm_composite"] == {
+            "reason": short.reason, "at": 5}
+
     def test_claims_name_an_undetermined_boundary_tail(self):
         # the boundary means of power:5 have no tail verdict, so the boundary
         # norm is NaN and both boundary claims fail on it

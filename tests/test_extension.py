@@ -853,6 +853,21 @@ class TestInitialGuesses:
         z, _ = invert(thm2_map, self._NODE, z0=seed)
         assert abs(thm2_map(z) - self._NODE) < 1e-11
 
+    def test_a_start_outside_the_disc_is_pulled_inside(self, thm2_map,
+                                                       monkeypatch):
+        targets = np.array([0.3 + 0.2j, 0.5, -0.4j])
+        z0 = np.array([1.5 * np.exp(0.4j), 1.0, 2.0 * np.exp(2j)])
+        starts = []
+
+        def jet(z, original=thm2_map.jet):
+            starts.append(z.copy())
+            return original(z)
+
+        monkeypatch.setattr(thm2_map, "jet", jet)
+        z, _ = invert(thm2_map, targets, z0=z0)
+        assert starts[0].tobytes() == (z0 * (1 - 1e-9) / np.abs(z0)).tobytes()
+        assert np.all(np.abs(thm2_map(z) - targets) < 1e-11)
+
     def test_converged_guesses_take_one_jet_call(self):
         phi = _counting_map("thm2_sqrt")
         targets = TestBatchedInvert._TARGETS

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qchardy import functionals, quadrature, tail
-from qchardy.extension import make_disc_map
+from qchardy.extension import invert, make_disc_map
 from qchardy.functionals import (
     CONVERGED,
     DIVERGING,
@@ -690,6 +690,50 @@ class TestAverageDerivative:
             average_derivative(_IDENTITY, 1.0)
         with pytest.raises(TypeError):
             average_derivative(lambda z: z, 0.0)
+
+
+# a (2, 3) grid of disc points, and of the angles of boundary vertices
+_GRID = np.array([[0.1 + 0.2j, -0.5, 0.3j], [0.7, -0.1j, 0.2 - 0.6j]])
+_ANGLES = np.array([[0.0, 0.5, -1.0], [2.0, -2.5, 3.0]])
+
+
+def _arrays(result):
+    """The arrays of a result, its nested tuples flattened."""
+    if isinstance(result, tuple):
+        return [a for part in result for a in _arrays(part)]
+    return [result]
+
+
+def _shaped_call(name):
+    """(evaluation, (2, 3) input) of an evaluator that takes a point or an
+    array of points."""
+    ba = make_disc_map("thm2_sqrt")
+    if name == "ba_call":
+        return ba, _GRID
+    if name.startswith("invert"):
+        phi = make_disc_map(name.split(" ")[1])
+        return lambda w: invert(phi, w), _GRID
+    if name == "nt_maximal":
+        f = compose(hardy_kernel(0.9, 2.0), ba)
+        return lambda xi: nt_maximal(f, xi), np.exp(1j * _ANGLES)
+    g = hardy_kernel(0.6, 2.0)
+    return lambda z: ball_average_derivative(g, z), _GRID
+
+
+@pytest.mark.parametrize("name", [
+    "ba_call", "invert thm2_sqrt", "invert moebius:0.5", "nt_maximal",
+    "ball_average_derivative"])
+def test_results_take_the_shape_of_the_input(name):
+    call, grid = _shaped_call(name)
+    flat = _arrays(call(grid.ravel()))
+    for got, want in zip(_arrays(call(grid)), flat, strict=True):
+        assert isinstance(got, np.ndarray) and got.shape == grid.shape
+        assert got.tobytes() == want.tobytes()
+    for k, point in enumerate(grid.ravel()):
+        for got, want in zip(_arrays(call(point)), flat, strict=True):
+            # a point gives 0-d arrays, bitwise the entries of the batch
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            assert got.tobytes() == want[k].tobytes()
 
 
 class TestBallAverageDerivative:

@@ -31,6 +31,9 @@ ALLOWED = {
                           "and the benchmark tracer call; delete it with "
                           "ball_sample, mc_samples and --seed once the "
                           "benchmark stops passing --seed",
+    "integral_mean": "one-circle mean that frozen acceptance tests 05 and "
+                     "07 and the benchmark's tests call; the experiments "
+                     "read circle means from hardy_norm's schedule",
     "is_lipschitz_inverse": "boolean view of lipschitz_tail that acceptance "
                             "tests 02 and 10 call; the experiments read the "
                             "verdict and its reason from lipschitz_tail",

@@ -13,11 +13,12 @@ type and message, instead.  Two checkouts give the same reports exactly when
 
     diff -r OUT_A OUT_B
 
-prints nothing.  The set is 95 runs: the 21 SPECS at --depth 3, 10 and 16,
-thmA and thm3 on each of BALL_MAPS at the default depth, 9 of which repeat a
-SPECS run and are written once, and the 8 VARIED runs.  The run list is
-fixed here, not read from the package, so that the same script runs on any
-checkout.
+prints nothing.  The set is 101 runs: the 21 SPECS at --depth 3, 10 and
+16, thmA and thm3 on each of BALL_MAPS at the default depth, 9 of which
+repeat a SPECS run and are written once, the 8 VARIED runs and the 6
+ERROR_PATHS runs; 92 are written, 184 files where none raises.  The run list
+is fixed here, not read from the package, so that the same script runs on
+any checkout.
 """
 
 from __future__ import annotations
@@ -58,6 +59,13 @@ VARIED = (
     ("lemma1", "thm2_sqrt", {"grid": 8, "aperture": 3.0}),
     ("lemma1", "moebius:0.5", {"grid": 32, "aperture": 1.5}),
 )
+# runs that reach an error path, at the default depth: a Newton inversion
+# that does not converge, a NaN term, an undetermined boundary tail
+ERROR_PATHS = (
+    ("thmA", "power:0.2", {}), ("thm3", "power:0.1", {}),
+    ("thm3", "thm2_sqrt", {"p": 200.0}), ("thm3", "thm2_sqrt", {"p": 1000.0}),
+    ("thm3", "power:5", {}), ("thm2", "moebius:-0.9", {}),
+)
 
 
 def runs():
@@ -65,7 +73,8 @@ def runs():
     out = [(name, spec, {"depth": depth})
            for depth in DEPTHS for name, spec in SPECS]
     return (out + [(name, spec, {}) for spec in BALL_MAPS
-                   for name in ("thmA", "thm3")] + list(VARIED))
+                   for name in ("thmA", "thm3")]
+            + list(VARIED) + list(ERROR_PATHS))
 
 
 def write(out_dir):
