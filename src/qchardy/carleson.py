@@ -78,8 +78,9 @@ class DiscPushforward:
                      / norm_and_jacobian(dz, dzb)[1])
         z, (_, dz, dzb) = invert(self.phi, center + dw, z0=seed)
         op, jac = norm_and_jacobian(dz, dzb)
-        rho = (1.0 if self.density == LEBESGUE
-               else op ** self.p * (1.0 - np.abs(z)) ** (self.p - 1.0))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at large p
+            rho = (1.0 if self.density == LEBESGUE
+                   else op ** self.p * (1.0 - np.abs(z)) ** (self.p - 1.0))
         out = []
         for ball, vals in zip(balls, weights * rho / jac):
             mass = ball.radius ** 2 * float(np.sum(vals))

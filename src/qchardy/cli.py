@@ -26,7 +26,7 @@ import numpy as np
 from . import carleson as ca
 from . import functionals as fn
 from .boundary import (dyadic_modulus_inverse, lipschitz_modulus_inverse,
-                       make_map, modulus_rounding, parse_map_spec)
+                       modulus_rounding, parse_map_spec)
 from .extension import cone_image_aperture, make_disc_map
 from .functions import AnalyticFunction, cauchy_kernel, compose, hardy_kernel
 from .tail import CONVERGED, DIVERGING, TAIL_CAP, UNDETERMINED, read_tail
@@ -109,8 +109,8 @@ class ExperimentSpec:
         if self.name == "af_conformal" and map_name != "moebius":
             raise ValueError(
                 f"af_conformal needs a moebius:<a> map, not {self.map_spec!r}")
-        # the builder's own checks: gamma > 0, |a| < 1, monotone
-        make_map(self.map_spec)
+        # the checks of the builder run uses: gamma > 0, |a| < 1, monotone
+        make_disc_map(self.map_spec)
 
 
 def _lipschitz_row(rep, phi, depth):

@@ -1,11 +1,11 @@
 """Quasiconformal selfmaps of the disc.
 
-A boundary homeomorphism is extended to the disc by the Beurling-Ahlfors
-averaged extension, conjugated through the Cayley transform: the boundary
-angle map is transported to a line homeomorphism via x = tan(t/2), extended to
-the upper half-plane by interval averages, and pulled back to the disc.
-Conformal members of the catalog (identity, Moebius) are also available with
-exact interior evaluation and a closed-form inverse as a control group, so
+A BAExtension is the DiscQCMap that extends a boundary homeomorphism by the
+Beurling-Ahlfors averaged extension, conjugated through the Cayley transform:
+the boundary angle map is transported to a line homeomorphism via x = tan(t/2),
+extended to the upper half-plane by interval averages, and pulled back to the
+disc.  The conformal catalog maps (identity, Moebius), a control group, are
+DiscQCMaps with exact interior evaluation and a closed-form inverse, so
 inverting one takes a single jet evaluation instead of a Newton run.
 
 The interval averages integrate the line map h over the windows [x - y, x]
@@ -103,17 +103,76 @@ def _binade_table(fn):
     return nodes, table
 
 
-class BAExtension:
-    """Beurling-Ahlfors extension of a circle homeomorphism, via the half-plane."""
+class DiscQCMap:
+    """Quasiconformal selfmap of the disc with known boundary angle map.
+
+    A conformal map is given with its complex derivative, which marks it as
+    conformal, and may be given its inverse w -> phi^{-1}(w) in closed form,
+    which invert then uses instead of Newton iteration.  A Beurling-Ahlfors
+    extension, the subclass BAExtension, has neither.
+    """
+
+    def __init__(self, boundary, interior, label="", complex_derivative=None,
+                 inverse=None):
+        self.boundary = boundary
+        self.interior = interior
+        self.label = label or boundary.label
+        self.complex_derivative = complex_derivative
+        self.inverse = inverse
+
+    def __call__(self, z):
+        return self.interior(np.asarray(z, dtype=complex))
+
+    def jet(self, z):
+        """(phi, d_z phi, d_zbar phi) at z, exact for a conformal map."""
+        if self.complex_derivative is None:
+            raise TypeError(f"{self.label}: not conformal, so no jet")
+        z = np.asarray(z, dtype=complex)
+        dz = self.complex_derivative(z)
+        return self(z), dz, np.zeros_like(dz)
+
+    def differential(self, z):
+        """(operator norm |Dphi|, Jacobian) at z."""
+        return norm_and_jacobian(*self.jet(z)[1:])
+
+    def kink_angles(self, r):
+        """Angles t where phi(r e^{it}) is not smooth in t: up to four per
+        cusp of the boundary map for a Beurling-Ahlfors extension, so none
+        for a conformal map, whose boundary map has no cusp.
+
+        The extension averages the line map over [x - y, x + y], with x + iy
+        the Cayley image of r e^{it}, and an end of that window crosses the
+        image tan(c/2) of a cusp c where
+            2r sin(t - c/2) = (1 + r^2) sin(c/2) +- (1 - r^2) cos(c/2).
+        """
+        angles = []
+        for c in self.boundary.cusps:
+            for sign in (1.0, -1.0):
+                s = ((1.0 + r * r) * np.sin(0.5 * c)
+                     + sign * (1.0 - r) * (1.0 + r) * np.cos(0.5 * c)) / (2.0 * r)
+                if abs(s) < 1.0:
+                    a = float(np.arcsin(s))
+                    angles += [0.5 * c + a, 0.5 * c + np.pi - a]
+        return tuple(angles)
+
+
+def norm_and_jacobian(dz, dzb):
+    """(operator norm, Jacobian) of the differential with Wirtinger
+    derivatives dz, dzb."""
+    return np.abs(dz) + np.abs(dzb), np.abs(dz) ** 2 - np.abs(dzb) ** 2
+
+
+class BAExtension(DiscQCMap):
+    """DiscQCMap extending a circle homeomorphism by Beurling-Ahlfors."""
 
     def __init__(self, homeo):
-        self.homeo = homeo
+        super().__init__(homeo, None, label=f"ba[{homeo.label}]")
         self._table = None
 
     def line_map(self, x):
         """Induced line homeomorphism h(x) = tan(alpha(2 atan x) / 2)."""
         x = np.asarray(x, dtype=float)
-        return np.tan(0.5 * self.homeo(2.0 * np.arctan(x)))
+        return np.tan(0.5 * self.boundary(2.0 * np.arctan(x)))
 
     def _nearest_nodes(self, t):
         """(node, G(node)) at the table node nearest each t in ratio: 0, or
@@ -206,74 +265,6 @@ class BAExtension:
         return phi.reshape(z.shape), dz.reshape(z.shape), dzb.reshape(z.shape)
 
 
-class DiscQCMap:
-    """Quasiconformal selfmap of the disc with known boundary angle map.
-
-    A conformal map is given with its complex derivative, which marks it as
-    conformal, and may be given its inverse w -> phi^{-1}(w) in closed form,
-    which invert then uses instead of Newton iteration.
-    """
-
-    def __init__(self, boundary, interior, label="", complex_derivative=None,
-                 inverse=None):
-        self.boundary = boundary
-        self.interior = interior
-        self.label = label or boundary.label
-        self.complex_derivative = complex_derivative
-        self.inverse = inverse
-
-    def __call__(self, z):
-        return self.interior(np.asarray(z, dtype=complex))
-
-    def jet(self, z):
-        """(phi, d_z phi, d_zbar phi) at z: exact for conformal maps, closed
-        form for Beurling-Ahlfors extensions."""
-        z = np.asarray(z, dtype=complex)
-        if self.complex_derivative is not None:
-            dz = self.complex_derivative(z)
-            return self(z), dz, np.zeros_like(dz)
-        if isinstance(self.interior, BAExtension):
-            return self.interior.jet(z)
-        raise TypeError(f"{self.label}: neither conformal nor a "
-                        "Beurling-Ahlfors extension, so no jet")
-
-    def differential(self, z):
-        """(operator norm |Dphi|, Jacobian) at z."""
-        return norm_and_jacobian(*self.jet(z)[1:])
-
-    def kink_angles(self, r):
-        """Angles t where phi(r e^{it}) is not smooth in t: up to four per
-        cusp of the boundary map for a Beurling-Ahlfors extension, so none
-        for a conformal map, whose boundary map has no cusp.
-
-        The extension averages the line map over [x - y, x + y], with x + iy
-        the Cayley image of r e^{it}, and an end of that window crosses the
-        image tan(c/2) of a cusp c where
-            2r sin(t - c/2) = (1 + r^2) sin(c/2) +- (1 - r^2) cos(c/2).
-        """
-        angles = []
-        for c in self.boundary.cusps:
-            for sign in (1.0, -1.0):
-                s = ((1.0 + r * r) * np.sin(0.5 * c)
-                     + sign * (1.0 - r) * (1.0 + r) * np.cos(0.5 * c)) / (2.0 * r)
-                if abs(s) < 1.0:
-                    a = float(np.arcsin(s))
-                    angles += [0.5 * c + a, 0.5 * c + np.pi - a]
-        return tuple(angles)
-
-
-def norm_and_jacobian(dz, dzb):
-    """(operator norm, Jacobian) of the differential with Wirtinger
-    derivatives dz, dzb."""
-    return np.abs(dz) + np.abs(dzb), np.abs(dz) ** 2 - np.abs(dzb) ** 2
-
-
-def ba_extend(h):
-    """Beurling-Ahlfors extension of a BoundaryHomeo to a DiscQCMap."""
-    ext = BAExtension(h)
-    return DiscQCMap(h, ext, label=f"ba[{h.label}]")
-
-
 def identity_disc_map():
     return DiscQCMap(identity_homeo(), lambda z: np.asarray(z, dtype=complex),
                      label="identity",
@@ -294,14 +285,14 @@ def moebius_disc_map(a):
 
 
 def make_disc_map(spec):
-    """Catalog DiscQCMap of a map spec: conformal members exact, the rest via
-    the extension."""
+    """Catalog DiscQCMap of a map spec: conformal members exact, the rest a
+    BAExtension."""
     name, parameters = parse_map_spec(spec)
     if name == "identity":
         return identity_disc_map()
     if name == "moebius":
         return moebius_disc_map(*parameters)
-    return ba_extend(make_map(spec))
+    return BAExtension(make_map(spec))
 
 
 def _initial_guess(phi, w):

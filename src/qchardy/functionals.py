@@ -222,9 +222,10 @@ def _area_truncations(f, p):
             return _deriv_magnitude(f, radii[circle] * np.exp(1j * theta)) ** p
 
         means = circle_means(fn, [_circle_marks(f, r) for r in radii], order=12)
-        for r, wi, (m, e) in zip(radii, wq, means):
-            shell += half * wi * m * (1.0 - r) ** q * r * TWO_PI
-            toterr += half * wi * e * (1.0 - r) ** q * r * TWO_PI
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at large p
+            for r, wi, (m, e) in zip(radii, wq, means):
+                shell += half * wi * m * (1.0 - r) ** q * r * TWO_PI
+                toterr += half * wi * e * (1.0 - r) ** q * r * TWO_PI
         total += shell
         yield total, toterr - before, b, toterr
         a = b

@@ -529,10 +529,12 @@ class TestMain:
     def test_large_p_reads_the_luecking_sweep_undetermined(self, capsys, p,
                                                            reason, area):
         # the sweep once died on a ring whose ratios were all NaN (KeyError)
-        # or on no ring at all (ValueError); numpy warns of the overflows
-        with np.errstate(all="ignore"):
-            code = main(["thm3", "--p", p, "--format", "json"])
-        payload = json.loads(capsys.readouterr().out)
+        # or on no ring at all (ValueError); the overflows it reads as
+        # verdicts raise no numpy warning
+        code = main(["thm3", "--p", p, "--format", "json"])
+        out, err = capsys.readouterr()
+        assert err == ""
+        payload = json.loads(out)
         rows = {r["quantity"]: r for r in payload["rows"]}
         assert code == 1
         assert rows["luecking_stabilized"]["classification"] == "fail"

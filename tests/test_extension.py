@@ -14,7 +14,6 @@ from qchardy.extension import (
     BAExtension,
     DiscQCMap,
     _panel_sums,
-    ba_extend,
     cone_image_aperture,
     identity_disc_map,
     invert,
@@ -156,7 +155,7 @@ class TestLineIntegral:
         ext = BAExtension(make_map(spec))
         x, y = _random_points()
         u, v = ext.halfplane(x, y)
-        u_ref, v_ref = _SeedRuleBA(ext.homeo).halfplane(x, y)
+        u_ref, v_ref = _SeedRuleBA(ext.boundary).halfplane(x, y)
         scale = _scale(ext.line_map, x, y)
         assert np.all(np.abs(u - u_ref) <= 1e-11 * scale)
         assert np.all(np.abs(v - v_ref) <= 1e-11 * scale)
@@ -373,7 +372,7 @@ class TestWindowAccuracy:
         z = (1.0 - 1e-13) * np.exp(1j * np.array([0.0, np.pi]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w = DiscQCMap(ext.homeo, ext)(z)
+            w = ext(z)
             hp = 1j * (1.0 - z) / (1.0 + z)
             u, v = ext.halfplane(hp.real, hp.imag)
         t = np.abs(np.concatenate(looked_up))
@@ -407,7 +406,7 @@ class TestHalfplaneExtension:
             def line_map(self, x):
                 return 2.0 * np.asarray(x, dtype=float)
 
-        u, v = Doubling(None).halfplane(np.array([0.3, 0.0, 5.0]),
+        u, v = Doubling(make_map("identity")).halfplane(np.array([0.3, 0.0, 5.0]),
                                         np.array([0.8, 1e-3, 0.5]))
         assert np.allclose(u, [0.6, 0.0, 10.0], rtol=0.0, atol=1e-10)
         assert np.allclose(v, [0.8, 1e-3, 0.5], rtol=1e-12, atol=0.0)
@@ -439,7 +438,7 @@ class TestDiscExtension:
     def test_identity_extension_radial_closed_form(self):
         # conjugating (x, y/2) through the Cayley map sends r to (1+3r)/(3+r)
         # on the real diameter
-        phi = ba_extend(make_map("identity"))
+        phi = BAExtension(make_map("identity"))
         r = np.array([0.0, 0.25, 0.5, 0.9, 0.99])
         assert np.max(np.abs(phi(r + 0j) - (1 + 3 * r) / (3 + r))) < 1e-9
 
@@ -449,8 +448,7 @@ class TestDiscExtension:
         # BAExtension.halfplane, so the deep bound is looser
         theta = np.linspace(-np.pi, np.pi, 401)
         z = (radial_schedule()[:, None] * np.exp(1j * theta)).ravel()
-        h = make_map(spec)
-        ref = DiscQCMap(h, _SeedRuleBA(h))(z)
+        ref = _SeedRuleBA(make_map(spec))(z)
         rel = np.abs(make_disc_map(spec)(z) - ref) / (1.0 - np.abs(ref))
         rel = rel.reshape(-1, theta.size)
         assert np.max(rel[:12]) <= 1e-10
@@ -479,12 +477,12 @@ def _dilatation(phi, grid=16):
 
 class TestDilatation:
     def test_identity_extension(self):
-        ratios, violations = _dilatation(ba_extend(make_map("identity")))
+        ratios, violations = _dilatation(BAExtension(make_map("identity")))
         assert violations == 0
         assert np.quantile(ratios, 0.99) == pytest.approx(2.0, rel=0.01)
 
     def test_moebius_extension_nearly_conformal(self):
-        ratios, violations = _dilatation(ba_extend(make_map("moebius:0.5")))
+        ratios, violations = _dilatation(BAExtension(make_map("moebius:0.5")))
         assert violations == 0
         assert np.quantile(ratios, 0.99) == pytest.approx(2.0, rel=0.05)
 
@@ -612,6 +610,12 @@ class TestCatalogConstruction:
         assert make_disc_map("identity").label == "identity"
         assert make_disc_map("power:2").label == "ba[power(2)]"
         assert make_disc_map("thm2_sqrt").label == "ba[thm2_sqrt]"
+        for spec in ("thm2_sqrt", "power:2"):
+            phi = make_disc_map(spec)
+            assert isinstance(phi, BAExtension)
+            assert phi.inverse is None and phi.complex_derivative is None
+        for spec in ("identity", "moebius:0.5"):
+            assert not isinstance(make_disc_map(spec), BAExtension)
 
     def test_moebius_without_parameter_is_a_value_error(self):
         with pytest.raises(ValueError, match="one parameter"):
@@ -629,7 +633,7 @@ class TestCatalogConstruction:
         assert abs(dz[0] - 0.75 / (1 - 0.5 * z[0]) ** 2) < 1e-14
 
     def test_wirtinger_identity_extension_dilatation_two(self):
-        phi = ba_extend(make_map("identity"))
+        phi = BAExtension(make_map("identity"))
         dz, dzb = phi.jet(np.array([0.4 + 0.3j, -0.2j, 0.7]))[1:]
         assert np.all(np.abs(dzb) < np.abs(dz))
         # dilatation of this extension is exactly 2: (|dz|+|dzb|)^2 = 2 J
@@ -661,7 +665,7 @@ class TestKinkAngles:
         c = 1.0
         h = BoundaryHomeo(lambda t: np.asarray(t, dtype=float),
                           lambda s: np.asarray(s, dtype=float), cusps=(c,))
-        phi = ba_extend(h)
+        phi = BAExtension(h)
         for r, count in ((0.6, 2), (0.9, 4), (0.999, 4)):
             angles = phi.kink_angles(r)
             assert len(set(angles)) == count
@@ -676,7 +680,7 @@ class TestKinkAngles:
     def test_none_for_conformal_or_smooth_maps(self, identity_map, moebius_map):
         assert identity_map.kink_angles(0.9) == ()
         assert moebius_map.kink_angles(0.9) == ()
-        assert ba_extend(make_map("moebius:0.5")).kink_angles(0.9) == ()
+        assert BAExtension(make_map("moebius:0.5")).kink_angles(0.9) == ()
         assert make_map("power:2").cusps == (0.0,)
 
 
@@ -708,8 +712,7 @@ class _CountingBA(BAExtension):
 
 
 def _counting_map(spec):
-    h = make_map(spec)
-    return DiscQCMap(h, _CountingBA(h))
+    return _CountingBA(make_map(spec))
 
 
 class TestJet:
@@ -773,15 +776,15 @@ class TestBatchedInvert:
         phi = _counting_map("thm2_sqrt")
         iterations = []
         for w in self._TARGETS:
-            phi.interior.jets.clear()
+            phi.jets.clear()
             invert(phi, w)
-            iterations.append(len(phi.interior.jets))
-        phi.interior.jets.clear()
+            iterations.append(len(phi.jets))
+        phi.jets.clear()
         invert(phi, self._TARGETS)
         # call k runs on the lanes that need more than k iterations
         expected = [sum(n > k for n in iterations) for k in range(max(iterations))]
-        assert phi.interior.jets == expected
-        assert phi.interior.calls == []
+        assert phi.jets == expected
+        assert phi.calls == []
 
     def test_non_convergence_raises(self, thm2_map, monkeypatch):
         monkeypatch.setattr(extension, "_MAX_ITER", 1)
@@ -872,7 +875,7 @@ class TestInitialGuesses:
         phi = _counting_map("thm2_sqrt")
         targets = TestBatchedInvert._TARGETS
         z, _ = invert(phi, targets)
-        phi.interior.jets.clear()
+        phi.jets.clear()
         again, _ = invert(phi, targets, z0=z)
-        assert phi.interior.jets == [targets.size]
+        assert phi.jets == [targets.size]
         assert np.array_equal(again, z)

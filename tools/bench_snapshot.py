@@ -76,7 +76,7 @@ def work_counts():
     BAExtension.halfplane and BAExtension.line_map; newton holds the invert
     calls, their lanes, and the jet calls and jet points made inside them,
     counted by wrapping invert where extension and carleson bind it, and
-    DiscQCMap.jet; rules holds the circle_means stages and their circles,
+    DiscQCMap.jet and BAExtension.jet; rules holds the circle_means stages and their circles,
     counted by wrapping circle_means where quadrature, functionals and
     carleson bind it."""
     import numpy as np
@@ -89,7 +89,8 @@ def work_counts():
 
     counts = {}
     line_map, halfplane = BAExtension.line_map, BAExtension.halfplane
-    invert, jet = extension.invert, DiscQCMap.jet
+    invert = extension.invert
+    jets = {cls: cls.jet for cls in (DiscQCMap, BAExtension)}
     circle_means = quadrature.circle_means
     inside = []
 
@@ -116,16 +117,19 @@ def work_counts():
         finally:
             inside.pop()
 
-    def counted_jet(self, z):
-        if inside:
-            counts["jet_calls"] += 1
-            counts["jet_points"] += np.size(z)
-        return jet(self, z)
+    def counted(jet):
+        def counted_jet(self, z):
+            if inside:
+                counts["jet_calls"] += 1
+                counts["jet_points"] += np.size(z)
+            return jet(self, z)
+        return counted_jet
 
     ba, newton, rules = {}, {}, {}
     BAExtension.line_map, BAExtension.halfplane = counted_line_map, counted_halfplane
     extension.invert = carleson.invert = counted_invert
-    DiscQCMap.jet = counted_jet
+    for cls, jet in jets.items():
+        cls.jet = counted(jet)
     quadrature.circle_means = counted_circle_means
     functionals.circle_means = carleson.circle_means = counted_circle_means
     try:
@@ -145,7 +149,8 @@ def work_counts():
     finally:
         BAExtension.line_map, BAExtension.halfplane = line_map, halfplane
         extension.invert = carleson.invert = invert
-        DiscQCMap.jet = jet
+        for cls, jet in jets.items():
+            cls.jet = jet
         quadrature.circle_means = functionals.circle_means = circle_means
         carleson.circle_means = circle_means
     return ba, newton, rules
