@@ -54,7 +54,14 @@ def identity_homeo():
 
 def _power(t, g):
     t = np.asarray(t, dtype=float)
-    return np.sign(t) * np.pi * (np.abs(t) / np.pi) ** g
+    # sign(t) * pi * (|t| / pi) ** g, in place on its own temporaries
+    out = np.sign(t)
+    out *= np.pi
+    a = np.abs(t)
+    a /= np.pi
+    a **= g
+    out *= a
+    return out
 
 
 def power_homeo(gamma):

@@ -71,20 +71,30 @@ def _panel_sums(fn, left, right, order):
     left_i).
 
     fn is called on the nodes of as many panels as fit the batch budget
-    quadrature._NODES_PER_CALL (at least one) at a time, in panel order; an
-    empty batch makes no call.  The line maps are elementwise and each panel
-    is summed alone, so the chunks change no bit of the result."""
+    quadrature._NODES_PER_CALL (at least one) at a time, in panel order and
+    node-major: the first node of every panel of the chunk, then the second,
+    and so on; an empty batch makes no call.  The line maps are elementwise
+    and each panel is summed alone, so the chunks change no bit of the
+    result."""
     x, w = quadrature.gauss_legendre(order)
     half, mid = 0.5 * (right - left), 0.5 * (right + left)
     out = np.empty(half.size)
     panels = max(1, quadrature._NODES_PER_CALL // order)
     for start in range(0, half.size, panels):
         chunk = slice(start, start + panels)
-        vals = fn((mid[chunk, None] + half[chunk, None] * x).ravel())
-        # einsum sums each panel alone, so a point's value does not depend
-        # on the batch it is evaluated in; a BLAS product rounds by position
-        out[chunk] = half[chunk] * np.einsum(
-            "pk,k->p", vals.reshape(-1, order), w)
+        vals = fn((mid[chunk] + half[chunk] * x[:, None]).ravel()).reshape(order, -1)
+        vals = vals * w[:, None]
+        # each panel summed alone as einsum("pk,k->p") sums 4 or 6 terms:
+        # in two lanes, even nodes and odd ones, added to +0, so a panel of
+        # -0 terms sums to +0.  A point's value does not depend on its
+        # batch, and the rounding not on the numpy build; a BLAS product
+        # rounds by position
+        lanes = vals[0:2] + vals[2:4]
+        for j in range(4, order, 2):
+            lanes += vals[j:j + 2]
+        total = lanes[0] + lanes[1]
+        total += 0.0
+        out[chunk] = half[chunk] * total
     return out
 
 
@@ -171,8 +181,13 @@ class BAExtension(DiscQCMap):
 
     def line_map(self, x):
         """Induced line homeomorphism h(x) = tan(alpha(2 atan x) / 2)."""
-        x = np.asarray(x, dtype=float)
-        return np.tan(0.5 * self.boundary(2.0 * np.arctan(x)))
+        a = np.arctan(np.asarray(x, dtype=float))
+        a *= 2.0
+        a = self.boundary(a)
+        a *= 0.5
+        # in place on its own temporaries; a point gives a NumPy scalar,
+        # which has no buffer to write
+        return np.tan(a, out=a) if isinstance(a, np.ndarray) else np.tan(a)
 
     def _nearest_nodes(self, t):
         """(node, G(node)) at the table node nearest each t in ratio: 0, or
@@ -185,11 +200,17 @@ class BAExtension(DiscQCMap):
             self._table = _binade_table(self.line_map)
         nodes, table = self._table
         m, e = np.frexp(t)  # |t| = |m| 2^e, 1/2 <= |m| < 1, exact
-        i = np.searchsorted(_CUTS, np.abs(m), side="right")  # cuts <= |m|
-        k = np.clip(_PER_BINADE * (e - 1 - _LOWEST) + i + 1, 0, nodes.shape[1] - 1)
-        k = np.where(t == 0.0, 0, k)
-        side = np.signbit(t).astype(int)
-        return nodes[side, k], table[side, k]
+        # flat index into the rows (t >= 0, t < 0): the binade, the cuts <= |m|
+        # in it, clipped to the table, node 0 for t = 0, then the row
+        k = e.astype(np.int64)
+        k *= _PER_BINADE
+        k += np.searchsorted(_CUTS, np.abs(m), side="right")
+        k += 1 - _PER_BINADE * (1 + _LOWEST)
+        n = nodes.shape[1]
+        np.clip(k, 0, n - 1, out=k)
+        k[t == 0.0] = 0
+        k += n * np.signbit(t)
+        return nodes.ravel().take(k), table.ravel().take(k)
 
     def halfplane(self, x, y):
         """Averaged extension (u, v) of the line map at (x, y), y > 0, from

@@ -207,7 +207,9 @@ def _deriv_magnitude(f, z):
 def _area_truncations(f, p):
     """Truncations of int_D |Df|^p (1-|z|)^(p-1) dm to radius 1 - 2^{-k},
     k = 1, 2, ...: (truncation, error of its last shell, 1 - 2^{-k}, error
-    of the truncation), one dyadic shell per step."""
+    of the truncation), one dyadic shell per step.  A shell that sums below
+    the smallest normal double has underflowed, since no catalog composite
+    is constant: its truncation, and every later one, is NaN."""
     q = p - 1.0
     x, wq = gauss_legendre(8)
     total = toterr = a = 0.0
@@ -226,7 +228,7 @@ def _area_truncations(f, p):
             for r, wi, (m, e) in zip(radii, wq, means):
                 shell += half * wi * m * (1.0 - r) ** q * r * TWO_PI
                 toterr += half * wi * e * (1.0 - r) ** q * r * TWO_PI
-        total += shell
+        total = total + shell if shell >= np.finfo(float).tiny else np.nan
         yield total, toterr - before, b, toterr
         a = b
 

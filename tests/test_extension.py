@@ -1,16 +1,18 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from qchardy import extension, quadrature
-from qchardy.boundary import BoundaryHomeo, make_map
+from qchardy.boundary import BoundaryHomeo, _power, make_map
 from qchardy.extension import (
     _CUTS,
     _HIGHEST,
     _KAPPA,
     _LOWEST,
     _MANTISSAS,
+    _PER_BINADE,
     BAExtension,
     DiscQCMap,
     _panel_sums,
@@ -99,6 +101,60 @@ class _CountingLineBA(BAExtension):
     @property
     def evaluations(self):
         return sum(batch.size for batch in self.batches)
+
+
+def _einsum_panel_sums(fn, left, right, order):
+    """Reference _panel_sums: panel-major nodes, each panel summed by
+    einsum."""
+    x, w = gauss_legendre(order)
+    half, mid = 0.5 * (right - left), 0.5 * (right + left)
+    out = np.empty(half.size)
+    panels = max(1, _NODES_PER_CALL // order)
+    for start in range(0, half.size, panels):
+        chunk = slice(start, start + panels)
+        vals = fn((mid[chunk, None] + half[chunk, None] * x).ravel())
+        out[chunk] = half[chunk] * np.einsum("pk,k->p", vals.reshape(-1, order), w)
+    return out
+
+
+def _indexed_nearest_nodes(ext, t):
+    """Reference BAExtension._nearest_nodes: the row and column of the
+    table, clipped, indexed together."""
+    nodes, table = ext._table
+    m, e = np.frexp(t)
+    i = np.searchsorted(_CUTS, np.abs(m), side="right")
+    k = np.clip(_PER_BINADE * (e - 1 - _LOWEST) + i + 1, 0, nodes.shape[1] - 1)
+    k = np.where(t == 0.0, 0, k)
+    side = np.signbit(t).astype(int)
+    return nodes[side, k], table[side, k]
+
+
+def _out_of_place_power(t, g):
+    """Reference boundary._power, one temporary per operation."""
+    t = np.asarray(t, dtype=float)
+    return np.sign(t) * np.pi * (np.abs(t) / np.pi) ** g
+
+
+def _out_of_place_line_map(ext, x):
+    """Reference BAExtension.line_map, one temporary per operation; a power
+    map's angle map is taken out of place too."""
+    alpha = ext.boundary.forward
+    if getattr(alpha, "func", None) is _power:
+        alpha = partial(_out_of_place_power, **alpha.keywords)
+    x = np.asarray(x, dtype=float)
+    return np.tan(0.5 * alpha(2.0 * np.arctan(x)))
+
+
+def _kernel_ends(n, seed):
+    """Window ends over the whole table and beyond it: signed values from
+    2^-140 to 2^70, and +-0.0, subnormals, and values above 2^_HIGHEST and
+    below 2^_LOWEST, which the lookups clip."""
+    rng = np.random.default_rng(seed)
+    t = rng.choice([-1.0, 1.0], n) * 2.0 ** rng.uniform(-140.0, 70.0, n)
+    edge = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1060, -(2.0 ** -1030),
+            2.0 ** (_LOWEST - 1), -(2.0 ** (_LOWEST - 30)),
+            2.0 ** (_HIGHEST + 1), -(2.0 ** (_HIGHEST + 5)), 1e300, -1e300]
+    return np.concatenate([edge, t])
 
 
 def _quad_integral(fn, a, b):
@@ -227,10 +283,14 @@ class TestLineIntegral:
         six = 2 * far6 * 6
         assert six in sizes
         assert all(batch.size <= _NODES_PER_CALL for batch in panels)
-        nodes = np.concatenate(panels)
-        by_order = nodes[:six].reshape(-1, 6), nodes[six:].reshape(-1, 4)
-        assert by_order[1].shape[0] == 2 * far4 + 3 * near
-        assert all(np.all(np.ptp(n, axis=1) > 0.0) for n in by_order)
+        # a chunk holds its panels node-major: row j of reshape(order, -1)
+        # is node j of every panel
+        by_order = {order: np.concatenate([
+            batch.reshape(order, -1).T for batch, end in zip(panels, sizes)
+            if (end <= six) == (order == 6)]) for order in (6, 4)}
+        assert by_order[6].shape[0] == 2 * far6
+        assert by_order[4].shape[0] == 2 * far4 + 3 * near
+        assert all(np.all(np.ptp(n, axis=1) > 0.0) for n in by_order.values())
 
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
     def test_chunks_change_no_bit(self, spec, monkeypatch):
@@ -296,6 +356,67 @@ class TestLineIntegral:
         for k in range(3):
             joined = np.concatenate([parts[0][k], parts[1][k]])
             assert whole[k].tobytes() == joined.tobytes()
+
+
+class TestKernelBitwise:
+    """The node-major panel sums, the flat table lookups and the in-place
+    line map give every bit of the panel-major einsum sums, the 2-D table
+    index and the out-of-place line map they replaced."""
+
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3"])
+    @pytest.mark.parametrize("order", [4, 6])
+    def test_panel_sums_match_einsum(self, spec, order):
+        h = BAExtension(make_map(spec)).line_map
+        rng = np.random.default_rng(order)
+        ends = _kernel_ends(3 * _CHUNK[order], seed=order)  # over two chunks
+        left = rng.permutation(ends[np.abs(ends) < 1e100])  # no sum overflows
+        width = np.abs(left) * 10.0 ** rng.uniform(-3.0, 0.0, left.size)
+        right = left + rng.choice([-1.0, 1.0], left.size) * width
+        # zero-width panels and panels ending at 0, among reversed ones
+        right[:20] = left[:20]
+        right[20:40] = 0.0
+        assert np.count_nonzero(right < left) > 0
+        for lo, hi in ((left, right), (left[:1], right[:1]), (left[:0], right[:0])):
+            got = _panel_sums(h, lo, hi, order)
+            assert got.tobytes() == _einsum_panel_sums(h, lo, hi, order).tobytes()
+
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
+    def test_flat_lookups_match_the_2d_index(self, spec):
+        ext = BAExtension(make_map(spec))
+        t = _kernel_ends(20000, seed=7)
+        got = ext._nearest_nodes(t)
+        ref = _indexed_nearest_nodes(ext, t)
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
+        # the clipped ends read the table's first and last nodes
+        assert set(np.abs(got[0][np.abs(t) < 2.0 ** _LOWEST])) == {0.0, 2.0 ** _LOWEST}
+        assert set(np.abs(got[0][np.abs(t) > 2.0 ** _HIGHEST])) == {2.0 ** _HIGHEST}
+
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3",
+                                      "identity", "moebius:0.5"])
+    def test_line_map_matches_out_of_place(self, spec):
+        ext = BAExtension(make_map(spec))
+        x = _kernel_ends(5000, seed=3)
+        before = x.copy()
+        assert ext.line_map(x).tobytes() == _out_of_place_line_map(ext, x).tobytes()
+        assert x.tobytes() == before.tobytes()
+        # a point takes NumPy's scalar loops, as it did out of place
+        for point in (0.3, -2.5, np.float64(7.0), np.array(-1e-9)):
+            got = ext.line_map(point)
+            assert np.ndim(got) == 0
+            assert got.tobytes() == _out_of_place_line_map(ext, point).tobytes()
+
+    @pytest.mark.parametrize("g", [0.5, 2.0, 0.3, 1.0 / 0.3, 1.05, 5.0])
+    def test_power_matches_out_of_place(self, g):
+        t = np.concatenate([[0.0, -0.0, 5e-324, np.pi, -np.pi],
+                            np.random.default_rng(1).uniform(-np.pi, np.pi, 5000)])
+        before = t.copy()
+        assert _power(t, g).tobytes() == _out_of_place_power(t, g).tobytes()
+        assert t.tobytes() == before.tobytes()
+        for point in (0.3, -2.5, np.float64(1.0), np.array(-1e-9)):
+            got = _power(point, g)
+            assert np.ndim(got) == 0
+            assert got.tobytes() == _out_of_place_power(point, g).tobytes()
 
 
 class TestWindowAccuracy:

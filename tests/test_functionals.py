@@ -590,6 +590,23 @@ class TestAreaIntegral:
         assert est.samples[:12] == tuple((t[2], t[0]) for t in twelve)
         assert (est.value, est.error) == (twelve[-1][0], twelve[-1][3])
 
+    def test_an_underflowed_shell_reads_undetermined(self, thm2_map):
+        # thm3's composite: |Df| is about 0.01, so at p = 200 every shell sum
+        # underflows to 0, which once read converged at 0.  No catalog
+        # composite is constant, so a sum below the smallest normal double
+        # is underflow, not evidence
+        f = compose(hardy_kernel(0.9, 200.0), thm2_map)
+        est = area_integral(f, 200.0)
+        assert est.classification == UNDETERMINED and np.isnan(est.value)
+        assert est.why == ("NaN term", 12)
+        # at the default p = 2 no shell underflows, and the value is the
+        # one thm3 reported before the underflow rule
+        f = compose(hardy_kernel(0.9, 2.0), thm2_map)
+        est = area_integral(f, 2.0)
+        assert est.classification == CONVERGED
+        assert all(s[1] >= np.finfo(float).tiny for s in est.samples)
+        assert est.value == pytest.approx(6.128342893393029, rel=1e-12)
+
     def test_analytic_kind_matches_full_for_identity(self, identity_map):
         # |Df| of g o identity is |g'|, the integrand of g itself
         g = hardy_kernel(0.8, 2.0)

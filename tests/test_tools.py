@@ -1,5 +1,6 @@
-"""Smoke test of tools/bench_snapshot.py's work counts: a method that moves
-out from under one of its wrappers would otherwise undercount in silence."""
+"""Smoke test of tools/bench_snapshot.py's work counts, whose wrappers would
+otherwise undercount in silence when a method moves out from under one, and
+of its BA kernel timing."""
 
 import importlib.util
 import sys
@@ -11,15 +12,20 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_snapshot.py"
 
 
 @pytest.fixture(scope="module")
-def work_counts():
+def tool():
     spec = importlib.util.spec_from_file_location("bench_snapshot", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    path = sys.path[:]  # work_counts puts src/ and bench/ on the path
+    path = sys.path[:]  # the tool puts src/ and bench/ on the path
     try:
-        yield tool.work_counts()
+        yield tool
     finally:
         sys.path[:] = path
+
+
+@pytest.fixture(scope="module")
+def work_counts(tool):
+    return tool.work_counts()
 
 
 def test_ba_points_only_on_ba_workloads(work_counts):
@@ -38,3 +44,10 @@ def test_newton_jets_are_counted(work_counts):
     conformal = newton["conformal_control"]
     assert conformal["calls"] > 0
     assert conformal["jet_calls"] == conformal["calls"]
+
+
+def test_ba_kernel_times_each_map_and_method(tool):
+    ns = tool.ba_kernel_ns_per_point(1)
+    assert set(ns) == {"thm2_sqrt_call", "thm2_sqrt_jet", "power2_call",
+                       "power2_jet"}
+    assert all(t > 0 for t in ns.values())

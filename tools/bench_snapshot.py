@@ -9,6 +9,9 @@ It records
     each the final JSON object that run prints;
   * the wall time of each experiment at its CLI defaults through cli.run,
     the median of --repeats runs after one warm-up run;
+  * the Beurling-Ahlfors kernel's nanoseconds per point: a call and a jet
+    of thm2_sqrt and power:2 on a fixed seeded batch of BA_POINTS disc
+    points, the median of --repeats runs after one warm-up run;
   * per workload, the Beurling-Ahlfors calls and points of one pass through
     cli.run and the line-map evaluations they took, counted by wrapping
     BAExtension.halfplane and BAExtension.line_map; its Newton work:
@@ -36,6 +39,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 WORKLOADS = ("radial_hardy", "disc_carleson", "conformal_control")
+# disc points of the BA kernel timing, one batch budget
+# (quadrature._NODES_PER_CALL)
+BA_POINTS = 8192
 
 
 def _env():
@@ -51,6 +57,17 @@ def workload(name, trace, seed, seconds):
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+def _median_s(call, repeats):
+    """Median seconds of repeats calls of call(), after one warm-up call."""
+    call()
+    runs = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        runs.append(time.perf_counter() - start)
+    return statistics.median(runs)
+
+
 def experiments(repeats):
     """Seconds per experiment at its CLI defaults, through cli.run."""
     sys.path.insert(0, str(SRC))
@@ -59,14 +76,31 @@ def experiments(repeats):
     times = {}
     for name in cli.EXPERIMENTS:
         spec = cli.ExperimentSpec(name)
-        cli.run(spec)
-        runs = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            cli.run(spec)
-            runs.append(time.perf_counter() - start)
-        times[f"{name}_{spec.map_spec.replace(':', '')}"] = statistics.median(runs)
+        times[f"{name}_{spec.map_spec.replace(':', '')}"] = _median_s(
+            lambda: cli.run(spec), repeats)
     return times
+
+
+def ba_kernel_ns_per_point(repeats):
+    """Nanoseconds per point of a BA map's call and jet, for thm2_sqrt and
+    power:2, on BA_POINTS disc points seeded at 0: angles uniform, 1 - |z|
+    log-uniform from 2^-1 to 2^-20, as along the radial schedule.  The
+    warm-up run builds the extension's antiderivative table."""
+    import numpy as np
+
+    sys.path.insert(0, str(SRC))
+    from qchardy.extension import make_disc_map
+
+    rng = np.random.default_rng(0)
+    z = ((1.0 - 2.0 ** -rng.uniform(1.0, 20.0, BA_POINTS))
+         * np.exp(1j * rng.uniform(-np.pi, np.pi, BA_POINTS)))
+    ns = {}
+    for spec in ("thm2_sqrt", "power:2"):
+        phi = make_disc_map(spec)
+        for name, method in (("call", phi.__call__), ("jet", phi.jet)):
+            ns[f"{spec.replace(':', '')}_{name}"] = (
+                1e9 * _median_s(lambda: method(z), repeats) / BA_POINTS)
+    return ns
 
 
 def work_counts():
@@ -196,6 +230,7 @@ def main(argv=None):
                                                        args.seconds)
                       for name in WORKLOADS for trace in (0, 1)},
         "experiments_s": experiments(args.repeats),
+        "ba_kernel_ns_per_point": ba_kernel_ns_per_point(args.repeats),
         "src_lines": src_lines(),
         "machine": machine(),
     }
