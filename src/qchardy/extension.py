@@ -17,6 +17,21 @@ once per extension.  Each panel takes the fewest nodes, 4 or 6, that reach
 double precision at its distance from 0.  The table is anchored at the cusp
 at angle 0 only: a map with a cusp elsewhere is integrated as if smooth
 there.
+
+A BAExtension evaluates in blocks of at most the batch budget
+quadrature._NODES_PER_CALL points.  Besides its table it keeps one scratch
+array of seven rows of that many floats (448 KiB at the default 8,192), made
+on its first call and reused by every later one: the line-map nodes of a
+slice of the points and their panels' ends and half-widths while the line
+map runs, then the complex temporaries of a call or jet.  A jet keeps its
+half-plane points and window-end values in the arrays it returns until
+their values are written.  So the only temporaries of a batch's size a
+call allocates are the half-plane average (u, v) and the indices of the
+points of each rule; the line map's own temporaries are a budget's size.
+Every array it returns is fresh, never a view of the scratch: a caller may
+keep it across later calls.  An extension evaluates one batch at a time: no
+call of it may start while another is under way, from another thread or
+from a line map that calls back into it.
 """
 
 from __future__ import annotations
@@ -65,6 +80,43 @@ def _reach(order):
 _KAPPA = {order: _reach(order) for order in (4, 6)}
 
 
+def _panel_nodes(left, right, order, half, mid, nodes):
+    """Write half the widths of the panels [left_i, right_i] into half and
+    their order-node Gauss-Legendre nodes into nodes, node-major: the first
+    node of every panel, then the second, and so on.  mid is scratch of the
+    panels' size, left itself allowed."""
+    x, _ = quadrature.gauss_legendre(order)
+    np.subtract(right, left, out=half)
+    half *= 0.5
+    np.add(right, left, out=mid)
+    mid *= 0.5
+    nodes = nodes.reshape(order, -1)
+    np.multiply(half, x[:, None], out=nodes)
+    nodes += mid
+
+
+def _panel_totals(vals, half, weighted, lanes):
+    """half times each panel's Gauss-Legendre sum of vals, the line map at
+    the nodes _panel_nodes wrote (order, panels).  Each panel is summed
+    alone as einsum("pk,k->p") sums 4 or 6 terms: in two lanes, even nodes
+    and odd ones, added to +0, so a panel of -0 terms sums to +0.  A point's
+    value does not depend on its batch, and the rounding not on the numpy
+    build; a BLAS product rounds by position.  weighted (vals' shape, vals
+    itself allowed) and lanes (two rows) are scratch; the totals are the
+    first row of lanes."""
+    order = vals.shape[0]
+    weighted = np.multiply(vals, quadrature.gauss_legendre(order)[1][:, None],
+                           out=weighted)
+    lanes = lanes[:, :vals.shape[1]]
+    np.add(weighted[0:2], weighted[2:4], out=lanes)
+    for j in range(4, order, 2):
+        lanes += weighted[j:j + 2]
+    total = np.add(lanes[0], lanes[1], out=lanes[0])
+    total += 0.0
+    total *= half
+    return total
+
+
 def _panel_sums(fn, left, right, order):
     """order-node Gauss-Legendre sums of fn over the panels [left_i,
     right_i] (minus the integral over [right_i, left_i] where right_i <
@@ -72,30 +124,54 @@ def _panel_sums(fn, left, right, order):
 
     fn is called on the nodes of as many panels as fit the batch budget
     quadrature._NODES_PER_CALL (at least one) at a time, in panel order and
-    node-major: the first node of every panel of the chunk, then the second,
-    and so on; an empty batch makes no call.  The line maps are elementwise
-    and each panel is summed alone, so the chunks change no bit of the
-    result."""
-    x, w = quadrature.gauss_legendre(order)
-    half, mid = 0.5 * (right - left), 0.5 * (right + left)
-    out = np.empty(half.size)
+    node-major (_panel_nodes); an empty batch makes no call.  The line maps
+    are elementwise and each panel is summed alone, so the chunks change no
+    bit of the result."""
+    out = np.empty(left.size)
     panels = max(1, quadrature._NODES_PER_CALL // order)
-    for start in range(0, half.size, panels):
+    nodes = np.empty(order * panels)
+    half, mid, lanes = np.empty(panels), np.empty(panels), np.empty((2, panels))
+    for start in range(0, left.size, panels):
         chunk = slice(start, start + panels)
-        vals = fn((mid[chunk] + half[chunk] * x[:, None]).ravel()).reshape(order, -1)
-        vals = vals * w[:, None]
-        # each panel summed alone as einsum("pk,k->p") sums 4 or 6 terms:
-        # in two lanes, even nodes and odd ones, added to +0, so a panel of
-        # -0 terms sums to +0.  A point's value does not depend on its
-        # batch, and the rounding not on the numpy build; a BLAS product
-        # rounds by position
-        lanes = vals[0:2] + vals[2:4]
-        for j in range(4, order, 2):
-            lanes += vals[j:j + 2]
-        total = lanes[0] + lanes[1]
-        total += 0.0
-        out[chunk] = half[chunk] * total
+        count = out[chunk].size
+        block = nodes[:order * count]
+        _panel_nodes(left[chunk], right[chunk], order, half[:count],
+                     mid[:count], block)
+        vals = fn(block).reshape(order, count)
+        out[chunk] = _panel_totals(vals, half[:count], block.reshape(order, count),
+                                   lanes)
     return out
+
+
+def _window_ends(x, y, out):
+    """x - y, x and x + y of the points x + iy, one after another in out."""
+    m = x.size
+    np.subtract(x, y, out=out[:m])
+    out[m:2 * m] = x
+    np.add(x, y, out=out[2 * m:3 * m])
+    return out[:3 * m]
+
+
+def _slices(parts, size):
+    """The points of parts, (kind, indices, line-map nodes a point), in
+    order, cut into slices of at most size nodes, or of one point: each
+    slice a list of (kind, indices, offset of their first node) and its
+    count of nodes."""
+    chunk, used = [], 0
+    for kind, idx, per in parts:
+        start = 0
+        while start < len(idx):
+            take = min(len(idx) - start, (size - used) // per)
+            if take == 0 and used:
+                yield chunk, used
+                chunk, used = [], 0
+                continue
+            take = max(take, 1)
+            chunk.append((kind, idx[start:start + take], used))
+            used += take * per
+            start += take
+    if chunk:
+        yield chunk, used
 
 
 def _binade_table(fn):
@@ -178,6 +254,7 @@ class BAExtension(DiscQCMap):
     def __init__(self, homeo):
         super().__init__(homeo, None, label=f"ba[{homeo.label}]")
         self._table = None
+        self._scratch = None
 
     def line_map(self, x):
         """Induced line homeomorphism h(x) = tan(alpha(2 atan x) / 2)."""
@@ -189,30 +266,51 @@ class BAExtension(DiscQCMap):
         # which has no buffer to write
         return np.tan(a, out=a) if isinstance(a, np.ndarray) else np.tan(a)
 
-    def _nearest_nodes(self, t):
-        """(node, G(node)) at the table node nearest each t in ratio: 0, or
-        +-2^(j + i/8), clipped to the table.
-
-        The table is built on the first point this extension integrates and
-        never changes, so a value never depends on its batch or on earlier
-        calls."""
+    def _antiderivative(self):
+        """(nodes, G) of the antiderivative table (_binade_table), built on
+        the first call that needs it and never changed, so a value never
+        depends on its batch or on earlier calls."""
         if self._table is None:
             self._table = _binade_table(self.line_map)
-        nodes, table = self._table
-        m, e = np.frexp(t)  # |t| = |m| 2^e, 1/2 <= |m| < 1, exact
-        # flat index into the rows (t >= 0, t < 0): the binade, the cuts <= |m|
-        # in it, clipped to the table, node 0 for t = 0, then the row
-        k = e.astype(np.int64)
-        k *= _PER_BINADE
-        k += np.searchsorted(_CUTS, np.abs(m), side="right")
-        k += 1 - _PER_BINADE * (1 + _LOWEST)
+        return self._table
+
+    def _nearest_nodes(self, t):
+        """(node, G(node)) at the table node nearest each t in ratio: 0, or
+        +-2^(j + i/8), clipped to the table."""
+        nodes, table = self._antiderivative()
         n = nodes.shape[1]
-        np.clip(k, 0, n - 1, out=k)
-        k[t == 0.0] = 0
+        m, k = np.frexp(t)  # |t| = |m| 2^k, 1/2 <= |m| < 1, exact
+        # flat index into the rows (t >= 0, t < 0): the binade, the cuts <= |m|
+        # in it, clipped to the table, node 0 for t = 0, then the row.  The
+        # cuts <= |m| are 8 less those above it (8 for NaN, as a search
+        # sorts it), counted by one broadcast comparison: a binary search
+        # mispredicts its branches on random mantissas
+        k = np.multiply(k, _PER_BINADE, dtype=np.int64)
+        k += _PER_BINADE + 1 - _PER_BINADE * (1 + _LOWEST)
+        k -= np.add.reduce(np.less(np.abs(m, out=m), _CUTS[:, None]), axis=0,
+                           dtype=np.int8)
+        np.maximum(k, 0, out=k)
+        np.minimum(k, n - 1, out=k)
+        k *= t != 0.0
         k += n * np.signbit(t)
         return nodes.ravel().take(k), table.ravel().take(k)
 
-    def halfplane(self, x, y):
+    def _buffers(self):
+        """Views of scratch made on first use and reused by every later call
+        of this extension: seven rows of the batch budget
+        quadrature._NODES_PER_CALL (at least one point's 12) floats.  In a
+        pass (_average) rows 0-3 hold the line-map nodes of a slice and
+        rows 4-6 its panels' left ends, right ends and half-widths, a
+        quarter as many; after it rows 0-5 are three rows of complex
+        numbers.  Returns (nodes, panels, complex rows)."""
+        size = max(quadrature._NODES_PER_CALL, 12)
+        if self._scratch is None or self._scratch[2].shape[1] != size:
+            rows = np.empty((7, size))
+            self._scratch = (rows[:4].ravel(), rows[4:],
+                             rows[:6].reshape(3, -1).view(complex))
+        return self._scratch
+
+    def halfplane(self, x, y, ends=None):
         """Averaged extension (u, v) of the line map at (x, y), y > 0, from
         the integrals i1 over [x - y, x] and i2 over [x, x + y]:
         u = (i1 + i2) / 2y, v = (i2 - i1) / 2y.
@@ -224,40 +322,173 @@ class BAExtension(DiscQCMap):
         G, the integral of h from 0, at x - y, x and x + y, each a table
         entry plus the 4-node panel from its nearest node: i1 = G(x) -
         G(x - y), i2 = G(x + y) - G(x).  A far point costs 8 or 12
-        evaluations of the line map, any other 12, in one _panel_sums call
-        per order."""
+        evaluations of the line map, any other 12.  Given ends, three
+        arrays of the points' size, h(x - y), h(x) and h(x + y) are written
+        into them: 3 more.
+
+        The points go in blocks of the batch budget, and a block's
+        evaluations through the line map in one pass (_average)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        far = np.abs(x) >= (1.0 + _KAPPA[6]) * y
-        far4 = np.abs(x) >= (1.0 + _KAPPA[4]) * y
-        far6 = far & ~far4
-        x6, y6, x4, y4 = x[far6], y[far6], x[far4], y[far4]
-        xn, yn = x[~far], y[~far]
-        ends = np.concatenate([xn - yn, xn, xn + yn])
-        nodes, table = self._nearest_nodes(ends)
-        six = _panel_sums(self.line_map, np.concatenate([x6 - y6, x6]),
-                          np.concatenate([x6, x6 + y6]), 6)
-        four = _panel_sums(self.line_map, np.concatenate([x4 - y4, x4, nodes]),
-                           np.concatenate([x4, x4 + y4, ends]), 4)
-        i1, i2 = np.empty(x.size), np.empty(x.size)
-        i1[far6], i2[far6] = six.reshape(2, -1)
-        i1[far4], i2[far4] = four[:2 * x4.size].reshape(2, -1)
-        g_lo, g_mid, g_hi = (table + four[2 * x4.size:]).reshape(3, -1)
-        i1[~far], i2[~far] = g_mid - g_lo, g_hi - g_mid
-        return (i1 + i2) / (2.0 * y), (i2 - i1) / (2.0 * y)
+        self._antiderivative()  # built before a pass fills the scratch
+        u, v = np.empty(x.size), np.empty(x.size)
+        budget = self._buffers()[2].shape[1]
+        for start in range(0, x.size, budget):
+            block = slice(start, start + budget)
+            self._average(x[block], y[block], u[block], v[block],
+                          None if ends is None else [e[block] for e in ends])
+        return u, v
 
-    def _disc(self, zf):
-        """Half-plane point x + iy, its extension u + iv and phi at disc
-        points zf (1-D)."""
-        w = 1j * (1.0 - zf) / (1.0 + zf)
-        u, v = self.halfplane(w.real, w.imag)
-        phi_hp = u + 1j * v
-        return w, u, v, phi_hp, (1j - phi_hp) / (1j + phi_hp)
+    def _average(self, x, y, u, v, ends):
+        """halfplane on a block of at most the batch budget of points, into
+        u and v (ends as in halfplane).
+
+        One pass: the points are cut into slices of whole points of at most
+        four scratch rows of nodes (_slices), the 6-node far points, the
+        4-node ones, the lookups, then the ends.  A slice writes its panels'
+        ends and half-widths and its nodes into the scratch, each order's
+        panels in one run, node-major; the line map takes the nodes a batch
+        budget at a time, written back over them; then each run's panel
+        sums are scattered to their points."""
+        nodes, panels, complex_rows = self._buffers()
+        (left, right, half), lanes = panels, panels[:2]
+        budget, n = complex_rows.shape[1], x.size
+        ax = np.abs(x, out=nodes[:n])
+        bound = np.multiply(1.0 + _KAPPA[6], y, out=nodes[n:2 * n])
+        far = ax >= bound
+        far4 = ax >= np.multiply(1.0 + _KAPPA[4], y, out=bound)
+        # (kind, points, line-map nodes a point): kind 6 or 4 is the order
+        # of a far point's two panels
+        parts = [(6, (far & ~far4).nonzero()[0], 12), (4, far4.nonzero()[0], 8),
+                 ("table", (~far).nonzero()[0], 12)]
+        if ends is not None:
+            parts.append(("ends", range(n), 3))
+        i1, i2 = u, v  # the window integrals, until u and v are formed
+        for chunk, used in _slices(parts, nodes.size):
+            # the panels of each order, in one run of the panel rows and of
+            # the nodes: [first panel, first node, panels, [(points, first
+            # panel in the run, G at the left ends or None)]]
+            runs, filled = {}, 0
+            for kind, idx, at in chunk:
+                if kind == "ends":
+                    _window_ends(x[idx.start:idx.stop], y[idx.start:idx.stop],
+                                 nodes[at:])
+                    continue
+                m = idx.size
+                xs, ys = x[idx], y[idx]
+                if kind == "table":
+                    order, count = 4, 3 * m
+                    left[filled:filled + count], g = self._nearest_nodes(
+                        _window_ends(xs, ys, right[filled:]))
+                else:
+                    order, count, g = kind, 2 * m, None
+                    np.subtract(xs, ys, out=left[filled:filled + m])
+                    left[filled + m:filled + count] = xs
+                    right[filled:filled + m] = xs
+                    np.add(xs, ys, out=right[filled + m:filled + count])
+                run = runs.setdefault(order, [filled, at, 0, []])
+                run[3].append((idx, filled - run[0], g))
+                run[2] += count
+                filled += count
+            for order, (p, at, count, _) in runs.items():
+                span = slice(p, p + count)
+                _panel_nodes(left[span], right[span], order, half[span],
+                             left[span], nodes[at:at + order * count])
+            # the line map over the nodes, a batch budget at a time, in place
+            for start in range(0, used, budget):
+                span = slice(start, min(start + budget, used))
+                nodes[span] = self.line_map(nodes[span])
+            for order, (p, at, count, members) in runs.items():
+                vals = nodes[at:at + order * count].reshape(order, count)
+                sums = _panel_totals(vals, half[p:p + count], vals, lanes)
+                for idx, q, g in members:
+                    m = idx.size
+                    if g is None:
+                        i1[idx], i2[idx] = sums[q:q + m], sums[q + m:q + 2 * m]
+                    else:
+                        lookups = sums[q:q + 3 * m]
+                        lookups += g
+                        i1[idx] = lookups[m:2 * m] - lookups[:m]
+                        i2[idx] = lookups[2 * m:] - lookups[m:2 * m]
+            kind, idx, at = chunk[-1]
+            if kind == "ends":
+                m = len(idx)
+                for k, e in enumerate(ends):
+                    e[idx.start:idx.stop] = nodes[at + k * m:at + (k + 1) * m]
+        total = np.add(i1, i2, out=nodes[:n])
+        np.subtract(i2, i1, out=v)
+        two_y = np.multiply(2.0, y, out=u)
+        v /= two_y
+        np.divide(total, two_y, out=u)
+
+    def _extend(self, zf, jet):
+        """[phi] at disc points zf (1-D), or with jet [phi, d_z phi,
+        d_zbar phi]: fresh arrays, filled in blocks of at most the batch
+        budget of points.  A block's half-plane point w is kept in phi, and
+        the line map at its window ends in d_z phi and d_zbar phi, until
+        their values are written; its complex temporaries are the three
+        complex rows of the scratch."""
+        out = [np.empty(zf.size, dtype=complex) for _ in range(3 if jet else 1)]
+        complex_rows = self._buffers()[2]
+        budget = complex_rows.shape[1]
+        for start in range(0, zf.size, budget):
+            block = slice(start, start + budget)
+            z = zf[block]
+            phi, *derivatives = (o[block] for o in out)
+            m = z.size
+            ca, cb, cc = complex_rows[:, :m]
+            # the Cayley map w = i (1 - z) / (1 + z), kept in phi
+            np.subtract(1.0, z, out=ca)
+            np.multiply(1j, ca, out=phi)
+            np.add(1.0, z, out=ca)
+            phi /= ca
+            x, y = phi.real, phi.imag
+            ends = None
+            if jet:
+                dz, dzb = derivatives
+                h_lo, h_mid = dz.view(float).reshape(2, m)
+                h_hi, spare = dzb.view(float).reshape(2, m)
+                ends = h_lo, h_mid, h_hi
+            u, v = self.halfplane(x, y, ends)
+            np.multiply(1j, v, out=ca)
+            np.add(u, ca, out=ca)  # F = u + iv
+            if jet:
+                _partials(h_lo, h_mid, h_hi, spare, u, v, y, cc.view(float)[:m])
+                # f_x = u_x + i v_x in d_zbar phi, f_y = u_y + i v_y in d_z phi
+                np.multiply(1j, h_mid, out=dzb)
+                np.add(h_lo, dzb, out=dzb)
+                np.multiply(1j, v, out=dz)
+                np.add(u, dz, out=dz)
+            # phi = (i - F) / (i + F), keeping i + F
+            np.add(1j, ca, out=cb)
+            np.subtract(1j, ca, out=phi)
+            phi /= cb
+            if jet:
+                # outer = -2i / (i + F)^2, inner = -2i / (1 + z)^2, then
+                # d_z phi = outer / 2 (f_x - i f_y) inner and
+                # d_zbar phi = outer / 2 (f_x + i f_y) conj(inner).  No
+                # complex product is written over one of its factors: on a
+                # single lane that rounds differently
+                np.square(cb, out=ca)
+                np.divide(-2j, ca, out=ca)
+                np.add(1.0, z, out=cb)
+                np.square(cb, out=cc)
+                np.divide(-2j, cc, out=cc)
+                np.multiply(ca, 0.5, out=cb)
+                np.multiply(1j, dz, out=ca)
+                np.subtract(dzb, ca, out=dz)
+                np.add(dzb, ca, out=dzb)
+                np.multiply(cb, dz, out=ca)
+                np.multiply(ca, cc, out=dz)
+                np.multiply(cb, dzb, out=ca)
+                np.conj(cc, out=cc)
+                np.multiply(ca, cc, out=dzb)
+        return out
 
     def __call__(self, z):
         """phi at z, in the shape of z (0-d for a point)."""
         z = np.asarray(z, dtype=complex)
-        return self._disc(z.ravel())[-1].reshape(z.shape)
+        return self._extend(z.ravel(), jet=False)[0].reshape(z.shape)
 
     def jet(self, z):
         """(phi, d_z phi, d_zbar phi) at z, each in the shape of z.
@@ -270,20 +501,27 @@ class BAExtension(DiscQCMap):
         and -2i/(i+F)^2.  phi is bitwise the value of a call at z.
         """
         z = np.asarray(z, dtype=complex)
-        zf = z.ravel()
-        w, u, v, phi_hp, phi = self._disc(zf)
-        x, y = w.real, w.imag
-        h_lo, h_mid, h_hi = self.line_map(np.concatenate([x - y, x, x + y])).reshape(3, -1)
-        u_x = (h_hi - h_lo) / (2.0 * y)
-        u_y = (h_hi + h_lo) / (2.0 * y) - u / y
-        v_x = (h_hi - 2.0 * h_mid + h_lo) / (2.0 * y)
-        v_y = u_x - v / y
-        f_x, f_y = u_x + 1j * v_x, u_y + 1j * v_y
-        outer = -2j / (1j + phi_hp) ** 2
-        inner = -2j / (1.0 + zf) ** 2
-        dz = outer * 0.5 * (f_x - 1j * f_y) * inner
-        dzb = outer * 0.5 * (f_x + 1j * f_y) * np.conj(inner)
-        return phi.reshape(z.shape), dz.reshape(z.shape), dzb.reshape(z.shape)
+        return tuple(a.reshape(z.shape) for a in self._extend(z.ravel(), jet=True))
+
+
+def _partials(h_lo, h_mid, h_hi, spare, u, v, y, two_y):
+    """The partials of the averaged extension from the line map h at x - y,
+    x and x + y (BAExtension.jet), in place: u_x over h_lo, v_x over h_mid,
+    u_y over u and v_y over v.  h_hi is consumed; spare and two_y are
+    scratch of the points' size."""
+    np.multiply(2.0, y, out=two_y)
+    h_mid *= 2.0
+    np.subtract(h_hi, h_mid, out=h_mid)
+    h_mid += h_lo
+    h_mid /= two_y
+    np.add(h_hi, h_lo, out=spare)
+    spare /= two_y
+    np.subtract(h_hi, h_lo, out=h_lo)
+    h_lo /= two_y
+    u /= y
+    np.subtract(spare, u, out=u)
+    v /= y
+    np.subtract(h_lo, v, out=v)
 
 
 def identity_disc_map():

@@ -209,7 +209,8 @@ def _area_truncations(f, p):
     k = 1, 2, ...: (truncation, error of its last shell, 1 - 2^{-k}, error
     of the truncation), one dyadic shell per step.  A shell that sums below
     the smallest normal double has underflowed, since no catalog composite
-    is constant: its truncation, and every later one, is NaN."""
+    is constant: its truncation and that truncation's error, and every later
+    one, are NaN."""
     q = p - 1.0
     x, wq = gauss_legendre(8)
     total = toterr = a = 0.0
@@ -228,7 +229,10 @@ def _area_truncations(f, p):
             for r, wi, (m, e) in zip(radii, wq, means):
                 shell += half * wi * m * (1.0 - r) ** q * r * TWO_PI
                 toterr += half * wi * e * (1.0 - r) ** q * r * TWO_PI
-        total = total + shell if shell >= np.finfo(float).tiny else np.nan
+        if shell >= np.finfo(float).tiny:
+            total += shell
+        else:
+            total = toterr = np.nan
         yield total, toterr - before, b, toterr
         a = b
 

@@ -222,10 +222,10 @@ class TestRun:
 class TestBatchBudget:
     def test_one_budget_bounds_every_call(self, monkeypatch):
         # quadrature._NODES_PER_CALL bounds every vectorised call: circle-mean
-        # integrands, nt_maximal's f, the line map of each _panel_sums chunk
-        # and a ball sweep's Newton runs take at most the budget's nodes, or
-        # one item (a circle, a cone depth, a panel, a ball), and the output
-        # does not depend on it
+        # integrands, nt_maximal's f, every call of a BA map's line map and a
+        # ball sweep's Newton runs take at most the budget's nodes, or one
+        # item (a circle, a cone depth, a point's 12 nodes, a ball), and the
+        # output does not depend on it
         budget = 300
         specs = [ExperimentSpec("thmA", "thm2_sqrt"),
                  ExperimentSpec("thm3", "moebius:0.5")]
@@ -249,13 +249,11 @@ class TestBatchBudget:
                 return f(z)
             return nt_maximal(counted, xi, aperture)
 
-        panel_sums = extension._panel_sums
+        line_map = extension.BAExtension.line_map
 
-        def chunks(f, left, right, order):
-            def counted(x):
-                calls.append(("_panel_sums", x.size, x.size == order))
-                return f(x)
-            return panel_sums(counted, left, right, order)
+        def slices(self, x):
+            calls.append(("line_map", x.size, x.size <= 12))
+            return line_map(self, x)
 
         invert = ca.invert
 
@@ -268,12 +266,12 @@ class TestBatchBudget:
         for module in (quadrature, fn, ca):
             monkeypatch.setattr(module, "circle_means", means)
         monkeypatch.setattr(fn, "nt_maximal", cones)
-        monkeypatch.setattr(extension, "_panel_sums", chunks)
+        monkeypatch.setattr(extension.BAExtension, "line_map", slices)
         monkeypatch.setattr(ca, "invert", ball_runs)
         monkeypatch.setattr(quadrature, "_NODES_PER_CALL", budget)
         assert [run(spec).to_csv() for spec in specs] == default
         assert {kind for kind, _, _ in calls} == {
-            "circle_means", "nt_maximal", "_panel_sums", "invert"}
+            "circle_means", "nt_maximal", "line_map", "invert"}
         assert [c for c in calls if c[1] > budget and not c[2]] == []
 
 
@@ -547,6 +545,8 @@ class TestMain:
         # reading stops at the first batch of 12 shells
         assert rows["area_integral_df"]["classification"] == UNDETERMINED
         assert np.isnan(rows["area_integral_df"]["value"])
+        # and so is its error: an undetermined NaN carries no error of 0
+        assert np.isnan(rows["area_integral_df"]["error"])
         assert payload["metadata"]["verdicts"]["area_integral_df"] == {
             "reason": "NaN term", "at": 12}
 

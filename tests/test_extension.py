@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -61,7 +62,9 @@ class _SeedRuleBA(BAExtension):
     """Reference extension: the half-plane average with every window on the
     seed rule."""
 
-    def halfplane(self, x, y):
+    def halfplane(self, x, y, ends=None):
+        if ends is not None:
+            ends[...] = self.line_map(np.stack([x - y, x, x + y]))
         i1 = _seed_line_integral(self.line_map, x - y, x)
         i2 = _seed_line_integral(self.line_map, x, x + y)
         return (i1 + i2) / (2.0 * y), (i2 - i1) / (2.0 * y)
@@ -143,6 +146,113 @@ def _out_of_place_line_map(ext, x):
         alpha = partial(_out_of_place_power, **alpha.keywords)
     x = np.asarray(x, dtype=float)
     return np.tan(0.5 * alpha(2.0 * np.arctan(x)))
+
+
+def _batch_panel_sums(fn, left, right, order):
+    """Reference _panel_sums: the chunked node-major sums with batch-sized
+    temporaries, as they were before the sums moved to reused buffers."""
+    x, w = gauss_legendre(order)
+    half, mid = 0.5 * (right - left), 0.5 * (right + left)
+    out = np.empty(half.size)
+    panels = max(1, quadrature._NODES_PER_CALL // order)
+    for start in range(0, half.size, panels):
+        chunk = slice(start, start + panels)
+        vals = fn((mid[chunk] + half[chunk] * x[:, None]).ravel()).reshape(order, -1)
+        vals = vals * w[:, None]
+        lanes = vals[0:2] + vals[2:4]
+        for j in range(4, order, 2):
+            lanes += vals[j:j + 2]
+        total = lanes[0] + lanes[1]
+        total += 0.0
+        out[chunk] = half[chunk] * total
+    return out
+
+
+class _BatchBA(BAExtension):
+    """Reference extension: halfplane, call and jet built from batch-sized
+    temporaries, one _batch_panel_sums call per panel order and the jet's
+    window ends in a line-map call of their own."""
+
+    def halfplane(self, x, y):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        far = np.abs(x) >= (1.0 + _KAPPA[6]) * y
+        far4 = np.abs(x) >= (1.0 + _KAPPA[4]) * y
+        far6 = far & ~far4
+        x6, y6, x4, y4 = x[far6], y[far6], x[far4], y[far4]
+        xn, yn = x[~far], y[~far]
+        ends = np.concatenate([xn - yn, xn, xn + yn])
+        self._antiderivative()
+        nodes, table = _indexed_nearest_nodes(self, ends)
+        six = _batch_panel_sums(self.line_map, np.concatenate([x6 - y6, x6]),
+                                np.concatenate([x6, x6 + y6]), 6)
+        four = _batch_panel_sums(self.line_map,
+                                 np.concatenate([x4 - y4, x4, nodes]),
+                                 np.concatenate([x4, x4 + y4, ends]), 4)
+        i1, i2 = np.empty(x.size), np.empty(x.size)
+        i1[far6], i2[far6] = six.reshape(2, -1)
+        i1[far4], i2[far4] = four[:2 * x4.size].reshape(2, -1)
+        g_lo, g_mid, g_hi = (table + four[2 * x4.size:]).reshape(3, -1)
+        i1[~far], i2[~far] = g_mid - g_lo, g_hi - g_mid
+        return (i1 + i2) / (2.0 * y), (i2 - i1) / (2.0 * y)
+
+    def _disc(self, zf):
+        w = 1j * (1.0 - zf) / (1.0 + zf)
+        u, v = self.halfplane(w.real, w.imag)
+        phi_hp = u + 1j * v
+        return w, u, v, phi_hp, (1j - phi_hp) / (1j + phi_hp)
+
+    def __call__(self, z):
+        z = np.asarray(z, dtype=complex)
+        return self._disc(z.ravel())[-1].reshape(z.shape)
+
+    def jet(self, z):
+        z = np.asarray(z, dtype=complex)
+        zf = z.ravel()
+        w, u, v, phi_hp, phi = self._disc(zf)
+        x, y = w.real, w.imag
+        h_lo, h_mid, h_hi = self.line_map(np.concatenate([x - y, x, x + y])).reshape(3, -1)
+        u_x = (h_hi - h_lo) / (2.0 * y)
+        u_y = (h_hi + h_lo) / (2.0 * y) - u / y
+        v_x = (h_hi - 2.0 * h_mid + h_lo) / (2.0 * y)
+        v_y = u_x - v / y
+        f_x, f_y = u_x + 1j * v_x, u_y + 1j * v_y
+        outer = -2j / (1j + phi_hp) ** 2
+        inner = -2j / (1.0 + zf) ** 2
+        dz = outer * 0.5 * (f_x - 1j * f_y) * inner
+        dzb = outer * 0.5 * (f_x + 1j * f_y) * np.conj(inner)
+        return phi.reshape(z.shape), dz.reshape(z.shape), dzb.reshape(z.shape)
+
+
+def _disc_batch(n, seed):
+    """n seeded disc points, 1 - |z| log-uniform from 2^-1 to 2^-40, the
+    first ones replaced by edge lanes: signed zeros, NaN parts, points next
+    to +-1, and points whose half-plane images lie near |x| = (1 + kappa) y
+    for both reaches."""
+    rng = np.random.default_rng(seed)
+    z = ((1.0 - 2.0 ** -rng.uniform(1.0, 40.0, n))
+         * np.exp(1j * rng.uniform(-np.pi, np.pi, n)))
+    w = np.array([1.0 + _KAPPA[6], -(1.0 + _KAPPA[4])]) * 1e-3 + 1e-3j
+    edge = np.concatenate([[0.0, complex(-0.0, -0.0), complex(np.nan, 0.0),
+                            complex(0.5, np.nan), 1.0 - 1e-12, -1.0 + 1e-12],
+                           (1j - w) / (1j + w)])
+    k = min(n, edge.size)
+    z[:k] = edge[:k]
+    return z
+
+
+def _halfplane_batch(n, seed):
+    """n seeded half-plane points (_random_points), the first ones replaced
+    by edge lanes: signed zeros, NaN, and points exactly on
+    |x| = (1 + kappa) y for both reaches."""
+    x, y = _random_points(n, seed)
+    on = [(s * (1.0 + _KAPPA[order]) * h, h) for order in (6, 4)
+          for s in (1.0, -1.0) for h in (1.0, 2.0 ** -30)]
+    edge_x, edge_y = np.array([(0.0, 1.0), (-0.0, 1e-9), (np.nan, 1.0),
+                               (1.0, np.nan), *on]).T
+    k = min(n, edge_x.size)
+    x[:k], y[:k] = edge_x[:k], edge_y[:k]
+    return x, y
 
 
 def _kernel_ends(n, seed):
@@ -265,29 +375,35 @@ class TestLineIntegral:
             make_disc_map("thm2_sqrt")(np.array([(1j - w) / (1j + w)]))
             assert counts == _TABLE_BATCHES + [2 * order]
 
-    def test_batch_evaluates_no_zero_width_panel(self):
+    def test_batch_evaluates_no_zero_width_panel(self, monkeypatch):
         ext = _CountingLineBA()
-        x, y = _random_points(n=2500)
+        ext.halfplane(0.0, 1.0)  # builds the table
+        ext.batches.clear()
+        x, y = _random_points(n=4000)
         far4 = np.count_nonzero(_far(x, y, 4))
         far6 = np.count_nonzero(_far(x, y)) - far4
         near = x.size - far4 - far6
-        assert min(far4, far6, near) > 0 and 3 * near > _CHUNK[4]
+        assert min(far4, far6, near) > 0
+        runs = []  # (order, nodes by panel) of each run of panels
+        panel_nodes = extension._panel_nodes
+
+        def recording(left, right, order, half, mid, nodes):
+            panel_nodes(left, right, order, half, mid, nodes)
+            runs.append((order, nodes.reshape(order, -1).T.copy()))
+
+        monkeypatch.setattr(extension, "_panel_nodes", recording)
         ext.halfplane(x, y)
-        table = ext.batches[:len(_TABLE_BATCHES)]
-        panels = ext.batches[len(_TABLE_BATCHES):]
-        assert [batch.size for batch in table] == _TABLE_BATCHES
-        assert len(panels) >= 3
-        # the 6-node panels of far points come first, then the 4-node ones
-        # of the other far points and of the lookups, each in chunks
-        sizes = np.cumsum([batch.size for batch in panels])
-        six = 2 * far6 * 6
-        assert six in sizes
-        assert all(batch.size <= _NODES_PER_CALL for batch in panels)
-        # a chunk holds its panels node-major: row j of reshape(order, -1)
-        # is node j of every panel
-        by_order = {order: np.concatenate([
-            batch.reshape(order, -1).T for batch, end in zip(panels, sizes)
-            if (end <= six) == (order == 6)]) for order in (6, 4)}
+        # the line map takes the runs' nodes in order, node-major (row j of
+        # a run's reshape(order, -1) is node j of every panel), at most a
+        # batch budget a call; a slice's 6-node panels of far points come
+        # before its 4-node ones of the other far points and the lookups
+        assert len(runs) > 2  # more than one slice
+        assert all(batch.size <= _NODES_PER_CALL for batch in ext.batches)
+        assert (np.concatenate(ext.batches).tobytes()
+                == np.concatenate([n.T.ravel() for _, n in runs]).tobytes())
+        assert [order for order, _ in runs][:2] == [6, 4]
+        by_order = {order: np.concatenate([n for o, n in runs if o == order])
+                    for order in (6, 4)}
         assert by_order[6].shape[0] == 2 * far6
         assert by_order[4].shape[0] == 2 * far4 + 3 * near
         assert all(np.all(np.ptp(n, axis=1) > 0.0) for n in by_order.values())
@@ -332,25 +448,19 @@ class TestLineIntegral:
         # disc points near the cusp's image, 1 - |z| down to 2^-20
         theta = np.linspace(-0.5, 0.5, 128)
         z = (radial_schedule(20)[:, None] * np.exp(1j * theta)).ravel()
-        chunks = []
+        thm2_map(z[:1])  # builds the table
+        calls = []
+        line_map = BAExtension.line_map
 
-        def recording(fn, left, right, order):
-            calls = []
-
-            def counted(x):
-                calls.append(x.size)
-                return fn(x)
-
-            out = _panel_sums(counted, left, right, order)
-            chunks.append(len(calls))
-            return out
+        def counting(self, x):
+            calls.append(np.size(x))
+            return line_map(self, x)
 
         with monkeypatch.context() as m:
-            m.setattr(extension, "_panel_sums", recording)
+            m.setattr(BAExtension, "line_map", counting)
             whole = thm2_map.jet(z)
-        # the points' 4-node call comes last, after the table if it was
-        # built now and the 6-node call
-        assert chunks[-1] >= 3
+        # the panels and the window ends take several line-map calls
+        assert len(calls) >= 3 and max(calls) <= _NODES_PER_CALL
         half = z.size // 2
         parts = thm2_map.jet(z[:half]), thm2_map.jet(z[half:])
         for k in range(3):
@@ -358,10 +468,74 @@ class TestLineIntegral:
             assert whole[k].tobytes() == joined.tobytes()
 
 
+_BATCH_SIZES = [0, 1, 2, 3, 9, 80, 2048, 8192, 8193]
+
+
 class TestKernelBitwise:
     """The node-major panel sums, the flat table lookups and the in-place
     line map give every bit of the panel-major einsum sums, the 2-D table
-    index and the out-of-place line map they replaced."""
+    index and the out-of-place line map they replaced; the one pass through
+    reused buffers gives every bit of halfplane, call and jet with
+    batch-sized temporaries (_BatchBA)."""
+
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
+    def test_halfplane_matches_batch_temporaries(self, spec):
+        ext, ref = BAExtension(make_map(spec)), _BatchBA(make_map(spec))
+        for n in _BATCH_SIZES:
+            x, y = _halfplane_batch(n, seed=n)
+            for a, b in zip(ext.halfplane(x, y), ref.halfplane(x, y)):
+                assert a.tobytes() == b.tobytes()
+        # a point, and a point exactly on each switch
+        for x, y in ((np.float64(0.3), np.float64(0.2)),
+                     (1.0 + _KAPPA[6], 1.0), (-(1.0 + _KAPPA[4]), 1.0)):
+            for a, b in zip(ext.halfplane(x, y), ref.halfplane(x, y)):
+                assert a.shape == (1,) and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
+    def test_call_and_jet_match_batch_temporaries(self, spec):
+        phi, ref = BAExtension(make_map(spec)), _BatchBA(make_map(spec))
+        for n in _BATCH_SIZES:
+            z = _disc_batch(n, seed=n)
+            with np.errstate(invalid="ignore"):
+                assert phi(z).tobytes() == ref(z).tobytes()
+                for a, b in zip(phi.jet(z), ref.jet(z)):
+                    assert a.tobytes() == b.tobytes()
+        # single lanes, as Newton's last iterations run them: there a
+        # complex product written over one of its factors rounds otherwise
+        for lane in _disc_batch(60, seed=9)[10:, None]:
+            for a, b in zip(phi.jet(lane), ref.jet(lane)):
+                assert a.tobytes() == b.tobytes()
+        point = np.complex128(0.3 - 0.4j)
+        assert phi(point).shape == ()
+        assert phi(point).tobytes() == ref(point).tobytes()
+        for a, b in zip(phi.jet(point), ref.jet(point)):
+            assert a.shape == () and a.tobytes() == b.tobytes()
+
+    def test_first_call_of_a_fresh_extension_matches_batch_temporaries(self):
+        # the first call builds the table, through the line map its pass
+        # then uses, before the pass fills the reused buffers
+        z = _disc_batch(3000, seed=5)[10:]  # no NaN lane
+        for method in ("jet", "__call__"):
+            got = getattr(BAExtension(make_map("thm2_sqrt")), method)(z)
+            want = getattr(_BatchBA(make_map("thm2_sqrt")), method)(z)
+            for a, b in zip(np.atleast_2d(got), np.atleast_2d(want)):
+                assert a.tobytes() == b.tobytes()
+
+    def test_returned_arrays_are_fresh(self):
+        # Newton and circle_means keep what a call returns across later
+        # calls, so no returned array is a view of the reused buffers
+        phi = BAExtension(make_map("thm2_sqrt"))
+        with np.errstate(invalid="ignore"):  # the NaN lanes
+            first = [phi.jet(_disc_batch(700, seed=1)),
+                     (phi(_disc_batch(90, seed=2)),),
+                     phi.halfplane(*_halfplane_batch(500, seed=3))]
+            kept = [[a.copy() for a in group] for group in first]
+            phi.jet(_disc_batch(8193, seed=4))
+            phi(_disc_batch(5000, seed=6))
+            phi.halfplane(*_halfplane_batch(9000, seed=7))
+        for group, copies in zip(first, kept):
+            for a, b in zip(group, copies):
+                assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3"])
     @pytest.mark.parametrize("order", [4, 6])
@@ -417,6 +591,34 @@ class TestKernelBitwise:
             got = _power(point, g)
             assert np.ndim(got) == 0
             assert got.tobytes() == _out_of_place_power(point, g).tobytes()
+
+
+class TestAllocations:
+    """A warm call or jet of a batch budget of points keeps its temporaries
+    in the extension's reused buffers: beyond the arrays it returns, at most
+    512 KiB is live at once (tracemalloc), where batch-sized temporaries
+    took 1,234 KiB for a call and 1,602 KiB for a jet."""
+
+    @pytest.mark.parametrize("method", ["__call__", "jet"])
+    def test_peak_of_live_temporaries(self, method):
+        rng = np.random.default_rng(0)
+        z = ((1.0 - 2.0 ** -rng.uniform(1.0, 20.0, _NODES_PER_CALL))
+             * np.exp(1j * rng.uniform(-np.pi, np.pi, _NODES_PER_CALL)))
+        evaluate = getattr(make_disc_map("thm2_sqrt"), method)
+        evaluate(z)  # builds the table and the buffers
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = evaluate(z)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        returned = sum(a.nbytes for a in (out if method == "jet" else (out,)))
+        assert peak - returned <= 512 * 1024
 
 
 class TestWindowAccuracy:

@@ -1,6 +1,6 @@
 """Smoke test of tools/bench_snapshot.py's work counts, whose wrappers would
-otherwise undercount in silence when a method moves out from under one, and
-of its BA kernel timing."""
+otherwise undercount in silence when a method moves out from under one, of
+its BA kernel timings and of its warm-pass page faults."""
 
 import importlib.util
 import sys
@@ -51,3 +51,17 @@ def test_ba_kernel_times_each_map_and_method(tool):
     assert set(ns) == {"thm2_sqrt_call", "thm2_sqrt_jet", "power2_call",
                        "power2_jet"}
     assert all(t > 0 for t in ns.values())
+
+
+def test_ba_small_batches_time_each_map_method_and_size(tool):
+    us = tool.ba_small_batch_us(1, calls=2)
+    assert set(us) == {f"{spec}_{method}_{n}" for spec in ("thm2_sqrt", "power2")
+                       for method in ("call", "jet") for n in (40, 400)}
+    assert all(t > 0 for t in us.values())
+
+
+def test_warm_pass_reads_its_own_rusage(tool):
+    usage = tool.warm_pass_usage("conformal_control", seed=1)
+    assert set(usage) == {"minor_faults", "sys_s", "user_s", "wall_s"}
+    assert usage["minor_faults"] >= 0 and usage["sys_s"] >= 0.0
+    assert usage["wall_s"] > 0.0

@@ -11,7 +11,12 @@ It records
     the median of --repeats runs after one warm-up run;
   * the Beurling-Ahlfors kernel's nanoseconds per point: a call and a jet
     of thm2_sqrt and power:2 on a fixed seeded batch of BA_POINTS disc
-    points, the median of --repeats runs after one warm-up run;
+    points, the median of --repeats runs after one warm-up run; and its
+    microseconds per call on the first SMALL_BATCHES points of that batch,
+    disc_carleson's small batches;
+  * per workload, the minor page faults, system and user seconds and wall
+    seconds of one warm pass through cli.run (after one warm-up pass), read
+    with resource.getrusage(RUSAGE_SELF) in a fresh interpreter of its own;
   * per workload, the Beurling-Ahlfors calls and points of one pass through
     cli.run and the line-map evaluations they took, counted by wrapping
     BAExtension.halfplane and BAExtension.line_map; its Newton work:
@@ -40,8 +45,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 WORKLOADS = ("radial_hardy", "disc_carleson", "conformal_control")
 # disc points of the BA kernel timing, one batch budget
-# (quadrature._NODES_PER_CALL)
+# (quadrature._NODES_PER_CALL), and the small batches timed per call
 BA_POINTS = 8192
+SMALL_BATCHES = (40, 400)
 
 
 def _env():
@@ -81,26 +87,91 @@ def experiments(repeats):
     return times
 
 
-def ba_kernel_ns_per_point(repeats):
-    """Nanoseconds per point of a BA map's call and jet, for thm2_sqrt and
-    power:2, on BA_POINTS disc points seeded at 0: angles uniform, 1 - |z|
-    log-uniform from 2^-1 to 2^-20, as along the radial schedule.  The
-    warm-up run builds the extension's antiderivative table."""
+def _ba_points():
+    """BA_POINTS disc points seeded at 0: angles uniform, 1 - |z|
+    log-uniform from 2^-1 to 2^-20, as along the radial schedule."""
     import numpy as np
 
+    rng = np.random.default_rng(0)
+    return ((1.0 - 2.0 ** -rng.uniform(1.0, 20.0, BA_POINTS))
+            * np.exp(1j * rng.uniform(-np.pi, np.pi, BA_POINTS)))
+
+
+def _ba_methods():
+    """(name, bound method) of a call and a jet of thm2_sqrt and power:2."""
     sys.path.insert(0, str(SRC))
     from qchardy.extension import make_disc_map
 
-    rng = np.random.default_rng(0)
-    z = ((1.0 - 2.0 ** -rng.uniform(1.0, 20.0, BA_POINTS))
-         * np.exp(1j * rng.uniform(-np.pi, np.pi, BA_POINTS)))
-    ns = {}
     for spec in ("thm2_sqrt", "power:2"):
         phi = make_disc_map(spec)
         for name, method in (("call", phi.__call__), ("jet", phi.jet)):
-            ns[f"{spec.replace(':', '')}_{name}"] = (
-                1e9 * _median_s(lambda: method(z), repeats) / BA_POINTS)
-    return ns
+            yield f"{spec.replace(':', '')}_{name}", method
+
+
+def ba_kernel_ns_per_point(repeats):
+    """Nanoseconds per point of a BA map's call and jet, for thm2_sqrt and
+    power:2, on the BA_POINTS points of _ba_points.  The warm-up run builds
+    the extension's antiderivative table."""
+    z = _ba_points()
+    return {name: 1e9 * _median_s(lambda: method(z), repeats) / BA_POINTS
+            for name, method in _ba_methods()}
+
+
+def ba_small_batch_us(repeats, calls=50):
+    """Microseconds per call of a BA map's call and jet, for thm2_sqrt and
+    power:2, on the first n of the _ba_points points for each n in
+    SMALL_BATCHES: the median of --repeats runs of `calls` calls."""
+    z = _ba_points()
+    us = {}
+    for name, method in _ba_methods():
+        for n in SMALL_BATCHES:
+            def run(batch=z[:n], method=method):
+                for _ in range(calls):
+                    method(batch)
+            us[f"{name}_{n}"] = 1e6 * _median_s(run, repeats) / calls
+    return us
+
+
+def warm_pass_usage(name, seed):
+    """Minor page faults, system and user seconds and wall seconds of one
+    pass of workload `name` through cli.run, after one warm-up pass, read
+    with resource.getrusage(RUSAGE_SELF) in this process."""
+    import resource
+
+    sys.path.insert(0, str(SRC))
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+    from qchardy import cli
+
+    def one_pass():
+        for spec in workloads.WORKLOADS[name]:
+            cli.run(cli.ExperimentSpec(spec.experiment, spec.map_spec,
+                                       seed=seed)).to_csv()
+
+    one_pass()
+    before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
+    one_pass()
+    wall = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return {"minor_faults": after.ru_minflt - before.ru_minflt,
+            "sys_s": after.ru_stime - before.ru_stime,
+            "user_s": after.ru_utime - before.ru_utime, "wall_s": wall}
+
+
+def pass_usage(seed):
+    """warm_pass_usage of each workload, each in a fresh interpreter with
+    one thread per library, as bench/run.py runs it."""
+    env = dict(_env(), **{var: "1" for var in (
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+        "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")})
+    usage = {}
+    for name in WORKLOADS:
+        out = subprocess.run(
+            [sys.executable, str(Path(__file__).resolve()), "--warm-pass", name,
+             "--seed", str(seed)],
+            cwd=ROOT, env=env, capture_output=True, text=True, check=True)
+        usage[name] = json.loads(out.stdout)
+    return usage
 
 
 def work_counts():
@@ -132,10 +203,10 @@ def work_counts():
         counts["evaluations"] += np.size(x)
         return line_map(self, x)
 
-    def counted_halfplane(self, x, y):
+    def counted_halfplane(self, x, y, ends=None):
         counts["ba_calls"] += 1
         counts["points"] += np.size(x)
-        return halfplane(self, x, y)
+        return halfplane(self, x, y, ends)
 
     def counted_circle_means(fn, marks, order=16):
         counts["stages"] += 1
@@ -224,13 +295,21 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--warm-pass", choices=WORKLOADS,
+                        help="print warm_pass_usage of this workload as JSON "
+                             "and exit")
     args = parser.parse_args(argv)
+    if args.warm_pass:
+        print(json.dumps(warm_pass_usage(args.warm_pass, args.seed)))
+        return
     snapshot = {
         "workloads": {f"{name}_trace{trace}": workload(name, trace, args.seed,
                                                        args.seconds)
                       for name in WORKLOADS for trace in (0, 1)},
         "experiments_s": experiments(args.repeats),
         "ba_kernel_ns_per_point": ba_kernel_ns_per_point(args.repeats),
+        "ba_small_batch_us": ba_small_batch_us(args.repeats),
+        "warm_pass": pass_usage(args.seed),
         "src_lines": src_lines(),
         "machine": machine(),
     }
