@@ -18,20 +18,21 @@ double precision at its distance from 0.  The table is anchored at the cusp
 at angle 0 only: a map with a cusp elsewhere is integrated as if smooth
 there.
 
-A BAExtension evaluates in blocks of at most the batch budget
-quadrature._NODES_PER_CALL points.  Besides its table it keeps one scratch
-array of seven rows of that many floats (448 KiB at the default 8,192), made
-on its first call and reused by every later one: the line-map nodes of a
-slice of the points and their panels' ends and half-widths while the line
-map runs, then the complex temporaries of a call or jet.  A jet keeps its
-half-plane points and window-end values in the arrays it returns until
-their values are written.  So the only temporaries of a batch's size a
-call allocates are the half-plane average (u, v) and the indices of the
-points of each rule; the line map's own temporaries are a budget's size.
-Every array it returns is fresh, never a view of the scratch: a caller may
-keep it across later calls.  An extension evaluates one batch at a time: no
-call of it may start while another is under way, from another thread or
-from a line map that calls back into it.
+A BAExtension evaluates in blocks of half the batch budget
+quadrature._NODES_PER_CALL points, each in one pass.  Besides its table it
+keeps one scratch array of nine rows of the budget's floats (576 KiB at the
+default 8,192), made on its first call and reused by every later one: the
+line-map nodes of a block, at most 12 a point, and its panels' midpoints and
+half-widths while the line map runs, then the complex temporaries of a call
+or jet.  A jet keeps its half-plane points and its window ends, line-mapped
+in place, in the arrays it returns until their values are written.  So the
+only temporaries of a block's size a call allocates are the half-plane
+average (u, v), the indices of the points of each rule and the table
+lookups; the line map's own temporaries are a budget's size.  Every array
+it returns is fresh, never a view of the scratch: a caller may keep it
+across later calls.  An extension evaluates one batch at a time: no call of
+it may start while another is under way, from another thread or from a
+line map that calls back into it.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def _panel_nodes(left, right, order, half, mid, nodes):
     """Write half the widths of the panels [left_i, right_i] into half and
     their order-node Gauss-Legendre nodes into nodes, node-major: the first
     node of every panel, then the second, and so on.  mid is scratch of the
-    panels' size, left itself allowed."""
+    panels' size, left itself allowed; right may be the first node of every
+    panel in nodes, read before the nodes are written."""
     x, _ = quadrature.gauss_legendre(order)
     np.subtract(right, left, out=half)
     half *= 0.5
@@ -95,83 +97,44 @@ def _panel_nodes(left, right, order, half, mid, nodes):
     nodes += mid
 
 
-def _panel_totals(vals, half, weighted, lanes):
+def _panel_totals(vals, half):
     """half times each panel's Gauss-Legendre sum of vals, the line map at
-    the nodes _panel_nodes wrote (order, panels).  Each panel is summed
+    the nodes _panel_nodes wrote (order, panels), formed in place in vals'
+    first two rows, the first of which is returned.  Each panel is summed
     alone as einsum("pk,k->p") sums 4 or 6 terms: in two lanes, even nodes
     and odd ones, added to +0, so a panel of -0 terms sums to +0.  A point's
     value does not depend on its batch, and the rounding not on the numpy
-    build; a BLAS product rounds by position.  weighted (vals' shape, vals
-    itself allowed) and lanes (two rows) are scratch; the totals are the
-    first row of lanes."""
-    order = vals.shape[0]
-    weighted = np.multiply(vals, quadrature.gauss_legendre(order)[1][:, None],
-                           out=weighted)
-    lanes = lanes[:, :vals.shape[1]]
-    np.add(weighted[0:2], weighted[2:4], out=lanes)
-    for j in range(4, order, 2):
-        lanes += weighted[j:j + 2]
-    total = np.add(lanes[0], lanes[1], out=lanes[0])
+    build; a BLAS product rounds by position."""
+    vals *= quadrature.gauss_legendre(vals.shape[0])[1][:, None]
+    for j in range(2, vals.shape[0], 2):
+        vals[0:2] += vals[j:j + 2]
+    total = vals[0]
+    total += vals[1]
     total += 0.0
     total *= half
     return total
 
 
-def _panel_sums(fn, left, right, order):
-    """order-node Gauss-Legendre sums of fn over the panels [left_i,
-    right_i] (minus the integral over [right_i, left_i] where right_i <
-    left_i).
-
-    fn is called on the nodes of as many panels as fit the batch budget
-    quadrature._NODES_PER_CALL (at least one) at a time, in panel order and
-    node-major (_panel_nodes); an empty batch makes no call.  The line maps
-    are elementwise and each panel is summed alone, so the chunks change no
-    bit of the result."""
-    out = np.empty(left.size)
-    panels = max(1, quadrature._NODES_PER_CALL // order)
-    nodes = np.empty(order * panels)
-    half, mid, lanes = np.empty(panels), np.empty(panels), np.empty((2, panels))
-    for start in range(0, left.size, panels):
-        chunk = slice(start, start + panels)
-        count = out[chunk].size
-        block = nodes[:order * count]
-        _panel_nodes(left[chunk], right[chunk], order, half[:count],
-                     mid[:count], block)
-        vals = fn(block).reshape(order, count)
-        out[chunk] = _panel_totals(vals, half[:count], block.reshape(order, count),
-                                   lanes)
-    return out
+def _line_map_in_place(fn, t):
+    """Write fn(t) over t, a batch budget quadrature._NODES_PER_CALL of it
+    at a time; an empty t makes no call."""
+    budget = max(quadrature._NODES_PER_CALL, 1)
+    for start in range(0, t.size, budget):
+        span = t[start:start + budget]
+        span[...] = fn(span)
 
 
-def _window_ends(x, y, out):
-    """x - y, x and x + y of the points x + iy, one after another in out."""
-    m = x.size
-    np.subtract(x, y, out=out[:m])
-    out[m:2 * m] = x
-    np.add(x, y, out=out[2 * m:3 * m])
-    return out[:3 * m]
+def _block():
+    """Points a BAExtension takes in one pass: half the batch budget
+    quadrature._NODES_PER_CALL, at least one."""
+    return max(quadrature._NODES_PER_CALL // 2, 1)
 
 
-def _slices(parts, size):
-    """The points of parts, (kind, indices, line-map nodes a point), in
-    order, cut into slices of at most size nodes, or of one point: each
-    slice a list of (kind, indices, offset of their first node) and its
-    count of nodes."""
-    chunk, used = [], 0
-    for kind, idx, per in parts:
-        start = 0
-        while start < len(idx):
-            take = min(len(idx) - start, (size - used) // per)
-            if take == 0 and used:
-                yield chunk, used
-                chunk, used = [], 0
-                continue
-            take = max(take, 1)
-            chunk.append((kind, idx[start:start + take], used))
-            used += take * per
-            start += take
-    if chunk:
-        yield chunk, used
+def _window_ends(x, y, lo, mid, hi):
+    """x - y, x and x + y of the points x + iy, into lo, mid and hi."""
+    np.subtract(x, y, out=lo)
+    mid[...] = x
+    np.add(x, y, out=hi)
 
 
 def _binade_table(fn):
@@ -183,7 +146,12 @@ def _binade_table(fn):
     pos = np.ldexp(_MANTISSAS[k % _PER_BINADE], _LOWEST + 1 + k // _PER_BINADE)
     nodes = np.stack([np.concatenate(([0.0], pos)),
                       np.concatenate(([0.0], -pos))])
-    sums = _panel_sums(fn, nodes[:, :-1].ravel(), nodes[:, 1:].ravel(), 6)
+    half = np.empty(2 * (nodes.shape[1] - 1))
+    points = np.empty(6 * half.size)
+    _panel_nodes(nodes[:, :-1].ravel(), nodes[:, 1:].ravel(), 6, half,
+                 np.empty(half.size), points)
+    _line_map_in_place(fn, points)
+    sums = _panel_totals(points.reshape(6, -1), half)
     table = np.zeros(nodes.shape)
     table[:, 1:] = np.cumsum(sums.reshape(2, -1), axis=1)
     return nodes, table
@@ -297,16 +265,16 @@ class BAExtension(DiscQCMap):
 
     def _buffers(self):
         """Views of scratch made on first use and reused by every later call
-        of this extension: seven rows of the batch budget
+        of this extension: nine rows of the batch budget
         quadrature._NODES_PER_CALL (at least one point's 12) floats.  In a
-        pass (_average) rows 0-3 hold the line-map nodes of a slice and
-        rows 4-6 its panels' left ends, right ends and half-widths, a
-        quarter as many; after it rows 0-5 are three rows of complex
+        pass (_average) rows 0-5 hold the line-map nodes of a block, at most
+        12 a point, and rows 6-8 its panels' midpoints and half-widths, at
+        most 3 panels a point; after it rows 0-5 are three rows of complex
         numbers.  Returns (nodes, panels, complex rows)."""
         size = max(quadrature._NODES_PER_CALL, 12)
         if self._scratch is None or self._scratch[2].shape[1] != size:
-            rows = np.empty((7, size))
-            self._scratch = (rows[:4].ravel(), rows[4:],
+            rows = np.empty((9, size))
+            self._scratch = (rows[:6].ravel(), rows[6:].ravel(),
                              rows[:6].reshape(3, -1).view(complex))
         return self._scratch
 
@@ -326,113 +294,85 @@ class BAExtension(DiscQCMap):
         arrays of the points' size, h(x - y), h(x) and h(x + y) are written
         into them: 3 more.
 
-        The points go in blocks of the batch budget, and a block's
-        evaluations through the line map in one pass (_average)."""
+        The points go in blocks of half the batch budget (_block), each in
+        one pass (_average)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
         self._antiderivative()  # built before a pass fills the scratch
         u, v = np.empty(x.size), np.empty(x.size)
-        budget = self._buffers()[2].shape[1]
-        for start in range(0, x.size, budget):
-            block = slice(start, start + budget)
+        for start in range(0, x.size, _block()):
+            block = slice(start, start + _block())
             self._average(x[block], y[block], u[block], v[block],
                           None if ends is None else [e[block] for e in ends])
         return u, v
 
     def _average(self, x, y, u, v, ends):
-        """halfplane on a block of at most the batch budget of points, into
-        u and v (ends as in halfplane).
+        """halfplane on a block of points, into u and v (ends as in
+        halfplane), in one pass.
 
-        One pass: the points are cut into slices of whole points of at most
-        four scratch rows of nodes (_slices), the 6-node far points, the
-        4-node ones, the lookups, then the ends.  A slice writes its panels'
-        ends and half-widths and its nodes into the scratch, each order's
-        panels in one run, node-major; the line map takes the nodes a batch
+        The nodes are all 6-node panels of the far points, then all 4-node
+        panels: of the other far points, then of the lookups.  Each panel's
+        left end is written where its midpoint goes and its right end in
+        the first node row of its run, which _panel_nodes reads before it
+        writes the nodes there, node-major; the line map takes them a batch
         budget at a time, written back over them; then each run's panel
-        sums are scattered to their points."""
-        nodes, panels, complex_rows = self._buffers()
-        (left, right, half), lanes = panels, panels[:2]
-        budget, n = complex_rows.shape[1], x.size
+        sums are scattered to their points.  The ends are formed in ends
+        and line-mapped there."""
+        nodes, panels, _ = self._buffers()
+        n = x.size
         ax = np.abs(x, out=nodes[:n])
         bound = np.multiply(1.0 + _KAPPA[6], y, out=nodes[n:2 * n])
         far = ax >= bound
         far4 = ax >= np.multiply(1.0 + _KAPPA[4], y, out=bound)
-        # (kind, points, line-map nodes a point): kind 6 or 4 is the order
-        # of a far point's two panels
-        parts = [(6, (far & ~far4).nonzero()[0], 12), (4, far4.nonzero()[0], 8),
-                 ("table", (~far).nonzero()[0], 12)]
+        six, four, near = ((far & ~far4).nonzero()[0], far4.nonzero()[0],
+                           (~far).nonzero()[0])
+        p6, p4 = 2 * six.size, 2 * four.size + 3 * near.size  # panels a run
+        mid, half = panels[:p6 + p4], panels[p6 + p4:2 * (p6 + p4)]
+        nodes6, nodes4 = nodes[:6 * p6], nodes[6 * p6:6 * p6 + 4 * p4]
+        runs = ((6, six, mid[:p6], half[:p6], nodes6),
+                (4, four, mid[p6:], half[p6:], nodes4))
+        for _, idx, left, _, right in runs:  # right: the first node row
+            m = idx.size
+            xs, ys = x[idx], y[idx]
+            np.subtract(xs, ys, out=left[:m])
+            left[m:2 * m] = xs
+            right[:m] = xs
+            np.add(xs, ys, out=right[m:2 * m])
+        t = nodes4[2 * four.size:p4]
+        _window_ends(x[near], y[near], *t.reshape(3, -1))
+        mid[p6 + 2 * four.size:], g = self._nearest_nodes(t)
+        for order, _, left, widths, points in runs:
+            _panel_nodes(left, points[:left.size], order, widths, left, points)
+        _line_map_in_place(self.line_map, nodes[:6 * p6 + 4 * p4])
+        # u and v take the window integrals i1 and i2 until they are formed
+        for order, idx, _, widths, points in runs:
+            sums = _panel_totals(points.reshape(order, -1), widths)
+            u[idx], v[idx] = sums[:idx.size], sums[idx.size:2 * idx.size]
+        m = near.size
+        lookups = sums[2 * four.size:]  # the 4-node run's, after its far points
+        lookups += g
+        u[near] = lookups[m:2 * m] - lookups[:m]
+        v[near] = lookups[2 * m:] - lookups[m:2 * m]
         if ends is not None:
-            parts.append(("ends", range(n), 3))
-        i1, i2 = u, v  # the window integrals, until u and v are formed
-        for chunk, used in _slices(parts, nodes.size):
-            # the panels of each order, in one run of the panel rows and of
-            # the nodes: [first panel, first node, panels, [(points, first
-            # panel in the run, G at the left ends or None)]]
-            runs, filled = {}, 0
-            for kind, idx, at in chunk:
-                if kind == "ends":
-                    _window_ends(x[idx.start:idx.stop], y[idx.start:idx.stop],
-                                 nodes[at:])
-                    continue
-                m = idx.size
-                xs, ys = x[idx], y[idx]
-                if kind == "table":
-                    order, count = 4, 3 * m
-                    left[filled:filled + count], g = self._nearest_nodes(
-                        _window_ends(xs, ys, right[filled:]))
-                else:
-                    order, count, g = kind, 2 * m, None
-                    np.subtract(xs, ys, out=left[filled:filled + m])
-                    left[filled + m:filled + count] = xs
-                    right[filled:filled + m] = xs
-                    np.add(xs, ys, out=right[filled + m:filled + count])
-                run = runs.setdefault(order, [filled, at, 0, []])
-                run[3].append((idx, filled - run[0], g))
-                run[2] += count
-                filled += count
-            for order, (p, at, count, _) in runs.items():
-                span = slice(p, p + count)
-                _panel_nodes(left[span], right[span], order, half[span],
-                             left[span], nodes[at:at + order * count])
-            # the line map over the nodes, a batch budget at a time, in place
-            for start in range(0, used, budget):
-                span = slice(start, min(start + budget, used))
-                nodes[span] = self.line_map(nodes[span])
-            for order, (p, at, count, members) in runs.items():
-                vals = nodes[at:at + order * count].reshape(order, count)
-                sums = _panel_totals(vals, half[p:p + count], vals, lanes)
-                for idx, q, g in members:
-                    m = idx.size
-                    if g is None:
-                        i1[idx], i2[idx] = sums[q:q + m], sums[q + m:q + 2 * m]
-                    else:
-                        lookups = sums[q:q + 3 * m]
-                        lookups += g
-                        i1[idx] = lookups[m:2 * m] - lookups[:m]
-                        i2[idx] = lookups[2 * m:] - lookups[m:2 * m]
-            kind, idx, at = chunk[-1]
-            if kind == "ends":
-                m = len(idx)
-                for k, e in enumerate(ends):
-                    e[idx.start:idx.stop] = nodes[at + k * m:at + (k + 1) * m]
-        total = np.add(i1, i2, out=nodes[:n])
-        np.subtract(i2, i1, out=v)
+            _window_ends(x, y, *ends)
+            for e in ends:
+                _line_map_in_place(self.line_map, e)
+        total = np.add(u, v, out=nodes[:n])
+        np.subtract(v, u, out=v)
         two_y = np.multiply(2.0, y, out=u)
         v /= two_y
         np.divide(total, two_y, out=u)
 
     def _extend(self, zf, jet):
         """[phi] at disc points zf (1-D), or with jet [phi, d_z phi,
-        d_zbar phi]: fresh arrays, filled in blocks of at most the batch
-        budget of points.  A block's half-plane point w is kept in phi, and
-        the line map at its window ends in d_z phi and d_zbar phi, until
-        their values are written; its complex temporaries are the three
-        complex rows of the scratch."""
+        d_zbar phi]: fresh arrays, filled in blocks (_block).  A block's
+        half-plane point w is kept in phi, and the line map at its window
+        ends in d_z phi and d_zbar phi, until their values are written; its
+        complex temporaries are the three complex rows of the scratch."""
         out = [np.empty(zf.size, dtype=complex) for _ in range(3 if jet else 1)]
         complex_rows = self._buffers()[2]
-        budget = complex_rows.shape[1]
-        for start in range(0, zf.size, budget):
-            block = slice(start, start + budget)
+        for start in range(0, zf.size, _block()):
+            block = slice(start, start + _block())
             z = zf[block]
             phi, *derivatives = (o[block] for o in out)
             m = z.size
@@ -567,7 +507,7 @@ def invert(phi, w, z0=None):
     closed-form inverse takes z = phi.inverse(w) and one jet call on all
     lanes; z0 is ignored.  Any other map runs damped Newton iteration from
     the initial guesses z0 (default: from the boundary inverse angle and
-    |w|; a guess z with |z| >= 1 starts at z (1 - 1e-9) / |z|): every
+    |w|; a guess z with |z| >= 1 starts at z (1 - 1e-6) / |z|): every
     iteration makes one jet call on the lanes still running and takes their
     quasi-Newton steps from the Wirtinger derivatives, each lane until its
     residual is below 1e-11 or it has taken _MAX_ITER steps.
@@ -588,7 +528,7 @@ def invert(phi, w, z0=None):
         z = _initial_guess(phi, ws) if z0 is None else np.broadcast_to(z0, targets.shape)
         z = np.array(z, dtype=complex).ravel()
         r = np.abs(z)
-        z = np.where(r >= 1, z * (1 - 1e-9) / np.maximum(r, 1), z)
+        z = np.where(r >= 1, z * (1 - 1e-6) / np.maximum(r, 1), z)
         jet = np.empty((3, ws.size), dtype=complex)
         residual = np.full(ws.size, np.inf)
         running = np.arange(ws.size)

@@ -35,6 +35,19 @@ def test_ba_points_only_on_ba_workloads(work_counts):
     assert ba["conformal_control"]["points"] == 0
 
 
+def test_ba_map_calls_are_counted_apart_from_blocks(work_counts):
+    ba, _, _ = work_counts
+    for counts in ba.values():
+        # every map call takes one block or more, and the blocks take its
+        # points and no other
+        assert counts["calls"] <= counts["blocks"]
+        assert counts["block_points"] == counts["points"]
+        assert counts["calls_le_40"] <= counts["calls_le_400"] <= counts["calls"]
+        assert counts["calls_over_block"] <= counts["blocks"] - counts["calls"]
+    carleson = ba["disc_carleson"]
+    assert 0 < carleson["calls_le_40"] and 0 < carleson["calls_over_block"]
+
+
 def test_newton_jets_are_counted(work_counts):
     _, newton, _ = work_counts
     carleson = newton["disc_carleson"]

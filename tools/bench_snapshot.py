@@ -12,13 +12,15 @@ It records
   * the Beurling-Ahlfors kernel's nanoseconds per point: a call and a jet
     of thm2_sqrt and power:2 on a fixed seeded batch of BA_POINTS disc
     points, the median of --repeats runs after one warm-up run; and its
-    microseconds per call on the first SMALL_BATCHES points of that batch,
-    disc_carleson's small batches;
+    microseconds per call on the first SMALL_BATCHES points of that batch:
+    40 points, and 400, near the median call of disc_carleson;
   * per workload, the minor page faults, system and user seconds and wall
     seconds of one warm pass through cli.run (after one warm-up pass), read
     with resource.getrusage(RUSAGE_SELF) in a fresh interpreter of its own;
-  * per workload, the Beurling-Ahlfors calls and points of one pass through
-    cli.run and the line-map evaluations they took, counted by wrapping
+  * per workload, the Beurling-Ahlfors map calls (BAExtension.__call__ and
+    jet) and points of one pass through cli.run, how many calls had at most
+    SMALL_BATCHES points and more than one block, the halfplane blocks they
+    took and the line-map evaluations, counted by wrapping those methods,
     BAExtension.halfplane and BAExtension.line_map; its Newton work:
     extension.invert calls, their lanes, and the jet calls and jet points
     made inside them; and its graded circle rules: quadrature.circle_means
@@ -176,9 +178,12 @@ def pass_usage(seed):
 
 def work_counts():
     """Per workload, over one pass of its specs through cli.run:
-    (ba, newton, rules).  ba holds the BA calls and points, the line-map
-    evaluations they took and evaluations per point, counted by wrapping
-    BAExtension.halfplane and BAExtension.line_map; newton holds the invert
+    (ba, newton, rules).  ba holds the BA map calls (BAExtension.__call__
+    and jet) and their points, the calls of at most each of SMALL_BATCHES
+    points and of more than one block of points (extension._block), the
+    halfplane calls (one a block) and their points, the line-map
+    evaluations and evaluations per point, counted by wrapping those
+    methods and BAExtension.line_map; newton holds the invert
     calls, their lanes, and the jet calls and jet points made inside them,
     counted by wrapping invert where extension and carleson bind it, and
     DiscQCMap.jet and BAExtension.jet; rules holds the circle_means stages and their circles,
@@ -194,6 +199,7 @@ def work_counts():
 
     counts = {}
     line_map, halfplane = BAExtension.line_map, BAExtension.halfplane
+    ba_call = BAExtension.__call__
     invert = extension.invert
     jets = {cls: cls.jet for cls in (DiscQCMap, BAExtension)}
     circle_means = quadrature.circle_means
@@ -204,9 +210,20 @@ def work_counts():
         return line_map(self, x)
 
     def counted_halfplane(self, x, y, ends=None):
-        counts["ba_calls"] += 1
-        counts["points"] += np.size(x)
+        counts["blocks"] += 1
+        counts["block_points"] += np.size(x)
         return halfplane(self, x, y, ends)
+
+    def counted_map(method):
+        def counted_method(self, z):
+            n = np.size(z)
+            counts["calls"] += 1
+            counts["points"] += n
+            for size in SMALL_BATCHES:
+                counts[f"calls_le_{size}"] += n <= size
+            counts["calls_over_block"] += n > extension._block()
+            return method(self, z)
+        return counted_method
 
     def counted_circle_means(fn, marks, order=16):
         counts["stages"] += 1
@@ -214,7 +231,7 @@ def work_counts():
         return circle_means(fn, marks, order)
 
     def counted_invert(phi, w, z0=None):
-        counts["calls"] += 1
+        counts["invert_calls"] += 1
         counts["lanes"] += np.size(w)
         inside.append(True)
         try:
@@ -235,24 +252,31 @@ def work_counts():
     extension.invert = carleson.invert = counted_invert
     for cls, jet in jets.items():
         cls.jet = counted(jet)
+    BAExtension.__call__ = counted_map(ba_call)
+    BAExtension.jet = counted(counted_map(jets[BAExtension]))
     quadrature.circle_means = counted_circle_means
     functionals.circle_means = carleson.circle_means = counted_circle_means
     try:
         for name in WORKLOADS:
-            counts.update(ba_calls=0, points=0, evaluations=0, calls=0,
-                          lanes=0, jet_calls=0, jet_points=0, stages=0,
-                          circles=0)
+            counts.clear()
+            counts.update(dict.fromkeys(
+                ["calls", "points", "calls_over_block", "blocks",
+                 "block_points", "evaluations", "invert_calls", "lanes",
+                 "jet_calls", "jet_points", "stages", "circles"]
+                + [f"calls_le_{size}" for size in SMALL_BATCHES], 0))
             for spec in workloads.WORKLOADS[name]:
                 cli.run(cli.ExperimentSpec(spec.experiment, spec.map_spec))
-            ba[name] = {"calls": counts["ba_calls"], "points": counts["points"],
-                        "evaluations": counts["evaluations"],
-                        "per_point": counts["evaluations"]
-                        / max(counts["points"], 1)}
-            newton[name] = {key: counts[key] for key in
-                            ("calls", "lanes", "jet_calls", "jet_points")}
+            ba[name] = {key: counts[key] for key in
+                        ["calls", "points", "calls_over_block", "blocks",
+                         "block_points", "evaluations"]
+                        + [f"calls_le_{size}" for size in SMALL_BATCHES]}
+            ba[name]["per_point"] = counts["evaluations"] / max(counts["points"], 1)
+            newton[name] = {"calls": counts["invert_calls"]} | {
+                key: counts[key] for key in ("lanes", "jet_calls", "jet_points")}
             rules[name] = {key: counts[key] for key in ("stages", "circles")}
     finally:
         BAExtension.line_map, BAExtension.halfplane = line_map, halfplane
+        BAExtension.__call__ = ba_call
         extension.invert = carleson.invert = invert
         for cls, jet in jets.items():
             cls.jet = jet
