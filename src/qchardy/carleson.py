@@ -8,10 +8,9 @@ ball, through the change of variables w = phi(z), with the nodes' preimages
 and the differentials there from one batched inversion (extension.invert:
 closed form for a conformal symbol, Newton iteration otherwise); its error
 is the rule's distance from the same rule on half the angles.  A ball sweep
-inverts the centers of its whole family in one run, then the rule nodes of
-one quadrature.node_batches batch of balls per run; the lanes are
-independent and the jets pointwise, so every mass is bitwise that of a
-one-ball measure_ball call.
+is two inversions, of the centers of its whole family and then of all their
+rule nodes; the lanes are independent and the jets pointwise, so every mass
+is bitwise that of a one-ball measure_ball call.
 Per-ring maxima of a ball sweep and the kernel ratios carry errors, so the
 tail classifier (tail.py) can judge them.
 """
@@ -27,8 +26,7 @@ from .extension import invert, norm_and_jacobian
 from .functionals import hardy_norm
 from .functions import compose, hardy_kernel
 from .geometry import HyperbolicBall
-from .quadrature import (BALL_RULE, TWO_PI, circle_means, node_batches,
-                         wrap_angle)
+from .quadrature import BALL_RULE, TWO_PI, circle_means, wrap_angle
 from .tail import CONVERGED, classify_tail, read_tail
 
 
@@ -53,27 +51,26 @@ class DiscPushforward:
 
     def measure_ball(self, ball):
         """(mass, error) of the ball under the pushforward measure: the
-        one-ball view of _masses."""
-        zc, (_, dz, dzb) = invert(self.phi, np.array([ball.center]))
-        return self._masses([ball], zc, dz, dzb)[0]
+        one-ball case of _masses."""
+        mass, error = self._masses([ball])
+        return mass[0], error[0]
 
-    def _masses(self, balls, zc, dz, dzb):
-        """(mass, error) of each ball, from one inversion of the nodes of all
-        of them; zc, dz and dzb hold z, d_z phi and d_zbar phi at the
-        preimage of each ball's center.
+    def _masses(self, balls):
+        """(mass, error) arrays of the balls, from two inversions: one of
+        their centers, then one of the nodes of all of them, each node
+        seeded from the linearised inverse at its ball's center.
 
         The mass is the shared 8 x 16 product rule BALL_RULE on the ball;
         the error is its distance from the 8 x 8 rule on every other angle.
         Seeds and targets are built as one (balls, 8, 16) array by
-        elementwise operations, and each ball's sums are taken alone.
-        Inversion lanes are independent and the jets pointwise, so a ball's
-        mass does not depend on the balls it is run with."""
+        elementwise operations, and each ball's sums are taken over its own
+        block.  Inversion lanes are independent and the jets pointwise, so a
+        ball's mass does not depend on the balls it is run with."""
         nodes, weights = BALL_RULE
-        radius = np.array([ball.radius for ball in balls])[:, None, None]
-        center = np.array([ball.center for ball in balls])[:, None, None]
-        zc, dz, dzb = zc[:, None, None], dz[:, None, None], dzb[:, None, None]
-        dw = radius * nodes
-        # seed each node from the linearised inverse at its ball's center
+        center = np.array([ball.center for ball in balls])
+        zc, (_, dz, dzb) = invert(self.phi, center)
+        center, zc, dz, dzb = (a[:, None, None] for a in (center, zc, dz, dzb))
+        dw = np.array([ball.radius for ball in balls])[:, None, None] * nodes
         seed = zc + ((np.conj(dz) * dw - dzb * np.conj(dw))
                      / norm_and_jacobian(dz, dzb)[1])
         z, (_, dz, dzb) = invert(self.phi, center + dw, z0=seed)
@@ -81,12 +78,12 @@ class DiscPushforward:
         with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at large p
             rho = (1.0 if self.density == LEBESGUE
                    else op ** self.p * (1.0 - np.abs(z)) ** (self.p - 1.0))
-        out = []
-        for ball, vals in zip(balls, weights * rho / jac):
-            mass = ball.radius ** 2 * float(np.sum(vals))
-            coarse = ball.radius ** 2 * 2.0 * float(np.sum(vals[:, ::2]))
-            out.append((mass, abs(mass - coarse)))
-        return out
+        vals = weights * rho / jac
+        # scalar powers: an array ** can differ from them in the last bit
+        r2 = np.array([ball.radius ** 2 for ball in balls])
+        mass = r2 * vals.sum(axis=(1, 2))
+        coarse = r2 * 2.0 * vals[:, :, ::2].sum(axis=(1, 2))
+        return mass, np.abs(mass - coarse)
 
 
 def make_ball_family(k_range, angles):
@@ -117,13 +114,8 @@ def _sweep(mu, family, normalize):
     per_ring: dict[int, float] = {}
     ring_error: dict[int, float] = {}
     worst_err = 0.0
-    zc, (_, dz, dzb) = invert(mu.phi, np.array([ball.center for _, ball in family]))
-    masses = []
-    for first, stop in node_batches([BALL_RULE[0].size] * len(family)):
-        block = slice(first, stop)
-        masses += mu._masses([ball for _, ball in family[block]],
-                             zc[block], dz[block], dzb[block])
-    for (k, ball), (mass, err) in zip(family, masses):
+    masses, errors = mu._masses([ball for _, ball in family])
+    for (k, ball), mass, err in zip(family, masses, errors):
         norm = normalize(ball)
         if norm == 0.0 or mass != mass:  # only a NaN differs from itself
             raise RuntimeError(f"ring {k}: " + (

@@ -55,12 +55,12 @@ def _polar_rule(radii, angles):
 BALL_RULE = _polar_rule(8, 16)
 
 # the one batch budget: nodes per vectorised call of circle_means'
-# integrands, functionals.nt_maximal, a Beurling-Ahlfors map's line map and
-# a ball sweep's Newton runs; half of it is the points of a block that a
-# Beurling-Ahlfors evaluation takes in one pass.  Measured: 4096 ran 2-8% slower and 16384 peaked 2.5 MB
-# higher; an 8192-node float temporary is 64 KiB, under glibc's 128 KiB mmap
-# threshold, so it is reused from the heap instead of mapped and faulted in
-# anew on every call
+# integrands, functionals.nt_maximal and a Beurling-Ahlfors map's line map;
+# half of it is the points of a block that a Beurling-Ahlfors evaluation
+# takes in one pass.  Measured: 4096 ran 2-8% slower and 16384 peaked
+# 2.5 MB higher; an 8192-node float temporary is 64 KiB, under glibc's
+# 128 KiB mmap threshold, so it is reused from the heap instead of mapped
+# and faulted in anew on every call
 _NODES_PER_CALL = 8192
 
 

@@ -14,12 +14,40 @@ from qchardy.carleson import (
     make_ball_family,
     operator_bound_proxy,
 )
-from qchardy.extension import invert, make_disc_map
+from qchardy.extension import invert, make_disc_map, norm_and_jacobian
 from qchardy.functionals import hardy_norm
 from qchardy.functions import compose, hardy_kernel
 from qchardy.geometry import HyperbolicBall
-from qchardy.quadrature import _polar_rule
+from qchardy.quadrature import BALL_RULE, _polar_rule, node_batches
 from qchardy.tail import CONVERGED, DIVERGING, UNDETERMINED, classify_tail
+
+
+def _batched_masses(mu, balls):
+    """Reference (mass, error) pairs of the balls, computed as a sweep did
+    before DiscPushforward._masses took whole families: the centers
+    inverted in one run and their jets passed on, the nodes inverted one
+    node_batches batch of 64 balls per run, and each ball summed alone."""
+    nodes, weights = BALL_RULE
+    zcs, (_, dzs, dzbs) = invert(mu.phi, np.array([ball.center for ball in balls]))
+    out = []
+    for first, stop in node_batches([nodes.size] * len(balls)):
+        block = balls[first:stop]
+        radius = np.array([ball.radius for ball in block])[:, None, None]
+        center = np.array([ball.center for ball in block])[:, None, None]
+        zc, dz, dzb = (a[first:stop, None, None] for a in (zcs, dzs, dzbs))
+        dw = radius * nodes
+        seed = zc + ((np.conj(dz) * dw - dzb * np.conj(dw))
+                     / norm_and_jacobian(dz, dzb)[1])
+        z, (_, dz, dzb) = invert(mu.phi, center + dw, z0=seed)
+        op, jac = norm_and_jacobian(dz, dzb)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = (1.0 if mu.density == LEBESGUE
+                   else op ** mu.p * (1.0 - np.abs(z)) ** (mu.p - 1.0))
+        for ball, vals in zip(block, weights * rho / jac):
+            mass = ball.radius ** 2 * float(np.sum(vals))
+            coarse = ball.radius ** 2 * 2.0 * float(np.sum(vals[:, ::2]))
+            out.append((mass, abs(mass - coarse)))
+    return out
 
 
 def _pushforward_mass(h, a, b):
@@ -211,10 +239,10 @@ class TestSweeps:
             lanes.append(np.size(w))
             return invert(phi, w, **kwargs)
 
-        # rings 1-10 (80 balls, two Newton runs of nodes) and the one-ring
-        # family that a sweep's escalation reads
+        # rings 1-10 (80 balls) and the one-ring family that a sweep's
+        # escalation reads: one Newton run of centers, one of nodes
         for family, runs in ((make_ball_family(range(1, 11), angles=8),
-                              [80, 8192, 2048]),
+                              [80, 10240]),
                              (make_ball_family([11], angles=8), [8, 1024])):
             per_ring, ring_error, worst = {}, {}, 0.0
             for k, ball in family:
@@ -231,6 +259,41 @@ class TestSweeps:
             assert sweep.per_ring == per_ring
             assert sweep.ring_error == ring_error
             assert sweep.error_max == worst
+
+    @pytest.mark.parametrize("spec, density, p", [("thm2_sqrt", LEBESGUE, 2.0),
+                                                  ("thm2_sqrt", WEIGHTED, 2.0),
+                                                  ("thm2_sqrt", WEIGHTED, 3.0),
+                                                  ("power:2", LEBESGUE, 2.0),
+                                                  ("moebius:0.5", LEBESGUE, 2.0)])
+    def test_masses_are_bitwise_the_batched_reference(self, spec, density, p):
+        # rings 1-10 hold 80 balls, more than the reference's batch of 64
+        mu = DiscPushforward(make_disc_map(spec), density=density, p=p)
+        if density == LEBESGUE:
+            tester, normalize = bergman_carleson_constant, lambda b: b.area
+        else:
+            tester, normalize = luecking_constant, lambda b: b.radius ** (1.0 + p)
+
+        def bits(*values):
+            return [np.float64(v).tobytes() for v in values]
+
+        for family in (make_ball_family(range(1, 11), angles=8),
+                       make_ball_family([11], angles=8)):
+            balls = [ball for _, ball in family]
+            ref_mass, ref_error = zip(*_batched_masses(mu, balls))
+            mass, error = mu._masses(balls)
+            assert bits(*mass) == bits(*ref_mass)
+            assert bits(*error) == bits(*ref_error)
+            per_ring, ring_error, worst = {}, {}, 0.0
+            for (k, ball), m, e in zip(family, ref_mass, ref_error):
+                norm = normalize(ball)
+                worst = max(worst, e / norm)
+                if m / norm > per_ring.get(k, -np.inf):
+                    per_ring[k], ring_error[k] = m / norm, e / norm
+            sweep = tester(mu, family)
+            assert list(sweep.per_ring) == list(per_ring)
+            assert bits(*sweep.per_ring.values()) == bits(*per_ring.values())
+            assert bits(*sweep.ring_error.values()) == bits(*ring_error.values())
+            assert bits(sweep.error_max) == bits(worst)
 
 
 class TestKernelRatio:

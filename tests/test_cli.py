@@ -221,11 +221,12 @@ class TestRun:
 
 class TestBatchBudget:
     def test_one_budget_bounds_every_call(self, monkeypatch):
-        # quadrature._NODES_PER_CALL bounds every vectorised call: circle-mean
-        # integrands, nt_maximal's f, every call of a BA map's line map and a
-        # ball sweep's Newton runs take at most the budget's nodes, or one
-        # item (a circle, a cone depth, a point's 12 nodes, a ball), and the
-        # output does not depend on it
+        # quadrature._NODES_PER_CALL bounds every vectorised call whose size
+        # grows with the input: circle-mean integrands, nt_maximal's f and
+        # every call of a BA map's line map take at most the budget's nodes,
+        # or one item (a circle, a cone depth, a point's 12 nodes), and the
+        # output does not depend on it; a ball sweep's node run is one fixed
+        # family, whole balls of at most rings 1-10 x 8 angles
         budget = 300
         specs = [ExperimentSpec("thmA", "thm2_sqrt"),
                  ExperimentSpec("thm3", "moebius:0.5")]
@@ -257,10 +258,11 @@ class TestBatchBudget:
 
         invert = ca.invert
 
+        runs = []  # the shape of each ball sweep's node run
+
         def ball_runs(phi, w, z0=None):
             if z0 is not None:
-                calls.append(("invert", np.size(w),
-                              np.size(w) == quadrature.BALL_RULE[0].size))
+                runs.append(np.shape(w))
             return invert(phi, w, z0=z0)
 
         for module in (quadrature, fn, ca):
@@ -271,8 +273,11 @@ class TestBatchBudget:
         monkeypatch.setattr(quadrature, "_NODES_PER_CALL", budget)
         assert [run(spec).to_csv() for spec in specs] == default
         assert {kind for kind, _, _ in calls} == {
-            "circle_means", "nt_maximal", "line_map", "invert"}
+            "circle_means", "nt_maximal", "line_map"}
         assert [c for c in calls if c[1] > budget and not c[2]] == []
+        assert runs and all(shape[0] <= 80
+                            and shape[1:] == quadrature.BALL_RULE[0].shape
+                            for shape in runs)
 
 
 class TestVerdicts:
