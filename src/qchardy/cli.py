@@ -29,6 +29,7 @@ from .boundary import (dyadic_modulus_inverse, lipschitz_modulus_inverse,
                        modulus_rounding, parse_map_spec)
 from .extension import cone_image_aperture, make_disc_map
 from .functions import AnalyticFunction, cauchy_kernel, compose, hardy_kernel
+from .quadrature import WORK
 from .tail import CONVERGED, DIVERGING, TAIL_CAP, UNDETERMINED, read_tail
 
 PASS = "pass"
@@ -82,6 +83,12 @@ class ExperimentReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# the point w of thm3's extremal kernel, and the least p at which the
+# kernel, (1 - 0.9 z)^(-2/p) = 10^(2/p) at z = 1, is finite in doubles
+_THM3_W = 0.9
+_THM3_MIN_P = -2.0 * np.log(1.0 - _THM3_W) / np.log(np.finfo(float).max)
+
+
 @dataclass
 class ExperimentSpec:
     name: str
@@ -105,6 +112,9 @@ class ExperimentSpec:
                 f"need finite p > 0, finite aperture > 1, 1 <= depth <= "
                 f"{TAIL_CAP} and grid >= 1, not p={self.p}, aperture="
                 f"{self.aperture}, depth={self.depth}, grid={self.grid}")
+        if self.name == "thm3" and self.p < _THM3_MIN_P:
+            raise ValueError(f"thm3 needs p >= {_THM3_MIN_P:.6g}, where its "
+                             f"kernel is finite in doubles, not p={self.p}")
         map_name = parse_map_spec(self.map_spec)[0]
         if self.name == "af_conformal" and map_name != "moebius":
             raise ValueError(
@@ -206,7 +216,7 @@ def run_thm2(spec, phi, rep):
 def run_thm3(spec, phi, rep):
     """Boundary values, maximal function and weighted derivative integral for
     a composite with an extremal-kernel analytic part."""
-    f = compose(hardy_kernel(0.9, spec.p), phi)
+    f = compose(hardy_kernel(_THM3_W, spec.p), phi)
     nf = fn.hardy_norm(f, spec.p)
     rep.add("hardy_norm_composite", nf.value, nf.error, nf.classification, nf.why)
     bnorm, bverdict, breason, zeroed = fn.boundary_lp(f, spec.p)
@@ -298,7 +308,7 @@ EXPERIMENTS = tuple(_TABLE)
 def run(spec):
     """Run the named experiment on its map; deterministic for a fixed spec,
     whatever its seed."""
-    start = time.perf_counter()
+    start, before = time.perf_counter(), WORK.copy()
     rep = ExperimentReport(spec.name)
     _TABLE[spec.name][0](spec, make_disc_map(spec.map_spec), rep)
     rep.metadata.update({
@@ -306,6 +316,7 @@ def run(spec):
                  "depth": spec.depth, "grid": spec.grid, "seed": spec.seed,
                  "aperture": spec.aperture},
         "wall_time_s": round(time.perf_counter() - start, 3),
+        "work": dict(sorted((WORK - before).items())),
         "versions": {"numpy": np.__version__},
     })
     return rep

@@ -118,6 +118,7 @@ def _panel_totals(vals, half):
 def _line_map_in_place(fn, t):
     """Write fn(t) over t, a batch budget quadrature._NODES_PER_CALL of it
     at a time; an empty t makes no call."""
+    quadrature.WORK["line_map_points"] += t.size
     budget = max(quadrature._NODES_PER_CALL, 1)
     for start in range(0, t.size, budget):
         span = t[start:start + budget]
@@ -299,6 +300,7 @@ class BAExtension(DiscQCMap):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
         self._antiderivative()  # built before a pass fills the scratch
+        quadrature.WORK["ba_blocks"] += -(-x.size // _block())
         u, v = np.empty(x.size), np.empty(x.size)
         for start in range(0, x.size, _block()):
             block = slice(start, start + _block())
@@ -369,6 +371,8 @@ class BAExtension(DiscQCMap):
         half-plane point w is kept in phi, and the line map at its window
         ends in d_z phi and d_zbar phi, until their values are written; its
         complex temporaries are the three complex rows of the scratch."""
+        quadrature.WORK["ba_calls"] += 1
+        quadrature.WORK["ba_points"] += zf.size
         out = [np.empty(zf.size, dtype=complex) for _ in range(3 if jet else 1)]
         complex_rows = self._buffers()[2]
         for start in range(0, zf.size, _block()):
@@ -510,18 +514,22 @@ def invert(phi, w, z0=None):
     |w|; a guess z with |z| >= 1 starts at z (1 - 1e-6) / |z|): every
     iteration makes one jet call on the lanes still running and takes their
     quasi-Newton steps from the Wirtinger derivatives, each lane until its
-    residual is below 1e-11 or it has taken _MAX_ITER steps.
-    Either way a lane whose residual |phi(z) - w| is 1e-7 or more, or NaN,
-    raises RuntimeError.
+    residual is below 1e-11, its step is not finite or it has taken
+    _MAX_ITER steps.  Either way a lane whose residual |phi(z) - w| is 1e-7
+    or more, or NaN, raises RuntimeError.
 
     Returns (z, jet), jet = phi.jet(z) from the lanes' last jet call at
     their final z, arrays in the shape of w (0-d for a point).
     """
     targets = np.asarray(w, dtype=complex)
     ws = targets.ravel()
+    quadrature.WORK["invert_calls"] += 1
+    quadrature.WORK["invert_lanes"] += ws.size
     if phi.inverse is not None:
         z = np.array(phi.inverse(ws), dtype=complex)
         jet = np.array(phi.jet(z))
+        quadrature.WORK["invert_jets"] += 1
+        quadrature.WORK["invert_jet_points"] += ws.size
         residual = np.abs(jet[0] - ws)
         running = np.arange(0)  # no Newton lane
     else:
@@ -535,15 +543,22 @@ def invert(phi, w, z0=None):
     for it in range(_MAX_ITER + 1):  # the last pass only checks the residual
         if running.size == 0:
             break
+        quadrature.WORK["invert_jets"] += 1
+        quadrature.WORK["invert_jet_points"] += running.size
         val, dz, dzb = phi.jet(z[running])
         jet[:, running] = val, dz, dzb
         f = val - ws[running]
         residual[running] = np.abs(f)
         jac = np.abs(dz) ** 2 - np.abs(dzb) ** 2
-        # a NaN residual or Jacobian keeps its lane running, to fail below
         go = ~((residual[running] < 1e-11) | (jac <= 0)) & (it < _MAX_ITER)
         running, f, dz, dzb, jac = running[go], f[go], dz[go], dzb[go], jac[go]
-        step = (np.conj(dz) * f - dzb * np.conj(f)) / jac
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = (np.conj(dz) * f - dzb * np.conj(f)) / jac
+        # a lane whose step is not finite, from a NaN residual or Jacobian or
+        # an overflow, stops, to be judged on its residual
+        go = np.isfinite(step)
+        if not go.all():
+            running, step = running[go], step[go]
         znew = z[running] - step
         # halve the steps that leave the disc
         out = np.abs(znew) >= 1 - 1e-13
@@ -553,6 +568,7 @@ def invert(phi, w, z0=None):
             out &= (np.abs(znew) >= 1 - 1e-13) & (np.abs(step) >= 1e-16)
         z[running] = znew
     failed = np.flatnonzero(~(residual < 1e-7))  # a NaN residual fails too
+    quadrature.WORK["invert_failures"] += failed.size
     if failed.size:
         t, r = ws[failed[0]], residual[failed[0]]
         raise RuntimeError(f"invert({phi.label}, {t}) did not converge "

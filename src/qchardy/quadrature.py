@@ -18,6 +18,7 @@ derivatives, lives here too.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 
 import numpy as np
@@ -62,6 +63,11 @@ BALL_RULE = _polar_rule(8, 16)
 # 128 KiB mmap threshold, so it is reused from the heap instead of mapped
 # and faulted in anew on every call
 _NODES_PER_CALL = 8192
+
+# the work done, by kind, counted where it is done: once per call, block,
+# Newton iteration or stage, never per node.  A run's share is the change
+# over it (cli.run).  One thread at a time, as a BAExtension evaluates
+WORK = Counter()
 
 
 @cache
@@ -133,6 +139,9 @@ def circle_means(fn, marks, order=16):
     summed alone, so its mean does not depend on its batch."""
     x, w = gauss_legendre(order)
     mark, away, lo, half, circle = _graded_panels(marks)
+    WORK["circle_stages"] += 1
+    WORK["circles"] += len(marks)
+    WORK["circle_panels"] += mark.size
     ends = np.searchsorted(circle, np.arange(len(marks) + 1))
     for first, stop in node_batches(order * np.diff(ends)):
         at = ends[first:stop + 1]

@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from qchardy.cli import (
     main,
     run,
 )
-from qchardy.extension import BAExtension, make_disc_map
+from qchardy.extension import BAExtension, DiscQCMap, make_disc_map
 from qchardy.functions import compose, hardy_kernel
 from qchardy.tail import CONVERGED, DIVERGING, TAIL_CAP, UNDETERMINED
 
@@ -67,6 +68,9 @@ BAD_INPUT = [
     # a parameter that is not a number, named with its map
     (["thm1", "--map", "power:2,"], "'power:2,' has a parameter ''"),
     (["thm1", "--map", "power:abc"], "'power:abc' has a parameter 'abc'"),
+    # thm3's kernel (1 - 0.9 z)^(-2/p) overflows at z = 1
+    (["thm3", "--p", "0.0064"], "p=0.0064"),
+    (["thm3", "--p", "1e-300"], "p=1e-300"),
 ]
 
 
@@ -140,6 +144,12 @@ class TestSpec:
         with pytest.raises(ValueError, match=re.escape(message)):
             run(ExperimentSpec(args.experiment, args.map, args.p, args.depth,
                                args.grid, args.seed, args.aperture))
+
+    def test_thm3_least_p_is_where_its_kernel_leaves_double_range(self):
+        at_one = np.array([1.0 + 0j])
+        assert np.isfinite(hardy_kernel(0.9, cli._THM3_MIN_P * 1.001)(at_one))
+        with np.errstate(over="ignore"):
+            assert np.isinf(hardy_kernel(0.9, cli._THM3_MIN_P * 0.999)(at_one))
 
     def test_default_map_is_the_cli_default(self):
         parser = build_parser()
@@ -217,6 +227,92 @@ class TestRun:
     def test_af_conformal_rejects_a_non_moebius_map(self):
         with pytest.raises(ValueError, match="thm2_sqrt"):
             run(ExperimentSpec("af_conformal", "thm2_sqrt"))
+
+
+class TestWorkLedger:
+    """metadata["work"]: a run's share of the ledger quadrature.WORK."""
+
+    _BA = {"ba_blocks", "ba_calls", "ba_points", "line_map_points"}
+    _NEWTON = {"invert_calls", "invert_jet_points", "invert_jets",
+               "invert_lanes"}
+
+    # both run Newton on a BA map; thm3 reads circle means too, thmA none
+    @pytest.mark.parametrize("name, map_spec, keys", [
+        ("thm3", "thm2_sqrt",
+         _BA | _NEWTON | {"circle_panels", "circle_stages", "circles"}),
+        ("thmA", "power:2", _BA | _NEWTON)])
+    def test_counts_equal_those_of_wrappers(self, monkeypatch, name, map_spec,
+                                            keys):
+        counts = Counter()
+        inside = []  # one entry while an invert call runs
+
+        def counted(method, tally):
+            def wrapped(self, *args):
+                tally(np.size(args[0]))
+                return method(self, *args)
+            return wrapped
+
+        def ba_map(n):
+            counts["ba_calls"] += 1
+            counts["ba_points"] += n
+
+        def newton_jet(n):
+            if inside:
+                counts["invert_jets"] += 1
+                counts["invert_jet_points"] += n
+
+        def ba_jet(n):
+            ba_map(n)
+            newton_jet(n)
+
+        def blocks(n):  # a map call hands halfplane a block at a time
+            counts["ba_blocks"] += 1
+
+        def line_map(n):
+            counts["line_map_points"] += n
+
+        invert = extension.invert
+
+        def inverts(phi, w, z0=None):
+            counts["invert_calls"] += 1
+            counts["invert_lanes"] += np.size(w)
+            inside.append(True)
+            try:
+                return invert(phi, w, z0=z0)
+            finally:
+                inside.pop()
+
+        circle_means = quadrature.circle_means
+
+        def stages(f, marks, order=16):
+            counts["circle_stages"] += 1
+            counts["circles"] += len(marks)
+
+            def panels(theta, circle):
+                counts["circle_panels"] += theta.size // order
+                return f(theta, circle)
+            return circle_means(panels, marks, order)
+
+        for cls, method, tally in [
+                (BAExtension, "__call__", ba_map), (BAExtension, "jet", ba_jet),
+                (DiscQCMap, "jet", newton_jet), (BAExtension, "halfplane", blocks),
+                (BAExtension, "line_map", line_map)]:
+            monkeypatch.setattr(cls, method, counted(getattr(cls, method), tally))
+        for module in (extension, ca):
+            monkeypatch.setattr(module, "invert", inverts)
+        for module in (quadrature, fn, ca):
+            monkeypatch.setattr(module, "circle_means", stages)
+        work = run(ExperimentSpec(name, map_spec)).metadata["work"]
+        assert list(work) == sorted(work)
+        assert work == {key: n for key, n in counts.items() if n}
+        assert set(work) == keys
+
+    def test_a_spec_counts_the_same_work_wherever_it_runs(self):
+        spec = ExperimentSpec("thmA", "power:2")
+        first = run(spec).metadata["work"]
+        run(ExperimentSpec("thm1", "thm2_sqrt"))
+        run(ExperimentSpec("af_conformal"))
+        assert run(spec).metadata["work"] == first
 
 
 class TestBatchBudget:
@@ -554,6 +650,23 @@ class TestMain:
         assert np.isnan(rows["area_integral_df"]["error"])
         assert payload["metadata"]["verdicts"]["area_integral_df"] == {
             "reason": "NaN term", "at": 12}
+
+
+    def test_newton_overflow_prints_no_warning(self, capsys):
+        # power:50's Newton steps overflow on lanes that then fail
+        code = main(["thmA", "--map", "power:50", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "")
+        why = json.loads(out)["metadata"]["verdicts"]["bergman_constant"]
+        assert "ba[power(50)]" in why["reason"]
+        assert "did not converge" in why["reason"]
+
+    def test_thm3_runs_clean_just_above_its_least_p(self, capsys):
+        main(["thm3", "--p", "0.0066", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = {r["quantity"]: r for r in json.loads(out)["rows"]}
+        assert rows["hardy_norm_composite"]["classification"] == CONVERGED
 
 
 class TestUsageErrors:

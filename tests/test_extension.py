@@ -1178,8 +1178,10 @@ class TestClosedFormInvert:
         good = make_disc_map("moebius:0.5")
         bad = DiscQCMap(good.boundary, good.interior, "moebius(0.5)",
                         good.complex_derivative, inverse=lambda w: -w)
+        failures = quadrature.WORK["invert_failures"]
         with pytest.raises(RuntimeError, match="did not converge"):
             invert(bad, np.array([0.3, 0.6j]))
+        assert quadrature.WORK["invert_failures"] == failures + 2
 
 
 class TestInitialGuesses:

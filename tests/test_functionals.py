@@ -448,6 +448,15 @@ class TestBoundaryNorm:
         assert (norm, verdict, zeroed) == (boundary_lp_norm(finite, 2.0),
                                            CONVERGED, 0)
 
+    @pytest.mark.parametrize("p", [100.0, 1000.0])
+    def test_an_overflowing_power_reads_diverging(self, thm2_map, p):
+        # |f|^p overflows where f is finite: inf, not a sample set to 0.
+        # The error estimate of an infinite mean is NaN, with numpy's warning
+        with np.errstate(invalid="ignore"):
+            norm, verdict, _, zeroed = boundary_lp(
+                compose(cauchy_kernel(), thm2_map), p)
+        assert (norm, verdict, zeroed) == (np.inf, DIVERGING, 0)
+
     def test_matches_radial_limit_for_bounded_composite(self, thm2_map):
         f = compose(hardy_kernel(0.9, 2.0), thm2_map)
         bnorm = boundary_lp_norm(f, 2.0)

@@ -17,14 +17,9 @@ It records
   * per workload, the minor page faults, system and user seconds and wall
     seconds of one warm pass through cli.run (after one warm-up pass), read
     with resource.getrusage(RUSAGE_SELF) in a fresh interpreter of its own;
-  * per workload, the Beurling-Ahlfors map calls (BAExtension.__call__ and
-    jet) and points of one pass through cli.run, how many calls had at most
-    SMALL_BATCHES points and more than one block, the halfplane blocks they
-    took and the line-map evaluations, counted by wrapping those methods,
-    BAExtension.halfplane and BAExtension.line_map; its Newton work:
-    extension.invert calls, their lanes, and the jet calls and jet points
-    made inside them; and its graded circle rules: quadrature.circle_means
-    calls (stages, one per circle_mean call too) and the circles in them;
+  * per workload, the work of one pass through cli.run: the sum over its
+    specs of each report's metadata["work"], the counts the package keeps
+    where the work is done (README, "Command line");
   * the wall time of the Tier-1 test suite;
   * the net line count of src/;
   * the machine: CPU count and model, Python and numpy versions.
@@ -41,6 +36,7 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -177,112 +173,21 @@ def pass_usage(seed):
 
 
 def work_counts():
-    """Per workload, over one pass of its specs through cli.run:
-    (ba, newton, rules).  ba holds the BA map calls (BAExtension.__call__
-    and jet) and their points, the calls of at most each of SMALL_BATCHES
-    points and of more than one block of points (extension._block), the
-    halfplane calls (one a block) and their points, the line-map
-    evaluations and evaluations per point, counted by wrapping those
-    methods and BAExtension.line_map; newton holds the invert
-    calls, their lanes, and the jet calls and jet points made inside them,
-    counted by wrapping invert where extension and carleson bind it, and
-    DiscQCMap.jet and BAExtension.jet; rules holds the circle_means stages and their circles,
-    counted by wrapping circle_means where quadrature, functionals and
-    carleson bind it."""
-    import numpy as np
-
+    """Per workload, the work of one pass of its specs through cli.run: the
+    sum over the specs of each run's metadata["work"]."""
     sys.path.insert(0, str(SRC))
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
-    from qchardy import carleson, cli, extension, functionals, quadrature
-    from qchardy.extension import BAExtension, DiscQCMap
+    from qchardy import cli
 
     counts = {}
-    line_map, halfplane = BAExtension.line_map, BAExtension.halfplane
-    ba_call = BAExtension.__call__
-    invert = extension.invert
-    jets = {cls: cls.jet for cls in (DiscQCMap, BAExtension)}
-    circle_means = quadrature.circle_means
-    inside = []
-
-    def counted_line_map(self, x):
-        counts["evaluations"] += np.size(x)
-        return line_map(self, x)
-
-    def counted_halfplane(self, x, y, ends=None):
-        counts["blocks"] += 1
-        counts["block_points"] += np.size(x)
-        return halfplane(self, x, y, ends)
-
-    def counted_map(method):
-        def counted_method(self, z):
-            n = np.size(z)
-            counts["calls"] += 1
-            counts["points"] += n
-            for size in SMALL_BATCHES:
-                counts[f"calls_le_{size}"] += n <= size
-            counts["calls_over_block"] += n > extension._block()
-            return method(self, z)
-        return counted_method
-
-    def counted_circle_means(fn, marks, order=16):
-        counts["stages"] += 1
-        counts["circles"] += len(marks)
-        return circle_means(fn, marks, order)
-
-    def counted_invert(phi, w, z0=None):
-        counts["invert_calls"] += 1
-        counts["lanes"] += np.size(w)
-        inside.append(True)
-        try:
-            return invert(phi, w, z0)
-        finally:
-            inside.pop()
-
-    def counted(jet):
-        def counted_jet(self, z):
-            if inside:
-                counts["jet_calls"] += 1
-                counts["jet_points"] += np.size(z)
-            return jet(self, z)
-        return counted_jet
-
-    ba, newton, rules = {}, {}, {}
-    BAExtension.line_map, BAExtension.halfplane = counted_line_map, counted_halfplane
-    extension.invert = carleson.invert = counted_invert
-    for cls, jet in jets.items():
-        cls.jet = counted(jet)
-    BAExtension.__call__ = counted_map(ba_call)
-    BAExtension.jet = counted(counted_map(jets[BAExtension]))
-    quadrature.circle_means = counted_circle_means
-    functionals.circle_means = carleson.circle_means = counted_circle_means
-    try:
-        for name in WORKLOADS:
-            counts.clear()
-            counts.update(dict.fromkeys(
-                ["calls", "points", "calls_over_block", "blocks",
-                 "block_points", "evaluations", "invert_calls", "lanes",
-                 "jet_calls", "jet_points", "stages", "circles"]
-                + [f"calls_le_{size}" for size in SMALL_BATCHES], 0))
-            for spec in workloads.WORKLOADS[name]:
-                cli.run(cli.ExperimentSpec(spec.experiment, spec.map_spec))
-            ba[name] = {key: counts[key] for key in
-                        ["calls", "points", "calls_over_block", "blocks",
-                         "block_points", "evaluations"]
-                        + [f"calls_le_{size}" for size in SMALL_BATCHES]}
-            ba[name]["per_point"] = counts["evaluations"] / max(counts["points"], 1)
-            newton[name] = {"calls": counts["invert_calls"]} | {
-                key: counts[key] for key in ("lanes", "jet_calls", "jet_points")}
-            rules[name] = {key: counts[key] for key in ("stages", "circles")}
-    finally:
-        BAExtension.line_map, BAExtension.halfplane = line_map, halfplane
-        BAExtension.__call__ = ba_call
-        extension.invert = carleson.invert = invert
-        for cls, jet in jets.items():
-            cls.jet = jet
-        quadrature.circle_means = functionals.circle_means = circle_means
-        carleson.circle_means = circle_means
-    return ba, newton, rules
+    for name in WORKLOADS:
+        total = Counter()
+        for spec in workloads.WORKLOADS[name]:
+            total.update(cli.run(cli.ExperimentSpec(
+                spec.experiment, spec.map_spec)).metadata["work"])
+        counts[name] = dict(sorted(total.items()))
+    return counts
 
 
 def tier1():
@@ -337,8 +242,7 @@ def main(argv=None):
         "src_lines": src_lines(),
         "machine": machine(),
     }
-    (snapshot["ba_evaluations"], snapshot["newton"],
-     snapshot["circle_rules"]) = work_counts()
+    snapshot["work"] = work_counts()
     snapshot["tier1_s"], snapshot["tier1_summary"] = tier1()
     Path(args.out).write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
 

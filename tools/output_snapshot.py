@@ -8,8 +8,10 @@ Run from anywhere, on the checkout this script lives in:
 For each run it writes OUT_DIR/<experiment>_<map>_d<depth>.csv and .json,
 with _p<p>, _grid<n> and _aperture<c> appended for the fields a VARIED run
 sets: to_csv(), and to_json() without metadata["wall_time_s"], the one field
-that differs between reruns.  A run that raises writes .err, the exception's
-type and message, instead.  Two checkouts give the same reports exactly when
+that differs between reruns, and without metadata["work"], the work counts,
+which a checkout that counts work otherwise, or not at all, adds or changes.
+A run that raises writes .err, the exception's type and message, instead.
+Two checkouts give the same reports exactly when
 
     diff -r OUT_A OUT_B
 
@@ -98,6 +100,7 @@ def write(out_dir):
             Path(stem + ".err").write_text(f"{type(exc).__name__}: {exc}\n")
             continue
         del report.metadata["wall_time_s"]
+        report.metadata.pop("work", None)
         Path(stem + ".csv").write_text(report.to_csv())
         Path(stem + ".json").write_text(report.to_json())
 
