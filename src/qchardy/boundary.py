@@ -6,16 +6,19 @@ phi(e^{it}) = e^{i alpha(t)}, together with the closed-form inverse of alpha.
 The catalog holds the identity, the square-root map alpha(t) =
 sign(t) sqrt(pi |t|), its power-law family, and boundary actions of disc
 Moebius transforms with a real parameter.  The dyadic Lipschitz moduli of
-the inverse are judged by the tail classifier (tail.py).
+the inverse are judged by the tail classifier (tail.py); lipschitz_reading
+reads their tail.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
+from itertools import chain, count
 
 import numpy as np
 
-from .tail import CONVERGED, classify_tail
+from .tail import CONVERGED, classify_tail, read_tail
 
 _MONOTONE_GRID = 512
 
@@ -161,6 +164,16 @@ def modulus_rounding(depth, modulus):
     """Error of the depth-d modulus m_d, a difference quotient over arcs of
     length pi 2^-d: its rounding 4 eps 2^d m_d."""
     return 4 * np.finfo(float).eps * 2.0 ** depth * modulus
+
+
+def lipschitz_reading(h, moduli):
+    """Reading of the depth-n modulus of h^{-1}, with error 0, given moduli of
+    depths 1..n: tail.read_tail reads the moduli of depths 1, 2, ..., each
+    known to its modulus_rounding."""
+    deeper = (dyadic_modulus_inverse(h, d) for d in count(len(moduli) + 1))
+    reading = read_tail(((m, modulus_rounding(d, m)) for d, m
+                         in enumerate(chain(moduli, deeper), 1)), len(moduli))
+    return replace(reading, error=0.0)
 
 
 def lipschitz_tail(moduli):

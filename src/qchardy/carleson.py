@@ -12,12 +12,13 @@ is two inversions, of the centers of its whole family and then of all their
 rule nodes; the lanes are independent and the jets pointwise, so every mass
 is bitwise that of a one-ball measure_ball call.
 Per-ring maxima of a ball sweep and the kernel ratios carry errors, so the
-tail classifier (tail.py) can judge them.
+tail classifier (tail.py) can judge them; ring_sweep and kernel_carleson
+read them here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, count
 
 import numpy as np
@@ -115,15 +116,17 @@ def _sweep(mu, family, normalize):
     ring_error: dict[int, float] = {}
     worst_err = 0.0
     masses, errors = mu._masses([ball for _, ball in family])
-    for (k, ball), mass, err in zip(family, masses, errors):
-        norm = normalize(ball)
-        if norm == 0.0 or mass != mass:  # only a NaN differs from itself
-            raise RuntimeError(f"ring {k}: " + (
-                "r_B^(1 + p) underflows to 0" if norm == 0.0 else "a mass is NaN, "
-                "|Dphi|^p overflowing where (1 - |z|)^(p - 1) underflows"))
-        worst_err = max(worst_err, err / norm)
-        if mass / norm > per_ring.get(k, -np.inf):
-            per_ring[k], ring_error[k] = mass / norm, err / norm
+    with np.errstate(over="ignore"):  # a ratio past double range reads inf
+        for (k, ball), mass, err in zip(family, masses, errors):
+            norm = normalize(ball)
+            if norm == 0.0 or mass != mass:  # only a NaN differs from itself
+                raise RuntimeError(f"ring {k}: " + (
+                    "r_B^(1 + p) underflows to 0" if norm == 0.0
+                    else "a mass is NaN, |Dphi|^p overflowing where "
+                    "(1 - |z|)^(p - 1) underflows"))
+            worst_err = max(worst_err, err / norm)
+            if mass / norm > per_ring.get(k, -np.inf):
+                per_ring[k], ring_error[k] = mass / norm, err / norm
     return BallSweep(max(per_ring.values()), per_ring, worst_err, ring_error)
 
 
@@ -143,6 +146,25 @@ def luecking_constant(mu, family):
     if mu.p < 2:
         raise ValueError("luecking tester needs p >= 2")
     return _sweep(mu, family, lambda b: b.radius ** (1.0 + mu.p))
+
+
+def ring_sweep(tester, mu):
+    """Reading of the sup and largest error of tester's sweep of rings 1-10
+    of mu, 8 balls a ring, with tail.read_tail's verdict on the ring maxima
+    (maximum, its error, sweep), one sweep a ring past 10.  A RuntimeError
+    (Newton failure, a ratio the sweep cannot form) on rings 1-10 reads NaN."""
+    def terms():
+        sweep = tester(mu, make_ball_family(range(1, 11), angles=8))
+        for k in count(1):
+            if k > 10:
+                sweep = tester(mu, make_ball_family([k], angles=8))
+            yield sweep.per_ring[k], sweep.ring_error[k], sweep
+
+    reading = read_tail(terms(), 10)
+    if not reading.samples:
+        return replace(reading, samples=((np.nan, np.nan, None),) * 10)
+    sweep = reading.samples[0][2]
+    return replace(reading, value=sweep.sup, error=sweep.error_max)
 
 
 def _kernel_terms(phi, ws):
@@ -177,13 +199,9 @@ class ProxyResult:
     errors: tuple
     ws: tuple
 
-    def tail(self):
-        """(verdict, reason) of the ratios' tail along w_k = 1 - 2^-k."""
-        return classify_tail(self.ratios, self.errors)
-
     def bounded(self):
-        """Boolean view of tail(): converged means bounded."""
-        return self.tail()[0] == CONVERGED
+        """Whether the ratios' tail along w_k = 1 - 2^-k is converged."""
+        return classify_tail(self.ratios, self.errors)[0] == CONVERGED
 
 
 def kernel_carleson(phi, k_max):
@@ -193,14 +211,14 @@ def kernel_carleson(phi, k_max):
     the boundary map is a Carleson measure (Cowen & MacCluer 1995; Duren,
     Theory of H^p Spaces, ch. 9).  Only the boundary map is evaluated.
 
-    (ProxyResult, verdict, (reason, k)): the result's sup is that of
-    k = 1..k_max, one circle_means stage, and its ratios hold every term
-    that tail.read_tail reads for the verdict, the last at k."""
+    Reading of the sup of k = 1..k_max, one circle_means stage, with the
+    error of its largest ratio and the verdict tail.read_tail reads; its
+    samples are every term read, each (ratio, error, w)."""
     first = _kernel_terms(phi, [1.0 - 2.0 ** -k for k in range(1, k_max + 1)])
     more = (next(_kernel_terms(phi, [1.0 - 2.0 ** -k])) for k in count(k_max + 1))
-    read, verdict, why = read_tail(chain(first, more), k_max)
-    ratios, errors, ws = zip(*read)
-    return ProxyResult(max(ratios[:k_max]), ratios, errors, ws), verdict, why
+    reading = read_tail(chain(first, more), k_max)
+    top = max(reading.samples[:k_max], key=lambda term: term[0])
+    return replace(reading, value=top[0], error=top[1])
 
 
 def operator_bound_proxy(phi, p, k_max=16):

@@ -6,10 +6,10 @@ Usage: qchardy <experiment> --map <name[:params]> [--p <real>] [--depth <k>]
        with only the bracketed flags that the experiment's runner reads
 
 Exit code 0 iff every asserted row passes, so the suite can run in CI.
-Tail verdicts may read dyadic depths, ball rings or area shells past
---depth, through tail.read_tail; JSON reports each verdict's reason in
-metadata["verdicts"], and for the claims that compare verdicts the evidence
-they lack.
+Every verdict row is a tail.Reading from the module that computes its
+terms, which may read dyadic depths, ball rings or area shells past
+--depth; JSON reports each tail verdict's reason in metadata["verdicts"],
+and for the claims that compare readings the evidence they lack.
 """
 
 from __future__ import annotations
@@ -18,30 +18,24 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
-from itertools import chain, count
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import carleson as ca
 from . import functionals as fn
-from .boundary import (dyadic_modulus_inverse, lipschitz_modulus_inverse,
-                       modulus_rounding, parse_map_spec)
+from .boundary import lipschitz_modulus_inverse, lipschitz_reading, parse_map_spec
 from .extension import cone_image_aperture, make_disc_map
 from .functions import AnalyticFunction, cauchy_kernel, compose, hardy_kernel
 from .quadrature import WORK
-from .tail import CONVERGED, DIVERGING, TAIL_CAP, UNDETERMINED, read_tail
+from .tail import CONVERGED, DIVERGING, TAIL_CAP, UNDETERMINED, read_value
 
 PASS = "pass"
 FAIL = "fail"
 
 
-@dataclass(frozen=True)
-class Row:
-    quantity: str
-    value: float
-    error: float
-    classification: str
+Row = namedtuple("Row", "quantity value error classification")
 
 
 @dataclass
@@ -50,16 +44,32 @@ class ExperimentReport:
     rows: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
-    def add(self, quantity, value, error, classification, why=None):
-        """why: (reason, k) of a tail verdict read at term k, kept in
-        metadata["verdicts"]."""
-        self.rows.append(Row(quantity, float(value), float(error), classification))
-        if why:
+    def add(self, quantity, reading):
+        """Add the row of a reading, and its reason and at, if it gives a
+        reason, to metadata["verdicts"]."""
+        self.rows.append(Row(quantity, float(reading.value),
+                             float(reading.error), reading.classification))
+        if reading.reason:
             self.metadata.setdefault("verdicts", {})[quantity] = {
-                "reason": why[0], "at": why[1]}
+                "reason": reading.reason, "at": reading.at}
 
     def check(self, quantity, ok, value, error=0.0, why=None):
-        self.add(quantity, value, error, PASS if ok else FAIL, why)
+        """Add the row of a claim, with the reason and at of why, the
+        reading it rests on."""
+        self.add(quantity, replace(why or read_value(value), value=value,
+                                   error=error, classification=PASS if ok else FAIL))
+
+    def compare(self, quantity, ok, value, readings):
+        """Add the row of a claim on readings, {quantity: reading}, whose
+        reason lists each with its verdict, and the value and tail_reason of
+        each that is undetermined or NaN: the evidence the claim lacks."""
+        reason = "; ".join(
+            f"{name} {r.classification}"
+            + (f" at {r.value:.7g}: {r.tail_reason}"
+               if r.classification == UNDETERMINED or np.isnan(r.value) else "")
+            for name, r in readings.items())
+        self.check(quantity, ok, value,
+                   why=replace(read_value(value), reason=reason))
 
     def passed(self):
         return all(r.classification != FAIL for r in self.rows)
@@ -74,11 +84,7 @@ class ExperimentReport:
         payload = {
             "experiment": self.name,
             "metadata": self.metadata,
-            "rows": [
-                {"quantity": r.quantity, "value": r.value, "error": r.error,
-                 "classification": r.classification}
-                for r in self.rows
-            ],
+            "rows": [r._asdict() for r in self.rows],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -123,72 +129,23 @@ class ExperimentSpec:
         make_disc_map(self.map_spec)
 
 
-def _lipschitz_row(rep, phi, depth):
-    """Add the depth-`depth` modulus row, with the verdict read_tail reads
-    on the moduli of depths 1, 2, ...; return the row's claim input (see
-    _claim_why)."""
-    h = phi.boundary
-    moduli = chain(lipschitz_modulus_inverse(h, depth),
-                   (dyadic_modulus_inverse(h, d) for d in count(depth + 1)))
-    read, verdict, why = read_tail(
-        ((m, modulus_rounding(d, m)) for d, m in enumerate(moduli, 1)), depth)
-    rep.add("lipschitz_modulus", read[depth - 1][0], 0.0, verdict, why)
-    return "lipschitz_modulus", read[depth - 1][0], verdict, why[0]
-
-
-def _claim_why(*inputs):
-    """(reason, None) of a claim on inputs (quantity, value, verdict,
-    reason): each input with its verdict, and the value and reason of each
-    that is undetermined or NaN, the evidence the claim lacks."""
-    parts = []
-    for quantity, value, verdict, reason in inputs:
-        missing = verdict == UNDETERMINED or np.isnan(value)
-        parts.append(f"{quantity} {verdict}"
-                     + (f" at {value:.7g}: {reason}" if missing else ""))
-    return "; ".join(parts), None
-
-
-def _boundary_why(verdict, reason, zeroed):
-    """(reason, k) of a row on boundary_lp's verdict, read at the finest
-    grading scale 10^-k."""
-    return (f"boundary means graded at 10^-k {verdict}: {reason}; "
-            f"{zeroed} non-finite boundary samples set to 0",
-            fn.BOUNDARY_SCALES[-1])
-
-
-def _ring_terms(tester, mu):
-    """(maximum, its error, sweep) of rings 1, 2, ..., 8 balls each: rings
-    1-10 from one sweep, then one sweep per ring."""
-    sweep = tester(mu, ca.make_ball_family(range(1, 11), angles=8))
-    for k in count(1):
-        if k > 10:
-            sweep = tester(mu, ca.make_ball_family([k], angles=8))
-        yield sweep.per_ring[k], sweep.ring_error[k], sweep
-
-
-def _ring_sweep(tester, mu):
-    """Sweep of rings 1-10 and the verdict read_tail reads on the ring
-    maxima: (sweep, verdict, (reason, ring)).  If a Newton failure or a
-    ratio the sweep cannot form (RuntimeError) strikes rings 1-10, every
-    ring maximum of the sweep is NaN."""
-    read, verdict, why = read_tail(_ring_terms(tester, mu), 10)
-    if read:
-        return read[0][2], verdict, why
-    unknown = dict.fromkeys(range(1, 11), np.nan)
-    return ca.BallSweep(np.nan, unknown, np.nan, unknown), verdict, why
+def _agreement(rep, phi, depth, quantity, name, reading):
+    """Add the depth-`depth` Lipschitz modulus row, then the claim that the
+    row `name`, reading, has its verdict, and a decided one."""
+    lip = lipschitz_reading(phi.boundary,
+                            lipschitz_modulus_inverse(phi.boundary, depth))
+    rep.add("lipschitz_modulus", lip)
+    ok = reading.classification == lip.classification != UNDETERMINED
+    rep.compare(quantity, ok, float(ok), {name: reading, "lipschitz_modulus": lip})
 
 
 def run_thm1(spec, phi, rep):
     """Kernel Carleson test of the boundary map vs the Lipschitz
     classification of the inverse boundary map; the two must agree.  The
     kernel test holds for every p at once, so thm1 has no --p."""
-    test, bounded, why = ca.kernel_carleson(phi, spec.depth)
-    top = int(np.argmax(test.ratios[:spec.depth]))
-    rep.add("proxy_sup", test.sup, test.errors[top], bounded, why)
-    lip = _lipschitz_row(rep, phi, spec.depth)
-    ok = bounded == lip[2] != UNDETERMINED
-    rep.check("thm1_agreement", ok, float(ok),
-              why=_claim_why(("proxy_sup", test.sup, bounded, why[0]), lip))
+    kernel = ca.kernel_carleson(phi, spec.depth)
+    rep.add("proxy_sup", kernel)
+    _agreement(rep, phi, spec.depth, "thm1_agreement", "proxy_sup", kernel)
 
 
 def run_thm2(spec, phi, rep):
@@ -196,18 +153,16 @@ def run_thm2(spec, phi, rep):
     g = cauchy_kernel()
     f = compose(g, phi)
     ng = fn.hardy_norm(g, spec.p)
-    rep.add("hardy_norm_g", ng.value, ng.error, ng.classification, ng.why)
+    rep.add("hardy_norm_g", ng)
     nf = fn.hardy_norm(f, spec.p)
-    rep.add("hardy_norm_composite", nf.value, nf.error, nf.classification, nf.why)
-    bnorm, bverdict, breason, zeroed = fn.boundary_lp(f, spec.p)
-    rep.add("boundary_lp_composite", bnorm, 0.0, bverdict,
-            _boundary_why(bverdict, breason, zeroed))
-    mnorm = fn.maximal_lp(f, spec.p, spec.aperture, grid_n=4 * spec.grid)
-    rep.add("maximal_lp_composite", mnorm, 0.0,
-            CONVERGED if np.isfinite(mnorm) else DIVERGING)
+    rep.add("hardy_norm_composite", nf)
+    boundary = fn.boundary_lp(f, spec.p)
+    rep.add("boundary_lp_composite", boundary)
+    rep.add("maximal_lp_composite", read_value(
+        fn.maximal_lp(f, spec.p, spec.aperture, grid_n=4 * spec.grid)))
     if parse_map_spec(spec.map_spec)[0] == "thm2_sqrt":
-        ok = (ng.classification == DIVERGING
-              and nf.classification == CONVERGED and bverdict == CONVERGED)
+        ok = (ng.classification == DIVERGING and nf.classification == CONVERGED
+              and boundary.classification == CONVERGED)
         rep.check("thm2_agreement", ok, float(ok))
     else:
         rep.check("control_run", True, 1.0)
@@ -218,46 +173,39 @@ def run_thm3(spec, phi, rep):
     a composite with an extremal-kernel analytic part."""
     f = compose(hardy_kernel(_THM3_W, spec.p), phi)
     nf = fn.hardy_norm(f, spec.p)
-    rep.add("hardy_norm_composite", nf.value, nf.error, nf.classification, nf.why)
-    bnorm, bverdict, breason, zeroed = fn.boundary_lp(f, spec.p)
+    rep.add("hardy_norm_composite", nf)
+    boundary = fn.boundary_lp(f, spec.p)
     # the mean at r = 1 - 2^-20 from the Hardy norm's schedule, NaN if short
-    limit_mean = nf.samples[19][1] if len(nf.samples) >= 20 else np.nan
+    limit_mean = nf.samples[19][0] if len(nf.samples) >= 20 else np.nan
     limit_norm = limit_mean ** (1.0 / spec.p)
-    rel = abs(bnorm - limit_norm) / limit_norm
-    rep.check("boundary_vs_radial_limit", np.isfinite(bnorm) and rel <= 0.1, rel,
-              why=_boundary_why(bverdict, breason, zeroed))
+    rel = abs(boundary.value - limit_norm) / limit_norm
+    rep.check("boundary_vs_radial_limit",
+              np.isfinite(boundary.value) and rel <= 0.1, rel, why=boundary)
     m1, m2 = fn.maximal_lps(f, spec.p, spec.aperture,
                             (spec.grid * 2, spec.grid * 4))
     rep.check("maximal_lp_grid_stability", abs(m2 - m1) / m1 <= 0.1,
               abs(m2 - m1) / m1)
-    rep.check("maximal_dominates_boundary", m2 >= bnorm * (1 - 1e-9), m2,
-              why=_claim_why(
-                  ("maximal_lp", m2, CONVERGED if np.isfinite(m2) else DIVERGING,
-                   "non-finite maximal function"),
-                  ("boundary_lp", bnorm, bverdict, breason)))
+    rep.compare("maximal_dominates_boundary",
+                m2 >= boundary.value * (1 - 1e-9), m2,
+                {"maximal_lp": read_value(m2), "boundary_lp": boundary})
     if spec.p >= 2:
-        area = fn.area_integral(f, spec.p, k_max=max(spec.depth, 12))
-        rep.add("area_integral_df", area.value, area.error, area.classification,
-                area.why)
-        sweep, verdict, why = _ring_sweep(
+        rep.add("area_integral_df",
+                fn.area_integral(f, spec.p, k_max=max(spec.depth, 12)))
+        rings = ca.ring_sweep(
             ca.luecking_constant,
             ca.DiscPushforward(phi, density=ca.WEIGHTED, p=spec.p))
-        rep.check("luecking_stabilized", verdict == CONVERGED, sweep.sup,
-                  sweep.error_max, why)
+        rep.check("luecking_stabilized", rings.classification == CONVERGED,
+                  rings.value, rings.error, why=rings)
 
 
 def run_thmA(spec, phi, rep):
     """Bergman-Carleson ball tester vs the boundary Lipschitz classification."""
-    sweep, bounded, why = _ring_sweep(ca.bergman_carleson_constant,
-                                      ca.DiscPushforward(phi))
-    rep.add("bergman_constant", sweep.sup, sweep.error_max, bounded, why)
-    rep.add("bergman_ring_growth", sweep.per_ring[10] / sweep.per_ring[4], 0.0,
-            bounded, why)
-    lip = _lipschitz_row(rep, phi, spec.depth)
-    ok = bounded == lip[2] != UNDETERMINED
-    rep.check("thmA_agreement", ok, float(ok),
-              why=_claim_why(("bergman_constant", sweep.sup, bounded, why[0]),
-                             lip))
+    rings = ca.ring_sweep(ca.bergman_carleson_constant, ca.DiscPushforward(phi))
+    rep.add("bergman_constant", rings)
+    rep.add("bergman_ring_growth", replace(
+        rings, value=rings.samples[9][0] / rings.samples[3][0], error=0.0))
+    _agreement(rep, phi, spec.depth, "thmA_agreement", "bergman_constant",
+               rings)
 
 
 def run_lemma1(spec, phi, rep):
@@ -267,10 +215,11 @@ def run_lemma1(spec, phi, rep):
     aps = [cone_image_aperture(phi, np.exp(1j * t), spec.aperture, samples=96)
            for t in thetas]
     aps = np.asarray(aps)
-    rep.add("aperture_max", float(np.max(aps)), 0.0, CONVERGED)
-    rep.add("aperture_median", float(np.median(aps)), 0.0, CONVERGED)
+    rep.add("aperture_max", read_value(float(np.max(aps))))
+    rep.add("aperture_median", read_value(float(np.median(aps))))
     ok = np.all(np.isfinite(aps)) and np.max(aps) <= 3.0 * np.median(aps)
-    rep.check("lemma1_comparable", ok, float(np.max(aps) / np.median(aps)))
+    with np.errstate(invalid="ignore"):  # inf / inf reads nan
+        rep.check("lemma1_comparable", ok, float(np.max(aps) / np.median(aps)))
 
 
 # af_conformal's centers besides the origin: radii 0.8, 0.7, ..., 0.1, one

@@ -586,4 +586,5 @@ def cone_image_aperture(phi, xi, c=2.0, samples=96):
     rays = np.linspace(-1.0, 1.0, max(3, int(samples) // 12))
     w = phi(np.concatenate(cone_lattice(np.angle(xi), c, rays)))
     target = complex(phi.boundary.map_point(float(np.angle(xi))))
-    return float(np.max(np.abs(w - target) / (1.0 - np.abs(w))))
+    with np.errstate(divide="ignore"):  # an image on the circle reads inf
+        return float(np.max(np.abs(w - target) / (1.0 - np.abs(w))))

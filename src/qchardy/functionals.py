@@ -4,14 +4,14 @@ function, weighted area integrals, and the average derivative.
 
 Divergence is a first-class answer here, not an exception: several experiments
 hinge on one divergent and one convergent integral, so every norm that
-involves a limit r -> 1 reports {converged, diverging, undetermined}, from
-the tail classifier (tail.py) on its dyadic sequence, along with its best
-value.
+involves a limit r -> 1 is a tail.Reading: its best value with
+{converged, diverging, undetermined}, read here by the tail classifier
+(tail.py) on its dyadic sequence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import count
 
 import numpy as np
@@ -20,25 +20,11 @@ from .functions import AnalyticFunction, QuasiregularMap
 from .geometry import HyperbolicBall, ball_sample, cone_lattice
 from .quadrature import (BALL_RULE, TWO_PI, circle_mean, circle_means,
                          gauss_legendre, node_batches, wrap_angle)
-from .tail import (CONVERGED, DIVERGING, UNDETERMINED, classify_tail,
+from .tail import (CONVERGED, DIVERGING, UNDETERMINED, Reading, classify_tail,
                    read_tail)
 
 RADIAL_DEPTH = 24  # r_k = 1 - 2^{-k}; 2^{-24} ~ 6e-8 keeps doubles meaningful
 BOUNDARY_SCALES = range(7, 12)  # boundary means graded at 10^-k
-
-
-@dataclass(frozen=True)
-class NormEstimate:
-    value: float
-    error: float
-    classification: str
-    samples: tuple = field(default_factory=tuple)
-    reason: str = ""
-
-    @property
-    def why(self):
-        """(reason, k) of the verdict, read at the k-th and last sample."""
-        return self.reason, len(self.samples)
 
 
 def radial_schedule(k_max=RADIAL_DEPTH):
@@ -83,46 +69,47 @@ def integral_mean(f, r, p):
 
 
 def hardy_norm(f, p):
-    """sup of the circle means over radial_schedule(), with the tail verdict
-    of the means; value is the norm (p-th root of the sup of the means).  One
-    call of f per circle_means batch; an error reads at the batch's first k."""
+    """Reading of the p-th root of the sup of the circle means (mean, error,
+    r) over radial_schedule(), with their tail verdict.  One call of f per
+    circle_means batch; an error reads at the batch's first k."""
     p = float(p)
-    means, errs = [], []
+    samples = []
     schedule = radial_schedule()
 
     def fn(theta, circle):
         return np.abs(f(schedule[circle] * np.exp(1j * theta))) ** p
 
     try:
-        for m, e in circle_means(fn, [_circle_marks(f, float(r))
-                                      for r in schedule]):
-            means.append(m)
-            errs.append(e)
+        with np.errstate(all="ignore"):  # a non-finite |f|^p reads as a verdict
+            for r, (m, e) in zip(schedule, circle_means(
+                    fn, [_circle_marks(f, float(r)) for r in schedule])):
+                samples.append((m, e, r))
     except (FloatingPointError, RuntimeError) as exc:
-        return NormEstimate(np.nan, np.nan, UNDETERMINED,
-                            tuple(zip(schedule, means)),
-                            f"{type(exc).__name__} at k = {len(means) + 1}: {exc}")
+        reason = f"{type(exc).__name__} at k = {len(samples) + 1}: {exc}"
+        return Reading(np.nan, np.nan, UNDETERMINED, reason, reason,
+                       len(samples), tuple(samples))
+    means, errs, _ = zip(*samples)
     sup = float(np.max(means))
     err = float(np.max(errs))
     value = sup ** (1.0 / p)
     err_value = err / p * sup ** (1.0 / p - 1.0) if sup > 0 else err
     verdict, reason = classify_tail(means, errs)
-    return NormEstimate(value, err_value, verdict, tuple(zip(schedule, means)),
-                        reason)
+    return Reading(value, err_value, verdict, reason, reason, len(samples),
+                   tuple(samples))
 
 
 def boundary_lp(f, p):
-    """(norm, verdict, reason, zeroed): the boundary Lp norm
-    ((1/2pi) int |f(e^it)|^p dt)^(1/p) of a composite, the verdict on it and
-    its reason, and how many non-finite boundary samples its means set to 0,
-    over all of them.
+    """Reading of the boundary Lp norm ((1/2pi) int |f(e^it)|^p dt)^(1/p) of
+    a composite, with error 0, at the finest grading scale 10^-k; its reason
+    starts with the verdict of the graded means' tail and ends with how many
+    non-finite boundary samples its means set to 0, over all of them.
 
     The norm is the mean graded at the pulled-back singular angles down to
     scale 1e-11, or inf or nan if the verdict is diverging or undetermined.
     The verdict is the tail of the means graded at the scales 10^-k, k in
-    BOUNDARY_SCALES.  A mean of n nonnegative terms is known to its rounding,
-    n eps times the mean; the quadrature estimate is far larger at these
-    scales and would hide a log divergence."""
+    BOUNDARY_SCALES, each sample (mean, error).  A mean of n nonnegative
+    terms is known to its rounding, n eps times the mean; the quadrature
+    estimate is far larger at these scales and would hide a log divergence."""
     p = float(p)
     sizes = []
     zeroed = 0
@@ -133,22 +120,25 @@ def boundary_lp(f, p):
         vals = np.abs(f.boundary_trace(t))
         finite = np.isfinite(vals)
         zeroed += vals.size - np.count_nonzero(finite)
-        with np.errstate(over="ignore"):  # an overflow reads diverging
-            return np.where(finite, vals, 0.0) ** p
+        return np.where(finite, vals, 0.0) ** p
 
     angles = f.singular_angles
     marks = [[(t, 10.0 ** -k) for t in angles] for k in BOUNDARY_SCALES]
-    means = np.array([m for m, _ in circle_means(fn, marks)])
-    verdict, reason = classify_tail(
-        means, np.finfo(float).eps * np.array(sizes) * means)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf reads diverging
+        means = np.array([m for m, _ in circle_means(fn, marks)])
+    errors = np.finfo(float).eps * np.array(sizes) * means
+    verdict, reason = classify_tail(means, errors)
     norm = (float(means[-1]) ** (1.0 / p) if verdict == CONVERGED
             else np.inf if verdict == DIVERGING else np.nan)
-    return norm, verdict, reason, zeroed
+    return Reading(norm, 0.0, verdict,
+                   f"boundary means graded at 10^-k {verdict}: {reason}; "
+                   f"{zeroed} non-finite boundary samples set to 0", reason,
+                   BOUNDARY_SCALES[-1], tuple(zip(means, errors)))
 
 
 def boundary_lp_norm(f, p):
     """The norm of boundary_lp alone."""
-    return boundary_lp(f, p)[0]
+    return boundary_lp(f, p).value
 
 
 def nt_maximal(f, xi, aperture=2.0):
@@ -188,7 +178,8 @@ def maximal_lps(f, p, aperture, grids):
     call on the union of their vertices."""
     xi = [_xi_grid(n, f.singular_angles) for n in grids]
     union = np.unique(np.concatenate([angles for angles, _ in xi]))
-    vals = nt_maximal(f, np.exp(1j * union), aperture) ** float(p)
+    with np.errstate(all="ignore"):  # a non-finite |f|^p reads as a verdict
+        vals = nt_maximal(f, np.exp(1j * union), aperture) ** float(p)
     return [float((np.sum(weights * vals[np.searchsorted(union, angles)])
                    / TWO_PI) ** (1.0 / float(p))) for angles, weights in xi]
 
@@ -248,13 +239,10 @@ def area_integral(f, p, k_max=12):
     the truncation to radius 1 - 2^{-k_max}.  The verdict is the tail of the
     truncations that tail.read_tail reads; an increment is one shell, so
     each truncation carries the error of its last shell.  samples hold
-    every truncation read.
+    every truncation read, as _area_truncations yields it.
     """
-    read, classification, (reason, _) = read_tail(
-        _area_truncations(f, float(p)), k_max)
-    value, _, _, error = read[k_max - 1]
-    return NormEstimate(value, error, classification,
-                        tuple((s[2], s[0]) for s in read), reason)
+    reading = read_tail(_area_truncations(f, float(p)), k_max)
+    return replace(reading, error=reading.samples[k_max - 1][3])
 
 
 def ball_average_derivative(f, z):

@@ -82,7 +82,7 @@ class QuasiregularMap:
     def boundary_trace(self, t):
         """f(e^{it}) = g(phi(e^{it})); evaluates to inf at singular pullbacks."""
         zeta = self.phi.boundary.map_point(np.asarray(t, dtype=float))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return self.g(zeta)
 
     @property

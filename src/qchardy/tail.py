@@ -1,8 +1,9 @@
 """The tail classifier behind every verdict: converged, diverging or
 undetermined, read off the ratios of successive increments of a dyadic
-sequence, and the one reader that deepens an undetermined verdict term by
-term (README, "Verdicts")."""
+sequence; the one reader that deepens an undetermined verdict term by term;
+and Reading, the record of a verdict (README, "Verdicts")."""
 
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -14,6 +15,29 @@ UNDETERMINED = "undetermined"
 # deepest term (dyadic depth, ball ring or area shell) an undetermined
 # verdict may read
 TAIL_CAP = 16
+
+
+@dataclass(frozen=True)
+class Reading:
+    """A value with its error and verdict (classification), read off a tail
+    up to term `at`, or without one (at None); samples are the terms read,
+    each (value, error, ...).  reason is the verdict's reason as the report
+    gives it, tail_reason the tail's own, which a claim cites."""
+    value: float
+    error: float
+    classification: str
+    reason: str
+    tail_reason: str
+    at: int | None
+    samples: tuple
+
+
+def read_value(value):
+    """Reading of a value read without a tail, which the report gives no
+    reason: finite reads converged, +-inf diverging and NaN undetermined."""
+    verdict = (CONVERGED if np.isfinite(value)
+               else UNDETERMINED if np.isnan(value) else DIVERGING)
+    return Reading(value, 0.0, verdict, "", "read without a tail", None, ())
 
 
 def classify_tail(seq, err):
@@ -64,14 +88,15 @@ def classify_tail(seq, err):
 
 
 def read_tail(terms, first):
-    """(read, verdict, (reason, k)) of a lazy sequence of terms (value,
-    error, ...) for k = 1, 2, ...: read the first `first` terms, then one
-    more at a time while classify_tail says undetermined, no term read is
-    NaN (no later term can decide such a tail) and fewer than TAIL_CAP
-    terms are read; k is the number read.  Each term is computed once.  A
-    term that raises RuntimeError makes the verdict undetermined, with the
-    error as its reason, at k = first if it strikes the first `first` terms
-    and at its own index after them; read holds the terms before it."""
+    """Reading of a lazy sequence of terms (value, error, ...) for k = 1, 2,
+    ...: read the first `first` terms, then one more at a time while
+    classify_tail says undetermined, no term read is NaN (no later term can
+    decide such a tail) and fewer than TAIL_CAP terms are read; at is the
+    number read.  Each term is computed once.  A term that raises
+    RuntimeError makes the verdict undetermined, with the error as its
+    reason, at first if it strikes the first `first` terms and at its own
+    index after them; samples hold the terms before it.  The value and error
+    are those of term `first`, NaN if it was not read."""
     read = []
     try:
         read += islice(terms, first)
@@ -80,7 +105,10 @@ def read_tail(terms, first):
             verdict, reason = classify_tail(values, [t[1] for t in read])
             if (verdict != UNDETERMINED or len(read) >= TAIL_CAP
                     or np.any(np.isnan(values))):
-                return read, verdict, (reason, len(read))
+                at = len(read)
+                break
             read.append(next(terms))
     except RuntimeError as exc:
-        return read, UNDETERMINED, (str(exc), max(first, len(read) + 1))
+        verdict, reason, at = UNDETERMINED, str(exc), max(first, len(read) + 1)
+    value, error = read[first - 1][:2] if len(read) >= first else (np.nan,) * 2
+    return Reading(value, error, verdict, reason, reason, at, tuple(read))

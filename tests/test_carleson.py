@@ -355,16 +355,16 @@ class TestKernelCarleson:
         # the Poisson kernel at w, so the ratio is the Poisson integral of
         # P_w at -a: (1 - a^2 w^2) / (1 + a w)^2
         phi = make_disc_map(f"moebius:{a}")
-        test, _, _ = kernel_carleson(phi, 16)
-        w = np.asarray(test.ws)
+        test = kernel_carleson(phi, 16)
+        ratios, errors, w = (np.asarray(c) for c in zip(*test.samples))
         exact = (1.0 - a * a * w * w) / (1.0 + a * w) ** 2
-        err = np.abs(np.asarray(test.ratios) - exact)
+        err = np.abs(ratios - exact)
         assert len(w) == 16
         assert np.all(err <= 1e-11 * exact)
-        assert np.all(np.asarray(test.errors) >= err)
-        assert test.sup == max(test.ratios)
+        assert np.all(errors >= err)
+        assert test.value == max(ratios)
         # the first 16 are one batched stage, each bitwise a one-point call
-        assert list(test.ratios) == [kernel_ratio(phi, x) for x in w]
+        assert list(ratios) == [kernel_ratio(phi, x) for x in w]
 
     @pytest.mark.parametrize("spec", ["identity", "thm2_sqrt", "power:0.5",
                                       "power:1.05", "power:2", "moebius:0.5",
@@ -374,16 +374,18 @@ class TestKernelCarleson:
         # radial sup is reached inside the disc (thm2_sqrt at w_1) it reads
         # up to 2.3% lower
         phi = make_disc_map(spec)
-        ratio = (kernel_carleson(phi, 10)[0].sup
+        ratio = (kernel_carleson(phi, 10).value
                  / operator_bound_proxy(phi, 2.0, k_max=10).sup)
         assert 0.975 <= ratio <= 1.0 + 1e-6
 
     def test_reads_deeper_while_undetermined(self, thm2_map):
-        test, verdict, (reason, k) = kernel_carleson(thm2_map, 2)
-        assert k == len(test.ratios) > 2 and verdict == CONVERGED
-        assert (verdict, reason) == test.tail()
-        assert test.sup == max(test.ratios[:2])
-        assert test.ratios == kernel_carleson(thm2_map, k)[0].ratios
+        test = kernel_carleson(thm2_map, 2)
+        verdict, reason, k = test.classification, test.reason, test.at
+        ratios, errors, _ = zip(*test.samples)
+        assert k == len(ratios) > 2 and verdict == CONVERGED
+        assert (verdict, reason) == classify_tail(ratios, errors)
+        assert test.value == max(ratios[:2])
+        assert test.samples == kernel_carleson(thm2_map, k).samples
 
 
 class TestOperatorProxy:
@@ -394,7 +396,8 @@ class TestOperatorProxy:
         d = np.diff(proxy.ratios)
         assert np.all(d[-3:] < 0)
         assert d[-1] / d[-2] == pytest.approx(1.9, abs=0.1)
-        assert proxy.tail() == (CONVERGED, "last 3 increments <= 0")
+        assert classify_tail(proxy.ratios, proxy.errors) == (
+            CONVERGED, "last 3 increments <= 0")
         assert proxy.bounded()
 
     def test_errors_carry_the_norm_errors(self, thm2_map):
@@ -421,7 +424,7 @@ class TestOperatorProxy:
     def test_power2_unbounded(self, pow2_map):
         proxy = operator_bound_proxy(pow2_map, 2.0, k_max=8)
         assert not proxy.bounded()
-        assert proxy.tail()[0] == DIVERGING
+        assert classify_tail(proxy.ratios, proxy.errors)[0] == DIVERGING
         assert proxy.ratios[-1] > 2 * proxy.ratios[-3]
 
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])

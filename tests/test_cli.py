@@ -1,6 +1,7 @@
 import json
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from qchardy.cli import (
 )
 from qchardy.extension import BAExtension, DiscQCMap, make_disc_map
 from qchardy.functions import compose, hardy_kernel
-from qchardy.tail import CONVERGED, DIVERGING, TAIL_CAP, UNDETERMINED
+from qchardy.tail import CONVERGED, DIVERGING, TAIL_CAP, UNDETERMINED, Reading
 
 # bounded (converged) or not (diverging) on H^p: the verdict of thm1
 THM1_MAPS = {"identity": CONVERGED, "thm2_sqrt": CONVERGED,
@@ -76,8 +77,8 @@ BAD_INPUT = [
 
 def _report():
     rep = ExperimentReport("demo")
-    rep.add("alpha", 1.0, 0.01, "converged")
-    rep.add("beta", np.pi, 0.0, "pass")
+    rep.add("alpha", Reading(1.0, 0.01, "converged", "", "", None, ()))
+    rep.check("beta", True, np.pi)
     return rep
 
 
@@ -490,10 +491,9 @@ class TestVerdicts:
                                                          monkeypatch):
         # a Hardy norm whose means raised at k = 6 holds no mean at
         # r = 1 - 2^-20, and the composite that raised is not evaluated again
-        short = fn.NormEstimate(
-            np.nan, np.nan, UNDETERMINED,
-            tuple(zip(fn.radial_schedule(5), np.ones(5))),
-            "RuntimeError at k = 6: no convergence")
+        reason = "RuntimeError at k = 6: no convergence"
+        short = Reading(np.nan, np.nan, UNDETERMINED, reason, reason, 5,
+                        tuple((1.0, 0.0, r) for r in fn.radial_schedule(5)))
 
         def fail(*args):
             raise RuntimeError("integral_mean called")
@@ -526,6 +526,36 @@ class TestVerdicts:
         assert dominates["reason"].startswith(
             "maximal_lp converged; boundary_lp undetermined at nan: rho ")
 
+    def test_an_aperture_past_double_range_reads_diverging(self):
+        # power:50's cone images reach the circle in doubles, so the
+        # apertures are inf: diverging, by the rule for a value read
+        # without a tail, and with no entry in metadata["verdicts"]
+        rep = run(ExperimentSpec("lemma1", "power:50"))
+        rows = {r.quantity: r for r in rep.rows}
+        for quantity in ("aperture_max", "aperture_median"):
+            assert rows[quantity].value == np.inf
+            assert rows[quantity].classification == DIVERGING
+        assert rows["lemma1_comparable"].classification == "fail"
+        assert "verdicts" not in rep.metadata
+
+    @pytest.mark.parametrize("name, quantity", [
+        ("thm2", "maximal_lp_composite"), ("thm3", "maximal_dominates_boundary")])
+    def test_a_nan_maximal_norm_reads_undetermined(self, monkeypatch, name,
+                                                    quantity):
+        # thm2 and thm3 read the maximal norm by one rule: NaN is no
+        # evidence, and the claim that compares it cites it as missing
+        monkeypatch.setattr(fn, "maximal_lps",
+                            lambda f, p, aperture, grids: [np.nan] * len(grids))
+        rep = run(ExperimentSpec(name, "thm2_sqrt"))
+        rows = {r.quantity: r.classification for r in rep.rows}
+        if name == "thm2":
+            assert rows[quantity] == UNDETERMINED
+        else:
+            assert rows[quantity] == "fail"
+            assert rep.metadata["verdicts"][quantity] == {
+                "reason": "maximal_lp undetermined at nan: read without a "
+                          "tail; boundary_lp converged", "at": None}
+
     @pytest.mark.parametrize("name", ["thm1", "thmA"])
     def test_decided_agreement_lists_its_inputs(self, name):
         rep = run(ExperimentSpec(name, "thm2_sqrt"))
@@ -542,10 +572,13 @@ class TestVerdicts:
                 raise RuntimeError("no convergence")
             return ca.bergman_carleson_constant(mu, family)
 
-        sweep, verdict, why = cli._ring_sweep(tester, mu)
-        assert (verdict, why) == (UNDETERMINED, ("no convergence", 11))
-        assert sweep == ca.bergman_carleson_constant(
+        rings = ca.ring_sweep(tester, mu)
+        assert (rings.classification, rings.reason, rings.at) == (
+            UNDETERMINED, "no convergence", 11)
+        sweep = ca.bergman_carleson_constant(
             mu, ca.make_ball_family(range(1, 11), angles=8))
+        assert rings.samples[0][2] == sweep
+        assert (rings.value, rings.error) == (sweep.sup, sweep.error_max)
 
     def test_power2_fails_the_luecking_test(self):
         rep = run(ExperimentSpec("thm3", "power:2"))
@@ -577,9 +610,16 @@ class TestVerdicts:
         ("thm2", "boundary_lp_composite"), ("thm3", "boundary_vs_radial_limit")])
     def test_boundary_reason_counts_the_samples_set_to_zero(
             self, monkeypatch, name, quantity):
+        # boundary_lp counts them in its reason (TestBoundaryNorm); the row
+        # reports the count it is given
         boundary_lp = fn.boundary_lp
-        monkeypatch.setattr(fn, "boundary_lp",
-                            lambda f, p: (*boundary_lp(f, p)[:3], 7))
+
+        def seven(f, p):
+            reading = boundary_lp(f, p)
+            return replace(reading, reason=reading.reason.replace(
+                "; 0 non-finite", "; 7 non-finite"))
+
+        monkeypatch.setattr(fn, "boundary_lp", seven)
         rep = run(ExperimentSpec(name, "moebius:0.5"))
         why = rep.metadata["verdicts"][quantity]
         assert why["at"] == 11
@@ -660,6 +700,18 @@ class TestMain:
         why = json.loads(out)["metadata"]["verdicts"]["bergman_constant"]
         assert "ba[power(50)]" in why["reason"]
         assert "did not converge" in why["reason"]
+
+    @pytest.mark.parametrize("argv", [
+        ["thm2", "--p", "50"], ["thm2", "--p", "1000"], ["thm2", "--p", "1e300"],
+        ["thm2", "--map", "power:50"], ["lemma1", "--map", "power:50"],
+        ["thm3", "--p", "500"]], ids=" ".join)
+    def test_values_past_double_range_print_no_warning(self, capsys, argv):
+        # overflows and divisions by zero that a verdict already reads:
+        # |f|^p and its means' error estimates, the maximal function's
+        # power, the Cauchy kernel and cone apertures at a symbol that
+        # rounds to the circle, and ball ratios past double range
+        main(argv)
+        assert capsys.readouterr().err == ""
 
     def test_thm3_runs_clean_just_above_its_least_p(self, capsys):
         main(["thm3", "--p", "0.0066", "--format", "json"])

@@ -31,7 +31,7 @@ from qchardy.functions import (
 )
 from qchardy.geometry import cone_halfwidth
 from qchardy.quadrature import TWO_PI, circle_mean, circle_means, gauss_legendre
-from qchardy.tail import TAIL_CAP, read_tail
+from qchardy.tail import TAIL_CAP, read_tail, read_value
 
 
 def _constant(c):
@@ -174,8 +174,8 @@ class TestReadTail:
 
     def test_decided_reads_the_first_batch(self, lengths):
         asked = []
-        read, verdict, (reason, k) = read_tail(
-            _counted_terms(lambda k: 2.0 - 2.0 ** -k, asked), 6)
+        r = read_tail(_counted_terms(lambda k: 2.0 - 2.0 ** -k, asked), 6)
+        read, verdict, reason, k = r.samples, r.classification, r.reason, r.at
         assert verdict == CONVERGED and "0.5, 0.5, 0.5" in reason
         assert asked == [1, 2, 3, 4, 5, 6] and lengths == [6] and k == 6
         assert [t[0] for t in read] == [2.0 - 2.0 ** -k for k in asked]
@@ -183,24 +183,25 @@ class TestReadTail:
     def test_undetermined_reads_one_more_until_decided(self, lengths):
         # alternating through k = 7, flat after: decided at k = 9
         asked = []
-        read, verdict, why = read_tail(_counted_terms(
+        r = read_tail(_counted_terms(
             lambda k: _alternating(k) if k <= 7 else 1.0, asked), 4)
+        read, verdict, why = r.samples, r.classification, (r.reason, r.at)
         assert (verdict, why) == (CONVERGED, ("last 3 increments <= 0", 9))
         assert lengths == [4, 5, 6, 7, 8, 9] and asked == list(range(1, 10))
         assert len(read) == 9
 
     def test_undetermined_stops_at_the_cap(self, lengths):
         asked = []
-        read, verdict, (_, k) = read_tail(
-            _counted_terms(_alternating, asked), 4)
+        r = read_tail(_counted_terms(_alternating, asked), 4)
+        read, verdict, k = r.samples, r.classification, r.at
         assert verdict == UNDETERMINED and k == len(read) == TAIL_CAP
         assert lengths == list(range(4, TAIL_CAP + 1))
         assert asked == list(range(1, TAIL_CAP + 1))
 
     def test_first_batch_past_the_cap_is_read_whole(self):
         asked = []
-        read, verdict, (_, k) = read_tail(
-            _counted_terms(_alternating, asked), TAIL_CAP + 4)
+        r = read_tail(_counted_terms(_alternating, asked), TAIL_CAP + 4)
+        read, verdict, k = r.samples, r.classification, r.at
         assert verdict == UNDETERMINED
         assert k == len(read) == len(asked) == TAIL_CAP + 4
 
@@ -208,8 +209,8 @@ class TestReadTail:
     def test_runtime_error_is_an_undetermined_verdict(self, fail_at, k):
         # in the first batch of 5 the verdict is at 5; past it, at the term
         asked = []
-        read, verdict, why = read_tail(
-            _counted_terms(_alternating, asked, fail_at), 5)
+        r = read_tail(_counted_terms(_alternating, asked, fail_at), 5)
+        read, verdict, why = r.samples, r.classification, (r.reason, r.at)
         assert (verdict, why) == (UNDETERMINED, (f"term {fail_at} failed", k))
         assert asked == list(range(1, fail_at + 1))
         assert len(read) == fail_at - 1
@@ -219,10 +220,21 @@ class TestReadTail:
         # no later term can decide a tail with a NaN term: in the first
         # batch of 5 the reading stops at 5; past it, at the NaN term
         asked = []
-        read, verdict, why = read_tail(_counted_terms(
+        r = read_tail(_counted_terms(
             lambda j: np.nan if j == nan_at else _alternating(j), asked), 5)
+        read, verdict, why = r.samples, r.classification, (r.reason, r.at)
         assert (verdict, why) == (UNDETERMINED, ("NaN term", k))
         assert asked == list(range(1, k + 1)) and len(read) == k
+
+
+class TestReadValue:
+    def test_finite_converged_infinite_diverging_nan_undetermined(self):
+        values = (0.0, 2.5, np.inf, -np.inf, np.nan)
+        assert [read_value(v).classification for v in values] == [
+            CONVERGED, CONVERGED, DIVERGING, DIVERGING, UNDETERMINED]
+        # no tail was read: no index of a last term, and no terms
+        assert {(read_value(v).at, read_value(v).samples) for v in values} == {
+            (None, ())}
 
 
 class TestIntegralMean:
@@ -329,12 +341,12 @@ class TestHardyNorm:
         # log growth: rho - 1 is about 1.2e-6, then 6.4e-7, at the last radii,
         # a tail that must read diverging although rho heads toward 1
         est = hardy_norm(cauchy_kernel(), 1.0)
-        d = np.diff([m for _, m in est.samples])
+        d = np.diff([m for m, _, _ in est.samples])
         rho = d[1:] / d[:-1]
         assert np.all((rho[-3:] > 1.0) & (rho[-3:] < 1.0 + 3e-6))
         assert np.all(np.diff(rho[-3:]) < 0)
         assert est.classification == DIVERGING and "Aitken" in est.reason
-        assert est.why == (est.reason, 24)
+        assert est.at == 24
 
     @pytest.mark.parametrize("budget, k", [(1, 3),
                                            (quadrature._NODES_PER_CALL, 1)],
@@ -364,7 +376,7 @@ class TestHardyNorm:
 
     def test_means_nondecreasing_in_radius(self):
         est = hardy_norm(hardy_kernel(0.8, 2.0), 2.0)
-        means = [m for _, m in est.samples]
+        means = [m for m, _, _ in est.samples]
         assert np.all(np.diff(means) >= -1e-12)
 
     def test_composite_with_identity_matches_analytic(self, identity_map):
@@ -439,23 +451,25 @@ class TestBoundaryNorm:
 
         g = AnalyticFunction(half_infinite, np.zeros_like,
                              singular_angles=(0.5 * np.pi, -0.5 * np.pi))
-        norm, verdict, _, zeroed = boundary_lp(compose(g, identity_map), 2.0)
-        assert verdict == CONVERGED
-        assert zeroed == sum(np.count_nonzero(z.real > 0.0) for z in seen) > 0
-        assert norm == pytest.approx(np.sqrt(2.0), rel=1e-9)
+        reading = boundary_lp(compose(g, identity_map), 2.0)
+        assert reading.classification == CONVERGED
+        zeroed = sum(np.count_nonzero(z.real > 0.0) for z in seen)
+        assert zeroed > 0 and reading.reason.endswith(
+            f"; {zeroed} non-finite boundary samples set to 0")
+        assert reading.value == pytest.approx(np.sqrt(2.0), rel=1e-9)
         finite = compose(_constant(2.0), identity_map)
-        norm, verdict, _, zeroed = boundary_lp(finite, 2.0)
-        assert (norm, verdict, zeroed) == (boundary_lp_norm(finite, 2.0),
-                                           CONVERGED, 0)
+        reading = boundary_lp(finite, 2.0)
+        assert (reading.value, reading.classification) == (
+            boundary_lp_norm(finite, 2.0), CONVERGED)
+        assert reading.reason.endswith("; 0 non-finite boundary samples set to 0")
 
     @pytest.mark.parametrize("p", [100.0, 1000.0])
     def test_an_overflowing_power_reads_diverging(self, thm2_map, p):
         # |f|^p overflows where f is finite: inf, not a sample set to 0.
-        # The error estimate of an infinite mean is NaN, with numpy's warning
-        with np.errstate(invalid="ignore"):
-            norm, verdict, _, zeroed = boundary_lp(
-                compose(cauchy_kernel(), thm2_map), p)
-        assert (norm, verdict, zeroed) == (np.inf, DIVERGING, 0)
+        # The error estimate of an infinite mean is NaN, with no warning
+        reading = boundary_lp(compose(cauchy_kernel(), thm2_map), p)
+        assert (reading.value, reading.classification) == (np.inf, DIVERGING)
+        assert reading.reason.endswith("; 0 non-finite boundary samples set to 0")
 
     def test_matches_radial_limit_for_bounded_composite(self, thm2_map):
         f = compose(hardy_kernel(0.9, 2.0), thm2_map)
@@ -596,7 +610,7 @@ class TestAreaIntegral:
         assert verdict == UNDETERMINED
         assert est.classification == CONVERGED
         assert len(est.samples) == 13 and stages == [8] * 13
-        assert est.samples[:12] == tuple((t[2], t[0]) for t in twelve)
+        assert est.samples[:12] == tuple(twelve)
         assert (est.value, est.error) == (twelve[-1][0], twelve[-1][3])
 
     def test_an_underflowed_shell_reads_undetermined(self, thm2_map):
@@ -607,13 +621,13 @@ class TestAreaIntegral:
         f = compose(hardy_kernel(0.9, 200.0), thm2_map)
         est = area_integral(f, 200.0)
         assert est.classification == UNDETERMINED and np.isnan(est.value)
-        assert est.why == ("NaN term", 12)
+        assert (est.reason, est.at) == ("NaN term", 12)
         # at the default p = 2 no shell underflows, and the value is the
         # one thm3 reported before the underflow rule
         f = compose(hardy_kernel(0.9, 2.0), thm2_map)
         est = area_integral(f, 2.0)
         assert est.classification == CONVERGED
-        assert all(s[1] >= np.finfo(float).tiny for s in est.samples)
+        assert all(s[0] >= np.finfo(float).tiny for s in est.samples)
         assert est.value == pytest.approx(6.128342893393029, rel=1e-12)
 
     def test_analytic_kind_matches_full_for_identity(self, identity_map):

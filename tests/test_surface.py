@@ -36,7 +36,7 @@ ALLOWED = {
                      "read circle means from hardy_norm's schedule",
     "is_lipschitz_inverse": "boolean view of lipschitz_tail that acceptance "
                             "tests 02 and 10 call; the experiments read the "
-                            "verdict and its reason from lipschitz_tail",
+                            "deepened verdict from lipschitz_reading",
 }
 
 # defaulted parameters that no call in the package sets, each with the reason
@@ -175,6 +175,13 @@ def test_only_the_depth_bound_names_the_tail_cap():
              for module, tree in _trees().items() if module != "tail.py"
              for stmt in tree.body if "TAIL_CAP" in _names(stmt)}
     assert named == {("cli.py", "ExperimentSpec")}
+
+
+def test_each_tail_is_read_where_its_terms_are_computed():
+    # the report writes the readings these modules return, and reads none
+    named = {module for module, tree in _trees().items() if module != "tail.py"
+             and {"read_tail", "classify_tail"} & _names(tree)}
+    assert named == {"boundary.py", "carleson.py", "functionals.py"}
 
 
 def test_each_runner_reads_the_fields_it_declares():

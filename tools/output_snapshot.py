@@ -15,10 +15,10 @@ Two checkouts give the same reports exactly when
 
     diff -r OUT_A OUT_B
 
-prints nothing.  The set is 101 runs: the 21 SPECS at --depth 3, 10 and
+prints nothing.  The set is 107 runs: the 21 SPECS at --depth 3, 10 and
 16, thmA and thm3 on each of BALL_MAPS at the default depth, 9 of which
-repeat a SPECS run and are written once, the 8 VARIED runs and the 6
-ERROR_PATHS runs; 92 are written, 184 files where none raises.  The run list
+repeat a SPECS run and are written once, the 8 VARIED runs and the 12
+ERROR_PATHS runs; 98 are written, 196 files where none raises.  The run list
 is fixed here, not read from the package, so that the same script runs on
 any checkout.
 """
@@ -62,11 +62,15 @@ VARIED = (
     ("lemma1", "moebius:0.5", {"grid": 32, "aperture": 1.5}),
 )
 # runs that reach an error path, at the default depth: a Newton inversion
-# that does not converge, a NaN term, an undetermined boundary tail
+# that does not converge, a NaN term, an undetermined boundary tail, and
+# values that overflow or divide by zero, read as verdicts
 ERROR_PATHS = (
     ("thmA", "power:0.2", {}), ("thm3", "power:0.1", {}),
     ("thm3", "thm2_sqrt", {"p": 200.0}), ("thm3", "thm2_sqrt", {"p": 1000.0}),
     ("thm3", "power:5", {}), ("thm2", "moebius:-0.9", {}),
+    ("thm2", "thm2_sqrt", {"p": 50.0}), ("thm2", "thm2_sqrt", {"p": 1000.0}),
+    ("thm2", "thm2_sqrt", {"p": 1e300}), ("thm2", "power:50", {}),
+    ("lemma1", "power:50", {}), ("thm3", "thm2_sqrt", {"p": 500.0}),
 )
 
 
