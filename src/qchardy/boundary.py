@@ -18,7 +18,7 @@ from itertools import chain, count
 
 import numpy as np
 
-from .tail import CONVERGED, classify_tail, read_tail
+from .tail import CONVERGED, read_tail
 
 _MONOTONE_GRID = 512
 
@@ -27,7 +27,8 @@ class BoundaryHomeo:
     """Strictly increasing angle homeomorphism of [-pi, pi] fixing the endpoints.
 
     ``forward`` and its closed-form ``inverse`` must be numpy-vectorized.
-    ``cusps`` lists the angles where the angle map is not smooth.
+    ``cusps`` lists the angles where the angle map is not smooth.  forward or
+    inverse must fix +-pi to 1e-12: where one is steep the other is flat.
     """
 
     def __init__(self, forward, inverse, label="custom", cusps=()):
@@ -39,8 +40,9 @@ class BoundaryHomeo:
         a = self.forward(t)
         if np.any(np.diff(a) <= 0):
             raise ValueError(f"{self.label}: angle map is not strictly increasing")
-        if abs(a[0] + np.pi) > 1e-12 or abs(a[-1] - np.pi) > 1e-12:
-            raise ValueError(f"{self.label}: angle map must fix -pi and pi")
+        for end, image in ((-np.pi, a[0]), (np.pi, a[-1])):
+            if abs(image - end) > 1e-12 and abs(self.inverse(end) - end) > 1e-12:
+                raise ValueError(f"{self.label}: angle map must fix -pi and pi")
 
     def __call__(self, t):
         return self.forward(np.asarray(t, dtype=float))
@@ -177,10 +179,11 @@ def lipschitz_reading(h, moduli):
 
 
 def lipschitz_tail(moduli):
-    """Tail verdict and reason of the per-depth moduli of depths 1, 2, ...,
-    each known to its modulus_rounding."""
-    m = np.asarray(moduli, dtype=float)
-    return classify_tail(m, modulus_rounding(np.arange(1, len(m) + 1), m))
+    """Tail verdict and reason of the given per-depth moduli of depths 1, 2,
+    ..., each known to its modulus_rounding, as tail.read_tail reads them."""
+    reading = read_tail(((m, modulus_rounding(d, m))
+                         for d, m in enumerate(moduli, 1)), len(moduli))
+    return reading.classification, reading.reason
 
 
 def is_lipschitz_inverse(moduli):

@@ -28,7 +28,7 @@ from .functionals import hardy_norm
 from .functions import compose, hardy_kernel
 from .geometry import HyperbolicBall
 from .quadrature import BALL_RULE, TWO_PI, circle_means, wrap_angle
-from .tail import CONVERGED, classify_tail, read_tail
+from .tail import CONVERGED, read_tail
 
 
 LEBESGUE = "lebesgue"
@@ -162,7 +162,7 @@ def ring_sweep(tester, mu):
 
     reading = read_tail(terms(), 10)
     if not reading.samples:
-        return replace(reading, samples=((np.nan, np.nan, None),) * 10)
+        return reading
     sweep = reading.samples[0][2]
     return replace(reading, value=sweep.sup, error=sweep.error_max)
 
@@ -201,7 +201,8 @@ class ProxyResult:
 
     def bounded(self):
         """Whether the ratios' tail along w_k = 1 - 2^-k is converged."""
-        return classify_tail(self.ratios, self.errors)[0] == CONVERGED
+        return read_tail(zip(self.ratios, self.errors),
+                         len(self.ratios)).classification == CONVERGED
 
 
 def kernel_carleson(phi, k_max):

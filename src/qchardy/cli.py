@@ -202,8 +202,9 @@ def run_thmA(spec, phi, rep):
     """Bergman-Carleson ball tester vs the boundary Lipschitz classification."""
     rings = ca.ring_sweep(ca.bergman_carleson_constant, ca.DiscPushforward(phi))
     rep.add("bergman_constant", rings)
-    rep.add("bergman_ring_growth", replace(
-        rings, value=rings.samples[9][0] / rings.samples[3][0], error=0.0))
+    # ring 10's maximum over ring 4's, NaN if the sweep of rings 1-10 raised
+    rep.add("bergman_ring_growth", replace(rings, error=0.0, value=(
+        rings.samples[9][0] / rings.samples[3][0] if rings.samples else np.nan)))
     _agreement(rep, phi, spec.depth, "thmA_agreement", "bergman_constant",
                rings)
 

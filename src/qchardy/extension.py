@@ -580,11 +580,12 @@ def cone_image_aperture(phi, xi, c=2.0, samples=96):
     """Empirical aperture of the image of the cone at xi under phi:
     sup |phi(z) - phi(xi)| / (1 - |phi(z)|) over the cone lattice
     (geometry.cone_lattice) of samples // 12 (at least 3) rays evenly across
-    the window at each of its 12 depths."""
+    the window at each of its 12 depths; NaN if an image rounds onto or past
+    the circle, where 1 - |phi(z)| <= 0 is no distance to divide by."""
     if abs(abs(xi) - 1.0) > 1e-12:
         raise ValueError("cone vertex must lie on the unit circle")
     rays = np.linspace(-1.0, 1.0, max(3, int(samples) // 12))
     w = phi(np.concatenate(cone_lattice(np.angle(xi), c, rays)))
     target = complex(phi.boundary.map_point(float(np.angle(xi))))
-    with np.errstate(divide="ignore"):  # an image on the circle reads inf
-        return float(np.max(np.abs(w - target) / (1.0 - np.abs(w))))
+    gap = 1.0 - np.abs(w)
+    return float(np.max(np.abs(w - target) / np.where(gap > 0, gap, np.nan)))

@@ -5,8 +5,8 @@ function, weighted area integrals, and the average derivative.
 Divergence is a first-class answer here, not an exception: several experiments
 hinge on one divergent and one convergent integral, so every norm that
 involves a limit r -> 1 is a tail.Reading: its best value with
-{converged, diverging, undetermined}, read here by the tail classifier
-(tail.py) on its dyadic sequence.
+{converged, diverging, undetermined}, read by tail.read_tail from the lazy
+dyadic sequence of terms computed here.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from .functions import AnalyticFunction, QuasiregularMap
 from .geometry import HyperbolicBall, ball_sample, cone_lattice
 from .quadrature import (BALL_RULE, TWO_PI, circle_mean, circle_means,
                          gauss_legendre, node_batches, wrap_angle)
-from .tail import (CONVERGED, DIVERGING, UNDETERMINED, Reading, classify_tail,
-                   read_tail)
+from .tail import CONVERGED, DIVERGING, read_tail
 
 RADIAL_DEPTH = 24  # r_k = 1 - 2^{-k}; 2^{-24} ~ 6e-8 keeps doubles meaningful
 BOUNDARY_SCALES = range(7, 12)  # boundary means graded at 10^-k
@@ -70,32 +69,24 @@ def integral_mean(f, r, p):
 
 def hardy_norm(f, p):
     """Reading of the p-th root of the sup of the circle means (mean, error,
-    r) over radial_schedule(), with their tail verdict.  One call of f per
-    circle_means batch; an error reads at the batch's first k."""
+    r) over radial_schedule(), with the verdict tail.read_tail reads on
+    them.  One call of f per circle_means batch; a term that raises reads
+    by read_tail's rule, with the means of the batches before it."""
     p = float(p)
-    samples = []
     schedule = radial_schedule()
 
     def fn(theta, circle):
         return np.abs(f(schedule[circle] * np.exp(1j * theta))) ** p
 
-    try:
-        with np.errstate(all="ignore"):  # a non-finite |f|^p reads as a verdict
-            for r, (m, e) in zip(schedule, circle_means(
-                    fn, [_circle_marks(f, float(r)) for r in schedule])):
-                samples.append((m, e, r))
-    except (FloatingPointError, RuntimeError) as exc:
-        reason = f"{type(exc).__name__} at k = {len(samples) + 1}: {exc}"
-        return Reading(np.nan, np.nan, UNDETERMINED, reason, reason,
-                       len(samples), tuple(samples))
-    means, errs, _ = zip(*samples)
-    sup = float(np.max(means))
-    err = float(np.max(errs))
-    value = sup ** (1.0 / p)
-    err_value = err / p * sup ** (1.0 / p - 1.0) if sup > 0 else err
-    verdict, reason = classify_tail(means, errs)
-    return Reading(value, err_value, verdict, reason, reason, len(samples),
-                   tuple(samples))
+    with np.errstate(all="ignore"):  # a non-finite |f|^p reads as a verdict
+        means = circle_means(fn, [_circle_marks(f, float(r)) for r in schedule])
+        reading = read_tail(((m, e, r) for r, (m, e) in zip(schedule, means)),
+                            RADIAL_DEPTH)
+    if len(reading.samples) < RADIAL_DEPTH:  # a term raised
+        return reading
+    sup, err = map(float, np.max([s[:2] for s in reading.samples], axis=0))
+    return replace(reading, value=sup ** (1.0 / p),
+                   error=err / p * sup ** (1.0 / p - 1.0) if sup > 0 else err)
 
 
 def boundary_lp(f, p):
@@ -106,7 +97,7 @@ def boundary_lp(f, p):
 
     The norm is the mean graded at the pulled-back singular angles down to
     scale 1e-11, or inf or nan if the verdict is diverging or undetermined.
-    The verdict is the tail of the means graded at the scales 10^-k, k in
+    The verdict is read_tail's on the means graded at the scales 10^-k, k in
     BOUNDARY_SCALES, each sample (mean, error).  A mean of n nonnegative
     terms is known to its rounding, n eps times the mean; the quadrature
     estimate is far larger at these scales and would hide a log divergence."""
@@ -125,15 +116,15 @@ def boundary_lp(f, p):
     angles = f.singular_angles
     marks = [[(t, 10.0 ** -k) for t in angles] for k in BOUNDARY_SCALES]
     with np.errstate(over="ignore", invalid="ignore"):  # inf reads diverging
-        means = np.array([m for m, _ in circle_means(fn, marks)])
-    errors = np.finfo(float).eps * np.array(sizes) * means
-    verdict, reason = classify_tail(means, errors)
-    norm = (float(means[-1]) ** (1.0 / p) if verdict == CONVERGED
-            else np.inf if verdict == DIVERGING else np.nan)
-    return Reading(norm, 0.0, verdict,
-                   f"boundary means graded at 10^-k {verdict}: {reason}; "
-                   f"{zeroed} non-finite boundary samples set to 0", reason,
-                   BOUNDARY_SCALES[-1], tuple(zip(means, errors)))
+        means = enumerate(circle_means(fn, marks))
+        reading = read_tail(((m, np.finfo(float).eps * sizes[k] * m)
+                             for k, (m, _) in means), len(BOUNDARY_SCALES))
+    verdict = reading.classification
+    return replace(reading, error=0.0, at=BOUNDARY_SCALES[-1], value=(
+        float(reading.value) ** (1.0 / p) if verdict == CONVERGED
+        else np.inf if verdict == DIVERGING else np.nan),
+        reason=f"boundary means graded at 10^-k {verdict}: {reading.reason}; "
+               f"{zeroed} non-finite boundary samples set to 0")
 
 
 def boundary_lp_norm(f, p):

@@ -1,7 +1,7 @@
 """The tail classifier behind every verdict: converged, diverging or
 undetermined, read off the ratios of successive increments of a dyadic
-sequence; the one reader that deepens an undetermined verdict term by term;
-and Reading, the record of a verdict (README, "Verdicts")."""
+sequence; read_tail, its one caller and the one reader of every tail; and
+Reading, the record of a verdict, built here alone (README, "Verdicts")."""
 
 from dataclasses import dataclass
 from itertools import islice
@@ -91,12 +91,12 @@ def read_tail(terms, first):
     """Reading of a lazy sequence of terms (value, error, ...) for k = 1, 2,
     ...: read the first `first` terms, then one more at a time while
     classify_tail says undetermined, no term read is NaN (no later term can
-    decide such a tail) and fewer than TAIL_CAP terms are read; at is the
-    number read.  Each term is computed once.  A term that raises
-    RuntimeError makes the verdict undetermined, with the error as its
-    reason, at first if it strikes the first `first` terms and at its own
-    index after them; samples hold the terms before it.  The value and error
-    are those of term `first`, NaN if it was not read."""
+    decide such a tail), fewer than TAIL_CAP terms are read and the sequence
+    has more; at is the number read.  Each term is computed once.  A term
+    that raises RuntimeError makes the verdict undetermined, with the error
+    as its reason, at first if it strikes the first `first` terms and at its
+    own index after them; samples hold the terms before it.  The value and
+    error are those of term `first`, NaN if it was not read."""
     read = []
     try:
         read += islice(terms, first)
@@ -104,11 +104,12 @@ def read_tail(terms, first):
             values = [t[0] for t in read]
             verdict, reason = classify_tail(values, [t[1] for t in read])
             if (verdict != UNDETERMINED or len(read) >= TAIL_CAP
-                    or np.any(np.isnan(values))):
+                    or np.any(np.isnan(values))
+                    or (term := next(terms, None)) is None):
                 at = len(read)
                 break
-            read.append(next(terms))
+            read.append(term)
     except RuntimeError as exc:
         verdict, reason, at = UNDETERMINED, str(exc), max(first, len(read) + 1)
-    value, error = read[first - 1][:2] if len(read) >= first else (np.nan,) * 2
+    value, error = read[first - 1][:2] if len(read) >= first > 0 else (np.nan,) * 2
     return Reading(value, error, verdict, reason, reason, at, tuple(read))

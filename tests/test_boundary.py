@@ -121,6 +121,21 @@ class TestCatalog:
             BoundaryHomeo(lambda t: 0.5 * np.asarray(t, dtype=float),
                           lambda s: 2.0 * np.asarray(s, dtype=float))
 
+    @pytest.mark.parametrize("a", [-0.9998, -0.9999, -0.99999])
+    def test_a_steep_moebius_end_is_fixed_by_its_inverse(self, a):
+        # the slope (1 - a)/(1 + a) at +-pi amplifies the rounding of pi past
+        # 1e-12; the inverse, flat there, fixes +-pi to 1e-12
+        h = make_map(f"moebius:{a}")
+        ends = np.array([-np.pi, np.pi])
+        assert np.max(np.abs(h(ends) - ends)) > 1e-12
+        assert np.max(np.abs(h.inverse(ends) - ends)) <= 1e-12
+
+    def test_a_map_that_misses_pi_is_rejected(self):
+        # strictly increasing, but neither it nor its inverse fixes +-pi
+        with pytest.raises(ValueError, match="angle map must fix -pi and pi"):
+            BoundaryHomeo(lambda t: 0.999999 * np.asarray(t, dtype=float),
+                          lambda s: np.asarray(s, dtype=float) / 0.999999)
+
     @given(angles)
     def test_lifted_periodicity(self, t):
         # the Moebius angle map is a lift: defined on the whole line and

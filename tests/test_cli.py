@@ -194,6 +194,10 @@ class TestRun:
         assert rep.passed()
         assert "wall_time_s" in rep.metadata
 
+    def test_af_conformal_passes_on_a_steep_moebius_map(self):
+        # moebius:-0.9999 fixes +-pi through its inverse (BoundaryHomeo)
+        assert run(ExperimentSpec("af_conformal", "moebius:-0.9999")).passed()
+
     def test_lemma1_identity_passes(self):
         rep = run(ExperimentSpec(name="lemma1", map_spec="identity", grid=8))
         assert rep.passed()
@@ -526,15 +530,16 @@ class TestVerdicts:
         assert dominates["reason"].startswith(
             "maximal_lp converged; boundary_lp undetermined at nan: rho ")
 
-    def test_an_aperture_past_double_range_reads_diverging(self):
-        # power:50's cone images reach the circle in doubles, so the
-        # apertures are inf: diverging, by the rule for a value read
-        # without a tail, and with no entry in metadata["verdicts"]
+    def test_an_aperture_past_double_range_reads_undetermined(self):
+        # power:50's cone images round onto the circle in doubles, so the
+        # apertures have no distance to divide by and are NaN: undetermined,
+        # by the rule for a value read without a tail, and with no entry in
+        # metadata["verdicts"]
         rep = run(ExperimentSpec("lemma1", "power:50"))
         rows = {r.quantity: r for r in rep.rows}
         for quantity in ("aperture_max", "aperture_median"):
-            assert rows[quantity].value == np.inf
-            assert rows[quantity].classification == DIVERGING
+            assert np.isnan(rows[quantity].value)
+            assert rows[quantity].classification == UNDETERMINED
         assert rows["lemma1_comparable"].classification == "fail"
         assert "verdicts" not in rep.metadata
 

@@ -8,14 +8,13 @@ from qchardy.extension import invert, make_disc_map
 from qchardy.functionals import (
     CONVERGED,
     DIVERGING,
-    UNDETERMINED,
+    RADIAL_DEPTH,
     _xi_grid,
     area_integral,
     average_derivative,
     ball_average_derivative,
     boundary_lp,
     boundary_lp_norm,
-    classify_tail,
     hardy_norm,
     integral_mean,
     maximal_lp,
@@ -31,7 +30,8 @@ from qchardy.functions import (
 )
 from qchardy.geometry import cone_halfwidth
 from qchardy.quadrature import TWO_PI, circle_mean, circle_means, gauss_legendre
-from qchardy.tail import TAIL_CAP, read_tail, read_value
+from qchardy.tail import (TAIL_CAP, UNDETERMINED, classify_tail, read_tail,
+                          read_value)
 
 
 def _constant(c):
@@ -198,6 +198,21 @@ class TestReadTail:
         assert lengths == list(range(4, TAIL_CAP + 1))
         assert asked == list(range(1, TAIL_CAP + 1))
 
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_finite_sequence_is_read_to_its_end(self, lengths, n):
+        # undetermined to the end of n alternating terms: a batch of 3, then
+        # one more a verdict while terms remain, and never a term past n
+        asked = []
+        r = read_tail(islice(_counted_terms(_alternating, asked), n), 3)
+        assert r.classification == UNDETERMINED and r.at == len(r.samples) == n
+        assert asked == list(range(1, n + 1))
+        assert lengths == list(range(3, n + 1))
+
+    def test_empty_sequence_reads_nan(self):
+        r = read_tail(iter(()), 0)
+        assert (r.classification, r.at, r.samples) == (UNDETERMINED, 0, ())
+        assert np.isnan(r.value) and np.isnan(r.error)
+
     def test_first_batch_past_the_cap_is_read_whole(self):
         asked = []
         r = read_tail(_counted_terms(_alternating, asked), TAIL_CAP + 4)
@@ -352,21 +367,24 @@ class TestHardyNorm:
                                            (quadrature._NODES_PER_CALL, 1)],
                              ids=["alone", "batched"])
     def test_swallowed_error_has_a_reason(self, monkeypatch, budget, k):
-        # f fails on the circle r_3 = 0.875; the error names the first k of
-        # the batch it strikes: k = 3 one circle a call, k = 1 when circles
+        # f fails on the circle r_3 = 0.875, and the norm reads by
+        # read_tail's one rule: undetermined, NaN, the error as its reason,
+        # at the first batch's end, with the means of the batches before the
+        # one it strikes: circles 1-2 one circle a call, none when circles
         # 1-3 share a call
         g = cauchy_kernel()
 
         def failing(z):
             if np.any(np.abs(np.abs(z) - 0.875) < 1e-12):
-                raise FloatingPointError("overflow")
+                raise RuntimeError("overflow")
             return g(z)
 
         monkeypatch.setattr(quadrature, "_NODES_PER_CALL", budget)
         est = hardy_norm(AnalyticFunction(failing, g.deriv, g.singular_angles),
                          1.0)
-        assert est.classification == UNDETERMINED and np.isnan(est.value)
-        assert est.reason == f"FloatingPointError at k = {k}: overflow"
+        assert est.classification == UNDETERMINED
+        assert np.isnan(est.value) and np.isnan(est.error)
+        assert (est.reason, est.at) == ("overflow", RADIAL_DEPTH)
         assert est.samples == hardy_norm(g, 1.0).samples[:k - 1]
 
     def test_cauchy_converges_in_h_half(self):
@@ -428,7 +446,7 @@ class TestBoundaryNorm:
         assert np.isfinite(boundary_lp_norm(f, 1.0))
 
     def test_undetermined_tail_is_nan(self, identity_map, monkeypatch):
-        monkeypatch.setattr(functionals, "classify_tail",
+        monkeypatch.setattr(tail, "classify_tail",
                             lambda seq, err: (UNDETERMINED, "stub"))
         assert np.isnan(boundary_lp_norm(compose(_constant(2.0), identity_map),
                                          2.0))

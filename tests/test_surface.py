@@ -2,7 +2,8 @@
 function and class of the package is referenced by name from the package's
 own code, every defaulted parameter is set by some call in it, and no module
 imports a name it does not use.  The rule that deepens a tail verdict lives
-in tail.read_tail alone.
+in tail.read_tail alone, and tail.py alone classifies a tail or builds a
+Reading.
 
 Names are read from the syntax tree, so a reference is any plain name or
 attribute name outside the definition itself; ``__init__.py`` re-exports do
@@ -182,6 +183,19 @@ def test_each_tail_is_read_where_its_terms_are_computed():
     named = {module for module, tree in _trees().items() if module != "tail.py"
              and {"read_tail", "classify_tail"} & _names(tree)}
     assert named == {"boundary.py", "carleson.py", "functionals.py"}
+
+
+def test_only_tail_classifies_a_tail_or_builds_a_reading():
+    # every verdict is read by tail.read_tail, with its one error rule
+    named = set()
+    for module, tree in _trees().items():
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        if "classify_tail" in _names(tree) | imported or "Reading" in called:
+            named.add(module)
+    assert named == {"tail.py"}
 
 
 def test_each_runner_reads_the_fields_it_declares():

@@ -1,6 +1,6 @@
-"""Smoke test of tools/bench_snapshot.py's work counts, summed from the
-package's ledger in each report's metadata["work"], of its BA kernel timings
-and of its warm-pass page faults."""
+"""Smoke test of tools/bench_snapshot.py's warm passes, their page faults
+and their work counts, summed from the package's ledger in each report's
+metadata["work"], and of its BA kernel timings."""
 
 import importlib.util
 import sys
@@ -24,8 +24,15 @@ def tool():
 
 
 @pytest.fixture(scope="module")
-def work_counts(tool):
-    return tool.work_counts()
+def usage(tool):
+    """warm_pass_usage of each workload."""
+    return {name: tool.warm_pass_usage(name, seed=1) for name in tool.WORKLOADS}
+
+
+@pytest.fixture(scope="module")
+def work_counts(usage):
+    """The work of each workload's timed warm pass."""
+    return {name: run["work"] for name, run in usage.items()}
 
 
 def test_ba_points_only_on_ba_workloads(work_counts):
@@ -69,8 +76,8 @@ def test_ba_small_batches_time_each_map_method_and_size(tool):
     assert all(t > 0 for t in us.values())
 
 
-def test_warm_pass_reads_its_own_rusage(tool):
-    usage = tool.warm_pass_usage("conformal_control", seed=1)
-    assert set(usage) == {"minor_faults", "sys_s", "user_s", "wall_s"}
-    assert usage["minor_faults"] >= 0 and usage["sys_s"] >= 0.0
-    assert usage["wall_s"] > 0.0
+def test_warm_pass_reads_its_own_rusage(usage):
+    run = usage["conformal_control"]
+    assert set(run) == {"minor_faults", "sys_s", "user_s", "wall_s", "work"}
+    assert run["minor_faults"] >= 0 and run["sys_s"] >= 0.0
+    assert run["wall_s"] > 0.0

@@ -17,9 +17,9 @@ It records
   * per workload, the minor page faults, system and user seconds and wall
     seconds of one warm pass through cli.run (after one warm-up pass), read
     with resource.getrusage(RUSAGE_SELF) in a fresh interpreter of its own;
-  * per workload, the work of one pass through cli.run: the sum over its
-    specs of each report's metadata["work"], the counts the package keeps
-    where the work is done (README, "Command line");
+    and, under the top-level key "work", the work of that pass: the sum over
+    its specs of each report's metadata["work"], the counts the package
+    keeps where the work is done (README, "Command line");
   * the wall time of the Tier-1 test suite;
   * the net line count of src/;
   * the machine: CPU count and model, Python and numpy versions.
@@ -133,7 +133,8 @@ def ba_small_batch_us(repeats, calls=50):
 def warm_pass_usage(name, seed):
     """Minor page faults, system and user seconds and wall seconds of one
     pass of workload `name` through cli.run, after one warm-up pass, read
-    with resource.getrusage(RUSAGE_SELF) in this process."""
+    with resource.getrusage(RUSAGE_SELF) in this process, and the work of
+    that pass: the sum over its specs of each run's metadata["work"]."""
     import resource
 
     sys.path.insert(0, str(SRC))
@@ -142,18 +143,23 @@ def warm_pass_usage(name, seed):
     from qchardy import cli
 
     def one_pass():
+        work = Counter()
         for spec in workloads.WORKLOADS[name]:
-            cli.run(cli.ExperimentSpec(spec.experiment, spec.map_spec,
-                                       seed=seed)).to_csv()
+            report = cli.run(cli.ExperimentSpec(spec.experiment, spec.map_spec,
+                                                seed=seed))
+            report.to_csv()
+            work.update(report.metadata["work"])
+        return work
 
     one_pass()
     before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
-    one_pass()
+    work = one_pass()
     wall = time.perf_counter() - start
     after = resource.getrusage(resource.RUSAGE_SELF)
     return {"minor_faults": after.ru_minflt - before.ru_minflt,
             "sys_s": after.ru_stime - before.ru_stime,
-            "user_s": after.ru_utime - before.ru_utime, "wall_s": wall}
+            "user_s": after.ru_utime - before.ru_utime, "wall_s": wall,
+            "work": dict(sorted(work.items()))}
 
 
 def pass_usage(seed):
@@ -170,24 +176,6 @@ def pass_usage(seed):
             cwd=ROOT, env=env, capture_output=True, text=True, check=True)
         usage[name] = json.loads(out.stdout)
     return usage
-
-
-def work_counts():
-    """Per workload, the work of one pass of its specs through cli.run: the
-    sum over the specs of each run's metadata["work"]."""
-    sys.path.insert(0, str(SRC))
-    sys.path.insert(0, str(ROOT / "bench"))
-    import workloads
-    from qchardy import cli
-
-    counts = {}
-    for name in WORKLOADS:
-        total = Counter()
-        for spec in workloads.WORKLOADS[name]:
-            total.update(cli.run(cli.ExperimentSpec(
-                spec.experiment, spec.map_spec)).metadata["work"])
-        counts[name] = dict(sorted(total.items()))
-    return counts
 
 
 def tier1():
@@ -242,7 +230,8 @@ def main(argv=None):
         "src_lines": src_lines(),
         "machine": machine(),
     }
-    snapshot["work"] = work_counts()
+    snapshot["work"] = {name: usage.pop("work")
+                        for name, usage in snapshot["warm_pass"].items()}
     snapshot["tier1_s"], snapshot["tier1_summary"] = tier1()
     Path(args.out).write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
 

@@ -10,15 +10,16 @@ with _p<p>, _grid<n> and _aperture<c> appended for the fields a VARIED run
 sets: to_csv(), and to_json() without metadata["wall_time_s"], the one field
 that differs between reruns, and without metadata["work"], the work counts,
 which a checkout that counts work otherwise, or not at all, adds or changes.
-A run that raises writes .err, the exception's type and message, instead.
+A run that raises, in building its spec or in running it, writes .err, the
+exception's type and message, instead.
 Two checkouts give the same reports exactly when
 
     diff -r OUT_A OUT_B
 
-prints nothing.  The set is 107 runs: the 21 SPECS at --depth 3, 10 and
+prints nothing.  The set is 110 runs: the 21 SPECS at --depth 3, 10 and
 16, thmA and thm3 on each of BALL_MAPS at the default depth, 9 of which
-repeat a SPECS run and are written once, the 8 VARIED runs and the 12
-ERROR_PATHS runs; 98 are written, 196 files where none raises.  The run list
+repeat a SPECS run and are written once, the 8 VARIED runs and the 15
+ERROR_PATHS runs; 101 are written, 202 files where none raises.  The run list
 is fixed here, not read from the package, so that the same script runs on
 any checkout.
 """
@@ -62,8 +63,9 @@ VARIED = (
     ("lemma1", "moebius:0.5", {"grid": 32, "aperture": 1.5}),
 )
 # runs that reach an error path, at the default depth: a Newton inversion
-# that does not converge, a NaN term, an undetermined boundary tail, and
-# values that overflow or divide by zero, read as verdicts
+# that does not converge, a NaN term, an undetermined boundary tail, values
+# that overflow or divide by zero, read as verdicts, and a Moebius map so
+# steep at +-pi that its angle map misses pi by more than 1e-12
 ERROR_PATHS = (
     ("thmA", "power:0.2", {}), ("thm3", "power:0.1", {}),
     ("thm3", "thm2_sqrt", {"p": 200.0}), ("thm3", "thm2_sqrt", {"p": 1000.0}),
@@ -71,6 +73,8 @@ ERROR_PATHS = (
     ("thm2", "thm2_sqrt", {"p": 50.0}), ("thm2", "thm2_sqrt", {"p": 1000.0}),
     ("thm2", "thm2_sqrt", {"p": 1e300}), ("thm2", "power:50", {}),
     ("lemma1", "power:50", {}), ("thm3", "thm2_sqrt", {"p": 500.0}),
+    ("af_conformal", "moebius:-0.9999", {}), ("thm1", "moebius:-0.9999", {}),
+    ("thmA", "moebius:-0.9999", {}),
 )
 
 
@@ -91,15 +95,15 @@ def write(out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     done = set()
     for name, map_spec, fields in runs():
-        spec = cli.ExperimentSpec(name, map_spec, **fields)
-        stem = f"{out_dir}/{name}_{map_spec.replace(':', '')}_d{spec.depth}"
+        depth = fields.get("depth", cli.ExperimentSpec.depth)
+        stem = f"{out_dir}/{name}_{map_spec.replace(':', '')}_d{depth}"
         stem += "".join(f"_{key}{value:g}" for key, value in fields.items()
                         if key != "depth")
         if stem in done:  # a ball map run at the default depth of SPECS
             continue
         done.add(stem)
         try:
-            report = cli.run(spec)
+            report = cli.run(cli.ExperimentSpec(name, map_spec, **fields))
         except Exception as exc:  # noqa: BLE001 - a raising run is an output
             Path(stem + ".err").write_text(f"{type(exc).__name__}: {exc}\n")
             continue
