@@ -91,27 +91,22 @@ def hardy_norm(f, p):
 
 def boundary_lp(f, p):
     """Reading of the boundary Lp norm ((1/2pi) int |f(e^it)|^p dt)^(1/p) of
-    a composite, with error 0, at the finest grading scale 10^-k; its reason
-    starts with the verdict of the graded means' tail and ends with how many
-    non-finite boundary samples its means set to 0, over all of them.
+    a composite, with error 0, at the finest grading scale 10^-k.
 
     The norm is the mean graded at the pulled-back singular angles down to
     scale 1e-11, or inf or nan if the verdict is diverging or undetermined.
     The verdict is read_tail's on the means graded at the scales 10^-k, k in
     BOUNDARY_SCALES, each sample (mean, error).  A mean of n nonnegative
     terms is known to its rounding, n eps times the mean; the quadrature
-    estimate is far larger at these scales and would hide a log divergence."""
+    estimate is far larger at these scales and would hide a log divergence.
+    A sample where f is not finite is NaN (QuasiregularMap), so its mean
+    reads undetermined."""
     p = float(p)
     sizes = []
-    zeroed = 0
 
     def fn(t, circle):
-        nonlocal zeroed
         sizes.extend(np.bincount(circle - circle[0]))
-        vals = np.abs(f.boundary_trace(t))
-        finite = np.isfinite(vals)
-        zeroed += vals.size - np.count_nonzero(finite)
-        return np.where(finite, vals, 0.0) ** p
+        return np.abs(f.boundary_trace(t)) ** p
 
     angles = f.singular_angles
     marks = [[(t, 10.0 ** -k) for t in angles] for k in BOUNDARY_SCALES]
@@ -122,9 +117,7 @@ def boundary_lp(f, p):
     verdict = reading.classification
     return replace(reading, error=0.0, at=BOUNDARY_SCALES[-1], value=(
         float(reading.value) ** (1.0 / p) if verdict == CONVERGED
-        else np.inf if verdict == DIVERGING else np.nan),
-        reason=f"boundary means graded at 10^-k {verdict}: {reading.reason}; "
-               f"{zeroed} non-finite boundary samples set to 0")
+        else np.inf if verdict == DIVERGING else np.nan))
 
 
 def boundary_lp_norm(f, p):

@@ -65,11 +65,18 @@ def cauchy_kernel():
     )
 
 
+def _nan_where_not_finite(v):
+    """v with NaN wherever it is not finite, rebuilt only if some value is."""
+    return v if np.isfinite(v).all() else np.where(np.isfinite(v), v, np.nan)
+
+
 class QuasiregularMap:
     """Composite f = g o phi with chain-rule differential.
 
     Df = g'(phi) . Dphi, so |Df| = |g'(phi)| |Dphi| (operator norms) and
-    Jf = |g'(phi)|^2 Jphi.
+    Jf = |g'(phi)|^2 Jphi.  A value of g o phi that is not finite reads NaN:
+    every catalog g is finite on the open disc and no quadrature node lies
+    on a singular pullback, so only phi rounding onto one puts it there.
     """
 
     def __init__(self, g, phi):
@@ -77,13 +84,13 @@ class QuasiregularMap:
         self.phi = phi
 
     def __call__(self, z):
-        return self.g(self.phi(np.asarray(z, dtype=complex)))
+        return _nan_where_not_finite(self.g(self.phi(z)))
 
     def boundary_trace(self, t):
-        """f(e^{it}) = g(phi(e^{it})); evaluates to inf at singular pullbacks."""
+        """f(e^{it}) = g(phi(e^{it})), NaN where it is not finite."""
         zeta = self.phi.boundary.map_point(np.asarray(t, dtype=float))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return self.g(zeta)
+            return _nan_where_not_finite(self.g(zeta))
 
     @property
     def singular_angles(self):

@@ -21,13 +21,12 @@ TAIL_CAP = 16
 class Reading:
     """A value with its error and verdict (classification), read off a tail
     up to term `at`, or without one (at None); samples are the terms read,
-    each (value, error, ...).  reason is the verdict's reason as the report
-    gives it, tail_reason the tail's own, which a claim cites."""
+    each (value, error, ...).  reason is the verdict's reason, which the
+    report gives and a claim cites; empty for a value read without a tail."""
     value: float
     error: float
     classification: str
     reason: str
-    tail_reason: str
     at: int | None
     samples: tuple
 
@@ -37,7 +36,7 @@ def read_value(value):
     reason: finite reads converged, +-inf diverging and NaN undetermined."""
     verdict = (CONVERGED if np.isfinite(value)
                else UNDETERMINED if np.isnan(value) else DIVERGING)
-    return Reading(value, 0.0, verdict, "", "read without a tail", None, ())
+    return Reading(value, 0.0, verdict, "", None, ())
 
 
 def classify_tail(seq, err):
@@ -112,4 +111,4 @@ def read_tail(terms, first):
     except RuntimeError as exc:
         verdict, reason, at = UNDETERMINED, str(exc), max(first, len(read) + 1)
     value, error = read[first - 1][:2] if len(read) >= first > 0 else (np.nan,) * 2
-    return Reading(value, error, verdict, reason, reason, at, tuple(read))
+    return Reading(value, error, verdict, reason, at, tuple(read))

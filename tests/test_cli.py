@@ -77,7 +77,7 @@ BAD_INPUT = [
 
 def _report():
     rep = ExperimentReport("demo")
-    rep.add("alpha", Reading(1.0, 0.01, "converged", "", "", None, ()))
+    rep.add("alpha", Reading(1.0, 0.01, "converged", "", None, ()))
     rep.check("beta", True, np.pi)
     return rep
 
@@ -496,7 +496,7 @@ class TestVerdicts:
         # a Hardy norm whose means raised at k = 6 holds no mean at
         # r = 1 - 2^-20, and the composite that raised is not evaluated again
         reason = "RuntimeError at k = 6: no convergence"
-        short = Reading(np.nan, np.nan, UNDETERMINED, reason, reason, 5,
+        short = Reading(np.nan, np.nan, UNDETERMINED, reason, 5,
                         tuple((1.0, 0.0, r) for r in fn.radial_schedule(5)))
 
         def fail(*args):
@@ -523,8 +523,7 @@ class TestVerdicts:
         verdicts = rep.metadata["verdicts"]
         limit = verdicts["boundary_vs_radial_limit"]
         assert limit["at"] == 11
-        assert limit["reason"].startswith(
-            "boundary means graded at 10^-k undetermined: rho ")
+        assert limit["reason"].startswith("rho ")
         dominates = verdicts["maximal_dominates_boundary"]
         assert dominates["at"] is None
         assert dominates["reason"].startswith(
@@ -606,29 +605,48 @@ class TestVerdicts:
                                  "boundary_lp_composite"}
         assert verdicts["hardy_norm_g"]["at"] == 24
         assert "Aitken" in verdicts["hardy_norm_g"]["reason"]
-        assert verdicts["boundary_lp_composite"]["at"] == 11
-        assert verdicts["boundary_lp_composite"]["reason"].endswith(
-            "; 0 non-finite boundary samples set to 0")
+        assert verdicts["boundary_lp_composite"] == {
+            "reason": "rho 0.3162278, 0.3162278, 0.3162278 inside (-1, 1)",
+            "at": 11}
         assert json.loads(rep.to_json())["metadata"]["verdicts"] == verdicts
 
     @pytest.mark.parametrize("name, quantity", [
         ("thm2", "boundary_lp_composite"), ("thm3", "boundary_vs_radial_limit")])
-    def test_boundary_reason_counts_the_samples_set_to_zero(
+    def test_boundary_row_carries_the_reason_boundary_lp_gives(
             self, monkeypatch, name, quantity):
-        # boundary_lp counts them in its reason (TestBoundaryNorm); the row
-        # reports the count it is given
         boundary_lp = fn.boundary_lp
 
-        def seven(f, p):
-            reading = boundary_lp(f, p)
-            return replace(reading, reason=reading.reason.replace(
-                "; 0 non-finite", "; 7 non-finite"))
+        def stub(f, p):
+            return replace(boundary_lp(f, p), reason="stub reason")
 
-        monkeypatch.setattr(fn, "boundary_lp", seven)
+        monkeypatch.setattr(fn, "boundary_lp", stub)
         rep = run(ExperimentSpec(name, "moebius:0.5"))
-        why = rep.metadata["verdicts"][quantity]
-        assert why["at"] == 11
-        assert why["reason"].endswith("; 7 non-finite boundary samples set to 0")
+        assert rep.metadata["verdicts"][quantity] == {"reason": "stub reason",
+                                                      "at": 11}
+
+    def test_power50_composite_norms_read_undetermined(self):
+        # phi rounds onto the Cauchy kernel's pole: the composite reads NaN
+        # there, which is no growth, so neither norm diverges
+        rep = run(ExperimentSpec("thm2", "power:50"))
+        rows = {r.quantity: r for r in rep.rows}
+        for quantity in ("hardy_norm_composite", "boundary_lp_composite"):
+            assert rows[quantity].classification == UNDETERMINED
+            assert np.isnan(rows[quantity].value)
+            assert rep.metadata["verdicts"][quantity]["reason"] == "NaN term"
+
+    @pytest.mark.parametrize("p", [0.05, 0.1])
+    def test_grid_stability_compares_means_of_the_maximal_function(self, p):
+        # |k_w|^p = |1 - conj(w) z|^-2, so the grids' means of M^p, and the
+        # claim's value, do not depend on p; their p-th roots drift apart
+        # like 1/p as p shrinks
+        def stability(p):
+            rep = run(ExperimentSpec("thm3", "moebius:0.5", p=p))
+            return next(r for r in rep.rows
+                        if r.quantity == "maximal_lp_grid_stability")
+
+        row = stability(p)
+        assert row.classification == "pass"
+        assert row.value == pytest.approx(stability(2.0).value, rel=1e-9)
 
 
 class TestMain:

@@ -86,10 +86,24 @@ class TestComposite:
         expected = 1.0 / (1.0 - np.exp(1j * alpha))
         assert np.allclose(f.boundary_trace(t), expected, rtol=1e-12)
 
-    def test_boundary_trace_singularity_is_inf(self, thm2_map):
+    def test_boundary_trace_singularity_is_nan(self, thm2_map):
         f = compose(cauchy_kernel(), thm2_map)
         val = f.boundary_trace(np.array([0.0]))
-        assert not np.isfinite(val).any()
+        assert np.isnan(np.abs(val)).all()
+
+    def test_a_symbol_rounding_onto_the_pole_reads_nan_there(self):
+        # phi returns exactly 1 at the origin, the Cauchy kernel's pole; the
+        # composite is NaN there alone, for an array and for a point
+        class Phi:
+            def __call__(self, z):
+                return np.where(z == 0, 1.0 + 0j, 0.5 * z)
+
+        f = compose(cauchy_kernel(), Phi())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = f(np.array([0j, 0.5, -0.5j]))
+            point = f(0j)
+        assert np.isnan(np.abs(vals[0])) and np.isfinite(vals[1:]).all()
+        assert np.shape(point) == () and np.isnan(np.abs(point))
 
     def test_singular_pullback(self, pow2_map):
         # pole direction angle 0 pulls back through alpha^{-1}; for power(2)

@@ -27,7 +27,7 @@ ALLOWED = {
                             "boundary limit, kernel_carleson",
     "boundary_lp_norm": "float view of boundary_lp that acceptance tests 01 "
                         "and 07 call; thm2 and thm3 read the norm with its "
-                        "count of zeroed samples through boundary_lp",
+                        "verdict and reason through boundary_lp",
     "average_derivative": "Monte Carlo view that frozen acceptance test 06 "
                           "and the benchmark tracer call; delete it with "
                           "ball_sample, mc_samples and --seed once the "

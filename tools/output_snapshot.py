@@ -16,10 +16,10 @@ Two checkouts give the same reports exactly when
 
     diff -r OUT_A OUT_B
 
-prints nothing.  The set is 110 runs: the 21 SPECS at --depth 3, 10 and
+prints nothing.  The set is 111 runs: the 21 SPECS at --depth 3, 10 and
 16, thmA and thm3 on each of BALL_MAPS at the default depth, 9 of which
-repeat a SPECS run and are written once, the 8 VARIED runs and the 15
-ERROR_PATHS runs; 101 are written, 202 files where none raises.  The run list
+repeat a SPECS run and are written once, the 9 VARIED runs and the 15
+ERROR_PATHS runs; 102 are written, 204 files where none raises.  The run list
 is fixed here, not read from the package, so that the same script runs on
 any checkout.
 """
@@ -58,6 +58,7 @@ VARIED = (
     ("thm3", "thm2_sqrt", {"p": 3.0, "grid": 8, "aperture": 3.0}),
     ("thm3", "moebius:0.5", {"p": 3.0, "grid": 8, "aperture": 3.0}),
     ("thm3", "moebius:0.5", {"p": 1.5}),
+    ("thm3", "moebius:0.5", {"p": 0.1}),
     ("thm3", "power:2", {"grid": 4, "aperture": 1.5}),
     ("lemma1", "thm2_sqrt", {"grid": 8, "aperture": 3.0}),
     ("lemma1", "moebius:0.5", {"grid": 32, "aperture": 1.5}),
