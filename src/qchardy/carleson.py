@@ -90,15 +90,14 @@ class DiscPushforward:
 def make_ball_family(k_range, angles):
     """The documented finite proxy for 'all hyperbolic balls': centers on the
     rings 1 - 2^{-k}, the given number of angles per ring (including angle 0),
-    radius ratio 1/2."""
-    family = []
-    for k in k_range:
-        rad = 1.0 - 2.0 ** -k
-        for j in range(angles):
-            t = wrap_angle(-np.pi + TWO_PI * j / angles)
-            family.append((k, HyperbolicBall(center=rad * np.exp(1j * t),
-                                             ratio=0.5)))
-    return family
+    radius ratio 1/2.  The angles are wrapped and exponentiated once, as
+    arrays, for every ring; each center is a Python complex, so a ball's
+    radius and normalisation are Python arithmetic."""
+    ks = list(k_range)
+    t = wrap_angle(-np.pi + TWO_PI * np.arange(angles) / angles)
+    rings = (1.0 - np.ldexp(1.0, -np.array(ks)))[:, None] * np.exp(1j * t)
+    return [(k, HyperbolicBall(center=c, ratio=0.5))
+            for k, ring in zip(ks, rings.tolist()) for c in ring]
 
 
 @dataclass(frozen=True)

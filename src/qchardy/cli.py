@@ -214,9 +214,7 @@ def run_lemma1(spec, phi, rep):
     """Image-cone aperture over a boundary grid: finite and comparable across
     boundary points (max within 3x of the median)."""
     thetas = -np.pi + 2 * np.pi * (np.arange(spec.grid) + 0.5) / spec.grid
-    aps = [cone_image_aperture(phi, np.exp(1j * t), spec.aperture, samples=96)
-           for t in thetas]
-    aps = np.asarray(aps)
+    aps = cone_image_aperture(phi, np.exp(1j * thetas), spec.aperture, samples=96)
     rep.add("aperture_max", read_value(float(np.max(aps))))
     rep.add("aperture_median", read_value(float(np.median(aps))))
     ok = np.all(np.isfinite(aps)) and np.max(aps) <= 3.0 * np.median(aps)

@@ -514,9 +514,11 @@ def invert(phi, w, z0=None):
     |w|; a guess z with |z| >= 1 starts at z (1 - 1e-6) / |z|): every
     iteration makes one jet call on the lanes still running and takes their
     quasi-Newton steps from the Wirtinger derivatives, each lane until its
-    residual is below 1e-11, its step is not finite or it has taken
-    _MAX_ITER steps.  Either way a lane whose residual |phi(z) - w| is 1e-7
-    or more, or NaN, raises RuntimeError.
+    residual is below 1e-11, its Jacobian is <= 0, its step is not finite
+    or it has taken _MAX_ITER steps, and only then writes its z, jet and
+    residual out: the running lanes' z and targets are compact arrays,
+    copied when a lane stops.  Either way a lane whose residual
+    |phi(z) - w| is 1e-7 or more, or NaN, raises RuntimeError.
 
     Returns (z, jet), jet = phi.jet(z) from the lanes' last jet call at
     their final z, arrays in the shape of w (0-d for a point).
@@ -531,42 +533,47 @@ def invert(phi, w, z0=None):
         quadrature.WORK["invert_jets"] += 1
         quadrature.WORK["invert_jet_points"] += ws.size
         residual = np.abs(jet[0] - ws)
-        running = np.arange(0)  # no Newton lane
+        lanes = np.arange(0)  # no Newton lane
     else:
         z = _initial_guess(phi, ws) if z0 is None else np.broadcast_to(z0, targets.shape)
         z = np.array(z, dtype=complex).ravel()
         r = np.abs(z)
-        z = np.where(r >= 1, z * (1 - 1e-6) / np.maximum(r, 1), z)
+        lane_z = np.where(r >= 1, z * (1 - 1e-6) / np.maximum(r, 1), z)
+        z, residual = np.empty_like(lane_z), np.empty(ws.size)
         jet = np.empty((3, ws.size), dtype=complex)
-        residual = np.full(ws.size, np.inf)
-        running = np.arange(ws.size)
+        lanes, lane_w = np.arange(ws.size), ws
     for it in range(_MAX_ITER + 1):  # the last pass only checks the residual
-        if running.size == 0:
+        if lanes.size == 0:
             break
         quadrature.WORK["invert_jets"] += 1
-        quadrature.WORK["invert_jet_points"] += running.size
-        val, dz, dzb = phi.jet(z[running])
-        jet[:, running] = val, dz, dzb
-        f = val - ws[running]
-        residual[running] = np.abs(f)
+        quadrature.WORK["invert_jet_points"] += lanes.size
+        lane_jet = val, dz, dzb = phi.jet(lane_z)
+        f = val - lane_w
+        res = np.abs(f)
         jac = np.abs(dz) ** 2 - np.abs(dzb) ** 2
-        go = ~((residual[running] < 1e-11) | (jac <= 0)) & (it < _MAX_ITER)
-        running, f, dz, dzb, jac = running[go], f[go], dz[go], dzb[go], jac[go]
+        go = ~((res < 1e-11) | (jac <= 0)) & (it < _MAX_ITER)
+        if not go.all():
+            f, dz, dzb, jac = f[go], dz[go], dzb[go], jac[go]
         with np.errstate(over="ignore", invalid="ignore"):
             step = (np.conj(dz) * f - dzb * np.conj(f)) / jac
         # a lane whose step is not finite, from a NaN residual or Jacobian or
         # an overflow, stops, to be judged on its residual
-        go = np.isfinite(step)
-        if not go.all():
-            running, step = running[go], step[go]
-        znew = z[running] - step
+        finite = np.isfinite(step)
+        if not finite.all():
+            go[go], step = finite, step[finite]
+        if not go.all():  # write the lanes that stop, keep the others
+            stop = lanes[~go]
+            z[stop], residual[stop] = lane_z[~go], res[~go]
+            jet[:, stop] = [value[~go] for value in lane_jet]
+            lanes, lane_z, lane_w = lanes[go], lane_z[go], lane_w[go]
+        znew = lane_z - step
         # halve the steps that leave the disc
         out = np.abs(znew) >= 1 - 1e-13
         while np.any(out):
             step[out] *= 0.5
-            znew[out] = z[running[out]] - step[out]
+            znew[out] = lane_z[out] - step[out]
             out &= (np.abs(znew) >= 1 - 1e-13) & (np.abs(step) >= 1e-16)
-        z[running] = znew
+        lane_z = znew
     failed = np.flatnonzero(~(residual < 1e-7))  # a NaN residual fails too
     quadrature.WORK["invert_failures"] += failed.size
     if failed.size:
@@ -577,15 +584,21 @@ def invert(phi, w, z0=None):
 
 
 def cone_image_aperture(phi, xi, c=2.0, samples=96):
-    """Empirical aperture of the image of the cone at xi under phi:
-    sup |phi(z) - phi(xi)| / (1 - |phi(z)|) over the cone lattice
-    (geometry.cone_lattice) of samples // 12 (at least 3) rays evenly across
-    the window at each of its 12 depths; NaN if an image rounds onto or past
-    the circle, where 1 - |phi(z)| <= 0 is no distance to divide by."""
-    if abs(abs(xi) - 1.0) > 1e-12:
+    """Empirical aperture of the image of the cone at each vertex xi under
+    phi, in the shape of xi (a float for a point): sup |phi(z) - phi(xi)| /
+    (1 - |phi(z)|) over the cone lattices (geometry.cone_lattice), in one
+    call of phi, of samples // 12 (at least 3) rays evenly across the window
+    at each of 12 depths; NaN if an image rounds onto or past the circle,
+    where 1 - |phi(z)| <= 0 is no distance to divide by.  Each phi(xi) is a
+    scalar map_point call: an array call moves its last bit."""
+    xi = np.asarray(xi, dtype=complex)
+    if np.any(np.abs(np.abs(xi) - 1.0) > 1e-12):
         raise ValueError("cone vertex must lie on the unit circle")
     rays = np.linspace(-1.0, 1.0, max(3, int(samples) // 12))
-    w = phi(np.concatenate(cone_lattice(np.angle(xi), c, rays)))
-    target = complex(phi.boundary.map_point(float(np.angle(xi))))
+    t0 = np.angle(xi)[..., None]
+    w = phi(np.concatenate(cone_lattice(t0, c, rays), axis=-1))
+    target = [complex(phi.boundary.map_point(t)) for t in t0.ravel().tolist()]
     gap = 1.0 - np.abs(w)
-    return float(np.max(np.abs(w - target) / np.where(gap > 0, gap, np.nan)))
+    aperture = np.max(np.abs(w - np.reshape(target, t0.shape))
+                      / np.where(gap > 0, gap, np.nan), axis=-1)
+    return float(aperture) if xi.ndim == 0 else aperture

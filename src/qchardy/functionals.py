@@ -12,7 +12,7 @@ dyadic sequence of terms computed here.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import count
+from itertools import chain, count
 
 import numpy as np
 
@@ -30,10 +30,10 @@ def radial_schedule(k_max=RADIAL_DEPTH):
     return 1.0 - 2.0 ** -np.arange(1, k_max + 1)
 
 
-def _circle_marks(f, r):
-    """Grading marks for circle means of f on |z| = r: f's singular angles at
-    1e-3 (1 - r) and, for a composite, its symbol's kink angles at
-    0.1 (1 - r).
+def _circle_marks(f, radii):
+    """Grading marks for circle means of f on each circle |z| = r, r in
+    radii: f's singular angles, pulled back once, at 1e-3 (1 - r) and, for
+    a composite, its symbol's kink angles at 0.1 (1 - r).
 
     On |z| = r an analytic g is at least 1 - r from its boundary singularity,
     and a quasiconformal phi maps the Whitney disc of z onto a region
@@ -41,10 +41,10 @@ def _circle_marks(f, r):
     singularity.  So f = g o phi has no feature finer than about (1 - r) / C
     on the circle, and panels finer than 1e-3 (1 - r) would integrate a
     function that is constant to rounding."""
-    marks = [(t, 1e-3 * (1.0 - r)) for t in f.singular_angles]
-    if isinstance(f, QuasiregularMap):
-        marks += [(t, 0.1 * (1.0 - r)) for t in f.phi.kink_angles(r)]
-    return marks
+    angles = f.singular_angles
+    kinks = f.phi.kink_angles if isinstance(f, QuasiregularMap) else lambda r: ()
+    return [[(t, 1e-3 * (1.0 - r)) for t in angles]
+            + [(t, 0.1 * (1.0 - r)) for t in kinks(r)] for r in radii]
 
 
 def integral_mean(f, r, p):
@@ -64,7 +64,7 @@ def integral_mean(f, r, p):
     def fn(theta):
         return np.abs(f(r * np.exp(1j * theta))) ** p
 
-    return circle_mean(fn, _circle_marks(f, r))
+    return circle_mean(fn, _circle_marks(f, [r])[0])
 
 
 def hardy_norm(f, p):
@@ -79,7 +79,7 @@ def hardy_norm(f, p):
         return np.abs(f(schedule[circle] * np.exp(1j * theta))) ** p
 
     with np.errstate(all="ignore"):  # a non-finite |f|^p reads as a verdict
-        means = circle_means(fn, [_circle_marks(f, float(r)) for r in schedule])
+        means = circle_means(fn, _circle_marks(f, schedule.tolist()))
         reading = read_tail(((m, e, r) for r, (m, e) in zip(schedule, means)),
                             RADIAL_DEPTH)
     if len(reading.samples) < RADIAL_DEPTH:  # a term raised
@@ -180,52 +180,55 @@ def _deriv_magnitude(f, z):
     return np.abs(f.deriv(z))
 
 
-def _area_truncations(f, p):
+def _area_truncations(f, p, first):
     """Truncations of int_D |Df|^p (1-|z|)^(p-1) dm to radius 1 - 2^{-k},
     k = 1, 2, ...: (truncation, error of its last shell, 1 - 2^{-k}, error
-    of the truncation), one dyadic shell per step.  A shell that sums below
-    the smallest normal double has underflowed, since no catalog composite
-    is constant: its truncation and that truncation's error, and every later
-    one, are NaN."""
+    of the truncation), one dyadic shell per step.  The first `first`
+    shells are one circle_means stage of their 8 radii each, every later
+    shell a stage of its own.  A shell that sums below the smallest normal
+    double has underflowed, since no catalog composite is constant: its
+    truncation and that truncation's error, and every later one, are NaN."""
     q = p - 1.0
     x, wq = gauss_legendre(8)
-    total = toterr = a = 0.0
-    for k in count(1):
-        b = 1.0 - 2.0 ** -k
+    total = toterr = 0.0
+    for ks in chain([np.arange(1, first + 1)],
+                    (np.array([k]) for k in count(first + 1))):
+        a, b = 1.0 - np.ldexp(1.0, 1 - ks), 1.0 - np.ldexp(1.0, -ks)
         half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        radii = mid + half * x
-        shell, before = 0.0, toterr
+        radii = (0.5 * (a + b))[:, None] + half[:, None] * x
 
-        def fn(theta, circle):
-            return _deriv_magnitude(f, radii[circle] * np.exp(1j * theta)) ** p
+        def fn(theta, c):
+            return _deriv_magnitude(f, radii.flat[c] * np.exp(1j * theta)) ** p
 
-        means = circle_means(fn, [_circle_marks(f, r) for r in radii], order=12)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at large p
-            for r, wi, (m, e) in zip(radii, wq, means):
-                shell += half * wi * m * (1.0 - r) ** q * r * TWO_PI
-                toterr += half * wi * e * (1.0 - r) ** q * r * TWO_PI
-        if shell >= np.finfo(float).tiny:
-            total += shell
-        else:
-            total = toterr = np.nan
-        yield total, toterr - before, b, toterr
-        a = b
+        means = circle_means(fn, _circle_marks(f, radii.flat), order=12)
+        for end, width, shell_radii in zip(b.tolist(), half.tolist(), radii):
+            shell, before = 0.0, toterr
+            # inf * 0 at large p; the stage's integrand runs here too
+            with np.errstate(over="ignore", invalid="ignore"):
+                for r, wi, (m, e) in zip(shell_radii, wq, means):
+                    shell += width * wi * m * (1.0 - r) ** q * r * TWO_PI
+                    toterr += width * wi * e * (1.0 - r) ** q * r * TWO_PI
+            if shell >= np.finfo(float).tiny:
+                total += shell
+            else:
+                total = toterr = np.nan
+            yield total, toterr - before, end, toterr
 
 
 def area_integral(f, p, k_max=12):
     """Weighted area integral int_D |Df|^p (1-|z|)^(p-1) dm.
 
-    Tensor quadrature: dyadic radial shells graded toward r = 1, each one
-    circle_means stage of 8 Gauss-Legendre radii, with order-12 circle means
-    graded at singular pullbacks and at the symbol's kinks, at scales
-    proportional to 1 - r (_circle_marks).  The value and error are those of
-    the truncation to radius 1 - 2^{-k_max}.  The verdict is the tail of the
-    truncations that tail.read_tail reads; an increment is one shell, so
-    each truncation carries the error of its last shell.  samples hold
-    every truncation read, as _area_truncations yields it.
+    Tensor quadrature: dyadic radial shells graded toward r = 1, each of 8
+    Gauss-Legendre radii, the first k_max shells one circle_means stage and
+    each later one a stage of 8, with order-12 circle means graded at
+    singular pullbacks and at the symbol's kinks, at scales proportional to
+    1 - r (_circle_marks).  The value and error are those of the truncation
+    to radius 1 - 2^{-k_max}.  The verdict is the tail of the truncations
+    that tail.read_tail reads; an increment is one shell, so each truncation
+    carries the error of its last shell.  samples hold every truncation
+    read, as _area_truncations yields it.
     """
-    reading = read_tail(_area_truncations(f, float(p)), k_max)
+    reading = read_tail(_area_truncations(f, float(p), k_max), k_max)
     return replace(reading, error=reading.samples[k_max - 1][3])
 
 

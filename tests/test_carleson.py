@@ -18,7 +18,8 @@ from qchardy.extension import invert, make_disc_map, norm_and_jacobian
 from qchardy.functionals import hardy_norm
 from qchardy.functions import compose, hardy_kernel
 from qchardy.geometry import HyperbolicBall
-from qchardy.quadrature import BALL_RULE, _polar_rule, node_batches
+from qchardy.quadrature import (BALL_RULE, TWO_PI, _polar_rule, node_batches,
+                                wrap_angle)
 from qchardy.tail import CONVERGED, DIVERGING, UNDETERMINED, classify_tail
 
 
@@ -189,6 +190,21 @@ class TestBallFamily:
         for k, ball in fam:
             assert abs(ball.center) == pytest.approx(1 - 2.0 ** -k)
             assert ball.ratio == 0.5
+
+    @pytest.mark.parametrize("angles", [8, 5])
+    def test_rings_match_the_scalar_loop(self, angles):
+        # the loop make_ball_family ran, one wrap_angle and np.exp a ball
+        want = []
+        for k in range(1, 17):
+            rad = 1.0 - 2.0 ** -k
+            for j in range(angles):
+                t = wrap_angle(-np.pi + TWO_PI * j / angles)
+                want.append((k, HyperbolicBall(center=rad * np.exp(1j * t))))
+        got = make_ball_family(range(1, 17), angles)
+        assert [k for k, _ in got] == [k for k, _ in want]
+        for attribute in ("center", "radius", "area"):
+            assert (np.array([getattr(b, attribute) for _, b in got]).tobytes()
+                    == np.array([getattr(b, attribute) for _, b in want]).tobytes())
 
 
 class TestSweeps:

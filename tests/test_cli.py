@@ -312,6 +312,19 @@ class TestWorkLedger:
         assert work == {key: n for key, n in counts.items() if n}
         assert set(work) == keys
 
+    # thm3 reads its Hardy circles, boundary scales and first 12 area
+    # shells in one stage each, moebius(0.99) one more shell; lemma1 maps
+    # the cone lattices of all 16 vertices, 8 rays at 12 depths each, in
+    # one call
+    @pytest.mark.parametrize("name, map_spec, counts", [
+        ("thm3", "thm2_sqrt", {"circle_stages": 3}),
+        ("thm3", "moebius:0.99", {"circle_stages": 4}),
+        ("lemma1", "thm2_sqrt", {"ba_calls": 1, "ba_points": 16 * 96})])
+    def test_batched_loops_count_one_stage_or_call(self, name, map_spec,
+                                                   counts):
+        work = run(ExperimentSpec(name, map_spec)).metadata["work"]
+        assert {key: work[key] for key in counts} == counts
+
     def test_a_spec_counts_the_same_work_wherever_it_runs(self):
         spec = ExperimentSpec("thmA", "power:2")
         first = run(spec).metadata["work"]

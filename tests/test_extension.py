@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -26,7 +27,7 @@ from qchardy.extension import (
     moebius_disc_map,
 )
 from qchardy.functionals import radial_schedule
-from qchardy.geometry import HyperbolicBall
+from qchardy.geometry import HyperbolicBall, cone_lattice
 from qchardy.quadrature import _NODES_PER_CALL, gauss_legendre
 
 # order and panel edges of the seed rule, as fractions of |end - c|: 14
@@ -899,7 +900,30 @@ class TestCircularDistortion:
         assert all(0.05 < r < 10.0 for r in ratios)
 
 
+def _one_vertex_aperture(phi, xi, c=2.0, samples=96):
+    """cone_image_aperture as it ran on one vertex a call, the reference for
+    the bitwise check of its batched form."""
+    rays = np.linspace(-1.0, 1.0, max(3, int(samples) // 12))
+    w = phi(np.concatenate(cone_lattice(np.angle(xi), c, rays)))
+    target = complex(phi.boundary.map_point(float(np.angle(xi))))
+    gap = 1.0 - np.abs(w)
+    return float(np.max(np.abs(w - target) / np.where(gap > 0, gap, np.nan)))
+
+
 class TestConeImageAperture:
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "moebius:0.5"])
+    def test_vertices_at_once_match_one_call_each(self, spec):
+        # lemma1's 16 vertices, in one call of phi
+        phi = make_disc_map(spec)
+        xi = np.exp(1j * (-np.pi + 2 * np.pi * (np.arange(16) + 0.5) / 16))
+        want = np.array([_one_vertex_aperture(phi, x) for x in xi])
+        got = cone_image_aperture(phi, xi)
+        assert got.shape == xi.shape and got.tobytes() == want.tobytes()
+        grid = cone_image_aperture(phi, xi.reshape(4, 4), c=2.0, samples=96)
+        assert grid.shape == (4, 4) and grid.tobytes() == want.tobytes()
+        point = cone_image_aperture(phi, xi[3])
+        assert type(point) is float and point == want[3]
+
     def test_identity_recovers_aperture(self, identity_map):
         ap = cone_image_aperture(identity_map, 1.0 + 0j, c=2.0)
         assert ap == pytest.approx(2.0, rel=1e-6)
@@ -1223,3 +1247,93 @@ class TestInitialGuesses:
         again, _ = invert(phi, targets, z0=z)
         assert phi.jets == [targets.size]
         assert np.array_equal(again, z)
+
+
+def _scatter_gather_invert(phi, w, stops):
+    """invert's Newton loop as it ran before its lanes were compacted, the
+    reference for the bitwise checks: every iteration gathers the running
+    lanes' z from, and scatters their jet, residual and new z into, arrays
+    of every lane.  stops counts the lanes stopped by a Jacobian <= 0
+    ("jacobian"), a step that is not finite ("step") and _MAX_ITER ("cap")."""
+    targets = np.asarray(w, dtype=complex)
+    ws = targets.ravel()
+    z = np.array(extension._initial_guess(phi, ws), dtype=complex).ravel()
+    jet = np.empty((3, ws.size), dtype=complex)
+    residual = np.full(ws.size, np.inf)
+    running = np.arange(ws.size)
+    for it in range(extension._MAX_ITER + 1):
+        if running.size == 0:
+            break
+        val, dz, dzb = phi.jet(z[running])
+        jet[:, running] = val, dz, dzb
+        f = val - ws[running]
+        residual[running] = np.abs(f)
+        jac = np.abs(dz) ** 2 - np.abs(dzb) ** 2
+        go = ~((residual[running] < 1e-11) | (jac <= 0)) & (it < extension._MAX_ITER)
+        stops["jacobian"] += np.count_nonzero(~(residual[running] < 1e-11) & (jac <= 0))
+        if it == extension._MAX_ITER:
+            stops["cap"] += np.count_nonzero(~(residual[running] < 1e-11) & (jac > 0))
+        running, f, dz, dzb, jac = running[go], f[go], dz[go], dzb[go], jac[go]
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = (np.conj(dz) * f - dzb * np.conj(f)) / jac
+        go = np.isfinite(step)
+        stops["step"] += np.count_nonzero(~go)
+        if not go.all():
+            running, step = running[go], step[go]
+        znew = z[running] - step
+        out = np.abs(znew) >= 1 - 1e-13
+        while np.any(out):
+            step[out] *= 0.5
+            znew[out] = z[running[out]] - step[out]
+            out &= (np.abs(znew) >= 1 - 1e-13) & (np.abs(step) >= 1e-16)
+        z[running] = znew
+    failed = np.flatnonzero(~(residual < 1e-7))
+    if failed.size:
+        t, r = ws[failed[0]], residual[failed[0]]
+        raise RuntimeError(f"invert({phi.label}, {t}) did not converge "
+                           f"(residual {r:.2e})")
+    return z.reshape(targets.shape), tuple(j.reshape(targets.shape) for j in jet)
+
+
+class TestCompactedInvert:
+    """invert keeps its running lanes compact and writes a lane's outputs
+    once, when it stops: the same bits as the scatter-gather loop, on the
+    ball centers of rings 1-10, 8 a ring, as a sweep inverts them."""
+
+    _CENTERS = ((1.0 - 2.0 ** -np.arange(1, 11))[:, None]
+                * np.exp(2j * np.pi * np.arange(8) / 8)).ravel()
+
+    def _outcome(self, newton, spec):
+        """(z and jet bytes, or the failure message; the bytes of every jet
+        call's points and values) of one inversion of _CENTERS."""
+        phi, calls = make_disc_map(spec), []
+
+        def jet(z, original=phi.jet):
+            out = original(z)
+            calls.append(b"".join(a.tobytes() for a in (z, *out)))
+            return out
+
+        phi.jet = jet
+        try:
+            z, jets = newton(phi, self._CENTERS)
+        except RuntimeError as exc:
+            return str(exc), calls
+        return b"".join(a.tobytes() for a in (z, *jets)), calls
+
+    # power:50: lanes stop on a Jacobian <= 0 and on a step that overflows;
+    # at 2 or 3 steps lanes stop at the cap; thm2_sqrt and power:2 converge
+    @pytest.mark.parametrize("spec, max_iter, stopped", [
+        ("thm2_sqrt", 80, set()), ("power:2", 80, set()),
+        ("power:50", 80, {"jacobian", "step"}), ("thm2_sqrt", 2, {"cap"}),
+        ("power:0.3", 3, {"cap"})])
+    def test_matches_the_scatter_gather_loop(self, monkeypatch, spec, max_iter,
+                                             stopped):
+        monkeypatch.setattr(extension, "_MAX_ITER", max_iter)
+        stops = Counter()
+        want = self._outcome(partial(_scatter_gather_invert, stops=stops), spec)
+        assert {kind for kind, n in stops.items() if n} == stopped
+        assert isinstance(want[0], str) == bool(stopped)  # a stop fails
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a step on no stopped lane
+            got = self._outcome(invert, spec)
+        assert got == want

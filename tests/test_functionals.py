@@ -1,3 +1,5 @@
+import warnings
+from dataclasses import replace
 from itertools import count, islice
 
 import numpy as np
@@ -531,6 +533,43 @@ class TestMaximal:
             nt_maximal(_constant(1.0), np.array([1.0, 0.5j]))
 
 
+def _shell_stage_truncations(f, p):
+    """functionals._area_truncations as it ran with one circle_means stage
+    per shell, the singular angles pulled back once per circle: the
+    reference for the bitwise check of area_integral's batched stage."""
+    q = p - 1.0
+    x, wq = gauss_legendre(8)
+    total = toterr = a = 0.0
+    for k in count(1):
+        b = 1.0 - 2.0 ** -k
+        half = 0.5 * (b - a)
+        mid = 0.5 * (a + b)
+        radii = mid + half * x
+        shell, before = 0.0, toterr
+
+        def fn(theta, circle):
+            return f.differential(radii[circle] * np.exp(1j * theta))[0] ** p
+
+        marks = [[(t, 1e-3 * (1.0 - r)) for t in f.singular_angles]
+                 + [(t, 0.1 * (1.0 - r)) for t in f.phi.kink_angles(r)]
+                 for r in radii]
+        means = circle_means(fn, marks, order=12)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r, wi, (m, e) in zip(radii, wq, means):
+                shell += half * wi * m * (1.0 - r) ** q * r * TWO_PI
+                toterr += half * wi * e * (1.0 - r) ** q * r * TWO_PI
+        if shell >= np.finfo(float).tiny:
+            total += shell
+        else:
+            total = toterr = np.nan
+        yield total, toterr - before, b, toterr
+        a = b
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
 class TestAreaIntegral:
     def test_monomial_closed_form(self):
         # int_D |1|^2 (1-|z|) dm = 2 pi (1/2 - 1/3) = pi/3 for f = z
@@ -586,7 +625,7 @@ class TestAreaIntegral:
                 def fn(t, r=r):
                     return f.differential(r * np.exp(1j * t))[0] ** 2
 
-                val, err = _mean(fn, functionals._circle_marks(f, r), order=12)
+                val, err = _mean(fn, functionals._circle_marks(f, [r])[0], order=12)
                 ref, ref_err = _mean(fn, _fixed_scale_marks(f, r, 1e-9), order=12)
                 if k == 1:
                     assert abs(val - ref) <= 0.1 * min(err, ref_err), r
@@ -598,9 +637,29 @@ class TestAreaIntegral:
                 ref_total += weight * ref
         assert abs(total - ref_total) <= 1e-9 * ref_total
 
+    @pytest.mark.parametrize("spec, p, shells", [
+        ("thm2_sqrt", 2.0, 12), ("power:2", 2.0, 12), ("moebius:0.5", 2.0, 12),
+        ("moebius:0.99", 2.0, 13), ("thm2_sqrt", 200.0, 12),
+        ("thm2_sqrt", 1000.0, 12)])
+    def test_one_stage_changes_no_bit(self, spec, p, shells):
+        # thm3's composite; moebius(0.99) reads shell 13 in a stage of its
+        # own, at p = 200 every shell underflows to a NaN truncation, and at
+        # p = 1000 inf |Df|^p meets a weight that underflows to 0
+        f = compose(hardy_kernel(0.9, p), make_disc_map(spec))
+        want = read_tail(_shell_stage_truncations(f, p), 12)
+        want = replace(want, error=want.samples[11][3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the stage prints no RuntimeWarning
+            got = area_integral(f, p)
+        assert len(got.samples) == shells
+        assert _bits(got.samples) == _bits(want.samples)
+        assert _bits([got.value, got.error]) == _bits([want.value, want.error])
+        assert (got.at, got.reason) == (want.at, want.reason)
+
     def test_undetermined_tail_reads_each_shell_once(self, monkeypatch):
-        # moebius(0.99) is undetermined at 12 shells and converged at 13
-        # one circle_means stage of 8 circles per shell
+        # moebius(0.99) is undetermined at 12 shells and converged at 13:
+        # one circle_means stage of the first 12 shells' 96 circles, then
+        # one of 8 circles for shell 13
         stages = []
 
         def counted(fn, marks, order):
@@ -608,14 +667,14 @@ class TestAreaIntegral:
             return circle_means(fn, marks, order)
 
         f = compose(hardy_kernel(0.9, 2.0), make_disc_map("moebius:0.99"))
-        twelve = list(islice(functionals._area_truncations(f, 2.0), 12))
+        twelve = list(islice(functionals._area_truncations(f, 2.0, 12), 12))
         monkeypatch.setattr(functionals, "circle_means", counted)
         est = area_integral(f, 2.0, k_max=12)
         verdict, _ = classify_tail([t[0] for t in twelve],
                                    [t[1] for t in twelve])
         assert verdict == UNDETERMINED
         assert est.classification == CONVERGED
-        assert len(est.samples) == 13 and stages == [8] * 13
+        assert len(est.samples) == 13 and stages == [96, 8]
         assert est.samples[:12] == tuple(twelve)
         assert (est.value, est.error) == (twelve[-1][0], twelve[-1][3])
 
