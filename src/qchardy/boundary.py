@@ -123,11 +123,11 @@ def parse_map_spec(spec):
     """(name, parameters) of a catalog map spec 'name' or 'name:p1,p2':
     identity, thm2_sqrt, power (gamma > 0), or moebius (real a, |a| < 1),
     with its count of finite parameters."""
-    name, _, text = spec.partition(":")
+    name, colon, text = spec.partition(":")
     if name not in _CATALOG:
         raise ValueError(f"unknown catalog map {name!r}")
     params = ()
-    for p in text.split(",") if text else ():
+    for p in text.split(",") if colon else ():
         try:
             params += (float(p),)
         except ValueError:

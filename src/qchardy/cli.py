@@ -29,7 +29,7 @@ from .boundary import lipschitz_modulus_inverse, lipschitz_reading, parse_map_sp
 from .extension import cone_image_aperture, make_disc_map
 from .functions import AnalyticFunction, cauchy_kernel, compose, hardy_kernel
 from .quadrature import WORK
-from .tail import CONVERGED, DIVERGING, TAIL_CAP, UNDETERMINED, read_value
+from .tail import CONVERGED, TAIL_CAP, UNDETERMINED, read_value
 
 PASS = "pass"
 FAIL = "fail"
@@ -130,14 +130,12 @@ class ExperimentSpec:
         make_disc_map(self.map_spec)
 
 
-def _agreement(rep, phi, depth, quantity, name, reading):
-    """Add the depth-`depth` Lipschitz modulus row, then the claim that the
-    row `name`, reading, has its verdict, and a decided one."""
-    lip = lipschitz_reading(phi.boundary,
-                            lipschitz_modulus_inverse(phi.boundary, depth))
-    rep.add("lipschitz_modulus", lip)
-    ok = reading.classification == lip.classification != UNDETERMINED
-    rep.compare(quantity, ok, float(ok), {name: reading, "lipschitz_modulus": lip})
+def _agreement(rep, quantity, readings):
+    """Add the claim that the readings, {row: reading}, share one verdict,
+    and a decided one."""
+    verdicts = {r.classification for r in readings.values()}
+    ok = len(verdicts) == 1 and UNDETERMINED not in verdicts
+    rep.compare(quantity, ok, float(ok), readings)
 
 
 def run_thm1(spec, phi, rep):
@@ -146,27 +144,26 @@ def run_thm1(spec, phi, rep):
     kernel test holds for every p at once, so thm1 has no --p."""
     kernel = ca.kernel_carleson(phi, spec.depth)
     rep.add("proxy_sup", kernel)
-    _agreement(rep, phi, spec.depth, "thm1_agreement", "proxy_sup", kernel)
+    lip = lipschitz_reading(phi.boundary,
+                            lipschitz_modulus_inverse(phi.boundary, spec.depth))
+    rep.add("lipschitz_modulus", lip)
+    _agreement(rep, "thm1_agreement", {"proxy_sup": kernel, "lipschitz_modulus": lip})
 
 
 def run_thm2(spec, phi, rep):
-    """The divergent analytic norm against the convergent composite norms."""
+    """Hp norms of the Cauchy kernel g and of g o phi, whose two Hp
+    witnesses, its Hardy and boundary verdicts, must agree."""
     g = cauchy_kernel()
     f = compose(g, phi)
-    ng = fn.hardy_norm(g, spec.p)
-    rep.add("hardy_norm_g", ng)
+    rep.add("hardy_norm_g", fn.hardy_norm(g, spec.p))
     nf = fn.hardy_norm(f, spec.p)
     rep.add("hardy_norm_composite", nf)
     boundary = fn.boundary_lp(f, spec.p)
     rep.add("boundary_lp_composite", boundary)
     rep.add("maximal_lp_composite", read_value(
         fn.maximal_lp(f, spec.p, spec.aperture, grid_n=4 * spec.grid)))
-    if parse_map_spec(spec.map_spec)[0] == "thm2_sqrt":
-        ok = (ng.classification == DIVERGING and nf.classification == CONVERGED
-              and boundary.classification == CONVERGED)
-        rep.check("thm2_agreement", ok, float(ok))
-    else:
-        rep.check("control_run", True, 1.0)
+    _agreement(rep, "thm2_agreement", {"hardy_norm_composite": nf,
+                                       "boundary_lp_composite": boundary})
 
 
 def run_thm3(spec, phi, rep):
@@ -206,8 +203,11 @@ def run_thmA(spec, phi, rep):
     # ring 10's maximum over ring 4's, NaN if the sweep of rings 1-10 raised
     rep.add("bergman_ring_growth", replace(rings, error=0.0, value=(
         rings.samples[9][0] / rings.samples[3][0] if rings.samples else np.nan)))
-    _agreement(rep, phi, spec.depth, "thmA_agreement", "bergman_constant",
-               rings)
+    lip = lipschitz_reading(phi.boundary,
+                            lipschitz_modulus_inverse(phi.boundary, spec.depth))
+    rep.add("lipschitz_modulus", lip)
+    _agreement(rep, "thmA_agreement", {"bergman_constant": rings,
+                                       "lipschitz_modulus": lip})
 
 
 def run_lemma1(spec, phi, rep):

@@ -80,7 +80,8 @@ class TestCatalog:
             parse_map_spec(spec)
 
     @pytest.mark.parametrize("spec, parameter", [
-        ("power:2,", "''"), ("power:abc", "'abc'"), ("moebius:0.5x", "'0.5x'")])
+        ("power:2,", "''"), ("power:abc", "'abc'"), ("moebius:0.5x", "'0.5x'"),
+        ("identity:", "''"), ("thm2_sqrt:", "''"), ("power:", "''")])
     def test_unparsable_parameter_names_the_map(self, spec, parameter):
         with pytest.raises(ValueError, match=re.escape(
                 f"map {spec!r} has a parameter {parameter} that is not a number")):

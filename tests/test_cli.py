@@ -72,6 +72,10 @@ BAD_INPUT = [
     # thm3's kernel (1 - 0.9 z)^(-2/p) overflows at z = 1
     (["thm3", "--p", "0.0064"], "p=0.0064"),
     (["thm3", "--p", "1e-300"], "p=1e-300"),
+    # a colon with nothing after it is one empty parameter
+    (["thm1", "--map", "identity:"], "'identity:' has a parameter ''"),
+    (["thm2", "--map", "thm2_sqrt:"], "'thm2_sqrt:' has a parameter ''"),
+    (["thm1", "--map", "power:"], "'power:' has a parameter ''"),
 ]
 
 
@@ -615,12 +619,16 @@ class TestVerdicts:
         rep = run(ExperimentSpec("thm2"))
         verdicts = rep.metadata["verdicts"]
         assert set(verdicts) == {"hardy_norm_g", "hardy_norm_composite",
-                                 "boundary_lp_composite"}
+                                 "boundary_lp_composite", "thm2_agreement"}
         assert verdicts["hardy_norm_g"]["at"] == 24
         assert "Aitken" in verdicts["hardy_norm_g"]["reason"]
         assert verdicts["boundary_lp_composite"] == {
             "reason": "rho 0.3162278, 0.3162278, 0.3162278 inside (-1, 1)",
             "at": 11}
+        # the claim names the composite's two witnesses and their verdicts
+        assert verdicts["thm2_agreement"] == {
+            "reason": "hardy_norm_composite converged; "
+                      "boundary_lp_composite converged", "at": None}
         assert json.loads(rep.to_json())["metadata"]["verdicts"] == verdicts
 
     @pytest.mark.parametrize("name, quantity", [

@@ -16,10 +16,10 @@ Two checkouts give the same reports exactly when
 
     diff -r OUT_A OUT_B
 
-prints nothing.  The set is 111 runs: the 21 SPECS at --depth 3, 10 and
+prints nothing.  The set is 114 runs: the 21 SPECS at --depth 3, 10 and
 16, thmA and thm3 on each of BALL_MAPS at the default depth, 9 of which
-repeat a SPECS run and are written once, the 9 VARIED runs and the 15
-ERROR_PATHS runs; 102 are written, 204 files where none raises.  The run list
+repeat a SPECS run and are written once, the 12 VARIED runs and the 15
+ERROR_PATHS runs; 105 are written, 210 files where none raises.  The run list
 is fixed here, not read from the package, so that the same script runs on
 any checkout.
 """
@@ -62,6 +62,10 @@ VARIED = (
     ("thm3", "power:2", {"grid": 4, "aperture": 1.5}),
     ("lemma1", "thm2_sqrt", {"grid": 8, "aperture": 3.0}),
     ("lemma1", "moebius:0.5", {"grid": 32, "aperture": 1.5}),
+    # thm2_agreement where its witnesses agree and are right, agree and are
+    # wrong (gamma p = 1), and disagree
+    ("thm2", "thm2_sqrt", {"p": 2.0}), ("thm2", "power:0.1", {"p": 10.0}),
+    ("thm2", "power:5", {"p": 3.0}),
 )
 # runs that reach an error path, at the default depth: a Newton inversion
 # that does not converge, a NaN term, an undetermined boundary tail, values
