@@ -10,7 +10,8 @@ closed form for a conformal symbol, Newton iteration otherwise); its error
 is the rule's distance from the same rule on half the angles.  A ball sweep
 is two inversions, of the centers of its whole family and then of all their
 rule nodes; the lanes are independent and the jets pointwise, so every mass
-is bitwise that of a one-ball measure_ball call.
+is bitwise that of a one-ball measure_ball call.  A symmetric symbol's ring
+sweeps and kernel ratios evaluate the upper half-disc only.
 Per-ring maxima of a ball sweep and the kernel ratios carry errors, so the
 tail classifier (tail.py) can judge them; ring_sweep and kernel_carleson
 read them here.
@@ -151,12 +152,17 @@ def ring_sweep(tester, mu):
     """Reading of the sup and largest error of tester's sweep of rings 1-10
     of mu, 8 balls a ring, with tail.read_tail's verdict on the ring maxima
     (maximum, its error, sweep), one sweep a ring past 10.  A RuntimeError
-    (Newton failure, a ratio the sweep cannot form) on rings 1-10 reads NaN."""
+    (Newton failure, a ratio the sweep cannot form) on rings 1-10 reads NaN;
+    a symmetric symbol's sweeps skip the 3 balls a ring that mirror 3 others."""
+    def family(ks):
+        return [(k, ball) for k, ball in make_ball_family(ks, angles=8)
+                if ball.center.imag >= 0 or not mu.phi.symmetric]
+
     def terms():
-        sweep = tester(mu, make_ball_family(range(1, 11), angles=8))
+        sweep = tester(mu, family(range(1, 11)))
         for k in count(1):
             if k > 10:
-                sweep = tester(mu, make_ball_family([k], angles=8))
+                sweep = tester(mu, family([k]))
             yield sweep.per_ring[k], sweep.ring_error[k], sweep
 
     reading = read_tail(terms(), 10)
@@ -168,7 +174,8 @@ def ring_sweep(tester, mu):
 
 def _kernel_terms(phi, ws):
     """(ratio, error, w) of kernel_ratio at each w in ws, yielded from one
-    circle_means stage; the error is the mean's estimate times 1 - |w|^2."""
+    circle_means stage, even for a symmetric phi and real ws; the error is
+    the mean's estimate times 1 - |w|^2."""
     if any(abs(w) >= 1 for w in ws):
         raise ValueError("kernel_ratio needs |w| < 1")
     wb = np.conj(np.asarray(ws, dtype=complex))
@@ -178,7 +185,8 @@ def _kernel_terms(phi, ws):
 
     marks = [((float(phi.boundary.inverse(np.asarray(np.angle(w)))), 1e-12),)
              if w != 0 else () for w in ws]
-    for w, (val, err) in zip(ws, circle_means(fn, marks)):
+    even = phi.symmetric and not wb.imag.any()
+    for w, (val, err) in zip(ws, circle_means(fn, marks, even=even)):
         scale = 1.0 - abs(w) ** 2
         yield scale * val, scale * err, w
 

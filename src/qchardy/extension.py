@@ -164,16 +164,18 @@ class DiscQCMap:
     A conformal map is given with its complex derivative, which marks it as
     conformal, and may be given its inverse w -> phi^{-1}(w) in closed form,
     which invert then uses instead of Newton iteration.  A Beurling-Ahlfors
-    extension, the subclass BAExtension, has neither.
+    extension, the subclass BAExtension, has neither.  ``symmetric`` declares
+    phi(conj z) = conj phi(z), as every catalog map does.
     """
 
     def __init__(self, boundary, interior, label="", complex_derivative=None,
-                 inverse=None):
+                 inverse=None, symmetric=False):
         self.boundary = boundary
         self.interior = interior
         self.label = label or boundary.label
         self.complex_derivative = complex_derivative
         self.inverse = inverse
+        self.symmetric = symmetric
 
     def __call__(self, z):
         return self.interior(np.asarray(z, dtype=complex))
@@ -220,8 +222,9 @@ def norm_and_jacobian(dz, dzb):
 class BAExtension(DiscQCMap):
     """DiscQCMap extending a circle homeomorphism by Beurling-Ahlfors."""
 
-    def __init__(self, homeo):
-        super().__init__(homeo, None, label=f"ba[{homeo.label}]")
+    def __init__(self, homeo, symmetric=False):
+        super().__init__(homeo, None, label=f"ba[{homeo.label}]",
+                         symmetric=symmetric)
         self._table = None
         self._scratch = None
 
@@ -472,7 +475,7 @@ def identity_disc_map():
     return DiscQCMap(identity_homeo(), lambda z: np.asarray(z, dtype=complex),
                      label="identity",
                      complex_derivative=lambda z: np.ones_like(z),
-                     inverse=lambda w: w)
+                     inverse=lambda w: w, symmetric=True)
 
 
 def moebius_disc_map(a):
@@ -484,18 +487,19 @@ def moebius_disc_map(a):
         label=f"moebius({a:g})",
         complex_derivative=lambda z, a=a: (1.0 - a * a) / (1.0 - a * z) ** 2,
         inverse=lambda w, a=a: (w + a) / (1.0 + a * w),
+        symmetric=True,
     )
 
 
 def make_disc_map(spec):
     """Catalog DiscQCMap of a map spec: conformal members exact, the rest a
-    BAExtension."""
+    BAExtension of an odd angle map; each is symmetric."""
     name, parameters = parse_map_spec(spec)
     if name == "identity":
         return identity_disc_map()
     if name == "moebius":
         return moebius_disc_map(*parameters)
-    return BAExtension(make_map(spec))
+    return BAExtension(make_map(spec), symmetric=True)
 
 
 def _initial_guess(phi, w):

@@ -6,7 +6,8 @@ Divergence is a first-class answer here, not an exception: several experiments
 hinge on one divergent and one convergent integral, so every norm that
 involves a limit r -> 1 is a tail.Reading: its best value with
 {converged, diverging, undetermined}, read by tail.read_tail from the lazy
-dyadic sequence of terms computed here.
+dyadic sequence of terms computed here.  A real f (f.real) has |f| and |Df|
+even in arg z, so its means, area shells and cone maxima fold to [0, pi].
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def integral_mean(f, r, p):
     def fn(theta):
         return np.abs(f(r * np.exp(1j * theta))) ** p
 
-    return circle_mean(fn, _circle_marks(f, [r])[0])
+    return circle_mean(fn, _circle_marks(f, [r])[0], even=f.real)
 
 
 def hardy_norm(f, p):
@@ -79,7 +80,8 @@ def hardy_norm(f, p):
         return np.abs(f(schedule[circle] * np.exp(1j * theta))) ** p
 
     with np.errstate(all="ignore"):  # a non-finite |f|^p reads as a verdict
-        means = circle_means(fn, _circle_marks(f, schedule.tolist()))
+        means = circle_means(fn, _circle_marks(f, schedule.tolist()),
+                             even=f.real)
         reading = read_tail(((m, e, r) for r, (m, e) in zip(schedule, means)),
                             RADIAL_DEPTH)
     if len(reading.samples) < RADIAL_DEPTH:  # a term raised
@@ -98,20 +100,21 @@ def boundary_lp(f, p):
     The verdict is read_tail's on the means graded at the scales 10^-k, k in
     BOUNDARY_SCALES, each sample (mean, error).  A mean of n nonnegative
     terms is known to its rounding, n eps times the mean; the quadrature
-    estimate is far larger at these scales and would hide a log divergence.
+    estimate is far larger at these scales and would hide a log divergence;
+    n counts the whole circle's nodes when a real f's means sum half of them.
     A sample where f is not finite is NaN (QuasiregularMap), so its mean
     reads undetermined."""
     p = float(p)
     sizes = []
 
     def fn(t, circle):
-        sizes.extend(np.bincount(circle - circle[0]))
+        sizes.extend((1 + f.real) * np.bincount(circle - circle[0]))
         return np.abs(f.boundary_trace(t)) ** p
 
     angles = f.singular_angles
     marks = [[(t, 10.0 ** -k) for t in angles] for k in BOUNDARY_SCALES]
     with np.errstate(over="ignore", invalid="ignore"):  # inf reads diverging
-        means = enumerate(circle_means(fn, marks))
+        means = enumerate(circle_means(fn, marks, even=f.real))
         reading = read_tail(((m, np.finfo(float).eps * sizes[k] * m)
                              for k, (m, _) in means), len(BOUNDARY_SCALES))
     verdict = reading.classification
@@ -143,9 +146,9 @@ def nt_maximal(f, xi, aperture=2.0):
 
 
 def _xi_grid(grid_n, singular_angles):
-    """Angle grid for boundary sampling: uniform offset grid plus geometric
-    clusters toward each singular angle, with circular midpoint weights."""
-    base = -np.pi + TWO_PI * (np.arange(grid_n) + 0.5) / grid_n
+    """Angle grid for boundary sampling: uniform offset grid, mirror-exact,
+    plus geometric clusters toward each singular angle; midpoint weights."""
+    base = np.pi * np.arange(1 - grid_n, grid_n, 2) / grid_n
     extra = []
     for a in singular_angles:
         offs = np.pi * 2.0 ** -np.arange(2, 21)
@@ -159,12 +162,14 @@ def _xi_grid(grid_n, singular_angles):
 
 def maximal_lps(f, p, aperture, grids):
     """maximal_lp on each grid size in grids, bitwise, from one nt_maximal
-    call on the union of their vertices."""
+    call on the union of their vertices, folded to |t| for a real f, whose
+    cone at -t is the mirror image of its cone at t."""
     xi = [_xi_grid(n, f.singular_angles) for n in grids]
-    union = np.unique(np.concatenate([angles for angles, _ in xi]))
+    fold = np.abs if f.real else np.asarray
+    union = np.unique(np.concatenate([fold(angles) for angles, _ in xi]))
     with np.errstate(all="ignore"):  # a non-finite |f|^p reads as a verdict
         vals = nt_maximal(f, np.exp(1j * union), aperture) ** float(p)
-    return [float((np.sum(weights * vals[np.searchsorted(union, angles)])
+    return [float((np.sum(weights * vals[np.searchsorted(union, fold(angles))])
                    / TWO_PI) ** (1.0 / float(p))) for angles, weights in xi]
 
 
@@ -200,7 +205,8 @@ def _area_truncations(f, p, first):
         def fn(theta, c):
             return _deriv_magnitude(f, radii.flat[c] * np.exp(1j * theta)) ** p
 
-        means = circle_means(fn, _circle_marks(f, radii.flat), order=12)
+        means = circle_means(fn, _circle_marks(f, radii.flat), order=12,
+                             even=f.real)
         for end, width, shell_radii in zip(b.tolist(), half.tolist(), radii):
             shell, before = 0.0, toterr
             # inf * 0 at large p; the stage's integrand runs here too

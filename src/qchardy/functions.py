@@ -16,13 +16,15 @@ class AnalyticFunction:
 
     ``singular_angles`` lists the boundary angles where |f| blows up (for
     kernels with a pole off the closed disc, the angle of nearest approach is
-    listed so quadratures still grade there).
+    listed so quadratures still grade there).  ``real`` declares f real on
+    the real axis, f(conj z) = conj f(z), so |f| and |f'| are even in arg z.
     """
 
-    def __init__(self, eval_fn, deriv_fn, singular_angles=()):
+    def __init__(self, eval_fn, deriv_fn, singular_angles=(), real=False):
         self._eval = eval_fn
         self._deriv = deriv_fn
         self.singular_angles = tuple(singular_angles)
+        self.real = real
 
     def __call__(self, z):
         return self._eval(np.asarray(z, dtype=complex))
@@ -37,7 +39,7 @@ def hardy_kernel(w, p):
     The base 1 - conj(w) z has positive real part on the disc, so the principal
     branch is unambiguous.  Bounded on the closed disc (|w| < 1), hence a
     member of every Hardy class; the near-singularity at w/|w|, of width
-    1 - |w|, is recorded for quadrature grading.
+    1 - |w|, is recorded for quadrature grading.  Real for a real w.
     """
     w = complex(w)
     p = float(p)
@@ -52,6 +54,7 @@ def hardy_kernel(w, p):
         lambda z: (1.0 - wb * z) ** (-s),
         lambda z: s * wb * (1.0 - wb * z) ** (-s - 1.0),
         singular_angles=sing,
+        real=w.imag == 0.0,
     )
 
 
@@ -62,6 +65,7 @@ def cauchy_kernel():
         lambda z: 1.0 / (1.0 - z),
         lambda z: 1.0 / (1.0 - z) ** 2,
         singular_angles=(0.0,),
+        real=True,
     )
 
 
@@ -77,11 +81,14 @@ class QuasiregularMap:
     Jf = |g'(phi)|^2 Jphi.  A value of g o phi that is not finite reads NaN:
     every catalog g is finite on the open disc and no quadrature node lies
     on a singular pullback, so only phi rounding onto one puts it there.
+    f is real when g is real and phi symmetric.
     """
 
     def __init__(self, g, phi):
         self.g = g
         self.phi = phi
+
+    real = property(lambda self: self.g.real and self.phi.symmetric)
 
     def __call__(self, z):
         return _nan_where_not_finite(self.g(self.phi(z)))

@@ -10,7 +10,8 @@ every dyadic length scale between the mark's own scale and its neighbours is
 resolved by a panel of matching width.  The error estimate is read off the
 same samples, from the decay of each panel's Legendre coefficients.  The
 circles of a stage share one vectorised rule and one integrand call per
-batch of nodes (circle_means).
+batch of nodes (circle_means); an even integrand is evaluated on the upper
+half of its rule only.
 
 The polar product rule on the unit disc, shared by ball masses and average
 derivatives, lives here too.
@@ -80,20 +81,22 @@ def _legendre_tail(order):
     return legvander(x, order - 1)[:, j] * w[:, None] * (j + 0.5)
 
 
-def _graded_panels(marks):
+def _graded_panels(marks, even=False):
     """(mark, direction away from it, near edge's offset from it, half-width,
     circle index) of each panel, in order, of the rules graded toward
     marks[c] on circle c: each half of an arc between sorted marks, t0's
     before t1's, has edges 0, w, 3w, 7w, ... below its length h, and h, with
-    w = min(scale, h), summed in order, as exact as a term-by-term loop."""
+    w = min(scale, h), summed in order, as exact as a term-by-term loop.
+    even folds each wrapped mark t to +-|t|: the rule is its own mirror."""
     marks = [m or ((0.0, np.pi / 16),) for m in marks]
-    wrapped = iter(wrap_angle(np.array([t for m in marks for t, _ in m],
-                                       dtype=float)).tolist())
+    wrapped = wrap_angle(np.array([t for m in marks for t, _ in m], dtype=float))
+    wrapped = iter((np.abs(wrapped) if even else wrapped).tolist())
     halves = []  # (circle, mark, direction away from it, length, scale)
     for c, m in enumerate(marks):
         scales = {}
         for (_, s), t in zip(m, wrapped):
-            scales[t] = min(float(s), scales.get(t, np.inf))
+            for u in (t, -t) if even and 0.0 < t < np.pi else (t,):
+                scales[u] = min(float(s), scales.get(u, np.inf))
         angles = sorted(scales)
         for t0, t1 in zip(angles, angles[1:] + angles[:1]):
             # the arc from t0 to t1; a single mark's arc is the whole circle
@@ -123,7 +126,7 @@ def node_batches(sizes):
     return list(zip(bounds, bounds[1:] + [len(sizes)]))
 
 
-def circle_means(fn, marks, order=16):
+def circle_means(fn, marks, order=16, even=False):
     """(value, error estimate) of the mean of fn over each circle c, graded
     toward marks[c], yielded circle by circle.
 
@@ -136,13 +139,20 @@ def circle_means(fn, marks, order=16):
     coefficients of the samples (Trefethen, ATAP ch. 19).  fn(theta, circle)
     is called on the nodes of one node_batches batch of circles, with each
     node's circle index, when its first mean is asked for; each circle is
-    summed alone, so its mean does not depend on its batch."""
+    summed alone, so its mean does not depend on its batch.  even declares
+    fn(-theta, c) = fn(theta, c): only the panels of [0, pi] of the folded
+    rule (_graded_panels) are evaluated, its upper half bitwise, over pi."""
     x, w = gauss_legendre(order)
-    mark, away, lo, half, circle = _graded_panels(marks)
+    mark, away, lo, half, circle = _graded_panels(marks, even)
+    if even:  # panels running up from [0, pi) or down from (0, pi]
+        keep = np.where(away > 0, (mark >= 0) & (mark < np.pi), mark > 0)
+        mark, away, lo, half, circle = (a[keep] for a in
+                                        (mark, away, lo, half, circle))
     WORK["circle_stages"] += 1
     WORK["circles"] += len(marks)
     WORK["circle_panels"] += mark.size
     ends = np.searchsorted(circle, np.arange(len(marks) + 1))
+    length = np.pi if even else TWO_PI
     for first, stop in node_batches(order * np.diff(ends)):
         at = ends[first:stop + 1]
         i = slice(at[0], at[-1])
@@ -155,11 +165,11 @@ def circle_means(fn, marks, order=16):
             total = float(np.sum(h * (v @ w)))
             tail = np.abs(v @ _legendre_tail(order)).sum(axis=1)
             err = float(np.sum(2.0 * h * tail))
-            yield total / TWO_PI, err / TWO_PI
+            yield total / length, err / length
 
 
-def circle_mean(fn, marks=()):
+def circle_mean(fn, marks=(), even=False):
     """(value, error estimate) of (1/2pi) * integral of fn(theta) over the
     circle, graded toward marks, with 16-node panels: the one-circle case of
-    circle_means, fn called once, on every node."""
-    return next(circle_means(lambda theta, _: fn(theta), [marks]))
+    circle_means, fn called once, on every node (of [0, pi] if even)."""
+    return next(circle_means(lambda theta, _: fn(theta), [marks], even=even))

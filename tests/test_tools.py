@@ -3,6 +3,7 @@ and their work counts, summed from the package's ledger in each report's
 metadata["work"], and of its BA kernel timings."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -81,3 +82,31 @@ def test_warm_pass_reads_its_own_rusage(usage):
     assert set(run) == {"minor_faults", "sys_s", "user_s", "wall_s", "work"}
     assert run["minor_faults"] >= 0 and run["sys_s"] >= 0.0
     assert run["wall_s"] > 0.0
+
+
+def test_snapshot_compare_prints_what_moved(tmp_path, capsys):
+    # tools/output_snapshot.py --compare: a moved verdict, a file in one
+    # directory only, and per quantity the largest changes of each column
+    path = Path(__file__).resolve().parent.parent / "tools" / "output_snapshot.py"
+    spec = importlib.util.spec_from_file_location("output_snapshot", path)
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+
+    def report(directory, name, *rows):
+        directory.mkdir(exist_ok=True)
+        (directory / name).write_text(json.dumps({"rows": [
+            {"quantity": q, "value": v, "error": e, "classification": c}
+            for q, v, e, c in rows]}))
+
+    old, new = tmp_path / "old", tmp_path / "new"
+    report(old, "a.json", ("h", 2.0, 1e-9, "converged"), ("m", 0.0, 0.0, "pass"))
+    report(new, "a.json", ("h", 2.0 + 2e-12, 1e-9, "converged"),
+           ("m", 1e-16, 0.0, "fail"))
+    report(old, "b.json", ("h", 4.0, float("nan"), "undetermined"))
+    report(new, "b.json", ("h", 4.0, float("nan"), "undetermined"))
+    report(new, "c.json")
+    snapshot.main(["--compare", str(old), str(new)])
+    assert capsys.readouterr().out.splitlines() == [
+        f"only in {new}: c.json", "a m: pass -> fail",
+        "quantity,value_rel,value_abs,error_rel,error_abs",
+        "h,1e-12,2e-12,0,0", "m,inf,1e-16,0,0"]

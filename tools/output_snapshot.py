@@ -16,7 +16,14 @@ Two checkouts give the same reports exactly when
 
     diff -r OUT_A OUT_B
 
-prints nothing.  The set is 114 runs: the 21 SPECS at --depth 3, 10 and
+prints nothing.  Where a numerical method changes, the reports differ in
+their last digits, and
+
+    python3 tools/output_snapshot.py --compare OUT_A OUT_B
+
+prints each file in one directory alone, each classification or pass/fail
+that moved, and per quantity the largest relative and absolute change of
+its value and of its error between the JSON reports.  The set is 114 runs: the 21 SPECS at --depth 3, 10 and
 16, thmA and thm3 on each of BALL_MAPS at the default depth, 9 of which
 repeat a SPECS run and are written once, the 12 VARIED runs and the 15
 ERROR_PATHS runs; 105 are written, 210 files where none raises.  The run list
@@ -27,6 +34,8 @@ any checkout.
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -118,10 +127,52 @@ def write(out_dir):
         Path(stem + ".json").write_text(report.to_json())
 
 
+def _change(a, b):
+    """(relative, absolute) change from a to b; none between equal values,
+    NaN and NaN included."""
+    if a == b or math.isnan(a) and math.isnan(b):
+        return 0.0, 0.0
+    return abs(b - a) / abs(a) if a else math.inf, abs(b - a)
+
+
+def compare(old_dir, new_dir):
+    """Print what moved between two snapshot directories, as the module
+    docstring describes."""
+    old, new = Path(old_dir), Path(new_dir)
+    worst = {}  # quantity -> largest changes of value and error, rel and abs
+    alone = {p.name for p in old.iterdir()} ^ {p.name for p in new.iterdir()}
+    for name in sorted(alone):
+        print(f"only in {old_dir if (old / name).exists() else new_dir}: {name}")
+    for path in sorted(old.glob("*.json")):
+        if not (new / path.name).exists():
+            continue
+        a, b = ({r["quantity"]: r for r in json.loads(p.read_text())["rows"]}
+                for p in (path, new / path.name))
+        for q in [q for q in a if q in b]:
+            if a[q]["classification"] != b[q]["classification"]:
+                print(f"{path.stem} {q}: {a[q]['classification']} -> "
+                      f"{b[q]['classification']}")
+            changes = (*_change(a[q]["value"], b[q]["value"]),
+                       *_change(a[q]["error"], b[q]["error"]))
+            worst[q] = [max(x, y) for x, y in zip(worst.get(q, changes), changes)]
+        for q in a.keys() ^ b.keys():
+            print(f"{path.stem} {q}: in one report only")
+    print("quantity,value_rel,value_abs,error_rel,error_abs")
+    for q, changes in sorted(worst.items()):
+        print(q + "".join(f",{c:.3g}" for c in changes))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("out_dir")
-    write(parser.parse_args(argv).out_dir)
+    parser.add_argument("out_dir", nargs="?")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD_DIR", "NEW_DIR"))
+    args = parser.parse_args(argv)
+    if (args.out_dir is None) == (args.compare is None):
+        parser.error("give OUT_DIR or --compare OLD_DIR NEW_DIR")
+    if args.compare:
+        compare(*args.compare)
+    else:
+        write(args.out_dir)
 
 
 if __name__ == "__main__":
