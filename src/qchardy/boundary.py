@@ -12,12 +12,14 @@ reads their tail.
 
 from __future__ import annotations
 
+from collections import UserList
 from dataclasses import replace
 from functools import partial
 from itertools import chain, count
 
 import numpy as np
 
+from .quadrature import WORK
 from .tail import CONVERGED, read_tail
 
 _MONOTONE_GRID = 512
@@ -144,45 +146,49 @@ def parse_map_spec(spec):
 
 def dyadic_edges(depth):
     """Edges of the dyadic arcs at the given depth: [-pi, pi] split into
-    2**(depth+1) equal arcs of length pi * 2**(-depth)."""
+    2**(depth+1) equal arcs of length pi * 2**(-depth), bitwise every other
+    edge of the next depth: linspace steps by a power-of-two part of 2 pi."""
     return np.linspace(-np.pi, np.pi, 2 ** (depth + 1) + 1)
 
 
-def dyadic_modulus_inverse(h, depth):
-    """sup of |h^{-1}(I)| / |I| over the dyadic arcs I of the given depth."""
-    pre = h.inverse(dyadic_edges(depth))
-    width = np.pi * 2.0 ** (-depth)
-    return float(np.max(np.diff(pre)) / width)
-
-
 def lipschitz_modulus_inverse(h, dyadic_depth):
-    """Per-depth sup of |h^{-1}(I)| / |I| over dyadic arcs, depths 1..dyadic_depth."""
+    """Per-depth sup of |h^{-1}(I)| / |I| over dyadic arcs, depths 1..dyadic_depth,
+    as a list whose pre is h^{-1} at the deepest edges, the only ones mapped."""
     if dyadic_depth < 1:
         raise ValueError("dyadic_depth must be >= 1")
-    return [dyadic_modulus_inverse(h, d) for d in range(1, dyadic_depth + 1)]
+    pre = h.inverse(dyadic_edges(dyadic_depth))
+    WORK["dyadic_points"] += pre.size
+    moduli = UserList(float(np.max(np.diff(pre[::2 ** (dyadic_depth - d)]))
+                            / (np.pi * 2.0 ** -d)) for d in range(1, dyadic_depth + 1))
+    moduli.pre = pre
+    return moduli
 
 
-def modulus_rounding(depth, modulus):
-    """Error of the depth-d modulus m_d, a difference quotient over arcs of
-    length pi 2^-d: its rounding 4 eps 2^d m_d."""
-    return 4 * np.finfo(float).eps * 2.0 ** depth * modulus
+def _moduli_reading(moduli, deeper=()):
+    """tail.read_tail's reading of the moduli, then deeper ones, of depths
+    1, 2, ..., each a difference quotient over arcs of length pi 2^-d and
+    known to its rounding 4 eps 2^d m_d."""
+    return read_tail(((m, 4 * np.finfo(float).eps * 2.0 ** d * m) for d, m
+                      in enumerate(chain(moduli, deeper), 1)), len(moduli))
 
 
 def lipschitz_reading(h, moduli):
-    """Reading of the depth-n modulus of h^{-1}, with error 0, given moduli of
-    depths 1..n: tail.read_tail reads the moduli of depths 1, 2, ..., each
-    known to its modulus_rounding."""
-    deeper = (dyadic_modulus_inverse(h, d) for d in count(len(moduli) + 1))
-    reading = read_tail(((m, modulus_rounding(d, m)) for d, m
-                         in enumerate(chain(moduli, deeper), 1)), len(moduli))
-    return replace(reading, error=0.0)
+    """Reading of the depth-n modulus of h^{-1}, with error 0, given the moduli
+    from lipschitz_modulus_inverse(h, n): _moduli_reading of depths 1, 2, ...,
+    where each depth d > n maps only the 2^d midpoints of the edges before it."""
+    def deeper(pre):
+        for d in count(len(moduli) + 1):
+            pre = np.insert(pre, range(1, pre.size), h.inverse(dyadic_edges(d)[1::2]))
+            WORK["dyadic_points"] += pre.size // 2  # the 2^d midpoints
+            yield float(np.max(np.diff(pre)) / (np.pi * 2.0 ** -d))
+
+    return replace(_moduli_reading(moduli, deeper(moduli.pre)), error=0.0)
 
 
 def lipschitz_tail(moduli):
     """Tail verdict and reason of the given per-depth moduli of depths 1, 2,
-    ..., each known to its modulus_rounding, as tail.read_tail reads them."""
-    reading = read_tail(((m, modulus_rounding(d, m))
-                         for d, m in enumerate(moduli, 1)), len(moduli))
+    ..., as _moduli_reading reads them."""
+    reading = _moduli_reading(moduli)
     return reading.classification, reading.reason
 
 

@@ -20,6 +20,7 @@ read them here.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import chain, count
 
 import numpy as np
@@ -175,16 +176,19 @@ def ring_sweep(tester, mu):
 def _kernel_terms(phi, ws):
     """(ratio, error, w) of kernel_ratio at each w in ws, yielded from one
     circle_means stage, even for a symmetric phi and real ws; the error is
-    the mean's estimate times 1 - |w|^2."""
+    the mean's estimate times 1 - |w|^2.  Each direction is pulled back once."""
     if any(abs(w) >= 1 for w in ws):
         raise ValueError("kernel_ratio needs |w| < 1")
     wb = np.conj(np.asarray(ws, dtype=complex))
 
-    def fn(t, circle):
-        return np.abs(1.0 - wb[circle] * phi.boundary.map_point(t)) ** -2.0
+    def fn(t, circle):  # a batch of circles on one rule maps their nodes once
+        m = np.count_nonzero(circle == circle[0])
+        if t.size % m == 0 and np.all(t.reshape(-1, m) == t[:m]):
+            t, circle = t[:m], circle[::m, None]
+        return (np.abs(1.0 - wb[circle] * phi.boundary.map_point(t)) ** -2.0).ravel()
 
-    marks = [((float(phi.boundary.inverse(np.asarray(np.angle(w)))), 1e-12),)
-             if w != 0 else () for w in ws]
+    pull = cache(lambda a: float(phi.boundary.inverse(np.asarray(a))))
+    marks = [((pull(float(np.angle(w))), 1e-12),) if w != 0 else () for w in ws]
     even = phi.symmetric and not wb.imag.any()
     for w, (val, err) in zip(ws, circle_means(fn, marks, even=even)):
         scale = 1.0 - abs(w) ** 2

@@ -215,8 +215,9 @@ class DiscQCMap:
 
 def norm_and_jacobian(dz, dzb):
     """(operator norm, Jacobian) of the differential with Wirtinger
-    derivatives dz, dzb."""
-    return np.abs(dz) + np.abs(dzb), np.abs(dz) ** 2 - np.abs(dzb) ** 2
+    derivatives dz, dzb, from one modulus of each."""
+    a, b = np.abs(dz), np.abs(dzb)
+    return a + b, a ** 2 - b ** 2
 
 
 class BAExtension(DiscQCMap):

@@ -180,8 +180,9 @@ def maximal_lp(f, p, aperture=2.0, grid_n=64):
 
 
 def _deriv_magnitude(f, z):
-    if isinstance(f, QuasiregularMap):
-        return f.differential(z)[0]
+    if isinstance(f, QuasiregularMap):  # |g'(phi)| |Dphi|, without Jf
+        w, dz, dzb = f.phi.jet(z)
+        return np.abs(f.g.deriv(w)) * (np.abs(dz) + np.abs(dzb))
     return np.abs(f.deriv(z))
 
 

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qchardy.tail import CONVERGED, DIVERGING, UNDETERMINED
+from dataclasses import replace
+from itertools import count
+
+from qchardy.tail import CONVERGED, DIVERGING, UNDETERMINED, read_tail
 from qchardy.boundary import (
     BoundaryHomeo,
     dyadic_edges,
     is_lipschitz_inverse,
     lipschitz_modulus_inverse,
+    lipschitz_reading,
     lipschitz_tail,
     make_map,
     parse_map_spec,
@@ -19,6 +23,24 @@ CATALOG = ("identity", "thm2_sqrt", "power:2", "power:0.75", "moebius:0.5",
            "moebius:-0.7")
 
 angles = st.floats(-np.pi, np.pi)
+
+NESTED_MAPS = ("identity", "thm2_sqrt", "power:0.3", "power:2", "moebius:0.99",
+               "moebius:-0.99")
+
+
+def _swept_modulus(h, depth):
+    """The former depth-d modulus: h^{-1} on the depth-d edges, swept alone."""
+    pre = h.inverse(dyadic_edges(depth))
+    return float(np.max(np.diff(pre)) / (np.pi * 2.0 ** (-depth)))
+
+
+def _swept_reading(h, depth):
+    """The former lipschitz_reading: one full sweep per depth read, each
+    modulus known to its rounding 4 eps 2^d m_d."""
+    moduli = (_swept_modulus(h, d) for d in count(1))
+    reading = read_tail(((m, 4 * np.finfo(float).eps * 2.0 ** d * m)
+                         for d, m in enumerate(moduli, 1)), depth)
+    return replace(reading, error=0.0)
 
 
 def _angle_map_derivative(spec, t):
@@ -184,6 +206,32 @@ class TestDyadicEstimators:
         assert not is_lipschitz_inverse([1.0, 1.5, 1.75])
         with pytest.raises(ValueError):
             lipschitz_modulus_inverse(make_map("identity"), 0)
+
+    @pytest.mark.parametrize("spec", NESTED_MAPS)
+    def test_nested_moduli_are_the_per_depth_sweeps_bitwise(self, spec):
+        # every 2^(16-d)-th depth-16 edge is a depth-d edge, bit for bit
+        h = make_map(spec)
+        swept = [_swept_modulus(h, d) for d in range(1, 17)]
+        for depth in (1, 2, 10, 16):
+            assert lipschitz_modulus_inverse(h, depth) == swept[:depth]
+
+    @pytest.mark.parametrize("spec", NESTED_MAPS)
+    def test_deeper_depths_add_midpoints_bitwise(self, spec):
+        # read from depth 1, every depth past it is refined by midpoints
+        h = make_map(spec)
+        reading = lipschitz_reading(h, lipschitz_modulus_inverse(h, 1))
+        assert reading == _swept_reading(h, 1)
+        assert reading.at > 1
+
+    @pytest.mark.parametrize("spec, at", [("moebius:0.99", 11),
+                                          ("moebius:0.999", 14)])
+    def test_deepened_readings_are_the_swept_ones(self, spec, at):
+        h = make_map(spec)
+        reading = lipschitz_reading(h, lipschitz_modulus_inverse(h, 10))
+        former = _swept_reading(h, 10)
+        assert (reading.value, reading.classification, reading.at) == (
+            former.value, CONVERGED, at)
+        assert reading == former
 
     def test_rounding_floor_grows_with_depth(self):
         # a flat modulus with noise of a few ulps times 2^d reads converged

@@ -18,8 +18,8 @@ from qchardy.extension import invert, make_disc_map, norm_and_jacobian
 from qchardy.functionals import hardy_norm
 from qchardy.functions import compose, hardy_kernel
 from qchardy.geometry import HyperbolicBall
-from qchardy.quadrature import (BALL_RULE, TWO_PI, _polar_rule, node_batches,
-                                wrap_angle)
+from qchardy.quadrature import (BALL_RULE, TWO_PI, WORK, _polar_rule,
+                                circle_means, node_batches, wrap_angle)
 from qchardy.tail import CONVERGED, DIVERGING, UNDETERMINED, classify_tail
 
 
@@ -334,6 +334,62 @@ class TestKernelRatio:
         vals = [kernel_ratio(pow2_map, 1 - 2.0 ** -k) for k in (4, 8, 12)]
         assert vals[1] > 2 * vals[0]
         assert vals[2] > 2 * vals[1]
+
+
+def _per_circle_kernel_terms(phi, ws):
+    """The former _kernel_terms: every direction pulled back and every
+    circle's nodes mapped on their own."""
+    wb = np.conj(np.asarray(ws, dtype=complex))
+
+    def fn(t, circle):
+        return np.abs(1.0 - wb[circle] * phi.boundary.map_point(t)) ** -2.0
+
+    marks = [((float(phi.boundary.inverse(np.asarray(np.angle(w)))), 1e-12),)
+             if w != 0 else () for w in ws]
+    even = phi.symmetric and not wb.imag.any()
+    return [((1.0 - abs(w) ** 2) * val, (1.0 - abs(w) ** 2) * err, w)
+            for w, (val, err) in zip(ws, circle_means(fn, marks, even=even))]
+
+
+class TestKernelTerms:
+    MAPS = ["identity", "thm2_sqrt", "power:2", "moebius:0.5", "moebius:-0.9"]
+    REAL = [1.0 - 2.0 ** -k for k in range(1, 17)]
+
+    def _mapped(self, monkeypatch, phi):
+        """Sizes of the node arrays that phi's boundary map is called on."""
+        sizes = []
+        map_point = phi.boundary.map_point
+
+        def counted(t):
+            sizes.append(np.size(t))
+            return map_point(t)
+        monkeypatch.setattr(phi.boundary, "map_point", counted)
+        return sizes
+
+    @pytest.mark.parametrize("spec", MAPS)
+    def test_real_ws_map_one_circle_a_batch(self, monkeypatch, spec):
+        # one shared mark: each batch maps the nodes of one circle
+        phi = make_disc_map(spec)
+        former = _per_circle_kernel_terms(phi, self.REAL)
+        sizes = self._mapped(monkeypatch, phi)
+        before = WORK["circle_panels"]
+        assert list(carleson._kernel_terms(phi, self.REAL)) == former
+        panels = WORK["circle_panels"] - before
+        assert len(sizes) > 1 and len(set(sizes)) == 1
+        assert sizes[0] * len(self.REAL) == 16 * panels
+
+    @pytest.mark.parametrize("spec", MAPS)
+    @pytest.mark.parametrize("ws", [
+        [0.9 * np.exp(1j * t) for t in np.linspace(-3.0, 3.0, 12)],
+        [0.5, -0.5, 0.0, 0.9, -0.99, 0.9]], ids=["complex", "mixed"])
+    def test_distinct_marks_map_every_node(self, monkeypatch, spec, ws):
+        phi = make_disc_map(spec)
+        former = _per_circle_kernel_terms(phi, ws)
+        sizes = self._mapped(monkeypatch, phi)
+        before = WORK["circle_panels"]
+        assert list(carleson._kernel_terms(phi, ws)) == former
+        panels = WORK["circle_panels"] - before
+        assert sum(sizes) == 16 * panels  # every node mapped
 
 
 class TestRingTails:

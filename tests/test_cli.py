@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qchardy import boundary
 from qchardy import carleson as ca
 from qchardy import cli, extension, quadrature
 from qchardy import functionals as fn
@@ -249,7 +248,7 @@ class TestWorkLedger:
     @pytest.mark.parametrize("name, map_spec, keys", [
         ("thm3", "thm2_sqrt",
          _BA | _NEWTON | {"circle_panels", "circle_stages", "circles"}),
-        ("thmA", "power:2", _BA | _NEWTON)])
+        ("thmA", "power:2", _BA | _NEWTON | {"dyadic_points"})])
     def test_counts_equal_those_of_wrappers(self, monkeypatch, name, map_spec,
                                             keys):
         counts = Counter()
@@ -311,6 +310,24 @@ class TestWorkLedger:
             monkeypatch.setattr(module, "invert", inverts)
         for module in (quadrature, fn, ca):
             monkeypatch.setattr(module, "circle_means", stages)
+
+        def dyadic(estimator):  # the boundary inverse, while it runs
+            def wrapped(h, *args):
+                inverse = h.inverse
+
+                def counted(t):
+                    counts["dyadic_points"] += np.size(t)
+                    return inverse(t)
+                h.inverse = counted
+                try:
+                    return estimator(h, *args)
+                finally:
+                    h.inverse = inverse
+            return wrapped
+
+        for estimator in ("lipschitz_modulus_inverse", "lipschitz_reading"):
+            monkeypatch.setattr(cli, estimator,
+                                dyadic(getattr(cli, estimator)))
         work = run(ExperimentSpec(name, map_spec)).metadata["work"]
         assert list(work) == sorted(work)
         assert work == {key: n for key, n in counts.items() if n}
@@ -421,22 +438,15 @@ class TestVerdicts:
             # the row keeps the --depth 10 value; only the verdict reads deeper
             assert rows["lipschitz_modulus"] == 193.1430183343716
 
-    @pytest.mark.parametrize("map_spec, sweeps", [("moebius:0.99", 11),
-                                                  ("moebius:0.999", 14)])
-    def test_deeper_lipschitz_depths_are_computed_once(self, monkeypatch,
-                                                        map_spec, sweeps):
-        # one dyadic sweep per depth read: 1..10, then one more per step
-        calls = []
-        edges = boundary.dyadic_edges
-
-        def counted(depth):
-            calls.append(depth)
-            return edges(depth)
-
-        monkeypatch.setattr(boundary, "dyadic_edges", counted)
+    @pytest.mark.parametrize("map_spec, at", [("power:2", 10),
+                                              ("moebius:0.99", 11),
+                                              ("moebius:0.999", 14)])
+    def test_each_dyadic_edge_is_mapped_once(self, map_spec, at):
+        # the 2^11 + 1 edges of depth 10, then the 2^d midpoints of each
+        # deeper depth d read: the edges of the deepest depth, once each
         rep = run(ExperimentSpec("thm1", map_spec))
-        assert calls == list(range(1, sweeps + 1))
-        assert rep.metadata["verdicts"]["lipschitz_modulus"]["at"] == sweeps
+        assert rep.metadata["work"]["dyadic_points"] == 2 ** (at + 1) + 1
+        assert rep.metadata["verdicts"]["lipschitz_modulus"]["at"] == at
 
     def test_moebius_area_integral_reads_one_more_shell(self):
         rep = run(ExperimentSpec("thm3", "moebius:0.99"))

@@ -25,6 +25,7 @@ from qchardy.extension import (
     invert,
     make_disc_map,
     moebius_disc_map,
+    norm_and_jacobian,
 )
 from qchardy.functionals import radial_schedule
 from qchardy.geometry import HyperbolicBall, cone_lattice
@@ -1337,3 +1338,15 @@ class TestCompactedInvert:
             warnings.simplefilter("error")  # a step on no stopped lane
             got = self._outcome(invert, spec)
         assert got == want
+
+
+@pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "moebius:0.5"])
+def test_norm_and_jacobian_take_each_modulus_once(spec):
+    # bitwise the former form, which took |dz| and |dzb| twice each
+    x, y = _random_points(2000)
+    z = (x + 1j * y - 1j) / (x + 1j * y + 1j)
+    z = z[np.abs(z) < 1]
+    _, dz, dzb = make_disc_map(spec).jet(z)
+    op, jac = norm_and_jacobian(dz, dzb)
+    assert np.array_equal(op, np.abs(dz) + np.abs(dzb))
+    assert np.array_equal(jac, np.abs(dz) ** 2 - np.abs(dzb) ** 2)

@@ -572,6 +572,15 @@ def _bits(values):
 
 
 class TestAreaIntegral:
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "moebius:0.5"])
+    def test_derivative_magnitude_is_the_differentials_norm(self, rng, spec):
+        # the former form took |Df| from the differential, Jacobian and all
+        f = compose(hardy_kernel(0.9, 2.0), make_disc_map(spec))
+        z = np.sqrt(rng.uniform(0.0, 0.999, 500)) * np.exp(
+            1j * rng.uniform(-np.pi, np.pi, 500))
+        assert _bits(functionals._deriv_magnitude(f, z)) == _bits(
+            f.differential(z)[0])
+
     def test_monomial_closed_form(self):
         # int_D |1|^2 (1-|z|) dm = 2 pi (1/2 - 1/3) = pi/3 for f = z
         est = area_integral(_IDENTITY, 2.0)
