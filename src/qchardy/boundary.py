@@ -3,11 +3,11 @@
 A circle homeomorphism is represented by its angle map alpha: [-pi, pi] ->
 [-pi, pi], strictly increasing with alpha(+-pi) = +-pi, acting as
 phi(e^{it}) = e^{i alpha(t)}, together with the closed-form inverse of alpha.
-The catalog holds the identity, the square-root map alpha(t) =
-sign(t) sqrt(pi |t|), its power-law family, and boundary actions of disc
-Moebius transforms with a real parameter.  The dyadic Lipschitz moduli of
-the inverse are judged by the tail classifier (tail.py); lipschitz_reading
-reads their tail.
+The angle maps of the catalog (extension.make_disc_map) are the identity,
+the square-root map alpha(t) = sign(t) sqrt(pi |t|), its power-law family,
+and boundary actions of disc Moebius transforms with a real parameter; each
+is odd.  The dyadic Lipschitz moduli of the inverse are judged by the tail
+classifier (tail.py); lipschitz_reading reads their tail.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .quadrature import WORK
 from .tail import CONVERGED, read_tail
 
-_MONOTONE_GRID = 512
+_MONOTONE_GRID = 511  # alpha is checked at pi k / 511, k = -511, -509, ..., 511
 
 
 class BoundaryHomeo:
@@ -31,6 +31,9 @@ class BoundaryHomeo:
     ``forward`` and its closed-form ``inverse`` must be numpy-vectorized.
     ``cusps`` lists the angles where the angle map is not smooth.  forward or
     inverse must fix +-pi to 1e-12: where one is steep the other is flat.
+    ``odd`` records whether alpha(-t) = -alpha(t) on the monotonicity check's
+    grid, its own mirror image, to an ulp of alpha(t), by which two faithful
+    roundings of one value can differ.
     """
 
     def __init__(self, forward, inverse, label="custom", cusps=()):
@@ -38,13 +41,14 @@ class BoundaryHomeo:
         self.inverse = inverse
         self.label = label
         self.cusps = tuple(cusps)
-        t = np.linspace(-np.pi, np.pi, _MONOTONE_GRID)
-        a = self.forward(t)
+        n = _MONOTONE_GRID
+        a = self.forward(np.pi * (np.arange(-n, n + 1, 2) / n))
         if np.any(np.diff(a) <= 0):
             raise ValueError(f"{self.label}: angle map is not strictly increasing")
         for end, image in ((-np.pi, a[0]), (np.pi, a[-1])):
             if abs(image - end) > 1e-12 and abs(self.inverse(end) - end) > 1e-12:
                 raise ValueError(f"{self.label}: angle map must fix -pi and pi")
+        self.odd = bool(np.all(np.abs(a + a[::-1]) <= np.spacing(np.abs(a))))
 
     def __call__(self, t):
         return self.forward(np.asarray(t, dtype=float))
@@ -104,44 +108,6 @@ def moebius_homeo(a):
         raise ValueError("moebius parameter must satisfy |a| < 1")
     return BoundaryHomeo(partial(_moebius, a=a), partial(_moebius, a=-a),
                          label=f"moebius({a:g})")
-
-
-# catalog map name -> (builder of its BoundaryHomeo, number of parameters)
-_CATALOG = {
-    "identity": (identity_homeo, 0),
-    "thm2_sqrt": (sqrt_homeo, 0),
-    "power": (power_homeo, 1),
-    "moebius": (moebius_homeo, 1),
-}
-
-
-def make_map(spec):
-    """Build the BoundaryHomeo of a catalog map spec."""
-    name, parameters = parse_map_spec(spec)
-    return _CATALOG[name][0](*parameters)
-
-
-def parse_map_spec(spec):
-    """(name, parameters) of a catalog map spec 'name' or 'name:p1,p2':
-    identity, thm2_sqrt, power (gamma > 0), or moebius (real a, |a| < 1),
-    with its count of finite parameters."""
-    name, colon, text = spec.partition(":")
-    if name not in _CATALOG:
-        raise ValueError(f"unknown catalog map {name!r}")
-    params = ()
-    for p in text.split(",") if colon else ():
-        try:
-            params += (float(p),)
-        except ValueError:
-            raise ValueError(f"map {spec!r} has a parameter {p!r} that is "
-                             "not a number") from None
-    arity = _CATALOG[name][1]
-    if len(params) != arity:
-        raise ValueError(f"{name} map takes {('no', 'exactly one')[arity]}"
-                         f" parameter, not {len(params)}")
-    if not np.all(np.isfinite(params)):
-        raise ValueError(f"{name} map needs finite parameters, not {params}")
-    return name, params
 
 
 def dyadic_edges(depth):

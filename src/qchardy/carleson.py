@@ -75,12 +75,14 @@ class DiscPushforward:
         center, zc, dz, dzb = (a[:, None, None] for a in (center, zc, dz, dzb))
         dw = np.array([ball.radius for ball in balls])[:, None, None] * nodes
         seed = zc + ((np.conj(dz) * dw - dzb * np.conj(dw))
-                     / norm_and_jacobian(dz, dzb)[1])
+                     / (np.abs(dz) ** 2 - np.abs(dzb) ** 2))
         z, (_, dz, dzb) = invert(self.phi, center + dw, z0=seed)
-        op, jac = norm_and_jacobian(dz, dzb)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at large p
-            rho = (1.0 if self.density == LEBESGUE
-                   else op ** self.p * (1.0 - np.abs(z)) ** (self.p - 1.0))
+        if self.density == LEBESGUE:
+            rho, jac = 1.0, np.abs(dz) ** 2 - np.abs(dzb) ** 2
+        else:
+            op, jac = norm_and_jacobian(dz, dzb)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at large p
+                rho = op ** self.p * (1.0 - np.abs(z)) ** (self.p - 1.0)
         vals = weights * rho / jac
         # scalar powers: an array ** can differ from them in the last bit
         r2 = np.array([ball.radius ** 2 for ball in balls])

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import carleson as ca
 from . import functionals as fn
-from .boundary import lipschitz_modulus_inverse, lipschitz_reading, parse_map_spec
-from .extension import cone_image_aperture, make_disc_map
+from .boundary import lipschitz_modulus_inverse, lipschitz_reading
+from .extension import cone_image_aperture, make_disc_map, parse_map_spec
 from .functions import AnalyticFunction, cauchy_kernel, compose, hardy_kernel
 from .quadrature import WORK
 from .tail import CONVERGED, TAIL_CAP, UNDETERMINED, read_value
@@ -211,9 +211,9 @@ def run_thmA(spec, phi, rep):
 
 
 def run_lemma1(spec, phi, rep):
-    """Image-cone aperture over a boundary grid: finite and comparable across
-    boundary points (max within 3x of the median)."""
-    thetas = -np.pi + 2 * np.pi * (np.arange(spec.grid) + 0.5) / spec.grid
+    """Image-cone aperture at the mirror-exact vertices pi k / n, k = 1 - n,
+    3 - n, ..., n - 1: finite and comparable (max within 3x of the median)."""
+    thetas = np.pi * np.arange(1 - spec.grid, spec.grid, 2) / spec.grid
     aps = cone_image_aperture(phi, np.exp(1j * thetas), spec.aperture, samples=96)
     rep.add("aperture_max", read_value(float(np.max(aps))))
     rep.add("aperture_median", read_value(float(np.median(aps))))

@@ -4,9 +4,11 @@ A BAExtension is the DiscQCMap that extends a boundary homeomorphism by the
 Beurling-Ahlfors averaged extension, conjugated through the Cayley transform:
 the boundary angle map is transported to a line homeomorphism via x = tan(t/2),
 extended to the upper half-plane by interval averages, and pulled back to the
-disc.  The conformal catalog maps (identity, Moebius), a control group, are
-DiscQCMaps with exact interior evaluation and a closed-form inverse, so
-inverting one takes a single jet evaluation instead of a Newton run.
+disc.  The conformal catalog maps (Moebius, the identity at a = 0), a
+control group, are DiscQCMaps with exact interior evaluation and a closed-form
+inverse, so inverting one takes a single jet evaluation instead of a Newton
+run.  make_disc_map builds each map of _CATALOG; its angle map's oddness is
+its symmetry.
 
 The interval averages integrate the line map h over the windows [x - y, x]
 and [x, x + y] of a point x + iy.  A point far from 0, where the catalog line
@@ -40,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import quadrature
-from .boundary import identity_homeo, make_map, moebius_homeo, parse_map_spec
+from .boundary import identity_homeo, moebius_homeo, power_homeo, sqrt_homeo
 from .geometry import cone_lattice
 
 _MAX_ITER = 80  # Newton steps of a lane before invert judges its residual
@@ -164,18 +166,17 @@ class DiscQCMap:
     A conformal map is given with its complex derivative, which marks it as
     conformal, and may be given its inverse w -> phi^{-1}(w) in closed form,
     which invert then uses instead of Newton iteration.  A Beurling-Ahlfors
-    extension, the subclass BAExtension, has neither.  ``symmetric`` declares
-    phi(conj z) = conj phi(z), as every catalog map does.
+    extension, the subclass BAExtension, has neither.  ``symmetric``,
+    phi(conj z) = conj phi(z), is the boundary map's ``odd``.
     """
 
-    def __init__(self, boundary, interior, label="", complex_derivative=None,
-                 inverse=None, symmetric=False):
+    def __init__(self, boundary, interior, complex_derivative=None, inverse=None):
         self.boundary = boundary
         self.interior = interior
-        self.label = label or boundary.label
+        self.label = boundary.label
         self.complex_derivative = complex_derivative
         self.inverse = inverse
-        self.symmetric = symmetric
+        self.symmetric = boundary.odd
 
     def __call__(self, z):
         return self.interior(np.asarray(z, dtype=complex))
@@ -193,9 +194,29 @@ class DiscQCMap:
         return norm_and_jacobian(*self.jet(z)[1:])
 
     def kink_angles(self, r):
+        """Angles t where phi(r e^{it}) is not smooth in t: none in closed form."""
+        return ()
+
+
+def norm_and_jacobian(dz, dzb):
+    """(operator norm, Jacobian) of the differential with Wirtinger
+    derivatives dz, dzb, from one modulus of each."""
+    a, b = np.abs(dz), np.abs(dzb)
+    return a + b, a ** 2 - b ** 2
+
+
+class BAExtension(DiscQCMap):
+    """DiscQCMap extending a circle homeomorphism by Beurling-Ahlfors."""
+
+    def __init__(self, homeo):
+        super().__init__(homeo, None)
+        self.label = f"ba[{homeo.label}]"
+        self._table = None
+        self._scratch = None
+
+    def kink_angles(self, r):
         """Angles t where phi(r e^{it}) is not smooth in t: up to four per
-        cusp of the boundary map for a Beurling-Ahlfors extension, so none
-        for a conformal map, whose boundary map has no cusp.
+        cusp of the boundary map.
 
         The extension averages the line map over [x - y, x + y], with x + iy
         the Cayley image of r e^{it}, and an end of that window crosses the
@@ -211,23 +232,6 @@ class DiscQCMap:
                     a = float(np.arcsin(s))
                     angles += [0.5 * c + a, 0.5 * c + np.pi - a]
         return tuple(angles)
-
-
-def norm_and_jacobian(dz, dzb):
-    """(operator norm, Jacobian) of the differential with Wirtinger
-    derivatives dz, dzb, from one modulus of each."""
-    a, b = np.abs(dz), np.abs(dzb)
-    return a + b, a ** 2 - b ** 2
-
-
-class BAExtension(DiscQCMap):
-    """DiscQCMap extending a circle homeomorphism by Beurling-Ahlfors."""
-
-    def __init__(self, homeo, symmetric=False):
-        super().__init__(homeo, None, label=f"ba[{homeo.label}]",
-                         symmetric=symmetric)
-        self._table = None
-        self._scratch = None
 
     def line_map(self, x):
         """Induced line homeomorphism h(x) = tan(alpha(2 atan x) / 2)."""
@@ -472,35 +476,50 @@ def _partials(h_lo, h_mid, h_hi, spare, u, v, y, two_y):
     np.subtract(h_lo, v, out=v)
 
 
-def identity_disc_map():
-    return DiscQCMap(identity_homeo(), lambda z: np.asarray(z, dtype=complex),
-                     label="identity",
-                     complex_derivative=lambda z: np.ones_like(z),
-                     inverse=lambda w: w, symmetric=True)
-
-
-def moebius_disc_map(a):
-    a = float(a)
-    h = moebius_homeo(a)
+def moebius_disc_map(a, boundary):
+    """The disc automorphism z -> (z - a)/(1 - a z), a real, over its angle map."""
     return DiscQCMap(
-        h,
-        lambda z, a=a: (z - a) / (1.0 - a * z),
-        label=f"moebius({a:g})",
-        complex_derivative=lambda z, a=a: (1.0 - a * a) / (1.0 - a * z) ** 2,
-        inverse=lambda w, a=a: (w + a) / (1.0 + a * w),
-        symmetric=True,
-    )
+        boundary, lambda z: (z - a) / (1.0 - a * z),
+        complex_derivative=lambda z: (1.0 - a * a) / (1.0 - a * z) ** 2,
+        inverse=lambda w: (w + a) / (1.0 + a * w))
+
+
+# catalog map name -> (builder of its DiscQCMap, number of parameters)
+_CATALOG = {
+    "identity": (lambda: moebius_disc_map(0.0, identity_homeo()), 0),
+    "thm2_sqrt": (lambda: BAExtension(sqrt_homeo()), 0),
+    "power": (lambda gamma: BAExtension(power_homeo(gamma)), 1),
+    "moebius": (lambda a: moebius_disc_map(a, moebius_homeo(a)), 1),
+}
+
+
+def parse_map_spec(spec):
+    """(name, parameters) of a catalog map spec 'name' or 'name:p1,p2':
+    identity, thm2_sqrt, power (gamma > 0), or moebius (real a, |a| < 1),
+    with its count of finite parameters."""
+    name, colon, text = spec.partition(":")
+    if name not in _CATALOG:
+        raise ValueError(f"unknown catalog map {name!r}")
+    params = ()
+    for p in text.split(",") if colon else ():
+        try:
+            params += (float(p),)
+        except ValueError:
+            raise ValueError(f"map {spec!r} has a parameter {p!r} that is "
+                             "not a number") from None
+    arity = _CATALOG[name][1]
+    if len(params) != arity:
+        raise ValueError(f"{name} map takes {('no', 'exactly one')[arity]}"
+                         f" parameter, not {len(params)}")
+    if not np.all(np.isfinite(params)):
+        raise ValueError(f"{name} map needs finite parameters, not {params}")
+    return name, params
 
 
 def make_disc_map(spec):
-    """Catalog DiscQCMap of a map spec: conformal members exact, the rest a
-    BAExtension of an odd angle map; each is symmetric."""
+    """The catalog DiscQCMap of a map spec."""
     name, parameters = parse_map_spec(spec)
-    if name == "identity":
-        return identity_disc_map()
-    if name == "moebius":
-        return moebius_disc_map(*parameters)
-    return BAExtension(make_map(spec), symmetric=True)
+    return _CATALOG[name][0](*parameters)
 
 
 def _initial_guess(phi, w):
@@ -594,16 +613,18 @@ def cone_image_aperture(phi, xi, c=2.0, samples=96):
     (1 - |phi(z)|) over the cone lattices (geometry.cone_lattice), in one
     call of phi, of samples // 12 (at least 3) rays evenly across the window
     at each of 12 depths; NaN if an image rounds onto or past the circle,
-    where 1 - |phi(z)| <= 0 is no distance to divide by.  Each phi(xi) is a
+    where 1 - |phi(z)| <= 0 is no distance to divide by; a symmetric phi
+    maps the cones at |t| only.  Each phi(xi) of a distinct vertex is a
     scalar map_point call: an array call moves its last bit."""
     xi = np.asarray(xi, dtype=complex)
     if np.any(np.abs(np.abs(xi) - 1.0) > 1e-12):
         raise ValueError("cone vertex must lie on the unit circle")
     rays = np.linspace(-1.0, 1.0, max(3, int(samples) // 12))
-    t0 = np.angle(xi)[..., None]
-    w = phi(np.concatenate(cone_lattice(t0, c, rays), axis=-1))
-    target = [complex(phi.boundary.map_point(t)) for t in t0.ravel().tolist()]
+    fold = np.abs if phi.symmetric else np.asarray
+    t0, back = np.unique(fold(np.angle(xi).ravel()), return_inverse=True)
+    w = phi(np.concatenate(cone_lattice(t0[:, None], c, rays), axis=-1))
+    target = [complex(phi.boundary.map_point(t)) for t in t0.tolist()]
     gap = 1.0 - np.abs(w)
-    aperture = np.max(np.abs(w - np.reshape(target, t0.shape))
-                      / np.where(gap > 0, gap, np.nan), axis=-1)
-    return float(aperture) if xi.ndim == 0 else aperture
+    aperture = np.max(np.abs(w - np.reshape(target, (-1, 1)))
+                      / np.where(gap > 0, gap, np.nan), axis=-1)[back]
+    return float(aperture[0]) if xi.ndim == 0 else aperture.reshape(xi.shape)

@@ -1,7 +1,28 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+from qchardy.boundary import BoundaryHomeo
 from qchardy.extension import make_disc_map
+
+
+def _two_sided_power(t, c, g):
+    """alpha(t) = c +- (pi -+ c) (|t - c| / (pi -+ c))^g, sign + for t >= c:
+    a power cusp of exponent g at c that fixes +-pi.  Its inverse is the
+    same map at 1/g."""
+    t = np.asarray(t, dtype=float)
+    side = np.where(t >= c, np.pi - c, np.pi + c)
+    return c + np.sign(t - c) * side * (np.abs(t - c) / side) ** g
+
+
+@pytest.fixture(scope="session")
+def cusp_homeo():
+    """The two-sided power cusp at c = 0.7 with gamma = 2: an angle map that
+    is not odd."""
+    return BoundaryHomeo(partial(_two_sided_power, c=0.7, g=2.0),
+                         partial(_two_sided_power, c=0.7, g=0.5),
+                         label="power(2, 0.7)", cusps=(0.7,))
 
 
 @pytest.fixture(scope="session")

@@ -15,9 +15,8 @@ from qchardy.boundary import (
     lipschitz_modulus_inverse,
     lipschitz_reading,
     lipschitz_tail,
-    make_map,
-    parse_map_spec,
 )
+from qchardy.extension import make_disc_map, parse_map_spec
 
 CATALOG = ("identity", "thm2_sqrt", "power:2", "power:0.75", "moebius:0.5",
            "moebius:-0.7")
@@ -57,26 +56,26 @@ def _angle_map_derivative(spec, t):
 
 class TestCatalog:
     def test_sqrt_map_values(self):
-        h = make_map("thm2_sqrt")
+        h = make_disc_map("thm2_sqrt").boundary
         assert abs(h(np.pi / 4) - np.pi / 2) < 1e-14
         assert abs(h(np.pi) - np.pi) < 1e-14
         assert abs(h(-np.pi / 4) + np.pi / 2) < 1e-14
 
     def test_power_map_values(self):
-        h = make_map("power:2")
+        h = make_disc_map("power:2").boundary
         assert abs(h(np.pi / 2) - np.pi / 4) < 1e-14
-        half = make_map("power:0.5")
+        half = make_disc_map("power:0.5").boundary
         t = np.linspace(-np.pi, np.pi, 101)
-        assert np.allclose(half(t), make_map("thm2_sqrt")(t))
+        assert np.allclose(half(t), make_disc_map("thm2_sqrt").boundary(t))
 
     def test_power2_inverse_is_sqrt_map(self):
         t = np.linspace(-np.pi, np.pi, 101)
-        assert np.allclose(make_map("power:2").inverse(t),
-                           make_map("thm2_sqrt")(t))
+        assert np.allclose(make_disc_map("power:2").boundary.inverse(t),
+                           make_disc_map("thm2_sqrt").boundary(t))
 
     def test_moebius_matches_disc_automorphism(self):
         a = 0.5
-        h = make_map(f"moebius:{a}")
+        h = make_disc_map(f"moebius:{a}").boundary
         t = np.linspace(-3.0, 3.0, 41)
         z = np.exp(1j * t)
         expected = np.angle((z - a) / (1.0 - a * z))
@@ -84,13 +83,13 @@ class TestCatalog:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            make_map("power:0")
+            make_disc_map("power:0")
         with pytest.raises(ValueError):
-            make_map("power:-1")
+            make_disc_map("power:-1")
         with pytest.raises(ValueError):
-            make_map("moebius:1.0")
+            make_disc_map("moebius:1.0")
         with pytest.raises(ValueError):
-            make_map("nosuchmap")
+            make_disc_map("nosuchmap")
         with pytest.raises(ValueError):
             parse_map_spec("weird")
 
@@ -115,20 +114,20 @@ class TestCatalog:
 
     @pytest.mark.parametrize("spec", CATALOG)
     def test_endpoints_fixed(self, spec):
-        h = make_map(spec)
+        h = make_disc_map(spec).boundary
         assert abs(h(np.pi) - np.pi) < 1e-12
         assert abs(h(-np.pi) + np.pi) < 1e-12
 
     @pytest.mark.parametrize("spec", CATALOG)
     def test_inverse_round_trip(self, spec):
-        h = make_map(spec)
+        h = make_disc_map(spec).boundary
         t = np.linspace(-np.pi, np.pi, 1025)
         assert np.max(np.abs(h.inverse(h(t)) - t)) < 1e-10
         assert np.max(np.abs(h(h.inverse(t)) - t)) < 1e-10
 
     @pytest.mark.parametrize("spec", CATALOG)
     def test_derivative_matches_fd(self, spec):
-        h = make_map(spec)
+        h = make_disc_map(spec).boundary
         t = np.linspace(-2.8, 2.8, 57)
         t = t[np.abs(t) > 0.05]
         eps = 1e-6
@@ -148,7 +147,7 @@ class TestCatalog:
     def test_a_steep_moebius_end_is_fixed_by_its_inverse(self, a):
         # the slope (1 - a)/(1 + a) at +-pi amplifies the rounding of pi past
         # 1e-12; the inverse, flat there, fixes +-pi to 1e-12
-        h = make_map(f"moebius:{a}")
+        h = make_disc_map(f"moebius:{a}").boundary
         ends = np.array([-np.pi, np.pi])
         assert np.max(np.abs(h(ends) - ends)) > 1e-12
         assert np.max(np.abs(h.inverse(ends) - ends)) <= 1e-12
@@ -163,11 +162,11 @@ class TestCatalog:
     def test_lifted_periodicity(self, t):
         # the Moebius angle map is a lift: defined on the whole line and
         # commuting with t -> t + 2 pi
-        h = make_map("moebius:0.3")
+        h = make_disc_map("moebius:0.3").boundary
         assert abs(h(t + 2 * np.pi) - (h(t) + 2 * np.pi)) < 1e-10
 
     def test_map_point_on_circle(self):
-        h = make_map("thm2_sqrt")
+        h = make_disc_map("thm2_sqrt").boundary
         z = h.map_point(np.linspace(-np.pi, np.pi, 33))
         assert np.allclose(np.abs(z), 1.0)
 
@@ -179,12 +178,12 @@ class TestDyadicEstimators:
         assert abs(e[1] - e[0] - np.pi / 8) < 1e-14
 
     def test_identity_modulus_is_one(self):
-        moduli = lipschitz_modulus_inverse(make_map("identity"), 8)
+        moduli = lipschitz_modulus_inverse(make_disc_map("identity").boundary, 8)
         assert np.allclose(moduli, 1.0, atol=1e-12)
         assert is_lipschitz_inverse(moduli)
 
     def test_sqrt_map_modulus_tends_to_two(self):
-        moduli = lipschitz_modulus_inverse(make_map("thm2_sqrt"), 10)
+        moduli = lipschitz_modulus_inverse(make_disc_map("thm2_sqrt").boundary, 10)
         # the worst dyadic arc ends at angle pi * 2^{-d}; its preimage length
         # over its length tends to 2 from below
         assert moduli[-1] == pytest.approx(2.0, rel=0.02)
@@ -192,7 +191,7 @@ class TestDyadicEstimators:
         assert is_lipschitz_inverse(moduli)
 
     def test_power2_modulus_closed_form(self):
-        moduli = lipschitz_modulus_inverse(make_map("power:2"), 10)
+        moduli = lipschitz_modulus_inverse(make_disc_map("power:2").boundary, 10)
         for d in (6, 8, 10):
             assert moduli[d - 1] == pytest.approx(2.0 ** (d / 2.0), rel=1e-12)
         assert not is_lipschitz_inverse(moduli)
@@ -205,12 +204,12 @@ class TestDyadicEstimators:
         assert lipschitz_tail([1.0, 1.5, 1.75])[0] == UNDETERMINED
         assert not is_lipschitz_inverse([1.0, 1.5, 1.75])
         with pytest.raises(ValueError):
-            lipschitz_modulus_inverse(make_map("identity"), 0)
+            lipschitz_modulus_inverse(make_disc_map("identity").boundary, 0)
 
     @pytest.mark.parametrize("spec", NESTED_MAPS)
     def test_nested_moduli_are_the_per_depth_sweeps_bitwise(self, spec):
         # every 2^(16-d)-th depth-16 edge is a depth-d edge, bit for bit
-        h = make_map(spec)
+        h = make_disc_map(spec).boundary
         swept = [_swept_modulus(h, d) for d in range(1, 17)]
         for depth in (1, 2, 10, 16):
             assert lipschitz_modulus_inverse(h, depth) == swept[:depth]
@@ -218,7 +217,7 @@ class TestDyadicEstimators:
     @pytest.mark.parametrize("spec", NESTED_MAPS)
     def test_deeper_depths_add_midpoints_bitwise(self, spec):
         # read from depth 1, every depth past it is refined by midpoints
-        h = make_map(spec)
+        h = make_disc_map(spec).boundary
         reading = lipschitz_reading(h, lipschitz_modulus_inverse(h, 1))
         assert reading == _swept_reading(h, 1)
         assert reading.at > 1
@@ -226,7 +225,7 @@ class TestDyadicEstimators:
     @pytest.mark.parametrize("spec, at", [("moebius:0.99", 11),
                                           ("moebius:0.999", 14)])
     def test_deepened_readings_are_the_swept_ones(self, spec, at):
-        h = make_map(spec)
+        h = make_disc_map(spec).boundary
         reading = lipschitz_reading(h, lipschitz_modulus_inverse(h, 10))
         former = _swept_reading(h, 10)
         assert (reading.value, reading.classification, reading.at) == (
@@ -235,7 +234,7 @@ class TestDyadicEstimators:
 
     def test_rounding_floor_grows_with_depth(self):
         # a flat modulus with noise of a few ulps times 2^d reads converged
-        moduli = lipschitz_modulus_inverse(make_map("identity"), 16)
+        moduli = lipschitz_modulus_inverse(make_disc_map("identity").boundary, 16)
         assert lipschitz_tail(moduli) == (CONVERGED,
                                           "last 3 increments within error of 0")
 
@@ -244,7 +243,7 @@ class TestDyadicEstimators:
     def test_moebius_moduli_settle_deeper(self, spec, depth):
         # the inverse of moebius(a) is (1+a)/(1-a)-Lipschitz, but its moduli
         # keep growing until the arcs resolve the map's length scale 1 - a
-        moduli = lipschitz_modulus_inverse(make_map(spec), 16)
+        moduli = lipschitz_modulus_inverse(make_disc_map(spec).boundary, 16)
         verdicts = [lipschitz_tail(moduli[:d])[0] for d in range(10, 17)]
         assert DIVERGING not in verdicts
         assert verdicts.index(CONVERGED) + 10 == depth
@@ -253,13 +252,13 @@ class TestDyadicEstimators:
     def test_moebius_0999_rho_falls_faster_each_step(self):
         # rho = 1.92, 1.83, 1.66 at depth 10: above 1 but falling faster at
         # every step, which is undetermined, not diverging
-        moduli = lipschitz_modulus_inverse(make_map("moebius:0.999"), 10)
+        moduli = lipschitz_modulus_inverse(make_disc_map("moebius:0.999").boundary, 10)
         d = np.diff(moduli)
         assert d[-3:] / d[-4:-1] == pytest.approx([1.92, 1.83, 1.66], abs=0.005)
         assert lipschitz_tail(moduli)[0] == UNDETERMINED
 
     def test_moebius_is_lipschitz(self):
-        moduli = lipschitz_modulus_inverse(make_map("moebius:0.5"), 8)
+        moduli = lipschitz_modulus_inverse(make_disc_map("moebius:0.5").boundary, 8)
         assert is_lipschitz_inverse(moduli)
         # sup of (phi^{-1})' = (1+a)/(1-a) = 3 bounds every dyadic modulus
         assert max(moduli) <= 3.0 + 1e-12

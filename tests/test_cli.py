@@ -335,12 +335,12 @@ class TestWorkLedger:
 
     # thm3 reads its Hardy circles, boundary scales and first 12 area
     # shells in one stage each, moebius(0.99) one more shell; lemma1 maps
-    # the cone lattices of all 16 vertices, 8 rays at 12 depths each, in
-    # one call
+    # the cone lattices of the 8 vertices in [0, pi] of its 16, 8 rays at 12
+    # depths each, in one call
     @pytest.mark.parametrize("name, map_spec, counts", [
         ("thm3", "thm2_sqrt", {"circle_stages": 3}),
         ("thm3", "moebius:0.99", {"circle_stages": 4}),
-        ("lemma1", "thm2_sqrt", {"ba_calls": 1, "ba_points": 16 * 96})])
+        ("lemma1", "thm2_sqrt", {"ba_calls": 1, "ba_points": 8 * 96})])
     def test_batched_loops_count_one_stage_or_call(self, name, map_spec,
                                                    counts):
         work = run(ExperimentSpec(name, map_spec)).metadata["work"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qchardy import extension, quadrature
-from qchardy.boundary import BoundaryHomeo, _power, make_map
+from qchardy.boundary import BoundaryHomeo, _power, identity_homeo, power_homeo
 from qchardy.extension import (
     _CUTS,
     _HIGHEST,
@@ -21,10 +21,8 @@ from qchardy.extension import (
     _panel_nodes,
     _panel_totals,
     cone_image_aperture,
-    identity_disc_map,
     invert,
     make_disc_map,
-    moebius_disc_map,
     norm_and_jacobian,
 )
 from qchardy.functionals import radial_schedule
@@ -97,7 +95,7 @@ class _CountingLineBA(BAExtension):
     nodes it is called on."""
 
     def __init__(self):
-        super().__init__(make_map("thm2_sqrt"))
+        super().__init__(make_disc_map("thm2_sqrt").boundary)
         self.batches = []
 
     def line_map(self, x):
@@ -324,7 +322,7 @@ class TestLineIntegral:
         # every table panel, node to node, lies _KAPPA[6] of its widths out
         assert np.all(lo / (hi - lo) >= _KAPPA[6])
         # and so does every lookup _nearest_nodes makes
-        ext = BAExtension(make_map("thm2_sqrt"))
+        ext = BAExtension(make_disc_map("thm2_sqrt").boundary)
         rng = np.random.default_rng(3)
         t = rng.choice([-1.0, 1.0], 20000) * 2.0 ** rng.uniform(_LOWEST, _HIGHEST, 20000)
         node, _ = ext._nearest_nodes(t)
@@ -332,7 +330,7 @@ class TestLineIntegral:
 
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3", "identity"])
     def test_matches_seed_rule(self, spec):
-        ext = BAExtension(make_map(spec))
+        ext = BAExtension(make_disc_map(spec).boundary)
         x, y = _random_points()
         u, v = ext.halfplane(x, y)
         u_ref, v_ref = _SeedRuleBA(ext.boundary).halfplane(x, y)
@@ -424,7 +422,7 @@ class TestLineIntegral:
 
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
     def test_chunks_change_no_bit(self, spec, monkeypatch):
-        ext = BAExtension(make_map(spec))
+        ext = BAExtension(make_disc_map(spec).boundary)
         x, y = _random_points(n=2500)
         got = np.concatenate(ext.halfplane(x, y))
         alone = np.concatenate([ext.halfplane(x[i:i + 1], y[i:i + 1])
@@ -434,7 +432,7 @@ class TestLineIntegral:
         # of its own
         with monkeypatch.context() as m:
             m.setattr(quadrature, "_NODES_PER_CALL", 18 * x.size)
-            fresh = BAExtension(make_map(spec))
+            fresh = BAExtension(make_disc_map(spec).boundary)
             fresh._nearest_nodes(np.zeros(1))
             assert got.tobytes() == np.concatenate(fresh.halfplane(x, y)).tobytes()
 
@@ -496,7 +494,7 @@ class TestKernelBitwise:
 
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
     def test_halfplane_matches_batch_temporaries(self, spec):
-        ext, ref = BAExtension(make_map(spec)), _BatchBA(make_map(spec))
+        ext, ref = BAExtension(make_disc_map(spec).boundary), _BatchBA(make_disc_map(spec).boundary)
         for n in _BATCH_SIZES:
             x, y = _halfplane_batch(n, seed=n)
             for a, b in zip(ext.halfplane(x, y), ref.halfplane(x, y)):
@@ -509,7 +507,7 @@ class TestKernelBitwise:
 
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
     def test_call_and_jet_match_batch_temporaries(self, spec):
-        phi, ref = BAExtension(make_map(spec)), _BatchBA(make_map(spec))
+        phi, ref = BAExtension(make_disc_map(spec).boundary), _BatchBA(make_disc_map(spec).boundary)
         for n in _BATCH_SIZES:
             z = _disc_batch(n, seed=n)
             with np.errstate(invalid="ignore"):
@@ -532,15 +530,15 @@ class TestKernelBitwise:
         # then uses, before the pass fills the reused buffers
         z = _disc_batch(3000, seed=5)[10:]  # no NaN lane
         for method in ("jet", "__call__"):
-            got = getattr(BAExtension(make_map("thm2_sqrt")), method)(z)
-            want = getattr(_BatchBA(make_map("thm2_sqrt")), method)(z)
+            got = getattr(BAExtension(make_disc_map("thm2_sqrt").boundary), method)(z)
+            want = getattr(_BatchBA(make_disc_map("thm2_sqrt").boundary), method)(z)
             for a, b in zip(np.atleast_2d(got), np.atleast_2d(want)):
                 assert a.tobytes() == b.tobytes()
 
     def test_returned_arrays_are_fresh(self):
         # Newton and circle_means keep what a call returns across later
         # calls, so no returned array is a view of the reused buffers
-        phi = BAExtension(make_map("thm2_sqrt"))
+        phi = BAExtension(make_disc_map("thm2_sqrt").boundary)
         with np.errstate(invalid="ignore"):  # the NaN lanes
             first = [phi.jet(_disc_batch(700, seed=1)),
                      (phi(_disc_batch(90, seed=2)),),
@@ -556,7 +554,7 @@ class TestKernelBitwise:
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3"])
     @pytest.mark.parametrize("order", [4, 6])
     def test_panel_sums_match_einsum(self, spec, order):
-        h = BAExtension(make_map(spec)).line_map
+        h = BAExtension(make_disc_map(spec).boundary).line_map
         rng = np.random.default_rng(order)
         # over two budgets of nodes
         ends = _kernel_ends(3 * (_NODES_PER_CALL // order), seed=order)
@@ -573,7 +571,7 @@ class TestKernelBitwise:
 
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
     def test_flat_lookups_match_the_2d_index(self, spec):
-        ext = BAExtension(make_map(spec))
+        ext = BAExtension(make_disc_map(spec).boundary)
         t = _kernel_ends(20000, seed=7)
         got = ext._nearest_nodes(t)
         ref = _indexed_nearest_nodes(ext, t)
@@ -586,7 +584,7 @@ class TestKernelBitwise:
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3",
                                       "identity", "moebius:0.5"])
     def test_line_map_matches_out_of_place(self, spec):
-        ext = BAExtension(make_map(spec))
+        ext = BAExtension(make_disc_map(spec).boundary)
         x = _kernel_ends(5000, seed=3)
         before = x.copy()
         assert ext.line_map(x).tobytes() == _out_of_place_line_map(ext, x).tobytes()
@@ -655,7 +653,7 @@ class TestWindowAccuracy:
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3", "identity"])
     @pytest.mark.parametrize("length", [1e-9, 1e-4, 0.03, 1.0])
     def test_band_and_cusp_against_quad(self, spec, length):
-        ext = BAExtension(make_map(spec))
+        ext = BAExtension(make_disc_map(spec).boundary)
         h = ext.line_map
         x, y = self._points(length)
         assert not np.any(_far(x, y))
@@ -670,7 +668,7 @@ class TestWindowAccuracy:
     def test_both_sides_of_the_switch_against_quad(self, spec, length):
         # |x| / y up to 6, with 1 + kappa = 5.55 the switch from three table
         # lookups to one panel a window
-        ext = BAExtension(make_map(spec))
+        ext = BAExtension(make_disc_map(spec).boundary)
         h = ext.line_map
         r = np.concatenate([np.linspace(0.0, 6.0, 13),
                             (1.0 + _KAPPA[6]) * (1.0 + np.array([-1e-9, 0.0, 1e-9]))])
@@ -690,7 +688,7 @@ class TestWindowAccuracy:
         # is tan(alpha / 2) with alpha near pi, and its own rounding reaches
         # 5.3e-15 max|h| against quad with 6-node windows, 1.2e-14 with
         # 4-node ones; elsewhere both stay under 4e-16
-        ext = BAExtension(make_map(spec))
+        ext = BAExtension(make_disc_map(spec).boundary)
         h = ext.line_map
         r = np.concatenate([np.linspace(6.0, 40.0, 18),
                             (1.0 + _KAPPA[4]) * (1.0 + np.array([-1e-9, 0.0, 1e-9]))])
@@ -705,7 +703,7 @@ class TestWindowAccuracy:
 
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3"])
     def test_lookups_stay_in_the_table_at_the_circle(self, spec):
-        ext = BAExtension(make_map(spec))
+        ext = BAExtension(make_disc_map(spec).boundary)
         looked_up = []
         lookup = ext._nearest_nodes
         # the ends are the scratch that the pass then overwrites
@@ -733,7 +731,7 @@ class TestWindowAccuracy:
 class TestHalfplaneExtension:
     def test_identity_closed_form(self):
         # the averaged extension of h(x) = x is (x, y/2)
-        ext = BAExtension(make_map("identity"))
+        ext = BAExtension(make_disc_map("identity").boundary)
         x = np.array([-2.0, 0.0, 0.7, 5.0])
         y = np.array([0.5, 1.0, 0.01, 3.0])
         u, v = ext.halfplane(x, y)
@@ -747,13 +745,13 @@ class TestHalfplaneExtension:
             def line_map(self, x):
                 return 2.0 * np.asarray(x, dtype=float)
 
-        u, v = Doubling(make_map("identity")).halfplane(np.array([0.3, 0.0, 5.0]),
+        u, v = Doubling(make_disc_map("identity").boundary).halfplane(np.array([0.3, 0.0, 5.0]),
                                         np.array([0.8, 1e-3, 0.5]))
         assert np.allclose(u, [0.6, 0.0, 10.0], rtol=0.0, atol=1e-10)
         assert np.allclose(v, [0.8, 1e-3, 0.5], rtol=1e-12, atol=0.0)
 
     def test_upper_halfplane_preserved(self):
-        ext = BAExtension(make_map("thm2_sqrt"))
+        ext = BAExtension(make_disc_map("thm2_sqrt").boundary)
         rng = np.random.default_rng(5)
         x = rng.normal(size=40) * 3
         y = 10.0 ** rng.uniform(-4, 1, size=40)
@@ -779,7 +777,7 @@ class TestDiscExtension:
     def test_identity_extension_radial_closed_form(self):
         # conjugating (x, y/2) through the Cayley map sends r to (1+3r)/(3+r)
         # on the real diameter
-        phi = BAExtension(make_map("identity"))
+        phi = BAExtension(make_disc_map("identity").boundary)
         r = np.array([0.0, 0.25, 0.5, 0.9, 0.99])
         assert np.max(np.abs(phi(r + 0j) - (1 + 3 * r) / (3 + r))) < 1e-9
 
@@ -789,7 +787,7 @@ class TestDiscExtension:
         # BAExtension.halfplane, so the deep bound is looser
         theta = np.linspace(-np.pi, np.pi, 401)
         z = (radial_schedule()[:, None] * np.exp(1j * theta)).ravel()
-        ref = _SeedRuleBA(make_map(spec))(z)
+        ref = _SeedRuleBA(make_disc_map(spec).boundary)(z)
         rel = np.abs(make_disc_map(spec)(z) - ref) / (1.0 - np.abs(ref))
         rel = rel.reshape(-1, theta.size)
         assert np.max(rel[:12]) <= 1e-10
@@ -818,12 +816,12 @@ def _dilatation(phi, grid=16):
 
 class TestDilatation:
     def test_identity_extension(self):
-        ratios, violations = _dilatation(BAExtension(make_map("identity")))
+        ratios, violations = _dilatation(BAExtension(make_disc_map("identity").boundary))
         assert violations == 0
         assert np.quantile(ratios, 0.99) == pytest.approx(2.0, rel=0.01)
 
     def test_moebius_extension_nearly_conformal(self):
-        ratios, violations = _dilatation(BAExtension(make_map("moebius:0.5")))
+        ratios, violations = _dilatation(BAExtension(make_disc_map("moebius:0.5").boundary))
         assert violations == 0
         assert np.quantile(ratios, 0.99) == pytest.approx(2.0, rel=0.05)
 
@@ -901,23 +899,27 @@ class TestCircularDistortion:
         assert all(0.05 < r < 10.0 for r in ratios)
 
 
-def _one_vertex_aperture(phi, xi, c=2.0, samples=96):
-    """cone_image_aperture as it ran on one vertex a call, the reference for
-    the bitwise check of its batched form."""
+def _one_vertex_aperture(phi, t, c=2.0, samples=96):
+    """cone_image_aperture as it ran on one vertex, at angle t, a call: the
+    reference for the bitwise check of its batched form."""
     rays = np.linspace(-1.0, 1.0, max(3, int(samples) // 12))
-    w = phi(np.concatenate(cone_lattice(np.angle(xi), c, rays)))
-    target = complex(phi.boundary.map_point(float(np.angle(xi))))
+    w = phi(np.concatenate(cone_lattice(t, c, rays)))
+    target = complex(phi.boundary.map_point(float(t)))
     gap = 1.0 - np.abs(w)
     return float(np.max(np.abs(w - target) / np.where(gap > 0, gap, np.nan)))
 
 
 class TestConeImageAperture:
-    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "moebius:0.5"])
-    def test_vertices_at_once_match_one_call_each(self, spec):
-        # lemma1's 16 vertices, in one call of phi
-        phi = make_disc_map(spec)
-        xi = np.exp(1j * (-np.pi + 2 * np.pi * (np.arange(16) + 0.5) / 16))
-        want = np.array([_one_vertex_aperture(phi, x) for x in xi])
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "moebius:0.5",
+                                      "cusp"])
+    def test_vertices_at_once_match_one_call_each(self, spec, cusp_homeo):
+        # lemma1's 16 vertices, in one call of phi; a symmetric phi reads the
+        # vertex at angle t from its cone at |t|, and a map that is not
+        # symmetric, the two-sided cusp, reads each vertex's own cone
+        phi = BAExtension(cusp_homeo) if spec == "cusp" else make_disc_map(spec)
+        xi = np.exp(1j * np.pi * np.arange(-15, 16, 2) / 16)
+        fold = np.abs if phi.symmetric else np.asarray
+        want = np.array([_one_vertex_aperture(phi, t) for t in fold(np.angle(xi))])
         got = cone_image_aperture(phi, xi)
         assert got.shape == xi.shape and got.tobytes() == want.tobytes()
         grid = cone_image_aperture(phi, xi.reshape(4, 4), c=2.0, samples=96)
@@ -960,14 +962,14 @@ class TestConeImageAperture:
         cone_image_aperture(DiscQCMap(identity_map.boundary, interior), xi, c,
                             samples=84)
         (z,) = seen
-        assert z.shape == (84,)  # 12 depths of 7 rays
+        assert z.shape == (1, 84)  # one vertex: 12 depths of 7 rays
         assert np.all(np.abs(z - xi) < c * (1.0 - np.abs(z)))
 
 
 class TestCatalogConstruction:
     def test_conformal_flags(self):
-        assert identity_disc_map().complex_derivative is not None
-        assert moebius_disc_map(0.3).complex_derivative is not None
+        assert make_disc_map("identity").complex_derivative is not None
+        assert make_disc_map("moebius:0.3").complex_derivative is not None
         assert make_disc_map("thm2_sqrt").complex_derivative is None
 
     def test_make_disc_map_dispatch(self):
@@ -981,12 +983,25 @@ class TestCatalogConstruction:
         for spec in ("identity", "moebius:0.5"):
             assert not isinstance(make_disc_map(spec), BAExtension)
 
+    def test_identity_is_the_moebius_map_at_zero(self):
+        # the former identity map, z -> z with derivative 1 and inverse w -> w
+        former = DiscQCMap(identity_homeo(), lambda z: z,
+                           complex_derivative=np.ones_like, inverse=lambda w: w)
+        phi, rng = make_disc_map("identity"), np.random.default_rng(7)
+        assert phi.label == "identity" and not isinstance(phi, BAExtension)
+        z = np.sqrt(rng.random(500)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 500))
+        pairs = [(phi(z), former(z)), (phi.inverse(z), former.inverse(z)),
+                 *zip(phi.jet(z), former.jet(z)),
+                 *zip(invert(phi, z)[1], invert(former, z)[1])]
+        for got, want in pairs:
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_moebius_without_parameter_is_a_value_error(self):
         with pytest.raises(ValueError, match="one parameter"):
             make_disc_map("moebius")
 
     def test_moebius_exact_interior(self):
-        phi = moebius_disc_map(0.5)
+        phi = make_disc_map("moebius:0.5")
         z = 0.3 + 0.2j
         assert abs(complex(phi(np.array([z]))[0]) - (z - 0.5) / (1 - 0.5 * z)) < 1e-15
 
@@ -997,7 +1012,7 @@ class TestCatalogConstruction:
         assert abs(dz[0] - 0.75 / (1 - 0.5 * z[0]) ** 2) < 1e-14
 
     def test_wirtinger_identity_extension_dilatation_two(self):
-        phi = BAExtension(make_map("identity"))
+        phi = BAExtension(make_disc_map("identity").boundary)
         dz, dzb = phi.jet(np.array([0.4 + 0.3j, -0.2j, 0.7]))[1:]
         assert np.all(np.abs(dzb) < np.abs(dz))
         # dilatation of this extension is exactly 2: (|dz|+|dzb|)^2 = 2 J
@@ -1044,8 +1059,13 @@ class TestKinkAngles:
     def test_none_for_conformal_or_smooth_maps(self, identity_map, moebius_map):
         assert identity_map.kink_angles(0.9) == ()
         assert moebius_map.kink_angles(0.9) == ()
-        assert BAExtension(make_map("moebius:0.5")).kink_angles(0.9) == ()
-        assert make_map("power:2").cusps == (0.0,)
+        assert BAExtension(make_disc_map("moebius:0.5").boundary).kink_angles(0.9) == ()
+        assert make_disc_map("power:2").boundary.cusps == (0.0,)
+        # a map in closed form is smooth inside, whatever cusps its angle
+        # map has; only the extension's window meets them
+        closed = DiscQCMap(power_homeo(2.0), lambda z: z)
+        assert closed.kink_angles(0.9) == ()
+        assert len(BAExtension(power_homeo(2.0)).kink_angles(0.9)) == 4
 
 
 _ANGLES = -np.pi + 2.0 * np.pi * np.arange(401) / 401
@@ -1076,7 +1096,7 @@ class _CountingBA(BAExtension):
 
 
 def _counting_map(spec):
-    return _CountingBA(make_map(spec))
+    return _CountingBA(make_disc_map(spec).boundary)
 
 
 class TestJet:
@@ -1201,8 +1221,8 @@ class TestClosedFormInvert:
 
     def test_a_wrong_inverse_does_not_converge(self):
         good = make_disc_map("moebius:0.5")
-        bad = DiscQCMap(good.boundary, good.interior, "moebius(0.5)",
-                        good.complex_derivative, inverse=lambda w: -w)
+        bad = DiscQCMap(good.boundary, good.interior, good.complex_derivative,
+                        inverse=lambda w: -w)
         failures = quadrature.WORK["invert_failures"]
         with pytest.raises(RuntimeError, match="did not converge"):
             invert(bad, np.array([0.3, 0.6j]))

@@ -1,6 +1,6 @@
-"""Stages of an even integrand on the upper half-disc: the catalog's
-declarations of symmetry, the folded circle rule's nodes, and every folded
-stage against the full path, forced by clearing the declarations."""
+"""Stages of an even integrand on the upper half-disc: the symmetry each map
+reads off its angle map, the folded circle rule's nodes, and every folded
+stage against the full path, forced by clearing the flags."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ import pytest
 from qchardy import functionals as fn
 from qchardy import carleson as ca
 from qchardy.boundary import BoundaryHomeo
-from qchardy.extension import BAExtension, make_disc_map
+from qchardy.extension import _CATALOG, BAExtension, make_disc_map
 from qchardy.functions import cauchy_kernel, compose, hardy_kernel
 from qchardy.quadrature import (TWO_PI, WORK, _graded_panels, circle_means,
                                 gauss_legendre)
@@ -51,11 +51,37 @@ def _full(spec):
 @pytest.mark.parametrize("spec", MAPS)
 def test_catalog_maps_commute_with_conjugation(spec):
     phi, rng = make_disc_map(spec), np.random.default_rng(1)
-    assert phi.symmetric
+    assert phi.boundary.odd and phi.symmetric
+    # an extension built directly reads the same symmetry
+    assert BAExtension(phi.boundary).symmetric
     z = np.sqrt(rng.random(200)) * 0.999 * np.exp(1j * rng.uniform(-np.pi, np.pi, 200))
     assert np.allclose(phi(np.conj(z)), np.conj(phi(z)), rtol=1e-13, atol=1e-15)
     t = rng.uniform(-np.pi, np.pi, 200)
     assert np.allclose(phi.boundary(-t), -phi.boundary(t), rtol=1e-14, atol=0.0)
+
+
+def test_every_catalog_name_is_checked():
+    assert {spec.partition(":")[0] for spec in MAPS} == set(_CATALOG)
+
+
+def test_an_angle_map_that_is_not_odd_is_not_folded(cusp_homeo):
+    # the two-sided power cusp at 0.7 (gamma 2): its composite's Hardy means
+    # are bitwise those of the full rule, which the fold would misread
+    phi = BAExtension(cusp_homeo)
+    assert not cusp_homeo.odd and not phi.symmetric
+    f = compose(cauchy_kernel(), phi)
+    assert not f.real
+    schedule = fn.radial_schedule()
+
+    def full(theta, circle):
+        return np.abs(f(schedule[circle] * np.exp(1j * theta)))
+
+    marks = fn._circle_marks(f, schedule.tolist())
+    want = np.array(list(circle_means(full, marks, even=False)))
+    got = np.array([s[:2] for s in fn.hardy_norm(f, 1.0).samples[:len(schedule)]])
+    assert got.tobytes() == want.tobytes()
+    folded = np.array(list(circle_means(full, marks, even=True)))
+    assert not _close(folded[:, 0], want[:, 0], 1e-3, 0.0)
 
 
 def test_real_declarations():
