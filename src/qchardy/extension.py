@@ -273,19 +273,16 @@ class BAExtension(DiscQCMap):
         return nodes.ravel().take(k), table.ravel().take(k)
 
     def _buffers(self):
-        """Views of scratch made on first use and reused by every later call
-        of this extension: nine rows of the batch budget
-        quadrature._NODES_PER_CALL (at least one point's 12) floats.  In a
-        pass (_average) rows 0-5 hold the line-map nodes of a block, at most
-        12 a point, and rows 6-8 its panels' midpoints and half-widths, at
-        most 3 panels a point; after it rows 0-5 are three rows of complex
-        numbers.  Returns (nodes, panels, complex rows)."""
+        """Views of scratch made on first use and reused by every later pass
+        (_average) of this extension: nine rows of the batch budget
+        quadrature._NODES_PER_CALL (at least one point's 12) floats, rows
+        0-5 for the line-map nodes of a block, at most 12 a point, and rows
+        6-8 for its panels' midpoints and half-widths, at most 3 panels a
+        point.  Returns (nodes, panels)."""
         size = max(quadrature._NODES_PER_CALL, 12)
-        if self._scratch is None or self._scratch[2].shape[1] != size:
-            rows = np.empty((9, size))
-            self._scratch = (rows[:6].ravel(), rows[6:].ravel(),
-                             rows[:6].reshape(3, -1).view(complex))
-        return self._scratch
+        if self._scratch is None or self._scratch.shape[1] != size:
+            self._scratch = np.empty((9, size))
+        return self._scratch[:6].ravel(), self._scratch[6:].ravel()
 
     def halfplane(self, x, y, ends=None):
         """Averaged extension (u, v) of the line map at (x, y), y > 0, from
@@ -328,7 +325,7 @@ class BAExtension(DiscQCMap):
         budget at a time, written back over them; then each run's panel
         sums are scattered to their points.  The ends are formed in ends
         and line-mapped there."""
-        nodes, panels, _ = self._buffers()
+        nodes, panels = self._buffers()
         n = x.size
         ax = np.abs(x, out=nodes[:n])
         bound = np.multiply(1.0 + _KAPPA[6], y, out=nodes[n:2 * n])
@@ -375,67 +372,55 @@ class BAExtension(DiscQCMap):
 
     def _extend(self, zf, jet):
         """[phi] at disc points zf (1-D), or with jet [phi, d_z phi,
-        d_zbar phi]: fresh arrays, filled in blocks (_block).  A block's
-        half-plane point w is kept in phi, and the line map at its window
-        ends in d_z phi and d_zbar phi, until their values are written; its
-        complex temporaries are the three complex rows of the scratch."""
+        d_zbar phi]: fresh arrays, filled a block (_block) at a time by
+        _extend_block."""
         quadrature.WORK["ba_calls"] += 1
         quadrature.WORK["ba_points"] += zf.size
         out = [np.empty(zf.size, dtype=complex) for _ in range(3 if jet else 1)]
-        complex_rows = self._buffers()[2]
         for start in range(0, zf.size, _block()):
             block = slice(start, start + _block())
-            z = zf[block]
-            phi, *derivatives = (o[block] for o in out)
-            m = z.size
-            ca, cb, cc = complex_rows[:, :m]
-            # the Cayley map w = i (1 - z) / (1 + z), kept in phi
-            np.subtract(1.0, z, out=ca)
-            np.multiply(1j, ca, out=phi)
-            np.add(1.0, z, out=ca)
-            phi /= ca
-            x, y = phi.real, phi.imag
-            ends = None
-            if jet:
-                dz, dzb = derivatives
-                h_lo, h_mid = dz.view(float).reshape(2, m)
-                h_hi, spare = dzb.view(float).reshape(2, m)
-                ends = h_lo, h_mid, h_hi
-            u, v = self.halfplane(x, y, ends)
-            np.multiply(1j, v, out=ca)
-            np.add(u, ca, out=ca)  # F = u + iv
-            if jet:
-                _partials(h_lo, h_mid, h_hi, spare, u, v, y, cc.view(float)[:m])
-                # f_x = u_x + i v_x in d_zbar phi, f_y = u_y + i v_y in d_z phi
-                np.multiply(1j, h_mid, out=dzb)
-                np.add(h_lo, dzb, out=dzb)
-                np.multiply(1j, v, out=dz)
-                np.add(u, dz, out=dz)
-            # phi = (i - F) / (i + F), keeping i + F
-            np.add(1j, ca, out=cb)
-            np.subtract(1j, ca, out=phi)
-            phi /= cb
-            if jet:
-                # outer = -2i / (i + F)^2, inner = -2i / (1 + z)^2, then
-                # d_z phi = outer / 2 (f_x - i f_y) inner and
-                # d_zbar phi = outer / 2 (f_x + i f_y) conj(inner).  No
-                # complex product is written over one of its factors: on a
-                # single lane that rounds differently
-                np.square(cb, out=ca)
-                np.divide(-2j, ca, out=ca)
-                np.add(1.0, z, out=cb)
-                np.square(cb, out=cc)
-                np.divide(-2j, cc, out=cc)
-                np.multiply(ca, 0.5, out=cb)
-                np.multiply(1j, dz, out=ca)
-                np.subtract(dzb, ca, out=dz)
-                np.add(dzb, ca, out=dzb)
-                np.multiply(cb, dz, out=ca)
-                np.multiply(ca, cc, out=dz)
-                np.multiply(cb, dzb, out=ca)
-                np.conj(cc, out=cc)
-                np.multiply(ca, cc, out=dzb)
+            self._extend_block(zf[block], *(o[block] for o in out))
         return out
+
+    def _extend_block(self, z, phi, dz=None, dzb=None):
+        """phi, and given dz and dzb the jet (jet), at the disc points z of
+        one block, written into them.  The half-plane point w is kept in
+        phi, and the line map at its window ends in dz and dzb, until
+        their values are written.  A block's temporaries die with this
+        call, before the next block's pass, and the larger ones at their
+        last use (del), which keeps a warm jet of a batch budget of points
+        to 420 KiB of them at once (TestAllocations).  No complex product
+        is written over one of its factors: on a single lane that rounds
+        differently."""
+        np.divide(1j * (1.0 - z), 1.0 + z, out=phi)  # w = i (1 - z) / (1 + z)
+        x, y = phi.real, phi.imag
+        if dz is None:
+            u, v = self.halfplane(x, y)
+        else:
+            h_lo, h_mid = dz.view(float).reshape(2, -1)
+            h_hi = dzb.view(float)[:z.size]
+            u, v = self.halfplane(x, y, (h_lo, h_mid, h_hi))
+            two_y = 2.0 * y
+            u_x = (h_hi - h_lo) / two_y
+            f_x = u_x + 1j * ((h_hi - 2.0 * h_mid + h_lo) / two_y)
+            f_y = ((h_hi + h_lo) / two_y - u / y) + 1j * (u_x - v / y)
+            del two_y, u_x
+        f = u + 1j * v  # F = u + iv
+        del u, v
+        i_f = 1j + f
+        np.divide(1j - f, i_f, out=phi)  # phi = (i - F) / (i + F)
+        del f
+        if dz is not None:
+            # outer = -2i / (i + F)^2, inner = -2i / (1 + z)^2, then
+            # d_z phi = outer / 2 (f_x - i f_y) inner and
+            # d_zbar phi = outer / 2 (f_x + i f_y) conj(inner)
+            half_outer = -2j / np.square(i_f) * 0.5
+            del i_f
+            inner = -2j / np.square(1.0 + z)
+            i_fy = 1j * f_y
+            del f_y
+            np.multiply(half_outer * (f_x - i_fy), inner, out=dz)
+            np.multiply(half_outer * (f_x + i_fy), np.conj(inner), out=dzb)
 
     def __call__(self, z):
         """phi at z, in the shape of z (0-d for a point)."""
@@ -454,26 +439,6 @@ class BAExtension(DiscQCMap):
         """
         z = np.asarray(z, dtype=complex)
         return tuple(a.reshape(z.shape) for a in self._extend(z.ravel(), jet=True))
-
-
-def _partials(h_lo, h_mid, h_hi, spare, u, v, y, two_y):
-    """The partials of the averaged extension from the line map h at x - y,
-    x and x + y (BAExtension.jet), in place: u_x over h_lo, v_x over h_mid,
-    u_y over u and v_y over v.  h_hi is consumed; spare and two_y are
-    scratch of the points' size."""
-    np.multiply(2.0, y, out=two_y)
-    h_mid *= 2.0
-    np.subtract(h_hi, h_mid, out=h_mid)
-    h_mid += h_lo
-    h_mid /= two_y
-    np.add(h_hi, h_lo, out=spare)
-    spare /= two_y
-    np.subtract(h_hi, h_lo, out=h_lo)
-    h_lo /= two_y
-    u /= y
-    np.subtract(spare, u, out=u)
-    v /= y
-    np.subtract(h_lo, v, out=v)
 
 
 def moebius_disc_map(a, boundary):

@@ -608,6 +608,115 @@ class TestKernelBitwise:
             assert got.tobytes() == _out_of_place_power(point, g).tobytes()
 
 
+def _in_place_partials(h_lo, h_mid, h_hi, spare, u, v, y, two_y):
+    """Reference partials of the averaged extension, written in place as
+    the jet formed them before it was written as formulas: u_x over h_lo,
+    v_x over h_mid, u_y over u and v_y over v."""
+    np.multiply(2.0, y, out=two_y)
+    h_mid *= 2.0
+    np.subtract(h_hi, h_mid, out=h_mid)
+    h_mid += h_lo
+    h_mid /= two_y
+    np.add(h_hi, h_lo, out=spare)
+    spare /= two_y
+    np.subtract(h_hi, h_lo, out=h_lo)
+    h_lo /= two_y
+    u /= y
+    np.subtract(spare, u, out=u)
+    v /= y
+    np.subtract(h_lo, v, out=v)
+
+
+class _InPlaceBA(BAExtension):
+    """Reference extension: call and jet by hand-scheduled in-place
+    arithmetic on three reused complex rows of a block, as they ran before
+    the per-block formulas replaced them; halfplane is the extension's."""
+
+    def _extend(self, zf, jet):
+        out = [np.empty(zf.size, dtype=complex) for _ in range(3 if jet else 1)]
+        complex_rows = np.empty((3, extension._block()), dtype=complex)
+        for start in range(0, zf.size, extension._block()):
+            block = slice(start, start + extension._block())
+            z = zf[block]
+            phi, *derivatives = (o[block] for o in out)
+            m = z.size
+            ca, cb, cc = complex_rows[:, :m]
+            np.subtract(1.0, z, out=ca)
+            np.multiply(1j, ca, out=phi)
+            np.add(1.0, z, out=ca)
+            phi /= ca
+            x, y = phi.real, phi.imag
+            ends = None
+            if jet:
+                dz, dzb = derivatives
+                h_lo, h_mid = dz.view(float).reshape(2, m)
+                h_hi, spare = dzb.view(float).reshape(2, m)
+                ends = h_lo, h_mid, h_hi
+            u, v = self.halfplane(x, y, ends)
+            np.multiply(1j, v, out=ca)
+            np.add(u, ca, out=ca)
+            if jet:
+                _in_place_partials(h_lo, h_mid, h_hi, spare, u, v, y,
+                                   cc.view(float)[:m])
+                np.multiply(1j, h_mid, out=dzb)
+                np.add(h_lo, dzb, out=dzb)
+                np.multiply(1j, v, out=dz)
+                np.add(u, dz, out=dz)
+            np.add(1j, ca, out=cb)
+            np.subtract(1j, ca, out=phi)
+            phi /= cb
+            if jet:
+                np.square(cb, out=ca)
+                np.divide(-2j, ca, out=ca)
+                np.add(1.0, z, out=cb)
+                np.square(cb, out=cc)
+                np.divide(-2j, cc, out=cc)
+                np.multiply(ca, 0.5, out=cb)
+                np.multiply(1j, dz, out=ca)
+                np.subtract(dzb, ca, out=dz)
+                np.add(dzb, ca, out=dzb)
+                np.multiply(cb, dz, out=ca)
+                np.multiply(ca, cc, out=dz)
+                np.multiply(cb, dzb, out=ca)
+                np.conj(cc, out=cc)
+                np.multiply(ca, cc, out=dzb)
+        return out
+
+
+class TestFormulaChain:
+    """The per-block formulas of a call and a jet give every bit of the
+    in-place arithmetic they replaced (_InPlaceBA), at block edges, over
+    several blocks and on maps with and without symmetry."""
+
+    @staticmethod
+    def _maps(spec, cusp_homeo):
+        homeo = cusp_homeo if spec == "cusp" else make_disc_map(spec).boundary
+        return BAExtension(homeo), _InPlaceBA(homeo)
+
+    @staticmethod
+    def _assert_same_bits(phi, ref, z):
+        with np.errstate(invalid="ignore"):  # the NaN lanes
+            assert phi(z).tobytes() == ref(z).tobytes()
+            for a, b in zip(phi.jet(z), ref.jet(z)):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2", "power:0.3", "cusp"])
+    def test_call_and_jet_match_in_place_arithmetic(self, spec, cusp_homeo):
+        phi, ref = self._maps(spec, cusp_homeo)
+        for n in (1, 4095, 4096, 4097):
+            self._assert_same_bits(phi, ref, _disc_batch(n, seed=n))
+        for lane in _disc_batch(40, seed=9)[10:, None]:
+            self._assert_same_bits(phi, ref, lane)
+
+    @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:0.3", "cusp"])
+    def test_several_blocks_match_in_place_arithmetic(self, spec, cusp_homeo,
+                                                      monkeypatch):
+        monkeypatch.setattr(quadrature, "_NODES_PER_CALL", 64)  # 32-point blocks
+        phi, ref = self._maps(spec, cusp_homeo)
+        for n in (31, 32, 33, 200):
+            self._assert_same_bits(phi, ref, _disc_batch(n, seed=n))
+
+
 class TestAllocations:
     """A warm call or jet of a batch budget of points keeps its temporaries
     in the extension's reused buffers: beyond the arrays it returns, at most
