@@ -12,8 +12,8 @@ its symmetry.
 
 The interval averages integrate the line map h over the windows [x - y, x]
 and [x, x + y] of a point x + iy.  A point far from 0, where the catalog line
-maps have their cusp, takes one Gauss-Legendre panel per window.  Any other
-point reads G at x - y, x and x + y, with G(t) the integral of h from 0 to t
+maps have their cusp, takes one Gauss-Legendre panel per window, exactly y
+wide.  Any other point reads G at x - y, x and x + y, with G(t) the integral of h from 0 to t
 taken from a table of G at 0 and +-2^(j + i/8), eight nodes per binade, built
 once per extension.  Each panel takes the fewest nodes, 4 or 6, that reach
 double precision at its distance from 0.  The table is anchored at the cusp
@@ -25,16 +25,16 @@ quadrature._NODES_PER_CALL points, each in one pass.  Besides its table it
 keeps one scratch array of nine rows of the budget's floats (576 KiB at the
 default 8,192), made on its first call and reused by every later one: the
 line-map nodes of a block, at most 12 a point, and its panels' midpoints and
-half-widths while the line map runs, then the complex temporaries of a call
-or jet.  A jet keeps its half-plane points and its window ends, line-mapped
-in place, in the arrays it returns until their values are written.  So the
-only temporaries of a block's size a call allocates are the half-plane
-average (u, v), the indices of the points of each rule and the table
-lookups; the line map's own temporaries are a budget's size.  Every array
-it returns is fresh, never a view of the scratch: a caller may keep it
-across later calls.  An extension evaluates one batch at a time: no call of
-it may start while another is under way, from another thread or from a
-line map that calls back into it.
+half-widths while the line map runs.  The Cayley maps, the average F = u +
+iv and the chain rule of a jet are plain numpy expressions on fresh
+temporaries of a block's size, which die with the block.  Two reuses remain,
+which keep a call or jet of a budget's points within 512 KiB of live
+temporaries: the half-plane point w is kept in the value's output, and a
+jet's window ends, line-mapped in place, in its derivatives' outputs, until
+their values are written.  Every array it returns is fresh, never a view of
+the scratch: a caller may keep it across later calls.  An extension
+evaluates one batch at a time: no call of it may start while another is
+under way, from another thread or from a line map that calls back into it.
 """
 
 from __future__ import annotations
@@ -83,17 +83,11 @@ def _reach(order):
 _KAPPA = {order: _reach(order) for order in (4, 6)}
 
 
-def _panel_nodes(left, right, order, half, mid, nodes):
-    """Write half the widths of the panels [left_i, right_i] into half and
-    their order-node Gauss-Legendre nodes into nodes, node-major: the first
-    node of every panel, then the second, and so on.  mid is scratch of the
-    panels' size, left itself allowed; right may be the first node of every
-    panel in nodes, read before the nodes are written."""
+def _panel_nodes(mid, half, order, nodes):
+    """Write the order-node Gauss-Legendre nodes of the panels with
+    midpoints mid and half-widths half into nodes, node-major: the first
+    node of every panel, then the second, and so on."""
     x, _ = quadrature.gauss_legendre(order)
-    np.subtract(right, left, out=half)
-    half *= 0.5
-    np.add(right, left, out=mid)
-    mid *= 0.5
     nodes = nodes.reshape(order, -1)
     np.multiply(half, x[:, None], out=nodes)
     nodes += mid
@@ -149,10 +143,10 @@ def _binade_table(fn):
     pos = np.ldexp(_MANTISSAS[k % _PER_BINADE], _LOWEST + 1 + k // _PER_BINADE)
     nodes = np.stack([np.concatenate(([0.0], pos)),
                       np.concatenate(([0.0], -pos))])
-    half = np.empty(2 * (nodes.shape[1] - 1))
+    lo, hi = nodes[:, :-1].ravel(), nodes[:, 1:].ravel()
+    half = (hi - lo) * 0.5
     points = np.empty(6 * half.size)
-    _panel_nodes(nodes[:, :-1].ravel(), nodes[:, 1:].ravel(), 6, half,
-                 np.empty(half.size), points)
+    _panel_nodes((hi + lo) * 0.5, half, 6, points)
     _line_map_in_place(fn, points)
     sums = _panel_totals(points.reshape(6, -1), half)
     table = np.zeros(nodes.shape)
@@ -292,7 +286,10 @@ class BAExtension(DiscQCMap):
         A point with |x| >= (1 + _KAPPA[6]) y has both windows _KAPPA[6] of
         their widths from the cusp at 0, and from the singularities of h at
         +-i, which lie further: it takes one panel a window, of 4 nodes if
-        |x| >= (1 + _KAPPA[4]) y and of 6 otherwise.  Any other point reads
+        |x| >= (1 + _KAPPA[4]) y and of 6 otherwise.  A far window is
+        exactly y wide, a panel of half-width y / 2 about x -+ y / 2: the
+        rounded ends x -+ y would cost eps |x| / y of its width, so of u
+        and v, and eps (x / y)^2 of u_y in the jet.  Any other point reads
         G, the integral of h from 0, at x - y, x and x + y, each a table
         entry plus the 4-node panel from its nearest node: i1 = G(x) -
         G(x - y), i2 = G(x + y) - G(x).  A far point costs 8 or 12
@@ -318,13 +315,13 @@ class BAExtension(DiscQCMap):
         halfplane), in one pass.
 
         The nodes are all 6-node panels of the far points, then all 4-node
-        panels: of the other far points, then of the lookups.  Each panel's
-        left end is written where its midpoint goes and its right end in
-        the first node row of its run, which _panel_nodes reads before it
-        writes the nodes there, node-major; the line map takes them a batch
-        budget at a time, written back over them; then each run's panel
-        sums are scattered to their points.  The ends are formed in ends
-        and line-mapped there."""
+        panels: of the other far points, then of the lookups.  The panels'
+        midpoints and half-widths go first; a lookup's window end is
+        written in the first node row of its run and read before
+        _panel_nodes writes the nodes there, node-major; the line map takes
+        them a batch budget at a time, written back over them; then each
+        run's panel sums are scattered to their points.  The ends are
+        formed in ends and line-mapped there."""
         nodes, panels = self._buffers()
         n = x.size
         ax = np.abs(x, out=nodes[:n])
@@ -338,18 +335,20 @@ class BAExtension(DiscQCMap):
         nodes6, nodes4 = nodes[:6 * p6], nodes[6 * p6:6 * p6 + 4 * p4]
         runs = ((6, six, mid[:p6], half[:p6], nodes6),
                 (4, four, mid[p6:], half[p6:], nodes4))
-        for _, idx, left, _, right in runs:  # right: the first node row
+        for _, idx, mids, halves, _ in runs:
             m = idx.size
-            xs, ys = x[idx], y[idx]
-            np.subtract(xs, ys, out=left[:m])
-            left[m:2 * m] = xs
-            right[:m] = xs
-            np.add(xs, ys, out=right[m:2 * m])
+            xs = x[idx]
+            halves[:m] = halves[m:2 * m] = 0.5 * y[idx]
+            np.subtract(xs, halves[:m], out=mids[:m])
+            np.add(xs, halves[:m], out=mids[m:2 * m])
+        # a lookup's panel runs from the nearest table node to the end t
         t = nodes4[2 * four.size:p4]
         _window_ends(x[near], y[near], *t.reshape(3, -1))
-        mid[p6 + 2 * four.size:], g = self._nearest_nodes(t)
-        for order, _, left, widths, points in runs:
-            _panel_nodes(left, points[:left.size], order, widths, left, points)
+        node, g = self._nearest_nodes(t)
+        half[p6 + 2 * four.size:] = (t - node) * 0.5
+        mid[p6 + 2 * four.size:] = (t + node) * 0.5
+        for order, _, mids, halves, points in runs:
+            _panel_nodes(mids, halves, order, points)
         _line_map_in_place(self.line_map, nodes[:6 * p6 + 4 * p4])
         # u and v take the window integrals i1 and i2 until they are formed
         for order, idx, _, widths, points in runs:
@@ -383,15 +382,15 @@ class BAExtension(DiscQCMap):
         return out
 
     def _extend_block(self, z, phi, dz=None, dzb=None):
-        """phi, and given dz and dzb the jet (jet), at the disc points z of
-        one block, written into them.  The half-plane point w is kept in
-        phi, and the line map at its window ends in dz and dzb, until
-        their values are written.  A block's temporaries die with this
-        call, before the next block's pass, and the larger ones at their
-        last use (del), which keeps a warm jet of a batch budget of points
-        to 420 KiB of them at once (TestAllocations).  No complex product
-        is written over one of its factors: on a single lane that rounds
-        differently."""
+        """phi at the disc points z of one block, written into phi, and given
+        dz and dzb its Wirtinger derivatives (jet), written into them.  The
+        half-plane point w is kept in phi, and the line map at its window
+        ends in dz and dzb, until their values are written.  A block's
+        temporaries die with this call, before the next block's pass, and
+        the larger ones at their last use (del): so a call or jet stays
+        within the 512 KiB of live temporaries TestAllocations allows.  No
+        complex product is written over one of its factors: on a single
+        lane that rounds differently."""
         np.divide(1j * (1.0 - z), 1.0 + z, out=phi)  # w = i (1 - z) / (1 + z)
         x, y = phi.real, phi.imag
         if dz is None:

@@ -1,6 +1,7 @@
 import tracemalloc
 import warnings
 from collections import Counter
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -42,21 +43,22 @@ _TABLE = 2 * (8 * (_HIGHEST - _LOWEST) + 1) * 6
 _TABLE_BATCHES = [_NODES_PER_CALL] * 2 + [_TABLE - 2 * _NODES_PER_CALL]
 
 
-def _seed_line_integral(fn, a, b):
-    """Reference rule: every interval on 14 graded panels each side of c, the
-    point of [a, b] closest to 0."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    c = np.clip(0.0, a, b)
-    left = c[:, None] + (a - c)[:, None] * _SEED_FRACTIONS[::-1][None, :]
-    right = c[:, None] + (b - c)[:, None] * _SEED_FRACTIONS[None, :]
+def _seed_line_integral(fn, p, q):
+    """Reference rule: the integral of fn over the window p + q s, 0 <= s
+    <= 1, exactly |q| wide, as |q| times that of fn(p + q s) over [0, 1],
+    on 14 graded panels each side of the s nearest to fn's cusp at 0."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    c = np.clip(-p / q, 0.0, 1.0)
+    left = c[:, None] * (1.0 - _SEED_FRACTIONS[::-1][None, :])
+    right = c[:, None] + (1.0 - c)[:, None] * _SEED_FRACTIONS[None, :]
     edges = np.concatenate([left, right], axis=1)
     x, w = gauss_legendre(_SEED_ORDER)
     half = 0.5 * np.diff(edges, axis=1)
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-    nodes = mid[:, :, None] + half[:, :, None] * x[None, None, :]
-    vals = fn(nodes.ravel()).reshape(nodes.shape)
-    return np.einsum("mp,mpq,q->m", half, vals, w)
+    s = mid[:, :, None] + half[:, :, None] * x[None, None, :]
+    vals = fn((p[:, None, None] + q[:, None, None] * s).ravel()).reshape(s.shape)
+    return np.abs(q) * np.einsum("mp,mpq,q->m", half, vals, w)
 
 
 class _SeedRuleBA(BAExtension):
@@ -66,8 +68,8 @@ class _SeedRuleBA(BAExtension):
     def halfplane(self, x, y, ends=None):
         if ends is not None:
             ends[...] = self.line_map(np.stack([x - y, x, x + y]))
-        i1 = _seed_line_integral(self.line_map, x - y, x)
-        i2 = _seed_line_integral(self.line_map, x, x + y)
+        i1 = _seed_line_integral(self.line_map, x, -y)
+        i2 = _seed_line_integral(self.line_map, x, y)
         return (i1 + i2) / (2.0 * y), (i2 - i1) / (2.0 * y)
 
 
@@ -111,9 +113,9 @@ def _panel_sums(fn, left, right, order):
     """order-node Gauss-Legendre sums of fn over the panels [left_i,
     right_i] by the kernel's steps: _panel_nodes, the line map in place a
     batch budget at a time, _panel_totals."""
-    half, mid = np.empty(left.size), np.empty(left.size)
+    half = (right - left) * 0.5
     nodes = np.empty(order * left.size)
-    _panel_nodes(left, right, order, half, mid, nodes)
+    _panel_nodes((right + left) * 0.5, half, order, nodes)
     _line_map_in_place(fn, nodes)
     return _panel_totals(nodes.reshape(order, -1), half)
 
@@ -160,11 +162,11 @@ def _out_of_place_line_map(ext, x):
     return np.tan(0.5 * alpha(2.0 * np.arctan(x)))
 
 
-def _batch_panel_sums(fn, left, right, order):
-    """Reference _panel_sums: the chunked node-major sums with batch-sized
+def _batch_panel_sums(fn, mid, half, order):
+    """Reference _panel_sums of the panels with midpoints mid and
+    half-widths half: the chunked node-major sums with batch-sized
     temporaries, as they were before the sums moved to reused buffers."""
     x, w = gauss_legendre(order)
-    half, mid = 0.5 * (right - left), 0.5 * (right + left)
     out = np.empty(half.size)
     panels = max(1, quadrature._NODES_PER_CALL // order)
     for start in range(0, half.size, panels):
@@ -196,11 +198,13 @@ class _BatchBA(BAExtension):
         ends = np.concatenate([xn - yn, xn, xn + yn])
         self._antiderivative()
         nodes, table = _indexed_nearest_nodes(self, ends)
-        six = _batch_panel_sums(self.line_map, np.concatenate([x6 - y6, x6]),
-                                np.concatenate([x6, x6 + y6]), 6)
-        four = _batch_panel_sums(self.line_map,
-                                 np.concatenate([x4 - y4, x4, nodes]),
-                                 np.concatenate([x4, x4 + y4, ends]), 4)
+        # a far window is exactly y wide: half-width y / 2 about x -+ y / 2
+        h6, h4 = 0.5 * y6, 0.5 * y4
+        six = _batch_panel_sums(self.line_map, np.concatenate([x6 - h6, x6 + h6]),
+                                np.concatenate([h6, h6]), 6)
+        four = _batch_panel_sums(
+            self.line_map, np.concatenate([x4 - h4, x4 + h4, 0.5 * (ends + nodes)]),
+            np.concatenate([h4, h4, 0.5 * (ends - nodes)]), 4)
         i1, i2 = np.empty(x.size), np.empty(x.size)
         i1[far6], i2[far6] = six.reshape(2, -1)
         i1[far4], i2[far4] = four[:2 * x4.size].reshape(2, -1)
@@ -279,21 +283,23 @@ def _kernel_ends(n, seed):
     return np.concatenate([edge, t])
 
 
-def _quad_integral(fn, a, b):
-    """Reference integral of fn over [a, b] by scipy's adaptive quad, split
-    at 0."""
+def _quad_window(fn, p, q):
+    """Reference integral of fn over the window p + q s, 0 <= s <= 1, exactly
+    |q| wide: |q| times that of fn(p + q s) over [0, 1] by scipy's adaptive
+    quad, split where p + q s crosses 0."""
     from scipy.integrate import quad
 
-    points = [a, 0.0, b] if a < 0.0 < b else [a, b]
-    return sum(quad(lambda s: float(fn(s)), lo, hi, epsabs=0.0, epsrel=1e-13,
-                    limit=200)[0]
-               for lo, hi in zip(points, points[1:]))
+    cut = -p / q
+    points = [0.0, cut, 1.0] if 0.0 < cut < 1.0 else [0.0, 1.0]
+    return abs(q) * sum(quad(lambda s: float(fn(p + q * s)), lo, hi, epsabs=0.0,
+                             epsrel=1e-13, limit=200)[0]
+                        for lo, hi in zip(points, points[1:]))
 
 
 def _quad_halfplane(h, x, y):
-    """Reference (u, v) at the points x + iy from _quad_integral."""
-    i1 = np.array([_quad_integral(h, p - q, p) for p, q in zip(x, y)])
-    i2 = np.array([_quad_integral(h, p, p + q) for p, q in zip(x, y)])
+    """Reference (u, v) at the points x + iy from _quad_window."""
+    i1 = np.array([_quad_window(h, p, -q) for p, q in zip(x, y)])
+    i2 = np.array([_quad_window(h, p, q) for p, q in zip(x, y)])
     return (i1 + i2) / (2.0 * y), (i2 - i1) / (2.0 * y)
 
 
@@ -399,8 +405,8 @@ class TestLineIntegral:
         runs = []  # (order, nodes by panel) of each run of panels
         panel_nodes = extension._panel_nodes
 
-        def recording(left, right, order, half, mid, nodes):
-            panel_nodes(left, right, order, half, mid, nodes)
+        def recording(mid, half, order, nodes):
+            panel_nodes(mid, half, order, nodes)
             runs.append((order, nodes.reshape(order, -1).T.copy()))
 
         monkeypatch.setattr(extension, "_panel_nodes", recording)
@@ -831,8 +837,8 @@ class TestWindowAccuracy:
         # at theta = 0 the windows are [-y, 0] and [0, y], y = 5e-14
         y = hp.imag[0]
         assert hp.real[0] == 0.0
-        i1 = _quad_integral(ext.line_map, -y, 0.0)
-        i2 = _quad_integral(ext.line_map, 0.0, y)
+        i1 = _quad_window(ext.line_map, 0.0, -y)
+        i2 = _quad_window(ext.line_map, 0.0, y)
         assert u[0] == pytest.approx((i1 + i2) / (2.0 * y), abs=2e-15 * v[0])
         assert v[0] == pytest.approx((i2 - i1) / (2.0 * y), rel=2e-15)
 
@@ -1208,7 +1214,45 @@ def _counting_map(spec):
     return _CountingBA(make_disc_map(spec).boundary)
 
 
+def _exact_identity_jet(z):
+    """(phi, d_z phi, d_zbar phi) at the double z of the BA extension of the
+    identity, F(w) = (3w + conj(w)) / 4 in the half-plane, in exact rational
+    arithmetic (complex numbers as pairs of Fractions), rounded once."""
+
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    def div(a, b):
+        d = b[0] * b[0] + b[1] * b[1]
+        return (a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d
+
+    re, im = Fraction(z.real), Fraction(z.imag)
+    one_plus_z = (1 + re, im)
+    w = div((im, 1 - re), one_plus_z)  # i (1 - z) / (1 + z)
+    i_plus_f = (w[0], 1 + w[1] / 2)  # i + F, F = u + iv = x + iy/2
+    phi = div((-w[0], 1 - w[1] / 2), i_plus_f)
+    outer = div((0, -2), mul(i_plus_f, i_plus_f))
+    inner = div((0, -2), mul(one_plus_z, one_plus_z))
+    dz = mul(outer, (Fraction(3, 4) * inner[0], Fraction(3, 4) * inner[1]))
+    dzb = mul(outer, (Fraction(1, 4) * inner[0], Fraction(-1, 4) * inner[1]))
+    return [complex(float(a), float(b)) for a, b in (phi, dz, dzb)]
+
+
 class TestJet:
+    def test_identity_extension_against_exact_arithmetic(self):
+        # along r = 1 - 2^-k a far window lies |x| / y of its widths from 0,
+        # up to 1.1e9 here; a width taken from rounded ends x -+ y would cost
+        # eps |x| / y of it, and eps (x / y)^2 of u_y.  Measured: at most
+        # 107 eps (1 + |x| / y) relative
+        phi = BAExtension(identity_homeo())
+        z = ((1.0 - 2.0 ** -np.arange(1, 31))[:, None]
+             * np.exp(1j * np.linspace(-3.1, 3.1, 63))).ravel()
+        w = 1j * (1.0 - z) / (1.0 + z)
+        bound = 256.0 * np.finfo(float).eps * (1.0 + np.abs(w.real) / w.imag)
+        exact = np.array([_exact_identity_jet(p) for p in z]).T
+        for got, want in zip(phi.jet(z), exact):
+            assert np.all(np.abs(got - want) <= bound * np.abs(want))
+
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
     def test_value_is_the_call_bitwise(self, spec):
         phi = make_disc_map(spec)
@@ -1353,8 +1397,8 @@ class TestInitialGuesses:
 
     def test_a_start_outside_the_disc_is_pulled_inside(self, thm2_map,
                                                        monkeypatch):
-        # the last five lanes failed from a start pulled in to 1 - 1e-9,
-        # where the jet's Jacobian reads -30.98 (0.25 at 1 - 1e-6)
+        # the last five lanes start toward -i, as do those of
+        # test_a_start_next_to_the_circle_converges
         targets = np.array([0.3 + 0.2j, 0.5, -0.4j,
                             0.5, 0.3 + 0.2j, -0.4j, 0.9, 0.95 * np.exp(2j)])
         z0 = np.array([1.5 * np.exp(0.4j), 1.0, 2.0 * np.exp(2j)] + [-2j] * 5)
@@ -1367,6 +1411,14 @@ class TestInitialGuesses:
         monkeypatch.setattr(thm2_map, "jet", jet)
         z, _ = invert(thm2_map, targets, z0=z0)
         assert starts[0].tobytes() == (z0 * (1 - 1e-6) / np.abs(z0)).tobytes()
+        assert np.all(np.abs(thm2_map(z) - targets) < 1e-11)
+
+    def test_a_start_next_to_the_circle_converges(self, thm2_map):
+        # at -i (1 - 1e-9) the far windows lie 2e9 of their widths from 0
+        z0 = -1j * (1.0 - 1e-9)
+        assert thm2_map.differential(z0)[1] == pytest.approx(0.25, rel=1e-5)
+        targets = np.array([0.5, 0.3 + 0.2j, -0.4j, 0.9, 0.95 * np.exp(2j)])
+        z, _ = invert(thm2_map, targets, z0=z0)
         assert np.all(np.abs(thm2_map(z) - targets) < 1e-11)
 
     def test_converged_guesses_take_one_jet_call(self):
