@@ -381,21 +381,22 @@ class BAExtension(DiscQCMap):
             self._extend_block(zf[block], *(o[block] for o in out))
         return out
 
-    def _extend_block(self, z, phi, dz=None, dzb=None):
+    def _extend_block(self, z, phi, *jet):
         """phi at the disc points z of one block, written into phi, and given
-        dz and dzb its Wirtinger derivatives (jet), written into them.  The
-        half-plane point w is kept in phi, and the line map at its window
-        ends in dz and dzb, until their values are written.  A block's
-        temporaries die with this call, before the next block's pass, and
-        the larger ones at their last use (del): so a call or jet stays
-        within the 512 KiB of live temporaries TestAllocations allows.  No
-        complex product is written over one of its factors: on a single
-        lane that rounds differently."""
+        jet = (d_z phi, d_zbar phi), the Wirtinger derivatives, written into
+        them.  The half-plane point w is kept in phi, and the line map at
+        the window ends in the derivatives, until their values are written.
+        A block's temporaries die with this call, before the next block's
+        pass, and the larger ones at their last use (del), so that a call
+        or jet stays within the 512 KiB of live temporaries TestAllocations
+        allows.  No complex product is written over one of its factors: on
+        a single lane that rounds differently."""
         np.divide(1j * (1.0 - z), 1.0 + z, out=phi)  # w = i (1 - z) / (1 + z)
         x, y = phi.real, phi.imag
-        if dz is None:
+        if not jet:
             u, v = self.halfplane(x, y)
         else:
+            dz, dzb = jet
             h_lo, h_mid = dz.view(float).reshape(2, -1)
             h_hi = dzb.view(float)[:z.size]
             u, v = self.halfplane(x, y, (h_lo, h_mid, h_hi))
@@ -409,7 +410,7 @@ class BAExtension(DiscQCMap):
         i_f = 1j + f
         np.divide(1j - f, i_f, out=phi)  # phi = (i - F) / (i + F)
         del f
-        if dz is not None:
+        if jet:
             # outer = -2i / (i + F)^2, inner = -2i / (1 + z)^2, then
             # d_z phi = outer / 2 (f_x - i f_y) inner and
             # d_zbar phi = outer / 2 (f_x + i f_y) conj(inner)

@@ -1414,7 +1414,7 @@ class TestInitialGuesses:
         assert np.all(np.abs(thm2_map(z) - targets) < 1e-11)
 
     def test_a_start_next_to_the_circle_converges(self, thm2_map):
-        # at -i (1 - 1e-9) the far windows lie 2e9 of their widths from 0
+        # at -i (1 - 1e-9) the far windows lie 1e9 of their widths from 0
         z0 = -1j * (1.0 - 1e-9)
         assert thm2_map.differential(z0)[1] == pytest.approx(0.25, rel=1e-5)
         targets = np.array([0.5, 0.3 + 0.2j, -0.4j, 0.9, 0.95 * np.exp(2j)])
