@@ -4,11 +4,12 @@ A BAExtension is the DiscQCMap that extends a boundary homeomorphism by the
 Beurling-Ahlfors averaged extension, conjugated through the Cayley transform:
 the boundary angle map is transported to a line homeomorphism via x = tan(t/2),
 extended to the upper half-plane by interval averages, and pulled back to the
-disc.  The conformal catalog maps (Moebius, the identity at a = 0), a
-control group, are DiscQCMaps with exact interior evaluation and a closed-form
-inverse, so inverting one takes a single jet evaluation instead of a Newton
-run.  make_disc_map builds each map of _CATALOG; its angle map's oddness is
-its symmetry.
+disc.  invert solves phi(z) = w for it by Newton iteration in those
+half-plane coordinates.  The conformal catalog maps (Moebius, the identity
+at a = 0), a control group, are DiscQCMaps with exact interior evaluation
+and a closed-form inverse, so inverting one takes a single jet evaluation
+instead of a Newton run.  make_disc_map builds each map of _CATALOG; its
+angle map's oddness is its symmetry.
 
 The interval averages integrate the line map h over the windows [x - y, x]
 and [x, x + y] of a point x + iy.  A point far from 0, where the catalog line
@@ -25,16 +26,16 @@ quadrature._NODES_PER_CALL points, each in one pass.  Besides its table it
 keeps one scratch array of nine rows of the budget's floats (576 KiB at the
 default 8,192), made on its first call and reused by every later one: the
 line-map nodes of a block, at most 12 a point, and its panels' midpoints and
-half-widths while the line map runs.  The Cayley maps, the average F = u +
-iv and the chain rule of a jet are plain numpy expressions on fresh
-temporaries of a block's size, which die with the block.  Two reuses remain,
-which keep a call or jet of a budget's points within 512 KiB of live
-temporaries: the half-plane point w is kept in the value's output, and a
-jet's window ends, line-mapped in place, in its derivatives' outputs, until
-their values are written.  Every array it returns is fresh, never a view of
-the scratch: a caller may keep it across later calls.  An extension
-evaluates one batch at a time: no call of it may start while another is
-under way, from another thread or from a line map that calls back into it.
+half-widths while the line map runs, then a jet's window ends.  The Cayley
+maps, the average F = u + iv, its partials and the chain rule of a jet are
+plain numpy expressions on fresh temporaries of a block's size, which die
+with the block; a disc call or jet keeps the half-plane point w in the
+value's output until the value is written, which keeps one of a budget's
+points within 512 KiB of live temporaries.  Every array it returns is
+fresh, never a view of the scratch: a caller may keep it across later
+calls.  An extension evaluates one batch at a time: no call of it may start
+while another is under way, from another thread or from a line map that
+calls back into it.
 """
 
 from __future__ import annotations
@@ -199,6 +200,21 @@ def norm_and_jacobian(dz, dzb):
     return a + b, a ** 2 - b ** 2
 
 
+def _wirtinger(i_f, f_x, f_y, inner, dz, dzb):
+    """Wirtinger derivatives of phi = (i - F) / (i + F) into dz and dzb,
+    from i + F, the partials f_x and f_y of F in zeta = x + iy and inner =
+    d zeta / dz: outer / 2 (f_x -+ i f_y) times inner and conj(inner), outer
+    = -2i / (i + F)^2.  No complex product is written over one of its
+    factors: on a single lane that rounds differently."""
+    half_outer = -2j / np.square(i_f) * 0.5
+    i_fy = 1j * f_y
+    np.subtract(f_x, i_fy, out=dz)
+    np.add(f_x, i_fy, out=dzb)
+    del i_fy
+    np.multiply(half_outer * dz, inner, out=dz)
+    np.multiply(half_outer * dzb, np.conj(inner), out=dzb)
+
+
 class BAExtension(DiscQCMap):
     """DiscQCMap extending a circle homeomorphism by Beurling-Ahlfors."""
 
@@ -278,7 +294,7 @@ class BAExtension(DiscQCMap):
             self._scratch = np.empty((9, size))
         return self._scratch[:6].ravel(), self._scratch[6:].ravel()
 
-    def halfplane(self, x, y, ends=None):
+    def halfplane(self, x, y):
         """Averaged extension (u, v) of the line map at (x, y), y > 0, from
         the integrals i1 over [x - y, x] and i2 over [x, x + y]:
         u = (i1 + i2) / 2y, v = (i2 - i1) / 2y.
@@ -293,26 +309,37 @@ class BAExtension(DiscQCMap):
         G, the integral of h from 0, at x - y, x and x + y, each a table
         entry plus the 4-node panel from its nearest node: i1 = G(x) -
         G(x - y), i2 = G(x + y) - G(x).  A far point costs 8 or 12
-        evaluations of the line map, any other 12.  Given ends, three
-        arrays of the points' size, h(x - y), h(x) and h(x + y) are written
-        into them: 3 more.
+        evaluations of the line map, any other 12.
 
         The points go in blocks of half the batch budget (_block), each in
         one pass (_average)."""
+        return self._blocks(x, y, 2)
+
+    def halfplane_jet(self, x, y):
+        """(u, v, u_x, u_y, v_x, v_y): halfplane and its partials, closed
+        forms in h at x - y, x and x + y, 3 more evaluations a point
+        (Beurling & Ahlfors 1956):
+            u_x = (h(x+y) - h(x-y)) / 2y,  u_y = (h(x+y) + h(x-y)) / 2y - u/y,
+            v_x = (h(x+y) - 2h(x) + h(x-y)) / 2y,  v_y = u_x - v/y."""
+        return self._blocks(x, y, 6)
+
+    def _blocks(self, x, y, rows):
+        """The rows (2 or 6) of halfplane_jet at (x, y), fresh arrays,
+        filled a block (_block) at a time by _average."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
         self._antiderivative()  # built before a pass fills the scratch
         quadrature.WORK["ba_blocks"] += -(-x.size // _block())
-        u, v = np.empty(x.size), np.empty(x.size)
+        out = [np.empty(x.size) for _ in range(rows)]
         for start in range(0, x.size, _block()):
             block = slice(start, start + _block())
-            self._average(x[block], y[block], u[block], v[block],
-                          None if ends is None else [e[block] for e in ends])
-        return u, v
+            self._average(x[block], y[block], *(o[block] for o in out))
+        return tuple(out)
 
-    def _average(self, x, y, u, v, ends):
-        """halfplane on a block of points, into u and v (ends as in
-        halfplane), in one pass.
+    def _average(self, x, y, u, v, *partials):
+        """halfplane on a block of points, into u and v, and given partials
+        = (u_x, u_y, v_x, v_y), halfplane_jet's partials into them, in one
+        pass.
 
         The nodes are all 6-node panels of the far points, then all 4-node
         panels: of the other far points, then of the lookups.  The panels'
@@ -320,8 +347,9 @@ class BAExtension(DiscQCMap):
         written in the first node row of its run and read before
         _panel_nodes writes the nodes there, node-major; the line map takes
         them a batch budget at a time, written back over them; then each
-        run's panel sums are scattered to their points.  The ends are
-        formed in ends and line-mapped there."""
+        run's panel sums are scattered to their points.  A jet's window
+        ends then go to the node rows, h(x - y), h(x) and h(x + y) side by
+        side, and are line-mapped there in one call."""
         nodes, panels = self._buffers()
         n = x.size
         ax = np.abs(x, out=nodes[:n])
@@ -359,15 +387,21 @@ class BAExtension(DiscQCMap):
         lookups += g
         u[near] = lookups[m:2 * m] - lookups[:m]
         v[near] = lookups[2 * m:] - lookups[m:2 * m]
-        if ends is not None:
-            _window_ends(x, y, *ends)
-            for e in ends:
-                _line_map_in_place(self.line_map, e)
         total = np.add(u, v, out=nodes[:n])
         np.subtract(v, u, out=v)
-        two_y = np.multiply(2.0, y, out=u)
+        two_y = np.multiply(2.0, y, out=nodes[n:2 * n])
         v /= two_y
         np.divide(total, two_y, out=u)
+        if partials:
+            ends = nodes[2 * n:5 * n]
+            h_lo, h_mid, h_hi = ends.reshape(3, n)
+            _window_ends(x, y, h_lo, h_mid, h_hi)
+            _line_map_in_place(self.line_map, ends)
+            u_x, u_y, v_x, v_y = partials
+            u_x[...] = (h_hi - h_lo) / two_y
+            v_x[...] = (h_hi - 2.0 * h_mid + h_lo) / two_y
+            u_y[...] = (h_hi + h_lo) / two_y - u / y
+            v_y[...] = u_x - v / y
 
     def _extend(self, zf, jet):
         """[phi] at disc points zf (1-D), or with jet [phi, d_z phi,
@@ -382,45 +416,28 @@ class BAExtension(DiscQCMap):
         return out
 
     def _extend_block(self, z, phi, *jet):
-        """phi at the disc points z of one block, written into phi, and given
-        jet = (d_z phi, d_zbar phi), the Wirtinger derivatives, written into
-        them.  The half-plane point w is kept in phi, and the line map at
-        the window ends in the derivatives, until their values are written.
-        A block's temporaries die with this call, before the next block's
-        pass, and the larger ones at their last use (del), so that a call
-        or jet stays within the 512 KiB of live temporaries TestAllocations
-        allows.  No complex product is written over one of its factors: on
-        a single lane that rounds differently."""
+        """phi at the disc points z of one block into phi, and given jet =
+        (d_z phi, d_zbar phi) the Wirtinger derivatives into them, from w =
+        i (1 - z) / (1 + z), kept in phi until phi is written.  A block's
+        temporaries die with this call, the larger ones at their last use
+        (del), within the 512 KiB of live temporaries TestAllocations allows."""
         np.divide(1j * (1.0 - z), 1.0 + z, out=phi)  # w = i (1 - z) / (1 + z)
         x, y = phi.real, phi.imag
         if not jet:
             u, v = self.halfplane(x, y)
         else:
-            dz, dzb = jet
-            h_lo, h_mid = dz.view(float).reshape(2, -1)
-            h_hi = dzb.view(float)[:z.size]
-            u, v = self.halfplane(x, y, (h_lo, h_mid, h_hi))
-            two_y = 2.0 * y
-            u_x = (h_hi - h_lo) / two_y
-            f_x = u_x + 1j * ((h_hi - 2.0 * h_mid + h_lo) / two_y)
-            f_y = ((h_hi + h_lo) / two_y - u / y) + 1j * (u_x - v / y)
-            del two_y, u_x
+            u, v, u_x, u_y, v_x, v_y = self.halfplane_jet(x, y)
+            f_x = u_x + 1j * v_x
+            del u_x, v_x
+            f_y = u_y + 1j * v_y
+            del u_y, v_y
         f = u + 1j * v  # F = u + iv
         del u, v
         i_f = 1j + f
         np.divide(1j - f, i_f, out=phi)  # phi = (i - F) / (i + F)
         del f
         if jet:
-            # outer = -2i / (i + F)^2, inner = -2i / (1 + z)^2, then
-            # d_z phi = outer / 2 (f_x - i f_y) inner and
-            # d_zbar phi = outer / 2 (f_x + i f_y) conj(inner)
-            half_outer = -2j / np.square(i_f) * 0.5
-            del i_f
-            inner = -2j / np.square(1.0 + z)
-            i_fy = 1j * f_y
-            del f_y
-            np.multiply(half_outer * (f_x - i_fy), inner, out=dz)
-            np.multiply(half_outer * (f_x + i_fy), np.conj(inner), out=dzb)
+            _wirtinger(i_f, f_x, f_y, -2j / np.square(1.0 + z), *jet)
 
     def __call__(self, z):
         """phi at z, in the shape of z (0-d for a point)."""
@@ -428,15 +445,10 @@ class BAExtension(DiscQCMap):
         return self._extend(z.ravel(), jet=False)[0].reshape(z.shape)
 
     def jet(self, z):
-        """(phi, d_z phi, d_zbar phi) at z, each in the shape of z.
-
-        The partials of the averaged extension are closed forms in the line
-        map h at x - y, x and x + y (Beurling & Ahlfors 1956):
-            u_x = (h(x+y) - h(x-y)) / 2y,  u_y = (h(x+y) + h(x-y)) / 2y - u/y,
-            v_x = (h(x+y) - 2h(x) + h(x-y)) / 2y,  v_y = u_x - v/y,
-        chained through the Cayley maps, whose derivatives are -2i/(1+z)^2
-        and -2i/(i+F)^2.  phi is bitwise the value of a call at z.
-        """
+        """(phi, d_z phi, d_zbar phi) at z, each in the shape of z: the
+        partials of halfplane_jet chained through the Cayley maps, whose
+        derivatives are -2i/(1+z)^2 and -2i/(i+F)^2 (_wirtinger).  phi is
+        bitwise the value of a call at z."""
         z = np.asarray(z, dtype=complex)
         return tuple(a.reshape(z.shape) for a in self._extend(z.ravel(), jet=True))
 
@@ -487,30 +499,27 @@ def make_disc_map(spec):
     return _CATALOG[name][0](*parameters)
 
 
-def _initial_guess(phi, w):
-    """|w| times the boundary preimage of w's direction."""
-    t0 = phi.boundary.inverse(np.angle(w))
-    return np.where(w != 0, np.abs(w) * np.exp(1j * t0), 0j)
-
-
 def invert(phi, w, z0=None):
     """Solve phi(z) = w for interior points.
 
     w is a point or an array of points, one lane each.  A map with a
     closed-form inverse takes z = phi.inverse(w) and one jet call on all
-    lanes; z0 is ignored.  Any other map runs damped Newton iteration from
-    the initial guesses z0 (default: from the boundary inverse angle and
-    |w|; a guess z with |z| >= 1 starts at z (1 - 1e-6) / |z|): every
-    iteration makes one jet call on the lanes still running and takes their
-    quasi-Newton steps from the Wirtinger derivatives, each lane until its
-    residual is below 1e-11, its Jacobian is <= 0, its step is not finite
-    or it has taken _MAX_ITER steps, and only then writes its z, jet and
-    residual out: the running lanes' z and targets are compact arrays,
-    copied when a lane stops.  Either way a lane whose residual
-    |phi(z) - w| is 1e-7 or more, or NaN, raises RuntimeError.
+    lanes; z0 is ignored.  A BAExtension runs damped Newton iteration in
+    its half-plane coordinates zeta = i (1 - z) / (1 + z) on F(zeta) = i (1
+    - w) / (1 + w), F = u + iv, from the Cayley image of z0 (a z0 with |z0|
+    >= 1 taken at z0 (1 - 1e-6) / |z0|) or by default from the window
+    inverse x -+ y = h^-1(U -+ V) of the target U + iV, h^-1(u) =
+    tan(alpha^-1(2 atan u) / 2).  Every iteration makes one halfplane_jet
+    call on the lanes still running, compact arrays, and steps each by the
+    real 2 x 2 system of the partials of u and v, halved while it would
+    leave y > 0, until its residual |phi - w|, phi = (i - F) / (i + F), is
+    below 1e-11, its Jacobian is <= 0, its step is not finite or it has
+    taken _MAX_ITER steps.  A lane returns z = (i - zeta) / (i + zeta) and
+    its jet by the chain rule at its own zeta.  Either way a lane whose
+    residual is 1e-7 or more, or NaN, raises RuntimeError.
 
-    Returns (z, jet), jet = phi.jet(z) from the lanes' last jet call at
-    their final z, arrays in the shape of w (0-d for a point).
+    Returns (z, jet), jet = (phi, d_z phi, d_zbar phi) from the lanes' last
+    jet, arrays in the shape of w (0-d for a point).
     """
     targets = np.asarray(w, dtype=complex)
     ws = targets.ravel()
@@ -522,47 +531,9 @@ def invert(phi, w, z0=None):
         quadrature.WORK["invert_jets"] += 1
         quadrature.WORK["invert_jet_points"] += ws.size
         residual = np.abs(jet[0] - ws)
-        lanes = np.arange(0)  # no Newton lane
     else:
-        z = _initial_guess(phi, ws) if z0 is None else np.broadcast_to(z0, targets.shape)
-        z = np.array(z, dtype=complex).ravel()
-        r = np.abs(z)
-        lane_z = np.where(r >= 1, z * (1 - 1e-6) / np.maximum(r, 1), z)
-        z, residual = np.empty_like(lane_z), np.empty(ws.size)
-        jet = np.empty((3, ws.size), dtype=complex)
-        lanes, lane_w = np.arange(ws.size), ws
-    for it in range(_MAX_ITER + 1):  # the last pass only checks the residual
-        if lanes.size == 0:
-            break
-        quadrature.WORK["invert_jets"] += 1
-        quadrature.WORK["invert_jet_points"] += lanes.size
-        lane_jet = val, dz, dzb = phi.jet(lane_z)
-        f = val - lane_w
-        res = np.abs(f)
-        jac = np.abs(dz) ** 2 - np.abs(dzb) ** 2
-        go = ~((res < 1e-11) | (jac <= 0)) & (it < _MAX_ITER)
-        if not go.all():
-            f, dz, dzb, jac = f[go], dz[go], dzb[go], jac[go]
-        with np.errstate(over="ignore", invalid="ignore"):
-            step = (np.conj(dz) * f - dzb * np.conj(f)) / jac
-        # a lane whose step is not finite, from a NaN residual or Jacobian or
-        # an overflow, stops, to be judged on its residual
-        finite = np.isfinite(step)
-        if not finite.all():
-            go[go], step = finite, step[finite]
-        if not go.all():  # write the lanes that stop, keep the others
-            stop = lanes[~go]
-            z[stop], residual[stop] = lane_z[~go], res[~go]
-            jet[:, stop] = [value[~go] for value in lane_jet]
-            lanes, lane_z, lane_w = lanes[go], lane_z[go], lane_w[go]
-        znew = lane_z - step
-        # halve the steps that leave the disc
-        out = np.abs(znew) >= 1 - 1e-13
-        while np.any(out):
-            step[out] *= 0.5
-            znew[out] = lane_z[out] - step[out]
-            out &= (np.abs(znew) >= 1 - 1e-13) & (np.abs(step) >= 1e-16)
-        lane_z = znew
+        z, jet, residual = _newton(phi, ws, z0 if z0 is None else
+                                   np.broadcast_to(z0, targets.shape).ravel())
     failed = np.flatnonzero(~(residual < 1e-7))  # a NaN residual fails too
     quadrature.WORK["invert_failures"] += failed.size
     if failed.size:
@@ -570,6 +541,64 @@ def invert(phi, w, z0=None):
         raise RuntimeError(f"invert({phi.label}, {t}) did not converge "
                            f"(residual {r:.2e})")
     return z.reshape(targets.shape), tuple(j.reshape(targets.shape) for j in jet)
+
+
+def _newton(phi, ws, z0):
+    """(z, jet, residual) of invert's Newton iteration on the targets ws
+    from the starts z0, None for the window inverse.  A lane that stops
+    leaves the running arrays with its zeta, residual and half-plane jet;
+    z, phi and the chain rule are formed once, for every lane, at the end."""
+    target = 1j * (1.0 - ws) / (1.0 + ws)
+    if z0 is None:
+        lo, hi = (np.tan(0.5 * phi.boundary.inverse(2.0 * np.arctan(t)))
+                  for t in (target.real - target.imag, target.real + target.imag))
+        x, y = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    else:
+        r = np.abs(z0)
+        zeta = np.where(r >= 1, z0 * (1 - 1e-6) / np.maximum(r, 1), z0)
+        zeta = 1j * (1.0 - zeta) / (1.0 + zeta)
+        x, y = zeta.real, zeta.imag
+    lanes, lane_w, tu, tv = np.arange(ws.size), ws, target.real, target.imag
+    stopped = [[np.zeros(0, dtype=int)] * 10]  # [lane, x, y, res, *hp] a pass
+    for it in range(_MAX_ITER + 1):  # the last pass only checks the residual
+        if lanes.size == 0:
+            break
+        quadrature.WORK.update(invert_jets=1, invert_jet_points=lanes.size,
+                               ba_calls=1, ba_points=lanes.size)
+        hp = u, v, u_x, u_y, v_x, v_y = phi.halfplane_jet(x, y)
+        f = u + 1j * v
+        val = (1j - f) / (1j + f)
+        res = np.abs(val - lane_w)
+        det = u_x * v_y - u_y * v_x
+        # a lane whose step is not finite, from a NaN residual or Jacobian or
+        # an overflow, stops, to be judged on its residual
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            du, dv = u - tu, v - tv
+            dx = (v_y * du - u_y * dv) / det
+            dy = (u_x * dv - v_x * du) / det
+        go = (~((res < 1e-11) | (det <= 0)) & (it < _MAX_ITER)
+              & np.isfinite(dx) & np.isfinite(dy))
+        if not go.all():
+            stopped.append([a[~go] for a in (lanes, x, y, res, *hp)])
+            lanes, lane_w, tu, tv, x, y, dx, dy = (
+                a[go] for a in (lanes, lane_w, tu, tv, x, y, dx, dy))
+        y_new = y - dy
+        while np.any(out := y_new <= 0):  # halve the steps that leave y > 0
+            dx[out] *= 0.5
+            dy[out] *= 0.5
+            y_new[out] = y[out] - dy[out]
+        x, y = x - dx, y_new
+    lanes, x, y, residual, u, v, u_x, u_y, v_x, v_y = map(np.concatenate,
+                                                          zip(*stopped))
+    del stopped
+    zeta, f = x + 1j * y, u + 1j * v
+    jet = np.empty((3, ws.size), dtype=complex)
+    np.divide(1j - f, 1j + f, out=jet[0])
+    _wirtinger(1j + f, u_x + 1j * v_x, u_y + 1j * v_y,
+               0.5j * np.square(1j + zeta), *jet[1:])
+    back = np.empty(ws.size, dtype=int)
+    back[lanes] = np.arange(ws.size)  # each lane's place in stopped
+    return ((1j - zeta) / (1j + zeta))[back], jet[:, back], residual[back]
 
 
 def cone_image_aperture(phi, xi, c=2.0, samples=96):

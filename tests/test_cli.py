@@ -274,7 +274,12 @@ class TestWorkLedger:
             newton_jet(n)
 
         def blocks(n):  # a map call hands halfplane a block at a time
-            counts["ba_blocks"] += 1
+            counts["ba_blocks"] += -(-n // extension._block())
+
+        def halfplane_jet(n):  # Newton's own BA call, or a jet's block
+            blocks(n)
+            if inside:
+                ba_jet(n)
 
         def line_map(n):
             counts["line_map_points"] += n
@@ -304,6 +309,7 @@ class TestWorkLedger:
         for cls, method, tally in [
                 (BAExtension, "__call__", ba_map), (BAExtension, "jet", ba_jet),
                 (DiscQCMap, "jet", newton_jet), (BAExtension, "halfplane", blocks),
+                (BAExtension, "halfplane_jet", halfplane_jet),
                 (BAExtension, "line_map", line_map)]:
             monkeypatch.setattr(cls, method, counted(getattr(cls, method), tally))
         for module in (extension, ca):
@@ -345,6 +351,13 @@ class TestWorkLedger:
                                                    counts):
         work = run(ExperimentSpec(name, map_spec)).metadata["work"]
         assert {key: work[key] for key in counts} == counts
+
+    def test_newton_work_of_a_thmA_sweep(self):
+        # half-plane Newton: 12 jets of 18,864 points; disc Newton took 16
+        # of 19,551 on the same seeds
+        work = run(ExperimentSpec("thmA", "thm2_sqrt")).metadata["work"]
+        assert work["invert_jets"] <= 12
+        assert work["invert_jet_points"] <= 19000
 
     def test_a_spec_counts_the_same_work_wherever_it_runs(self):
         spec = ExperimentSpec("thmA", "power:2")
@@ -613,6 +626,24 @@ class TestVerdicts:
         assert rings.samples[0][2] == sweep
         assert (rings.value, rings.error) == (sweep.sup, sweep.error_max)
 
+    def test_power025_passes_next_to_its_cusp(self):
+        # ROADMAP item 3's rows: the preimage of the ring-10 center
+        # 0.9990234375 lies 7e-14 from the circle, where Newton in disc
+        # coordinates stalled at residual 7.7e-5; in half-plane ones it
+        # converges, and the ball sweeps read
+        phi = make_disc_map("power:0.25")
+        _, (value, _, _) = extension.invert(phi, 0.9990234375)
+        assert abs(value - 0.9990234375) < 1e-11
+        rows = {r.quantity: r.classification
+                for r in run(ExperimentSpec("thmA", "power:0.25")).rows}
+        assert rows["bergman_constant"] == CONVERGED
+        assert rows["thmA_agreement"] == "pass"
+        # thm3's luecking_stabilized at its default p, without the Hardy
+        # means thm3 reads first
+        rings = ca.ring_sweep(ca.luecking_constant, ca.DiscPushforward(
+            phi, density=ca.WEIGHTED, p=ExperimentSpec("thm3").p))
+        assert rings.classification == CONVERGED
+
     def test_power2_fails_the_luecking_test(self):
         rep = run(ExperimentSpec("thm3", "power:2"))
         rows = {r.quantity: r.classification for r in rep.rows}
@@ -749,12 +780,14 @@ class TestMain:
 
 
     def test_newton_overflow_prints_no_warning(self, capsys):
-        # power:50's Newton steps overflow on lanes that then fail
-        code = main(["thmA", "--map", "power:50", "--format", "json"])
+        # power:0.1's Newton lanes fail next to its cusp (ROADMAP item 3);
+        # power:50's, whose steps overflowed in disc coordinates, converge
+        # in half-plane ones
+        code = main(["thmA", "--map", "power:0.1", "--format", "json"])
         out, err = capsys.readouterr()
         assert (code, err) == (1, "")
         why = json.loads(out)["metadata"]["verdicts"]["bergman_constant"]
-        assert "ba[power(50)]" in why["reason"]
+        assert "ba[power(0.1)]" in why["reason"]
         assert "did not converge" in why["reason"]
 
     @pytest.mark.parametrize("argv", [

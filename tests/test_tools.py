@@ -108,5 +108,32 @@ def test_snapshot_compare_prints_what_moved(tmp_path, capsys):
     snapshot.main(["--compare", str(old), str(new)])
     assert capsys.readouterr().out.splitlines() == [
         f"only in {new}: c.json", "a m: pass -> fail",
-        "quantity,value_rel,value_abs,error_rel,error_abs",
-        "h,1e-12,2e-12,0,0", "m,inf,1e-16,0,0"]
+        "quantity,value_rel,value_abs,error_rel,error_abs,value_per_error",
+        "h,1e-12,2e-12,0,0,0.002", "m,inf,1e-16,0,0,inf"]
+
+
+def test_snapshot_compare_reads_a_move_against_its_error(tmp_path, capsys):
+    # value_per_error: the largest |change of value| / the old row's error,
+    # inf for a move of a row with error 0 or NaN, 0 for no move
+    path = Path(__file__).resolve().parent.parent / "tools" / "output_snapshot.py"
+    spec = importlib.util.spec_from_file_location("output_snapshot", path)
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    nan = float("nan")
+    old_rows = [("g", 1.0, 1e-6), ("g", 5.0, 1e-3), ("e", 0.5, 0.0),
+                ("n", 2.0, nan), ("s", 3.0, 0.0)]
+    new_rows = [("g", 1.0 + 1e-9, 2e-6), ("g", 5.0 + 1e-7, 1e-3),
+                ("e", 0.5, 0.0), ("n", 2.0 + 1e-15, nan), ("s", nan, 0.0)]
+    for directory, rows in ((tmp_path / "old", old_rows), (tmp_path / "new", new_rows)):
+        directory.mkdir()
+        for i, (q, v, e) in enumerate(rows):
+            (directory / f"{i}.json").write_text(json.dumps({"rows": [
+                {"quantity": q, "value": v, "error": e,
+                 "classification": "converged"}]}))
+    snapshot.main(["--compare", str(tmp_path / "old"), str(tmp_path / "new")])
+    per_error = {line.split(",")[0]: float(line.split(",")[-1])
+                 for line in capsys.readouterr().out.splitlines()[1:]}
+    # g: 1e-9 / 1e-6 on one file, 1e-7 / 1e-3 on the other; s moved to NaN
+    assert per_error["g"] == pytest.approx(1e-3, rel=1e-6)
+    assert per_error == {"e": 0.0, "g": per_error["g"], "n": float("inf"),
+                         "s": float("inf")}

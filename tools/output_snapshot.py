@@ -23,7 +23,9 @@ their last digits, and
 
 prints each file in one directory alone, each classification or pass/fail
 that moved, and per quantity the largest relative and absolute change of
-its value and of its error between the JSON reports.  The set is 114 runs: the 21 SPECS at --depth 3, 10 and
+its value and of its error between the JSON reports, and the largest
+change of its value over the row's own error in OLD_DIR, so that a move
+reads against its error bar (inf where that error is 0 or NaN).  The set is 114 runs: the 21 SPECS at --depth 3, 10 and
 16, thmA and thm3 on each of BALL_MAPS at the default depth, 9 of which
 repeat a SPECS run and are written once, the 12 VARIED runs and the 15
 ERROR_PATHS runs; 105 are written, 210 files where none raises.  The run list
@@ -135,11 +137,19 @@ def _change(a, b):
     return abs(b - a) / abs(a) if a else math.inf, abs(b - a)
 
 
+def _per_error(a, b):
+    """|change| of a row's value from a to b over a's error."""
+    change = _change(a["value"], b["value"])[1]
+    return change / a["error"] if change and a["error"] > 0 else (
+        math.inf if change else 0.0)
+
+
 def compare(old_dir, new_dir):
     """Print what moved between two snapshot directories, as the module
     docstring describes."""
     old, new = Path(old_dir), Path(new_dir)
-    worst = {}  # quantity -> largest changes of value and error, rel and abs
+    worst = {}  # quantity -> largest changes of value and error, rel and
+    # abs, and of value over error
     alone = {p.name for p in old.iterdir()} ^ {p.name for p in new.iterdir()}
     for name in sorted(alone):
         print(f"only in {old_dir if (old / name).exists() else new_dir}: {name}")
@@ -153,11 +163,12 @@ def compare(old_dir, new_dir):
                 print(f"{path.stem} {q}: {a[q]['classification']} -> "
                       f"{b[q]['classification']}")
             changes = (*_change(a[q]["value"], b[q]["value"]),
-                       *_change(a[q]["error"], b[q]["error"]))
+                       *_change(a[q]["error"], b[q]["error"]),
+                       _per_error(a[q], b[q]))
             worst[q] = [max(x, y) for x, y in zip(worst.get(q, changes), changes)]
         for q in a.keys() ^ b.keys():
             print(f"{path.stem} {q}: in one report only")
-    print("quantity,value_rel,value_abs,error_rel,error_abs")
+    print("quantity,value_rel,value_abs,error_rel,error_abs,value_per_error")
     for q, changes in sorted(worst.items()):
         print(q + "".join(f",{c:.3g}" for c in changes))
 
