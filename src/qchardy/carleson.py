@@ -8,13 +8,12 @@ ball, through the change of variables w = phi(z), with the nodes' preimages
 and the differentials there from one batched inversion (extension.invert:
 closed form for a conformal symbol, Newton iteration otherwise); its error
 is the rule's distance from the same rule on half the angles.  A ball sweep
-is two inversions, of the centers of its whole family and then of all their
-rule nodes; the lanes are independent and the jets pointwise, so every mass
-is bitwise that of a one-ball measure_ball call.  A symmetric symbol's ring
-sweeps and kernel ratios evaluate the upper half-disc only.
-Per-ring maxima of a ball sweep and the kernel ratios carry errors, so the
-tail classifier (tail.py) can judge them; ring_sweep and kernel_carleson
-read them here.
+is one inversion, of the rule nodes of its whole family; the lanes are
+independent and the jets pointwise, so every mass is bitwise that of a
+one-ball measure_ball call.  A symmetric symbol's ring sweeps and kernel
+ratios evaluate the upper half-disc only.  Per-ring maxima of a ball sweep
+and the kernel ratios carry errors, so the tail classifier (tail.py) can
+judge them; ring_sweep and kernel_carleson read them here.
 """
 
 from __future__ import annotations
@@ -59,27 +58,24 @@ class DiscPushforward:
         return mass[0], error[0]
 
     def _masses(self, balls):
-        """(mass, error) arrays of the balls, from two inversions: one of
-        their centers, then one of the nodes of all of them, each node
-        seeded from the linearised inverse at its ball's center.
+        """(mass, error) arrays of the balls, one inversion of all nodes.
 
         The mass is the shared 8 x 16 product rule BALL_RULE on the ball;
         the error is its distance from the 8 x 8 rule on every other angle.
-        Seeds and targets are built as one (balls, 8, 16) array by
-        elementwise operations, and each ball's sums are taken over its own
-        block.  Inversion lanes are independent and the jets pointwise, so a
-        ball's mass does not depend on the balls it is run with."""
+        Targets are built as one (balls, 8, 16) array, and each ball's sums
+        are taken over its own block.  Inversion lanes are independent and
+        the jets pointwise, so a ball's mass does not depend on the balls it
+        is run with.  RuntimeError: a weighted mass at a node whose preimage
+        rounds onto the circle, where (1 - |z|)^(p - 1) is no weight."""
         nodes, weights = BALL_RULE
-        center = np.array([ball.center for ball in balls])
-        zc, (_, dz, dzb) = invert(self.phi, center)
-        center, zc, dz, dzb = (a[:, None, None] for a in (center, zc, dz, dzb))
+        center = np.array([ball.center for ball in balls])[:, None, None]
         dw = np.array([ball.radius for ball in balls])[:, None, None] * nodes
-        seed = zc + ((np.conj(dz) * dw - dzb * np.conj(dw))
-                     / (np.abs(dz) ** 2 - np.abs(dzb) ** 2))
-        z, (_, dz, dzb) = invert(self.phi, center + dw, z0=seed)
+        z, (_, dz, dzb) = invert(self.phi, center + dw)
         if self.density == LEBESGUE:
             rho, jac = 1.0, np.abs(dz) ** 2 - np.abs(dzb) ** 2
         else:
+            if np.any(np.abs(z) >= 1):
+                raise RuntimeError("a node's preimage rounds onto the circle")
             op, jac = norm_and_jacobian(dz, dzb)
             with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at large p
                 rho = op ** self.p * (1.0 - np.abs(z)) ** (self.p - 1.0)

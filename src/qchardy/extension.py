@@ -499,24 +499,25 @@ def make_disc_map(spec):
     return _CATALOG[name][0](*parameters)
 
 
-def invert(phi, w, z0=None):
+def invert(phi, w):
     """Solve phi(z) = w for interior points.
 
     w is a point or an array of points, one lane each.  A map with a
     closed-form inverse takes z = phi.inverse(w) and one jet call on all
-    lanes; z0 is ignored.  A BAExtension runs damped Newton iteration in
-    its half-plane coordinates zeta = i (1 - z) / (1 + z) on F(zeta) = i (1
-    - w) / (1 + w), F = u + iv, from the Cayley image of z0 (a z0 with |z0|
-    >= 1 taken at z0 (1 - 1e-6) / |z0|) or by default from the window
-    inverse x -+ y = h^-1(U -+ V) of the target U + iV, h^-1(u) =
-    tan(alpha^-1(2 atan u) / 2).  Every iteration makes one halfplane_jet
-    call on the lanes still running, compact arrays, and steps each by the
-    real 2 x 2 system of the partials of u and v, halved while it would
-    leave y > 0, until its residual |phi - w|, phi = (i - F) / (i + F), is
-    below 1e-11, its Jacobian is <= 0, its step is not finite or it has
-    taken _MAX_ITER steps.  A lane returns z = (i - zeta) / (i + zeta) and
-    its jet by the chain rule at its own zeta.  Either way a lane whose
-    residual is 1e-7 or more, or NaN, raises RuntimeError.
+    lanes.  A BAExtension runs damped Newton iteration in its half-plane
+    coordinates zeta = i (1 - z) / (1 + z) on F(zeta) = i (1 - w) / (1 +
+    w), F = u + iv, from the window inverse x -+ y/2 = h^-1(U -+ V) of the
+    target U + iV, h^-1(u) = tan(alpha^-1(2 atan u) / 2), y at least the
+    smallest normal double: u -+ v are the means of h over [x - y, x] and
+    [x, x + y], so the start is exact where h is affine.  Every iteration
+    makes one halfplane_jet call on the lanes still running, compact
+    arrays, and steps each by the real 2 x 2 system of the partials of u
+    and v, halved while it would leave y > 0, until its residual |phi - w|,
+    phi = (i - F) / (i + F), is below 1e-11, its Jacobian is <= 0, its
+    step is not finite or it has taken _MAX_ITER steps.  A lane returns
+    z = (i - zeta) / (i + zeta) and its jet by the chain rule at its own
+    zeta.  Either way a lane whose residual is 1e-7 or more, or NaN,
+    raises RuntimeError.
 
     Returns (z, jet), jet = (phi, d_z phi, d_zbar phi) from the lanes' last
     jet, arrays in the shape of w (0-d for a point).
@@ -532,8 +533,7 @@ def invert(phi, w, z0=None):
         quadrature.WORK["invert_jet_points"] += ws.size
         residual = np.abs(jet[0] - ws)
     else:
-        z, jet, residual = _newton(phi, ws, z0 if z0 is None else
-                                   np.broadcast_to(z0, targets.shape).ravel())
+        z, jet, residual = _newton(phi, ws)
     failed = np.flatnonzero(~(residual < 1e-7))  # a NaN residual fails too
     quadrature.WORK["invert_failures"] += failed.size
     if failed.size:
@@ -543,21 +543,16 @@ def invert(phi, w, z0=None):
     return z.reshape(targets.shape), tuple(j.reshape(targets.shape) for j in jet)
 
 
-def _newton(phi, ws, z0):
-    """(z, jet, residual) of invert's Newton iteration on the targets ws
-    from the starts z0, None for the window inverse.  A lane that stops
-    leaves the running arrays with its zeta, residual and half-plane jet;
-    z, phi and the chain rule are formed once, for every lane, at the end."""
+def _newton(phi, ws):
+    """(z, jet, residual) of invert's Newton iteration on the targets ws.
+    A lane that stops leaves the running arrays with its zeta, residual and
+    half-plane jet; z, phi and the chain rule are formed once, for every
+    lane, at the end."""
     target = 1j * (1.0 - ws) / (1.0 + ws)
-    if z0 is None:
-        lo, hi = (np.tan(0.5 * phi.boundary.inverse(2.0 * np.arctan(t)))
-                  for t in (target.real - target.imag, target.real + target.imag))
-        x, y = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    else:
-        r = np.abs(z0)
-        zeta = np.where(r >= 1, z0 * (1 - 1e-6) / np.maximum(r, 1), z0)
-        zeta = 1j * (1.0 - zeta) / (1.0 + zeta)
-        x, y = zeta.real, zeta.imag
+    lo, hi = (np.tan(0.5 * phi.boundary.inverse(2.0 * np.arctan(t)))
+              for t in (target.real - target.imag, target.real + target.imag))
+    # h^-1 underflows to 0 at both ends of an extreme cusp's window
+    x, y = 0.5 * (hi + lo), np.maximum(hi - lo, np.finfo(float).tiny)
     lanes, lane_w, tu, tv = np.arange(ws.size), ws, target.real, target.imag
     stopped = [[np.zeros(0, dtype=int)] * 10]  # [lane, x, y, res, *hp] a pass
     for it in range(_MAX_ITER + 1):  # the last pass only checks the residual
@@ -569,10 +564,10 @@ def _newton(phi, ws, z0):
         f = u + 1j * v
         val = (1j - f) / (1j + f)
         res = np.abs(val - lane_w)
-        det = u_x * v_y - u_y * v_x
         # a lane whose step is not finite, from a NaN residual or Jacobian or
         # an overflow, stops, to be judged on its residual
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            det = u_x * v_y - u_y * v_x
             du, dv = u - tu, v - tv
             dx = (v_y * du - u_y * dv) / det
             dy = (u_x * dv - v_x * du) / det

@@ -25,21 +25,15 @@ from qchardy.tail import CONVERGED, DIVERGING, UNDETERMINED, classify_tail
 
 def _batched_masses(mu, balls):
     """Reference (mass, error) pairs of the balls, computed as a sweep did
-    before DiscPushforward._masses took whole families: the centers
-    inverted in one run and their jets passed on, the nodes inverted one
-    node_batches batch of 64 balls per run, and each ball summed alone."""
+    before DiscPushforward._masses took whole families: the nodes inverted
+    one node_batches batch of 64 balls per run, and each ball summed alone."""
     nodes, weights = BALL_RULE
-    zcs, (_, dzs, dzbs) = invert(mu.phi, np.array([ball.center for ball in balls]))
     out = []
     for first, stop in node_batches([nodes.size] * len(balls)):
         block = balls[first:stop]
         radius = np.array([ball.radius for ball in block])[:, None, None]
         center = np.array([ball.center for ball in block])[:, None, None]
-        zc, dz, dzb = (a[first:stop, None, None] for a in (zcs, dzs, dzbs))
-        dw = radius * nodes
-        seed = zc + ((np.conj(dz) * dw - dzb * np.conj(dw))
-                     / norm_and_jacobian(dz, dzb)[1])
-        z, (_, dz, dzb) = invert(mu.phi, center + dw, z0=seed)
+        z, (_, dz, dzb) = invert(mu.phi, center + radius * nodes)
         op, jac = norm_and_jacobian(dz, dzb)
         with np.errstate(over="ignore", invalid="ignore"):
             rho = (1.0 if mu.density == LEBESGUE
@@ -251,15 +245,14 @@ class TestSweeps:
             tester, normalize = luecking_constant, lambda b: b.radius ** 3.0
         lanes = []
 
-        def counting(phi, w, **kwargs):
+        def counting(phi, w):
             lanes.append(np.size(w))
-            return invert(phi, w, **kwargs)
+            return invert(phi, w)
 
         # rings 1-10 (80 balls) and the one-ring family that a sweep's
-        # escalation reads: one Newton run of centers, one of nodes
-        for family, runs in ((make_ball_family(range(1, 11), angles=8),
-                              [80, 10240]),
-                             (make_ball_family([11], angles=8), [8, 1024])):
+        # escalation reads: one Newton run of all their nodes
+        for family, runs in ((make_ball_family(range(1, 11), angles=8), [10240]),
+                             (make_ball_family([11], angles=8), [1024])):
             per_ring, ring_error, worst = {}, {}, 0.0
             for k, ball in family:
                 mass, err = mu.measure_ball(ball)
@@ -275,6 +268,24 @@ class TestSweeps:
             assert sweep.per_ring == per_ring
             assert sweep.ring_error == ring_error
             assert sweep.error_max == worst
+
+    def test_weighted_mass_refuses_a_preimage_on_the_circle(self):
+        # power:0.1's ring-4 ball on its cusp ray: 36 of its 128 node
+        # preimages round to |z| = 1, where the weight (1 - |z|)^(p - 1) is
+        # 0 and would make the mass read small; the Lebesgue mass, which
+        # reads no weight, is formed
+        phi = make_disc_map("power:0.1")
+        ball = HyperbolicBall(center=0.9375)
+        z, _ = invert(phi, ball.center + ball.radius * BALL_RULE[0])
+        assert np.count_nonzero(np.abs(z) >= 1) == 36
+        mass, _ = DiscPushforward(phi).measure_ball(ball)
+        assert np.isfinite(mass) and mass > 0
+        mu = DiscPushforward(phi, density=WEIGHTED, p=2.0)
+        why = "a node's preimage rounds onto the circle"
+        with pytest.raises(RuntimeError, match=why):
+            mu.measure_ball(ball)
+        reading = carleson.ring_sweep(luecking_constant, mu)
+        assert (reading.classification, reading.reason) == (UNDETERMINED, why)
 
     @pytest.mark.parametrize("spec, density, p", [("thm2_sqrt", LEBESGUE, 2.0),
                                                   ("thm2_sqrt", WEIGHTED, 2.0),

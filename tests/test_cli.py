@@ -286,12 +286,12 @@ class TestWorkLedger:
 
         invert = extension.invert
 
-        def inverts(phi, w, z0=None):
+        def inverts(phi, w):
             counts["invert_calls"] += 1
             counts["invert_lanes"] += np.size(w)
             inside.append(True)
             try:
-                return invert(phi, w, z0=z0)
+                return invert(phi, w)
             finally:
                 inside.pop()
 
@@ -353,11 +353,13 @@ class TestWorkLedger:
         assert {key: work[key] for key in counts} == counts
 
     def test_newton_work_of_a_thmA_sweep(self):
-        # half-plane Newton: 12 jets of 18,864 points; disc Newton took 16
-        # of 19,551 on the same seeds
+        # one Newton run of the nodes from the window inverse: 5 jets of
+        # 19,358 points (6 of 25,758 from x -+ y = h^-1(U -+ V)); the
+        # centers' run and the nodes' run from seeds linearised at the
+        # centers took 12 jets of 18,864
         work = run(ExperimentSpec("thmA", "thm2_sqrt")).metadata["work"]
-        assert work["invert_jets"] <= 12
-        assert work["invert_jet_points"] <= 19000
+        assert work["invert_jets"] <= 5
+        assert work["invert_jet_points"] <= 19400
 
     def test_a_spec_counts_the_same_work_wherever_it_runs(self):
         spec = ExperimentSpec("thmA", "power:2")
@@ -408,10 +410,9 @@ class TestBatchBudget:
 
         runs = []  # the shape of each ball sweep's node run
 
-        def ball_runs(phi, w, z0=None):
-            if z0 is not None:
-                runs.append(np.shape(w))
-            return invert(phi, w, z0=z0)
+        def ball_runs(phi, w):
+            runs.append(np.shape(w))
+            return invert(phi, w)
 
         for module in (quadrature, fn, ca):
             monkeypatch.setattr(module, "circle_means", means)
@@ -644,6 +645,25 @@ class TestVerdicts:
             phi, density=ca.WEIGHTED, p=ExperimentSpec("thm3").p))
         assert rings.classification == CONVERGED
 
+    @pytest.mark.parametrize("gamma", ["0.1", "0.2"])
+    def test_thmA_passes_on_sharper_cusps(self, gamma):
+        # ROADMAP item 3's rows: every node preimage of rings 1-10 lies
+        # within a few ulps of the circle from ring 3 (0.1) or 8 (0.2) on,
+        # and each converges from its window inverse
+        rep = run(ExperimentSpec("thmA", f"power:{gamma}"))
+        rows = {r.quantity: r.classification for r in rep.rows}
+        assert rows["bergman_constant"] == CONVERGED
+        assert rows["thmA_agreement"] == "pass"
+
+    def test_thm3_refuses_preimages_on_the_circle(self):
+        # power:0.1's node preimages round onto the circle from ring 4 on,
+        # where the Luecking weight (1 - |z|)^(p - 1) is no weight
+        rep = run(ExperimentSpec("thm3", "power:0.1"))
+        rows = {r.quantity: r.classification for r in rep.rows}
+        assert rows["luecking_stabilized"] == "fail"
+        assert rep.metadata["verdicts"]["luecking_stabilized"]["reason"] == (
+            "a node's preimage rounds onto the circle")
+
     def test_power2_fails_the_luecking_test(self):
         rep = run(ExperimentSpec("thm3", "power:2"))
         rows = {r.quantity: r.classification for r in rep.rows}
@@ -780,15 +800,16 @@ class TestMain:
 
 
     def test_newton_overflow_prints_no_warning(self, capsys):
-        # power:0.1's Newton lanes fail next to its cusp (ROADMAP item 3);
-        # power:50's, whose steps overflowed in disc coordinates, converge
-        # in half-plane ones
-        code = main(["thmA", "--map", "power:0.1", "--format", "json"])
-        out, err = capsys.readouterr()
-        assert (code, err) == (1, "")
-        why = json.loads(out)["metadata"]["verdicts"]["bergman_constant"]
-        assert "ba[power(0.1)]" in why["reason"]
-        assert "did not converge" in why["reason"]
+        # Newton lanes fail next to the cusps of power:0.02, whose Jacobian
+        # overflows, and power:0.01, where h^-1 underflows to 0 at both ends
+        # of some start windows
+        for gamma in ("0.02", "0.01"):
+            code = main(["thmA", "--map", f"power:{gamma}", "--format", "json"])
+            out, err = capsys.readouterr()
+            assert (code, err) == (1, "")
+            why = json.loads(out)["metadata"]["verdicts"]["bergman_constant"]
+            assert f"ba[power({gamma})]" in why["reason"]
+            assert "did not converge" in why["reason"]
 
     @pytest.mark.parametrize("argv", [
         ["thm2", "--p", "50"], ["thm2", "--p", "1000"], ["thm2", "--p", "1e300"],

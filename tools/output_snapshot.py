@@ -25,10 +25,10 @@ prints each file in one directory alone, each classification or pass/fail
 that moved, and per quantity the largest relative and absolute change of
 its value and of its error between the JSON reports, and the largest
 change of its value over the row's own error in OLD_DIR, so that a move
-reads against its error bar (inf where that error is 0 or NaN).  The set is 114 runs: the 21 SPECS at --depth 3, 10 and
+reads against its error bar (inf where that error is 0 or NaN).  The set is 116 runs: the 21 SPECS at --depth 3, 10 and
 16, thmA and thm3 on each of BALL_MAPS at the default depth, 9 of which
-repeat a SPECS run and are written once, the 12 VARIED runs and the 15
-ERROR_PATHS runs; 105 are written, 210 files where none raises.  The run list
+repeat a SPECS run and are written once, the 12 VARIED runs and the 17
+ERROR_PATHS runs; 107 are written, 214 files where none raises.  The run list
 is fixed here, not read from the package, so that the same script runs on
 any checkout.
 """
@@ -78,8 +78,9 @@ VARIED = (
     ("thm2", "thm2_sqrt", {"p": 2.0}), ("thm2", "power:0.1", {"p": 10.0}),
     ("thm2", "power:5", {"p": 3.0}),
 )
-# runs that reach an error path, at the default depth: a Newton inversion
-# that does not converge, a NaN term, an undetermined boundary tail, values
+# runs that reach an error path, at the default depth: Newton inversions
+# that do not converge and whose Jacobian overflows or whose start window
+# underflows, a node preimage that rounds onto the circle, a NaN term, an undetermined boundary tail, values
 # that overflow or divide by zero, read as verdicts, and a Moebius map so
 # steep at +-pi that its angle map misses pi by more than 1e-12
 ERROR_PATHS = (
@@ -90,7 +91,8 @@ ERROR_PATHS = (
     ("thm2", "thm2_sqrt", {"p": 1e300}), ("thm2", "power:50", {}),
     ("lemma1", "power:50", {}), ("thm3", "thm2_sqrt", {"p": 500.0}),
     ("af_conformal", "moebius:-0.9999", {}), ("thm1", "moebius:-0.9999", {}),
-    ("thmA", "moebius:-0.9999", {}),
+    ("thmA", "moebius:-0.9999", {}), ("thmA", "power:0.02", {}),
+    ("thmA", "power:0.01", {}),
 )
 
 
