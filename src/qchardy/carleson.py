@@ -3,17 +3,17 @@ ball testers built on them, the kernel Carleson test of the boundary map that
 decides whether the composition operator is bounded, and the radial
 Hardy-norm proxy it replaced.
 
-A disc pushforward's ball mass is a deterministic product rule on the
-ball, through the change of variables w = phi(z), with the nodes' preimages
-and the differentials there from one batched inversion (extension.invert:
-closed form for a conformal symbol, Newton iteration otherwise); its error
-is the rule's distance from the same rule on half the angles.  A ball sweep
-is one inversion, of the rule nodes of its whole family; the lanes are
-independent and the jets pointwise, so every mass is bitwise that of a
-one-ball measure_ball call.  A symmetric symbol's ring sweeps and kernel
-ratios evaluate the upper half-disc only.  Per-ring maxima of a ball sweep
-and the kernel ratios carry errors, so the tail classifier (tail.py) can
-judge them; ring_sweep and kernel_carleson read them here.
+A disc pushforward's ball mass is a deterministic product rule on the ball,
+through the change of variables w = phi(z), with the nodes' preimages, their
+1 - |z|^2 and the differentials there from one batched inversion
+(extension.invert: closed form for a conformal symbol, Newton iteration
+otherwise); its error is the rule's distance from the same rule on half the
+angles.  A ball sweep is one inversion, of the rule nodes of its whole
+family; the lanes are independent and the jets pointwise, so every mass is
+bitwise that of a one-ball measure_ball call.  A symmetric symbol's ring
+sweeps and kernel ratios evaluate the upper half-disc only.  Per-ring maxima
+of a ball sweep and the kernel ratios carry errors, so the tail classifier
+(tail.py) can judge them; ring_sweep and kernel_carleson read them here.
 """
 
 from __future__ import annotations
@@ -65,26 +65,24 @@ class DiscPushforward:
         Targets are built as one (balls, 8, 16) array, and each ball's sums
         are taken over its own block.  Inversion lanes are independent and
         the jets pointwise, so a ball's mass does not depend on the balls it
-        is run with.  RuntimeError: a weighted mass at a node whose preimage
-        rounds onto the circle, where (1 - |z|)^(p - 1) is no weight."""
+        is run with.  Both densities divide by the Jacobian of one jet; the
+        weighted one multiplies by rho = (|Dphi| (1 - |z|))^(p - 1) |Dphi|,
+        1 - |z| = (1 - |z|^2) / (1 + |z|) from invert: |Dphi| (1 - |z|) is
+        on the ball's scale, where |Dphi|^p and (1 - |z|)^(p - 1) are not."""
         nodes, weights = BALL_RULE
         center = np.array([ball.center for ball in balls])[:, None, None]
         dw = np.array([ball.radius for ball in balls])[:, None, None] * nodes
-        z, (_, dz, dzb) = invert(self.phi, center + dw)
-        if self.density == LEBESGUE:
-            rho, jac = 1.0, np.abs(dz) ** 2 - np.abs(dzb) ** 2
-        else:
-            if np.any(np.abs(z) >= 1):
-                raise RuntimeError("a node's preimage rounds onto the circle")
-            op, jac = norm_and_jacobian(dz, dzb)
-            with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at large p
-                rho = op ** self.p * (1.0 - np.abs(z)) ** (self.p - 1.0)
-        vals = weights * rho / jac
-        # scalar powers: an array ** can differ from them in the last bit
-        r2 = np.array([ball.radius ** 2 for ball in balls])
-        mass = r2 * vals.sum(axis=(1, 2))
-        coarse = r2 * 2.0 * vals[:, :, ::2].sum(axis=(1, 2))
-        return mass, np.abs(mass - coarse)
+        z, gap, (_, dz, dzb) = invert(self.phi, center + dw)
+        op, jac = norm_and_jacobian(dz, dzb)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0, inf - inf
+            rho = (1.0 if self.density == LEBESGUE else
+                   (op * gap / (1.0 + np.abs(z))) ** (self.p - 1.0) * op)
+            vals = weights * rho / jac
+            # scalar powers: an array ** can differ from them in the last bit
+            r2 = np.array([ball.radius ** 2 for ball in balls])
+            mass = r2 * vals.sum(axis=(1, 2))
+            coarse = r2 * 2.0 * vals[:, :, ::2].sum(axis=(1, 2))
+            return mass, np.abs(mass - coarse)
 
 
 def make_ball_family(k_range, angles):
@@ -121,8 +119,7 @@ def _sweep(mu, family, normalize):
             if norm == 0.0 or mass != mass:  # only a NaN differs from itself
                 raise RuntimeError(f"ring {k}: " + (
                     "r_B^(1 + p) underflows to 0" if norm == 0.0
-                    else "a mass is NaN, |Dphi|^p overflowing where "
-                    "(1 - |z|)^(p - 1) underflows"))
+                    else "a mass is NaN"))
             worst_err = max(worst_err, err / norm)
             if mass / norm > per_ring.get(k, -np.inf):
                 per_ring[k], ring_error[k] = mass / norm, err / norm

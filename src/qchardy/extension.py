@@ -503,24 +503,25 @@ def invert(phi, w):
     """Solve phi(z) = w for interior points.
 
     w is a point or an array of points, one lane each.  A map with a
-    closed-form inverse takes z = phi.inverse(w) and one jet call on all
-    lanes.  A BAExtension runs damped Newton iteration in its half-plane
-    coordinates zeta = i (1 - z) / (1 + z) on F(zeta) = i (1 - w) / (1 +
-    w), F = u + iv, from the window inverse x -+ y/2 = h^-1(U -+ V) of the
-    target U + iV, h^-1(u) = tan(alpha^-1(2 atan u) / 2), y at least the
-    smallest normal double: u -+ v are the means of h over [x - y, x] and
-    [x, x + y], so the start is exact where h is affine.  Every iteration
-    makes one halfplane_jet call on the lanes still running, compact
-    arrays, and steps each by the real 2 x 2 system of the partials of u
-    and v, halved while it would leave y > 0, until its residual |phi - w|,
-    phi = (i - F) / (i + F), is below 1e-11, its Jacobian is <= 0, its
-    step is not finite or it has taken _MAX_ITER steps.  A lane returns
-    z = (i - zeta) / (i + zeta) and its jet by the chain rule at its own
-    zeta.  Either way a lane whose residual is 1e-7 or more, or NaN,
-    raises RuntimeError.
+    closed-form inverse takes z = phi.inverse(w), 1 - |z|^2 as (1 - |z|)
+    (1 + |z|), and one jet call on all lanes.  A BAExtension runs damped
+    Newton iteration in its half-plane coordinates zeta = i (1 - z) / (1 +
+    z) on F(zeta) = i (1 - w) / (1 + w), F = u + iv, from the window
+    inverse x -+ y/2 = h^-1(U -+ V) of the target U + iV, h^-1(u) =
+    tan(alpha^-1(2 atan u) / 2), y at least the smallest normal double:
+    u -+ v are the means of h over [x - y, x] and [x, x + y], so the start
+    is exact where h is affine.  Every iteration makes one halfplane_jet
+    call on the lanes still running, compact arrays, and steps each by the
+    real 2 x 2 system of the partials of u and v, halved while it would
+    leave y > 0, until its residual |phi - w|, phi = (i - F) / (i + F), is
+    below 1e-11, its Jacobian is <= 0, its step is not finite or it has
+    taken _MAX_ITER steps.  A lane returns z = (i - zeta) / (i + zeta),
+    1 - |z|^2 = 4y / (x^2 + (1 + y)^2), which stays positive where z rounds
+    onto the circle, and its jet by the chain rule at its own zeta = x + iy.
+    Either way a residual of 1e-7 or more, or NaN, raises RuntimeError.
 
-    Returns (z, jet), jet = (phi, d_z phi, d_zbar phi) from the lanes' last
-    jet, arrays in the shape of w (0-d for a point).
+    Returns (z, 1 - |z|^2, jet), jet = (phi, d_z phi, d_zbar phi) from the
+    lanes' last jet, arrays in the shape of w (0-d for a point).
     """
     targets = np.asarray(w, dtype=complex)
     ws = targets.ravel()
@@ -528,26 +529,27 @@ def invert(phi, w):
     quadrature.WORK["invert_lanes"] += ws.size
     if phi.inverse is not None:
         z = np.array(phi.inverse(ws), dtype=complex)
+        gap = (1.0 - np.abs(z)) * (1.0 + np.abs(z))
         jet = np.array(phi.jet(z))
         quadrature.WORK["invert_jets"] += 1
         quadrature.WORK["invert_jet_points"] += ws.size
         residual = np.abs(jet[0] - ws)
     else:
-        z, jet, residual = _newton(phi, ws)
+        z, gap, jet, residual = _newton(phi, ws)
     failed = np.flatnonzero(~(residual < 1e-7))  # a NaN residual fails too
     quadrature.WORK["invert_failures"] += failed.size
     if failed.size:
         t, r = ws[failed[0]], residual[failed[0]]
         raise RuntimeError(f"invert({phi.label}, {t}) did not converge "
                            f"(residual {r:.2e})")
-    return z.reshape(targets.shape), tuple(j.reshape(targets.shape) for j in jet)
+    return (z.reshape(targets.shape), gap.reshape(targets.shape),
+            tuple(j.reshape(targets.shape) for j in jet))
 
 
 def _newton(phi, ws):
-    """(z, jet, residual) of invert's Newton iteration on the targets ws.
-    A lane that stops leaves the running arrays with its zeta, residual and
-    half-plane jet; z, phi and the chain rule are formed once, for every
-    lane, at the end."""
+    """(z, 1 - |z|^2, jet, residual) of invert's Newton iteration on the
+    targets ws.  A lane that stops leaves the running arrays with its zeta,
+    residual and half-plane jet; the rest is formed once, at the end."""
     target = 1j * (1.0 - ws) / (1.0 + ws)
     lo, hi = (np.tan(0.5 * phi.boundary.inverse(2.0 * np.arctan(t)))
               for t in (target.real - target.imag, target.real + target.imag))
@@ -593,7 +595,8 @@ def _newton(phi, ws):
                0.5j * np.square(1j + zeta), *jet[1:])
     back = np.empty(ws.size, dtype=int)
     back[lanes] = np.arange(ws.size)  # each lane's place in stopped
-    return ((1j - zeta) / (1j + zeta))[back], jet[:, back], residual[back]
+    z, gap = (1j - zeta) / (1j + zeta), 4.0 * y / (x * x + (1.0 + y) ** 2)
+    return z[back], gap[back], jet[:, back], residual[back]
 
 
 def cone_image_aperture(phi, xi, c=2.0, samples=96):

@@ -33,11 +33,11 @@ def _batched_masses(mu, balls):
         block = balls[first:stop]
         radius = np.array([ball.radius for ball in block])[:, None, None]
         center = np.array([ball.center for ball in block])[:, None, None]
-        z, (_, dz, dzb) = invert(mu.phi, center + radius * nodes)
+        z, gap, (_, dz, dzb) = invert(mu.phi, center + radius * nodes)
         op, jac = norm_and_jacobian(dz, dzb)
         with np.errstate(over="ignore", invalid="ignore"):
             rho = (1.0 if mu.density == LEBESGUE
-                   else op ** mu.p * (1.0 - np.abs(z)) ** (mu.p - 1.0))
+                   else (op * gap / (1.0 + np.abs(z))) ** (mu.p - 1.0) * op)
         for ball, vals in zip(block, weights * rho / jac):
             mass = ball.radius ** 2 * float(np.sum(vals))
             coarse = ball.radius ** 2 * 2.0 * float(np.sum(vals[:, ::2]))
@@ -269,23 +269,19 @@ class TestSweeps:
             assert sweep.ring_error == ring_error
             assert sweep.error_max == worst
 
-    def test_weighted_mass_refuses_a_preimage_on_the_circle(self):
+    def test_weighted_mass_reads_preimages_on_the_circle(self):
         # power:0.1's ring-4 ball on its cusp ray: 36 of its 128 node
-        # preimages round to |z| = 1, where the weight (1 - |z|)^(p - 1) is
-        # 0 and would make the mass read small; the Lebesgue mass, which
-        # reads no weight, is formed
+        # preimages round to |z| = 1, where 1 - |z| would read 0 and make
+        # the weight vanish; invert's 1 - |z|^2, formed from each lane's
+        # half-plane point, stays positive there, and both masses are formed
         phi = make_disc_map("power:0.1")
         ball = HyperbolicBall(center=0.9375)
-        z, _ = invert(phi, ball.center + ball.radius * BALL_RULE[0])
+        z, gap, _ = invert(phi, ball.center + ball.radius * BALL_RULE[0])
         assert np.count_nonzero(np.abs(z) >= 1) == 36
-        mass, _ = DiscPushforward(phi).measure_ball(ball)
-        assert np.isfinite(mass) and mass > 0
-        mu = DiscPushforward(phi, density=WEIGHTED, p=2.0)
-        why = "a node's preimage rounds onto the circle"
-        with pytest.raises(RuntimeError, match=why):
-            mu.measure_ball(ball)
-        reading = carleson.ring_sweep(luecking_constant, mu)
-        assert (reading.classification, reading.reason) == (UNDETERMINED, why)
+        assert np.all(gap > 0)
+        for density in (LEBESGUE, WEIGHTED):
+            mass, _ = DiscPushforward(phi, density, p=2.0).measure_ball(ball)
+            assert np.isfinite(mass) and mass > 0
 
     @pytest.mark.parametrize("spec, density, p", [("thm2_sqrt", LEBESGUE, 2.0),
                                                   ("thm2_sqrt", WEIGHTED, 2.0),

@@ -633,7 +633,7 @@ class TestVerdicts:
         # coordinates stalled at residual 7.7e-5; in half-plane ones it
         # converges, and the ball sweeps read
         phi = make_disc_map("power:0.25")
-        _, (value, _, _) = extension.invert(phi, 0.9990234375)
+        _, _, (value, _, _) = extension.invert(phi, 0.9990234375)
         assert abs(value - 0.9990234375) < 1e-11
         rows = {r.quantity: r.classification
                 for r in run(ExperimentSpec("thmA", "power:0.25")).rows}
@@ -655,14 +655,23 @@ class TestVerdicts:
         assert rows["bergman_constant"] == CONVERGED
         assert rows["thmA_agreement"] == "pass"
 
-    def test_thm3_refuses_preimages_on_the_circle(self):
-        # power:0.1's node preimages round onto the circle from ring 4 on,
-        # where the Luecking weight (1 - |z|)^(p - 1) is no weight
+    def test_thm3_passes_on_a_sharp_cusp(self):
+        # ROADMAP item 3's rows: power:0.1's node preimages round onto the
+        # circle from ring 4 on, and the Luecking weight reads 1 - |z| from
+        # each lane's half-plane point
         rep = run(ExperimentSpec("thm3", "power:0.1"))
         rows = {r.quantity: r.classification for r in rep.rows}
-        assert rows["luecking_stabilized"] == "fail"
-        assert rep.metadata["verdicts"]["luecking_stabilized"]["reason"] == (
-            "a node's preimage rounds onto the circle")
+        assert rows["luecking_stabilized"] == "pass" and rep.passed()
+
+    @pytest.mark.parametrize("gamma", ["0.1", "0.2"])
+    @pytest.mark.parametrize("p", [2.0, 10.0])
+    def test_luecking_sweep_converges_on_sharper_cusps(self, gamma, p):
+        # at p 10 the former weight |Dphi|^p (1 - |z|)^(p - 1) overflowed
+        # in one factor where it underflowed in the other
+        mu = ca.DiscPushforward(make_disc_map(f"power:{gamma}"),
+                                density=ca.WEIGHTED, p=p)
+        rings = ca.ring_sweep(ca.luecking_constant, mu)
+        assert rings.classification == CONVERGED
 
     def test_power2_fails_the_luecking_test(self):
         rep = run(ExperimentSpec("thm3", "power:2"))
@@ -768,8 +777,7 @@ class TestMain:
         assert report.to_csv() != run(ExperimentSpec(name, map_spec)).to_csv()
 
     @pytest.mark.parametrize("p, reason", [
-        ("200", "ring 4: a mass is NaN, |Dphi|^p overflowing where "
-                "(1 - |z|)^(p - 1) underflows"),
+        ("200", "ring 5: r_B^(1 + p) underflows to 0"),
         ("1000", "ring 1: r_B^(1 + p) underflows to 0"),
         ("1e300", "ring 1: r_B^(1 + p) underflows to 0")])
     def test_large_p_reads_the_luecking_sweep_undetermined(self, capsys, p,

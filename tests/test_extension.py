@@ -964,7 +964,7 @@ class TestInvert:
                  "thm2_sqrt": "thm2_sqrt", "power:2": "power(2)"}[spec]
         phi = catalog_maps[label]
         for w in (0.0, 0.3, -0.5j, 0.7 * np.exp(2.2j), 0.95):
-            z, _ = invert(phi, w)
+            z, _, _ = invert(phi, w)
             assert abs(complex(phi(np.array([z]))[0]) - w) < 1e-7
             assert abs(z) < 1.0
 
@@ -972,8 +972,23 @@ class TestInvert:
         # phi^{-1}(w) = (w + a)/(1 + a w), evaluated by numpy, whose complex
         # division rounds differently from Python's
         w = np.complex128(0.4 - 0.2j)
-        z, _ = invert(moebius_map, w)
+        z, _, _ = invert(moebius_map, w)
         assert z == (w + 0.5) / (1 + 0.5 * w)
+
+    def test_cusp_ray_round_trip_in_the_lanes_coordinates(self):
+        # ROADMAP item 3's round trip on power:0.1's cusp ray at w = 1 -
+        # 2^-k, k = 1..16: from ring 4 on z rounds to 1, and 1 - |z|^2 is
+        # read from each lane's half-plane point
+        w = 1.0 - 2.0 ** -np.arange(1, 17)
+        z, gap, (value, _, _) = invert(make_disc_map("power:0.1"), w)
+        assert np.all(np.abs(value - w) < 1e-11)
+        assert np.all(gap > 0) and np.all(np.abs(z[3:]) == 1.0)
+        # rings 1-3, where z holds its depth: (1 - |z|)(1 + |z|) agrees to
+        # the rounding of z, eps / (1 - |z|) relative (measured: at most
+        # 0.38 of it, at ring 1)
+        near = (1.0 - np.abs(z[:3])) * (1.0 + np.abs(z[:3]))
+        assert np.all(np.abs(gap[:3] - near) <= np.finfo(float).eps
+                      * near / (1.0 - np.abs(z[:3])))
 
 
 def _circular_distortion(phi, balls, n_boundary=24):
@@ -983,7 +998,7 @@ def _circular_distortion(phi, balls, n_boundary=24):
     for ball in balls:
         thetas = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
         rim = ball.center + ball.radius * 0.999 * np.exp(1j * thetas)
-        pre, _ = invert(phi, np.concatenate(([ball.center], rim)))
+        pre, _, _ = invert(phi, np.concatenate(([ball.center], rim)))
         diam = float(np.max(np.abs(pre[1:, None] - pre[None, 1:])))
         ratios.append(diam / (1.0 - abs(pre[0])))
     return ratios
@@ -999,7 +1014,7 @@ class TestCircularDistortion:
     def test_degenerate_ball_matches_derivative(self, moebius_map):
         # tiny ball: diam(phi^{-1}(B)) ~ 2 r_B |(phi^{-1})'(center)|
         ball = HyperbolicBall(center=0.5, ratio=0.05)
-        zc, _ = invert(moebius_map, 0.5)
+        zc, _, _ = invert(moebius_map, 0.5)
         dphi = abs(complex(moebius_map.complex_derivative(np.array([zc]))[0]))
         expected = 2.0 * ball.radius * 0.999 / dphi / (1.0 - abs(zc))
         ratio = _circular_distortion(moebius_map, [ball])[0]
@@ -1105,7 +1120,7 @@ class TestCatalogConstruction:
         z = np.sqrt(rng.random(500)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 500))
         pairs = [(phi(z), former(z)), (phi.inverse(z), former.inverse(z)),
                  *zip(phi.jet(z), former.jet(z)),
-                 *zip(invert(phi, z)[1], invert(former, z)[1])]
+                 *zip(invert(phi, z)[1:], invert(former, z)[1:])]
         for got, want in pairs:
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
@@ -1224,16 +1239,18 @@ def _counting_map(spec):
 
 
 def _jet_at_last_zeta(phi):
-    """(z, phi, d_z phi, d_zbar phi) at each lane's point zeta of a
-    _CountingBA's last half-plane jet: its Cayley image (i - zeta) / (i +
-    zeta) and the chain rule there, with d zeta / dz = i (i + zeta)^2 / 2."""
+    """(z, 1 - |z|^2, phi, d_z phi, d_zbar phi) at each lane's point zeta =
+    x + iy of a _CountingBA's last half-plane jet: its Cayley image (i -
+    zeta) / (i + zeta), 4y / (x^2 + (1 + y)^2) and the chain rule there,
+    with d zeta / dz = i (i + zeta)^2 / 2."""
     x, y, (u, v, u_x, u_y, v_x, v_y) = phi.halfplane_jets[-1]
     zeta = x + 1j * y
     f = u + 1j * v
     dz, dzb = np.empty((2, x.size), dtype=complex)
     extension._wirtinger(1j + f, u_x + 1j * v_x, u_y + 1j * v_y,
                          0.5j * np.square(1j + zeta), dz, dzb)
-    return (1j - zeta) / (1j + zeta), (1j - f) / (1j + f), dz, dzb
+    return ((1j - zeta) / (1j + zeta), 4.0 * y / (x * x + (1.0 + y) ** 2),
+            (1j - f) / (1j + f), dz, dzb)
 
 
 def _exact_identity_jet(z):
@@ -1315,7 +1332,7 @@ class TestBatchedInvert:
     @pytest.mark.parametrize("spec", ["thm2_sqrt", "power:2"])
     def test_matches_scalar_calls(self, spec):
         phi = make_disc_map(spec)
-        batch, _ = invert(phi, self._TARGETS)
+        batch, _, _ = invert(phi, self._TARGETS)
         assert batch.shape == self._TARGETS.shape
         scalar = np.array([invert(phi, w)[0] for w in self._TARGETS])
         assert np.all(np.abs(phi(batch) - self._TARGETS) < 1e-11)
@@ -1323,21 +1340,24 @@ class TestBatchedInvert:
 
     @pytest.mark.parametrize("spec", ["moebius:0.5", "thm2_sqrt", "power:2"])
     def test_jet_is_that_of_the_solution_bitwise(self, spec):
-        # a closed-form inverse's jet is phi.jet(z); Newton's is the chain
-        # rule at the lane's own zeta, its last half-plane jet, whose Cayley
-        # image z is
+        # a closed-form inverse's jet is phi.jet(z) and its 1 - |z|^2 is
+        # (1 - |z|)(1 + |z|); Newton's are the chain rule and 4y / (x^2 +
+        # (1 + y)^2) at the lane's own zeta, its last half-plane jet, whose
+        # Cayley image z is
         phi = _counting_map(spec) if spec != "moebius:0.5" else make_disc_map(spec)
 
         def want(w):
-            z, _ = invert(phi, w)
-            return (z, *phi.jet(z)) if phi.inverse else _jet_at_last_zeta(phi)
+            z, _, _ = invert(phi, w)
+            if not phi.inverse:
+                return _jet_at_last_zeta(phi)
+            return (z, (1.0 - np.abs(z)) * (1.0 + np.abs(z)), *phi.jet(z))
 
         lanes = [want(w) for w in self._TARGETS]
         batch = [np.concatenate([np.ravel(lane[k]) for lane in lanes])
-                 for k in range(4)]
+                 for k in range(5)]
         for targets, ref in ((self._TARGETS, batch), (0.3, want(0.3))):
-            z, jet = invert(phi, targets)
-            for got, bits in zip((z, *jet), ref):
+            z, gap, jet = invert(phi, targets)
+            for got, bits in zip((z, gap, *jet), ref, strict=True):
                 assert got.shape == np.shape(targets)
                 assert got.tobytes() == np.reshape(bits, got.shape).tobytes()
             # the solution's jet, to the rounding of z = (i - zeta) / (i +
@@ -1389,8 +1409,9 @@ class TestClosedFormInvert:
     @pytest.mark.parametrize("spec", _SPECS)
     def test_is_the_inverse_with_its_jet(self, spec):
         phi = make_disc_map(spec)
-        z, jet = invert(phi, _RING_TARGETS)
+        z, gap, jet = invert(phi, _RING_TARGETS)
         assert z.tobytes() == phi.inverse(_RING_TARGETS).tobytes()
+        assert gap.tobytes() == ((1.0 - abs(z)) * (1.0 + abs(z))).tobytes()
         for got, want in zip(jet, phi.jet(z)):
             assert got.shape == _RING_TARGETS.shape
             assert got.tobytes() == want.tobytes()
@@ -1428,7 +1449,7 @@ class TestInitialGuesses:
         # h^-1(u) = tan(alpha^-1(2 atan u) / 2)
         phi = _counting_map("thm2_sqrt")
         targets = np.append(TestBatchedInvert._TARGETS, self._NODE)
-        z, _ = invert(phi, targets)
+        z, _, _ = invert(phi, targets)
         assert np.all(np.abs(phi(z) - targets) < 1e-11)
         big_w = 1j * (1.0 - targets) / (1.0 + targets)
         lo, hi = (np.tan(0.5 * phi.boundary.inverse(2.0 * np.arctan(t)))
@@ -1445,7 +1466,7 @@ class TestInitialGuesses:
         assert phi.differential(z0)[1] == pytest.approx(0.25, rel=1e-5)
         targets = phi(z0 * np.exp(1j * np.array([-0.5, 0.0, 0.3, 2.0])))
         phi.halfplane_jets.clear()
-        z, _ = invert(phi, targets)
+        z, _, _ = invert(phi, targets)
         _, y, _ = phi.halfplane_jets[0]
         assert np.all(y < 1e-8)
         assert np.all(np.abs(phi(z) - targets) < 1e-11)
@@ -1477,10 +1498,10 @@ def _bits(a):
 
 class TestCompactedInvert:
     """invert keeps its running lanes compact and writes a lane's outputs
-    once, when it stops: a batch's z, jet and residual are the bits of each
-    lane run alone, scattered into arrays of every lane, whichever way its
-    lanes stop, and a stop fails with the message of its first lane that
-    did not converge.  The targets are the ball centers of rings 1-10, 8 a
+    once, when it stops: a batch's z, 1 - |z|^2, jet and residual are the
+    bits of each lane run alone, scattered into arrays of every lane,
+    whichever way its lanes stop, and a stop fails with the message of its
+    first lane that did not converge.  The targets are the ball centers of rings 1-10, 8 a
     ring; on power:0.02 three of them take every step, and two more targets
     are appended: one outside the disc, whose start meets a Jacobian <= 0,
     and a NaN, whose step is not finite."""
@@ -1508,11 +1529,11 @@ class TestCompactedInvert:
                 phi.halfplane_jets.clear()
                 lanes.append(extension._newton(phi, w[i:i + 1]))
                 kinds.append(_stop_kind(phi, w[i]))
-            z, jet, residual = extension._newton(phi, w)
+            z, gap, jet, residual = extension._newton(phi, w)
             with pytest.raises(RuntimeError) if stopped else nullcontext() as raised:
                 invert(phi, w)
         assert set(kinds) - {"converged"} == stopped
-        for got, k in ((z, 0), (jet, 1), (residual, 2)):
+        for got, k in ((z, 0), (gap, 1), (jet, 2), (residual, 3)):
             assert _bits(got) == _bits(np.concatenate([lane[k] for lane in lanes],
                                                       axis=-1))
         if stopped:  # a stop fails

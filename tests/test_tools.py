@@ -87,6 +87,7 @@ def test_warm_pass_reads_its_own_rusage(usage):
 def test_snapshot_compare_prints_what_moved(tmp_path, capsys):
     # tools/output_snapshot.py --compare: a moved verdict, a file in one
     # directory only, and per quantity the largest changes of each column
+    # over the rows whose verdict did not move
     path = Path(__file__).resolve().parent.parent / "tools" / "output_snapshot.py"
     spec = importlib.util.spec_from_file_location("output_snapshot", path)
     snapshot = importlib.util.module_from_spec(spec)
@@ -105,11 +106,14 @@ def test_snapshot_compare_prints_what_moved(tmp_path, capsys):
     report(old, "b.json", ("h", 4.0, float("nan"), "undetermined"))
     report(new, "b.json", ("h", 4.0, float("nan"), "undetermined"))
     report(new, "c.json")
+    report(old, "d.json", ("h", float("nan"), 1e-9, "undetermined"))
+    report(new, "d.json", ("h", 65.5, 1e-9, "converged"))
     snapshot.main(["--compare", str(old), str(new)])
     assert capsys.readouterr().out.splitlines() == [
         f"only in {new}: c.json", "a m: pass -> fail",
+        "d h: undetermined -> converged",
         "quantity,value_rel,value_abs,error_rel,error_abs,value_per_error",
-        "h,1e-12,2e-12,0,0,0.002", "m,inf,1e-16,0,0,inf"]
+        "h,1e-12,2e-12,0,0,0.002"]
 
 
 def test_snapshot_compare_reads_a_move_against_its_error(tmp_path, capsys):
